@@ -12,10 +12,11 @@ reports evaluations/sec before vs after.  Also records:
   per-layer timing-kernel invocations (neither ``layer_timing`` nor
   ``batch_timing`` runs once the tables exist);
 * a population-scale phase — N distinct placements swept over a batch of
-  settings through ``evaluate_population`` (one stacked gather per
-  (population, setting)) vs the per-call cost-table kernel, with the exit
-  oracle pre-warmed on both sides so the comparison isolates the cost
-  kernels, plus the oracle's column cache hit/miss counters;
+  settings through ``evaluate_population`` (one stacked gather over the
+  bank's setting × layer grid per call) vs the per-call cost-table
+  kernel, with the exit oracle pre-warmed on both sides so the comparison
+  isolates the cost kernels, plus the oracle's column cache hit/miss
+  counters;
 * an accuracy-side phase — the batched exit-oracle statistics kernel
   (stacked packed-column masking with shared-prefix reuse) vs the
   per-placement popcount loop, on column-prewarmed oracles so the timed
@@ -449,7 +450,7 @@ def _observability_pass(bench: _Workbench, pairs, placements_hint: int) -> dict:
         placements = _distinct_placements(bench, placements_hint, bench.seed + 17)
         population.evaluate_population(placements, bench.dvfs.default_setting())
         # A mixed-setting generation batch: surfaces the oracle's batch-size
-        # and shared-prefix-reuse counters plus the generation grouping.
+        # and shared-prefix-reuse counters; it is one population call.
         generation = bench.evaluator(True)
         settings = _distinct_settings(bench, 4, bench.seed + 53)
         decoded = [
@@ -593,6 +594,12 @@ def main(argv: list[str] | None = None) -> int:
         f"{paper_row['fused_wall_s']:.3f}s ({paper_row['speedup']:.1f}x)"
     )
     obs_counters = observability["counters"]
+    population_calls = obs_counters.get("dyneval.population_calls", 0)
+    rows_per_call = (
+        obs_counters.get("dyneval.population_rows", 0) / population_calls
+        if population_calls
+        else 0.0
+    )
     print(
         "observability rollup: "
         f"{obs_counters.get('dyneval.evaluations', 0):.0f} evaluations / "
@@ -602,7 +609,7 @@ def main(argv: list[str] | None = None) -> int:
         f"{obs_counters.get('oracle.batch_rows', 0):.0f} oracle batch rows / "
         f"{obs_counters.get('oracle.prefix_nodes', 0):.0f} prefix nodes / "
         f"{obs_counters.get('oracle.prefix_hits', 0):.0f} prefix hits, "
-        f"{obs_counters.get('dyneval.generation_groups', 0):.0f} generation groups"
+        f"{rows_per_call:.1f} rows per population call"
     )
 
     report = {

@@ -13,7 +13,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import stats
 
 from repro.utils.validation import check_positive
 
@@ -41,10 +40,14 @@ class DifficultyDistribution:
     def cdf(self, threshold: np.ndarray | float) -> np.ndarray | float:
         """P(difficulty <= threshold): the fraction of samples a capability
         level ``threshold`` classifies correctly."""
+        from scipy import stats  # deferred: scipy dominates the package import time
+
         return stats.beta.cdf(np.clip(threshold, 0.0, 1.0), self.alpha, self.beta)
 
     def quantile(self, q: np.ndarray | float) -> np.ndarray | float:
         """Inverse CDF."""
+        from scipy import stats  # deferred: scipy dominates the package import time
+
         return stats.beta.ppf(q, self.alpha, self.beta)
 
     @property

@@ -23,6 +23,7 @@ reading; documented in DESIGN.md).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import Sequence
 
 import numpy as np
 
@@ -131,16 +132,13 @@ class DynamicEvaluator:
             for spec in self.config.layers()
             if spec.kind == "mbconv"
         }
-        # One bank per evaluator = one bank per inner run: every placement
-        # evaluated at a seen DVFS setting reuses the same cost table.  The
-        # branch provider hands each new table every legal exit branch, so a
-        # fresh setting costs exactly one batched kernel pass.
+        # One bank per evaluator = one bank per inner run: its stacked grid
+        # holds every DVFS setting's cost table, built in one pass on first
+        # use together with every legal exit branch the provider names.
         self.bank = CostTableBank(
             self.energy_model, self.cost, branch_provider=self._branch_items
         )
-        self.population = PopulationKernel(
-            self.bank, self.branch_cost, self.config.total_mbconv_layers
-        )
+        self.population = PopulationKernel(self.bank, self.branch_cost)
 
     def _branch_items(self) -> list[tuple[int, LayerCost]]:
         """(position, branch cost) for every legal exit position."""
@@ -181,9 +179,9 @@ class DynamicEvaluator:
 
         O(exits) array work: cumulative-sum gathers at the prefix indices
         plus one cached scalar bundle per traversed branch — no per-layer
-        iteration at all once the setting's table exists.  A table is built
+        iteration at all once the bank's grid exists.  The grid is built
         with every legal exit branch's scalars in its single batched pass,
-        so later placements at the setting never re-enter the timing kernel.
+        so later placements never re-enter the timing kernel.
         """
         table = self.bank.table(setting)
         branches = [self.branch_cost(p) for p in positions]
@@ -251,11 +249,15 @@ class DynamicEvaluator:
         return evaluation
 
     def evaluate_population(
-        self, placements: list[ExitPlacement], setting: DvfsSetting
+        self,
+        placements: list[ExitPlacement],
+        setting: DvfsSetting | Sequence[DvfsSetting],
     ) -> list[DynamicEvaluation]:
-        """Evaluate N placements at one setting as one stacked kernel call.
+        """Evaluate N placements as one stacked kernel call.
 
-        Bit-identical to ``[self.evaluate(p, setting) for p in placements]``
+        ``setting`` is one setting for every placement or a sequence of one
+        per placement; rows may mix settings freely.  Bit-identical to
+        ``[self.evaluate(p, s) for p, s in zip(placements, settings)]``
         (asserted by the population property tests and the bench): the
         stacked kernel performs exactly the per-placement elementwise work,
         and every reduction (usage-weighted dots, score means) runs per row
@@ -266,25 +268,33 @@ class DynamicEvaluator:
         kernel flag is off.
         """
         placements = list(placements)
+        if isinstance(setting, DvfsSetting):
+            settings = [setting] * len(placements)
+        else:
+            settings = list(setting)
         if not (self.use_tables and self.use_population_kernel):
             trace.count("dyneval.population_fallbacks")
             trace.count("dyneval.population_fallback_rows", len(placements))
-            return [self.evaluate(p, setting) for p in placements]
+            return [self.evaluate(p, s) for p, s in zip(placements, settings)]
         trace.count("dyneval.population_calls")
         trace.count("dyneval.population_rows", len(placements))
         cache = self._eval_cache
-        core, emc = setting.core_ghz, setting.emc_ghz
-        keys = [(p.key, core, emc) for p in placements]
-        pending: dict[tuple, ExitPlacement] = {}
-        for key, placement in zip(keys, placements):
+        keys = [
+            (p.key, s.core_ghz, s.emc_ghz) for p, s in zip(placements, settings)
+        ]
+        pending: dict[tuple, int] = {}
+        for row, key in enumerate(keys):
             if key not in cache and key not in pending:
-                pending[key] = placement
+                pending[key] = row
         if pending:
-            batch = list(pending.values())
-            fused = self.population.fused_batch(batch, setting, self.oracle)
+            batch = [placements[row] for row in pending.values()]
+            batch_settings = [settings[row] for row in pending.values()]
+            fused = self.population.fused_batch(batch, batch_settings, self.oracle)
             for key, evaluation in zip(
                 pending,
-                self._finalize_population(batch, fused.stats, fused.costs, setting),
+                self._finalize_population(
+                    batch, fused.stats, fused.costs, batch_settings
+                ),
             ):
                 cache[key] = evaluation
         return [cache[key] for key in keys]
@@ -292,36 +302,28 @@ class DynamicEvaluator:
     def evaluate_generation(
         self, decoded: list[tuple[ExitPlacement, DvfsSetting]]
     ) -> list[DynamicEvaluation]:
-        """Evaluate a mixed-setting generation, grouped by DVFS setting.
+        """Evaluate a mixed-setting generation in one population call.
 
-        One fused accuracy+cost population call per distinct setting
-        (order-preserving results) — the entry point the NSGA-II/IOE batch
-        hook, random search and the ``population-eval`` task kind all lower
-        to.  Bit-identical to evaluating each (placement, setting) pair
-        individually, since :meth:`evaluate_population` is.
+        One eval-cache dedupe, one oracle pass over the distinct
+        placements, one stacked cost gather with per-row settings and one
+        finalisation (order-preserving results) — the entry point the
+        NSGA-II/IOE batch hook and random search lower to.  Bit-identical to
+        evaluating each (placement, setting) pair individually, since
+        :meth:`evaluate_population` is.
         """
-        groups: dict[tuple[float, float], list[int]] = {}
-        for index, (_, setting) in enumerate(decoded):
-            groups.setdefault((setting.core_ghz, setting.emc_ghz), []).append(index)
         trace.count("dyneval.generation_calls")
         trace.count("dyneval.generation_rows", len(decoded))
-        trace.count("dyneval.generation_groups", len(groups))
-        results: list[DynamicEvaluation | None] = [None] * len(decoded)
-        for indices in groups.values():
-            setting = decoded[indices[0]][1]
-            evaluations = self.evaluate_population(
-                [decoded[i][0] for i in indices], setting
-            )
-            for i, evaluation in zip(indices, evaluations):
-                results[i] = evaluation
-        return results
+        return self.evaluate_population(
+            [placement for placement, _ in decoded],
+            [setting for _, setting in decoded],
+        )
 
     def _finalize_population(
         self,
         placements: list[ExitPlacement],
         stats: PopulationExitStats,
         costs: PopulationPathCosts,
-        setting: DvfsSetting,
+        settings: list[DvfsSetting],
     ) -> list[DynamicEvaluation]:
         """Stacked eq. 5–7 tail: ratios, clamps and scores as fixed-shape
         matrix ops; reductions per row (see :meth:`evaluate_population`).
@@ -384,11 +386,10 @@ class DynamicEvaluator:
         bounds = np.concatenate(([0], np.cumsum(costs.widths))).tolist()
         new = DynamicEvaluation.__new__
         cls = DynamicEvaluation
-        core, emc = setting.core_ghz, setting.emc_ghz
         objectives_cache = self._objectives_cache
         evaluations = []
-        for row, (placement, exit_stats) in enumerate(
-            zip(placements, stats.evaluations)
+        for row, (placement, setting, exit_stats) in enumerate(
+            zip(placements, settings, stats.evaluations)
         ):
             start = bounds[row]
             end = bounds[row + 1]
@@ -415,7 +416,9 @@ class DynamicEvaluator:
             })
             evaluations.append(evaluation)
             if objective_rows is not None:
-                objectives_cache[(placement.key, core, emc)] = objective_rows[row]
+                objectives_cache[
+                    (placement.key, setting.core_ghz, setting.emc_ghz)
+                ] = objective_rows[row]
         return evaluations
 
     def _fused_objectives(

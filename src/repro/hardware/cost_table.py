@@ -1,40 +1,46 @@
-"""Per-(network, DVFS setting) cost tables: the vectorized dynamic-eval kernel.
+"""Cost tables: one network's per-layer costs at every DVFS setting, stacked.
 
 A paper-budget inner run performs thousands of dynamic evaluations, and each
 one used to re-walk the backbone prefix layer by layer in Python for every
 exit — an O(layers × exits) loop whose per-layer terms depend only on
-``(layer, setting)``.  A :class:`SettingCostTable` precomputes those terms
-once: per-layer vectors of roofline time, busy time, dispatch overhead and
-the four rail-energy contributions, plus their cumulative sums.  A backbone
-prefix report then becomes a cumsum lookup at the prefix index, and an
-early-exit path costs one cached scalar per traversed exit branch — O(exits)
-array work per candidate.
+``(layer, setting)``.  The tables precompute those terms once: roofline
+time, busy time, dispatch overhead and the four rail-energy contributions
+per layer, plus their cumulative sums.  A backbone prefix report then
+becomes a cumsum lookup at the prefix index, and an early-exit path costs
+one cached scalar per traversed exit branch — O(exits) array work per
+candidate.
+
+A :class:`CostTableBank` holds the tables of the platform's whole
+core × EMC grid as one stacked (setting × layer) bank, built on first use
+in one broadcast pass over a column of per-setting scalars (rate factor,
+bandwidth, dispatch overhead and the four rail powers).  A population of
+(placement, setting) rows — an NSGA generation mixes settings freely — is
+then costed by one gather at the flat index ``setting_row · L + prefix``
+(:mod:`repro.hardware.population_kernel`).  A :class:`SettingCostTable` is
+the view of one grid row that planners and the serving ladder read.
 
 Bit-identity contract: every number a table produces equals the reference
 per-layer loop (:meth:`EnergyModel._accumulate_reference`) bit for bit.
-``np.cumsum`` sums strictly left to right (matching the loop's accumulator),
-the memory rail's two per-layer terms are interleaved before summation to
-preserve their in-loop addition order (float addition is not associative),
-and branch scalars are added to the gathered prefix values in the exact
-sequence the loop appends branch layers.
-
-A :class:`CostTableBank` lazily materialises one table per setting over the
-finite core × EMC grid and is shared across a whole inner run: every
-placement evaluated at a seen setting reuses the same table and the same
-cached branch scalars.
+Each grid element is the float64 expression the one-setting kernel
+evaluates; ``np.cumsum`` sums strictly left to right along the layer axis
+(matching the loop's accumulator), the memory rail's two per-layer terms
+are interleaved before summation to preserve their in-loop addition order
+(float addition is not associative), and branch scalars are added to the
+gathered prefix values in the exact sequence the loop appends branch
+layers.
 """
 
 from __future__ import annotations
 
 import threading
 import time
-from dataclasses import dataclass
-from typing import Sequence
+from dataclasses import dataclass, fields
+from typing import Callable, Sequence
 
 import numpy as np
 
 from repro.arch.cost import LayerCost, NetworkCost
-from repro.hardware.dvfs import DvfsSetting
+from repro.hardware.dvfs import DvfsSetting, DvfsSpace
 from repro.obs import trace
 from repro.hardware.energy import (
     EnergyModel,
@@ -57,6 +63,147 @@ class BranchTerms:
     static_j: float
 
 
+#: Per-layer term names; a grid's branch arrays are keyed by them.
+_BRANCH_FIELDS = tuple(f.name for f in fields(BranchTerms))
+
+
+def _layer_terms(
+    model: EnergyModel, layers: Sequence[LayerCost], settings: Sequence[DvfsSetting]
+) -> tuple[dict[str, np.ndarray], np.ndarray]:
+    """Per-layer cost terms of ``layers`` at every setting, in one pass.
+
+    Returns ``({term name: (S, n) matrix}, (S,) passive power)``.  The
+    per-setting operands come from the one-setting scalar functions
+    (:meth:`~repro.hardware.latency.LatencyModel.setting_scalars`,
+    :meth:`EnergyModel.rail_powers`) as ``(S, 1)`` columns, so row ``s``
+    is bit-identical to timing ``layers`` at ``settings[s]`` alone.
+    """
+    count = len(layers)
+    macs = np.fromiter((layer.macs for layer in layers), dtype=np.float64, count=count)
+    traffic = np.fromiter(
+        (layer.traffic_bytes for layer in layers), dtype=np.float64, count=count
+    )
+    scalars = np.array(
+        [model.latency.setting_scalars(s) + model.rail_powers(s) for s in settings],
+        dtype=np.float64,
+    ).reshape(len(settings), 7)
+    rate, bandwidth, overhead, core_w, mem_w, mem_bg_w, static_w = np.hsplit(scalars, 7)
+    timing = model.latency.scalar_timing(macs, traffic, rate, bandwidth, overhead)
+    core, mem_dyn, mem_bg, static = model.power_energy_terms(
+        timing, core_w, mem_w, mem_bg_w, static_w
+    )
+    terms = {
+        "total_s": timing.total_s,
+        "busy_s": timing.busy_s,
+        "overhead_s": timing.overhead_s,
+        "core_j": core,
+        "mem_dyn_j": mem_dyn,
+        "mem_bg_j": mem_bg,
+        "static_j": static,
+    }
+    return terms, (static_w + mem_bg_w)[:, 0]
+
+
+class _CostGrid:
+    """Stacked cost tables of one network, one row per DVFS setting.
+
+    ``cum[name]`` holds ``(S, L)`` cumulative per-layer terms: ``total``,
+    ``core``, ``mem`` and ``static`` for reports and path costs, ``busy``,
+    ``overhead`` and ``dynamic`` for path profiles.  ``branch[term]`` holds
+    ``(S, P + 1)`` exit-branch terms indexed by MBConv position; column 0
+    is the all-zero padding sentinel, and a column is valid once
+    ``filled``.  Rows are never rewritten: a bank appends rows into a new
+    grid, so a reader's grid stays valid.
+    """
+
+    __slots__ = ("settings", "rows", "cum", "branch", "filled", "passive_power_w")
+
+    def __init__(
+        self,
+        settings: list[DvfsSetting],
+        cum: dict[str, np.ndarray],
+        branch: dict[str, np.ndarray],
+        filled: np.ndarray,
+        passive_power_w: np.ndarray,
+    ):
+        self.settings = settings
+        self.rows = {(s.core_ghz, s.emc_ghz): row for row, s in enumerate(settings)}
+        self.cum = cum
+        self.branch = branch
+        self.filled = filled
+        self.passive_power_w = passive_power_w
+
+    @classmethod
+    def build(
+        cls,
+        model: EnergyModel,
+        cost: NetworkCost,
+        settings: list[DvfsSetting],
+        branch_layers: dict[int, LayerCost],
+        width: int,
+    ) -> "_CostGrid":
+        """Rows for ``settings``: the backbone and every branch in one pass."""
+        n = len(cost.layers)
+        terms, passive = _layer_terms(
+            model, cost.layers + list(branch_layers.values()), settings
+        )
+        layer = {name: matrix[:, :n] for name, matrix in terms.items()}
+        cum = {
+            "total": np.cumsum(layer["total_s"], axis=1),
+            "core": np.cumsum(layer["core_j"], axis=1),
+            "mem": np.ascontiguousarray(
+                interleaved_cumsum(layer["mem_dyn_j"], layer["mem_bg_j"])
+            ),
+            "static": np.cumsum(layer["static_j"], axis=1),
+            # Path-profile accumulators (see :class:`~repro.hardware.energy.
+            # PathProfile`): busy/overhead split and the dynamic-rail energy
+            # (core and mem_dyn interleaved, matching the reference
+            # profile's per-layer addition order).
+            "busy": np.cumsum(layer["busy_s"], axis=1),
+            "overhead": np.cumsum(layer["overhead_s"], axis=1),
+            "dynamic": np.ascontiguousarray(
+                interleaved_cumsum(layer["core_j"], layer["mem_dyn_j"])
+            ),
+        }
+        columns = list(branch_layers)
+        branch = {}
+        for name, matrix in terms.items():
+            block = np.zeros((len(settings), width))
+            block[:, columns] = matrix[:, n:]
+            branch[name] = block
+        filled = np.zeros(width, dtype=bool)
+        filled[0] = True
+        filled[columns] = True
+        return cls(settings, cum, branch, filled, passive)
+
+    def append(self, block: "_CostGrid") -> "_CostGrid":
+        """A new grid with ``block``'s rows (same branch columns) below ours."""
+        return _CostGrid(
+            self.settings + block.settings,
+            {name: np.concatenate((m, block.cum[name])) for name, m in self.cum.items()},
+            {
+                name: np.concatenate((m, block.branch[name]))
+                for name, m in self.branch.items()
+            },
+            self.filled.copy(),
+            np.concatenate((self.passive_power_w, block.passive_power_w)),
+        )
+
+    def fill(
+        self, model: EnergyModel, positions: list[int], layers: list[LayerCost]
+    ) -> None:
+        """Fill the branch columns of ``positions`` for every row, in place."""
+        terms, _ = _layer_terms(model, layers, self.settings)
+        for name, matrix in terms.items():
+            self.branch[name][:, positions] = matrix
+        self.filled[positions] = True
+
+
+def _branch_width(cost: NetworkCost) -> int:
+    """Branch columns of a grid: the sentinel plus one per MBConv position."""
+    return max((layer.index for layer in cost.mbconv_layers()), default=0) + 1
+
+
 class SettingCostTable:
     """Precomputed per-layer cost vectors of one network at one setting.
 
@@ -66,11 +213,10 @@ class SettingCostTable:
     position, which holds by construction (the evaluator derives the branch
     from the backbone's channels at that position).
 
-    ``branch_items`` — optional ``(position, branch LayerCost)`` pairs —
-    lets the whole table (backbone vectors *and* every branch scalar) come
-    out of a single batched timing pass: the branch layers are appended to
-    the backbone for one kernel invocation, then split off.  Elementwise
-    kernels make this bit-identical to timing them separately.
+    A table is a view of one grid row.  :meth:`CostTableBank.table` hands
+    out views of its bank's rows; constructing a table directly builds a
+    one-row grid, with the optional ``branch_items`` — ``(position, branch
+    LayerCost)`` pairs — timed in the same pass as the backbone.
     """
 
     def __init__(
@@ -79,49 +225,55 @@ class SettingCostTable:
         cost: NetworkCost,
         setting: DvfsSetting,
         branch_items: Sequence[tuple[int, LayerCost]] = (),
-        layer_arrays: tuple[np.ndarray, np.ndarray] | None = None,
     ):
+        grid = _CostGrid.build(
+            model, cost, [setting], dict(branch_items), _branch_width(cost)
+        )
+        self._bind(model, cost, setting, grid, 0)
+
+    @classmethod
+    def over_row(
+        cls,
+        model: EnergyModel,
+        cost: NetworkCost,
+        setting: DvfsSetting,
+        grid: _CostGrid,
+        row: int,
+    ) -> "SettingCostTable":
+        """The view of ``grid``'s row ``row`` (the row of ``setting``)."""
+        table = cls.__new__(cls)
+        table._bind(model, cost, setting, grid, row)
+        return table
+
+    def _bind(
+        self,
+        model: EnergyModel,
+        cost: NetworkCost,
+        setting: DvfsSetting,
+        grid: _CostGrid,
+        row: int,
+    ) -> None:
         self.setting = setting
         self.cost = cost
         self._model = model
-        branch_items = list(branch_items)
-        if layer_arrays is None:
-            layers = cost.layers + [layer for _, layer in branch_items]
-            timing = model.latency.batch_timing(layers, setting)
-        else:
-            # Bank-precomputed (macs, traffic) over layers + branches: the
-            # attribute walk happens once per bank, not once per setting.
-            timing = model.latency.batch_timing_arrays(*layer_arrays, setting)
-        core, mem_dyn, mem_bg, static = model.layer_energy_terms(timing, setting)
-        n = len(cost.layers)
-        self.cum_total = np.cumsum(timing.total_s[:n])
-        self.cum_core = np.cumsum(core[:n])
-        self.cum_mem = interleaved_cumsum(mem_dyn[:n], mem_bg[:n])
-        self.cum_static = np.cumsum(static[:n])
-        # Path-profile accumulators (see :class:`~repro.hardware.energy.
-        # PathProfile`): busy/overhead split and the dynamic-rail energy
-        # (core and mem_dyn interleaved, matching the reference profile's
-        # per-layer addition order).  Serving-ladder construction reads
-        # these instead of re-walking layers through the timing kernel.
-        self.cum_busy = np.cumsum(timing.busy_s[:n])
-        self.cum_overhead = np.cumsum(timing.overhead_s[:n])
-        self.cum_dynamic = interleaved_cumsum(core[:n], mem_dyn[:n])
-        self.passive_power_w = model.power.static_power(
-            setting
-        ) + model.power.mem_background_power(setting)
-        self._branch: dict[int, BranchTerms] = {}
-        if branch_items:
-            columns = zip(
-                timing.total_s[n:].tolist(),
-                timing.busy_s[n:].tolist(),
-                timing.overhead_s[n:].tolist(),
-                core[n:].tolist(),
-                mem_dyn[n:].tolist(),
-                mem_bg[n:].tolist(),
-                static[n:].tolist(),
-            )
-            for (position, _), values in zip(branch_items, columns):
-                self._branch[position] = BranchTerms(*values)
+        cum = grid.cum
+        self.cum_total = cum["total"][row]
+        self.cum_core = cum["core"][row]
+        self.cum_mem = cum["mem"][row]
+        self.cum_static = cum["static"][row]
+        # Serving-ladder construction reads the path-profile accumulators
+        # instead of re-walking layers through the timing kernel.
+        self.cum_busy = cum["busy"][row]
+        self.cum_overhead = cum["overhead"][row]
+        self.cum_dynamic = cum["dynamic"][row]
+        self.passive_power_w = float(grid.passive_power_w[row])
+        columns = (np.flatnonzero(grid.filled[1:]) + 1).tolist()
+        values = zip(
+            *(grid.branch[name][row, columns].tolist() for name in _BRANCH_FIELDS)
+        )
+        self._branch: dict[int, BranchTerms] = {
+            position: BranchTerms(*terms) for position, terms in zip(columns, values)
+        }
 
     # ------------------------------------------------------------- indexing
     def prefix_end(self, position: int) -> int:
@@ -130,19 +282,8 @@ class SettingCostTable:
 
     # -------------------------------------------------------- branch scalars
     def _terms(self, layer: LayerCost) -> BranchTerms:
-        timing = self._model.latency.batch_timing([layer], self.setting)
-        core, mem_dyn, mem_bg, static = self._model.layer_energy_terms(
-            timing, self.setting
-        )
-        return BranchTerms(
-            total_s=float(timing.total_s[0]),
-            busy_s=float(timing.busy_s[0]),
-            overhead_s=float(timing.overhead_s[0]),
-            core_j=float(core[0]),
-            mem_dyn_j=float(mem_dyn[0]),
-            mem_bg_j=float(mem_bg[0]),
-            static_j=float(static[0]),
-        )
+        terms, _ = _layer_terms(self._model, [layer], [self.setting])
+        return BranchTerms(*(float(terms[name][0, 0]) for name in _BRANCH_FIELDS))
 
     def branch_terms(self, position: int, layer: LayerCost) -> BranchTerms:
         """Cached scalar costs of the exit branch attached at ``position``.
@@ -303,16 +444,20 @@ class SettingCostTable:
 
 
 class CostTableBank:
-    """Lazy per-setting :class:`SettingCostTable` store for one network.
+    """One network's cost tables over the platform's whole DVFS grid.
 
     One bank lives for a whole inner run (it hangs off the run's
     :class:`~repro.eval.dynamic.DynamicEvaluator`), so the thousands of
-    (placement, setting) evaluations share tables: a seen setting costs one
-    dict lookup, and the finite core × EMC grid bounds the bank's size.
+    (placement, setting) evaluations share one grid.  The first request
+    builds every core × EMC setting's row in one broadcast pass; an
+    off-grid setting appends a row through the same builder, and a branch
+    position the first pass did not cover gets its column filled for every
+    row on first request.
 
-    ``branch_items`` (static) or ``branch_provider`` (lazy callable) hands
-    every table its exit-branch layers up front, so a fresh setting costs
-    exactly one batched kernel pass for the backbone *and* all branches.
+    ``branch_items`` (static) or ``branch_provider`` (lazy callable) names
+    the exit branches the first pass times alongside the backbone.
+    ``prefix_index[p]`` is the cumulative-array index of MBConv position
+    ``p``'s prefix (0 for the padding sentinel ``p = 0``).
     """
 
     def __init__(
@@ -324,71 +469,113 @@ class CostTableBank:
     ):
         self.model = model
         self.cost = cost
-        self._branch_items = list(branch_items)
+        self._branch_layers = dict(branch_items)
         self._branch_provider = branch_provider
-        self._layer_arrays: tuple[np.ndarray, np.ndarray] | None = None
+        self.prefix_index = np.zeros(_branch_width(cost), dtype=np.intp)
+        for position in range(1, len(self.prefix_index)):
+            self.prefix_index[position] = cost.prefix_end(position)
+        self._grid: _CostGrid | None = None
         self._tables: dict[tuple[float, float], SettingCostTable] = {}
         self._lock = threading.Lock()
 
-    def table(self, setting: DvfsSetting) -> SettingCostTable:
-        """The (lazily built) table for ``setting``.
+    def rows(
+        self,
+        settings: Sequence[DvfsSetting],
+        positions: np.ndarray | None = None,
+        branch_cost: Callable[[int], LayerCost] | None = None,
+    ) -> tuple[_CostGrid, np.ndarray]:
+        """The current grid and the grid row of each of ``settings``.
 
-        Thread-safe: the hot path is a lock-free dict read (a seen setting
-        costs one lookup); misses take a lock with a double-checked read, so
-        thread-executor inner runs sharing a bank neither race on the
-        branch-provider resolution nor build duplicate tables.
+        ``positions`` (an integer array) holds the MBConv positions whose
+        branch columns the caller will read; columns the grid lacks are
+        filled from ``branch_cost(position)``.  Lock-free when every row and
+        column exists; otherwise the missing ones are built under the lock,
+        so thread-executor runs sharing a bank never build twice.
+        """
+        grid = self._grid
+        if grid is not None:
+            lookup = grid.rows
+            try:
+                rows = [lookup[(s.core_ghz, s.emc_ghz)] for s in settings]
+            except KeyError:
+                pass
+            else:
+                if positions is None or grid.filled[positions].all():
+                    return grid, np.asarray(rows, dtype=np.intp)
+        return self._extend(settings, positions, branch_cost)
+
+    def _extend(self, settings, positions, branch_cost) -> tuple[_CostGrid, np.ndarray]:
+        """:meth:`rows` after building the missing rows and columns."""
+        # Timed only on the miss path, so the lock-free hit costs nothing
+        # extra; when tracing is off the clock reads are skipped too.
+        timing = trace.active() is not None
+        wait_start = time.perf_counter() if timing else 0.0
+        with self._lock:
+            if timing:
+                trace.observe("cost_table.lock_wait_s", time.perf_counter() - wait_start)
+            grid = self._grid
+            new: list[DvfsSetting] = []
+            if grid is None:
+                if self._branch_provider is not None:
+                    self._branch_layers.update(self._branch_provider())
+                    self._branch_provider = None
+                new = DvfsSpace(self.model.platform).all_settings()
+            seen = {(s.core_ghz, s.emc_ghz) for s in new}
+            if grid is not None:
+                seen.update(grid.rows)
+            for setting in settings:
+                key = (setting.core_ghz, setting.emc_ghz)
+                if key not in seen:
+                    seen.add(key)
+                    new.append(setting)
+            if new:
+                with trace.span("cost_table.build", rows=len(new)):
+                    block = _CostGrid.build(
+                        self.model,
+                        self.cost,
+                        new,
+                        self._branch_layers,
+                        len(self.prefix_index),
+                    )
+                grid = block if grid is None else grid.append(block)
+                trace.count("cost_table.builds")
+            missing = []
+            if positions is not None:
+                missing = [p for p in np.unique(positions).tolist() if not grid.filled[p]]
+            if missing:
+                layers = [branch_cost(p) for p in missing]
+                with trace.span("cost_table.build", columns=len(missing)):
+                    grid.fill(self.model, missing, layers)
+                self._branch_layers.update(zip(missing, layers))
+                trace.count("cost_table.builds")
+            if not new and not missing:
+                trace.count("cost_table.build_races")
+            self._grid = grid
+        lookup = grid.rows
+        return grid, np.fromiter(
+            (lookup[(s.core_ghz, s.emc_ghz)] for s in settings),
+            dtype=np.intp,
+            count=len(settings),
+        )
+
+    def table(self, setting: DvfsSetting) -> SettingCostTable:
+        """The per-setting view of ``setting``'s grid row.
+
+        Thread-safe: a seen setting costs one dict lookup, and racing first
+        requests all receive the one view ``setdefault`` keeps.
         """
         key = (setting.core_ghz, setting.emc_ghz)
         table = self._tables.get(key)
         if table is None:
-            # Timed only on the miss path, so the lock-free hit costs nothing
-            # extra; when tracing is off the clock reads are skipped too.
-            timing = trace.active() is not None
-            wait_start = time.perf_counter() if timing else 0.0
-            with self._lock:
-                if timing:
-                    trace.observe(
-                        "cost_table.lock_wait_s", time.perf_counter() - wait_start
-                    )
-                table = self._tables.get(key)
-                if table is None:
-                    with trace.span(
-                        "cost_table.build", core=key[0], emc=key[1]
-                    ):
-                        table = self._build_table(setting)
-                    trace.count("cost_table.builds")
-                    self._tables[key] = table
-                else:
-                    trace.count("cost_table.build_races")
-        return table
-
-    def _build_table(self, setting: DvfsSetting) -> SettingCostTable:
-        """Materialise one table (caller holds the lock)."""
-        if self._branch_provider is not None:
-            self._branch_items = list(self._branch_provider())
-            self._branch_provider = None
-        if self._layer_arrays is None:
-            layers = self.cost.layers + [layer for _, layer in self._branch_items]
-            self._layer_arrays = (
-                np.fromiter(
-                    (layer.macs for layer in layers),
-                    dtype=np.float64,
-                    count=len(layers),
-                ),
-                np.fromiter(
-                    (layer.traffic_bytes for layer in layers),
-                    dtype=np.float64,
-                    count=len(layers),
+            grid, rows = self.rows([setting])
+            table = self._tables.setdefault(
+                key,
+                SettingCostTable.over_row(
+                    self.model, self.cost, setting, grid, int(rows[0])
                 ),
             )
-        return SettingCostTable(
-            self.model,
-            self.cost,
-            setting,
-            branch_items=self._branch_items,
-            layer_arrays=self._layer_arrays,
-        )
+        return table
 
     def __len__(self) -> int:
-        """Number of settings materialised so far."""
+        """Number of settings whose table views were handed out so far."""
         return len(self._tables)

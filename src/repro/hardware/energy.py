@@ -30,12 +30,13 @@ def interleaved_cumsum(first: np.ndarray, second: np.ndarray) -> np.ndarray:
     doing ``acc += first[i]; acc += second[i]`` produces.  The memory-rail
     accumulator adds two terms per layer in that order, and float addition
     is not associative, so a plain cumsum of ``first + second`` would drift
-    by ULPs; the interleave preserves the reference association.
+    by ULPs; the interleave preserves the reference association.  Runs
+    along the last axis, so each row of a matrix gets its own totals.
     """
-    interleaved = np.empty(2 * len(first))
-    interleaved[0::2] = first
-    interleaved[1::2] = second
-    return np.cumsum(interleaved)[1::2]
+    interleaved = np.empty(first.shape[:-1] + (2 * first.shape[-1],))
+    interleaved[..., 0::2] = first
+    interleaved[..., 1::2] = second
+    return np.cumsum(interleaved, axis=-1)[..., 1::2]
 
 
 @dataclass(frozen=True)
@@ -116,6 +117,17 @@ class EnergyModel:
         """Energy of a single layer (J)."""
         return self._accumulate([layer], setting).energy_j
 
+    def rail_powers(self, setting: DvfsSetting) -> tuple[float, float, float, float]:
+        """Full-activity ``(core dynamic, mem dynamic, mem background,
+        static)`` rail power (W) at a setting."""
+        power = self.power
+        return (
+            power.core_dynamic_power(setting, 1.0),
+            power.mem_dynamic_power(setting, 1.0),
+            power.mem_background_power(setting),
+            power.static_power(setting),
+        )
+
     def layer_energy_terms(
         self, timing: BatchTiming, setting: DvfsSetting
     ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
@@ -128,11 +140,23 @@ class EnergyModel:
         association), so any left-to-right cumulative sum of these vectors
         is bit-identical to the loop's running accumulators.
         """
+        return self.power_energy_terms(timing, *self.rail_powers(setting))
+
+    @staticmethod
+    def power_energy_terms(
+        timing: BatchTiming, core_w, mem_w, mem_background_w, static_w
+    ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+        """:meth:`layer_energy_terms` from :meth:`rail_powers` operands.
+
+        Float powers pair with a one-setting timing; ``(S, 1)`` power
+        columns pair with an ``(S, n)`` grid timing from
+        :meth:`LatencyModel.scalar_timing`, row for row bit-identical.
+        """
         busy = timing.busy_s
-        core = self.power.core_dynamic_power(setting, 1.0) * busy * timing.core_activity
-        mem_dyn = self.power.mem_dynamic_power(setting, 1.0) * busy * timing.mem_activity
-        mem_bg = self.power.mem_background_power(setting) * timing.total_s
-        static = self.power.static_power(setting) * timing.total_s
+        core = core_w * busy * timing.core_activity
+        mem_dyn = mem_w * busy * timing.mem_activity
+        mem_bg = mem_background_w * timing.total_s
+        static = static_w * timing.total_s
         return core, mem_dyn, mem_bg, static
 
     def _accumulate(self, layers: list[LayerCost], setting: DvfsSetting) -> EnergyReport:

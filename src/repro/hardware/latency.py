@@ -143,31 +143,58 @@ class LatencyModel:
         )
         return self.batch_timing_arrays(macs, traffic, setting)
 
+    def setting_scalars(self, setting: DvfsSetting) -> tuple[float, float, float]:
+        """``(rate factor, memory bandwidth, dispatch overhead)`` at a setting.
+
+        The per-setting operands of the roofline kernel: a layer's compute
+        rate is ``rate factor · util(MACs)`` and its memory time
+        ``traffic / bandwidth``.
+        """
+        platform = self.platform
+        return (
+            platform.macs_per_cycle * setting.core_ghz * 1e9,
+            platform.memory_bandwidth_bytes_per_s(setting.emc_ghz),
+            self.dispatch_overhead_s(setting),
+        )
+
     def batch_timing_arrays(
         self, macs: np.ndarray, traffic: np.ndarray, setting: DvfsSetting
     ) -> BatchTiming:
-        """:meth:`batch_timing` from pre-extracted MAC/traffic vectors.
+        """:meth:`batch_timing` from pre-extracted MAC/traffic vectors."""
+        return self.scalar_timing(macs, traffic, *self.setting_scalars(setting))
 
-        The cost-table bank extracts its layer vectors once and reuses them
-        for every DVFS setting, skipping the per-table attribute walk.
+    def scalar_timing(
+        self,
+        macs: np.ndarray,
+        traffic: np.ndarray,
+        rate_factor,
+        bandwidth,
+        overhead,
+    ) -> BatchTiming:
+        """Roofline timing from :meth:`setting_scalars` operands.
+
+        With float operands this times ``n`` layers at one setting, giving
+        ``(n,)`` vectors.  With ``(S, 1)`` columns of the operands of ``S``
+        settings it times every layer at every setting in one broadcast
+        pass, giving ``(S, n)`` matrices.  Each element is the same float64
+        expression either way, so row ``s`` equals the one-setting result
+        bit for bit.
         """
         self.batch_timing_calls += 1
-        n = len(macs)
         platform = self.platform
         util = platform.util_base * macs / (macs + platform.util_saturation_macs)
-        rate = platform.macs_per_cycle * setting.core_ghz * 1e9 * util
-        compute_s = np.zeros(n)
+        rate = rate_factor * util
+        compute_s = np.zeros(rate.shape)
         np.divide(macs, rate, out=compute_s, where=macs > 0)
-        memory_s = traffic / platform.memory_bandwidth_bytes_per_s(setting.emc_ghz)
-        overhead = self.dispatch_overhead_s(setting)
-        overhead_s = np.full(n, overhead)
+        memory_s = traffic / bandwidth
         total_s = np.maximum(compute_s, memory_s) + overhead
+        overhead_s = np.full(total_s.shape, overhead)
         busy_s = total_s - overhead_s
         positive = busy_s > 0
-        core_activity = np.zeros(n)
+        core_activity = np.zeros(total_s.shape)
         np.divide(compute_s, busy_s, out=core_activity, where=positive)
         np.minimum(core_activity, 1.0, out=core_activity)
-        mem_activity = np.zeros(n)
+        mem_activity = np.zeros(total_s.shape)
         np.divide(memory_s, busy_s, out=mem_activity, where=positive)
         np.minimum(mem_activity, 1.0, out=mem_activity)
         return BatchTiming(

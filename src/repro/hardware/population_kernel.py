@@ -1,14 +1,15 @@
-"""Population-batched path costs: one stacked gather per (population, setting).
+"""Population-batched path costs: one stacked gather per population.
 
-The PR-5 cost tables made a *single* dynamic evaluation an O(exits) cumsum
+The cost tables made a *single* dynamic evaluation an O(exits) cumsum
 gather, but an NSGA-II generation (or an exhaustive DVFS sweep) still pays
 full Python per-call overhead per individual: index arrays, branch-scalar
-loops and small-array arithmetic are re-dispatched N times per setting.
-:class:`PopulationKernel` amortises that across a whole population — N exit
-placements evaluated at one :class:`~repro.hardware.dvfs.DvfsSetting` become
-one padded ``(N, E_max)`` gather over the setting's
-:class:`~repro.hardware.cost_table.SettingCostTable` plus ``E_max`` broadcast
-column additions, independent of N.
+loops and small-array arithmetic are re-dispatched N times.
+:class:`PopulationKernel` amortises that across a whole population — N
+(exit placement, DVFS setting) rows, with settings mixed freely, become
+one padded ``(N, E_max)`` gather over the
+:class:`~repro.hardware.cost_table.CostTableBank`'s stacked (setting ×
+layer) grid at the flat index ``setting_row · L + prefix``, plus ``E_max``
+broadcast column additions, independent of N.
 
 Bit-identity contract (same as every kernel in this repo): the stacked path
 costs equal :meth:`SettingCostTable.exit_path_costs` /
@@ -16,7 +17,7 @@ costs equal :meth:`SettingCostTable.exit_path_costs` /
 per-layer loop — bit for bit, for every row:
 
 * Row ``n``'s gathered prefix values are the same cumulative-array elements
-  the per-placement kernel reads.
+  the per-placement kernel reads from its setting's table.
 * Branch scalars are added as broadcast *column* operations in ascending
   exit order (``M[:, j:] += B[:, j:j+1]``): each matrix element receives
   exactly the per-placement sequence of scalar float64 additions, in the
@@ -34,21 +35,21 @@ and drift by ULPs.  What gets stacked is exactly the elementwise work.
 
 from __future__ import annotations
 
-import threading
 from dataclasses import dataclass
+from itertools import chain
 from typing import Callable, Sequence
 
 import numpy as np
 
 from repro.arch.cost import LayerCost
 from repro.exits.evaluation import PopulationExitStats
-from repro.hardware.cost_table import CostTableBank, SettingCostTable
+from repro.hardware.cost_table import CostTableBank
 from repro.hardware.dvfs import DvfsSetting
 
 
 @dataclass(frozen=True)
 class PopulationPathCosts:
-    """Stacked path costs of N placements at one DVFS setting.
+    """Stacked path costs of N placements, each at its row's DVFS setting.
 
     ``exit_energy_j`` / ``exit_latency_s`` are ``(N, E_max)`` matrices; row
     ``n`` is valid through ``widths[n]`` columns (the rest is padding and
@@ -70,7 +71,7 @@ class PopulationPathCosts:
 
 @dataclass(frozen=True)
 class FusedPopulationBatch:
-    """Accuracy and cost matrices of one population at one DVFS setting.
+    """Accuracy and cost matrices of one population.
 
     The fusion of the two population kernels: ``stats`` is the oracle's
     stacked accuracy side (N_i, usage, dissimilarity, union accuracies) and
@@ -95,98 +96,32 @@ class FusedPopulationBatch:
         return len(self.costs.widths)
 
 
-class _SettingArrays:
-    """Per-position gather operands of one setting's cost table.
-
-    Arrays are indexed by MBConv position (``0`` is the padding sentinel:
-    prefix index 0 with all-zero branch terms).  Branch terms are filled
-    lazily per requested position from the table's cached scalars, so the
-    kernel handles any placement without knowing the legal exit range.
-    """
-
-    __slots__ = (
-        "prefix_index",
-        "total_s",
-        "core_j",
-        "mem_dyn_j",
-        "mem_bg_j",
-        "static_j",
-        "_filled",
-    )
-
-    def __init__(self, table: SettingCostTable, max_position: int):
-        size = max_position + 1
-        self.prefix_index = np.zeros(size, dtype=np.intp)
-        for position in range(1, size):
-            self.prefix_index[position] = table.prefix_end(position)
-        self.total_s = np.zeros(size)
-        self.core_j = np.zeros(size)
-        self.mem_dyn_j = np.zeros(size)
-        self.mem_bg_j = np.zeros(size)
-        self.static_j = np.zeros(size)
-        self._filled = np.zeros(size, dtype=bool)
-        self._filled[0] = True  # the padding sentinel stays all-zero
-
-    def ensure(
-        self,
-        table: SettingCostTable,
-        branch_cost: Callable[[int], LayerCost],
-        positions: np.ndarray,
-    ) -> None:
-        """Fill branch-term slots for every position present in ``positions``."""
-        for position in np.unique(positions).tolist():
-            if self._filled[position]:
-                continue
-            terms = table.branch_terms(position, branch_cost(position))
-            self.total_s[position] = terms.total_s
-            self.core_j[position] = terms.core_j
-            self.mem_dyn_j[position] = terms.mem_dyn_j
-            self.mem_bg_j[position] = terms.mem_bg_j
-            self.static_j[position] = terms.static_j
-            self._filled[position] = True
-
-
 class PopulationKernel:
     """Batched analysis surface over a :class:`CostTableBank`.
 
     One kernel hangs off a :class:`~repro.eval.dynamic.DynamicEvaluator`
     (same lifetime as its bank); :meth:`path_costs` is the stable entry
     point the evaluator, the IOE batch hook and the exhaustive-grid sweeps
-    all call.
+    all call.  ``branch_cost(position)`` supplies the branch layer of any
+    position whose column the bank has not filled yet.
     """
 
-    def __init__(
-        self,
-        bank: CostTableBank,
-        branch_cost: Callable[[int], LayerCost],
-        max_position: int,
-    ):
+    def __init__(self, bank: CostTableBank, branch_cost: Callable[[int], LayerCost]):
         self._bank = bank
         self._branch_cost = branch_cost
-        self._max_position = max_position
-        self._arrays: dict[tuple[float, float], _SettingArrays] = {}
-        self._lock = threading.Lock()
-
-    def _setting_arrays(self, table: SettingCostTable) -> _SettingArrays:
-        key = (table.setting.core_ghz, table.setting.emc_ghz)
-        arrays = self._arrays.get(key)
-        if arrays is None:
-            with self._lock:
-                arrays = self._arrays.get(key)
-                if arrays is None:
-                    arrays = _SettingArrays(table, self._max_position)
-                    self._arrays[key] = arrays
-        return arrays
 
     def path_costs(
-        self, position_lists: Sequence[Sequence[int]], setting: DvfsSetting
+        self,
+        position_lists: Sequence[Sequence[int]],
+        settings: Sequence[DvfsSetting],
     ) -> PopulationPathCosts:
-        """Exit-path and full-path costs of N placements at ``setting``.
+        """Exit-path and full-path costs of N placements, row ``n`` at
+        ``settings[n]``.
 
-        One ``(N, E_max)`` fancy gather over the setting's cumulative
-        arrays, then one broadcast column addition per exit slot — total
-        work O(N · E_max) array elements with no per-placement Python loop
-        over branches.
+        One ``(N, E_max)`` gather over the bank's stacked grid at the flat
+        index ``setting_row · L + prefix``, then one broadcast column
+        addition per exit slot — total work O(N · E_max) array elements
+        with no per-placement Python loop over branches.
         """
         count = len(position_lists)
         widths = np.fromiter(
@@ -194,30 +129,33 @@ class PopulationKernel:
             dtype=np.intp,
             count=count,
         )
-        table = self._bank.table(setting)
-        arrays = self._setting_arrays(table)
         e_max = int(widths.max()) if count else 0
         positions = np.zeros((count, e_max), dtype=np.intp)
-        for row, row_positions in enumerate(position_lists):
-            positions[row, : len(row_positions)] = row_positions
-        with self._lock:
-            arrays.ensure(table, self._branch_cost, positions)
+        positions[np.arange(e_max) < widths[:, None]] = np.fromiter(
+            chain.from_iterable(position_lists), dtype=np.intp, count=int(widths.sum())
+        )
+        bank = self._bank
+        grid, rows = bank.rows(settings, positions, self._branch_cost)
+        cum, branch = grid.cum, grid.branch
 
-        index = arrays.prefix_index[positions]
-        latency = table.cum_total[index]
-        core = table.cum_core[index]
-        mem = table.cum_mem[index]
-        static = table.cum_static[index]
-        branch_total = arrays.total_s[positions]
-        branch_core = arrays.core_j[positions]
-        branch_mem_dyn = arrays.mem_dyn_j[positions]
-        branch_mem_bg = arrays.mem_bg_j[positions]
-        branch_static = arrays.static_j[positions]
+        layers = cum["total"].shape[1]
+        index = rows[:, None] * layers + bank.prefix_index[positions]
+        latency = cum["total"].take(index)
+        core = cum["core"].take(index)
+        mem = cum["mem"].take(index)
+        static = cum["static"].take(index)
+        branch_index = rows[:, None] * len(bank.prefix_index) + positions
+        branch_total = branch["total_s"].take(branch_index)
+        branch_core = branch["core_j"].take(branch_index)
+        branch_mem_dyn = branch["mem_dyn_j"].take(branch_index)
+        branch_mem_bg = branch["mem_bg_j"].take(branch_index)
+        branch_static = branch["static_j"].take(branch_index)
 
-        full_latency = np.full(count, table.cum_total[-1])
-        full_core = np.full(count, table.cum_core[-1])
-        full_mem = np.full(count, table.cum_mem[-1])
-        full_static = np.full(count, table.cum_static[-1])
+        last = rows * layers + (layers - 1)
+        full_latency = cum["total"].take(last)
+        full_core = cum["core"].take(last)
+        full_mem = cum["mem"].take(last)
+        full_static = cum["static"].take(last)
 
         # Ascending exit order mirrors the per-placement kernel: branch j
         # lands on every exit i >= j before branch j+1 does, and the memory
@@ -242,15 +180,18 @@ class PopulationKernel:
             full_latency_s=full_latency,
         )
 
-    def fused_batch(self, placements, setting: DvfsSetting, oracle) -> FusedPopulationBatch:
+    def fused_batch(
+        self, placements, settings: Sequence[DvfsSetting], oracle
+    ) -> FusedPopulationBatch:
         """Accuracy + cost matrices of N placements in one fused call.
 
-        ``oracle`` is any provider exposing ``population_stats(placements)``
+        Row ``n`` is costed at ``settings[n]``.  ``oracle`` is any provider
+        exposing ``population_stats(placements)``
         (a :class:`~repro.accuracy.exit_model.BackboneExitOracle`); its
         stacked statistics and this kernel's path costs come back aligned
         and width-checked.  This is the surface
         :meth:`DynamicEvaluator.evaluate_population` drives.
         """
         stats = oracle.population_stats(placements)
-        costs = self.path_costs([p.positions for p in placements], setting)
+        costs = self.path_costs([p.positions for p in placements], settings)
         return FusedPopulationBatch(stats=stats, costs=costs)

@@ -116,9 +116,9 @@ class _InnerProblem(Problem):
         """Generation batches lowered to the fused population kernel.
 
         The whole batch goes through
-        :meth:`DynamicEvaluator.evaluate_generation` — grouped by decoded
-        DVFS setting, one fused accuracy+cost kernel call per group — and
-        the objective vectors come back from the evaluator's fused-
+        :meth:`DynamicEvaluator.evaluate_generation` — one fused
+        accuracy+cost kernel call, each row at its decoded DVFS setting —
+        and the objective vectors come back from the evaluator's fused-
         objectives memo.  Bit-identical to the serial :meth:`evaluate`
         loop; when the evaluator's kernel flags are off this degenerates to
         exactly that loop.
@@ -176,7 +176,7 @@ class InnerEngine:
         either way.
     use_population_kernel:
         Evaluate each generation's genome batch through the stacked
-        population kernel, grouped by DVFS setting (default).  ``False``
+        population kernel, one call per generation (default).  ``False``
         keeps per-individual evaluation — the population bench's "before"
         comparator; results are bit-identical either way.
     use_batched_oracle:

@@ -290,7 +290,10 @@ def bursty_trace(
     standard-exponential buffer is walked with ``cumsum`` (seeded with the
     segment start, so the sequential float rounding matches the scalar
     ``cursor += gap`` walk exactly) and cut at the segment end with
-    ``searchsorted``.  Bit-identical to the original per-draw loop.
+    ``searchsorted``.  Each walk covers a window sized to the arrivals the
+    segment still expects, continuing from its last value when the window
+    runs out, so the work stays linear in the trace length.  Bit-identical
+    to the original per-draw loop.
     """
     check_positive("rate_hz", rate_hz)
     check_positive("duration_s", duration_s)
@@ -311,19 +314,20 @@ def bursty_trace(
         scale = 1.0 / (rate_hz * (burst_factor if bursting else 1.0))
         cursor = t
         while True:
-            gaps = expo.remaining() * scale
+            window = int((end - cursor) / scale * 1.25) + 16
+            gaps = expo.remaining()[:window] * scale
             # walk[k] = cursor + g_1 + ... + g_k with cumsum's sequential
             # accumulation — the same additions, in the same order, as the
             # scalar loop's ``cursor += gap``.
             walk = np.cumsum(np.concatenate(([cursor], gaps)))
             within = int(np.searchsorted(walk[1:], end, side="left"))
             if within == len(gaps):
-                # Whole buffer lands inside the segment: keep walking.
+                # The whole window lands inside the segment: keep walking.
                 parts.append(walk[1:])
                 expo.advance(len(gaps))
                 cursor = float(walk[-1])
                 continue
-            parts.append(walk[1 : within + 1])
+            parts.append(walk[1 : within + 1].copy())
             expo.advance(within + 1)  # the overshooting gap is consumed too
             break
         t = end

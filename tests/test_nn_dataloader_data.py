@@ -79,10 +79,44 @@ class TestDifficultyDistribution:
         with pytest.raises(ValueError):
             DifficultyDistribution(alpha=0)
 
+    # No deadline: run on its own, the first example pays the one-time
+    # scipy import that ``cdf`` defers.
+    @settings(deadline=None)
     @given(st.floats(0.01, 0.99))
     def test_cdf_monotone(self, t):
         d = DifficultyDistribution()
         assert d.cdf(t) <= d.cdf(min(t + 0.01, 1.0)) + 1e-12
+
+    def test_entry_modules_import_without_scipy(self):
+        """scipy loads only when ``cdf``/``quantile`` run, so importing the
+        package and its search and serving entry points skips it."""
+        import os
+        import subprocess
+        import sys
+        from pathlib import Path
+
+        import repro
+
+        modules = (
+            "repro",
+            "repro.search.hadas",
+            "repro.experiments.fig5",
+            "repro.serving.fleet",
+        )
+        code = (
+            f"import sys\nimport {', '.join(modules)}\n"
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+        )
+        env = dict(os.environ, PYTHONPATH=str(Path(repro.__file__).parents[1]))
+        result = subprocess.run(
+            [sys.executable, "-c", code],
+            capture_output=True,
+            text=True,
+            env=env,
+            timeout=120,
+        )
+        assert result.returncode == 0, result.stderr
+        assert result.stdout.strip() == "[]"
 
 
 class TestSyntheticVisionDataset:

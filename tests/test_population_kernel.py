@@ -1,13 +1,17 @@
 """Population-vectorized dynamic evaluation: stacked kernel bit-identity.
 
-``DynamicEvaluator.evaluate_population`` lowers N placements at one DVFS
-setting to a single padded cumsum-gather over the setting's cost table.
-Its contract is the same absolute one the cost tables carry: every field
-of every returned :class:`DynamicEvaluation` equals the per-placement
-``evaluate`` loop *bit for bit*, across population sizes (including N=1
-and duplicate genomes), random placements and random settings — so search
-trajectories, caches and golden artifacts are unchanged no matter which
-kernel produced them.  Alongside it: the thread-safety of the shared
+``DynamicEvaluator.evaluate_population`` lowers N (placement, DVFS setting)
+rows — one setting for all, or a mixed-setting NSGA generation via
+``evaluate_generation`` — to a single padded gather over the bank's
+stacked (setting × layer) grid.  Its contract is the same absolute one the
+cost tables carry: every field of every returned
+:class:`DynamicEvaluation` equals the per-pair ``evaluate`` loop *bit for
+bit*, across population sizes (including N=1 and duplicate genomes),
+random placements, random and off-grid settings — so search trajectories,
+caches and golden artifacts are unchanged no matter which kernel produced
+them.  Every grid row also equals the per-setting table the bank used to
+build one setting at a time (:func:`_per_setting_table`, kept here as the
+spec).  Alongside it: the thread-safety of the shared
 :class:`CostTableBank`, the table-backed runtime planner/serving-profile
 paths, and the ``population-eval`` task codec that shards exhaustive DVFS
 grids.
@@ -15,6 +19,7 @@ grids.
 
 from __future__ import annotations
 
+import sys
 import threading
 
 import numpy as np
@@ -28,11 +33,15 @@ from repro.baselines.attentivenas import attentivenas_model
 from repro.eval.dynamic import DynamicEvaluator
 from repro.exits.placement import MIN_EXIT_POSITION, ExitPlacement
 from repro.hardware.cost_table import CostTableBank
-from repro.hardware.dvfs import DvfsSpace
-from repro.hardware.energy import EnergyModel
+from repro.hardware.dvfs import DvfsSetting, DvfsSpace
+from repro.hardware.energy import EnergyModel, interleaved_cumsum
 from repro.hardware.platform import get_platform
+from repro.obs import trace
 
 PLATFORM_KEYS = ("tx2-gpu", "carmel-cpu")
+
+#: A setting off both platforms' core × EMC grids (inside their ranges).
+OFF_GRID = DvfsSetting(0.7777, 1.2345)
 
 _CONTEXTS: dict[str, dict] = {}
 
@@ -70,6 +79,7 @@ def _context(platform_key: str) -> dict:
             "cost": cost,
             "dvfs": dvfs,
             "settings": DvfsSpace(platform).all_settings(),
+            "kwargs": kwargs,
             "population": DynamicEvaluator(**kwargs),
             "per_call": DynamicEvaluator(**kwargs, use_population_kernel=False),
             "reference": DynamicEvaluator(**kwargs, use_tables=False),
@@ -94,12 +104,52 @@ def _assert_evaluations_identical(got, want):
     assert got.d_score == want.d_score
 
 
-def _placement_strategy(total_layers: int):
+def _placement_strategy(total_layers: int, max_size: int = 6):
     return st.sets(
         st.integers(min_value=MIN_EXIT_POSITION, max_value=total_layers - 1),
         min_size=1,
-        max_size=6,
+        max_size=max_size,
     ).map(lambda s: tuple(sorted(s)))
+
+
+def _per_setting_table(model, cost, setting, branch_items):
+    """Executable spec of one grid row: the table as built one setting at a
+    time — one timing pass over the backbone plus branch layers at
+    ``setting``, 1-D cumsums, branch terms split off the tail.
+
+    Returns ``(cumulative arrays by name, {position: {term: value}},
+    passive power)``.
+    """
+    layers = cost.layers + [layer for _, layer in branch_items]
+    timing = model.latency.batch_timing(layers, setting)
+    core, mem_dyn, mem_bg, static = model.layer_energy_terms(timing, setting)
+    n = len(cost.layers)
+    cum = {
+        "total": np.cumsum(timing.total_s[:n]),
+        "core": np.cumsum(core[:n]),
+        "mem": interleaved_cumsum(mem_dyn[:n], mem_bg[:n]),
+        "static": np.cumsum(static[:n]),
+        "busy": np.cumsum(timing.busy_s[:n]),
+        "overhead": np.cumsum(timing.overhead_s[:n]),
+        "dynamic": interleaved_cumsum(core[:n], mem_dyn[:n]),
+    }
+    tails = {
+        "total_s": timing.total_s[n:],
+        "busy_s": timing.busy_s[n:],
+        "overhead_s": timing.overhead_s[n:],
+        "core_j": core[n:],
+        "mem_dyn_j": mem_dyn[n:],
+        "mem_bg_j": mem_bg[n:],
+        "static_j": static[n:],
+    }
+    branch = {
+        position: {name: float(values[i]) for name, values in tails.items()}
+        for i, (position, _) in enumerate(branch_items)
+    }
+    passive = model.power.static_power(setting) + model.power.mem_background_power(
+        setting
+    )
+    return cum, branch, passive
 
 
 class TestPopulationBitIdentity:
@@ -195,6 +245,205 @@ class TestPopulationBitIdentity:
         batch = ctx["per_call"].evaluate_population(placements, setting)
         for placement, got in zip(placements, batch):
             _assert_evaluations_identical(got, ctx["per_call"].evaluate(placement, setting))
+
+
+class TestGenerationBitIdentity:
+    """evaluate_generation == [evaluate(p, s) for (p, s) in decoded],
+    bitwise, with settings mixed freely across rows."""
+
+    @staticmethod
+    def _check(ctx, decoded, reference_rows: int = 2):
+        generation = DynamicEvaluator(**ctx["kwargs"])
+        got = generation.evaluate_generation(decoded)
+        assert len(got) == len(decoded)
+        for (placement, setting), evaluation in zip(decoded, got):
+            want = ctx["per_call"].evaluate(placement, setting)
+            _assert_evaluations_identical(evaluation, want)
+            assert generation.objectives(evaluation) == ctx["per_call"].objectives(want)
+        for (placement, setting), evaluation in list(zip(decoded, got))[:reference_rows]:
+            _assert_evaluations_identical(
+                evaluation, ctx["reference"].evaluate(placement, setting)
+            )
+        return got
+
+    @pytest.mark.parametrize("platform_key", PLATFORM_KEYS)
+    @settings(max_examples=15, deadline=None)
+    @given(data=st.data())
+    def test_mixed_settings_match_per_pair_loop(self, platform_key, data):
+        ctx = _context(platform_key)
+        total_layers = ctx["config"].total_mbconv_layers
+        pool = data.draw(
+            st.lists(
+                _placement_strategy(total_layers, max_size=10),
+                min_size=1,
+                max_size=4,
+                unique=True,
+            )
+        )
+        choices = ctx["settings"] + [OFF_GRID]
+        rows = data.draw(
+            st.lists(
+                st.tuples(
+                    st.integers(0, len(pool) - 1), st.integers(0, len(choices) - 1)
+                ),
+                min_size=1,
+                max_size=12,
+            )
+        )
+        decoded = [
+            (ExitPlacement(total_layers, pool[p]), choices[s]) for p, s in rows
+        ]
+        self._check(ctx, decoded)
+
+    @pytest.mark.parametrize("platform_key", PLATFORM_KEYS)
+    def test_explicit_generation_shapes(self, platform_key):
+        """N=1, duplicate pairs, one placement at every grid setting, an
+        off-grid row, and rows of >= 8 exits (the per-row reduction
+        fallback) beside narrow ones."""
+        ctx = _context(platform_key)
+        total_layers = ctx["config"].total_mbconv_layers
+        grid = ctx["settings"]
+        wide = ExitPlacement(
+            total_layers, tuple(range(MIN_EXIT_POSITION, MIN_EXIT_POSITION + 9))
+        )
+        narrow = ExitPlacement(total_layers, (MIN_EXIT_POSITION + 1, total_layers - 1))
+        self._check(ctx, [(narrow, grid[0])])
+        duplicates = self._check(
+            ctx, [(narrow, grid[3]), (wide, grid[3]), (narrow, grid[3]), (narrow, grid[4])]
+        )
+        assert duplicates[0] is duplicates[2]
+        assert duplicates[0] is not duplicates[3]
+        self._check(ctx, [(wide, setting) for setting in grid])
+        self._check(ctx, [(narrow, OFF_GRID), (wide, grid[-1]), (narrow, grid[-1])], 3)
+
+    def test_traced_ioe_makes_one_population_call_per_generation(
+        self, static_evaluator, surrogate
+    ):
+        from repro.obs.trace import Recorder
+        from repro.search.ioe import InnerEngine
+        from repro.search.nsga2 import Nsga2Config
+
+        backbone = attentivenas_model("a0")
+        engine = InnerEngine(
+            backbone,
+            static_evaluator,
+            surrogate.accuracy_fraction(backbone),
+            nsga=Nsga2Config(population=12, generations=4),
+            seed=3,
+        )
+        recorder = Recorder()
+        trace.install(recorder)
+        try:
+            engine.run()
+        finally:
+            trace.uninstall()
+        counters = recorder.counters
+        generations = counters["dyneval.generation_calls"]
+        assert generations >= 4
+        assert counters["dyneval.population_calls"] == generations
+        assert counters["oracle.batch_calls"] <= generations
+        assert "dyneval.population_fallbacks" not in counters
+
+
+class TestStackedGrid:
+    @pytest.mark.parametrize("platform_key", PLATFORM_KEYS)
+    def test_every_row_matches_per_setting_spec(self, platform_key):
+        """Every grid row — on-grid settings, an appended off-grid row and
+        lazily filled branch columns included — equals the per-setting
+        spec, and ``bank.table`` views read the same bits."""
+        ctx = _context(platform_key)
+        evaluator = DynamicEvaluator(**ctx["kwargs"])
+        bank = evaluator.bank
+        total_layers = ctx["config"].total_mbconv_layers
+        outside = [2, 3]  # before the first legal exit: filled on request
+        settings_list = ctx["settings"] + [OFF_GRID]
+        grid, rows = bank.rows(settings_list, np.asarray(outside), evaluator.branch_cost)
+        assert len(grid.settings) == len(settings_list)
+        branch_items = [
+            (p, evaluator.branch_cost(p))
+            for p in outside + list(range(MIN_EXIT_POSITION, total_layers + 1))
+        ]
+        assert not grid.branch["total_s"][:, 0].any()  # the padding sentinel
+        for setting, row in zip(settings_list, rows.tolist()):
+            cum, branch, passive = _per_setting_table(
+                ctx["model"], ctx["cost"], setting, branch_items
+            )
+            for name, values in cum.items():
+                assert np.array_equal(grid.cum[name][row], values), name
+            for position, terms in branch.items():
+                for name, value in terms.items():
+                    assert grid.branch[name][row, position] == value, (position, name)
+            assert grid.passive_power_w[row] == passive
+            table = bank.table(setting)
+            assert np.array_equal(table.cum_mem, cum["mem"])
+            assert np.array_equal(table.cum_dynamic, cum["dynamic"])
+            assert table.passive_power_w == passive
+            assert table.branch_terms(2, evaluator.branch_cost(2)).core_j == (
+                branch[2]["core_j"]
+            )
+
+    def test_positions_outside_provider_range_still_evaluate(self):
+        """Kernel rows may name positions the branch provider skipped: their
+        columns are filled on first use and cost like the reference loop."""
+        ctx = _context("carmel-cpu")
+        evaluator = DynamicEvaluator(**ctx["kwargs"])
+        position_lists = [(1, 4, 9), (2,), (3, MIN_EXIT_POSITION)]
+        settings_list = [ctx["settings"][7], OFF_GRID, ctx["settings"][7]]
+        costs = evaluator.population.path_costs(position_lists, settings_list)
+        for row, (positions, setting) in enumerate(zip(position_lists, settings_list)):
+            energy, latency = costs.row(row)
+            want = ctx["reference"].path_costs(positions, setting)
+            assert np.array_equal(energy, want[0])
+            assert np.array_equal(latency, want[1])
+            assert costs.full_energy_j[row] == want[2]
+            assert costs.full_latency_s[row] == want[3]
+
+    def test_concurrent_first_use_builds_each_row_once(self):
+        """Eight threads race the grid build, off-grid rows and unfilled
+        branch columns under a tiny switch interval: each gets the serial
+        costs, and the shared grid holds every setting exactly once."""
+        ctx = _context("tx2-gpu")
+        shared = DynamicEvaluator(**ctx["kwargs"])
+        off_grid = [DvfsSetting(0.5 + 0.01 * k, 1.2345) for k in range(4)]
+        position_lists = [(1, 6), (2, 7, 9), (3,), (4, MIN_EXIT_POSITION)]
+        jobs = [
+            [
+                off_grid[(t + k) % 4] if k % 2 else ctx["settings"][t * 7 + k]
+                for k in range(4)
+            ]
+            for t in range(8)
+        ]
+        expected = [
+            DynamicEvaluator(**ctx["kwargs"]).population.path_costs(position_lists, job)
+            for job in jobs
+        ]
+        results = [None] * len(jobs)
+        barrier = threading.Barrier(len(jobs))
+
+        def run(slot):
+            barrier.wait()
+            results[slot] = shared.population.path_costs(position_lists, jobs[slot])
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [
+                threading.Thread(target=run, args=(slot,)) for slot in range(len(jobs))
+            ]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        for got, want in zip(results, expected):
+            assert np.array_equal(got.exit_energy_j, want.exit_energy_j)
+            assert np.array_equal(got.exit_latency_s, want.exit_latency_s)
+            assert np.array_equal(got.full_energy_j, want.full_energy_j)
+        grid, _ = shared.bank.rows([])
+        assert len(grid.settings) == len(ctx["settings"]) + len(off_grid)
+        assert len(grid.rows) == len(grid.settings)
 
 
 class TestCostTableBankThreadSafety:

@@ -39,6 +39,45 @@ from repro.serving.telemetry import ServingReport
 from repro.serving.workload import Request, Trace
 
 
+def _bursty_whole_buffer(
+    rate_hz, duration_s, seed, burst_factor, mean_quiet_s=4.0, mean_burst_s=1.5
+):
+    """Executable spec of ``bursty_trace``: every dwell segment cumsums the
+    whole remaining exponential buffer (quadratic in the trace length)."""
+    from repro.serving.workload import _assemble, _ExponentialStream
+    from repro.utils.rng import child_rng
+
+    rng = child_rng(seed, "serving", "bursty")
+    rate_hz = rate_hz * (mean_quiet_s + mean_burst_s) / (
+        mean_quiet_s + burst_factor * mean_burst_s
+    )
+    expo = _ExponentialStream(rng, int(rate_hz * burst_factor * duration_s * 1.2) + 64)
+    parts = []
+    t = 0.0
+    bursting = False
+    while t < duration_s:
+        dwell = (mean_burst_s if bursting else mean_quiet_s) * expo.draw()
+        end = min(t + dwell, duration_s)
+        scale = 1.0 / (rate_hz * (burst_factor if bursting else 1.0))
+        cursor = t
+        while True:
+            gaps = expo.remaining() * scale
+            walk = np.cumsum(np.concatenate(([cursor], gaps)))
+            within = int(np.searchsorted(walk[1:], end, side="left"))
+            if within == len(gaps):
+                parts.append(walk[1:])
+                expo.advance(len(gaps))
+                cursor = float(walk[-1])
+                continue
+            parts.append(walk[1 : within + 1])
+            expo.advance(within + 1)
+            break
+        t = end
+        bursting = not bursting
+    times = np.concatenate(parts) if parts else np.empty(0)
+    return _assemble("bursty", times, duration_s, seed, None, 0.0)
+
+
 @pytest.fixture(scope="module")
 def stack():
     """One shared serving stack (the expensive build, ~1s)."""
@@ -78,6 +117,30 @@ class TestWorkload:
         trace = bursty_trace(40.0, 20.0, seed=6)
         counts = np.histogram(trace.arrival_times(), bins=20, range=(0, 20.0))[0]
         assert counts.max() > 2 * max(counts.min(), 1)
+
+    @pytest.mark.parametrize("seed", [0, 3, 11])
+    @pytest.mark.parametrize("rate_hz", [5.0, 40.0, 300.0])
+    @pytest.mark.parametrize("burst_factor", [1.0, 4.0, 9.0])
+    def test_bursty_matches_whole_buffer_walk(self, seed, rate_hz, burst_factor):
+        """The windowed walk reproduces the whole-buffer walk bit for bit."""
+        got = bursty_trace(rate_hz, 60.0, seed=seed, burst_factor=burst_factor)
+        want = _bursty_whole_buffer(rate_hz, 60.0, seed, burst_factor)
+        assert got == want
+
+    def test_bursty_memory_stays_linear(self):
+        """10^5 requests at 40 req/s: each segment walks a window sized to
+        its own arrivals and keeps a copy, not a view of a whole-trace
+        walk (which peaked at ~1.5 GiB here)."""
+        import tracemalloc
+
+        tracemalloc.start()
+        try:
+            trace = bursty_trace(40.0, 2500.0, seed=1)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert len(trace.requests) > 90_000
+        assert peak < 64 * 2**20
 
     def test_replay_round_trip(self):
         source = flash_crowd_trace(50.0, 6.0, seed=9)
