@@ -21,7 +21,7 @@ import numpy as np
 
 from repro.accuracy.calibration import DEFAULT_ANCHORS, CalibrationAnchors
 from repro.arch.config import BackboneConfig
-from repro.arch.cost import estimate_cost
+from repro.arch.cost import NetworkCost, estimate_cost
 from repro.arch.space import BackboneSpace
 from repro.baselines.attentivenas import attentivenas_model
 from repro.utils.rng import child_rng
@@ -65,8 +65,8 @@ class AccuracySurrogate:
         self._c0, self._c1 = self._solve_scale()
 
     # ------------------------------------------------------------- features
-    def _raw_features(self, config: BackboneConfig) -> np.ndarray:
-        cost = estimate_cost(config)
+    def _raw_features(self, config: BackboneConfig, cost: NetworkCost | None = None) -> np.ndarray:
+        cost = cost if cost is not None else estimate_cost(config)
         log_macs = math.log10(max(cost.total_macs, 1.0))
         depth = float(config.total_mbconv_layers)
         res = float(config.resolution)
@@ -79,19 +79,32 @@ class AccuracySurrogate:
         span = np.where(hi - lo <= 0, 1.0, hi - lo)
         return lo, span
 
-    def capacity_score(self, config: BackboneConfig) -> float:
-        """Normalised capacity in [0, 1] (clipped for off-space configs)."""
+    def _features(self, config: BackboneConfig, cost: NetworkCost | None = None) -> np.ndarray:
+        """Normalised features in [0, 1] (clipped for off-space configs).
+
+        ``cost`` is the backbone's cost profile when the caller already has
+        it (the static evaluator does); otherwise it is estimated here.
+        """
         lo, span = self._bounds
-        feats = np.clip((self._raw_features(config) - lo) / span, 0.0, 1.0)
+        return np.clip((self._raw_features(config, cost) - lo) / span, 0.0, 1.0)
+
+    @staticmethod
+    def _capacity(feats: np.ndarray) -> float:
         weights = np.asarray([_W_MACS, _W_RES, _W_DEPTH, _W_EXPAND])
         return float(weights @ feats)
 
-    def _balance_penalty(self, config: BackboneConfig) -> float:
-        lo, span = self._bounds
-        feats = np.clip((self._raw_features(config) - lo) / span, 0.0, 1.0)
+    @staticmethod
+    def _penalty(feats: np.ndarray) -> float:
         depth_norm = feats[2]
         width_norm = feats[0]  # log-MACs tracks width closely at fixed depth
         return _BALANCE_PENALTY * abs(depth_norm - width_norm)
+
+    def capacity_score(self, config: BackboneConfig) -> float:
+        """Normalised capacity in [0, 1] (clipped for off-space configs)."""
+        return self._capacity(self._features(config))
+
+    def _balance_penalty(self, config: BackboneConfig) -> float:
+        return self._penalty(self._features(config))
 
     @staticmethod
     def _saturating(z: float) -> float:
@@ -112,17 +125,18 @@ class AccuracySurrogate:
         return c0, c1
 
     # ------------------------------------------------------------ interface
-    def noiseless_accuracy(self, config: BackboneConfig) -> float:
+    def noiseless_accuracy(self, config: BackboneConfig, cost: NetworkCost | None = None) -> float:
         """Accuracy (%) without the per-architecture residual."""
-        g = self._saturating(self.capacity_score(config))
-        return self._c0 + self._c1 * g - self._balance_penalty(config)
+        feats = self._features(config, cost)
+        g = self._saturating(self._capacity(feats))
+        return self._c0 + self._c1 * g - self._penalty(feats)
 
-    def accuracy(self, config: BackboneConfig) -> float:
+    def accuracy(self, config: BackboneConfig, cost: NetworkCost | None = None) -> float:
         """Predicted CIFAR-100 top-1 accuracy (%), deterministic per config."""
         rng = child_rng(self.seed, "acc-noise", config.key)
         noise = float(np.clip(rng.normal(0.0, _NOISE_STD), -2 * _NOISE_STD, 2 * _NOISE_STD))
-        return float(np.clip(self.noiseless_accuracy(config) + noise, 1.0, 99.5))
+        return float(np.clip(self.noiseless_accuracy(config, cost) + noise, 1.0, 99.5))
 
-    def accuracy_fraction(self, config: BackboneConfig) -> float:
+    def accuracy_fraction(self, config: BackboneConfig, cost: NetworkCost | None = None) -> float:
         """Accuracy as a fraction in [0, 1] (what the exit oracle consumes)."""
-        return self.accuracy(config) / 100.0
+        return self.accuracy(config, cost) / 100.0

@@ -209,7 +209,9 @@ def _inner_run(
     return InnerEngine(
         config=backbone,
         static_evaluator=evaluator,
-        backbone_accuracy_fraction=surrogate.accuracy_fraction(backbone),
+        backbone_accuracy_fraction=surrogate.accuracy_fraction(
+            backbone, evaluator.cost(backbone)
+        ),
         nsga=Nsga2Config(population=population, generations=generations),
         gamma=gamma,
         literal_ratios=literal_ratios,
@@ -282,7 +284,9 @@ def _dynamic_context(
     return InnerEngine(
         config=backbone,
         static_evaluator=evaluator,
-        backbone_accuracy_fraction=surrogate.accuracy_fraction(backbone),
+        backbone_accuracy_fraction=surrogate.accuracy_fraction(
+            backbone, evaluator.cost(backbone)
+        ),
         gamma=gamma,
         literal_ratios=literal_ratios,
         capability_model=capability_model,

@@ -122,9 +122,10 @@ class StaticEvaluator:
             if cached is not None:
                 self._cache[config.key] = cached
                 return cached
-        measurement = self.hwil.measure(self.cost(config), self.default_setting)
+        cost = self.cost(config)
+        measurement = self.hwil.measure(cost, self.default_setting)
         evaluation = StaticEvaluation(
-            accuracy=self.surrogate.accuracy(config),
+            accuracy=self.surrogate.accuracy(config, cost),
             latency_s=measurement.latency_s_mean,
             energy_j=measurement.energy_j_mean,
         )

@@ -31,18 +31,25 @@ def dominates(a: np.ndarray, b: np.ndarray) -> bool:
 
 
 def _pairwise_ge(points: np.ndarray) -> np.ndarray:
-    """``ge[i, j] = all(points[i] >= points[j])`` as one blocked broadcast.
+    """``ge[i, j] = all(points[i] >= points[j])``, one objective at a time.
 
-    Row blocks bound the (block, N, M) comparison temporary to a few MB no
-    matter how large the point set grows (archive-scale calls pass
-    thousands of rows).
+    Each objective contributes one (block, N) ``>=`` matrix, ANDed into the
+    result in place — exact comparisons, no (N, N, M) temporary.  Row blocks
+    bound each comparison matrix to a few MB no matter how large the point
+    set grows (archive-scale calls pass thousands of rows).
     """
     n, m = points.shape
     ge = np.empty((n, n), dtype=bool)
-    step = max(1, 4_000_000 // max(1, n * m))
+    if m == 0:
+        ge.fill(True)
+        return ge
+    columns = np.ascontiguousarray(points.T)
+    step = max(1, 4_000_000 // max(1, n))
     for start in range(0, n, step):
-        block = points[start : start + step]
-        ge[start : start + step] = (block[:, None, :] >= points[None, :, :]).all(axis=2)
+        rows = ge[start : start + step]
+        np.greater_equal.outer(columns[0, start : start + step], columns[0], out=rows)
+        for column in columns[1:]:
+            rows &= np.greater_equal.outer(column[start : start + step], column)
     return ge
 
 
@@ -145,20 +152,33 @@ def non_dominated_sort_reference(points: np.ndarray) -> list[np.ndarray]:
     return fronts
 
 
-def crowding_distance(points: np.ndarray) -> np.ndarray:
-    """NSGA-II crowding distance of each row (inf at objective extremes)."""
+def crowding_distance(points: np.ndarray, fronts: np.ndarray | None = None) -> np.ndarray:
+    """NSGA-II crowding distance of each row (inf at objective extremes).
+
+    ``fronts`` gives each row's front id; distances are measured within
+    each front (``None``: all rows form one front).  Every front is handled
+    in one pass per objective: a stable ``lexsort`` by (front, value)
+    lays the fronts out one after another, each in exactly the order a
+    per-front stable ``argsort`` gives, so the gaps, the spans and the
+    order of the additions — and hence every distance — are bitwise those
+    of a loop over the fronts.  Fronts of one or two rows are all extremes.
+    """
     points = np.atleast_2d(np.asarray(points, dtype=float))
     n, m = points.shape
-    distance = np.zeros(n)
-    if n <= 2:
-        return np.full(n, np.inf)
+    fronts = np.zeros(n, dtype=np.int64) if fronts is None else np.asarray(fronts)
+    if n == 0:
+        return np.zeros(0)
+    distance = np.where(np.bincount(fronts)[fronts] <= 2, np.inf, 0.0)
+    position = np.arange(n)
     for k in range(m):
-        order = np.argsort(points[:, k], kind="stable")
-        lo, hi = points[order[0], k], points[order[-1], k]
-        distance[order[0]] = distance[order[-1]] = np.inf
-        span = hi - lo
-        if span <= 0:
-            continue
-        gaps = (points[order[2:], k] - points[order[:-2], k]) / span
-        distance[order[1:-1]] += gaps
+        order = np.lexsort((points[:, k], fronts))
+        values = points[order, k]
+        front = fronts[order]
+        start = np.searchsorted(front, front, side="left")
+        end = np.searchsorted(front, front, side="right") - 1
+        extreme = (position == start) | (position == end)
+        distance[order[extreme]] = np.inf
+        span = values[end] - values[start]
+        interior = np.flatnonzero(~extreme & ~(span <= 0))
+        distance[order[interior]] += (values[interior + 1] - values[interior - 1]) / span[interior]
     return distance

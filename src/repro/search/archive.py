@@ -2,35 +2,36 @@
 
 from __future__ import annotations
 
-from typing import Any
-
 import numpy as np
 
-from repro.metrics.pareto import crowding_distance, non_dominated_mask
+from repro.metrics.pareto import non_dominated_mask
 from repro.search.individual import Individual
+
+#: Candidates merged per dominance pass in :meth:`ParetoArchive.add_all`.
+_MERGE_BLOCK = 64
 
 
 class ParetoArchive:
     """Maintains the non-dominated set over a stream of individuals.
 
-    Duplicated genomes are kept once (first wins).  When ``max_size`` is set,
-    the archive is truncated by crowding distance so the retained subset
-    stays spread across the front.
+    Duplicated genomes are kept once (first wins).  Members keep their
+    first-seen order, and their objectives are mirrored in a stacked float
+    matrix.
 
-    The archive mirrors its members' objectives in a stacked float matrix
-    so each :meth:`add` is two broadcast comparisons against the whole
-    membership instead of a Python loop of pairwise dominance tests —
-    ``add_all`` over a search history is a hot path at paper budgets.
-    Insertion stays sequential (the key-dedupe/eviction semantics are
-    order-dependent), only the inner dominance scans are batched, so the
-    resulting membership is identical to the scalar loop's.
+    :meth:`add_all` merges the stream in blocks of :data:`_MERGE_BLOCK`
+    candidates, one :func:`~repro.metrics.pareto.non_dominated_mask` over
+    members plus block each.  When a genome determines its objectives (as
+    every search's does), inserting one candidate at a time keeps exactly
+    the first occurrence of every genome that nothing seen strictly
+    dominates, in first-seen order — and block-by-block filtering keeps
+    that same set in that same order.  Blocks rather than one pass keep
+    each mask at (archive + block)² comparisons instead of (stream)².
     """
 
-    def __init__(self, max_size: int | None = None):
-        self.max_size = max_size
+    def __init__(self):
         self._items: list[Individual] = []
         self._keys: set[tuple] = set()
-        self._objs: np.ndarray | None = None  # (capacity, m) mirror; rows [:len] live
+        self._objs: np.ndarray | None = None  # (len, m) mirror of the members
 
     def __len__(self) -> int:
         return len(self._items)
@@ -46,64 +47,50 @@ class ParetoArchive:
         """Stacked objective matrix of the archive (n, m)."""
         if not self._items:
             return np.zeros((0, 0))
-        assert self._objs is not None
-        return self._objs[: len(self._items)].copy()
-
-    def _append_obj(self, obj: np.ndarray) -> None:
-        n = len(self._items) - 1  # row index for the member just appended
-        if self._objs is None or self._objs.shape[1] != obj.shape[0]:
-            self._objs = np.empty((max(16, n + 1), obj.shape[0]))
-        elif n >= self._objs.shape[0]:
-            grown = np.empty((2 * self._objs.shape[0], self._objs.shape[1]))
-            grown[:n] = self._objs[:n]
-            self._objs = grown
-        self._objs[n] = obj
+        return self._objs.copy()
 
     def add(self, individual: Individual) -> bool:
         """Insert if non-dominated; evict newly dominated members.
 
         Returns True when the individual enters the archive.
         """
-        if not individual.evaluated:
-            raise ValueError("cannot archive an unevaluated individual")
-        if individual.key() in self._keys:
-            return False
-        obj = np.asarray(individual.objectives, dtype=float)
-        if self._items:
-            assert self._objs is not None
-            objs = self._objs[: len(self._items)]
-            ge = (objs >= obj).all(axis=1)  # member >= candidate everywhere
-            le = (objs <= obj).all(axis=1)  # candidate >= member everywhere
-            if bool((ge & ~le).any()):  # some member strictly dominates it
-                return False
-            dominated = le & ~ge  # members the candidate strictly dominates
-            if bool(dominated.any()):
-                keep = np.flatnonzero(~dominated)
-                evicted_items = [self._items[i] for i in np.flatnonzero(dominated)]
-                self._keys -= {m.key() for m in evicted_items}
-                self._items = [self._items[i] for i in keep]
-                self._objs[: len(self._items)] = objs[keep]
-        self._items.append(individual)
-        self._keys.add(individual.key())
-        self._append_obj(obj)
-        self._truncate()
-        return True
+        return self.add_all([individual]) == 1
 
     def add_all(self, individuals: list[Individual]) -> int:
         """Insert many; returns how many entered."""
-        return sum(1 for ind in individuals if self.add(ind))
+        if any(not ind.evaluated for ind in individuals):
+            raise ValueError("cannot archive an unevaluated individual")
+        entered = 0
+        for start in range(0, len(individuals), _MERGE_BLOCK):
+            entered += self._merge(individuals[start : start + _MERGE_BLOCK])
+        return entered
 
-    def _truncate(self) -> None:
-        if self.max_size is None or len(self._items) <= self.max_size:
-            return
-        objs = self.objectives()
-        crowd = crowding_distance(objs)
-        order = np.argsort(-crowd, kind="stable")[: self.max_size]
-        keep = sorted(order.tolist())
-        self._items = [self._items[i] for i in keep]
-        self._keys = {m.key() for m in self._items}
-        assert self._objs is not None
-        self._objs[: len(keep)] = objs[keep]
+    def _merge(self, block: list[Individual]) -> int:
+        """One block: first occurrence of each new genome, one dominance pass."""
+        fresh: dict[tuple, Individual] = {}
+        for individual in block:
+            key = individual.key()
+            if key not in self._keys and key not in fresh:
+                fresh[key] = individual
+        if not fresh:
+            return 0
+        candidates = np.stack(
+            [np.asarray(ind.objectives, dtype=float) for ind in fresh.values()]
+        )
+        merged = candidates if self._objs is None else np.concatenate([self._objs, candidates])
+        keep = non_dominated_mask(merged)
+        members = len(self._items)
+        entering = keep[members:]
+        if members:
+            evicted = np.flatnonzero(~keep[:members])
+            self._keys.difference_update(self._items[i].key() for i in evicted)
+            self._items = [self._items[i] for i in np.flatnonzero(keep[:members])]
+        for (key, individual), enters in zip(fresh.items(), entering.tolist()):
+            if enters:
+                self._items.append(individual)
+                self._keys.add(key)
+        self._objs = merged[keep]
+        return int(entering.sum())
 
     def front(self) -> np.ndarray:
         """Objective matrix (already non-dominated by construction)."""

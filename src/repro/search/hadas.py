@@ -212,7 +212,9 @@ class HadasResult:
             best,
             platform=self.config.platform,
             seed=self.config.seed,
-            backbone_accuracy=self.surrogate.accuracy_fraction(backbone),
+            backbone_accuracy=self.surrogate.accuracy_fraction(
+                backbone, self.static_evaluator.cost(backbone)
+            ),
             label=label,
         )
 
@@ -311,7 +313,9 @@ class HadasSearch:
         return InnerEngine(
             config=backbone,
             static_evaluator=self.static_evaluator,
-            backbone_accuracy_fraction=self.surrogate.accuracy_fraction(backbone),
+            backbone_accuracy_fraction=self.surrogate.accuracy_fraction(
+                backbone, self.static_evaluator.cost(backbone)
+            ),
             nsga=Nsga2Config(
                 population=self.config.inner_population,
                 generations=self.config.inner_generations,

@@ -113,23 +113,35 @@ def evaluate_genomes(
     return problem.evaluate_batch(genomes)
 
 
+def _rank_and_crowd(population: list[Individual]) -> tuple[np.ndarray, np.ndarray]:
+    """(rank, crowding) arrays of a population, stored on its members too."""
+    objectives = np.stack([ind.objectives for ind in population])
+    rank = np.empty(len(population), dtype=np.int64)
+    for front_rank, front in enumerate(non_dominated_sort(objectives)):
+        rank[front] = front_rank
+    crowd = crowding_distance(objectives, rank)
+    for individual, r, c in zip(population, rank.tolist(), crowd.tolist()):
+        individual.rank = r
+        individual.crowding = c
+    return rank, crowd
+
+
 def rank_and_crowd(population: list[Individual]) -> None:
     """Assign NSGA-II rank and crowding distance in place."""
-    if not population:
-        return
-    objectives = np.stack([ind.objectives for ind in population])
-    for front_rank, front in enumerate(non_dominated_sort(objectives)):
-        crowd = crowding_distance(objectives[front])
-        for local, idx in enumerate(front):
-            population[idx].rank = front_rank
-            population[idx].crowding = float(crowd[local])
+    if population:
+        _rank_and_crowd(population)
 
 
 def environmental_selection(population: list[Individual], size: int) -> list[Individual]:
-    """Elitist truncation: fill by front, break ties by crowding."""
-    rank_and_crowd(population)
-    ordered = sorted(population, key=lambda ind: (ind.rank, -ind.crowding))
-    return ordered[:size]
+    """Elitist truncation: fill by front, break ties by crowding.
+
+    One stable ``lexsort`` on (rank, −crowding) — the order of
+    ``sorted(population, key=lambda ind: (ind.rank, -ind.crowding))``.
+    """
+    if not population:
+        return []
+    rank, crowd = _rank_and_crowd(population)
+    return [population[i] for i in np.lexsort((-crowd, rank))[:size]]
 
 
 class NSGA2:

@@ -262,9 +262,7 @@ class OuterEngine:
         for generation in range(self.nsga_config.generations):
             with trace.span("ooe.generation", generation=generation + 1):
                 # Early selection: P'_B — best-ranked backbones get an IOE run.
-                rank_and_crowd(population)
-                pruned = sorted(population, key=lambda ind: (ind.rank, -ind.crowding))
-                pruned = pruned[: self.ioe_candidates]
+                pruned = environmental_selection(population, self.ioe_candidates)
 
                 # Inner runs + aggregation of dynamic evaluations.  All inner
                 # runs of a generation are submitted as one batch: each is a

@@ -11,6 +11,7 @@ from hypothesis.extra import numpy as hnp
 from repro.metrics.dominance_ratio import dominance_report, ratio_of_dominance
 from repro.metrics.hypervolume import hypervolume
 from repro.metrics.pareto import (
+    _pairwise_ge,
     crowding_distance,
     dominates,
     non_dominated_mask,
@@ -155,6 +156,88 @@ class TestCrowding:
         pts = np.asarray([[1.0, 5.0], [2.0, 5.0], [3.0, 5.0]])
         crowd = crowding_distance(pts)
         assert np.isfinite(crowd[1])
+
+
+def _crowding_one_front(points: np.ndarray) -> np.ndarray:
+    """Spec: single-front NSGA-II crowding, one stable argsort per objective."""
+    n, m = points.shape
+    distance = np.zeros(n)
+    if n <= 2:
+        return np.full(n, np.inf)
+    for k in range(m):
+        order = np.argsort(points[:, k], kind="stable")
+        lo, hi = points[order[0], k], points[order[-1], k]
+        distance[order[0]] = distance[order[-1]] = np.inf
+        span = hi - lo
+        if span <= 0:
+            continue
+        gaps = (points[order[2:], k] - points[order[:-2], k]) / span
+        distance[order[1:-1]] += gaps
+    return distance
+
+
+def _crowding_per_front(points: np.ndarray, fronts: np.ndarray) -> np.ndarray:
+    """Spec: the single-front loop run on each front in turn."""
+    distance = np.zeros(len(points))
+    for front in np.unique(fronts):
+        rows = np.flatnonzero(fronts == front)
+        distance[rows] = _crowding_one_front(points[rows])
+    return distance
+
+
+#: Tie-heavy point sets: few distinct values per objective, so equal values,
+#: constant objectives and duplicated rows are common.
+tie_heavy_points = st.tuples(st.integers(1, 40), st.integers(1, 4)).flatmap(
+    lambda shape: hnp.arrays(
+        np.float64, shape, elements=st.sampled_from([-1.5, 0.0, 0.25, 1.0, 2.0])
+    )
+)
+
+
+class TestAllFrontsCrowding:
+    @settings(max_examples=80, deadline=None)
+    @given(tie_heavy_points, st.data())
+    def test_matches_per_front_loop_on_random_fronts(self, points, data):
+        fronts = np.asarray(
+            data.draw(st.lists(st.integers(0, 4), min_size=len(points), max_size=len(points)))
+        )
+        got = crowding_distance(points, fronts)
+        assert got.tobytes() == _crowding_per_front(points, fronts).tobytes()
+
+    @settings(max_examples=60, deadline=None)
+    @given(tie_heavy_points)
+    def test_matches_per_front_loop_on_sorted_fronts(self, points):
+        fronts = np.empty(len(points), dtype=np.int64)
+        for rank, front in enumerate(non_dominated_sort(points)):
+            fronts[front] = rank
+        got = crowding_distance(points, fronts)
+        assert got.tobytes() == _crowding_per_front(points, fronts).tobytes()
+
+    @settings(max_examples=40, deadline=None)
+    @given(point_arrays)
+    def test_one_front_by_default(self, points):
+        got = crowding_distance(points)
+        assert got.tobytes() == _crowding_one_front(points).tobytes()
+
+    def test_empty(self):
+        assert crowding_distance(np.zeros((0, 2))).shape == (0,)
+
+
+class TestPairwiseGe:
+    @settings(max_examples=60, deadline=None)
+    @given(tie_heavy_points)
+    def test_matches_broadcast_reduction(self, points):
+        want = (points[:, None, :] >= points[None, :, :]).all(axis=2)
+        assert np.array_equal(_pairwise_ge(points), want)
+
+    def test_row_blocks_match_broadcast_reduction(self):
+        # More rows than one block holds (4e6 // n < n).
+        points = np.random.default_rng(0).integers(0, 4, size=(2100, 2)).astype(float)
+        want = (points[:, None, :] >= points[None, :, :]).all(axis=2)
+        assert np.array_equal(_pairwise_ge(points), want)
+
+    def test_no_objectives(self):
+        assert _pairwise_ge(np.zeros((3, 0))).all()
 
 
 class TestHypervolume:

@@ -201,15 +201,30 @@ class TestTraceGeneratorLaws:
         assert np.all((trace.difficulty >= 0.0) & (trace.difficulty <= 1.0))
 
     @settings(max_examples=6, deadline=None)
-    @given(st.sampled_from(PATTERNS), st.integers(0, 2**31 - 1))
+    @given(st.sampled_from(("poisson", "diurnal", "replay")), st.integers(0, 2**31 - 1))
     def test_mean_rate_near_nominal(self, pattern, seed):
         from repro.serving.workload import make_trace
 
         rate_hz, duration_s = 100.0, 120.0
         trace = make_trace(pattern, rate_hz, duration_s, seed=seed)
-        # Poisson counting noise is ~1% here, but bursty/diurnal add
-        # dwell/cycle-level variance on top — allow a generous ±25%.
+        # Poisson counting noise is ~1% here and diurnal/replay stay within
+        # ~3%; ±25% leaves room for cycle-level variance.
         assert trace.num_requests == pytest.approx(rate_hz * duration_s, rel=0.25)
+
+    @settings(max_examples=4, deadline=None)
+    @given(st.integers(0, 2**31 - 33))
+    def test_bursty_mean_rate_near_nominal_over_seeds(self, first_seed):
+        """Bursty dwell times spread one 120 s trace's count by ~10 %, and
+        about 1 seed in 130 lands outside ±25 %; the law holds for the mean
+        over 32 consecutive seeds (measured 0.96-1.04 of nominal)."""
+        from repro.serving.workload import make_trace
+
+        rate_hz, duration_s = 100.0, 120.0
+        counts = [
+            make_trace("bursty", rate_hz, duration_s, seed=first_seed + i).num_requests
+            for i in range(32)
+        ]
+        assert np.mean(counts) == pytest.approx(rate_hz * duration_s, rel=0.08)
 
     @settings(max_examples=8, deadline=None)
     @given(

@@ -128,12 +128,52 @@ class TestRankAndSelection:
         ranks = [s.rank for s in survivors]
         assert all(r == 0 for r in ranks)
 
+    @settings(max_examples=60, deadline=None)
+    @given(
+        st.lists(
+            st.tuples(st.integers(0, 3), st.integers(0, 3), st.integers(0, 3)),
+            min_size=1,
+            max_size=30,
+        ),
+        st.integers(1, 30),
+    )
+    def test_selection_matches_sorted_rank_crowding(self, objectives, size):
+        """One lexsort on (rank, -crowding) == the stable ``sorted`` spec."""
+        population = self._pop(objectives)
+        want = self._pop(objectives)
+        rank_and_crowd(want)
+        want = sorted(want, key=lambda ind: (ind.rank, -ind.crowding))[:size]
+        got = environmental_selection(population, size)
+        assert [int(ind.genome[0]) for ind in got] == [int(ind.genome[0]) for ind in want]
+        assert [(ind.rank, ind.crowding) for ind in got] == [
+            (ind.rank, ind.crowding) for ind in want
+        ]
+
     def test_selection_truncates_by_crowding(self):
         pop = self._pop([[0, 4], [1, 3], [1.1, 2.9], [2, 2], [4, 0]])
         survivors = environmental_selection(pop, 4)
         xs = sorted(float(s.objectives[0]) for s in survivors)
         # The crowded middle point (1.1, 2.9) should be the one dropped.
         assert 1.1 not in xs
+
+
+class _SequentialArchive:
+    """Spec: the archive inserting one candidate at a time."""
+
+    def __init__(self):
+        self.items: list[Individual] = []
+
+    def add(self, individual: Individual) -> bool:
+        if any(member.key() == individual.key() for member in self.items):
+            return False
+        if any(dominates(member.objectives, individual.objectives) for member in self.items):
+            return False
+        self.items = [
+            member for member in self.items
+            if not dominates(individual.objectives, member.objectives)
+        ]
+        self.items.append(individual)
+        return True
 
 
 class TestParetoArchive:
@@ -166,14 +206,6 @@ class TestParetoArchive:
         assert archive.add(self._ind([1, 0], key=[7]))
         assert not archive.add(self._ind([0, 1], key=[7]))
 
-    def test_truncation_by_crowding(self):
-        archive = ParetoArchive(max_size=3)
-        for i in range(6):
-            archive.add(self._ind([i, 5 - i]))
-        assert len(archive) == 3
-        xs = sorted(float(ind.objectives[0]) for ind in archive)
-        assert xs[0] == 0 and xs[-1] == 5  # extremes survive truncation
-
     def test_unevaluated_rejected(self):
         archive = ParetoArchive()
         with pytest.raises(ValueError):
@@ -201,6 +233,42 @@ class TestParetoArchive:
             for j in range(len(objs)):
                 if i != j:
                     assert not dominates(objs[i], objs[j])
+
+
+    @settings(max_examples=120, deadline=None)
+    @given(st.data())
+    def test_block_merges_match_sequential_add(self, data):
+        """Streams with repeated genomes and tied objectives, split across
+        calls and across merge blocks, keep the sequential spec's members
+        in its order."""
+        num_keys = data.draw(st.integers(1, 40))
+        table = data.draw(
+            st.lists(
+                st.tuples(st.integers(0, 4), st.integers(0, 4), st.integers(0, 2)),
+                min_size=num_keys,
+                max_size=num_keys,
+            )
+        )
+        stream = data.draw(st.lists(st.integers(0, num_keys - 1), min_size=1, max_size=200))
+        cuts = sorted(data.draw(st.lists(st.integers(0, len(stream)), max_size=4)))
+        individuals = [self._ind(list(table[key]), key=[key]) for key in stream]
+        archive, spec = ParetoArchive(), _SequentialArchive()
+        for lo, hi in zip([0] + cuts, cuts + [len(stream)]):
+            archive.add_all(individuals[lo:hi])
+            for individual in individuals[lo:hi]:
+                spec.add(individual)
+            assert [id(ind) for ind in archive] == [id(ind) for ind in spec.items]
+        want = np.asarray([ind.objectives for ind in spec.items]).reshape(len(spec.items), -1)
+        assert np.array_equal(archive.objectives().reshape(len(spec.items), -1), want)
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.lists(st.tuples(st.integers(0, 3), st.integers(0, 3)), min_size=1, max_size=40))
+    def test_add_matches_sequential_add(self, points):
+        archive, spec = ParetoArchive(), _SequentialArchive()
+        for i, point in enumerate(points):
+            individual = self._ind(list(point), key=[i % 7])
+            assert archive.add(individual) == spec.add(individual)
+        assert [id(ind) for ind in archive] == [id(ind) for ind in spec.items]
 
 
 class TestNsga2Engine:

@@ -176,6 +176,32 @@ class TestHadasSearch:
         assert engine.nsga_config.population == hadas_result.config.inner_population
         assert engine.nsga_config.generations == hadas_result.config.inner_generations
 
+    def test_each_backbone_costed_once(self, monkeypatch):
+        """Static evaluation, the surrogate and the IOE set-up share one
+        cost profile per backbone: ``estimate_cost`` runs once per distinct
+        backbone over a whole search, deployment hand-off included."""
+        from repro.accuracy import surrogate as surrogate_module
+        from repro.eval import static as static_module
+
+        search = HadasSearch(HadasConfig(
+            platform="tx2-gpu", seed=3,
+            outer_population=6, outer_generations=3,
+            inner_population=6, inner_generations=2,
+            ioe_candidates=2, oracle_samples=256,
+        ))
+        costed: list[str] = []
+        estimate = static_module.estimate_cost
+
+        def counted(config):
+            costed.append(config.key)
+            return estimate(config)
+
+        monkeypatch.setattr(static_module, "estimate_cost", counted)
+        monkeypatch.setattr(surrogate_module, "estimate_cost", counted)
+        search.run().deployed_design()
+        assert costed
+        assert len(costed) == len(set(costed))
+
     def test_determinism_same_seed(self):
         config = HadasConfig(
             platform="tx2-gpu", seed=5,
