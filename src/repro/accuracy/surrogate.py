@@ -103,9 +103,6 @@ class AccuracySurrogate:
         """Normalised capacity in [0, 1] (clipped for off-space configs)."""
         return self._capacity(self._features(config))
 
-    def _balance_penalty(self, config: BackboneConfig) -> float:
-        return self._penalty(self._features(config))
-
     @staticmethod
     def _saturating(z: float) -> float:
         return (1.0 - math.exp(-_SATURATION_K * z)) / (1.0 - math.exp(-_SATURATION_K))
@@ -114,12 +111,13 @@ class AccuracySurrogate:
         """Fit acc = c0 + c1 * g(z) exactly through the a0/a6 anchors."""
         a0 = attentivenas_model("a0", num_classes=self.space.num_classes)
         a6 = attentivenas_model("a6", num_classes=self.space.num_classes)
-        g0 = self._saturating(self.capacity_score(a0))
-        g6 = self._saturating(self.capacity_score(a6))
+        f0, f6 = self._features(a0), self._features(a6)
+        g0 = self._saturating(self._capacity(f0))
+        g6 = self._saturating(self._capacity(f6))
         if abs(g6 - g0) < 1e-9:
             raise RuntimeError("anchor architectures have identical capacity scores")
-        target0 = self.anchors.a0_accuracy + self._balance_penalty(a0)
-        target6 = self.anchors.a6_accuracy + self._balance_penalty(a6)
+        target0 = self.anchors.a0_accuracy + self._penalty(f0)
+        target6 = self.anchors.a6_accuracy + self._penalty(f6)
         c1 = (target6 - target0) / (g6 - g0)
         c0 = target0 - c1 * g0
         return c0, c1

@@ -46,9 +46,11 @@ from dataclasses import dataclass, field
 from functools import lru_cache
 from typing import Any, Callable
 
-#: Bump when spec semantics change (what a kind's params mean); folded into
-#: every spec fingerprint, so content addresses derived from specs roll over.
-TASK_CODEC_VERSION = "1"
+#: Bump when spec semantics change (what a kind's params mean, or what a
+#: spec evaluates to); folded into every spec fingerprint, so content
+#: addresses derived from specs roll over.  "2": searches follow the batched
+#: NSGA-II variation's trajectories.
+TASK_CODEC_VERSION = "2"
 
 _REGISTRY: dict[str, Callable[..., Any]] = {}
 

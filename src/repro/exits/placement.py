@@ -117,10 +117,15 @@ class ExitSpace:
         return ExitPlacement.from_indicators(self.total_layers, indicators)
 
     def repair(self, indicators: np.ndarray, rng=None) -> np.ndarray:
-        """Force validity: at least one active indicator."""
+        """Force validity: at least one active indicator per vector.
+
+        The last axis is the indicator vector, so an ``(N, slots)`` matrix
+        repairs N placements; each empty one gets a uniformly drawn slot
+        switched on (one draw for all of them).
+        """
         indicators = np.asarray(indicators).astype(np.int64).clip(0, 1)
-        if indicators.sum() == 0:
-            rng = make_rng(rng)
-            indicators = indicators.copy()
-            indicators[rng.integers(0, len(indicators))] = 1
+        rows = indicators.reshape(-1, indicators.shape[-1])  # a view of the copy
+        empty = np.flatnonzero(~rows.any(axis=1))
+        if len(empty):
+            rows[empty, make_rng(rng).integers(0, rows.shape[1], size=len(empty))] = 1
         return indicators

@@ -57,7 +57,11 @@ class ParetoArchive:
         return self.add_all([individual]) == 1
 
     def add_all(self, individuals: list[Individual]) -> int:
-        """Insert many; returns how many entered."""
+        """Insert many; returns how many entered.
+
+        A candidate that a later one in its own block dominates never
+        counts as entering.
+        """
         if any(not ind.evaluated for ind in individuals):
             raise ValueError("cannot archive an unevaluated individual")
         entered = 0

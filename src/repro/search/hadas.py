@@ -31,7 +31,8 @@ from repro.search.ooe import OuterEngine, OuterResult
 from repro.utils.validation import check_nonneg, check_positive
 
 #: Bump when inner-engine semantics change; orphans persisted inner results.
-INNER_ENGINE_VERSION = "1"
+#: "2": batched NSGA-II variation draws the engine RNG in a new order.
+INNER_ENGINE_VERSION = "2"
 
 
 @dataclass(frozen=True)

@@ -38,9 +38,6 @@ class Individual:
     def evaluated(self) -> bool:
         return self.objectives is not None
 
-    def copy_genome(self) -> np.ndarray:
-        return np.array(self.genome, dtype=np.int64, copy=True)
-
     def key(self) -> tuple:
         """Hashable genome identity (for de-duplication).
 

@@ -93,7 +93,8 @@ class _InnerProblem(Problem):
         return self.exit_space.num_slots
 
     def split(self, genome: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        return genome[: self.num_slots], genome[self.num_slots :]
+        """(exit bits, DVFS genes) along the last axis."""
+        return genome[..., : self.num_slots], genome[..., self.num_slots :]
 
     def decode(self, genome: np.ndarray):
         bits, dvfs = self.split(genome)
@@ -136,14 +137,16 @@ class _InnerProblem(Problem):
     def crossover(self, a, b, rng):
         return operators.uniform_crossover(a, b, rng)
 
-    def mutate(self, genome: np.ndarray, rng: np.random.Generator) -> np.ndarray:
-        bits, dvfs = self.split(genome)
-        bits = operators.bitflip_mutation(bits, rng, prob=1.5 / max(len(bits), 1))
+    def mutate(self, genomes: np.ndarray, rng: np.random.Generator) -> np.ndarray:
+        bits, dvfs = self.split(genomes)
+        bits = operators.bitflip_mutation(bits, rng, prob=1.5 / max(self.num_slots, 1))
         bits = self.exit_space.repair(bits, rng)
         dvfs = operators.creep_mutation(dvfs, self._dvfs_bounds, rng, prob=0.5)
-        if rng.random() < 0.15:  # occasional long-range DVFS jump
-            dvfs = operators.reset_mutation(dvfs, self._dvfs_bounds, rng, prob=1.0)
-        return np.concatenate([bits, dvfs]).astype(np.int64)
+        # Occasional long-range DVFS jump: 15 % of genomes resample both genes.
+        jump = rng.random(dvfs.shape[:-1]) < 0.15
+        if jump.any():
+            dvfs[jump] = operators.reset_mutation(dvfs[jump], self._dvfs_bounds, rng, prob=1.0)
+        return np.concatenate([bits, dvfs], axis=-1)
 
 
 class InnerEngine:

@@ -11,7 +11,8 @@ Generation batches flow through :func:`evaluate_genomes` →
 :meth:`Problem.evaluate_batch`, which is how population-fused problems (the
 IOE's fused accuracy+cost kernel) receive whole generations; the sorting/
 crowding bookkeeping itself runs on the vectorized dominance-matrix
-primitives in :mod:`repro.metrics.pareto`.
+primitives in :mod:`repro.metrics.pareto`, and variation on stacked genome
+matrices (:meth:`NSGA2.make_offspring`).
 """
 
 from __future__ import annotations
@@ -64,11 +65,25 @@ class Problem:
     def crossover(
         self, a: np.ndarray, b: np.ndarray, rng: np.random.Generator
     ) -> tuple[np.ndarray, np.ndarray]:  # pragma: no cover
-        """Recombine two parents into two children."""
+        """Recombine parent pairs into child pairs.
+
+        ``a`` and ``b`` are ``(pairs, G)`` matrices — row ``i`` of each is
+        one mating pair — and the two returned matrices have the same
+        shape: row ``i`` holds the pair's two children.  The last axis is
+        the genome, so a 1-D genome is a population of one.  The engine
+        calls this once per generation with every pair, crossed or not, and
+        keeps the children of the crossed ones; draw from ``rng`` over whole
+        arrays rather than per pair.
+        """
         raise NotImplementedError
 
-    def mutate(self, genome: np.ndarray, rng: np.random.Generator) -> np.ndarray:  # pragma: no cover
-        """Perturb a genome."""
+    def mutate(self, genomes: np.ndarray, rng: np.random.Generator) -> np.ndarray:  # pragma: no cover
+        """Perturb genomes: an ``(N, G)`` matrix in, the mutated ``(N, G)`` out.
+
+        As for :meth:`crossover`, the last axis is the genome (a 1-D genome
+        is a population of one), the engine calls this once per generation
+        with every child, and the input must not be modified.
+        """
         raise NotImplementedError
 
 
@@ -113,8 +128,13 @@ def evaluate_genomes(
     return problem.evaluate_batch(genomes)
 
 
-def _rank_and_crowd(population: list[Individual]) -> tuple[np.ndarray, np.ndarray]:
-    """(rank, crowding) arrays of a population, stored on its members too."""
+def rank_and_crowd(population: list[Individual]) -> tuple[np.ndarray, np.ndarray]:
+    """Assign NSGA-II rank and crowding distance in place.
+
+    Both are also returned as arrays, in population order.
+    """
+    if not population:
+        return np.zeros(0, dtype=np.int64), np.zeros(0)
     objectives = np.stack([ind.objectives for ind in population])
     rank = np.empty(len(population), dtype=np.int64)
     for front_rank, front in enumerate(non_dominated_sort(objectives)):
@@ -126,21 +146,13 @@ def _rank_and_crowd(population: list[Individual]) -> tuple[np.ndarray, np.ndarra
     return rank, crowd
 
 
-def rank_and_crowd(population: list[Individual]) -> None:
-    """Assign NSGA-II rank and crowding distance in place."""
-    if population:
-        _rank_and_crowd(population)
-
-
 def environmental_selection(population: list[Individual], size: int) -> list[Individual]:
     """Elitist truncation: fill by front, break ties by crowding.
 
     One stable ``lexsort`` on (rank, −crowding) — the order of
     ``sorted(population, key=lambda ind: (ind.rank, -ind.crowding))``.
     """
-    if not population:
-        return []
-    rank, crowd = _rank_and_crowd(population)
+    rank, crowd = rank_and_crowd(population)
     return [population[i] for i in np.lexsort((-crowd, rank))[:size]]
 
 
@@ -203,39 +215,56 @@ class NSGA2:
         ]
         return self._evaluate_all(population)
 
-    def _tournament(self, population: list[Individual]) -> Individual:
-        a, b = self.rng.choice(len(population), size=2, replace=False)
-        ind_a, ind_b = population[a], population[b]
-        if ind_a.rank != ind_b.rank:
-            return ind_a if ind_a.rank < ind_b.rank else ind_b
-        return ind_a if ind_a.crowding >= ind_b.crowding else ind_b
-
     def make_offspring(self, population: list[Individual]) -> list[Individual]:
         """Mating selection + crossover + mutation -> evaluated children.
 
-        Variation (which consumes the engine RNG) runs to completion first;
-        the resulting genomes are then evaluated as one batch.  The RNG
-        stream is identical to interleaved per-child evaluation because
-        evaluation never draws from it.
+        One generation's variation is a few whole-array steps over the
+        stacked parents (genomes, ranks, crowding distances).  For N
+        children in P = ceil(N / 2) pairs, the engine RNG is drawn in this
+        order:
+
+        1. every binary tournament: one draw of the 2P first contestants,
+           uniform over the mating pool, then one of the 2P second
+           contestants, uniform over the other n − 1 members (drawn from
+           n − 1 and shifted past the first).  The lower rank wins; on
+           equal rank the first contestant wins when its crowding is >= the
+           second's.  Winners ``2i`` and ``2i + 1`` mate as pair ``i``;
+        2. every crossover coin, one draw of P uniforms against
+           ``crossover_prob``;
+        3. :meth:`Problem.crossover` on the two ``(P, G)`` parent matrices
+           of every pair; the crossed pairs take its children, the others
+           keep their parents;
+        4. :meth:`Problem.mutate` on the ``(N, G)`` child matrix, children
+           in pair order (a0, b0, a1, b1, ...) with the last one dropped
+           when N is odd.
+
+        The children are then evaluated as one batch; evaluation never
+        draws from the engine RNG.
         """
-        genomes: list[np.ndarray] = []
-        while len(genomes) < self.config.population:
-            parent_a = self._tournament(population)
-            parent_b = self._tournament(population)
-            if self.rng.random() < self.config.crossover_prob:
-                genome_a, genome_b = self.problem.crossover(
-                    parent_a.copy_genome(), parent_b.copy_genome(), self.rng
-                )
-            else:
-                genome_a, genome_b = parent_a.copy_genome(), parent_b.copy_genome()
-            for genome in (genome_a, genome_b):
-                if len(genomes) >= self.config.population:
-                    break
-                genomes.append(self.problem.mutate(genome, self.rng))
-        children = [
-            Individual(genome=np.asarray(genome, dtype=np.int64)) for genome in genomes
-        ]
-        return self._evaluate_all(children)
+        size = len(population)
+        if size < 2:
+            raise ValueError(f"binary tournaments need a mating pool of two or more, got {size}")
+        genomes = np.stack([ind.genome for ind in population])
+        rank = np.asarray([ind.rank for ind in population])
+        crowding = np.asarray([ind.crowding for ind in population])
+        count = self.config.population
+        pairs = -(-count // 2)
+
+        first = self.rng.integers(0, size, size=2 * pairs)
+        second = self.rng.integers(0, size - 1, size=2 * pairs)
+        second = second + (second >= first)
+        first_wins = (rank[first] < rank[second]) | (
+            (rank[first] == rank[second]) & (crowding[first] >= crowding[second])
+        )
+        parents = genomes[np.where(first_wins, first, second)].reshape(pairs, 2, -1)
+
+        crossed = self.rng.random(pairs) < self.config.crossover_prob
+        child_a, child_b = self.problem.crossover(parents[:, 0], parents[:, 1], self.rng)
+        parents[crossed, 0], parents[crossed, 1] = child_a[crossed], child_b[crossed]
+        children = self.problem.mutate(parents.reshape(2 * pairs, -1)[:count], self.rng)
+        return self._evaluate_all(
+            [Individual(genome=genome) for genome in np.asarray(children, dtype=np.int64)]
+        )
 
     # ----------------------------------------------------------------- loop
     def run(self) -> list[Individual]:

@@ -80,12 +80,15 @@ class _BackboneProblem(Problem):
         ]
 
     def crossover(self, a, b, rng):
-        if rng.random() < 0.5:
-            return operators.uniform_crossover(a, b, rng)
-        return operators.two_point_crossover(a, b, rng)
+        """Uniform or two-point crossover, with even odds per pair: both run
+        on every pair and a coin per pair picks one."""
+        uniform = (rng.random(a.shape[:-1]) < 0.5)[..., None]
+        uniform_a, uniform_b = operators.uniform_crossover(a, b, rng)
+        two_point_a, two_point_b = operators.two_point_crossover(a, b, rng)
+        return np.where(uniform, uniform_a, two_point_a), np.where(uniform, uniform_b, two_point_b)
 
-    def mutate(self, genome, rng):
-        mutated = operators.reset_mutation(genome, self._bounds, rng, prob=0.12)
+    def mutate(self, genomes, rng):
+        mutated = operators.reset_mutation(genomes, self._bounds, rng, prob=0.12)
         return operators.creep_mutation(mutated, self._bounds, rng, prob=0.08)
 
 

@@ -342,15 +342,18 @@ class TestPersistentCacheInSearch:
         assert bumped.cache.stats("static").misses > 0
 
     def test_inner_engine_version_bump_reruns_ioe(self, tmp_path, monkeypatch):
-        cold = HadasSearch(_tiny_config(cache_dir=str(tmp_path)))
-        cold.run()
-
+        """Inner runs cached under another engine version are never served —
+        here "1", whose runs followed the per-child variation's trajectories."""
         import repro.search.hadas as hadas_mod
 
-        monkeypatch.setattr(hadas_mod, "INNER_ENGINE_VERSION", "999-test")
-        bumped = HadasSearch(_tiny_config(cache_dir=str(tmp_path)))
-        bumped.run()
-        assert bumped.cache.stats("inner").misses > 0
+        assert hadas_mod.INNER_ENGINE_VERSION != "1"
+        with monkeypatch.context() as patch:
+            patch.setattr(hadas_mod, "INNER_ENGINE_VERSION", "1")
+            HadasSearch(_tiny_config(cache_dir=str(tmp_path))).run()
+        current = HadasSearch(_tiny_config(cache_dir=str(tmp_path)))
+        current.run()
+        stats = current.cache.stats("inner")
+        assert stats.misses > 0 and stats.hits == 0
 
     def test_distinct_seeds_do_not_share_entries(self, tmp_path):
         first = HadasSearch(_tiny_config(cache_dir=str(tmp_path)))

@@ -109,6 +109,180 @@ class TestOperators:
         np.testing.assert_array_equal(genome, [1, 2, 3])
 
 
+#: (rows, genes) of a generation-shaped genome matrix.
+matrix_shapes = st.tuples(st.integers(1, 8), st.integers(1, 12))
+
+
+class TestMatrixOperatorLaws:
+    """The operators take whole ``(N, G)`` matrices, the last axis a genome."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(matrix_shapes, st.integers(0, 2**31), st.sampled_from(["uniform", "two_point"]))
+    def test_crossover_preserves_each_rows_multiset(self, shape, seed, kind):
+        rng = np.random.default_rng(seed)
+        a = rng.integers(0, 5, size=shape)
+        b = rng.integers(0, 5, size=shape)
+        a_in, b_in = a.copy(), b.copy()
+        operator = getattr(operators, f"{kind}_crossover")
+        ca, cb = operator(a, b, rng)
+        assert ca.shape == cb.shape == a.shape and ca.dtype == np.int64
+        np.testing.assert_array_equal(
+            np.sort(np.concatenate([ca, cb], axis=1), axis=1),
+            np.sort(np.concatenate([a, b], axis=1), axis=1),
+        )
+        np.testing.assert_array_equal(a, a_in)
+        np.testing.assert_array_equal(b, b_in)
+
+    @settings(max_examples=40, deadline=None)
+    @given(matrix_shapes, st.integers(0, 2**31), st.floats(0.0, 1.0))
+    def test_creep_steps_at_most_one_within_bounds(self, shape, seed, prob):
+        rng = np.random.default_rng(seed)
+        bounds = rng.integers(1, 6, size=shape[1])
+        genomes = rng.integers(0, bounds, size=shape)
+        before = genomes.copy()
+        mutated = operators.creep_mutation(genomes, bounds, rng, prob=prob)
+        np.testing.assert_array_equal(genomes, before)
+        assert mutated.shape == shape
+        assert np.abs(mutated - genomes).max() <= 1
+        assert (mutated >= 0).all() and (mutated < bounds).all()
+
+    @settings(max_examples=40, deadline=None)
+    @given(matrix_shapes, st.integers(0, 2**31), st.floats(0.0, 1.0))
+    def test_reset_stays_in_bounds(self, shape, seed, prob):
+        rng = np.random.default_rng(seed)
+        bounds = rng.integers(1, 9, size=shape[1])
+        genomes = rng.integers(0, bounds, size=shape)
+        before = genomes.copy()
+        mutated = operators.reset_mutation(genomes, bounds, rng, prob=prob)
+        np.testing.assert_array_equal(genomes, before)
+        assert mutated.shape == shape
+        assert (mutated >= 0).all() and (mutated < bounds).all()
+
+    @settings(max_examples=30, deadline=None)
+    @given(matrix_shapes, st.integers(0, 2**31))
+    def test_bitflip_at_prob_one_flips_every_bit(self, shape, seed):
+        rng = np.random.default_rng(seed)
+        bits = rng.integers(0, 2, size=shape)
+        before = bits.copy()
+        flipped = operators.bitflip_mutation(bits, rng, prob=1.0)
+        np.testing.assert_array_equal(bits, before)
+        np.testing.assert_array_equal(flipped, 1 - bits)
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.integers(1, 8), st.integers(6, 20), st.integers(0, 2**31))
+    def test_repair_leaves_no_empty_row(self, rows, total_layers, seed):
+        from repro.exits.placement import ExitSpace
+
+        space = ExitSpace(total_layers)
+        rng = np.random.default_rng(seed)
+        bits = (rng.random((rows, space.num_slots)) < 0.2).astype(np.int64)
+        bits[rng.random(rows) < 0.5] = 0  # force empty rows
+        before = bits.copy()
+        repaired = space.repair(bits, rng)
+        np.testing.assert_array_equal(bits, before)
+        assert repaired.any(axis=1).all()
+        full = before.any(axis=1)
+        np.testing.assert_array_equal(repaired[full], before[full])
+        assert (repaired[~full].sum(axis=1) == 1).all()
+
+    def test_one_genome_is_a_population_of_one(self):
+        rng = np.random.default_rng(5)
+        genome = np.asarray([0, 4, 8, 2])
+        bounds = np.asarray([2, 5, 9, 3])
+        for mutated in (
+            operators.reset_mutation(genome, bounds, rng, prob=0.5),
+            operators.creep_mutation(genome, bounds, rng, prob=0.5),
+            operators.bitflip_mutation(genome % 2, rng, prob=0.5),
+            *operators.uniform_crossover(genome, genome[::-1], rng),
+            *operators.two_point_crossover(genome, genome[::-1], rng),
+        ):
+            assert mutated.shape == genome.shape and mutated.dtype == np.int64
+
+
+def _make_offspring_spec(population, config, rng):
+    """Spec: :meth:`NSGA2.make_offspring` pair by pair and child by child,
+    consuming the same draws in the same order, for :class:`ZdtLikeProblem`
+    (uniform crossover, creep mutation at 0.3 over bounds of 11)."""
+    size, count = len(population), config.population
+    pairs = -(-count // 2)
+    first = rng.integers(0, size, size=2 * pairs)
+    second = rng.integers(0, size - 1, size=2 * pairs)
+    coins = rng.random(pairs)
+
+    def tournament(t):
+        a, b = int(first[t]), int(second[t])
+        b += b >= a
+        ind_a, ind_b = population[a], population[b]
+        if ind_a.rank != ind_b.rank:
+            return ind_a if ind_a.rank < ind_b.rank else ind_b
+        return ind_a if ind_a.crowding >= ind_b.crowding else ind_b
+
+    genes = ZdtLikeProblem.length
+    swaps = rng.random((pairs, genes))  # every pair recombines; coins pick
+    children = []
+    for i in range(pairs):
+        a, b = tournament(2 * i).genome, tournament(2 * i + 1).genome
+        if coins[i] < config.crossover_prob:
+            mask = swaps[i] < 0.5
+            a, b = np.where(mask, b, a), np.where(mask, a, b)
+        children += [a, b]
+    children = children[:count]
+    mutate = rng.random((count, genes)) < 0.3
+    steps = rng.choice([-1, 1], size=(count, genes))
+    mutated = []
+    for child, flags, step in zip(children, mutate, steps):
+        child = [
+            min(max(int(g) + int(d), 0), 10) if flag else int(g)
+            for g, flag, d in zip(child, flags, step)
+        ]
+        mutated.append(child)
+    return np.asarray(mutated, dtype=np.int64)
+
+
+class TestMakeOffspring:
+    @settings(max_examples=80, deadline=None)
+    @given(
+        st.integers(2, 9),
+        st.integers(1, 13),
+        st.sampled_from([0.0, 0.5, 0.9, 1.0]),
+        st.integers(0, 2**31),
+        st.data(),
+    )
+    def test_matches_per_child_spec(self, size, count, crossover_prob, seed, data):
+        """Tie-heavy ranks and crowding (inf included), odd and even
+        populations, uncrossed pairs and two-member mating pools."""
+        ranks = data.draw(st.lists(st.integers(0, 2), min_size=size, max_size=size))
+        crowds = data.draw(
+            st.lists(st.sampled_from([0.0, 0.5, 1.0, np.inf]), min_size=size, max_size=size)
+        )
+        genomes = np.random.default_rng(seed).integers(0, 11, size=(size, ZdtLikeProblem.length))
+        population = [
+            Individual(genome=genome, rank=rank, crowding=crowd)
+            for genome, rank, crowd in zip(genomes, ranks, crowds)
+        ]
+        config = Nsga2Config(population=count, generations=2, crossover_prob=crossover_prob)
+        engine = NSGA2(ZdtLikeProblem(), config, rng=seed)
+        spec_rng = np.random.default_rng(seed)
+        children = engine.make_offspring(population)
+        want = _make_offspring_spec(population, config, spec_rng)
+        np.testing.assert_array_equal(np.stack([c.genome for c in children]), want)
+        assert engine.rng.bit_generator.state == spec_rng.bit_generator.state
+        assert all(c.evaluated for c in children)
+
+    def test_two_member_pool_fills_the_population(self):
+        """The OOE mates its two surviving backbones into a full generation."""
+        population = [Individual(genome=np.full(8, g), rank=0, crowding=np.inf) for g in (2, 7)]
+        engine = NSGA2(ZdtLikeProblem(), Nsga2Config(population=5, generations=2), rng=0)
+        children = engine.make_offspring(population)
+        assert len(children) == 5
+        assert all(set(c.genome.tolist()) <= {1, 2, 3, 6, 7, 8} for c in children)
+
+    def test_pool_of_one_raises(self):
+        engine = NSGA2(ZdtLikeProblem(), Nsga2Config(population=4, generations=2), rng=0)
+        with pytest.raises(ValueError):
+            engine.make_offspring([Individual(genome=np.zeros(8, dtype=np.int64))])
+
+
 class TestRankAndSelection:
     def _pop(self, objectives):
         pop = [Individual(genome=np.asarray([i])) for i in range(len(objectives))]

@@ -94,6 +94,54 @@ class TestInnerEngine:
         assert run() == run()
 
 
+class TestProblemVariation:
+    """Both problems vary whole generations; one genome is a population of one."""
+
+    def test_inner_mutate_keeps_rows_valid(self, inner_engine_problem):
+        problem, rng = inner_engine_problem, np.random.default_rng(0)
+        genomes = np.stack([problem.sample(rng) for _ in range(40)])
+        genomes[::3, : problem.num_slots] = 0  # placements repair must fix
+        before = genomes.copy()
+        mutated = problem.mutate(genomes, rng)
+        np.testing.assert_array_equal(genomes, before)
+        assert mutated.shape == genomes.shape and mutated.dtype == np.int64
+        bits, dvfs = problem.split(mutated)
+        assert bits.any(axis=1).all() and set(np.unique(bits)) <= {0, 1}
+        assert (dvfs >= 0).all() and (dvfs < problem._dvfs_bounds).all()
+        one = problem.mutate(genomes[0], rng)
+        assert one.shape == genomes[0].shape
+        problem.decode(one)
+
+    def test_outer_crossover_swaps_genes_per_position(self, static_evaluator):
+        from repro.arch.space import BackboneSpace
+        from repro.search.ooe import _BackboneProblem
+
+        space = BackboneSpace()
+        problem = _BackboneProblem(space, static_evaluator)
+        rng = np.random.default_rng(1)
+        a = np.stack([space.sample_genome(rng) for _ in range(12)])
+        b = np.stack([space.sample_genome(rng) for _ in range(12)])
+        ca, cb = problem.crossover(a, b, rng)
+        assert ca.shape == a.shape
+        np.testing.assert_array_equal(np.minimum(ca, cb), np.minimum(a, b))
+        np.testing.assert_array_equal(np.maximum(ca, cb), np.maximum(a, b))
+        one_a, one_b = problem.crossover(a[0], b[0], rng)
+        assert one_a.shape == one_b.shape == a[0].shape
+        np.testing.assert_array_equal(np.minimum(one_a, one_b), np.minimum(a[0], b[0]))
+        mutated = problem.mutate(ca, rng)
+        assert ((mutated >= 0) & (mutated < space.gene_bounds())).all()
+
+
+@pytest.fixture(scope="module")
+def inner_engine_problem(static_evaluator, surrogate):
+    backbone = attentivenas_model("a3")
+    engine = InnerEngine(
+        backbone, static_evaluator, surrogate.accuracy_fraction(backbone),
+        nsga=Nsga2Config(population=6, generations=2), seed=0,
+    )
+    return engine.problem
+
+
 class TestHadasSearch:
     def test_archives_populated(self, hadas_result):
         assert len(hadas_result.backbone_pareto()) >= 1
