@@ -1,9 +1,11 @@
 """Dynamic-evaluation kernel bench: cost tables vs the reference loop.
 
 Replays the exact (placement, setting) stream a fast-budget IOE produces
-through two :class:`DynamicEvaluator` instances — the vectorized cost-table
-kernel and the pre-refactor reference loop (``use_tables=False``) — and
-reports evaluations/sec before vs after.  Also records:
+through two evaluators — the vectorized cost-table kernel
+(:class:`DynamicEvaluator`) and the per-layer reference loop — and reports
+evaluations/sec before vs after.  Every "before" side is an executable
+spec from ``tests/spec/evaluation.py`` (the reference loop is
+``ReferenceEvaluator``).  Also records:
 
 * a worst-case stream of all-distinct random (placement, setting) pairs
   (no table reuse at all);
@@ -19,16 +21,19 @@ reports evaluations/sec before vs after.  Also records:
   counters;
 * an accuracy-side phase — the batched exit-oracle statistics kernel
   (stacked packed-column masking with shared-prefix reuse) vs the
-  per-placement popcount loop, on column-prewarmed oracles so the timed
-  region isolates the ideal-mapping statistics, with the oracle's LRU
-  memo/prefix-cache counters in the report;
+  per-placement popcount loop (``PerPlacementOracle``), on
+  column-prewarmed oracles so the timed region isolates the ideal-mapping
+  statistics, with the oracle's LRU memo/prefix-cache counters in the
+  report;
 * tiny- and fast-budget IOE wall-clock rows (full inner NSGA-II runs in
-  all three modes: reference loop, per-call tables, population kernel);
+  all three modes: reference loop, per-call tables (``PerCallEvaluator``),
+  population kernel);
 * a paper-budget (50 x 70) IOE wall-clock row — the fused
-  accuracy+cost kernel stack vs the PR-6 population mode (batched oracle
-  and fused objectives off, the retained reference non-dominated sort
-  swapped in; archive bookkeeping stays vectorized, which makes the
-  measured speedup conservative).
+  accuracy+cost kernel stack vs the PR-6 population mode (per-placement
+  oracle, no fused objectives (``UnfusedEvaluator``), and Deb's pairwise
+  non-dominated sort from ``tests/spec/pareto.py`` swapped in; archive
+  bookkeeping stays vectorized, which makes the measured speedup
+  conservative).
 
 Asserts the acceptance contracts: ≥ 5x single-worker speedup on the
 fast-budget IOE evaluation loop (tables vs reference), ≥ 5x
@@ -48,6 +53,7 @@ from __future__ import annotations
 import argparse
 import sys
 import time
+from pathlib import Path
 
 import numpy as np
 
@@ -68,6 +74,17 @@ from repro.obs.trace import Recorder
 from repro.search.ioe import InnerEngine
 from repro.search.nsga2 import Nsga2Config
 from repro.utils.serialization import save_json
+
+# The "before" sides are test code: executable specs under tests/spec/.
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "tests"))
+from spec import pareto as spec_pareto  # noqa: E402
+from spec.evaluation import (  # noqa: E402
+    PerCallEvaluator,
+    PerPlacementOracle,
+    ReferenceEvaluator,
+    SpecInnerEngine,
+    UnfusedEvaluator,
+)
 
 #: The acceptance floor for the fast-budget IOE evaluation-loop speedup.
 SPEEDUP_FLOOR = 5.0
@@ -99,65 +116,58 @@ class _Workbench:
         self.baseline_latency_s = base.latency_s
         self.accuracy = self.surrogate.accuracy_fraction(self.config)
 
-    def oracle(self, use_batched_stats: bool = True) -> BackboneExitOracle:
+    def oracle(self, cls=BackboneExitOracle) -> BackboneExitOracle:
         """A fresh exit oracle (own columns, own memo/prefix caches)."""
-        return BackboneExitOracle(
+        return cls(
             self.config.key,
             self.config.total_mbconv_layers,
             self.accuracy,
             seed=self.seed,
-            use_batched_stats=use_batched_stats,
         )
 
-    def evaluator(self, use_tables: bool) -> DynamicEvaluator:
+    def evaluator(self, cls=DynamicEvaluator) -> DynamicEvaluator:
         """A fresh evaluator (own oracle, own caches, own table bank)."""
-        return DynamicEvaluator(
+        return cls(
             config=self.config,
             cost=self.cost,
             oracle=self.oracle(),
             energy_model=self.energy_model,
             baseline_energy_j=self.baseline_energy_j,
             baseline_latency_s=self.baseline_latency_s,
-            use_tables=use_tables,
         )
 
     def inner_engine(
         self,
         budget: str,
-        use_tables: bool,
-        use_population_kernel: bool = True,
-        use_batched_oracle: bool = True,
-        use_fused_objectives: bool = True,
+        evaluator_cls=DynamicEvaluator,
+        oracle_cls=BackboneExitOracle,
     ) -> InnerEngine:
+        """An IOE run at ``budget``; spec classes select a "before" mode."""
         population, generations = BUDGETS[budget]
-        return InnerEngine(
-            self.config,
-            self.static,
-            self.accuracy,
+        args = (self.config, self.static, self.accuracy)
+        kwargs = dict(
             nsga=Nsga2Config(population=population, generations=generations),
             seed=self.seed,
-            use_tables=use_tables,
-            use_population_kernel=use_population_kernel,
-            use_batched_oracle=use_batched_oracle,
-            use_fused_objectives=use_fused_objectives,
+        )
+        if evaluator_cls is DynamicEvaluator and oracle_cls is BackboneExitOracle:
+            return InnerEngine(*args, **kwargs)
+        return SpecInnerEngine(
+            *args, evaluator_cls=evaluator_cls, oracle_cls=oracle_cls, **kwargs
         )
 
     def record_ioe_stream(self, budget: str) -> list[tuple[ExitPlacement, object]]:
-        """The exact evaluation stream one IOE run at ``budget`` performs.
-
-        Recorded with the population kernel *off* so every evaluation goes
-        through ``evaluate`` — the stream (and the run itself) is
-        bit-identical either way; this only chooses the hookable path.
-        """
-        engine = self.inner_engine(budget, use_tables=True, use_population_kernel=False)
+        """The exact evaluation stream one IOE run at ``budget`` performs:
+        every (placement, setting) row each generation hands to
+        ``evaluate_generation``, duplicates included, in order."""
+        engine = self.inner_engine(budget)
         stream: list[tuple[ExitPlacement, object]] = []
-        original = engine.evaluator.evaluate
+        original = engine.evaluator.evaluate_generation
 
-        def recording(placement, setting):
-            stream.append((placement, setting))
-            return original(placement, setting)
+        def recording(decoded):
+            stream.extend(decoded)
+            return original(decoded)
 
-        engine.evaluator.evaluate = recording
+        engine.evaluator.evaluate_generation = recording
         engine.run()
         return stream
 
@@ -182,11 +192,11 @@ class _Workbench:
         ]
 
 
-def _replay_rate(bench: _Workbench, pairs, use_tables: bool, reps: int) -> float:
+def _replay_rate(bench: _Workbench, pairs, cls, reps: int) -> float:
     """Best-of-``reps`` evaluations/sec over ``pairs`` on fresh evaluators."""
     best = float("inf")
     for _ in range(reps):
-        evaluator = bench.evaluator(use_tables)
+        evaluator = bench.evaluator(cls)
         start = time.perf_counter()
         for placement, setting in pairs:
             evaluator.evaluate(placement, setting)
@@ -195,7 +205,7 @@ def _replay_rate(bench: _Workbench, pairs, use_tables: bool, reps: int) -> float
 
 
 def _assert_bit_identity(bench: _Workbench, pairs) -> None:
-    vectorized, reference = bench.evaluator(True), bench.evaluator(False)
+    vectorized, reference = bench.evaluator(), bench.evaluator(ReferenceEvaluator)
     for placement, setting in pairs:
         fast = vectorized.evaluate(placement, setting)
         slow = reference.evaluate(placement, setting)
@@ -208,7 +218,7 @@ def _assert_bit_identity(bench: _Workbench, pairs) -> None:
 
 def _warm_phase(bench: _Workbench, pairs) -> dict:
     """New placements at seen settings: zero timing-kernel invocations."""
-    evaluator = bench.evaluator(True)
+    evaluator = bench.evaluator()
     for placement, setting in pairs:
         evaluator.evaluate(placement, setting)
     rng = np.random.default_rng(bench.seed + 1)
@@ -271,7 +281,7 @@ def _population_phase(
     evals = len(placements) * len(settings)
 
     def per_call_pass() -> float:
-        evaluator = bench.evaluator(True)
+        evaluator = bench.evaluator()
         evaluator.oracle.evaluate_placements(placements)
         start = time.perf_counter()
         for setting in settings:
@@ -280,7 +290,7 @@ def _population_phase(
         return time.perf_counter() - start
 
     def population_pass() -> tuple[float, DynamicEvaluator]:
-        evaluator = bench.evaluator(True)
+        evaluator = bench.evaluator()
         evaluator.oracle.evaluate_placements(placements)
         start = time.perf_counter()
         for setting in settings:
@@ -294,9 +304,9 @@ def _population_phase(
 
     # Bit-identity: population vs per-call on everything, both vs the
     # reference per-layer loop on a subset.
-    per_call = bench.evaluator(True)
-    stacked = bench.evaluator(True)
-    reference = bench.evaluator(False)
+    per_call = bench.evaluator()
+    stacked = bench.evaluator()
+    reference = bench.evaluator(ReferenceEvaluator)
     for si, setting in enumerate(settings):
         batch = stacked.evaluate_population(placements, setting)
         for pi, (placement, fast) in enumerate(zip(placements, batch)):
@@ -341,8 +351,8 @@ def _accuracy_phase(bench: _Workbench, population: int, reps: int) -> dict:
     placements = _distinct_placements(bench, population, bench.seed + 41)
     distinct = sorted({p for placement in placements for p in placement.positions})
 
-    def timed_pass(use_batched: bool) -> tuple[float, BackboneExitOracle]:
-        oracle = bench.oracle(use_batched_stats=use_batched)
+    def timed_pass(cls) -> tuple[float, BackboneExitOracle]:
+        oracle = bench.oracle(cls)
         for position in distinct:
             oracle.exit_column(position)
         oracle.final_column()
@@ -350,8 +360,8 @@ def _accuracy_phase(bench: _Workbench, population: int, reps: int) -> dict:
         oracle.evaluate_placements(placements)
         return time.perf_counter() - start, oracle
 
-    batched_runs = [timed_pass(True) for _ in range(reps)]
-    per_placement_runs = [timed_pass(False) for _ in range(reps)]
+    batched_runs = [timed_pass(BackboneExitOracle) for _ in range(reps)]
+    per_placement_runs = [timed_pass(PerPlacementOracle) for _ in range(reps)]
     batched_wall = min(wall for wall, _ in batched_runs)
     per_placement_wall = min(wall for wall, _ in per_placement_runs)
     batched_oracle = batched_runs[-1][1]
@@ -377,30 +387,29 @@ def _accuracy_phase(bench: _Workbench, population: int, reps: int) -> dict:
 def _paper_ioe_row(bench: _Workbench) -> dict:
     """Paper-budget (50 x 70) IOE wall: fused stack vs the PR-6 mode.
 
-    The PR-6 comparator is the population cost kernel *without* this PR's
-    accuracy side — batched oracle and fused objectives off, and the
-    retained reference non-dominated sort swapped into the NSGA-II module
-    (the scalar ``dominates`` loop dominated the PR-6 profile).  Archive
-    bookkeeping stays vectorized in both modes, so the measured speedup
-    understates the true against-PR-6 ratio.  Both runs must agree on the
-    best candidate's D score (full histories are flag-invariant; the
-    equivalence tests assert that member by member).
+    The PR-6 comparator is the population cost kernel *without* the
+    accuracy-side kernels — the per-placement oracle
+    (``PerPlacementOracle``), no fused objective pass
+    (``UnfusedEvaluator``), and Deb's pairwise sort from
+    ``tests/spec/pareto.py`` swapped into the NSGA-II module (the scalar
+    ``dominates`` loop dominated the PR-6 profile).  Archive bookkeeping
+    stays vectorized in both modes, so the measured speedup understates the
+    true against-PR-6 ratio.  Both runs must agree on the best candidate's
+    D score (full histories are identical; the equivalence tests assert
+    that member by member).
     """
     import repro.search.nsga2 as nsga2_module
 
-    from repro.metrics.pareto import non_dominated_sort_reference
-
     def timed_run(fused: bool) -> tuple[float, float, int]:
-        engine = bench.inner_engine(
-            "paper",
-            use_tables=True,
-            use_population_kernel=True,
-            use_batched_oracle=fused,
-            use_fused_objectives=fused,
-        )
+        if fused:
+            engine = bench.inner_engine("paper")
+        else:
+            engine = bench.inner_engine(
+                "paper", UnfusedEvaluator, PerPlacementOracle
+            )
         vectorized_sort = nsga2_module.non_dominated_sort
         if not fused:
-            nsga2_module.non_dominated_sort = non_dominated_sort_reference
+            nsga2_module.non_dominated_sort = spec_pareto.non_dominated_sort
         try:
             start = time.perf_counter()
             result = engine.run()
@@ -432,26 +441,26 @@ def _observability_pass(bench: _Workbench, pairs, placements_hint: int) -> dict:
 
     Replays the IOE stream through both kernels and one population sweep
     under a live recorder; the rollup lands in the JSON report so a CI
-    artifact shows memo-hit rates, table-vs-reference path counts and
-    population-kernel call counts next to the throughput numbers.
+    artifact shows memo-hit rates, table builds and population-kernel call
+    counts next to the throughput numbers.
     """
     recorder = Recorder()
     trace.install(recorder)
     try:
-        evaluator = bench.evaluator(True)
+        evaluator = bench.evaluator()
         for placement, setting in pairs:
             evaluator.evaluate(placement, setting)
         for placement, setting in pairs:  # second pass: all memo hits
             evaluator.evaluate(placement, setting)
-        reference = bench.evaluator(False)
+        reference = bench.evaluator(ReferenceEvaluator)
         for placement, setting in pairs[:40]:
             reference.evaluate(placement, setting)
-        population = bench.evaluator(True)
+        population = bench.evaluator()
         placements = _distinct_placements(bench, placements_hint, bench.seed + 17)
         population.evaluate_population(placements, bench.dvfs.default_setting())
         # A mixed-setting generation batch: surfaces the oracle's batch-size
         # and shared-prefix-reuse counters; it is one population call.
-        generation = bench.evaluator(True)
+        generation = bench.evaluator()
         settings = _distinct_settings(bench, 4, bench.seed + 53)
         decoded = [
             (placement, settings[i % len(settings)])
@@ -465,13 +474,13 @@ def _observability_pass(bench: _Workbench, pairs, placements_hint: int) -> dict:
 
 def _ioe_wall_row(bench: _Workbench, budget: str) -> dict:
     modes = {
-        "reference": (False, False),
-        "per_call": (True, False),
-        "population": (True, True),
+        "reference": ReferenceEvaluator,
+        "per_call": PerCallEvaluator,
+        "population": DynamicEvaluator,
     }
     walls, best_scores = {}, {}
-    for mode, (use_tables, use_population_kernel) in modes.items():
-        engine = bench.inner_engine(budget, use_tables, use_population_kernel)
+    for mode, evaluator_cls in modes.items():
+        engine = bench.inner_engine(budget, evaluator_cls)
         start = time.perf_counter()
         result = engine.run()
         walls[mode] = time.perf_counter() - start
@@ -510,13 +519,13 @@ def main(argv: list[str] | None = None) -> int:
     ioe_stream = bench.record_ioe_stream("fast")
     _assert_bit_identity(bench, ioe_stream[:40])
 
-    reference_rate = _replay_rate(bench, ioe_stream, use_tables=False, reps=reps)
-    vectorized_rate = _replay_rate(bench, ioe_stream, use_tables=True, reps=reps)
+    reference_rate = _replay_rate(bench, ioe_stream, ReferenceEvaluator, reps=reps)
+    vectorized_rate = _replay_rate(bench, ioe_stream, DynamicEvaluator, reps=reps)
     speedup = vectorized_rate / reference_rate
 
     unique_pairs = bench.random_pairs(pair_count)
-    unique_reference = _replay_rate(bench, unique_pairs, use_tables=False, reps=1)
-    unique_vectorized = _replay_rate(bench, unique_pairs, use_tables=True, reps=1)
+    unique_reference = _replay_rate(bench, unique_pairs, ReferenceEvaluator, reps=1)
+    unique_vectorized = _replay_rate(bench, unique_pairs, DynamicEvaluator, reps=1)
 
     warm = _warm_phase(bench, ioe_stream)
     population = _population_phase(

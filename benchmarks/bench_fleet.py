@@ -4,9 +4,7 @@ Sweeps the request routers (round_robin, least_backlog, difficulty_aware)
 over heterogeneous fleet compositions and load patterns, fanning all cells
 concurrently through the engine's EvaluationService (results keyed into the
 persistent ResultCache under the ``fleet`` namespace when ``--cache-dir``
-is set).  ``--engine`` picks the fleet dispatch core (block-routed
-``indexed`` or the scalar ``reference`` loop — bit-identical reports
-either way).  Emits a JSON report and asserts the PR's acceptance contract: in
+is set).  Emits a JSON report and asserts the PR's acceptance contract: in
 every bursty cell the difficulty-aware router matches-or-beats round-robin
 on p95 latency at equal-or-lower fleet energy — and strictly beats it
 somewhere.
@@ -26,7 +24,6 @@ import time
 
 from repro.serving.fleet import FleetReport, FleetSpec, fleet_sweep
 from repro.serving.router import ROUTER_NAMES
-from repro.serving.simulator import ENGINE_NAMES
 from repro.utils.serialization import save_json
 
 #: Fleet compositions under test: a GPU pair and the full four-platform mix.
@@ -38,9 +35,7 @@ FLEETS = {
 PATTERNS = ("poisson", "bursty")
 
 
-def build_grid(
-    duration_s: float, seed: int, model: str, engine: str = "indexed"
-) -> list[FleetSpec]:
+def build_grid(duration_s: float, seed: int, model: str) -> list[FleetSpec]:
     """The full fleet × pattern × router grid."""
     return [
         FleetSpec(
@@ -50,7 +45,6 @@ def build_grid(
             router=router,
             duration_s=duration_s,
             seed=seed,
-            engine=engine,
         )
         for platforms in FLEETS.values()
         for pattern in PATTERNS
@@ -95,10 +89,6 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--duration-s", type=float, default=None)
     parser.add_argument("--seed", type=int, default=7)
     parser.add_argument("--model", default="a3")
-    parser.add_argument("--engine", default="indexed", choices=list(ENGINE_NAMES),
-                        help="fleet dispatch core for every cell; both engines "
-                             "are bit-identical, so the router contract holds "
-                             "either way (engine rides the cell cache key)")
     parser.add_argument("--workers", type=int, default=4)
     parser.add_argument("--executor", default="auto",
                         help="auto routes the codec-backed grid to a process pool")
@@ -107,7 +97,7 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
 
     duration = args.duration_s or (8.0 if args.smoke else 16.0)
-    specs = build_grid(duration, args.seed, args.model, args.engine)
+    specs = build_grid(duration, args.seed, args.model)
     start = time.perf_counter()
     reports = fleet_sweep(
         specs, workers=args.workers, executor=args.executor, cache_dir=args.cache_dir
@@ -134,8 +124,7 @@ def main(argv: list[str] | None = None) -> int:
         )
     print(
         f"\n{len(specs)} cells in {elapsed:.1f}s "
-        f"({args.workers} workers, {args.executor} executor, "
-        f"{args.engine} engine); "
+        f"({args.workers} workers, {args.executor} executor); "
         f"difficulty_aware wins both axes in {summary['wins_both']}/{len(summary['cells'])} cells"
     )
 

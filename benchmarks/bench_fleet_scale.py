@@ -1,26 +1,28 @@
-"""Serving-core scale benchmark: trace size × fleet size, old vs new engine.
+"""Serving-core scale benchmark: trace size × fleet size, old vs new loop.
 
-Measures the million-request serving core this PR introduces: the
-vectorized trace generators, the array-backed batcher and the indexed
-event loop with compiled per-config pricing — against the retained
-reference engine (``MicroBatcher`` + per-batch ``execute_batch``), which
-is the pre-PR per-request/per-batch Python loop, kept bit-identical as
-``ServingSimulator(engine="reference")``.
+Measures the million-request serving core — the vectorized trace
+generators, the array-backed batcher and the event loop with compiled
+per-config pricing — against the per-request/per-batch Python loop it
+replaced.  That loop is the executable spec in ``tests/spec/serving.py``
+(``MicroBatcher`` + per-batch ``execute_batch``, run by
+``ReferenceSimulator``), and rows report it as the ``reference`` engine;
+the production ``ServingSimulator`` is ``indexed``.
 
 The grid sweeps trace scales (10⁴ → 10⁶ requests by default) down one
 axis and fleet compositions (single device, duo, quad) down the other,
 reporting wall clock, simulated-requests-per-wall-second and peak RSS for
-every cell.  The reference engine runs up to ``--reference-cap`` requests
+every cell.  The reference loop runs up to ``--reference-cap`` requests
 (its per-batch Python pricing makes 10⁶ impractical — that being the
 point); its throughput is per-batch work and therefore scale-independent,
-so the speedup contract compares the indexed engine's largest run against
-the reference engine's largest feasible run.
+so the speedup contract compares the indexed loop's largest run against
+the reference loop's largest feasible run.
 
-Fleet rows now sweep the same engine axis: every fleet × scale cell runs
-the block-routed ``FleetSimulator(engine="indexed")`` dispatch core, the
-scalar ``engine="reference"`` loop up to ``--reference-cap``, and one
-``--steal`` variant at the largest scale (measured, but outside the
-identity contract by design).
+Fleet rows sweep the same axis: every fleet × scale cell runs the
+block-routed ``FleetSimulator`` (``indexed``), the per-request loop of
+``tests/spec/fleet.py`` (``ReferenceFleetSimulator``, ``reference``) up to
+``--reference-cap``, and one work-stealing variant at the largest scale
+(``indexed+steal``; measured, but outside the identity contract by
+design).
 
 Contracts (asserted):
 
@@ -30,12 +32,12 @@ Contracts (asserted):
   the reference fleet loop's largest feasible run (1.25× full, 1.1×
   smoke — block routing is bit-identical, so the floor is honest wall
   clock, not a vector-vs-Python cliff; measured ≈1.5× at 10⁶);
-- identity: both engines produce full-field-equal ``FleetReport``s on a
+- identity: both loops produce full-field-equal ``FleetReport``s on a
   shared probe cell;
 - memory: peak RSS over the whole grid stays under ``--rss-ceiling``
   (no full-trace ``tolist`` materialization).
 
-Both engines serve every request they are offered.  The JSON payload
+Both loops serve every request they are offered.  The JSON payload
 embeds a ``fleet.*`` counter rollup (blocks, block-size histogram,
 steals) from a separate observed run, so the dispatch shape ships with
 the numbers.
@@ -52,6 +54,7 @@ import argparse
 import resource
 import sys
 import time
+from pathlib import Path
 
 from repro.obs import trace as obs_trace
 from repro.obs.export import counter_rollup
@@ -67,6 +70,15 @@ from repro.serving.harness import ServingSpec, build_serving_stack
 from repro.serving.simulator import ServingSimulator
 from repro.serving.workload import make_trace
 from repro.utils.serialization import save_json
+
+# The reference loops are test code: executable specs under tests/spec/.
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "tests"))
+from spec.fleet import ReferenceFleetSimulator  # noqa: E402
+from spec.serving import ReferenceSimulator  # noqa: E402
+
+#: Simulator class per row label.
+SINGLE_ENGINES = {"reference": ReferenceSimulator, "indexed": ServingSimulator}
+FLEET_ENGINES = {"reference": ReferenceFleetSimulator, "indexed": FleetSimulator}
 
 #: Fleet compositions on the second axis (1 × is the single-device engine).
 FLEETS = {
@@ -86,7 +98,7 @@ def _simulator(stack, spec: ServingSpec, engine: str) -> ServingSimulator:
         policy = StaticPolicy(stack.static_config)
     else:
         policy = AdaptiveGovernor(stack.ladder, stack.batch_policy)
-    return ServingSimulator(
+    return SINGLE_ENGINES[engine](
         evaluator=stack.evaluator,
         placement=stack.placement,
         policy=policy,
@@ -95,7 +107,6 @@ def _simulator(stack, spec: ServingSpec, engine: str) -> ServingSimulator:
         slo_s=spec.slo_ms / 1e3,
         batch_policy=stack.batch_policy,
         window_s=spec.window_ms / 1e3,
-        engine=engine,
     )
 
 
@@ -129,8 +140,7 @@ def run_single(spec: ServingSpec, scale: int, engine: str, seed: int) -> dict:
 
 
 def _fleet_spec(
-    platforms: tuple[str, ...], scale: int, seed: int, engine: str, steal: bool,
-    **extra,
+    platforms: tuple[str, ...], scale: int, seed: int, steal: bool, **extra
 ) -> FleetSpec:
     """A fleet spec provisioned so the trace carries ``scale`` requests."""
     probe = FleetSpec(platforms=platforms, duration_s=1.0, seed=seed, **extra)
@@ -139,7 +149,6 @@ def _fleet_spec(
         platforms=platforms,
         duration_s=scale / fleet_rate,
         seed=seed,
-        engine=engine,
         steal=steal,
         **extra,
     )
@@ -154,12 +163,12 @@ def run_fleet(
     steal: bool = False,
 ) -> dict:
     """One fleet cell at ``scale`` total requests across ``platforms``."""
-    spec = _fleet_spec(platforms, scale, seed, engine, steal)
+    spec = _fleet_spec(platforms, scale, seed, steal)
     stacks = build_fleet_stacks(spec)
     t0 = time.perf_counter()
     trace, stream = build_fleet_trace_and_stream(spec, stacks)
     trace_s = time.perf_counter() - t0
-    simulator = FleetSimulator(spec, stacks)
+    simulator = FLEET_ENGINES[engine](spec, stacks)
     t0 = time.perf_counter()
     report = simulator.run(trace, stream)
     wall_s = time.perf_counter() - t0
@@ -183,13 +192,13 @@ def run_fleet(
 def check_fleet_identity(
     platforms: tuple[str, ...], scale: int, seed: int
 ) -> dict:
-    """Run both engines on one shared (trace, stream) cell; full-field compare."""
+    """Run both loops on one shared (trace, stream) cell; full-field compare."""
     reports = {}
-    for engine in ("reference", "indexed"):
-        spec = _fleet_spec(platforms, scale, seed, engine, steal=False)
+    for engine, simulator_cls in FLEET_ENGINES.items():
+        spec = _fleet_spec(platforms, scale, seed, steal=False)
         stacks = build_fleet_stacks(spec)
         trace, stream = build_fleet_trace_and_stream(spec, stacks)
-        reports[engine] = FleetSimulator(spec, stacks).run(trace, stream)
+        reports[engine] = simulator_cls(spec, stacks).run(trace, stream)
     return {
         "scale": scale,
         "platforms": list(platforms),
@@ -211,7 +220,7 @@ def fleet_counter_rollup(
     # keep: the load-blind router builds imbalance the governor-horizon thief
     # then drains (backlog-aware routers self-balance and rarely steal).
     spec = _fleet_spec(
-        platforms, scale, seed, "indexed", steal=True,
+        platforms, scale, seed, steal=True,
         pattern="bursty", utilization=0.95, router="round_robin",
     )
     stacks = build_fleet_stacks(spec)

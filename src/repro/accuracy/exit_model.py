@@ -255,12 +255,6 @@ class BackboneExitOracle:
         columns are stored bit-packed under the platform-independent
         ``oracle`` namespace, warm-starting re-searches where only the
         hardware side (DVFS grid, platform) changed.
-    use_batched_stats:
-        Evaluate placement batches through the population accuracy kernel
-        (stacked bit-packed masking with shared-prefix reuse; the default).
-        ``False`` keeps the per-placement popcount loop — the bench's
-        "before" comparator and the bit-identity reference; both paths
-        produce identical bits.
     stats_memo_size, prefix_cache_size:
         LRU caps of the per-placement :class:`ExitEvaluation` memo and the
         shared-prefix state cache.  The defaults (64 Ki evaluations, 32 Ki
@@ -279,7 +273,6 @@ class BackboneExitOracle:
         n_samples: int = 2048,
         seed: int = 0,
         cache: "ResultCache | None" = None,
-        use_batched_stats: bool = True,
         stats_memo_size: int = 65536,
         prefix_cache_size: int = 32768,
     ):
@@ -297,7 +290,6 @@ class BackboneExitOracle:
         self._difficulties = self.difficulty.sample(n_samples, rng)
         gp_rng = child_rng(seed, "exit-gp", backbone_key)
         self._latent = gp_rng.normal(0.0, 1.0, size=(n_samples, self.model.num_basis))
-        self.use_batched_stats = use_batched_stats
         self._columns: dict[int | str, np.ndarray] = {}
         # Derived-per-column caches (counts, packed forms) are keyed by exit
         # position, so their population is naturally bounded by
@@ -460,15 +452,13 @@ class BackboneExitOracle:
     ) -> list[ExitEvaluation]:
         """Statistics for a whole population (order-preserving).
 
-        The population kernel's accuracy side.  With ``use_batched_stats``
-        (the default) every distinct unmemoised placement goes through
-        :meth:`_batched_stats` — one stacked pass over the bit-packed
-        column matrix with shared-prefix reuse — and only memo reads remain
-        per placement.  Bit-identical to calling :meth:`evaluate_placement`
-        in a loop (hypothesis-asserted): both produce the same integer
-        counts divided by the same ``n``, and duplicates resolve to the
-        same memoised instance.  With the flag off this *is* that loop
-        (columns warmed up front), retained as the reference comparator.
+        The population kernel's accuracy side: every distinct unmemoised
+        placement goes through :meth:`_batched_stats` — one stacked pass
+        over the bit-packed column matrix with shared-prefix reuse — and
+        only memo reads remain per placement.  Bit-identical to calling
+        :meth:`evaluate_placement` in a loop (hypothesis-asserted): both
+        produce the same integer counts divided by the same ``n``, and
+        duplicates resolve to the same memoised instance.
         """
         for placement in placements:
             if placement.total_layers != self.total_layers:
@@ -476,14 +466,6 @@ class BackboneExitOracle:
                     f"placement assumes {placement.total_layers} layers, oracle "
                     f"has {self.total_layers}"
                 )
-        if not self.use_batched_stats:
-            distinct = sorted(
-                {p for placement in placements for p in placement.positions}
-            )
-            for position in distinct:
-                self.exit_column(position)
-            self.final_column()
-            return [self.evaluate_placement(placement) for placement in placements]
         trace.count("oracle.batch_calls")
         trace.count("oracle.batch_rows", len(placements))
         memo = self._stats

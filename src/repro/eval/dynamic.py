@@ -88,24 +88,6 @@ class DynamicEvaluator:
         the paper's Fig. 7 ablation).
     literal_ratios:
         Use eq. 6's ratios verbatim instead of savings (see module note).
-    use_tables:
-        Evaluate through the precomputed
-        :class:`~repro.hardware.cost_table.CostTableBank` (the default).
-        ``False`` selects the pre-cost-table reference loop — kept for the
-        dynamic-eval bench's "before" baseline and the bit-identity property
-        tests; both paths produce identical bits.
-    use_population_kernel:
-        Route :meth:`evaluate_population` through the stacked
-        :class:`~repro.hardware.population_kernel.PopulationKernel` (the
-        default; requires ``use_tables``).  ``False`` keeps the per-placement
-        :meth:`evaluate` loop — the population bench's "before" comparator
-        and the bit-identity reference; both paths produce identical bits.
-    use_fused_objectives:
-        Compute the IOE objective vectors for a population inside the fused
-        finalisation (stacked guarded reductions, memoised per (placement,
-        setting)) so :meth:`objectives` is a dict read on the search hot
-        path.  ``False`` keeps the per-evaluation scalar computation — the
-        bench's "before" comparator; both paths produce identical bits.
     """
 
     config: BackboneConfig
@@ -116,9 +98,6 @@ class DynamicEvaluator:
     baseline_latency_s: float
     gamma: float = 1.0
     literal_ratios: bool = False
-    use_tables: bool = True
-    use_population_kernel: bool = True
-    use_fused_objectives: bool = True
     _branch_cache: dict[int, LayerCost] = field(default_factory=dict, repr=False)
     _eval_cache: dict[tuple, DynamicEvaluation] = field(default_factory=dict, repr=False)
     _objectives_cache: dict[tuple, tuple[float, float, float]] = field(
@@ -157,23 +136,6 @@ class DynamicEvaluator:
             )
         return self._branch_cache[position]
 
-    def _exit_path_report(self, positions: tuple[int, ...], upto: int, setting: DvfsSetting):
-        """Reference energy report of executing to exit index ``upto``.
-
-        Pre-cost-table implementation (per-layer Python loop), retained as
-        the bit-identity oracle for the vectorized kernel and as the
-        dynamic-eval bench's "before" baseline.
-        """
-        layers = list(self.cost.prefix(positions[upto]))
-        layers.extend(self.branch_cost(p) for p in positions[: upto + 1])
-        return self.energy_model.composite_report_reference(layers, setting)
-
-    def _full_path_report(self, positions: tuple[int, ...], setting: DvfsSetting):
-        """Reference energy report of the full network plus all branches."""
-        layers = list(self.cost.layers)
-        layers.extend(self.branch_cost(p) for p in positions)
-        return self.energy_model.composite_report_reference(layers, setting)
-
     def _path_costs(self, positions: tuple[int, ...], setting: DvfsSetting):
         """Vectorized per-exit and full-path costs from the table bank.
 
@@ -196,26 +158,11 @@ class DynamicEvaluator:
             trace.count("dyneval.memo_hits")
             return self._eval_cache[key]
         trace.count("dyneval.evaluations")
-        trace.count(
-            "dyneval.table_path" if self.use_tables else "dyneval.reference_path"
-        )
 
         stats = self.oracle.evaluate_placement(placement)
-        positions = placement.positions
-        if self.use_tables:
-            exit_energy, exit_latency, full_energy, full_latency = self._path_costs(
-                positions, setting
-            )
-        else:
-            exit_reports = [
-                self._exit_path_report(positions, i, setting)
-                for i in range(len(positions))
-            ]
-            full_report = self._full_path_report(positions, setting)
-            exit_energy = np.asarray([r.energy_j for r in exit_reports])
-            exit_latency = np.asarray([r.latency_s for r in exit_reports])
-            full_energy = full_report.energy_j
-            full_latency = full_report.latency_s
+        exit_energy, exit_latency, full_energy, full_latency = self._path_costs(
+            placement.positions, setting
+        )
 
         usage = stats.usage
         dynamic_energy = float(usage[:-1] @ exit_energy + usage[-1] * full_energy)
@@ -264,18 +211,14 @@ class DynamicEvaluator:
         on operand slices identical to the per-call arrays.  Shares
         :meth:`evaluate`'s cache — duplicates and previously seen
         (placement, setting) pairs cost a dict read, mixed call patterns
-        stay coherent — and falls back to the per-placement loop when either
-        kernel flag is off.
+        stay coherent — and memoises each new row's IOE objective vector
+        for :meth:`objectives`.
         """
         placements = list(placements)
         if isinstance(setting, DvfsSetting):
             settings = [setting] * len(placements)
         else:
             settings = list(setting)
-        if not (self.use_tables and self.use_population_kernel):
-            trace.count("dyneval.population_fallbacks")
-            trace.count("dyneval.population_fallback_rows", len(placements))
-            return [self.evaluate(p, s) for p, s in zip(placements, settings)]
         trace.count("dyneval.population_calls")
         trace.count("dyneval.population_rows", len(placements))
         cache = self._eval_cache
@@ -290,13 +233,11 @@ class DynamicEvaluator:
             batch = [placements[row] for row in pending.values()]
             batch_settings = [settings[row] for row in pending.values()]
             fused = self.population.fused_batch(batch, batch_settings, self.oracle)
-            for key, evaluation in zip(
-                pending,
-                self._finalize_population(
-                    batch, fused.stats, fused.costs, batch_settings
-                ),
-            ):
-                cache[key] = evaluation
+            evaluations, objectives = self._finalize_population(
+                batch, fused.stats, fused.costs, batch_settings
+            )
+            cache.update(zip(pending, evaluations))
+            self._objectives_cache.update(zip(pending, objectives))
         return [cache[key] for key in keys]
 
     def evaluate_generation(
@@ -324,15 +265,15 @@ class DynamicEvaluator:
         stats: PopulationExitStats,
         costs: PopulationPathCosts,
         settings: list[DvfsSetting],
-    ) -> list[DynamicEvaluation]:
+    ) -> tuple[list[DynamicEvaluation], list[tuple[float, float, float]]]:
         """Stacked eq. 5–7 tail: ratios, clamps and scores as fixed-shape
         matrix ops; reductions per row (see :meth:`evaluate_population`).
 
         The accuracy matrices arrive pre-stacked from the oracle's
-        population kernel — fused with the cost matrices here — and with
-        ``use_fused_objectives`` the per-row IOE objective vectors are
-        computed in the same pass (guarded stacked reductions) and memoised
-        so :meth:`objectives` never recomputes them."""
+        population kernel — fused with the cost matrices here — and the
+        per-row IOE objective vectors come out of the same pass (guarded
+        stacked reductions), returned beside the evaluations so the caller
+        memoises them and :meth:`objectives` never recomputes them."""
         exit_energy = costs.exit_energy_j
         exit_latency = costs.exit_latency_s
         energy_ratio = exit_energy / self.baseline_energy_j
@@ -367,11 +308,6 @@ class DynamicEvaluator:
                 float(np.add.reduce(scores[row, :widths[row]]) / widths[row])
                 for row in range(len(widths))
             ]
-        objective_rows = (
-            self._fused_objectives(n_i, dissim_pow, energy_term, latency_term, costs)
-            if self.use_fused_objectives
-            else None
-        )
         # One gather turns the padded matrices into flat concatenations of
         # the valid row prefixes; each evaluation's arrays are contiguous
         # slices of those buffers (read-only by convention, like
@@ -386,7 +322,6 @@ class DynamicEvaluator:
         bounds = np.concatenate(([0], np.cumsum(costs.widths))).tolist()
         new = DynamicEvaluation.__new__
         cls = DynamicEvaluation
-        objectives_cache = self._objectives_cache
         evaluations = []
         for row, (placement, setting, exit_stats) in enumerate(
             zip(placements, settings, stats.evaluations)
@@ -415,11 +350,10 @@ class DynamicEvaluator:
                 "d_score": d_scores[row],
             })
             evaluations.append(evaluation)
-            if objective_rows is not None:
-                objectives_cache[
-                    (placement.key, setting.core_ghz, setting.emc_ghz)
-                ] = objective_rows[row]
-        return evaluations
+        objectives = self._fused_objectives(
+            n_i, dissim_pow, energy_term, latency_term, costs
+        )
+        return evaluations, objectives
 
     def _fused_objectives(
         self,
@@ -465,40 +399,6 @@ class DynamicEvaluator:
             ]
         return list(zip(d_acc, d_energy, d_latency))
 
-    def path_costs(self, positions: tuple[int, ...], setting: DvfsSetting):
-        """Public ``(exit_energy, exit_latency, full_energy, full_latency)``.
-
-        Routed through the active kernel: the cost-table gathers when
-        ``use_tables`` (the runtime planners' fast path) or the reference
-        per-layer loop otherwise — identical bits either way.
-        """
-        positions = tuple(positions)
-        if self.use_tables:
-            return self._path_costs(positions, setting)
-        exit_reports = [
-            self._exit_path_report(positions, i, setting)
-            for i in range(len(positions))
-        ]
-        full_report = self._full_path_report(positions, setting)
-        return (
-            np.asarray([r.energy_j for r in exit_reports]),
-            np.asarray([r.latency_s for r in exit_reports]),
-            full_report.energy_j,
-            full_report.latency_s,
-        )
-
-    def full_path_cost(
-        self, positions: tuple[int, ...], setting: DvfsSetting
-    ) -> tuple[float, float]:
-        """``(energy_j, latency_s)`` of the full network plus all branches."""
-        positions = tuple(positions)
-        if self.use_tables:
-            table = self.bank.table(setting)
-            branches = [self.branch_cost(p) for p in positions]
-            return table.full_path_cost(positions, branches)
-        report = self._full_path_report(positions, setting)
-        return report.energy_j, report.latency_s
-
     def objectives(self, evaluation: DynamicEvaluation) -> tuple[float, float, float]:
         """IOE maximisation vector for one evaluation (paper eqs. 5-6).
 
@@ -512,22 +412,26 @@ class DynamicEvaluator:
         the same failure).  Deployment metrics (``energy_gain`` etc.) are
         still the physical ideal-mapping aggregates.
 
-        With ``use_fused_objectives`` the vector was already computed (and
-        memoised) inside the fused population finalisation, so the search
-        hot path lands on a dict read; the scalar computation below serves
-        cold keys (per-placement :meth:`evaluate` callers, fallback modes)
-        and is the bit-identity reference for the fused reductions.
+        Population evaluations memoise the vector inside the fused
+        finalisation, so the search hot path lands on a dict read; a miss
+        (per-placement :meth:`evaluate` callers) computes it with
+        :meth:`_scalar_objectives` and fills the memo.
         """
-        fused = self.use_fused_objectives
-        if fused:
-            key = (
-                evaluation.placement.key,
-                evaluation.setting.core_ghz,
-                evaluation.setting.emc_ghz,
-            )
-            cached = self._objectives_cache.get(key)
-            if cached is not None:
-                return cached
+        key = (
+            evaluation.placement.key,
+            evaluation.setting.core_ghz,
+            evaluation.setting.emc_ghz,
+        )
+        cached = self._objectives_cache.get(key)
+        if cached is None:
+            cached = self._objectives_cache[key] = self._scalar_objectives(evaluation)
+        return cached
+
+    def _scalar_objectives(
+        self, evaluation: DynamicEvaluation
+    ) -> tuple[float, float, float]:
+        """:meth:`objectives` from one evaluation's arrays (per-exit means);
+        the fused reductions reproduce it bit for bit."""
         stats = evaluation.exit_stats
         dissim = stats.dissimilarity**self.gamma
         d_acc = float(np.mean(stats.n_i * dissim))
@@ -539,7 +443,4 @@ class DynamicEvaluator:
         else:
             d_energy = float(np.mean(np.clip(1.0 - energy_ratio, 0.0, None)))
             d_latency = float(np.mean(np.clip(1.0 - latency_ratio, 0.0, None)))
-        result = (d_acc, d_energy, d_latency)
-        if fused:
-            self._objectives_cache[key] = result
-        return result
+        return d_acc, d_energy, d_latency

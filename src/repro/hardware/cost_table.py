@@ -20,7 +20,9 @@ then costed by one gather at the flat index ``setting_row · L + prefix``
 the view of one grid row that planners and the serving ladder read.
 
 Bit-identity contract: every number a table produces equals the reference
-per-layer loop (:meth:`EnergyModel._accumulate_reference`) bit for bit.
+per-layer loop bit for bit (that loop is the executable spec in
+``tests/spec/hardware.py``; the dynamic evaluator's per-layer twin is in
+``tests/spec/evaluation.py``).
 Each grid element is the float64 expression the one-setting kernel
 evaluates; ``np.cumsum`` sums strictly left to right along the layer axis
 (matching the loop's accumulator), the memory rail's two per-layer terms
@@ -352,8 +354,8 @@ class SettingCostTable:
     ) -> PathProfile:
         """Batch-decomposable profile of the path leaving at exit ``index``.
 
-        Bit-identical to :meth:`EnergyModel.path_profile` over the prefix up
-        to ``positions[index]`` plus the branches at ``positions[: index+1]``:
+        Bit-identical to profiling the layer walk — the prefix up to
+        ``positions[index]`` plus the branches at ``positions[: index+1]``:
         the gathered cumulative values continue the reference cumsums, and
         branch scalars are added in the loop's append order (core before
         mem_dyn per branch, preserving the dynamic rail's interleave).

@@ -161,10 +161,9 @@ class EnergyModel:
 
     def _accumulate(self, layers: list[LayerCost], setting: DvfsSetting) -> EnergyReport:
         """Vectorized accumulation — one :meth:`LatencyModel.batch_timing`
-        pass instead of a per-layer Python loop; bit-identical to
-        :meth:`_accumulate_reference` (cumsum preserves the loop's
-        left-to-right addition order, the memory rail's two per-layer terms
-        are interleaved before summing)."""
+        pass instead of a per-layer Python loop; bit-identical to that loop
+        (cumsum preserves its left-to-right addition order, and the memory
+        rail's two per-layer terms are interleaved before summing)."""
         if not layers:
             return EnergyReport(0.0, 0.0, 0.0, 0.0, 0.0)
         timing = self.latency.batch_timing(layers, setting)
@@ -181,68 +180,10 @@ class EnergyModel:
             static_energy_j=static_j,
         )
 
-    def _accumulate_reference(
-        self, layers: list[LayerCost], setting: DvfsSetting
-    ) -> EnergyReport:
-        """The pre-cost-table per-layer Python loop, kept verbatim.
-
-        This is the bit-identity oracle: the vectorized kernel
-        (:meth:`_accumulate`, the cost tables) must reproduce it exactly.
-        The dynamic-eval bench times it as the "before" baseline, and the
-        hypothesis property tests diff the two paths bit for bit.
-        """
-        p_static = self.power.static_power(setting)
-        p_mem_bg = self.power.mem_background_power(setting)
-        core_j = mem_j = static_j = 0.0
-        latency_s = 0.0
-        for layer in layers:
-            timing = self.latency.layer_timing(layer, setting)
-            busy = timing.total_s - timing.overhead_s
-            core_j += self.power.core_dynamic_power(setting, 1.0) * busy * timing.core_activity
-            mem_j += self.power.mem_dynamic_power(setting, 1.0) * busy * timing.mem_activity
-            mem_j += p_mem_bg * timing.total_s
-            static_j += p_static * timing.total_s
-            latency_s += timing.total_s
-        return EnergyReport(
-            latency_s=latency_s,
-            energy_j=core_j + mem_j + static_j,
-            core_energy_j=core_j,
-            mem_energy_j=mem_j,
-            static_energy_j=static_j,
-        )
-
-    def path_profile(self, layers: list[LayerCost], setting: DvfsSetting) -> PathProfile:
-        """Batch-decomposable profile of a layer sequence at one setting.
-
-        Consistent with :meth:`composite_report`: the profile's stand-alone
-        ``latency_s``/``energy_j`` equal the report's.  Routed through the
-        same vectorized batch-timing kernel (bit-identical to the original
-        per-layer loop; the dynamic-rail accumulator's two per-layer terms
-        are interleaved to preserve its addition order).
-        """
-        p_passive = self.power.static_power(setting) + self.power.mem_background_power(setting)
-        if not layers:
-            return PathProfile(0.0, 0.0, 0.0, p_passive)
-        timing = self.latency.batch_timing(layers, setting)
-        core, mem_dyn, _, _ = self.layer_energy_terms(timing, setting)
-        return PathProfile(
-            busy_s=float(np.cumsum(timing.busy_s)[-1]),
-            overhead_s=float(np.cumsum(timing.overhead_s)[-1]),
-            dynamic_energy_j=float(interleaved_cumsum(core, mem_dyn)[-1]),
-            passive_power_w=p_passive,
-        )
-
     def composite_report(self, layers: list[LayerCost], setting: DvfsSetting) -> EnergyReport:
         """Latency/energy of an arbitrary layer sequence (e.g. prefix +
         several exit branches — the early-exit execution paths)."""
         return self._accumulate(layers, setting)
-
-    def composite_report_reference(
-        self, layers: list[LayerCost], setting: DvfsSetting
-    ) -> EnergyReport:
-        """:meth:`composite_report` via the reference per-layer loop (bench
-        baseline and bit-identity oracle; not for production paths)."""
-        return self._accumulate_reference(layers, setting)
 
     def network_report(self, cost: NetworkCost, setting: DvfsSetting) -> EnergyReport:
         """Latency/energy of the full network."""

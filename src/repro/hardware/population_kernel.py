@@ -13,8 +13,8 @@ broadcast column additions, independent of N.
 
 Bit-identity contract (same as every kernel in this repo): the stacked path
 costs equal :meth:`SettingCostTable.exit_path_costs` /
-:meth:`~SettingCostTable.full_path_cost` — and therefore the reference
-per-layer loop — bit for bit, for every row:
+:meth:`~SettingCostTable.full_path_cost` — and therefore the per-layer
+loop of ``tests/spec/evaluation.py`` — bit for bit, for every row:
 
 * Row ``n``'s gathered prefix values are the same cumulative-array elements
   the per-placement kernel reads from its setting's table.
@@ -101,8 +101,8 @@ class PopulationKernel:
 
     One kernel hangs off a :class:`~repro.eval.dynamic.DynamicEvaluator`
     (same lifetime as its bank); :meth:`path_costs` is the stable entry
-    point the evaluator, the IOE batch hook and the exhaustive-grid sweeps
-    all call.  ``branch_cost(position)`` supplies the branch layer of any
+    point the evaluator, the IOE batch hook, the exhaustive-grid sweeps and
+    the runtime DVFS planners all call.  ``branch_cost(position)`` supplies the branch layer of any
     position whose column the bank has not filled yet.
     """
 

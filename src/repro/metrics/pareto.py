@@ -8,12 +8,10 @@ instead of N² Python-level :func:`dominates` calls — at paper-budget IOE
 scale the scalar loop was the single largest line in the profile.
 
 Bit-identity contract: dominance is pure float comparison (no arithmetic),
-so the matrix path partitions points into *exactly* the fronts of the
-retained reference implementation, in the same within-front index order
-(``np.flatnonzero`` is ascending, as was the reference's ``sorted``).
-``non_dominated_sort_reference`` / ``non_dominated_mask_reference`` keep
-the original loops as the equivalence oracle for the property tests and
-the dynamic-eval bench's PR-6 baseline mode.
+so the matrix path partitions points into *exactly* the fronts of Deb's
+pairwise loop, in the same within-front index order (``np.flatnonzero`` is
+ascending, as is the loop's ``sorted``).  The loops themselves live on as
+the executable spec in ``tests/spec/pareto.py``.
 """
 
 from __future__ import annotations
@@ -76,22 +74,6 @@ def non_dominated_mask(points: np.ndarray) -> np.ndarray:
     return ~dominance_matrix(points).any(axis=0)
 
 
-def non_dominated_mask_reference(points: np.ndarray) -> np.ndarray:
-    """Pre-vectorization :func:`non_dominated_mask` (the equivalence oracle)."""
-    points = np.atleast_2d(np.asarray(points, dtype=float))
-    n = len(points)
-    mask = np.ones(n, dtype=bool)
-    for i in range(n):
-        if not mask[i]:
-            continue
-        ge = np.all(points >= points[i], axis=1)
-        gt = np.any(points > points[i], axis=1)
-        dominated_by = ge & gt
-        if dominated_by.any():
-            mask[i] = False
-    return mask
-
-
 def pareto_front(points: np.ndarray) -> np.ndarray:
     """The Pareto-optimal subset of ``points``."""
     points = np.atleast_2d(np.asarray(points, dtype=float))
@@ -103,8 +85,8 @@ def non_dominated_sort(points: np.ndarray) -> list[np.ndarray]:
 
     One dominance matrix replaces the N² scalar :func:`dominates` calls;
     the front peel then works on integer domination counts — subtracting
-    each assigned front's column sums uncovers the next front, exactly the
-    reference decrement loop in matrix form.
+    each assigned front's column sums uncovers the next front, exactly
+    Deb's decrement loop in matrix form.
     """
     points = np.atleast_2d(np.asarray(points, dtype=float))
     n = len(points)
@@ -121,34 +103,6 @@ def non_dominated_sort(points: np.ndarray) -> list[np.ndarray]:
         assigned |= current
         domination_count = domination_count - matrix[front].sum(axis=0)
         current = (domination_count == 0) & ~assigned
-    return fronts
-
-
-def non_dominated_sort_reference(points: np.ndarray) -> list[np.ndarray]:
-    """Pre-vectorization :func:`non_dominated_sort` (the equivalence oracle)."""
-    points = np.atleast_2d(np.asarray(points, dtype=float))
-    n = len(points)
-    dominated_by: list[list[int]] = [[] for _ in range(n)]
-    domination_count = np.zeros(n, dtype=int)
-    for i in range(n):
-        for j in range(i + 1, n):
-            if dominates(points[i], points[j]):
-                dominated_by[i].append(j)
-                domination_count[j] += 1
-            elif dominates(points[j], points[i]):
-                dominated_by[j].append(i)
-                domination_count[i] += 1
-    fronts: list[np.ndarray] = []
-    current = np.flatnonzero(domination_count == 0)
-    while len(current):
-        fronts.append(current)
-        next_front: list[int] = []
-        for i in current:
-            for j in dominated_by[i]:
-                domination_count[j] -= 1
-                if domination_count[j] == 0:
-                    next_front.append(j)
-        current = np.asarray(sorted(next_front), dtype=int)
     return fronts
 
 

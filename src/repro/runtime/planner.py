@@ -62,10 +62,9 @@ def plan_per_exit_dvfs(
     fractions the design-time objective uses, so ``extra_gain`` is directly
     comparable with the searched single-setting result.
 
-    Costs come from :meth:`DynamicEvaluator.path_costs` — the cost-table
-    bank when the evaluator runs on tables (one O(exits) gather per setting
-    instead of an O(layers × exits) walk per (path, setting) pair), the
-    reference loop otherwise; plans are identical either way.
+    Every setting's path costs come from one population gather over the
+    evaluator's cost-table bank (:meth:`PopulationKernel.path_costs`, one
+    row per setting), bit-identical to costing the settings one by one.
     """
     if latency_slack < 1.0:
         raise ValueError(f"latency_slack must be >= 1, got {latency_slack}")
@@ -74,18 +73,15 @@ def plan_per_exit_dvfs(
     usage = evaluator.oracle.evaluate_placement(placement).usage
     candidates = dvfs_space.all_settings()
 
-    def all_path_costs(setting: DvfsSetting) -> tuple[np.ndarray, np.ndarray]:
-        """(energy, latency) arrays over every path (exits then full)."""
-        exit_energy, exit_latency, full_energy, full_latency = evaluator.path_costs(
-            positions, setting
-        )
-        return (
-            np.append(exit_energy, full_energy),
-            np.append(exit_latency, full_latency),
-        )
-
-    default_energy, default_latency = all_path_costs(default)
-    candidate_costs = [(setting, *all_path_costs(setting)) for setting in candidates]
+    # Row 0 is the default setting, then one row per candidate; columns run
+    # over every path (exits then full).
+    costs = evaluator.population.path_costs(
+        [positions] * (len(candidates) + 1), [default, *candidates]
+    )
+    energies = np.column_stack([costs.exit_energy_j, costs.full_energy_j])
+    latencies = np.column_stack([costs.exit_latency_s, costs.full_latency_s])
+    default_energy, default_latency = energies[0], latencies[0]
+    candidate_costs = list(zip(candidates, energies[1:], latencies[1:]))
 
     settings: dict[int, DvfsSetting] = {}
     per_exit_energy = np.zeros(len(positions) + 1)

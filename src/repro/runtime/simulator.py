@@ -45,23 +45,27 @@ class StreamSimulator:
         self.evaluator = evaluator
         self.placement = placement
         self.governor = governor
-        positions = placement.positions
-        self._path_reports: dict[tuple[int, float, float], tuple[float, float]] = {}
-        self._positions = positions
+        self._path_costs: dict[tuple[float, float], tuple[list, list]] = {}
 
     def _path_cost(self, exit_index: int) -> tuple[float, float]:
-        """(energy, latency) of leaving at ``exit_index`` under its setting."""
+        """(energy, latency) of leaving at ``exit_index`` under its setting.
+
+        Each setting's paths (exits then full) come from one gather over
+        the evaluator's cost-table bank.
+        """
         setting = self.governor.setting_for(exit_index)
-        key = (exit_index, setting.core_ghz, setting.emc_ghz)
-        if key not in self._path_reports:
-            if exit_index < len(self._positions):
-                report = self.evaluator._exit_path_report(
-                    self._positions, exit_index, setting
-                )
-            else:
-                report = self.evaluator._full_path_report(self._positions, setting)
-            self._path_reports[key] = (report.energy_j, report.latency_s)
-        return self._path_reports[key]
+        key = (setting.core_ghz, setting.emc_ghz)
+        if key not in self._path_costs:
+            costs = self.evaluator.population.path_costs(
+                [self.placement.positions], [setting]
+            )
+            energy, latency = costs.row(0)
+            self._path_costs[key] = (
+                energy.tolist() + costs.full_energy_j.tolist(),
+                latency.tolist() + costs.full_latency_s.tolist(),
+            )
+        energies, latencies = self._path_costs[key]
+        return energies[exit_index], latencies[exit_index]
 
     def simulate(
         self,

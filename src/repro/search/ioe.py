@@ -121,8 +121,7 @@ class _InnerProblem(Problem):
         accuracy+cost kernel call, each row at its decoded DVFS setting —
         and the objective vectors come back from the evaluator's fused-
         objectives memo.  Bit-identical to the serial :meth:`evaluate`
-        loop; when the evaluator's kernel flags are off this degenerates to
-        exactly that loop.
+        loop.
         """
         decoded = [self.decode(genome) for genome in genomes]
         trace.count("ioe.population_batches")
@@ -172,26 +171,6 @@ class InnerEngine:
         Optional persistent result cache handed to the exit oracle so its
         correctness columns warm-start across runs (the columns are
         platform-independent; see :mod:`repro.accuracy.exit_model`).
-    use_tables:
-        Route dynamic evaluations through the precomputed cost-table kernel
-        (default).  ``False`` selects the reference per-layer loop — the
-        dynamic-eval bench's "before" baseline; results are bit-identical
-        either way.
-    use_population_kernel:
-        Evaluate each generation's genome batch through the stacked
-        population kernel, one call per generation (default).  ``False``
-        keeps per-individual evaluation — the population bench's "before"
-        comparator; results are bit-identical either way.
-    use_batched_oracle:
-        Route the exit oracle's ideal-mapping statistics through the
-        batched accuracy kernel (stacked packed-column masking with
-        shared-prefix reuse; default).  ``False`` keeps the per-placement
-        popcount loop; results are bit-identical either way.
-    use_fused_objectives:
-        Compute IOE objective vectors inside the fused population
-        finalisation (memoised per candidate; default).  ``False``
-        recomputes them per individual per generation — the accuracy-side
-        bench's "before" comparator; results are bit-identical either way.
     """
 
     def __init__(
@@ -207,10 +186,6 @@ class InnerEngine:
         seed: int = 0,
         service=None,
         cache=None,
-        use_tables: bool = True,
-        use_population_kernel: bool = True,
-        use_batched_oracle: bool = True,
-        use_fused_objectives: bool = True,
     ):
         self.config = config
         self.nsga_config = nsga or Nsga2Config(population=20, generations=8)
@@ -223,7 +198,6 @@ class InnerEngine:
             n_samples=oracle_samples,
             seed=seed,
             cache=cache,
-            use_batched_stats=use_batched_oracle,
         )
         self.evaluator = DynamicEvaluator(
             config=config,
@@ -234,9 +208,6 @@ class InnerEngine:
             baseline_latency_s=static.latency_s,
             gamma=gamma,
             literal_ratios=literal_ratios,
-            use_tables=use_tables,
-            use_population_kernel=use_population_kernel,
-            use_fused_objectives=use_fused_objectives,
         )
         self.problem = _InnerProblem(
             exit_space=ExitSpace(config.total_mbconv_layers),

@@ -6,9 +6,9 @@ timestamped request streams through searched designs:
 
 * :mod:`~repro.serving.workload` — load generators (Poisson, bursty MMPP,
   diurnal, replayed flash-crowd traces) with per-request difficulty;
-* :mod:`~repro.serving.batcher` — FIFO queue + micro-batcher (size cap /
-  head-of-line timeout), the array-backed batcher behind the indexed
-  engine, and queue-depth admission control (drop/defer, critical bypass);
+* :mod:`~repro.serving.batcher` — the array-backed micro-batcher (size
+  cap / head-of-line timeout) and queue-depth admission control
+  (drop/defer, critical bypass);
 * :mod:`~repro.serving.stream` — difficulty-conditioned logits so the real
   entropy controllers make the exit decisions;
 * :mod:`~repro.serving.governor` — the runtime-config ladder (exit-rate ×
@@ -35,7 +35,6 @@ from repro.serving.batcher import (
     AdmissionPolicy,
     ArrayBatcher,
     BatchPolicy,
-    MicroBatcher,
 )
 from repro.serving.governor import (
     AdaptiveGovernor,
@@ -82,7 +81,6 @@ from repro.serving.router import (
 )
 from repro.serving.scenarios import SCENARIO_NAMES, SCENARIOS, Scenario, get_scenario
 from repro.serving.simulator import (
-    ENGINE_NAMES,
     CompiledStream,
     ServingSimulator,
     compile_stream,
@@ -119,7 +117,6 @@ __all__ = [
     "BEST_EFFORT",
     "BatchPolicy",
     "CompiledStream",
-    "ENGINE_NAMES",
     "LATENCY_CRITICAL",
     "SLO_CLASSES",
     "DeployedDesign",
@@ -136,7 +133,6 @@ __all__ = [
     "ROUTER_NAMES",
     "RoundRobinRouter",
     "LogitsSynthesizer",
-    "MicroBatcher",
     "Request",
     "RuntimeConfig",
     "SCENARIO_NAMES",

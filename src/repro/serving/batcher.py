@@ -1,4 +1,4 @@
-"""Request queues and micro-batchers for the serving simulator.
+"""Request queues and the micro-batcher of the serving simulator.
 
 The batcher implements the standard two-trigger policy used by serving
 systems: dispatch a batch when it is *full* (``max_batch`` requests) or when
@@ -7,19 +7,15 @@ While the device is busy, arrivals keep accumulating and may top the next
 batch up to ``max_batch`` ("opportunistic fill"), which is what makes
 micro-batching pay off exactly when the system is under pressure.
 
-Two implementations share those semantics:
-
-* :class:`MicroBatcher` — the original object/deque batcher, kept as the
-  *reference* engine (every batch pops Request objects off a deque);
-* :class:`ArrayBatcher` — the indexed batcher behind the vectorized event
-  core.  On the default path (no admission control, one SLO class) batches
-  are contiguous index ranges over the sorted arrival array, so
-  ``next_batch`` is a couple of ``searchsorted`` calls and a pointer bump —
-  bit-identical dispatch decisions to :class:`MicroBatcher` at a fraction
-  of the cost.  With an :class:`AdmissionPolicy` or latency-critical
-  requests present it switches to explicit per-class integer queues:
-  critical-first dispatch, and arrivals beyond the queue cap are dropped
-  (or deferred) instead of ballooning the backlog.
+:class:`ArrayBatcher` implements that policy as index arithmetic over the
+sorted arrival array.  On the default path (no admission control, one SLO
+class) batches are contiguous index ranges, so ``next_batch`` is a couple
+of bisections and a pointer bump — bit-identical dispatch decisions to the
+original object/deque batcher, which lives on as the executable spec in
+``tests/spec/serving.py``.  With an :class:`AdmissionPolicy` or
+latency-critical requests present it switches to explicit per-class
+integer queues: critical-first dispatch, and arrivals beyond the queue cap
+are dropped (or deferred) instead of ballooning the backlog.
 """
 
 from __future__ import annotations
@@ -30,7 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.serving.workload import LATENCY_CRITICAL, Request, Trace
+from repro.serving.workload import LATENCY_CRITICAL, Trace
 from repro.utils.validation import check_nonneg, check_positive
 
 #: Admission modes: ``drop`` rejects over-cap arrivals outright, ``defer``
@@ -97,73 +93,6 @@ def admit_prefix(
     return admit
 
 
-class MicroBatcher:
-    """Deterministically forms micro-batches from a timestamped trace.
-
-    Drive it with the device's next-free time: each :meth:`next_batch` call
-    returns ``(start_s, batch)`` — the dispatch timestamp and the requests in
-    it — or ``None`` when the trace is exhausted.  This is the retained
-    reference implementation; :class:`ArrayBatcher` must stay bit-identical
-    to it on the default (no admission, single class) path.
-    """
-
-    def __init__(self, trace: Trace, policy: BatchPolicy):
-        self.policy = policy
-        self._arrivals: tuple[Request, ...] = trace.requests
-        self._times: list[float] = trace.arrival_s.tolist()
-        self._next = 0  # index of the next not-yet-queued arrival
-        self._queue: deque[Request] = deque()
-
-    @property
-    def pending(self) -> int:
-        """Requests currently queued (admitted but not dispatched)."""
-        return len(self._queue)
-
-    def backlog_at(self, now_s: float) -> int:
-        """Requests that have *arrived* but not been dispatched by ``now_s``."""
-        arrived = bisect_right(self._times, now_s)
-        return len(self._queue) + max(arrived - self._next, 0)
-
-    def critical_backlog_at(self, now_s: float) -> int:
-        """The reference batcher is class-agnostic: no critical accounting."""
-        return 0
-
-    def _admit_until(self, cutoff_s: float) -> None:
-        while (
-            len(self._queue) < self.policy.max_batch
-            and self._next < len(self._arrivals)
-            and self._arrivals[self._next].arrival_s <= cutoff_s
-        ):
-            self._queue.append(self._arrivals[self._next])
-            self._next += 1
-
-    def next_batch(self, device_free_s: float) -> tuple[float, list[Request]] | None:
-        """Form the next batch given when the device frees up.
-
-        Dispatch time is ``max(device_free_s, trigger)`` where the trigger is
-        either the arrival of the batch-filling request or the head-of-line
-        timeout expiry.  Requests arriving while the batch waits for the
-        device join it up to ``max_batch``.
-        """
-        if not self._queue:
-            if self._next >= len(self._arrivals):
-                return None
-            self._queue.append(self._arrivals[self._next])
-            self._next += 1
-        head = self._queue[0]
-        expiry = head.arrival_s + self.policy.timeout_s
-        self._admit_until(expiry)
-        if len(self._queue) >= self.policy.max_batch:
-            trigger = self._queue[self.policy.max_batch - 1].arrival_s
-        else:
-            trigger = expiry
-        start = max(device_free_s, trigger)
-        self._admit_until(start)  # opportunistic fill while waiting for the device
-        size = min(self.policy.max_batch, len(self._queue))
-        batch = [self._queue.popleft() for _ in range(size)]
-        return start, batch
-
-
 class ArrayBatcher:
     """Index-arithmetic micro-batcher over a trace's arrival array.
 
@@ -171,11 +100,11 @@ class ArrayBatcher:
 
     * **span mode** (``contiguous`` is True; no admission policy and no
       latency-critical requests): the queue is implicit — a head pointer
-      into the sorted arrival array.  The deque batcher provably drains its
-      queue completely on every dispatch (admission is capped at
+      into the sorted arrival array.  A FIFO deque batcher provably drains
+      its queue completely on every dispatch (admission is capped at
       ``max_batch`` and every pop takes ``min(max_batch, len)``), so batches
       are always contiguous index ranges; :meth:`next_batch` reduces to two
-      ``searchsorted`` calls.  Bit-identical to :class:`MicroBatcher`.
+      bisections.  Bit-identical to the deque batcher.
     * **queue mode** (admission control and/or SLO classes): explicit
       per-class integer deques.  Latency-critical requests dispatch first
       within each batch window; arrivals beyond the admission cap are

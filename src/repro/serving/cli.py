@@ -33,7 +33,6 @@ from repro.hardware.platform import (
 )
 from repro.serving.batcher import ADMISSION_MODES
 from repro.serving.fleet import FleetSpec, fleet_sweep
-from repro.serving.simulator import ENGINE_NAMES
 from repro.serving.harness import POLICY_NAMES, ServingSpec, sweep
 from repro.serving.router import ROUTER_NAMES
 from repro.serving.scenarios import SCENARIO_NAMES
@@ -94,13 +93,8 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--admission-mode", default="drop",
                         choices=list(ADMISSION_MODES),
                         help="what happens past the cap (fleet runs are drop-only)")
-    parser.add_argument("--engine", default="indexed",
-                        choices=list(ENGINE_NAMES),
-                        help="fleet dispatch core: block-routed 'indexed' or "
-                             "the scalar 'reference' loop (bit-identical)")
     parser.add_argument("--steal", action="store_true",
-                        help="fleet work stealing at governor horizons "
-                             "(indexed engine only; departs from reference)")
+                        help="fleet work stealing at governor horizons")
     parser.add_argument("--workers", type=int, default=1)
     parser.add_argument("--executor", default="auto",
                         choices=["auto", "serial", "thread", "process"])
@@ -235,7 +229,6 @@ def _serve_fleet(parser, args, design) -> int:
                 design=design,
                 critical_fraction=args.critical_fraction,
                 admission_max_queue=args.admission_queue,
-                engine=args.engine,
                 steal=args.steal,
             )
             for router in routers

@@ -11,9 +11,8 @@ to a device lane at arrival time (latency-critical requests spill off
 backlogged lanes earlier than best-effort ones), and each lane then
 batches and serves its share exactly like the single-device simulator
 would.  Lanes carry request *indices*, not objects, and price batches
-through the same compiled per-config executor as the indexed single-device
-engine (:class:`~repro.serving.simulator._CompiledConfig`) — bit-identical
-to the per-batch reference path.
+through the same compiled per-config executor as the single-device event
+core (:class:`~repro.serving.simulator._CompiledConfig`).
 
 With an :class:`~repro.serving.batcher.AdmissionPolicy` the fleet applies
 queue-depth admission at the lane door: a request routed to a full lane is
@@ -24,9 +23,11 @@ served requests only.
 
 Dispatch is deterministic: requests are routed in arrival order, and a
 lane only forms a batch once no future arrival could still join it (the
-same two-trigger + opportunistic-fill semantics as
-:class:`~repro.serving.batcher.MicroBatcher`, re-derived for a queue that
-grows one routed request at a time).
+same two-trigger + opportunistic-fill semantics as the single-device
+batcher, re-derived for a queue that grows one routed request at a time).
+Routing runs in blocks between dispatch horizons; the original
+per-request loop lives on as the executable spec in
+``tests/spec/fleet.py``, and both start from :meth:`FleetSimulator._setup`.
 
 :func:`run_fleet_cell` is the pure cell function; :func:`fleet_sweep` fans
 grids through the :class:`~repro.engine.service.EvaluationService` with
@@ -76,7 +77,6 @@ from repro.serving.router import (
 )
 from repro.serving.scenarios import Scenario, ThermalState, get_scenario
 from repro.serving.simulator import (
-    ENGINE_NAMES,
     CompiledStream,
     _CompiledConfig,
     compile_stream,
@@ -90,10 +90,10 @@ from repro.serving.workload import (
     Trace,
     make_trace,
 )
-from repro.utils.validation import check_positive
+from repro.utils.validation import check_nonneg, check_positive
 
 #: Bump when fleet-cell semantics change; orphans persisted fleet entries.
-FLEET_CELL_VERSION = "3"
+FLEET_CELL_VERSION = "4"
 
 
 @dataclass(frozen=True)
@@ -128,8 +128,7 @@ class FleetSpec:
     critical_fraction: float = 0.0  # share of latency-critical arrivals
     admission_max_queue: int | None = None  # per-lane cap; None = unbounded
     admission_critical_bypass: bool = True
-    engine: str = "indexed"  # "indexed" (block-routed) or "reference"
-    steal: bool = False  # work-stealing re-routing (indexed engine only)
+    steal: bool = False  # work-stealing re-routing at governor horizons
 
     def __post_init__(self):
         if not self.platforms:
@@ -149,21 +148,15 @@ class FleetSpec:
         check_positive("slo_ms", self.slo_ms)
         check_positive("duration_s", self.duration_s)
         check_positive("utilization", self.utilization)
+        check_positive("max_batch", self.max_batch)
+        check_nonneg("batch_timeout_ms", self.batch_timeout_ms)
+        check_positive("window_ms", self.window_ms)
         if self.rate_hz is not None:
             check_positive("rate_hz", self.rate_hz)
         if not 0.0 <= self.critical_fraction <= 1.0:
             raise ValueError("critical_fraction must lie in [0, 1]")
         if self.admission_max_queue is not None:
             check_positive("admission_max_queue", self.admission_max_queue)
-        if self.engine not in ENGINE_NAMES:
-            raise ValueError(
-                f"unknown engine {self.engine!r}; valid: {ENGINE_NAMES}"
-            )
-        if self.steal and self.engine != "indexed":
-            raise ValueError(
-                "work stealing needs the indexed engine: the reference loop "
-                "is the executable specification and takes no extensions"
-            )
 
     def device_spec(self, platform: str, rate_hz: float | None = None) -> ServingSpec:
         """The single-device spec a fleet member is built from."""
@@ -291,7 +284,10 @@ class DeviceLane:
     drives (current config, decision clock, thermal, compiled-config
     caches).  The queue holds request *indices*; arrival bookkeeping is an
     append-only sorted list plus pop counters, so :meth:`backlog_at` is a
-    bisect instead of the former O(queue) copy per call.
+    bisect instead of an O(queue) copy per call.  The simulator's loop
+    pushes, rejects and dispatches through these books directly; an
+    admission drop still counts toward the lane's rate window, because
+    demand the lane sheds is still demand it saw.
     """
 
     def __init__(self, index: int, stack: ServingStack, policy: ServingPolicy):
@@ -354,25 +350,6 @@ class DeviceLane:
         return residual + self.queue_depth / self.reference_capacity_rps
 
     # ------------------------------------------------------------- the queue
-    def push(self, index: int, arrival_s: float, critical: bool) -> None:
-        self._queue.append(index)
-        self._queue_arrivals.append(arrival_s)
-        self._admitted_times.append(arrival_s)
-        self._routed_times.append(arrival_s)
-        self.request_indices.append(index)
-        if critical:
-            self._crit_times.append(arrival_s)
-            self.critical_requests += 1
-
-    def reject(self, arrival_s: float) -> None:
-        """Record an admission drop at this lane's door.
-
-        The offered arrival still counts toward the governor's rate window —
-        demand the lane sheds is still demand it saw.
-        """
-        self._routed_times.append(arrival_s)
-        self.num_dropped += 1
-
     def backlog_at(self, now_s: float) -> int:
         """Routed requests that have arrived but not dispatched by ``now_s``.
 
@@ -418,57 +395,6 @@ class DeviceLane:
         else:
             hi = bisect_right(routed, now_s)
         return (hi - lo) / max(now_s - window_start, 1e-9)
-
-    def pending_start_s(self) -> float | None:
-        """Dispatch instant of the next batch, were it formed now.
-
-        Re-derives the :class:`~repro.serving.batcher.MicroBatcher`
-        trigger (full-batch fill or head-of-line timeout, whichever comes
-        first, floored by the device-free time) for a queue that only
-        knows arrivals routed so far.  ``None`` when the queue is empty.
-        """
-        if not self._queue:
-            return None
-        policy = self.stack.batch_policy
-        expiry = self._queue_arrivals[0] + policy.timeout_s
-        if (
-            len(self._queue) >= policy.max_batch
-            and self._queue_arrivals[policy.max_batch - 1] <= expiry
-        ):
-            trigger = self._queue_arrivals[policy.max_batch - 1]
-        else:
-            trigger = expiry
-        return max(self.t_free, trigger)
-
-    def next_ready_batch(self, until_s: float) -> tuple[float, list[int]] | None:
-        """Form the next batch, but only once the fleet clock reaches it.
-
-        A batch is returned only when it dispatches before the next fleet
-        arrival (``until_s``), so no future arrival could still join it
-        (opportunistic fill up to the dispatch instant, as in the
-        single-device batcher) and — just as important — the governor
-        observations made at dispatch see every arrival up to the dispatch
-        instant, exactly like the single-device simulator's.
-        """
-        start = self.pending_start_s()
-        if start is None or start >= until_s:
-            return None  # empty, or the fleet clock has not reached it yet
-        policy = self.stack.batch_policy
-        size = 0
-        for arrival in self._queue_arrivals:
-            if size >= policy.max_batch or arrival > start:
-                break
-            size += 1
-        batch = [self._queue.popleft() for _ in range(size)]
-        crit_times = self._crit_times
-        crit_popped = self._crit_popped
-        for _ in range(size):
-            arrival = self._queue_arrivals.popleft()
-            if crit_popped < len(crit_times) and crit_times[crit_popped] <= arrival:
-                crit_popped += 1
-        self._popped += size
-        self._crit_popped = crit_popped
-        return start, batch
 
     # ------------------------------------------------------- work stealing
     def steal_tail(self, limit: int, slo_class) -> list[int]:
@@ -656,6 +582,31 @@ class FleetSimulator:
 
     # -------------------------------------------------------------- main loop
     def run(self, trace: Trace, stream: ServingStream) -> FleetReport:
+        router, cstream, battery_budget = self._setup(trace, stream)
+        # The loop allocates acyclically (flat books, batch lists freed as
+        # they are priced), so cycle collection has nothing to find — but
+        # generational collections still traverse the ever-growing books,
+        # costing seconds per million requests.  Pause the collector for
+        # the run.
+        was_enabled = gc.isenabled()
+        if was_enabled:
+            gc.disable()
+        try:
+            return self._serve(trace, router, cstream, battery_budget)
+        finally:
+            if was_enabled:
+                gc.enable()
+
+    def _setup(
+        self, trace: Trace, stream: ServingStream
+    ) -> tuple[FleetRouter, CompiledStream, float | None]:
+        """Check the inputs and build one run's starting state.
+
+        Returns the router, the compiled stream and the fleet battery
+        budget, after giving every lane its thermal state and its t=0
+        governor decision.  The block-routed loop and its executable spec
+        both start here.
+        """
         n = trace.num_requests
         if stream.final_logits.shape[0] != n:
             raise ValueError(
@@ -668,14 +619,8 @@ class FleetSimulator:
                 f"placement expects {placement.num_exits}; the mounted logits "
                 "stream and exit placement must describe the same DyNN"
             )
-        router: FleetRouter = make_router(self.spec.router, self.lanes, self.slo_s)
+        router = make_router(self.spec.router, self.lanes, self.slo_s)
         cstream = compile_stream(stream)
-
-        completion = np.full(n, np.nan)
-        correct = np.zeros(n, dtype=bool)
-        battery_budget = self._battery_budget_j(trace)
-
-        fleet_capacity = sum(lane.reference_capacity_rps for lane in self.lanes)
         for lane in self.lanes:
             lane.thermal = (
                 ThermalState(self.scenario.thermal, lane.max_power_w)
@@ -691,161 +636,24 @@ class FleetSimulator:
                     now_s=0.0,
                     window_s=self.window_s,
                     arrival_rate_hz=trace.mean_rate_hz
-                    * lane.reference_capacity_rps / fleet_capacity,
+                    * lane.reference_capacity_rps / self._total_capacity_rps,
                     backlog=0,
                     slo_s=self.slo_s,
                 )
             )
             lane.governor_decisions += 1
             lane.next_decision = self.window_s
+        return router, cstream, self._battery_budget_j(trace)
 
-        if self.spec.engine == "reference":
-            return self._run_reference(
-                trace, router, cstream, completion, correct, battery_budget
-            )
-        # The indexed engine allocates acyclically (flat books, batch lists
-        # freed as they are priced), so cycle collection has nothing to find
-        # — but generational collections still traverse the ever-growing
-        # books, costing seconds per million requests.  Pause the collector
-        # for the run.
-        was_enabled = gc.isenabled()
-        if was_enabled:
-            gc.disable()
-        try:
-            return self._run_indexed(
-                trace, router, cstream, completion, correct, battery_budget
-            )
-        finally:
-            if was_enabled:
-                gc.enable()
-
-    def _run_reference(
+    def _serve(
         self,
         trace: Trace,
         router: FleetRouter,
         cstream: CompiledStream,
-        completion: np.ndarray,
-        correct: np.ndarray,
         battery_budget: float | None,
     ) -> FleetReport:
-        """The original per-request loop — the executable specification.
-
-        Every routing, admission, batching and governor decision here is
-        the contract the indexed engine must reproduce bit-for-bit (with
-        stealing off).  Arrival columns convert to Python floats lazily,
-        one chunk at a time, instead of materialising three full
-        million-entry lists upfront.
-        """
-        n = trace.num_requests
-        battery_spent = 0.0
-        battery_exhausted = False
-
-        def dispatch(lane: DeviceLane, start: float, batch: list[int]) -> None:
-            nonlocal battery_spent, battery_exhausted
-            if lane.thermal is not None and start > lane.clock:
-                lane.thermal.advance(0.0, start - lane.clock)  # idle: device cools
-            # Spike check counts the in-flight batch: next_ready_batch
-            # already popped it, but it is still unserved work.
-            spike = lane.backlog_at(start) + len(batch) > self.emergency_backlog
-            if start >= lane.next_decision or spike:
-                obs = self._observe(lane, start, trace, battery_budget, battery_spent)
-                lane.config = lane.policy.select(obs)
-                lane.governor_decisions += 1
-                tracing.count("fleet.governor_decisions")
-                lane.next_decision = start + self.window_s
-            active = lane.config
-            if lane.thermal is not None and lane.thermal.throttled:
-                active = lane.coolest  # hardware throttle overrides the policy
-                lane.throttled += 1
-            lane.config_usage[active.name] = lane.config_usage.get(active.name, 0) + 1
-            tracing.count("fleet.batches")
-            tracing.count(f"fleet.lane.{lane.stack.spec.platform}.batches")
-            tracing.observe("fleet.batch_size", len(batch))
-
-            indices = np.asarray(batch, dtype=np.int64)
-            compiled = lane.compiled_of(active, cstream, self.switch_cost_j)
-            decisions = compiled.decisions[indices]
-            latency, energy, switch = compiled.price(decisions)
-            lane.switching_energy_j += switch
-
-            end = start + latency
-            completion[indices] = end
-            correct[indices] = compiled.correct[indices]
-            lane.exit_counts += np.bincount(decisions, minlength=len(lane.exit_counts))
-
-            lane.energy_j += energy
-            lane.busy_s += latency
-            battery_spent += energy
-            if battery_budget is not None and battery_spent > battery_budget:
-                battery_exhausted = True
-            if lane.thermal is not None and latency > 0:
-                lane.thermal.advance(energy / latency, latency)
-            lane.clock = end
-            lane.t_free = end
-            lane.num_batches += 1
-
-        def drain(until: float) -> None:
-            # Dispatch ready batches across lanes in ascending start time
-            # (ties break on lane index): governors observing shared fleet
-            # state (the battery meter) always see it as of a simulated
-            # instant no later than their own decision time.
-            while True:
-                best: DeviceLane | None = None
-                best_start = float("inf")
-                for lane in self.lanes:
-                    start = lane.pending_start_s()
-                    if start is not None and start < until and start < best_start:
-                        best, best_start = lane, start
-                if best is None:
-                    break
-                formed = best.next_ready_batch(until)
-                dispatch(best, *formed)
-
-        admission = self.admission
-        lanes = self.lanes
-        # Arrival columns convert lazily per chunk: same Python floats as a
-        # full .tolist(), without ~24 MB of boxed floats resident at 10⁶.
-        chunk = 65536
-        for lo in range(0, n, chunk):
-            hi = min(lo + chunk, n)
-            times = trace.arrival_s[lo:hi].tolist()
-            difficulties = trace.difficulty[lo:hi].tolist()
-            classes = trace.slo_class[lo:hi].tolist()
-            for k in range(hi - lo):
-                i = lo + k
-                arrival = times[k]
-                slo_class = classes[k]
-                lane = lanes[router.route(difficulties[k], slo_class, arrival, lanes)]
-                critical = slo_class == LATENCY_CRITICAL
-                if (
-                    admission is not None
-                    and lane.queue_depth >= admission.max_queue
-                    and not (critical and admission.critical_bypass)
-                ):
-                    lane.reject(arrival)
-                else:
-                    lane.push(i, arrival, critical)
-                if k + 1 < hi - lo:
-                    drain(times[k + 1])
-                elif hi < n:
-                    drain(float(trace.arrival_s[hi]))
-                else:
-                    drain(float("inf"))
-        drain(float("inf"))
-
-        return self._report(trace, completion, correct, battery_budget,
-                            battery_spent, battery_exhausted)
-
-    def _run_indexed(
-        self,
-        trace: Trace,
-        router: FleetRouter,
-        cstream: CompiledStream,
-        completion: np.ndarray,
-        correct: np.ndarray,
-        battery_budget: float | None,
-    ) -> FleetReport:
-        """Block-routed fleet loop: bit-identical reports, one block at a time.
+        """Block-routed fleet loop: the per-request loop's reports, one block
+        at a time.
 
         Between two fleet dispatch horizons no lane's queue drains, so
         every routing decision in that window sees lane state that only
@@ -872,9 +680,11 @@ class FleetSimulator:
         completion/correctness scatters happen once at the end.  With
         ``spec.steal`` set, governor decisions on an unloaded lane may
         migrate queued best-effort requests off a stalled lane — the one
-        intentional (opt-in) departure from reference behavior.
+        intentional (opt-in) departure from the per-request loop.
         """
         n = trace.num_requests
+        completion = np.full(n, np.nan)
+        correct = np.zeros(n, dtype=bool)
         lanes = self.lanes
         num_lanes = len(lanes)
         admission = self.admission
@@ -1283,10 +1093,11 @@ class FleetSimulator:
             else:
                 until = float(times_np[i])
             # Drain: pop-validate-dispatch until the next arrival.  Same
-            # dispatch order as the reference scan — ascending start, ties on
-            # lane index — via the heap's tuple ordering.  Entries validate
-            # lazily: every pending change pushed one, so a mismatch with the
-            # lane's current pending start means "stale, skip".
+            # dispatch order as a scan over the lanes — ascending start,
+            # ties on lane index — via the heap's tuple ordering.  Entries
+            # validate lazily: every pending change pushed one, so a
+            # mismatch with the lane's current pending start means "stale,
+            # skip".
             while heap:
                 start, li = heap[0]
                 if start >= until:
@@ -1307,7 +1118,7 @@ class FleetSimulator:
                     continue
                 # Form the batch at its dispatch instant: arrival-ordered
                 # prefix, opportunistic fill up to the start (same two-trigger
-                # semantics as DeviceLane.next_ready_batch, inlined).
+                # semantics as the single-device batcher).
                 bsize = 0
                 for arrival in qa:
                     if bsize >= mb or arrival > start:
@@ -1374,7 +1185,7 @@ class FleetSimulator:
         slo_class,
         recorder,
     ) -> int:
-        """Opportunistic work stealing at a governor horizon (indexed only).
+        """Opportunistic work stealing at a governor horizon.
 
         When the lane that just re-decided has comfortable headroom
         (estimated wait under half the SLO) and some other lane is stalled

@@ -183,33 +183,20 @@ def _profiles_for(
 ) -> list[PathProfile]:
     """Per-path execution profiles under a (possibly per-exit) DVFS map.
 
-    With a table-backed evaluator the profiles come straight from the
+    The profiles come straight from the evaluator's
     :class:`~repro.hardware.cost_table.CostTableBank` — ladder construction
-    stops re-walking layers through the timing kernel (a per-exit map reuses
-    one table per distinct setting).  Bit-identical to the
-    :meth:`EnergyModel.path_profile` walk, which remains the reference path
-    for ``use_tables=False`` evaluators.
+    never re-walks layers through the timing kernel (a per-exit map reuses
+    one table per distinct setting).
     """
     positions = placement.positions
+    branches = [evaluator.branch_cost(p) for p in positions]
     profiles = []
-    if evaluator.use_tables:
-        branches = [evaluator.branch_cost(p) for p in positions]
-        for index in range(len(positions) + 1):
-            table = evaluator.bank.table(governor.setting_for(index))
-            if index < len(positions):
-                profiles.append(table.exit_path_profile(positions, branches, index))
-            else:
-                profiles.append(table.full_path_profile(positions, branches))
-        return profiles
     for index in range(len(positions) + 1):
-        setting = governor.setting_for(index)
+        table = evaluator.bank.table(governor.setting_for(index))
         if index < len(positions):
-            layers = list(evaluator.cost.prefix(positions[index]))
-            layers.extend(evaluator.branch_cost(p) for p in positions[: index + 1])
+            profiles.append(table.exit_path_profile(positions, branches, index))
         else:
-            layers = list(evaluator.cost.layers)
-            layers.extend(evaluator.branch_cost(p) for p in positions)
-        profiles.append(evaluator.energy_model.path_profile(layers, setting))
+            profiles.append(table.full_path_profile(positions, branches))
     return profiles
 
 
@@ -283,10 +270,13 @@ def plan_config_ladder(
     plan = plan_per_exit_dvfs(evaluator, placement, dvfs_space, latency_slack=latency_slack)
     eco_plan = plan_per_exit_dvfs(evaluator, placement, dvfs_space, latency_slack=eco_slack)
     perf = dvfs_space.default_setting()
-    balanced = min(
-        plan.settings.values(),
-        key=lambda s: evaluator.full_path_cost(placement.positions, s)[0],
-    )
+    # The balanced tier is the plan's setting with the cheapest full path,
+    # costed in one population gather; argmin keeps the first minimum.
+    candidates = list(plan.settings.values())
+    full_energy = evaluator.population.path_costs(
+        [placement.positions] * len(candidates), candidates
+    ).full_energy_j
+    balanced = candidates[int(np.argmin(full_energy))]
     tiers: list[tuple[str, DvfsSetting, dict[int, DvfsSetting] | None]] = [
         ("perf", perf, None),
         ("balanced", balanced, None),

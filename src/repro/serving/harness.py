@@ -43,7 +43,7 @@ from repro.serving.simulator import ServingSimulator
 from repro.serving.stream import LogitsSynthesizer, ServingStream
 from repro.serving.telemetry import ServingReport
 from repro.serving.workload import LOAD_PATTERNS, Trace, make_trace
-from repro.utils.validation import check_positive
+from repro.utils.validation import check_nonneg, check_positive
 
 #: Bump when serving-cell semantics change; orphans persisted serving entries.
 SERVING_CELL_VERSION = "2"
@@ -101,6 +101,9 @@ class ServingSpec:
         check_positive("duration_s", self.duration_s)
         check_positive("num_exits", self.num_exits)
         check_positive("utilization", self.utilization)
+        check_positive("max_batch", self.max_batch)
+        check_nonneg("batch_timeout_ms", self.batch_timeout_ms)
+        check_positive("window_ms", self.window_ms)
         if self.rate_hz is not None:
             check_positive("rate_hz", self.rate_hz)
         if not 0.0 <= self.critical_fraction <= 1.0:

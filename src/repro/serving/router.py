@@ -1,7 +1,7 @@
 """Request routers for the heterogeneous serving fleet.
 
-A :class:`FleetRouter` picks, per arriving request, which device lane the
-request joins.  Routers see a read-only :class:`LaneState` per device —
+A :class:`FleetRouter` picks, for each arriving request, which device lane
+the request joins.  Routers see a read-only :class:`LaneState` per device —
 queue depth, device-free time, the lane's reference capacity and energy —
 and the request's scalar features: ``difficulty`` (standing in for a cheap
 upstream difficulty predictor; HADAS's premise is exactly that easy inputs
@@ -25,20 +25,22 @@ Three policies:
   traffic rides out moderate backlog in its band while criticals move to
   the least-loaded lane early enough to keep their deadline headroom.
 
-Every router also exposes a **block kernel**, :meth:`FleetRouter.route_block`:
+Routers decide in **blocks**, through :meth:`FleetRouter.route_block`:
 given a whole arrival block — a run of consecutive requests between two
 fleet dispatch horizons, over which no lane's queue can drain — it returns
-the same lane assignments the scalar :meth:`route` loop would make, one
-request at a time, against a :class:`BlockLaneState` snapshot that tracks
-within-block queue growth.  Round-robin is arithmetic modulo cycling;
-least-backlog re-evaluates the drain estimate per request off the snapshot
-lists (the estimate changes with every admitted push); difficulty-aware
-screens the whole block against a conservative wait bound and, when no
-request can possibly spill, assigns the precomputed capacity bands in one
+the lane assignments a per-request router would make, one request at a
+time, against a :class:`BlockLaneState` snapshot that tracks within-block
+queue growth.  Round-robin is arithmetic modulo cycling; least-backlog
+re-evaluates the drain estimate per request off the snapshot lists (the
+estimate changes with every admitted push); difficulty-aware screens the
+whole block against a conservative wait bound and, when no request can
+possibly spill, assigns the precomputed capacity bands in one
 `searchsorted` — falling back to per-request stepping only when a spill is
-actually reachable.  Admission (queue-depth cap + critical bypass) is folded
-into the same pass because later routing decisions depend on which earlier
-requests were actually admitted.
+actually reachable.  Admission (queue-depth cap + critical bypass) is
+folded into the same pass because later routing decisions depend on which
+earlier requests were actually admitted.  The per-request decision rule
+itself lives on as the executable spec ``route`` in
+``tests/spec/fleet.py``.
 
 Everything is deterministic: ties break on lane index.
 """
@@ -87,14 +89,14 @@ class BlockLaneState:
     simulator keeps them in sync with dispatches), ``capacity`` the per-lane
     reference capacity in requests/second.  The wait estimate the kernels
     compute off these lists — ``max(t_free - now, 0) + depth / capacity`` —
-    is float-for-float the scalar :meth:`LaneState.estimated_wait_s`.
+    is float-for-float :meth:`LaneState.estimated_wait_s`.
 
     Admission folds into routing because queue-depth admission over a
     no-dispatch stretch is a *prefix* rule: within a block the queue only
     grows, so a request is admitted iff it is latency-critical under
     ``critical_bypass`` or its per-lane routed position is below the space
     the lane had when the block started — exactly the per-arrival cap
-    decision the scalar loop makes (same closed form as
+    decision a per-request loop makes (same closed form as
     ``ArrayBatcher._gate``; see :func:`repro.serving.batcher.admit_prefix`).
     :meth:`begin_block` arms the per-block position counters.
     """
@@ -173,18 +175,9 @@ class BlockLaneState:
 
 
 class FleetRouter:
-    """Base: maps an arriving request's (difficulty, class) to a lane index."""
+    """Base: maps arriving requests' (difficulty, class) to lane indices."""
 
     name = "router"
-
-    def route(
-        self,
-        difficulty: float,
-        slo_class: int,
-        now_s: float,
-        lanes: Sequence[LaneState],
-    ) -> int:
-        raise NotImplementedError
 
     def route_block(
         self,
@@ -195,10 +188,11 @@ class FleetRouter:
     ) -> tuple[list[int], list[bool]]:
         """Route one arrival block: (lane index, admitted) per request.
 
-        Must be decision-for-decision identical to stepping :meth:`route`
-        plus the admission check over the block while updating lane depths
-        for every admitted push (the property tests assert exactly that).
-        Mutates ``state`` (depths, positions, any router cursor).
+        Must be decision-for-decision identical to stepping the per-request
+        rule plus the admission check over the block while updating lane
+        depths for every admitted push (the property tests assert exactly
+        that against the spec).  Mutates ``state`` (depths, positions, any
+        router cursor).
         """
         raise NotImplementedError
 
@@ -219,17 +213,6 @@ class RoundRobinRouter(FleetRouter):
     def __init__(self):
         self._next = 0
 
-    def route(
-        self,
-        difficulty: float,
-        slo_class: int,
-        now_s: float,
-        lanes: Sequence[LaneState],
-    ) -> int:
-        index = self._next % len(lanes)
-        self._next += 1
-        return index
-
     def route_block(self, difficulty, slo_class, arrival, state):
         start = self._next
         num = len(state.depth)
@@ -246,15 +229,6 @@ class LeastBacklogRouter(FleetRouter):
 
     name = "least_backlog"
 
-    def route(
-        self,
-        difficulty: float,
-        slo_class: int,
-        now_s: float,
-        lanes: Sequence[LaneState],
-    ) -> int:
-        return min(lanes, key=lambda lane: (lane.estimated_wait_s(now_s), lane.index)).index
-
     def route_block(self, difficulty, slo_class, arrival, state):
         t_free = state.t_free
         depth = state.depth
@@ -270,7 +244,7 @@ class LeastBacklogRouter(FleetRouter):
         adm_append = admitted.append
         for m, now in enumerate(arrival):
             # argmin of (wait, lane index): strict < keeps the first minimum,
-            # which is the lowest-index lane on ties — same as min(key=...).
+            # which is the lowest-index lane on ties.
             r = t_free[0] - now
             best_w = (r if r > 0.0 else 0.0) + depth[0] / capacity[0]
             best = 0
@@ -315,7 +289,7 @@ class DifficultyAwareRouter(FleetRouter):
 
     Bands are cached per fleet composition: building them sorts the lanes
     by capacity (and reads the — potentially expensive — capacity figures),
-    so :meth:`route` only ever does a cache check plus a bisect per call.
+    so a routed block only ever pays a cache check before its band lookups.
     The cache invalidates when the lane set changes (identity-checked, so a
     router can be handed a different fleet and rebuild exactly once).
     """
@@ -380,25 +354,6 @@ class DifficultyAwareRouter(FleetRouter):
             slot = len(self._band_lanes) - 1  # difficulty below 0: old fallback
         return self._band_lanes[slot]
 
-    def route(
-        self,
-        difficulty: float,
-        slo_class: int,
-        now_s: float,
-        lanes: Sequence[LaneState],
-    ) -> int:
-        self._ensure_bands(lanes)
-        chosen = self.banded_lane(difficulty)
-        threshold = self.spill_fraction * self.slo_s
-        if slo_class == LATENCY_CRITICAL:
-            threshold *= 0.5  # criticals abandon a backlogged band early
-        if lanes[chosen].estimated_wait_s(now_s) > threshold:
-            spill = min(
-                lanes, key=lambda lane: (lane.estimated_wait_s(now_s), lane.index)
-            )
-            return spill.index
-        return chosen
-
     def route_block(self, difficulty, slo_class, arrival, state):
         self._ensure_bands(state.lanes)
         t_free = state.t_free
@@ -447,7 +402,7 @@ class DifficultyAwareRouter(FleetRouter):
                 ]
             return assignments, state.admit(assignments, slo_class)
 
-        # Spill reachable: per-request stepping (identical to scalar route).
+        # Spill reachable: per-request stepping.
         edges = self._edges
         band_lanes = self._band_lanes
         bounded = state.max_queue is not None

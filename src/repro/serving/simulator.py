@@ -11,22 +11,17 @@ serialises, dispatch overhead is shared —
 energy across the intra-batch exit sequence.  Thermal and battery state
 evolve alongside and feed back into the governor's observation.
 
-Two engines produce the same physics:
+The event core is vectorized: an
+:class:`~repro.serving.batcher.ArrayBatcher` forms batches as index
+arithmetic over the arrival array, and a per-config compiled executor
+(:class:`_CompiledConfig`) precomputes full-stream exit decisions,
+correctness and per-path cost tables once, so the per-batch work is a few
+table gathers.  Reports are bit-identical to the original per-request loop
+over :class:`~repro.serving.workload.Request` objects, which lives on as
+the executable spec in ``tests/spec/serving.py`` and shares this module's
+per-run set-up (:meth:`ServingSimulator._setup`).
 
-* ``engine="reference"`` — the original per-request loop over
-  :class:`~repro.serving.workload.Request` objects and a
-  :class:`~repro.serving.batcher.MicroBatcher`; retained as the executable
-  specification.
-* ``engine="indexed"`` (default) — the vectorized event core: an
-  :class:`~repro.serving.batcher.ArrayBatcher` forms batches as index
-  arithmetic over the arrival array, and a per-config compiled executor
-  (:class:`_CompiledConfig`) precomputes full-stream exit decisions,
-  correctness and per-path cost tables once, so the per-batch work is a few
-  table gathers.  Reports are bit-identical to the reference engine — the
-  repo's standing invariant, in the family of serial-vs-parallel and
-  table-vs-reference before it.
-
-The indexed engine additionally supports admission control
+The core also supports admission control
 (:class:`~repro.serving.batcher.AdmissionPolicy`) and latency-critical /
 best-effort SLO classes; dropped requests never complete (NaN completion)
 and latency statistics are computed over *served* requests only.
@@ -43,10 +38,10 @@ import numpy as np
 
 from repro.eval.dynamic import DynamicEvaluator
 from repro.exits.placement import ExitPlacement
-from repro.hardware.energy import PathProfile, batched_execution
+from repro.hardware.energy import PathProfile
 from repro.nn.functional import entropy_np
 from repro.obs import trace as tracing
-from repro.serving.batcher import AdmissionPolicy, ArrayBatcher, BatchPolicy, MicroBatcher
+from repro.serving.batcher import AdmissionPolicy, ArrayBatcher, BatchPolicy
 from repro.serving.governor import (
     GovernorObservation,
     RuntimeConfig,
@@ -59,47 +54,6 @@ from repro.serving.telemetry import ServingReport, class_latency_stats, percenti
 from repro.serving.workload import SLO_CLASSES, Trace
 from repro.utils.validation import check_positive
 
-ENGINE_NAMES = ("indexed", "reference")
-
-
-@dataclass(frozen=True)
-class BatchOutcome:
-    """Result of pricing one micro-batch through the deployed DyNN.
-
-    Shared by the single-device and fleet simulators so the execution
-    semantics — controller decisions, batched hardware pricing, switch
-    energy, per-request correctness — live in exactly one place.
-    """
-
-    decisions: object  # per-request exit index (num_exits = full network)
-    latency_s: float
-    energy_j: float  # includes switching energy
-    switching_j: float
-    correct: np.ndarray  # per-request correctness flags
-
-
-def execute_batch(controller, profiles, dvfs_governor, stream, indices) -> BatchOutcome:
-    """Run one micro-batch: real exit decisions + physical batch pricing."""
-    exit_logits, final_logits, labels = stream.batch(indices)
-    decisions = controller.decide(exit_logits)
-    latency, energy = batched_execution([profiles[d] for d in decisions])
-    switch = dvfs_governor.switching_energy(decisions)
-    num_exits = stream.num_exits
-    correct = np.empty(len(indices), dtype=bool)
-    for j, d in enumerate(decisions):
-        if d < num_exits:
-            correct[j] = exit_logits[d, j].argmax() == labels[j]
-        else:
-            correct[j] = final_logits[j].argmax() == labels[j]
-    return BatchOutcome(
-        decisions=decisions,
-        latency_s=latency,
-        energy_j=energy + switch,
-        switching_j=switch,
-        correct=correct,
-    )
-
-
 @dataclass(frozen=True)
 class CompiledStream:
     """Per-request quantities of a :class:`ServingStream`, precomputed once.
@@ -107,7 +61,7 @@ class CompiledStream:
     The entropy controller and the correctness check are row-independent
     (softmax/entropy/argmax act per request), so evaluating them over the
     full stream up front yields bit-identical values to evaluating them
-    batch by batch — which is what lets the indexed engine replace the
+    batch by batch — which is what lets the event core replace the
     per-batch controller with table lookups.
     """
 
@@ -148,12 +102,13 @@ class _CompiledConfig:
 
     ``decisions`` replicates :meth:`EntropyThresholdController.decide` over
     the full stream (first exit whose entropy clears its threshold);
-    :meth:`price` replicates :func:`batched_execution` +
+    :meth:`price` replicates
+    :func:`~repro.hardware.energy.batched_execution` +
     :meth:`DvfsGovernor.switching_energy` for a batch of those decisions.
     Sums run as Python float sums over lists (NOT ``np.sum``, whose pairwise
     reduction associates differently) and the shared-overhead path is the
     *first* maximum, exactly like ``max(..., key=...)`` — this is what keeps
-    the compiled executor bit-identical to the reference one.
+    the compiled executor bit-identical to pricing each batch directly.
     """
 
     __slots__ = (
@@ -357,7 +312,7 @@ class _CompiledConfig:
 
 @dataclass
 class _RunState:
-    """Accumulated telemetry of one serving loop, engine-agnostic."""
+    """Accumulated telemetry of one serving loop (and of its spec)."""
 
     completion: np.ndarray  # NaN = never served (dropped at admission)
     correct: np.ndarray
@@ -402,10 +357,7 @@ class ServingSimulator:
         Absolute energy allowance (None = unconstrained); the harness
         derives it from the scenario's ``battery_scale``.
     admission:
-        Optional queue-depth admission policy (indexed engine only).
-    engine:
-        ``"indexed"`` (vectorized, default) or ``"reference"`` (the original
-        object loop, kept as the executable specification).
+        Optional queue-depth admission policy.
     """
 
     def __init__(
@@ -422,17 +374,9 @@ class ServingSimulator:
         battery_budget_j: float | None = None,
         emergency_backlog_batches: float = 2.0,
         admission: AdmissionPolicy | None = None,
-        engine: str = "indexed",
     ):
         check_positive("slo_s", slo_s)
         check_positive("window_s", window_s)
-        if engine not in ENGINE_NAMES:
-            raise ValueError(f"unknown engine {engine!r}; valid: {ENGINE_NAMES}")
-        if engine == "reference" and admission is not None:
-            raise ValueError(
-                "the reference engine predates admission control; "
-                "use engine='indexed' with an AdmissionPolicy"
-            )
         self.evaluator = evaluator
         self.placement = placement
         self.policy = policy
@@ -444,12 +388,10 @@ class ServingSimulator:
         self.switch_cost_j = switch_cost_j
         self.battery_budget_j = battery_budget_j
         self.admission = admission
-        self.engine = engine
         self.emergency_backlog = emergency_backlog_batches * self.batch_policy.max_batch
         self._max_power_w = max(c.expected_power_w for c in self.ladder)
         self._coolest = min(self.ladder, key=lambda c: c.expected_power_w)
         self._profiles: dict[str, list[PathProfile]] = {}
-        self._controllers: dict[str, object] = {}
 
     # ------------------------------------------------------------- internals
     def _profiles_of(self, config: RuntimeConfig) -> list[PathProfile]:
@@ -458,11 +400,6 @@ class ServingSimulator:
                 self.evaluator, self.placement, config.dvfs_governor()
             )
         return self._profiles[config.name]
-
-    def _controller_of(self, config: RuntimeConfig):
-        if config.name not in self._controllers:
-            self._controllers[config.name] = config.controller()
-        return self._controllers[config.name]
 
     def _observe(
         self,
@@ -536,6 +473,20 @@ class ServingSimulator:
         model: str,
         seed: int,
     ) -> ServingReport:
+        thermal, config, state = self._setup(trace, stream)
+        self._serve(trace, stream, thermal, config, state)
+        return self._build_report(trace, thermal, state, platform, model, seed)
+
+    def _setup(
+        self, trace: Trace, stream: ServingStream
+    ) -> tuple[ThermalState | None, RuntimeConfig, _RunState]:
+        """Check the inputs and build one run's starting state.
+
+        Returns the device's thermal state (``None`` without a thermal
+        scenario), the policy's t=0 config — already counted as the run's
+        first governor decision — and empty telemetry.  The event loop and
+        its executable spec both start here.
+        """
         n = trace.num_requests
         if stream.final_logits.shape[0] != n:
             raise ValueError(
@@ -552,96 +503,27 @@ class ServingSimulator:
             if self.scenario.thermal is not None
             else None
         )
-        if self.engine == "reference":
-            if trace.num_critical:
-                raise ValueError(
-                    "the reference engine is class-agnostic; serve SLO-tagged "
-                    "traces with engine='indexed'"
-                )
-            state = self._serve_reference(trace, stream, thermal)
-        else:
-            state = self._serve_indexed(trace, stream, thermal)
-        return self._build_report(trace, thermal, state, platform, model, seed)
-
-    def _serve_reference(
-        self, trace: Trace, stream: ServingStream, thermal: ThermalState | None
-    ) -> _RunState:
-        """The original object loop: MicroBatcher + per-batch controller."""
-        n = trace.num_requests
-        arrivals = trace.arrival_s
-        batcher = MicroBatcher(trace, self.batch_policy)
         state = _RunState(
             completion=np.full(n, np.nan),
             correct=np.zeros(n, dtype=bool),
             exit_counts=np.zeros(self.placement.num_exits + 1, dtype=np.int64),
+            governor_decisions=1,
         )
-        clock = 0.0  # last simulated instant (for thermal integration)
-        t_free = 0.0
-        config = self._initial_config(trace)
-        state.governor_decisions += 1
         tracing.count("serving.governor_decisions")
-        next_decision = self.window_s
+        return thermal, self._initial_config(trace), state
 
-        while (formed := batcher.next_batch(t_free)) is not None:
-            start, batch = formed
-            if thermal is not None and start > clock:
-                thermal.advance(0.0, start - clock)  # idle: device cools
-            # Spike check counts the in-flight batch: next_batch already
-            # popped it off the queue, but it is still unserved work.
-            spike = batcher.backlog_at(start) + len(batch) > self.emergency_backlog
-            if start >= next_decision or spike:
-                obs = self._observe(
-                    start, trace, arrivals, batcher, thermal, state.battery_spent
-                )
-                config = self.policy.select(obs)
-                state.governor_decisions += 1
-                tracing.count("serving.governor_decisions")
-                next_decision = start + self.window_s
+    def _serve(
+        self,
+        trace: Trace,
+        stream: ServingStream,
+        thermal: ThermalState | None,
+        config: RuntimeConfig,
+        state: _RunState,
+    ) -> None:
+        """The vectorized event core: ArrayBatcher + compiled executor.
 
-            active = config
-            if thermal is not None and thermal.throttled:
-                active = self._coolest  # hardware throttle overrides the policy
-                state.throttled += 1
-                tracing.count("serving.throttled_batches")
-            state.config_usage[active.name] = state.config_usage.get(active.name, 0) + 1
-            tracing.count("serving.batches")
-            tracing.observe("serving.batch_size", len(batch))
-
-            indices = np.asarray([r.index for r in batch], dtype=np.int64)
-            outcome = execute_batch(
-                self._controller_of(active),
-                self._profiles_of(active),
-                active.dvfs_governor(self.switch_cost_j),
-                stream,
-                indices,
-            )
-            state.switching_energy += outcome.switching_j
-
-            end = start + outcome.latency_s
-            state.completion[indices] = end
-            state.correct[indices] = outcome.correct
-            for d in outcome.decisions:
-                state.exit_counts[d] += 1
-
-            state.total_energy += outcome.energy_j
-            state.battery_spent += outcome.energy_j
-            if (
-                self.battery_budget_j is not None
-                and state.battery_spent > self.battery_budget_j
-            ):
-                state.battery_exhausted = True
-            if thermal is not None and outcome.latency_s > 0:
-                thermal.advance(outcome.energy_j / outcome.latency_s, outcome.latency_s)
-            clock = end
-            t_free = end
-            state.num_batches += 1
-        return state
-
-    def _serve_indexed(
-        self, trace: Trace, stream: ServingStream, thermal: ThermalState | None
-    ) -> _RunState:
-        """The vectorized event core: ArrayBatcher + compiled executor."""
-        n = trace.num_requests
+        Serves the whole trace from ``config`` onwards, filling ``state``.
+        """
         arrivals = trace.arrival_s
         batcher = ArrayBatcher(trace, self.batch_policy, self.admission)
         cstream = compile_stream(stream)
@@ -656,20 +538,12 @@ class ServingSimulator:
                 compiled[config.name] = cc
             return cc
 
-        state = _RunState(
-            completion=np.full(n, np.nan),
-            correct=np.zeros(n, dtype=bool),
-            exit_counts=np.zeros(self.placement.num_exits + 1, dtype=np.int64),
-        )
         completion = state.completion
         correct = state.correct
         exit_counts = state.exit_counts
         use_span = batcher.contiguous
         clock = 0.0
         t_free = 0.0
-        config = self._initial_config(trace)
-        state.governor_decisions += 1
-        tracing.count("serving.governor_decisions")
         next_decision = self.window_s
 
         # Hot-loop locals: at 10⁶ requests the attribute chases and no-op
@@ -717,7 +591,8 @@ class ServingSimulator:
                 size = len(indices)
             if thermal is not None and start > clock:
                 thermal.advance(0.0, start - clock)  # idle: device cools
-            # Spike check counts the in-flight batch (see reference loop).
+            # Spike check counts the in-flight batch: the batcher already
+            # popped it off the queue, but it is still unserved work.
             spike = backlog_at(start) + size > emergency_backlog
             if start >= next_decision or spike:
                 state.battery_spent = battery_spent
@@ -779,7 +654,6 @@ class ServingSimulator:
         state.switching_energy = switching_energy
         state.num_dropped = batcher.num_dropped
         state.num_deferred = batcher.num_deferred
-        return state
 
     def _build_report(
         self,

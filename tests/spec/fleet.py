@@ -1,0 +1,239 @@
+"""Spec of fleet serving: one request routed, admitted and drained at a
+time.
+
+The fleet simulator routes whole arrival blocks through each router's
+``route_block`` kernel, pushes onto the lanes' books inline and drains
+through a lazy heap.  This module keeps the per-request version of each
+step — :func:`route` for the routers, :func:`push` / :func:`reject` /
+:func:`next_ready_batch` for the lanes — and :class:`ReferenceFleetSimulator`
+runs the original loop over them.  Reports must be equal field for field
+(with work stealing off: the loop takes no extensions).
+"""
+
+from __future__ import annotations
+
+import numpy as np
+
+from repro.obs import trace as tracing
+from repro.serving.fleet import (
+    DeviceLane,
+    FleetReport,
+    FleetSimulator,
+    FleetSpec,
+    build_fleet_stacks,
+    build_fleet_trace_and_stream,
+)
+from repro.serving.router import (
+    DifficultyAwareRouter,
+    FleetRouter,
+    LeastBacklogRouter,
+    RoundRobinRouter,
+)
+from repro.serving.workload import LATENCY_CRITICAL
+
+
+# ------------------------------------------------------------------ routing
+def _least_wait(lanes, now_s: float) -> int:
+    return min(lanes, key=lambda lane: (lane.estimated_wait_s(now_s), lane.index)).index
+
+
+def route(router: FleetRouter, difficulty: float, slo_class: int, now_s: float, lanes) -> int:
+    """The lane one arriving request joins, decided on its own.
+
+    ``lanes`` expose the :class:`~repro.serving.router.LaneState` surface;
+    ties break on lane index.
+    """
+    if isinstance(router, RoundRobinRouter):
+        index = router._next % len(lanes)
+        router._next += 1
+        return index
+    if isinstance(router, LeastBacklogRouter):
+        return _least_wait(lanes, now_s)
+    if isinstance(router, DifficultyAwareRouter):
+        router._ensure_bands(lanes)
+        chosen = router.banded_lane(difficulty)
+        threshold = router.spill_fraction * router.slo_s
+        if slo_class == LATENCY_CRITICAL:
+            threshold *= 0.5  # criticals abandon a backlogged band early
+        if lanes[chosen].estimated_wait_s(now_s) > threshold:
+            return _least_wait(lanes, now_s)
+        return chosen
+    raise TypeError(f"no per-request rule for {type(router).__name__}")
+
+
+# -------------------------------------------------------------------- lanes
+def push(lane: DeviceLane, index: int, arrival_s: float, critical: bool) -> None:
+    """Admit request ``index`` onto the lane's queue."""
+    lane._queue.append(index)
+    lane._queue_arrivals.append(arrival_s)
+    lane._admitted_times.append(arrival_s)
+    lane._routed_times.append(arrival_s)
+    lane.request_indices.append(index)
+    if critical:
+        lane._crit_times.append(arrival_s)
+        lane.critical_requests += 1
+
+
+def reject(lane: DeviceLane, arrival_s: float) -> None:
+    """Record an admission drop at the lane's door (still counted as
+    offered demand in its rate window)."""
+    lane._routed_times.append(arrival_s)
+    lane.num_dropped += 1
+
+
+def pending_start_s(lane: DeviceLane) -> float | None:
+    """Dispatch instant of the lane's next batch, were it formed now.
+
+    Full-batch fill or head-of-line timeout, whichever comes first, floored
+    by the device-free time; ``None`` when the queue is empty.
+    """
+    if not lane._queue:
+        return None
+    policy = lane.stack.batch_policy
+    arrivals = lane._queue_arrivals
+    expiry = arrivals[0] + policy.timeout_s
+    if len(arrivals) >= policy.max_batch and arrivals[policy.max_batch - 1] <= expiry:
+        trigger = arrivals[policy.max_batch - 1]
+    else:
+        trigger = expiry
+    return max(lane.t_free, trigger)
+
+
+def next_ready_batch(lane: DeviceLane, until_s: float) -> tuple[float, list[int]] | None:
+    """Form the lane's next batch, but only once the fleet clock reaches it.
+
+    A batch is returned only when it dispatches before the next fleet
+    arrival (``until_s``), so no future arrival could still join it and the
+    governor observations made at dispatch see every arrival up to the
+    dispatch instant.
+    """
+    start = pending_start_s(lane)
+    if start is None or start >= until_s:
+        return None
+    policy = lane.stack.batch_policy
+    size = 0
+    for arrival in lane._queue_arrivals:
+        if size >= policy.max_batch or arrival > start:
+            break
+        size += 1
+    batch = [lane._queue.popleft() for _ in range(size)]
+    crit_times = lane._crit_times
+    crit_popped = lane._crit_popped
+    for _ in range(size):
+        arrival = lane._queue_arrivals.popleft()
+        if crit_popped < len(crit_times) and crit_times[crit_popped] <= arrival:
+            crit_popped += 1
+    lane._popped += size
+    lane._crit_popped = crit_popped
+    return start, batch
+
+
+# --------------------------------------------------------------------- loop
+class ReferenceFleetSimulator(FleetSimulator):
+    """:class:`~repro.serving.fleet.FleetSimulator` serving one request at a
+    time: route, admit, then dispatch every batch that is ready before the
+    next arrival, lanes in ascending start order (ties on lane index)."""
+
+    def __init__(self, spec: FleetSpec, *args, **kwargs):
+        if spec.steal:
+            raise ValueError("the reference loop takes no work stealing")
+        super().__init__(spec, *args, **kwargs)
+
+    def run(self, trace, stream) -> FleetReport:
+        # Same set-up as the production loop; the collector stays on, as it
+        # always did for this loop.
+        router, cstream, battery_budget = self._setup(trace, stream)
+        n = trace.num_requests
+        completion = np.full(n, np.nan)
+        correct = np.zeros(n, dtype=bool)
+        battery_spent = 0.0
+        battery_exhausted = False
+
+        def dispatch(lane: DeviceLane, start: float, batch: list[int]) -> None:
+            nonlocal battery_spent, battery_exhausted
+            if lane.thermal is not None and start > lane.clock:
+                lane.thermal.advance(0.0, start - lane.clock)  # idle: device cools
+            # Spike check counts the in-flight batch: next_ready_batch
+            # already popped it, but it is still unserved work.
+            spike = lane.backlog_at(start) + len(batch) > self.emergency_backlog
+            if start >= lane.next_decision or spike:
+                obs = self._observe(lane, start, trace, battery_budget, battery_spent)
+                lane.config = lane.policy.select(obs)
+                lane.governor_decisions += 1
+                tracing.count("fleet.governor_decisions")
+                lane.next_decision = start + self.window_s
+            active = lane.config
+            if lane.thermal is not None and lane.thermal.throttled:
+                active = lane.coolest  # hardware throttle overrides the policy
+                lane.throttled += 1
+            lane.config_usage[active.name] = lane.config_usage.get(active.name, 0) + 1
+            tracing.count("fleet.batches")
+            tracing.count(f"fleet.lane.{lane.stack.spec.platform}.batches")
+            tracing.observe("fleet.batch_size", len(batch))
+
+            indices = np.asarray(batch, dtype=np.int64)
+            compiled = lane.compiled_of(active, cstream, self.switch_cost_j)
+            decisions = compiled.decisions[indices]
+            latency, energy, switch = compiled.price(decisions)
+            lane.switching_energy_j += switch
+
+            end = start + latency
+            completion[indices] = end
+            correct[indices] = compiled.correct[indices]
+            lane.exit_counts += np.bincount(decisions, minlength=len(lane.exit_counts))
+
+            lane.energy_j += energy
+            lane.busy_s += latency
+            battery_spent += energy
+            if battery_budget is not None and battery_spent > battery_budget:
+                battery_exhausted = True
+            if lane.thermal is not None and latency > 0:
+                lane.thermal.advance(energy / latency, latency)
+            lane.clock = end
+            lane.t_free = end
+            lane.num_batches += 1
+
+        def drain(until: float) -> None:
+            # Governors observing shared fleet state (the battery meter)
+            # always see it as of an instant no later than their decision.
+            while True:
+                best: DeviceLane | None = None
+                best_start = float("inf")
+                for lane in self.lanes:
+                    start = pending_start_s(lane)
+                    if start is not None and start < until and start < best_start:
+                        best, best_start = lane, start
+                if best is None:
+                    break
+                dispatch(best, *next_ready_batch(best, until))
+
+        admission = self.admission
+        lanes = self.lanes
+        times = trace.arrival_s.tolist()
+        difficulties = trace.difficulty.tolist()
+        classes = trace.slo_class.tolist()
+        for i in range(n):
+            arrival = times[i]
+            slo_class = classes[i]
+            lane = lanes[route(router, difficulties[i], slo_class, arrival, lanes)]
+            critical = slo_class == LATENCY_CRITICAL
+            if (
+                admission is not None
+                and lane.queue_depth >= admission.max_queue
+                and not (critical and admission.critical_bypass)
+            ):
+                reject(lane, arrival)
+            else:
+                push(lane, i, arrival, critical)
+            drain(times[i + 1] if i + 1 < n else float("inf"))
+        drain(float("inf"))
+
+        return self._report(trace, completion, correct, battery_budget,
+                            battery_spent, battery_exhausted)
+
+
+def run_reference_cell(spec: FleetSpec) -> FleetReport:
+    """:func:`repro.serving.fleet.run_fleet_cell` through the reference loop."""
+    stacks = build_fleet_stacks(spec)
+    trace, stream = build_fleet_trace_and_stream(spec, stacks)
+    return ReferenceFleetSimulator(spec, stacks).run(trace, stream)

@@ -1,0 +1,200 @@
+"""Spec of the single-device serving loop: requests as objects, one batch
+at a time.
+
+:class:`MicroBatcher` is the deque batcher that
+:class:`~repro.serving.batcher.ArrayBatcher` reproduces with index
+arithmetic; :func:`execute_batch` prices a batch by running the real
+entropy controller and :func:`~repro.hardware.energy.batched_execution`,
+which the compiled per-config executor replaces with table gathers; and
+:class:`ReferenceSimulator` swaps the simulator's event core for the
+per-request loop over both.  Reports must be equal field for field.
+
+The loop predates admission control and SLO classes, so it refuses both.
+"""
+
+from __future__ import annotations
+
+from bisect import bisect_right
+from collections import deque
+from dataclasses import dataclass
+
+import numpy as np
+
+from repro.hardware.energy import batched_execution
+from repro.obs import trace as tracing
+from repro.serving.batcher import BatchPolicy
+from repro.serving.simulator import ServingSimulator
+from repro.serving.workload import Request, Trace
+
+
+class MicroBatcher:
+    """Deterministically forms micro-batches from a timestamped trace.
+
+    Drive it with the device's next-free time: each :meth:`next_batch` call
+    returns ``(start_s, batch)`` — the dispatch timestamp and the requests in
+    it — or ``None`` when the trace is exhausted.
+    """
+
+    def __init__(self, trace: Trace, policy: BatchPolicy):
+        self.policy = policy
+        self._arrivals: tuple[Request, ...] = trace.requests
+        self._times: list[float] = trace.arrival_s.tolist()
+        self._next = 0  # index of the next not-yet-queued arrival
+        self._queue: deque[Request] = deque()
+
+    def backlog_at(self, now_s: float) -> int:
+        """Requests that have *arrived* but not been dispatched by ``now_s``."""
+        arrived = bisect_right(self._times, now_s)
+        return len(self._queue) + max(arrived - self._next, 0)
+
+    def critical_backlog_at(self, now_s: float) -> int:
+        """The loop is class-agnostic: no critical accounting."""
+        return 0
+
+    def _admit_until(self, cutoff_s: float) -> None:
+        while (
+            len(self._queue) < self.policy.max_batch
+            and self._next < len(self._arrivals)
+            and self._arrivals[self._next].arrival_s <= cutoff_s
+        ):
+            self._queue.append(self._arrivals[self._next])
+            self._next += 1
+
+    def next_batch(self, device_free_s: float) -> tuple[float, list[Request]] | None:
+        """Form the next batch given when the device frees up.
+
+        Dispatch time is ``max(device_free_s, trigger)`` where the trigger is
+        either the arrival of the batch-filling request or the head-of-line
+        timeout expiry.  Requests arriving while the batch waits for the
+        device join it up to ``max_batch``.
+        """
+        if not self._queue:
+            if self._next >= len(self._arrivals):
+                return None
+            self._queue.append(self._arrivals[self._next])
+            self._next += 1
+        head = self._queue[0]
+        expiry = head.arrival_s + self.policy.timeout_s
+        self._admit_until(expiry)
+        if len(self._queue) >= self.policy.max_batch:
+            trigger = self._queue[self.policy.max_batch - 1].arrival_s
+        else:
+            trigger = expiry
+        start = max(device_free_s, trigger)
+        self._admit_until(start)  # opportunistic fill while waiting for the device
+        size = min(self.policy.max_batch, len(self._queue))
+        batch = [self._queue.popleft() for _ in range(size)]
+        return start, batch
+
+
+@dataclass(frozen=True)
+class BatchOutcome:
+    """Result of pricing one micro-batch through the deployed DyNN."""
+
+    decisions: object  # per-request exit index (num_exits = full network)
+    latency_s: float
+    energy_j: float  # includes switching energy
+    switching_j: float
+    correct: np.ndarray  # per-request correctness flags
+
+
+def execute_batch(controller, profiles, dvfs_governor, stream, indices) -> BatchOutcome:
+    """Run one micro-batch: real exit decisions + physical batch pricing."""
+    exit_logits, final_logits, labels = stream.batch(indices)
+    decisions = controller.decide(exit_logits)
+    latency, energy = batched_execution([profiles[d] for d in decisions])
+    switch = dvfs_governor.switching_energy(decisions)
+    num_exits = stream.num_exits
+    correct = np.empty(len(indices), dtype=bool)
+    for j, d in enumerate(decisions):
+        if d < num_exits:
+            correct[j] = exit_logits[d, j].argmax() == labels[j]
+        else:
+            correct[j] = final_logits[j].argmax() == labels[j]
+    return BatchOutcome(
+        decisions=decisions,
+        latency_s=latency,
+        energy_j=energy + switch,
+        switching_j=switch,
+        correct=correct,
+    )
+
+
+class ReferenceSimulator(ServingSimulator):
+    """:class:`~repro.serving.simulator.ServingSimulator` serving through
+    the per-request loop: :class:`MicroBatcher` plus one controller call and
+    one :func:`execute_batch` per batch."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        if self.admission is not None:
+            raise ValueError("the reference loop predates admission control")
+        self._controllers: dict[str, object] = {}
+
+    def _controller_of(self, config):
+        if config.name not in self._controllers:
+            self._controllers[config.name] = config.controller()
+        return self._controllers[config.name]
+
+    def _serve(self, trace, stream, thermal, config, state) -> None:
+        if trace.num_critical:
+            raise ValueError("the reference loop is class-agnostic")
+        arrivals = trace.arrival_s
+        batcher = MicroBatcher(trace, self.batch_policy)
+        clock = 0.0  # last simulated instant (for thermal integration)
+        t_free = 0.0
+        next_decision = self.window_s
+
+        while (formed := batcher.next_batch(t_free)) is not None:
+            start, batch = formed
+            if thermal is not None and start > clock:
+                thermal.advance(0.0, start - clock)  # idle: device cools
+            # Spike check counts the in-flight batch: next_batch already
+            # popped it off the queue, but it is still unserved work.
+            spike = batcher.backlog_at(start) + len(batch) > self.emergency_backlog
+            if start >= next_decision or spike:
+                obs = self._observe(
+                    start, trace, arrivals, batcher, thermal, state.battery_spent
+                )
+                config = self.policy.select(obs)
+                state.governor_decisions += 1
+                tracing.count("serving.governor_decisions")
+                next_decision = start + self.window_s
+
+            active = config
+            if thermal is not None and thermal.throttled:
+                active = self._coolest  # hardware throttle overrides the policy
+                state.throttled += 1
+                tracing.count("serving.throttled_batches")
+            state.config_usage[active.name] = state.config_usage.get(active.name, 0) + 1
+            tracing.count("serving.batches")
+            tracing.observe("serving.batch_size", len(batch))
+
+            indices = np.asarray([r.index for r in batch], dtype=np.int64)
+            outcome = execute_batch(
+                self._controller_of(active),
+                self._profiles_of(active),
+                active.dvfs_governor(self.switch_cost_j),
+                stream,
+                indices,
+            )
+            state.switching_energy += outcome.switching_j
+
+            end = start + outcome.latency_s
+            state.completion[indices] = end
+            state.correct[indices] = outcome.correct
+            for d in outcome.decisions:
+                state.exit_counts[d] += 1
+
+            state.total_energy += outcome.energy_j
+            state.battery_spent += outcome.energy_j
+            if (
+                self.battery_budget_j is not None
+                and state.battery_spent > self.battery_budget_j
+            ):
+                state.battery_exhausted = True
+            if thermal is not None and outcome.latency_s > 0:
+                thermal.advance(outcome.energy_j / outcome.latency_s, outcome.latency_s)
+            clock = end
+            t_free = end
+            state.num_batches += 1

@@ -28,6 +28,7 @@ from repro.exits.placement import MIN_EXIT_POSITION, ExitPlacement
 from repro.hardware.dvfs import DvfsSpace
 from repro.hardware.energy import EnergyModel
 from repro.hardware.platform import get_platform
+from spec import evaluation as spec_evaluation
 
 PLATFORM_KEYS = ("tx2-gpu", "carmel-cpu")
 
@@ -35,7 +36,7 @@ _CONFIG = attentivenas_model("a3")
 _LAYERS = _CONFIG.total_mbconv_layers
 
 
-def _oracle(**kwargs) -> BackboneExitOracle:
+def _oracle(cls=BackboneExitOracle, **kwargs) -> BackboneExitOracle:
     defaults = dict(
         backbone_key=_CONFIG.key,
         total_layers=_LAYERS,
@@ -44,7 +45,11 @@ def _oracle(**kwargs) -> BackboneExitOracle:
         n_samples=512,
     )
     defaults.update(kwargs)
-    return BackboneExitOracle(**defaults)
+    return cls(**defaults)
+
+
+def _reference_oracle() -> BackboneExitOracle:
+    return _oracle(spec_evaluation.PerPlacementOracle)
 
 
 def _placement(positions) -> ExitPlacement:
@@ -106,7 +111,7 @@ class TestBatchedOracleBitIdentity:
     @given(placements=_placements_strategy())
     def test_matches_reference_oracle(self, placements):
         batched = _oracle()
-        reference = _oracle(use_batched_stats=False)
+        reference = _reference_oracle()
         got = batched.evaluate_placements(placements)
         want = reference.evaluate_placements(placements)
         for g, w in zip(got, want):
@@ -116,7 +121,7 @@ class TestBatchedOracleBitIdentity:
         batched = _oracle()
         placement = _placement([MIN_EXIT_POSITION, _LAYERS - 1])
         (got,) = batched.evaluate_placements([placement])
-        _assert_stats_identical(got, _oracle(use_batched_stats=False).evaluate_placement(placement))
+        _assert_stats_identical(got, _reference_oracle().evaluate_placement(placement))
 
     def test_duplicates_share_memoised_instance(self):
         batched = _oracle()
@@ -131,7 +136,7 @@ class TestBatchedOracleBitIdentity:
         nodes — fewer nodes than (placement, exit) pairs — with no effect
         on the counts."""
         batched = _oracle()
-        reference = _oracle(use_batched_stats=False)
+        reference = _reference_oracle()
         base = [6, 8, 10]
         family = [_placement(base[:k] + [tail]) for k in (1, 2, 3) for tail in (13, 15, 17)]
         got = batched.evaluate_placements(family)
@@ -145,7 +150,7 @@ class TestBatchedOracleBitIdentity:
         """A second batch extending the first's placements hits the prefix
         cache and still matches the reference."""
         batched = _oracle()
-        reference = _oracle(use_batched_stats=False)
+        reference = _reference_oracle()
         first = [_placement([6, 9]), _placement([7, 11])]
         batched.evaluate_placements(first)
         hits_before = batched.memo_stats()["prefix"]["hits"]
@@ -161,7 +166,7 @@ class TestBatchedOracleBitIdentity:
         """Tiny memo/prefix caps force constant eviction; results must not
         change (entries rebuild from the packed columns)."""
         tiny = _oracle(stats_memo_size=2, prefix_cache_size=2)
-        reference = _oracle(use_batched_stats=False)
+        reference = _reference_oracle()
         got = tiny.evaluate_placements(placements)
         for g, placement in zip(got, placements):
             _assert_stats_identical(g, reference.evaluate_placement(placement))
@@ -224,7 +229,7 @@ class TestPopulationStats:
 
 
 class _EvalContext:
-    """Fused vs reference evaluators sharing one oracle per platform."""
+    """Fused vs unfused (spec) evaluators sharing one oracle per platform."""
 
     def __init__(self, platform_key: str):
         platform = get_platform(platform_key)
@@ -242,7 +247,7 @@ class _EvalContext:
             baseline_latency_s=base.latency_s,
         )
         self.fused = DynamicEvaluator(**kwargs)
-        self.reference = DynamicEvaluator(**kwargs, use_fused_objectives=False)
+        self.reference = spec_evaluation.UnfusedEvaluator(**kwargs)
 
 
 _EVAL_CONTEXTS: dict[str, _EvalContext] = {}
@@ -310,9 +315,10 @@ class TestFusedObjectives:
 
 
 class TestEngineEquivalence:
-    """Whole-engine archives are unchanged by the batched/fused flags."""
+    """Whole-engine archives equal those of the per-placement oracle and
+    unfused objectives (``spec.evaluation``)."""
 
-    def _engines(self, static_evaluator, surrogate, **off_flags):
+    def _engines(self, static_evaluator, surrogate):
         from repro.search.ioe import InnerEngine
         from repro.search.nsga2 import Nsga2Config
 
@@ -322,18 +328,19 @@ class TestEngineEquivalence:
         on = InnerEngine(
             backbone, static_evaluator, fraction, nsga=nsga, seed=11
         )
-        off = InnerEngine(
-            backbone, static_evaluator, fraction, nsga=nsga, seed=11, **off_flags
+        off = spec_evaluation.SpecInnerEngine(
+            backbone,
+            static_evaluator,
+            fraction,
+            nsga=nsga,
+            seed=11,
+            evaluator_cls=spec_evaluation.UnfusedEvaluator,
+            oracle_cls=spec_evaluation.PerPlacementOracle,
         )
         return on, off
 
     def test_ioe_archive_unchanged(self, static_evaluator, surrogate):
-        on, off = self._engines(
-            static_evaluator,
-            surrogate,
-            use_batched_oracle=False,
-            use_fused_objectives=False,
-        )
+        on, off = self._engines(static_evaluator, surrogate)
         result_on, result_off = on.run(), off.run()
         assert [i.key() for i in result_on.explored] == [
             i.key() for i in result_off.explored
@@ -347,12 +354,7 @@ class TestEngineEquivalence:
     def test_random_search_archive_unchanged(self, static_evaluator, surrogate):
         from repro.search.random_search import RandomSearch
 
-        on, off = self._engines(
-            static_evaluator,
-            surrogate,
-            use_batched_oracle=False,
-            use_fused_objectives=False,
-        )
+        on, off = self._engines(static_evaluator, surrogate)
         search_on = RandomSearch(on.problem, budget=20, rng=5)
         search_off = RandomSearch(off.problem, budget=20, rng=5)
         history_on, history_off = search_on.run(), search_off.run()

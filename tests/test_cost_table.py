@@ -2,9 +2,10 @@
 
 The cost-table kernel's contract is absolute: every number it produces —
 batch timings, prefix reports, exit-path costs, full dynamic evaluations —
-must equal the pre-refactor per-layer reference loop *bit for bit* (same
-float64 additions in the same order), so cache keys, golden artifacts and
-search trajectories are all unchanged.  These tests pin that contract on
+must equal the per-layer reference loop (``spec.hardware`` and
+``spec.evaluation``) *bit for bit* (same float64 additions in the same
+order), so cache keys, golden artifacts and search trajectories are all
+unchanged.  These tests pin that contract on
 two registry platforms, plus the caching/sharing behaviour that makes the
 kernel O(exits) on the hot path.
 """
@@ -26,6 +27,8 @@ from repro.hardware.cost_table import CostTableBank, SettingCostTable
 from repro.hardware.dvfs import DvfsSpace
 from repro.hardware.energy import EnergyModel, interleaved_cumsum
 from repro.hardware.platform import get_platform
+from spec import evaluation as spec_evaluation
+from spec import hardware as spec_hardware
 
 PLATFORM_KEYS = ("tx2-gpu", "carmel-cpu")
 
@@ -60,7 +63,7 @@ def _context(platform_key: str) -> dict:
             "cost": cost,
             "dvfs": dvfs,
             "vectorized": DynamicEvaluator(**kwargs),
-            "reference": DynamicEvaluator(**kwargs, use_tables=False),
+            "reference": spec_evaluation.ReferenceEvaluator(**kwargs),
         }
     return _CONTEXTS[platform_key]
 
@@ -122,16 +125,16 @@ class TestSettingCostTable:
             setting = ctx["dvfs"].sample(rng)
             table = SettingCostTable(model, cost, setting)
             for position in range(1, config.total_mbconv_layers + 1):
-                reference = model.composite_report_reference(
-                    cost.prefix(position), setting
+                reference = spec_hardware.composite_report(
+                    model, cost.prefix(position), setting
                 )
                 assert _report_fields(table.prefix_report(position)) == _report_fields(
                     reference
                 )
                 width, resolution = channels[position]
                 branch = exit_branch_cost(width, resolution, config.num_classes)
-                with_branch = model.composite_report_reference(
-                    list(cost.prefix(position)) + [branch], setting
+                with_branch = spec_hardware.composite_report(
+                    model, list(cost.prefix(position)) + [branch], setting
                 )
                 assert _report_fields(
                     table.prefix_report(position, exit_layer=branch)
@@ -143,7 +146,7 @@ class TestSettingCostTable:
         setting = ctx["dvfs"].default_setting()
         table = SettingCostTable(ctx["model"], ctx["cost"], setting)
         assert _report_fields(table.network_report()) == _report_fields(
-            ctx["model"].composite_report_reference(ctx["cost"].layers, setting)
+            spec_hardware.composite_report(ctx["model"], ctx["cost"].layers, setting)
         )
 
     def test_branch_terms_cached_per_position(self):
@@ -174,7 +177,7 @@ class TestSettingCostTable:
             assert _report_fields(
                 ctx["model"].composite_report(subset, setting)
             ) == _report_fields(
-                ctx["model"].composite_report_reference(subset, setting)
+                spec_hardware.composite_report(ctx["model"], subset, setting)
             )
 
 

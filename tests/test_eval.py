@@ -12,6 +12,7 @@ from repro.eval.dynamic import DynamicEvaluator
 from repro.eval.static import StaticEvaluator
 from repro.exits.placement import ExitPlacement
 from repro.hardware.energy import EnergyModel
+from spec import evaluation as spec_evaluation
 
 
 @pytest.fixture(scope="module")
@@ -84,7 +85,7 @@ class TestDynamicEvaluator:
         setting = static_evaluator.default_setting
         evaluation = dyn_evaluator.evaluate(placement, setting)
         usage = evaluation.exit_stats.usage
-        full = dyn_evaluator._full_path_report(placement.positions, setting)
+        full = spec_evaluation.full_path_report(dyn_evaluator, placement.positions, setting)
         manual = usage[:-1] @ evaluation.exit_energy_j + usage[-1] * full.energy_j
         assert evaluation.dynamic_energy_j == pytest.approx(manual)
 
@@ -99,7 +100,7 @@ class TestDynamicEvaluator:
     def test_full_path_costs_more_than_backbone(self, dyn_evaluator, static_evaluator, a3):
         placement = self._placement(a3)
         setting = static_evaluator.default_setting
-        full = dyn_evaluator._full_path_report(placement.positions, setting)
+        full = spec_evaluation.full_path_report(dyn_evaluator, placement.positions, setting)
         assert full.energy_j > dyn_evaluator.baseline_energy_j * 0.9
 
     def test_scores_eq6_composition(self, dyn_evaluator, static_evaluator, a3):

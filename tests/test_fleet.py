@@ -37,6 +37,7 @@ from repro.serving.router import (
 )
 from repro.serving.telemetry import render_fleet_report, render_router_comparison
 from repro.serving.workload import BEST_EFFORT, LATENCY_CRITICAL
+from spec import fleet as spec_fleet
 
 
 @pytest.fixture(scope="module")
@@ -74,7 +75,7 @@ class TestRouters:
         router = RoundRobinRouter()
         lanes = [_FakeLane(i, 10.0, 0.1, 0.0) for i in range(3)]
         assert [
-            router.route(0.5, BEST_EFFORT, 0.0, lanes) for _ in range(6)
+            spec_fleet.route(router, 0.5, BEST_EFFORT, 0.0, lanes) for _ in range(6)
         ] == [0, 1, 2, 0, 1, 2]
 
     def test_least_backlog_picks_least_wait(self):
@@ -84,12 +85,12 @@ class TestRouters:
             _FakeLane(1, 10.0, 0.1, 0.1),
             _FakeLane(2, 10.0, 0.1, 0.9),
         ]
-        assert router.route(0.5, BEST_EFFORT, 0.0, lanes) == 1
+        assert spec_fleet.route(router, 0.5, BEST_EFFORT, 0.0, lanes) == 1
 
     def test_least_backlog_ties_break_on_index(self):
         router = LeastBacklogRouter()
         lanes = [_FakeLane(i, 10.0, 0.1, 0.3) for i in range(3)]
-        assert router.route(0.5, BEST_EFFORT, 0.0, lanes) == 0
+        assert spec_fleet.route(router, 0.5, BEST_EFFORT, 0.0, lanes) == 0
 
     def test_difficulty_bands_follow_capacity_order(self):
         # Lane 1 is the weak device: it owns the easy band despite its index.
@@ -104,7 +105,7 @@ class TestRouters:
         idle_strong = _FakeLane(1, 30.0, 0.3, 0.0)
         router = DifficultyAwareRouter([busy_weak, idle_strong], slo_s=0.075)
         assert router.banded_lane(0.01) == 0
-        assert router.route(0.01, BEST_EFFORT, 0.0, [busy_weak, idle_strong]) == 1
+        assert spec_fleet.route(router, 0.01, BEST_EFFORT, 0.0, [busy_weak, idle_strong]) == 1
 
     def test_critical_spills_at_half_threshold(self):
         # Wait of 0.03 s sits between the critical threshold (0.5·0.5·SLO ≈
@@ -114,8 +115,8 @@ class TestRouters:
         idle_strong = _FakeLane(1, 30.0, 0.3, 0.0)
         lanes = [moderately_busy, idle_strong]
         router = DifficultyAwareRouter(lanes, slo_s=0.075)
-        assert router.route(0.01, BEST_EFFORT, 0.0, lanes) == 0
-        assert router.route(0.01, LATENCY_CRITICAL, 0.0, lanes) == 1
+        assert spec_fleet.route(router, 0.01, BEST_EFFORT, 0.0, lanes) == 0
+        assert spec_fleet.route(router, 0.01, LATENCY_CRITICAL, 0.0, lanes) == 1
 
     def test_make_router_rejects_unknown(self):
         with pytest.raises(ValueError, match="unknown router"):
@@ -142,6 +143,15 @@ class TestFleetSpec:
         with pytest.raises(ValueError, match="unknown scenario"):
             FleetSpec(scenario="underwater")
 
+    @pytest.mark.parametrize(
+        "field,value",
+        [("max_batch", 0), ("batch_timeout_ms", -1.0), ("window_ms", 0.0),
+         ("window_ms", -5.0)],
+    )
+    def test_rejects_bad_batch_and_window(self, field, value):
+        with pytest.raises(ValueError, match=field):
+            FleetSpec(**{field: value})
+
     def test_alias_spelling_shares_cache_key(self, tmp_path):
         cache = ResultCache(tmp_path)
         a = fleet_cache_key(cache, FleetSpec(platforms=("tx2", "xavier")))
@@ -160,14 +170,14 @@ class TestDeviceLane:
 
         lane = DeviceLane(0, stack, StaticPolicy(stack.static_config))
         for i, t in enumerate(times):
-            lane.push(i, float(t), critical=False)
+            spec_fleet.push(lane, i, float(t), critical=False)
         return lane
 
     def test_waits_for_fleet_clock(self, stack):
         lane = self._lane(stack, [0.0, 0.001])
         # Head expiry is 4 ms; the fleet clock is still at 1 ms: not ready.
-        assert lane.next_ready_batch(until_s=0.001) is None
-        formed = lane.next_ready_batch(until_s=1.0)
+        assert spec_fleet.next_ready_batch(lane, until_s=0.001) is None
+        formed = spec_fleet.next_ready_batch(lane, until_s=1.0)
         assert formed is not None
         start, batch = formed
         assert start == pytest.approx(0.004)
@@ -175,7 +185,7 @@ class TestDeviceLane:
 
     def test_full_batch_dispatches_at_fill_time(self, stack):
         lane = self._lane(stack, [0.0, 0.001, 0.002, 0.003, 0.0035])
-        start, batch = lane.next_ready_batch(until_s=1.0)
+        start, batch = spec_fleet.next_ready_batch(lane, until_s=1.0)
         assert start == pytest.approx(0.003)  # 4th arrival fills max_batch=4
         assert batch == [0, 1, 2, 3]
         assert lane.queue_depth == 1
@@ -183,16 +193,16 @@ class TestDeviceLane:
     def test_opportunistic_fill_while_device_busy(self, stack):
         lane = self._lane(stack, [0.0, 0.2, 0.4])
         lane.t_free = 0.5
-        start, batch = lane.next_ready_batch(until_s=1.0)
+        start, batch = spec_fleet.next_ready_batch(lane, until_s=1.0)
         assert start == pytest.approx(0.5)
         assert batch == [0, 1, 2]
 
     def test_backlog_counts_admitted_minus_dispatched(self, stack):
         lane = self._lane(stack, [0.0, 0.1, 0.2, 5.0])
         assert lane.backlog_at(0.25) == 3
-        assert lane.next_ready_batch(until_s=10.0)[1] == [0]  # head timeout batch
+        assert spec_fleet.next_ready_batch(lane, until_s=10.0)[1] == [0]  # head timeout batch
         assert lane.backlog_at(0.25) == 2  # dispatched work no longer counted
-        while lane.next_ready_batch(until_s=float("inf")) is not None:
+        while spec_fleet.next_ready_batch(lane, until_s=float("inf")) is not None:
             pass
         assert lane.backlog_at(0.25) == 0
         assert lane.backlog_at(5.5) == 0
@@ -201,14 +211,14 @@ class TestDeviceLane:
         from repro.serving.governor import StaticPolicy
 
         lane = DeviceLane(0, stack, StaticPolicy(stack.static_config))
-        lane.push(0, 0.0, critical=True)
-        lane.push(1, 0.1, critical=False)
-        lane.push(2, 0.2, critical=True)
+        spec_fleet.push(lane, 0, 0.0, critical=True)
+        spec_fleet.push(lane, 1, 0.1, critical=False)
+        spec_fleet.push(lane, 2, 0.2, critical=True)
         assert lane.critical_backlog_at(0.15) == 1
         assert lane.critical_backlog_at(0.25) == 2
-        assert lane.next_ready_batch(until_s=10.0)[1] == [0]  # head timeout batch
+        assert spec_fleet.next_ready_batch(lane, until_s=10.0)[1] == [0]  # head timeout batch
         assert lane.critical_backlog_at(0.25) == 1  # critical 2 still queued
-        while lane.next_ready_batch(until_s=float("inf")) is not None:
+        while spec_fleet.next_ready_batch(lane, until_s=float("inf")) is not None:
             pass
         assert lane.critical_backlog_at(0.25) == 0
 
@@ -468,6 +478,19 @@ class TestFleetCli:
         assert payload["reports"][0]["num_requests"] > 0
         assert len(payload["reports"][0]["devices"]) == 2
 
+    @pytest.mark.parametrize(
+        "flags",
+        [["--max-batch", "0"], ["--batch-timeout-ms", "-1"], ["--window-ms", "0"],
+         ["--window-ms", "-5"]],
+    )
+    def test_serve_fleet_rejects_bad_batch_and_window(self, flags, capsys):
+        from repro.__main__ import main
+
+        with pytest.raises(SystemExit) as exit_info:
+            main(["serve", "--fleet", "tx2,xavier", "--duration-s", "1", *flags])
+        assert exit_info.value.code == 2
+        assert "repro serve: error:" in capsys.readouterr().err
+
     def test_serve_fleet_rejects_unknown_platform(self, capsys):
         from repro.__main__ import main
 
@@ -538,8 +561,9 @@ class TestFleetRegressions:
 
 # ---------------------------------------------------------- engine identity
 class TestEngineIdentity:
-    """The block-routed indexed engine reproduces the reference loop
-    field-for-field across routers, admission settings, and SLO mixes."""
+    """The block-routed loop reproduces the per-request loop
+    (``spec.fleet``) field-for-field across routers, admission settings,
+    SLO mixes and throttling."""
 
     @pytest.mark.parametrize(
         "router,max_queue,bypass,crit",
@@ -563,8 +587,8 @@ class TestEngineIdentity:
             admission_max_queue=max_queue,
             admission_critical_bypass=bypass,
         )
-        ref = run_fleet_cell(FleetSpec(engine="reference", **base))
-        idx = run_fleet_cell(FleetSpec(engine="indexed", **base))
+        ref = spec_fleet.run_reference_cell(FleetSpec(**base))
+        idx = run_fleet_cell(FleetSpec(**base))
         assert idx == ref
 
     @settings(max_examples=4, deadline=None)
@@ -587,15 +611,32 @@ class TestEngineIdentity:
             critical_fraction=crit,
             admission_max_queue=max_queue,
         )
-        ref = run_fleet_cell(FleetSpec(engine="reference", **base))
-        idx = run_fleet_cell(FleetSpec(engine="indexed", **base))
+        ref = spec_fleet.run_reference_cell(FleetSpec(**base))
+        idx = run_fleet_cell(FleetSpec(**base))
         assert idx == ref
+
+
+    def test_throttled_cell_matches_reference(self):
+        """Both lanes throttle under the thermal cap, in both loops alike."""
+        spec = FleetSpec(
+            platforms=("tx2-gpu", "agx-gpu"),
+            scenario="thermal-cap",
+            policy="static",
+            pattern="poisson",
+            router="least_backlog",
+            utilization=0.7,
+            duration_s=8.0,
+            seed=3,
+        )
+        idx = run_fleet_cell(spec)
+        assert idx == spec_fleet.run_reference_cell(spec)
+        assert all(device.throttled_batches > 0 for device in idx.devices)
 
 
 # ------------------------------------------------------------ band caching
 class TestBandCache:
     def test_route_does_not_rebuild_bands_per_call(self):
-        """Band edges are cached per fleet composition: steady-state route()
+        """Band edges are cached per fleet composition: steady-state routing
         calls never re-read lane capacities (the sort key), so there is no
         per-call sorting."""
 
@@ -619,7 +660,7 @@ class TestBandCache:
         router = DifficultyAwareRouter(lanes, slo_s=0.075)
         baseline = [lane.capacity_reads for lane in lanes]
         for k in range(64):
-            router.route(k / 64.0, BEST_EFFORT, 0.0, lanes)
+            spec_fleet.route(router, k / 64.0, BEST_EFFORT, 0.0, lanes)
         assert [lane.capacity_reads for lane in lanes] == baseline
 
     def test_band_cache_rebuilds_on_new_fleet(self):
@@ -627,19 +668,11 @@ class TestBandCache:
         router = DifficultyAwareRouter(lanes, slo_s=0.075)
         assert router.banded_lane(0.9) == 1
         other = [_FakeLane(0, 30.0, 0.3, 0.0), _FakeLane(1, 10.0, 0.1, 0.0)]
-        assert router.route(0.9, BEST_EFFORT, 0.0, other) == 0
+        assert spec_fleet.route(router, 0.9, BEST_EFFORT, 0.0, other) == 0
 
 
 # ------------------------------------------------------------ work stealing
 class TestWorkStealing:
-    def test_unknown_engine_rejected(self):
-        with pytest.raises(ValueError, match="unknown engine"):
-            FleetSpec(platforms=("tx2-gpu",), engine="warp")
-
-    def test_steal_requires_indexed_engine(self):
-        with pytest.raises(ValueError, match="indexed engine"):
-            FleetSpec(platforms=("tx2-gpu",), engine="reference", steal=True)
-
     def test_steal_cell_stays_consistent(self):
         report = run_fleet_cell(
             FleetSpec(

@@ -37,6 +37,7 @@ from repro.hardware.dvfs import DvfsSetting, DvfsSpace
 from repro.hardware.energy import EnergyModel, interleaved_cumsum
 from repro.hardware.platform import get_platform
 from repro.obs import trace
+from spec import evaluation as spec_evaluation
 
 PLATFORM_KEYS = ("tx2-gpu", "carmel-cpu")
 
@@ -52,7 +53,7 @@ def _context(platform_key: str) -> dict:
     Three evaluators share one oracle (accuracy statistics are identical by
     construction), so each comparison isolates exactly one cost kernel:
     the stacked population kernel, the per-call cost-table path, and the
-    pre-table per-layer reference loop.
+    per-layer reference loop (the last two from ``spec.evaluation``).
     """
     if platform_key not in _CONTEXTS:
         platform = get_platform(platform_key)
@@ -81,8 +82,8 @@ def _context(platform_key: str) -> dict:
             "settings": DvfsSpace(platform).all_settings(),
             "kwargs": kwargs,
             "population": DynamicEvaluator(**kwargs),
-            "per_call": DynamicEvaluator(**kwargs, use_population_kernel=False),
-            "reference": DynamicEvaluator(**kwargs, use_tables=False),
+            "per_call": spec_evaluation.PerCallEvaluator(**kwargs),
+            "reference": spec_evaluation.ReferenceEvaluator(**kwargs),
         }
     return _CONTEXTS[platform_key]
 
@@ -233,7 +234,7 @@ class TestPopulationBitIdentity:
 
     @pytest.mark.parametrize("platform_key", PLATFORM_KEYS)
     def test_fallback_without_population_kernel(self, platform_key):
-        """use_population_kernel=False routes through the per-placement
+        """The per-call spec routes populations through the per-placement
         path but keeps the batched signature and result order."""
         ctx = _context(platform_key)
         total_layers = ctx["config"].total_mbconv_layers
@@ -342,7 +343,6 @@ class TestGenerationBitIdentity:
         assert generations >= 4
         assert counters["dyneval.population_calls"] == generations
         assert counters["oracle.batch_calls"] <= generations
-        assert "dyneval.population_fallbacks" not in counters
 
 
 class TestStackedGrid:
@@ -392,7 +392,7 @@ class TestStackedGrid:
         costs = evaluator.population.path_costs(position_lists, settings_list)
         for row, (positions, setting) in enumerate(zip(position_lists, settings_list)):
             energy, latency = costs.row(row)
-            want = ctx["reference"].path_costs(positions, setting)
+            want = spec_evaluation.path_costs(ctx["reference"], positions, setting)
             assert np.array_equal(energy, want[0])
             assert np.array_equal(latency, want[1])
             assert costs.full_energy_j[row] == want[2]
@@ -506,7 +506,9 @@ class TestRuntimePathsViaBank:
             ctx["config"].total_mbconv_layers, (6, 10, ctx["config"].total_mbconv_layers - 1)
         )
         table_plan = plan_per_exit_dvfs(ctx["population"], placement, ctx["dvfs"])
-        reference_plan = plan_per_exit_dvfs(ctx["reference"], placement, ctx["dvfs"])
+        reference_plan = spec_evaluation.plan_per_exit_dvfs(
+            ctx["reference"], placement, ctx["dvfs"]
+        )
         assert table_plan.settings == reference_plan.settings
         assert table_plan.single_setting_energy_j == reference_plan.single_setting_energy_j
         assert table_plan.per_exit_energy_j == reference_plan.per_exit_energy_j
@@ -525,7 +527,9 @@ class TestRuntimePathsViaBank:
         }
         governor = DvfsGovernor(ctx["dvfs"].default_setting(), per_exit=per_exit)
         table_profiles = _profiles_for(ctx["population"], placement, governor)
-        reference_profiles = _profiles_for(ctx["reference"], placement, governor)
+        reference_profiles = spec_evaluation.profiles_for(
+            ctx["reference"], placement, governor
+        )
         assert len(table_profiles) == len(placement.positions) + 1
         for got, want in zip(table_profiles, reference_profiles):
             assert got.busy_s == want.busy_s
@@ -538,12 +542,18 @@ class TestRuntimePathsViaBank:
         rng = np.random.default_rng(5)
         positions = (8, 13)
         setting = ctx["dvfs"].sample(rng)
-        got = ctx["population"].path_costs(positions, setting)
-        want = ctx["reference"].path_costs(positions, setting)
+        want = spec_evaluation.path_costs(ctx["reference"], positions, setting)
+        got = ctx["population"]._path_costs(positions, setting)
         assert np.array_equal(got[0], want[0])
         assert np.array_equal(got[1], want[1])
         assert got[2] == want[2]
         assert got[3] == want[3]
+        stacked = ctx["population"].population.path_costs([positions], [setting])
+        energy, latency = stacked.row(0)
+        assert np.array_equal(energy, want[0])
+        assert np.array_equal(latency, want[1])
+        assert stacked.full_energy_j[0] == want[2]
+        assert stacked.full_latency_s[0] == want[3]
 
 
 class TestPopulationEvalCodec:

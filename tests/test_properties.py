@@ -254,7 +254,8 @@ class TestTraceGeneratorLaws:
 
 
 class TestBatcherLaws:
-    """The two batcher implementations agree and satisfy dispatch laws."""
+    """The array batcher agrees with the deque spec and satisfies dispatch
+    laws."""
 
     @staticmethod
     def _drain_array(trace, policy, service_s):
@@ -270,7 +271,7 @@ class TestBatcherLaws:
 
     @staticmethod
     def _drain_micro(trace, policy, service_s):
-        from repro.serving.batcher import MicroBatcher
+        from spec.serving import MicroBatcher
 
         batcher = MicroBatcher(trace, policy)
         t_free, out = 0.0, []
@@ -320,11 +321,11 @@ class TestBatcherLaws:
 
 
 class TestRouterBlockLaws:
-    """The vectorized route_block kernels reproduce the scalar route() loop.
+    """The vectorized route_block kernels reproduce the per-request rule.
 
     The scalar side steps request-by-request exactly like the reference
-    fleet engine: route, then the live queue-depth admission check, then
-    the depth increment later routing decisions observe.  The block side
+    fleet loop (``spec.fleet``): route, then the live queue-depth admission
+    check, then the depth increment later routing decisions observe.  The block side
     routes the whole arrival block through one route_block call against a
     BlockLaneState.  Assignments, admissions, and final depths must agree
     float-for-float — including single-lane fleets, equal-backlog ties,
@@ -347,10 +348,11 @@ class TestRouterBlockLaws:
     @staticmethod
     def _scalar(router, lanes, difficulty, slo_class, arrival, max_queue, bypass):
         from repro.serving.workload import LATENCY_CRITICAL
+        from spec.fleet import route
 
         assignments, admitted = [], []
         for m, now in enumerate(arrival):
-            chosen = router.route(difficulty[m], slo_class[m], now, lanes)
+            chosen = route(router, difficulty[m], slo_class[m], now, lanes)
             critical = slo_class[m] == LATENCY_CRITICAL
             lane = lanes[chosen]
             ok = (

@@ -14,7 +14,6 @@ from repro.serving import (
     AdaptiveGovernor,
     BatchPolicy,
     GovernorObservation,
-    MicroBatcher,
     ServingSpec,
     StaticPolicy,
     bursty_trace,
@@ -37,6 +36,9 @@ from repro.serving.scenarios import ThermalParams, ThermalState
 from repro.serving.simulator import ServingSimulator
 from repro.serving.telemetry import ServingReport
 from repro.serving.workload import Request, Trace
+from spec import evaluation as spec_evaluation
+from spec import hardware as spec_hardware
+from spec.serving import MicroBatcher, ReferenceSimulator
 
 
 def _bursty_whole_buffer(
@@ -234,7 +236,7 @@ class TestBatchedExecution:
         dvfs = DvfsSpace(evaluator.energy_model.platform)
         for s in (dvfs.default_setting(), dvfs.decode(0, 0)):
             layers = list(evaluator.cost.layers)
-            profile = evaluator.energy_model.path_profile(layers, s)
+            profile = spec_hardware.path_profile(evaluator.energy_model, layers, s)
             report = evaluator.energy_model.composite_report(layers, s)
             assert profile.latency_s == pytest.approx(report.latency_s)
             assert profile.energy_j == pytest.approx(report.energy_j)
@@ -287,6 +289,17 @@ class TestConfigLadder:
             by_rate.setdefault(config.exit_rate, {})[tier] = config.expected_latency_s
         for tiers in by_rate.values():
             assert tiers["perf"] <= tiers["balanced"] <= tiers["eco"]
+
+    def test_balanced_tier_matches_per_setting_planning(self, stack):
+        """The ladder's one-gather planning picks the balanced setting the
+        per-setting loop and the per-candidate minimum pick."""
+        from repro.hardware.dvfs import DvfsSpace
+
+        dvfs = DvfsSpace(stack.evaluator.energy_model.platform)
+        plan = spec_evaluation.plan_per_exit_dvfs(stack.evaluator, stack.placement, dvfs)
+        balanced = spec_evaluation.balanced_setting(stack.evaluator, stack.placement, plan)
+        tiers = [c for c in stack.ladder if c.name.endswith(("-balanced", "-eco"))]
+        assert tiers and all(c.setting == balanced for c in tiers)
 
     def test_usage_sums_to_one(self, stack):
         for config in stack.ladder:
@@ -495,6 +508,15 @@ class TestHarness:
         with pytest.raises(ValueError, match="unknown policy"):
             ServingSpec(policy="vibes")
 
+    @pytest.mark.parametrize(
+        "field,value",
+        [("max_batch", 0), ("batch_timeout_ms", -1.0), ("window_ms", 0.0),
+         ("window_ms", -5.0)],
+    )
+    def test_rejects_bad_batch_and_window(self, field, value):
+        with pytest.raises(ValueError, match=field):
+            ServingSpec(**{field: value})
+
     def test_report_json_round_trip(self, tmp_path):
         cache = ResultCache(tmp_path)
         spec = ServingSpec(duration_s=3.0)
@@ -546,6 +568,19 @@ class TestCli:
         assert payload["specs"][0]["pattern"] == "bursty"
         assert payload["reports"][0]["num_requests"] > 0
 
+    @pytest.mark.parametrize(
+        "flags",
+        [["--max-batch", "0"], ["--batch-timeout-ms", "-1"], ["--window-ms", "0"],
+         ["--window-ms", "-5"]],
+    )
+    def test_serve_cli_rejects_bad_batch_and_window(self, flags, capsys):
+        from repro.__main__ import main
+
+        with pytest.raises(SystemExit) as exit_info:
+            main(["serve", "--duration-s", "1", *flags])
+        assert exit_info.value.code == 2
+        assert "repro serve: error:" in capsys.readouterr().err
+
     def test_serve_cli_rejects_unknown_platform(self, capsys):
         from repro.__main__ import main
 
@@ -582,37 +617,65 @@ class TestCli:
 
 # ------------------------------------------------- engines & latent-bug pins
 class TestEngineEquivalence:
-    """The indexed event core must be bit-identical to the reference loop."""
+    """The event core must be bit-identical to the per-request loop
+    (``spec.serving.ReferenceSimulator``)."""
 
-    @pytest.mark.parametrize("policy_name", ["static", "adaptive"])
-    @pytest.mark.parametrize("pattern", ["poisson", "bursty"])
-    def test_engines_bit_identical(self, stack, policy_name, pattern):
-        trace = make_trace(pattern, stack.rate_hz, 5.0, seed=3)
+    @staticmethod
+    def _reports(stack, trace, policy_name, **kwargs):
         stream = stack.synthesizer.synthesize(trace.difficulties())
         reports = {}
-        for engine in ("reference", "indexed"):
+        for name, cls in (("reference", ReferenceSimulator), ("indexed", ServingSimulator)):
             policy = (
                 StaticPolicy(stack.static_config)
                 if policy_name == "static"
                 else AdaptiveGovernor(stack.ladder, stack.batch_policy)
             )
-            simulator = ServingSimulator(
+            simulator = cls(
                 evaluator=stack.evaluator,
                 placement=stack.placement,
                 policy=policy,
                 ladder=stack.ladder,
-                scenario=stack.scenario,
                 slo_s=stack.spec.slo_ms / 1e3,
                 batch_policy=stack.batch_policy,
-                engine=engine,
+                **kwargs,
             )
-            reports[engine] = simulator.run(trace, stream)
+            reports[name] = simulator.run(trace, stream)
+        return reports
+
+    @pytest.mark.parametrize("policy_name", ["static", "adaptive"])
+    @pytest.mark.parametrize("pattern", ["poisson", "bursty"])
+    def test_engines_bit_identical(self, stack, policy_name, pattern):
+        trace = make_trace(pattern, stack.rate_hz, 5.0, seed=3)
+        reports = self._reports(stack, trace, policy_name, scenario=stack.scenario)
         assert reports["reference"] == reports["indexed"]
 
-    @pytest.mark.parametrize("engine", ["reference", "indexed"])
-    def test_exit_head_mismatch_raises(self, stack, engine):
+    @pytest.mark.parametrize("scenario", ["thermal-cap", "battery-budget"])
+    def test_engines_bit_identical_when_constrained(self, stack, scenario):
+        """The throttle and battery branches of both loops agree: a Poisson
+        day that throttles under the thermal cap, and one that exhausts a
+        battery at half the scenario's budget."""
+        trace = make_trace("poisson", stack.rate_hz, 8.0, seed=3)
+        constrained = dataclasses.replace(stack, scenario=get_scenario(scenario))
+        budget = constrained.battery_budget_j(trace.num_requests)
+        reports = self._reports(
+            stack,
+            trace,
+            "static",
+            scenario=constrained.scenario,
+            battery_budget_j=None if budget is None else 0.5 * budget,
+        )
+        assert reports["reference"] == reports["indexed"]
+        if scenario == "thermal-cap":
+            assert reports["indexed"].throttled_batches > 0
+        else:
+            assert reports["indexed"].battery_exhausted
+
+    @pytest.mark.parametrize(
+        "simulator_cls", [ReferenceSimulator, ServingSimulator], ids=["reference", "indexed"]
+    )
+    def test_exit_head_mismatch_raises(self, stack, simulator_cls):
         """Regression: a stream with the wrong number of exit heads used to
-        crash deep inside the controller; now both engines refuse upfront."""
+        crash deep inside the controller; now both loops refuse upfront."""
         trace, _ = build_trace_and_stream(stack)
         from repro.serving.stream import ServingStream
 
@@ -622,26 +685,27 @@ class TestEngineEquivalence:
             final_logits=stream.final_logits,
             labels=stream.labels,
         )
-        simulator = ServingSimulator(
+        simulator = simulator_cls(
             evaluator=stack.evaluator,
             placement=stack.placement,
             policy=StaticPolicy(stack.static_config),
             ladder=stack.ladder,
             scenario=stack.scenario,
             slo_s=0.075,
-            engine=engine,
         )
         with pytest.raises(ValueError, match="exit heads"):
             simulator.run(trace, wrong)
 
-    @pytest.mark.parametrize("engine", ["reference", "indexed"])
-    def test_spike_check_counts_inflight_batch(self, stack, engine):
+    @pytest.mark.parametrize(
+        "simulator_cls", [ReferenceSimulator, ServingSimulator], ids=["reference", "indexed"]
+    )
+    def test_spike_check_counts_inflight_batch(self, stack, simulator_cls):
         """Regression: the backlog-spike check ignored the batch that
         ``next_batch`` had just popped, so a burst exactly one batch over the
         emergency threshold never triggered a governor re-decision."""
         trace = replay_trace(np.zeros(5))
         stream = stack.synthesizer.synthesize(trace.difficulties())
-        simulator = ServingSimulator(
+        simulator = simulator_cls(
             evaluator=stack.evaluator,
             placement=stack.placement,
             policy=StaticPolicy(stack.static_config),
@@ -651,7 +715,6 @@ class TestEngineEquivalence:
             batch_policy=BatchPolicy(max_batch=4, timeout_s=0.004),
             window_s=100.0,
             emergency_backlog_batches=1.0,
-            engine=engine,
         )
         report = simulator.run(trace, stream)
         # The first batch of 4 leaves a backlog of 1: 1 queued + 4 in
