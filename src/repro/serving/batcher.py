@@ -110,9 +110,10 @@ class ArrayBatcher:
       within each batch window; arrivals beyond the admission cap are
       dropped or deferred at their (lazily evaluated) arrival instants.
 
-    ``next_batch`` returns ``(start_s, indices)`` with ``indices`` an int64
-    array; span mode callers can use :meth:`next_span` instead to get the
-    ``(start_s, lo, hi)`` range without materialising the array.
+    ``next_batch`` returns ``(start_s, indices)`` with ``indices`` a list of
+    request indices in both modes; span mode callers can use
+    :meth:`next_span` instead to get the ``(start_s, lo, hi)`` range without
+    materialising the list.
     """
 
     def __init__(
@@ -303,7 +304,7 @@ class ArrayBatcher:
                 batch.append(queue.popleft())
         return batch
 
-    def _next_batch_queued(self, device_free_s: float) -> tuple[float, np.ndarray] | None:
+    def _next_batch_queued(self, device_free_s: float) -> tuple[float, list[int]] | None:
         while not (self._crit or self._be):
             if self._deferred:
                 index = self._deferred.popleft()
@@ -329,14 +330,14 @@ class ArrayBatcher:
         self._gate(start)  # opportunistic fill + admission of interval arrivals
         batch = self._select(start)
         self._dispatched += len(batch)
-        return start, np.asarray(batch, dtype=np.int64)
+        return start, batch
 
-    def next_batch(self, device_free_s: float) -> tuple[float, np.ndarray] | None:
+    def next_batch(self, device_free_s: float) -> tuple[float, list[int]] | None:
         """Form the next batch; ``(start_s, request indices)`` or ``None``."""
         if self.contiguous:
             formed = self.next_span(device_free_s)
             if formed is None:
                 return None
             start, lo, hi = formed
-            return start, np.arange(lo, hi, dtype=np.int64)
+            return start, list(range(lo, hi))
         return self._next_batch_queued(device_free_s)

@@ -10,9 +10,10 @@ pluggable :class:`~repro.serving.router.FleetRouter` assigns every request
 to a device lane at arrival time (latency-critical requests spill off
 backlogged lanes earlier than best-effort ones), and each lane then
 batches and serves its share exactly like the single-device simulator
-would.  Lanes carry request *indices*, not objects, and price batches
-through the same compiled per-config executor as the single-device event
-core (:class:`~repro.serving.simulator._CompiledConfig`).
+would.  A :class:`DeviceLane` owns its queue of request *indices*, its
+clocks and its meters, and prices batches through the same compiled
+per-config executor as the single-device event core
+(:class:`~repro.serving.simulator._CompiledConfig`).
 
 With an :class:`~repro.serving.batcher.AdmissionPolicy` the fleet applies
 queue-depth admission at the lane door: a request routed to a full lane is
@@ -24,7 +25,8 @@ served requests only.
 Dispatch is deterministic: requests are routed in arrival order, and a
 lane only forms a batch once no future arrival could still join it (the
 same two-trigger + opportunistic-fill semantics as the single-device
-batcher, re-derived for a queue that grows one routed request at a time).
+batcher, re-derived for a queue that grows one routed request at a time:
+:meth:`DeviceLane.pending_start` and :meth:`DeviceLane.pop_batch`).
 Routing runs in blocks between dispatch horizons; the original
 per-request loop lives on as the executable spec in
 ``tests/spec/fleet.py``, and both start from :meth:`FleetSimulator._setup`.
@@ -42,6 +44,7 @@ from bisect import bisect_left, bisect_right
 from collections import deque
 from dataclasses import dataclass, field
 from heapq import heappop, heappush
+from math import inf
 
 import numpy as np
 
@@ -51,7 +54,7 @@ from repro.engine.tasks import spec_task, task_spec
 from repro.hardware.energy import PathProfile
 from repro.hardware.platform import resolve_platform_keys
 from repro.obs import trace as tracing
-from repro.serving.batcher import AdmissionPolicy, BatchPolicy
+from repro.serving.batcher import AdmissionPolicy
 from repro.serving.deploy import DeployedDesign
 from repro.serving.governor import (
     AdaptiveGovernor,
@@ -63,7 +66,6 @@ from repro.serving.governor import (
     static_config_for,
 )
 from repro.serving.harness import (
-    POLICY_NAMES,
     ServingSpec,
     ServingStack,
     build_serving_stack,
@@ -85,12 +87,11 @@ from repro.serving.stream import ServingStream
 from repro.serving.telemetry import class_latency_stats, percentile_ms
 from repro.serving.workload import (
     LATENCY_CRITICAL,
-    LOAD_PATTERNS,
     SLO_CLASSES,
     Trace,
     make_trace,
 )
-from repro.utils.validation import check_nonneg, check_positive
+from repro.utils.validation import check_positive
 
 #: Bump when fleet-cell semantics change; orphans persisted fleet entries.
 FLEET_CELL_VERSION = "4"
@@ -138,19 +139,9 @@ class FleetSpec:
         )
         if self.router not in ROUTER_NAMES:
             raise ValueError(f"unknown router {self.router!r}; valid: {ROUTER_NAMES}")
-        if self.policy not in POLICY_NAMES:
-            raise ValueError(f"unknown policy {self.policy!r}; valid: {POLICY_NAMES}")
-        get_scenario(self.scenario)
-        if self.pattern not in LOAD_PATTERNS:
-            raise ValueError(
-                f"unknown load pattern {self.pattern!r}; valid: {LOAD_PATTERNS}"
-            )
-        check_positive("slo_ms", self.slo_ms)
-        check_positive("duration_s", self.duration_s)
-        check_positive("utilization", self.utilization)
-        check_positive("max_batch", self.max_batch)
-        check_nonneg("batch_timeout_ms", self.batch_timeout_ms)
-        check_positive("window_ms", self.window_ms)
+        # Every member is built from a device spec, so it runs every check
+        # the two specs share (model, pattern, scenario, policy, budgets).
+        self.device_spec(self.platforms[0])
         if self.rate_hz is not None:
             check_positive("rate_hz", self.rate_hz)
         if not 0.0 <= self.critical_fraction <= 1.0:
@@ -276,24 +267,30 @@ class FleetReport:
 
 
 class DeviceLane:
-    """One fleet member: a serving stack plus its live queue and meters.
+    """One fleet member: a serving stack plus its live queue, clocks and meters.
 
     The lane exposes the read-only :class:`~repro.serving.router.LaneState`
     surface routers observe (queue depth, estimated wait, reference
-    capacity/energy) and owns the per-device governor state the simulator
-    drives (current config, decision clock, thermal, compiled-config
-    caches).  The queue holds request *indices*; arrival bookkeeping is an
-    append-only sorted list plus pop counters, so :meth:`backlog_at` is a
-    bisect instead of an O(queue) copy per call.  The simulator's loop
-    pushes, rejects and dispatches through these books directly; an
-    admission drop still counts toward the lane's rate window, because
-    demand the lane sheds is still demand it saw.
+    capacity) and owns everything the simulator drives per device: the
+    queue, the device clocks, the current config, thermal state, the
+    compiled-config caches and the meters.  The queue holds request
+    *indices*; arrival bookkeeping is an append-only sorted list plus pop
+    counters, so :meth:`backlog_at` is a bisect instead of an O(queue) copy
+    per call.
+
+    The simulator works the queue through four methods: :meth:`push` admits
+    a request, :meth:`reject` records an admission drop (which still counts
+    toward the lane's rate window, because demand the lane sheds is still
+    demand it saw), :meth:`pending_start` is the batcher's two-trigger rule
+    and :meth:`pop_batch` forms a batch at its dispatch instant.
     """
 
     def __init__(self, index: int, stack: ServingStack, policy: ServingPolicy):
         self.index = index
         self.stack = stack
         self.policy = policy
+        self.max_batch = stack.batch_policy.max_batch
+        self.timeout_s = stack.batch_policy.timeout_s
         self.reference = reference_config(stack.ladder)
         self.coolest = min(stack.ladder, key=lambda c: c.expected_power_w)
         self.max_power_w = max(c.expected_power_w for c in stack.ladder)
@@ -317,9 +314,13 @@ class DeviceLane:
         self.next_decision = 0.0
         self.config: RuntimeConfig | None = None
         self.thermal: ThermalState | None = None
-        # Caches shared across batches.
+        # Caches shared across batches.  The active config changes only at
+        # governor decisions and throttle edges, so the last one and its
+        # compiled executor are kept at hand for the next batch.
         self._profiles: dict[str, list[PathProfile]] = {}
         self._compiled: dict[str, _CompiledConfig] = {}
+        self._last_active: RuntimeConfig | None = None
+        self._last_compiled: _CompiledConfig | None = None
         # Meters.
         self.request_indices: list[int] = []
         self.busy_s = 0.0
@@ -333,16 +334,12 @@ class DeviceLane:
         self.stolen_in = 0
         self.stolen_out = 0
         self.config_usage: dict[str, int] = {}
-        self.exit_counts = np.zeros(stack.placement.num_exits + 1, dtype=np.int64)
+        self.exit_counts = [0] * (stack.placement.num_exits + 1)
 
     # -------------------------------------------------------- router surface
     @property
     def queue_depth(self) -> int:
         return len(self._queue)
-
-    @property
-    def reference_energy_j(self) -> float:
-        return self.reference.expected_energy_j
 
     def estimated_wait_s(self, now_s: float) -> float:
         """Residual busy time plus queued work at reference capacity."""
@@ -350,6 +347,69 @@ class DeviceLane:
         return residual + self.queue_depth / self.reference_capacity_rps
 
     # ------------------------------------------------------------- the queue
+    def push(self, index: int, arrival_s: float, critical: bool) -> None:
+        """Admit request ``index`` onto the queue."""
+        self._queue.append(index)
+        self._queue_arrivals.append(arrival_s)
+        self._admitted_times.append(arrival_s)
+        self._routed_times.append(arrival_s)
+        self.request_indices.append(index)
+        if critical:
+            self._crit_times.append(arrival_s)
+            self.critical_requests += 1
+
+    def reject(self, arrival_s: float) -> None:
+        """Record an admission drop at the lane's door."""
+        self._routed_times.append(arrival_s)
+        self.num_dropped += 1
+
+    def pending_start(self) -> float:
+        """Dispatch instant of the next batch, were it formed now.
+
+        Full-batch fill or head-of-line timeout, whichever comes first,
+        floored by the device-free time; ``inf`` on an empty queue.
+        """
+        arrivals = self._queue_arrivals
+        if not arrivals:
+            return inf
+        trigger = arrivals[0] + self.timeout_s
+        if len(arrivals) >= self.max_batch:
+            fill = arrivals[self.max_batch - 1]
+            if fill < trigger:
+                trigger = fill
+        t_free = self.t_free
+        return t_free if t_free > trigger else trigger
+
+    def pop_batch(self, start_s: float) -> list[int]:
+        """Dispatch the batch that starts at ``start_s``.
+
+        Pops the arrival-ordered prefix that has arrived by ``start_s``, at
+        most ``max_batch`` long (the opportunistic fill while the device
+        was busy), and advances the dispatched-prefix counters.
+        """
+        arrivals = self._queue_arrivals
+        max_batch = self.max_batch
+        size = 0
+        for arrival in arrivals:
+            if size >= max_batch or arrival > start_s:
+                break
+            size += 1
+        queue = self._queue
+        batch = [queue.popleft() for _ in range(size)]
+        crit_times = self._crit_times
+        if crit_times:
+            crit_popped = self._crit_popped
+            for _ in range(size):
+                arrival = arrivals.popleft()
+                if crit_popped < len(crit_times) and crit_times[crit_popped] <= arrival:
+                    crit_popped += 1
+            self._crit_popped = crit_popped
+        else:
+            for _ in range(size):
+                arrivals.popleft()
+        self._popped += size
+        return batch
+
     def backlog_at(self, now_s: float) -> int:
         """Routed requests that have arrived but not dispatched by ``now_s``.
 
@@ -663,39 +723,43 @@ class FleetSimulator:
         * takes the next **arrival block** — all arrivals up to the
           earliest pending batch start (the horizon) — and routes it in one
           :meth:`~repro.serving.router.FleetRouter.route_block` call;
-        * applies the routed pushes while watching for a **mid-block
-          violation**: a push that creates a batch trigger earlier than a
-          later in-block arrival (only a *new* trigger can do that — old
-          pendings sit at or past the horizon).  The block truncates at the
-          violating arrival, the tail is re-routed after the dispatch it
-          conflicted with, and the scalar dispatch order is preserved
-          exactly;
+        * pushes the routed block onto the lanes while watching for a
+          **mid-block violation**: a push that moves its lane's
+          :meth:`DeviceLane.pending_start` before a later in-block arrival
+          (only a push can do that — old pendings sit at or past the
+          horizon).  The block truncates at the violating arrival, the
+          tail is re-routed after the dispatch it conflicted with, and the
+          per-request dispatch order is preserved exactly;
         * drains through a **lazy min-heap** of (pending start, lane)
           entries instead of scanning every lane per request: every pending
-          change pushes an entry, stale entries are skipped on pop.
+          change pushes an entry, and an entry that no longer matches its
+          lane's pending start is stale and skipped.
 
-        Dispatch pricing goes through
+        A dispatch pops its batch with :meth:`DeviceLane.pop_batch`, prices
+        it through
         :meth:`~repro.serving.simulator._CompiledConfig.price_indices` (the
-        same Python-float tables as the single-device span engine), and
-        completion/correctness scatters happen once at the end.  With
-        ``spec.steal`` set, governor decisions on an unloaded lane may
-        migrate queued best-effort requests off a stalled lane — the one
-        intentional (opt-in) departure from the per-request loop.
+        same Python-float tables as the single-device span engine) and
+        advances the lane's own clocks and meters; completion/correctness
+        scatters happen once at the end.  With ``spec.steal`` set, governor
+        decisions on an unloaded lane may migrate queued best-effort
+        requests off a stalled lane — the one intentional (opt-in)
+        departure from the per-request loop.
         """
         n = trace.num_requests
         completion = np.full(n, np.nan)
         correct = np.zeros(n, dtype=bool)
         lanes = self.lanes
-        num_lanes = len(lanes)
         admission = self.admission
         state = BlockLaneState(
             lanes,
             max_queue=admission.max_queue if admission is not None else None,
             critical_bypass=admission.critical_bypass if admission is not None else True,
         )
-        bounded = admission is not None
+        # The routers read device-free times and depths off these lists;
+        # dispatches and steals keep them in step with the lanes.
         t_free = state.t_free
         depth = state.depth
+        bounded = admission is not None
         route_block = router.route_block
         rollback = router.rollback
         begin_block = state.begin_block
@@ -715,45 +779,7 @@ class FleetSimulator:
         battery_exhausted = False
         has_battery = battery_budget is not None
         num_stolen = 0
-
         heap: list[tuple[float, int]] = []
-        heap_push = heappush
-        heap_pop = heappop
-        br = bisect_right
-        inf = float("inf")
-
-        # Per-lane hot state as parallel lists indexed by lane: one list
-        # lookup replaces two attribute hops everywhere the per-request
-        # loop touches a lane, and pure-accumulator meters fold back into
-        # the lane objects once at the end (same per-lane accumulation
-        # order, hence bit-identical sums).
-        queues = [lane._queue for lane in lanes]
-        qarrs = [lane._queue_arrivals for lane in lanes]
-        q_append = [lane._queue.append for lane in lanes]
-        qa_append = [lane._queue_arrivals.append for lane in lanes]
-        adm_lists = [lane._admitted_times for lane in lanes]
-        adm_append = [lane._admitted_times.append for lane in lanes]
-        routed_append = [lane._routed_times.append for lane in lanes]
-        ridx_append = [lane.request_indices.append for lane in lanes]
-        max_batch = [lane.stack.batch_policy.max_batch for lane in lanes]
-        timeout = [lane.stack.batch_policy.timeout_s for lane in lanes]
-        policies = [lane.policy for lane in lanes]
-        thermals = [lane.thermal for lane in lanes]
-        usages = [lane.config_usage for lane in lanes]
-        compiled_maps = [lane._compiled for lane in lanes]
-        configs = [lane.config for lane in lanes]
-        last_active: list[RuntimeConfig | None] = [None] * num_lanes
-        last_compiled: list[_CompiledConfig | None] = [None] * num_lanes
-        last_count = [0] * num_lanes
-        next_decision = [lane.next_decision for lane in lanes]
-        clocks = [lane.clock for lane in lanes]
-        popped = [lane._popped for lane in lanes]
-        energy_acc = [lane.energy_j for lane in lanes]
-        busy_acc = [lane.busy_s for lane in lanes]
-        switch_acc = [lane.switching_energy_j for lane in lanes]
-        nbatch_acc = [lane.num_batches for lane in lanes]
-        ndecision_acc = [lane.governor_decisions for lane in lanes]
-        nthrottle_acc = [lane.throttled for lane in lanes]
         lane_counter = [
             f"fleet.lane.{lane.stack.spec.platform}.batches" for lane in lanes
         ]
@@ -773,77 +799,49 @@ class FleetSimulator:
         se_append = served_ends.append
         # Correctness groups by compiled config (correct[i] depends on which
         # config served request i).
-        correct_groups: dict[int, tuple[_CompiledConfig, list[list[int]]]] = {}
-        # Exit tallies as plain int lists; folded into the numpy meters once.
-        exit_lists = [[0] * len(lane.exit_counts) for lane in lanes]
+        correct_groups: dict[int, tuple[_CompiledConfig, list[int]]] = {}
 
-        # Per-block violation tracking, epoch-stamped so nothing is reset
-        # between blocks: count/expiry/filled only mean something for lanes
-        # whose epoch matches the current block.
-        lane_epoch = [0] * num_lanes
-        blk_count = [0] * num_lanes
-        blk_expiry = [0.0] * num_lanes
-        blk_filled = [False] * num_lanes
-        epoch = 0
-
-        def dispatch(li: int, start: float, batch: list[int]) -> None:
+        def dispatch(lane: DeviceLane, start: float, batch: list[int]) -> None:
             nonlocal battery_spent, battery_exhausted, num_stolen
-            lane = lanes[li]
-            thermal = thermals[li]
-            if thermal is not None and start > clocks[li]:
-                thermal.advance(0.0, start - clocks[li])  # idle: device cools
+            thermal = lane.thermal
+            if thermal is not None and start > lane.clock:
+                thermal.advance(0.0, start - lane.clock)  # idle: device cools
             size = len(batch)
             # Spike check counts the in-flight batch: it was popped already
             # but it is still unserved work.  The queue length bounds the
             # backlog from above (it ignores the arrival cutoff), so a short
             # queue rules a spike out without the bisect.
-            if len(queues[li]) + size <= emergency:
-                spike = False
-            else:
-                backlog = br(adm_lists[li], start, popped[li]) - popped[li]
-                spike = backlog + size > emergency
-            if start >= next_decision[li] or spike:
-                lane._popped = popped[li]  # the observation reads the meter
-                obs = observe(lane, start, trace, battery_budget, battery_spent)
-                configs[li] = policies[li].select(obs)
-                ndecision_acc[li] += 1
+            spike = (
+                len(lane._queue) + size > emergency
+                and lane.backlog_at(start) + size > emergency
+            )
+            if start >= lane.next_decision or spike:
+                lane.config = lane.policy.select(
+                    observe(lane, start, trace, battery_budget, battery_spent)
+                )
+                lane.governor_decisions += 1
                 if recorder is not None:
                     recorder.count("fleet.governor_decisions")
-                next_decision[li] = start + window_s
+                lane.next_decision = start + window_s
                 if steal_on:
                     num_stolen += self._try_steal(
                         lane, start, state, heap, slo_class_arr, recorder
                     )
-            active = configs[li]
+            active = lane.config
             if thermal is not None and thermal.throttled:
                 active = lane.coolest  # hardware throttle overrides the policy
-                nthrottle_acc[li] += 1
+                lane.throttled += 1
             if recorder is not None:
                 recorder.count("fleet.batches")
-                recorder.count(lane_counter[li])
+                recorder.count(lane_counter[lane.index])
                 recorder.observe("fleet.batch_size", size)
-
-            # The active config changes only at governor decisions, so the
-            # usage tally and compiled lookup run cached between changes and
-            # flush on switch (and once at fold-back).
-            if active is last_active[li]:
-                last_count[li] += 1
-                compiled = last_compiled[li]
-            else:
-                prev = last_active[li]
-                if prev is not None:
-                    usage = usages[li]
-                    usage[prev.name] = usage.get(prev.name, 0) + last_count[li]
-                last_active[li] = active
-                last_count[li] = 1
-                compiled = compiled_maps[li].get(active.name)
-                if compiled is None:
-                    compiled = lane.compiled_of(active, cstream, switch_cost)
-                if compiled._dec_req is None:
-                    compiled.ensure_span_tables()
-                last_compiled[li] = compiled
-            latency, energy, switch = compiled.price_indices(batch, exit_lists[li])
-            switch_acc[li] += switch
+            usage = lane.config_usage
+            usage[active.name] = usage.get(active.name, 0) + 1
+            if active is not lane._last_active:
+                lane._last_active = active
+                lane._last_compiled = lane.compiled_of(active, cstream, switch_cost)
+            compiled = lane._last_compiled
+            latency, energy, switch = compiled.price_indices(batch, lane.exit_counts)
 
             end = start + latency
             sf_extend(batch)
@@ -851,31 +849,27 @@ class FleetSimulator:
             se_append(end)
             group = correct_groups.get(id(compiled))
             if group is None:
-                correct_groups[id(compiled)] = (compiled, list(batch))
+                correct_groups[id(compiled)] = (compiled, batch)
             else:
                 group[1].extend(batch)
 
-            energy_acc[li] += energy
-            busy_acc[li] += latency
+            lane.switching_energy_j += switch
+            lane.energy_j += energy
+            lane.busy_s += latency
             battery_spent += energy
             if has_battery and battery_spent > battery_budget:
                 battery_exhausted = True
             if thermal is not None and latency > 0:
                 thermal.advance(energy / latency, latency)
-            clocks[li] = end
+            lane.clock = end
+            lane.t_free = end
+            lane.num_batches += 1
+            li = lane.index
             t_free[li] = end
-            depth[li] = len(queues[li])
-            nbatch_acc[li] += 1
-            qa = qarrs[li]
-            if qa:
-                expiry = qa[0] + timeout[li]
-                mb = max_batch[li]
-                if len(qa) >= mb:
-                    t = qa[mb - 1]
-                    trigger = t if t <= expiry else expiry
-                else:
-                    trigger = expiry
-                heap_push(heap, (end if end > trigger else trigger, li))
+            depth[li] = len(lane._queue)
+            pending = lane.pending_start()
+            if pending < inf:
+                heappush(heap, (pending, li))
 
         # Speculative block cap.  Routing past a mid-block violation is wasted
         # work that gets rolled back, so the cap tracks the accepted block
@@ -910,7 +904,7 @@ class FleetSimulator:
             if horizon == inf:
                 j = chunk_hi
             else:
-                j = chunk_lo + br(a_chunk, horizon, rel, chunk_hi - chunk_lo)
+                j = chunk_lo + bisect_right(a_chunk, horizon, rel, chunk_hi - chunk_lo)
                 if j <= i:
                     j = i + 1  # unreachable: pendings sit at/past arrival[i]
             if j - i > cap:
@@ -926,161 +920,31 @@ class FleetSimulator:
 
             size = len(a_blk)
             accepted = size
-            if size == 1:
-                # Single-request block: no later in-block arrival exists, so
-                # no violation is possible — push and refresh the lane's
-                # pending without the block-tracking machinery.
-                arrival = a_blk[0]
-                li = assignments[0]
-                if admitted[0]:
-                    q_append[li](i)
-                    qa_append[li](arrival)
-                    adm_append[li](arrival)
-                    routed_append[li](arrival)
-                    ridx_append[li](i)
-                    if any_crit and c_blk[0] == LATENCY_CRITICAL:
-                        lane = lanes[li]
-                        lane._crit_times.append(arrival)
-                        lane.critical_requests += 1
-                    qa = qarrs[li]
-                    expiry = qa[0] + timeout[li]
-                    mb = max_batch[li]
-                    if len(qa) >= mb:
-                        t = qa[mb - 1]
-                        trigger = t if t <= expiry else expiry
-                    else:
-                        trigger = expiry
-                    tf = t_free[li]
-                    heap_push(heap, (tf if tf > trigger else trigger, li))
+            min_pend = inf
+            touched: dict[int, float] = {}  # lane -> its pending start now
+            for m in range(size):
+                arrival = a_blk[m]
+                li = assignments[m]
+                lane = lanes[li]
+                if admitted[m]:
+                    lane.push(i + m, arrival, any_crit and c_blk[m] == LATENCY_CRITICAL)
+                    pending = touched[li] = lane.pending_start()
+                    if pending < min_pend:
+                        min_pend = pending
                 else:
-                    routed_append[li](arrival)
-                    lanes[li].num_dropped += 1
-            elif min(t_free) >= a_blk[size - 1]:
-                # Violation-free block: every lane is busy past the last
-                # arrival, so every pending — max(t_free, trigger) — lands
-                # at or after every in-block arrival.  No mid-block dispatch
-                # is possible and the pushes are pure appends.
-                epoch += 1
-                touched = []
-                t_append = touched.append
-                for m in range(size):
-                    arrival = a_blk[m]
-                    li = assignments[m]
-                    if admitted[m]:
-                        q_append[li](i + m)
-                        qa_append[li](arrival)
-                        adm_append[li](arrival)
-                        routed_append[li](arrival)
-                        ridx_append[li](i + m)
-                        if any_crit and c_blk[m] == LATENCY_CRITICAL:
-                            lane = lanes[li]
-                            lane._crit_times.append(arrival)
-                            lane.critical_requests += 1
-                        if lane_epoch[li] != epoch:
-                            lane_epoch[li] = epoch
-                            t_append(li)
-                    else:
-                        routed_append[li](arrival)
-                        lanes[li].num_dropped += 1
-                if size == cap and cap < chunk:
-                    cap <<= 1
-                for lx in touched:
-                    qa = qarrs[lx]
-                    if qa:
-                        expiry = qa[0] + timeout[lx]
-                        mb = max_batch[lx]
-                        if len(qa) >= mb:
-                            t = qa[mb - 1]
-                            trigger = t if t <= expiry else expiry
-                        else:
-                            trigger = expiry
-                        tf = t_free[lx]
-                        heap_push(heap, (tf if tf > trigger else trigger, lx))
-            else:
-                min_pend = inf
-                epoch += 1
-                touched: list[int] = []
-                for m in range(size):
-                    arrival = a_blk[m]
-                    li = assignments[m]
-                    if admitted[m]:
-                        # Track whether this push creates a batch trigger that
-                        # lands before a later in-block arrival (a violation).
-                        # Runs before the appends: the live queue length at a
-                        # lane's first touch IS its depth at the block start.
-                        if lane_epoch[li] != epoch:
-                            lane_epoch[li] = epoch
-                            touched.append(li)
-                            q0 = len(queues[li])
-                            mb = max_batch[li]
-                            if q0 >= mb:
-                                blk_filled[li] = True  # trigger set by old queue
-                            else:
-                                blk_filled[li] = False
-                                blk_count[li] = q0 + 1
-                                expiry = (
-                                    qarrs[li][0] if q0 else arrival
-                                ) + timeout[li]
-                                blk_expiry[li] = expiry
-                                if q0 == 0:
-                                    # Empty lane: this push *sets* the timeout
-                                    # trigger (was None before).
-                                    tf = t_free[li]
-                                    pend = tf if tf > expiry else expiry
-                                    if pend < min_pend:
-                                        min_pend = pend
-                                if q0 + 1 >= mb and arrival <= expiry:
-                                    blk_filled[li] = True
-                                    tf = t_free[li]
-                                    pend = tf if tf > arrival else arrival
-                                    if pend < min_pend:
-                                        min_pend = pend
-                        elif not blk_filled[li]:
-                            count = blk_count[li] + 1
-                            blk_count[li] = count
-                            if count >= max_batch[li]:
-                                blk_filled[li] = True
-                                if arrival <= blk_expiry[li]:
-                                    # Full-batch trigger moved up to this fill.
-                                    tf = t_free[li]
-                                    pend = tf if tf > arrival else arrival
-                                    if pend < min_pend:
-                                        min_pend = pend
-                        q_append[li](i + m)
-                        qa_append[li](arrival)
-                        adm_append[li](arrival)
-                        routed_append[li](arrival)
-                        ridx_append[li](i + m)
-                        if any_crit and c_blk[m] == LATENCY_CRITICAL:
-                            lane = lanes[li]
-                            lane._crit_times.append(arrival)
-                            lane.critical_requests += 1
-                    else:
-                        routed_append[li](arrival)
-                        lanes[li].num_dropped += 1
-                    if m + 1 < size and min_pend < a_blk[m + 1]:
-                        accepted = m + 1  # a dispatch lands mid-block: truncate
-                        break
-
-                if accepted < size:
-                    rollback(size - accepted)
-                    for lx in range(num_lanes):
-                        depth[lx] = len(queues[lx])
-                    cap = accepted + (accepted >> 1) + 1
-                elif size == cap and cap < chunk:
-                    cap <<= 1
-                for lx in touched:
-                    qa = qarrs[lx]
-                    if qa:
-                        expiry = qa[0] + timeout[lx]
-                        mb = max_batch[lx]
-                        if len(qa) >= mb:
-                            t = qa[mb - 1]
-                            trigger = t if t <= expiry else expiry
-                        else:
-                            trigger = expiry
-                        tf = t_free[lx]
-                        heap_push(heap, (tf if tf > trigger else trigger, lx))
+                    lane.reject(arrival)
+                if m + 1 < size and min_pend < a_blk[m + 1]:
+                    accepted = m + 1  # a dispatch lands mid-block: truncate
+                    break
+            if accepted < size:
+                rollback(size - accepted)
+                for lane in lanes:
+                    depth[lane.index] = len(lane._queue)
+                cap = accepted + (accepted >> 1) + 1
+            elif size == cap and cap < chunk:
+                cap <<= 1
+            for li, pending in touched.items():
+                heappush(heap, (pending, li))
             if recorder is not None:
                 recorder.count("fleet.blocks")
                 recorder.observe("fleet.block_size", accepted)
@@ -1094,74 +958,15 @@ class FleetSimulator:
                 until = float(times_np[i])
             # Drain: pop-validate-dispatch until the next arrival.  Same
             # dispatch order as a scan over the lanes — ascending start,
-            # ties on lane index — via the heap's tuple ordering.  Entries
-            # validate lazily: every pending change pushed one, so a
-            # mismatch with the lane's current pending start means "stale,
-            # skip".
+            # ties on lane index — via the heap's tuple ordering.
             while heap:
                 start, li = heap[0]
                 if start >= until:
                     break
-                heap_pop(heap)
-                qa = qarrs[li]
-                if not qa:
-                    continue
-                expiry = qa[0] + timeout[li]
-                mb = max_batch[li]
-                if len(qa) >= mb:
-                    t = qa[mb - 1]
-                    trigger = t if t <= expiry else expiry
-                else:
-                    trigger = expiry
-                tf = t_free[li]
-                if (tf if tf > trigger else trigger) != start:
-                    continue
-                # Form the batch at its dispatch instant: arrival-ordered
-                # prefix, opportunistic fill up to the start (same two-trigger
-                # semantics as the single-device batcher).
-                bsize = 0
-                for arrival in qa:
-                    if bsize >= mb or arrival > start:
-                        break
-                    bsize += 1
-                q = queues[li]
-                batch = [q.popleft() for _ in range(bsize)]
-                if any_crit:
-                    lane = lanes[li]
-                    crit_times = lane._crit_times
-                    crit_popped = lane._crit_popped
-                    for _ in range(bsize):
-                        arrival = qa.popleft()
-                        if (
-                            crit_popped < len(crit_times)
-                            and crit_times[crit_popped] <= arrival
-                        ):
-                            crit_popped += 1
-                    lane._crit_popped = crit_popped
-                else:
-                    for _ in range(bsize):
-                        qa.popleft()
-                popped[li] += bsize
-                dispatch(li, start, batch)
-
-        # Fold the hot-state accumulators back into the lane objects.
-        for li, lane in enumerate(lanes):
-            prev = last_active[li]
-            if prev is not None and last_count[li]:
-                usage = usages[li]
-                usage[prev.name] = usage.get(prev.name, 0) + last_count[li]
-            lane.config = configs[li]
-            lane.next_decision = next_decision[li]
-            lane.clock = clocks[li]
-            lane.t_free = t_free[li]
-            lane._popped = popped[li]
-            lane.energy_j = energy_acc[li]
-            lane.busy_s = busy_acc[li]
-            lane.switching_energy_j = switch_acc[li]
-            lane.num_batches = nbatch_acc[li]
-            lane.governor_decisions = ndecision_acc[li]
-            lane.throttled = nthrottle_acc[li]
-            lane.exit_counts += np.asarray(exit_lists[li], dtype=np.int64)
+                heappop(heap)
+                lane = lanes[li]
+                if lane.pending_start() == start:
+                    dispatch(lane, start, lane.pop_batch(start))
 
         # One scatter for completion/correctness instead of per-batch writes.
         if served_ends:
@@ -1214,33 +1019,19 @@ class FleetSimulator:
                 victim = lane
         if victim is None:
             return 0
-        limit = min(victim.queue_depth // 2, thief.stack.batch_policy.max_batch)
+        limit = min(victim.queue_depth // 2, thief.max_batch)
         if limit <= 0:
             return 0
         stolen = victim.steal_tail(limit, slo_class)
         if not stolen:
             return 0
         thief.receive_stolen(stolen, now_s)
-        moved = len(stolen)
-        vi = victim.index
-        depth[vi] = len(victim._queue)
-        depth[li] = len(thief._queue)
         for lane in (victim, thief):
-            lx = lane.index
-            qa = lane._queue_arrivals
-            if qa:
-                policy = lane.stack.batch_policy
-                expiry = qa[0] + policy.timeout_s
-                mb = policy.max_batch
-                if len(qa) >= mb and qa[mb - 1] <= expiry:
-                    trigger = qa[mb - 1]
-                else:
-                    trigger = expiry
-                tf = t_free[lx]
-                heappush(heap, (tf if tf > trigger else trigger, lx))
+            depth[lane.index] = lane.queue_depth
+            heappush(heap, (lane.pending_start(), lane.index))
         if recorder is not None:
-            recorder.count("fleet.steals", moved)
-        return moved
+            recorder.count("fleet.steals", len(stolen))
+        return len(stolen)
 
     # -------------------------------------------------------------- telemetry
     def _report(

@@ -2,7 +2,7 @@
 
 A :class:`FleetRouter` picks, for each arriving request, which device lane
 the request joins.  Routers see a read-only :class:`LaneState` per device —
-queue depth, device-free time, the lane's reference capacity and energy —
+queue depth, device-free time and the lane's reference capacity —
 and the request's scalar features: ``difficulty`` (standing in for a cheap
 upstream difficulty predictor; HADAS's premise is exactly that easy inputs
 early-exit, so difficulty is observable-enough to estimate) and its SLO
@@ -74,9 +74,6 @@ class LaneState(Protocol):
 
     @property
     def reference_capacity_rps(self) -> float: ...
-
-    @property
-    def reference_energy_j(self) -> float: ...
 
     def estimated_wait_s(self, now_s: float) -> float: ...
 

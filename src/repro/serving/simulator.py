@@ -102,13 +102,21 @@ class _CompiledConfig:
 
     ``decisions`` replicates :meth:`EntropyThresholdController.decide` over
     the full stream (first exit whose entropy clears its threshold);
-    :meth:`price` replicates
+    :meth:`price_span` and :meth:`price_indices` replicate
     :func:`~repro.hardware.energy.batched_execution` +
     :meth:`DvfsGovernor.switching_energy` for a batch of those decisions.
-    Sums run as Python float sums over lists (NOT ``np.sum``, whose pairwise
-    reduction associates differently) and the shared-overhead path is the
-    *first* maximum, exactly like ``max(..., key=...)`` — this is what keeps
-    the compiled executor bit-identical to pricing each batch directly.
+    Sums run as sequential Python float sums (NOT ``np.sum``, whose
+    pairwise reduction associates differently) and the shared-overhead
+    path is the *first* maximum, exactly like ``max(..., key=...)`` — this
+    is what keeps the compiled executor bit-identical to pricing each batch
+    directly (``tests/spec/serving.py`` keeps that pricing as ``price``).
+
+    Batches average a handful of requests, so pricing works off one Python
+    list of per-request exit decisions (small ints, so ``tolist`` is cheap
+    — unlike converting five per-request float gathers) plus per-exit
+    Python float tables.  ``_lat_one`` and ``_energy_one`` pre-fold the
+    single-request batch: ``busy + over`` and ``unit + passive * over``
+    associate identically to the batch formulas at size one.
     """
 
     __slots__ = (
@@ -168,37 +176,20 @@ class _CompiledConfig:
                 seen.append(setting)
         self._sid = np.asarray(sid, dtype=np.int64)
         self._switch_cost_j = switch_cost_j
-        self._dec_req = None  # per-request decision list, built on first span price
-
-    def ensure_span_tables(self) -> None:
-        """Materialize span-pricing lookups, once per (config, stream).
-
-        Span-mode batches are contiguous ``[lo, hi)`` ranges averaging a
-        handful of requests, so pricing works off one Python list of
-        per-request exit decisions (small ints, so ``tolist`` is cheap —
-        unlike converting five per-request float gathers) plus per-exit
-        Python float tables.  The per-request values this indexes are
-        exactly the ones the gather in :meth:`price` would produce, in the
-        same order, so the float sums are bit-identical.  ``_lat_one`` and
-        ``_energy_one`` pre-fold the single-request batch: ``busy + over``
-        and ``unit + passive * over`` associate identically to the batch
-        formulas at size one.  Queue-mode runs never build any of this.
-        """
-        if self._dec_req is None:
-            self._dec_req = self.decisions.tolist()
-            self._busy_l = self._busy.tolist()
-            self._over_l = self._over.tolist()
-            self._passive_l = self._passive.tolist()
-            self._unit_l = self._unit.tolist()
-            self._sid_l = self._sid.tolist()
-            self._lat_one = [b + o for b, o in zip(self._busy_l, self._over_l)]
-            self._energy_one = [
-                u + p * o
-                for u, p, o in zip(self._unit_l, self._passive_l, self._over_l)
-            ]
+        self._dec_req = decisions.tolist()
+        self._busy_l = self._busy.tolist()
+        self._over_l = self._over.tolist()
+        self._passive_l = self._passive.tolist()
+        self._unit_l = self._unit.tolist()
+        self._sid_l = self._sid.tolist()
+        self._lat_one = [b + o for b, o in zip(self._busy_l, self._over_l)]
+        self._energy_one = [
+            u + p * o for u, p, o in zip(self._unit_l, self._passive_l, self._over_l)
+        ]
 
     def price_span(self, lo: int, hi: int) -> tuple[float, float, float]:
-        """:meth:`price` for the contiguous batch ``[lo, hi)`` (span mode)."""
+        """(latency_s, energy_j incl. switching, switching_j) of the
+        contiguous batch ``[lo, hi)`` (the span-mode batcher's batches)."""
         dec = self._dec_req
         if hi - lo == 1:
             d = dec[lo]
@@ -234,23 +225,19 @@ class _CompiledConfig:
         return latency, energy + switch, switch
 
     def price_indices(
-        self, indices: list[int], counts: list[int] | None = None
+        self, indices: list[int], counts: list[int] | np.ndarray
     ) -> tuple[float, float, float]:
-        """:meth:`price` for an explicit request-index batch (fleet lanes).
+        """:meth:`price_span` for an explicit request-index batch.
 
-        Fleet lanes dispatch non-contiguous index batches, so this is
-        :meth:`price_span` generalised to an index list, off the same
-        Python-float tables: sequential left-to-right sums and a strict
-        first-maximum, which makes it bit-identical to calling
-        :meth:`price` on the gathered decisions.  ``counts``, when given,
-        tallies per-exit decisions in the same pass (the fleet's per-lane
-        exit usage meters).  Call :meth:`ensure_span_tables` first.
+        Fleet lanes and the single-device queue mode dispatch
+        non-contiguous index batches; same tables, same sequential sums and
+        strict first maximum.  ``counts`` tallies the per-exit decisions in
+        the same pass (the exit usage meters).
         """
         dec = self._dec_req
         if len(indices) == 1:
             d = dec[indices[0]]
-            if counts is not None:
-                counts[d] += 1
+            counts[d] += 1
             return self._lat_one[d], self._energy_one[d], 0.0
         busy = self._busy_l
         over = self._over_l
@@ -259,25 +246,15 @@ class _CompiledConfig:
         energy = 0.0
         peak = -1.0
         longest = indices[0]
-        if counts is None:
-            for t in indices:
-                d = dec[t]
-                busy_sum += busy[d]
-                energy += unit[d]
-                o = over[d]
-                if o > peak:  # strict: keeps the first maximum, like argmax
-                    peak = o
-                    longest = t
-        else:
-            for t in indices:
-                d = dec[t]
-                counts[d] += 1
-                busy_sum += busy[d]
-                energy += unit[d]
-                o = over[d]
-                if o > peak:
-                    peak = o
-                    longest = t
+        for t in indices:
+            d = dec[t]
+            counts[d] += 1
+            busy_sum += busy[d]
+            energy += unit[d]
+            o = over[d]
+            if o > peak:  # strict: keeps the first maximum, like argmax
+                peak = o
+                longest = t
         latency = busy_sum + peak
         energy += self._passive_l[dec[longest]] * peak
         switch = 0.0
@@ -290,22 +267,6 @@ class _CompiledConfig:
                 if cur != prev:
                     transitions += 1
                     prev = cur
-            switch = transitions * self._switch_cost_j
-        return latency, energy + switch, switch
-
-    def price(self, decisions: np.ndarray) -> tuple[float, float, float]:
-        """(latency_s, energy_j incl. switching, switching_j) for one batch."""
-        busy_sum = sum(self._busy[decisions].tolist())
-        over = self._over[decisions]
-        longest = int(np.argmax(over))  # first occurrence, like max(key=...)
-        latency = busy_sum + float(over[longest])
-        energy = sum(self._unit[decisions].tolist()) + float(
-            self._passive[decisions[longest]] * over[longest]
-        )
-        switch = 0.0
-        if self._switch_cost_j and len(decisions) >= 2:
-            sids = self._sid[decisions]
-            transitions = int(np.count_nonzero(sids[1:] != sids[:-1]))
             switch = transitions * self._switch_cost_j
         return latency, energy + switch, switch
 
@@ -619,8 +580,6 @@ class ServingSimulator:
 
             cc = compiled_of(active)
             if use_span:
-                if cc._dec_req is None:
-                    cc.ensure_span_tables()
                 latency, energy, switch = cc.price_span(lo, hi)
                 if cc is run_cc and lo == run_hi:
                     run_hi = hi
@@ -629,11 +588,9 @@ class ServingSimulator:
                     run_cc, run_lo, run_hi = cc, lo, hi
                 completion[lo:hi] = start + latency
             else:
-                decisions = cc.decisions[indices]
-                latency, energy, switch = cc.price(decisions)
+                latency, energy, switch = cc.price_indices(indices, exit_counts)
                 completion[indices] = start + latency
                 correct[indices] = cc.correct[indices]
-                exit_counts += np.bincount(decisions, minlength=len(exit_counts))
             switching_energy += switch
 
             end = start + latency

@@ -9,8 +9,10 @@ that a production kernel in ``src/repro`` must reproduce bit for bit:
   and oracle statistics, the unfused objectives, and the per-setting DVFS
   planner;
 * :mod:`spec.pareto` — Deb's pairwise non-dominated sort and mask;
-* :mod:`spec.serving` — the per-request single-device serving loop;
-* :mod:`spec.fleet` — the per-request fleet loop and scalar routing.
+* :mod:`spec.serving` — the per-request single-device serving loop and
+  the numpy batch pricing the compiled executor reproduces;
+* :mod:`spec.fleet` — the per-request fleet loop, scalar routing and the
+  lane batch rule.
 
 Where a spec only swaps one step of a production class it subclasses that
 class and overrides the hook, so everything else is shared.  The identity

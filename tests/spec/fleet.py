@@ -2,12 +2,13 @@
 time.
 
 The fleet simulator routes whole arrival blocks through each router's
-``route_block`` kernel, pushes onto the lanes' books inline and drains
-through a lazy heap.  This module keeps the per-request version of each
-step — :func:`route` for the routers, :func:`push` / :func:`reject` /
-:func:`next_ready_batch` for the lanes — and :class:`ReferenceFleetSimulator`
-runs the original loop over them.  Reports must be equal field for field
-(with work stealing off: the loop takes no extensions).
+``route_block`` kernel, pushes them onto the lanes and drains through a
+lazy heap.  This module keeps the per-request version of each step —
+:func:`route` for the routers, :func:`pending_start_s` /
+:func:`next_ready_batch` for the lanes' batch rule — and
+:class:`ReferenceFleetSimulator` runs the original loop over them, admitting
+through the lanes' own ``push`` / ``reject``.  Reports must be equal field
+for field (with work stealing off: the loop takes no extensions).
 """
 
 from __future__ import annotations
@@ -30,6 +31,7 @@ from repro.serving.router import (
     RoundRobinRouter,
 )
 from repro.serving.workload import LATENCY_CRITICAL
+from spec.serving import price
 
 
 # ------------------------------------------------------------------ routing
@@ -62,25 +64,6 @@ def route(router: FleetRouter, difficulty: float, slo_class: int, now_s: float, 
 
 
 # -------------------------------------------------------------------- lanes
-def push(lane: DeviceLane, index: int, arrival_s: float, critical: bool) -> None:
-    """Admit request ``index`` onto the lane's queue."""
-    lane._queue.append(index)
-    lane._queue_arrivals.append(arrival_s)
-    lane._admitted_times.append(arrival_s)
-    lane._routed_times.append(arrival_s)
-    lane.request_indices.append(index)
-    if critical:
-        lane._crit_times.append(arrival_s)
-        lane.critical_requests += 1
-
-
-def reject(lane: DeviceLane, arrival_s: float) -> None:
-    """Record an admission drop at the lane's door (still counted as
-    offered demand in its rate window)."""
-    lane._routed_times.append(arrival_s)
-    lane.num_dropped += 1
-
-
 def pending_start_s(lane: DeviceLane) -> float | None:
     """Dispatch instant of the lane's next batch, were it formed now.
 
@@ -174,13 +157,14 @@ class ReferenceFleetSimulator(FleetSimulator):
             indices = np.asarray(batch, dtype=np.int64)
             compiled = lane.compiled_of(active, cstream, self.switch_cost_j)
             decisions = compiled.decisions[indices]
-            latency, energy, switch = compiled.price(decisions)
+            latency, energy, switch = price(compiled, decisions)
             lane.switching_energy_j += switch
 
             end = start + latency
             completion[indices] = end
             correct[indices] = compiled.correct[indices]
-            lane.exit_counts += np.bincount(decisions, minlength=len(lane.exit_counts))
+            for d in decisions.tolist():
+                lane.exit_counts[d] += 1
 
             lane.energy_j += energy
             lane.busy_s += latency
@@ -222,9 +206,9 @@ class ReferenceFleetSimulator(FleetSimulator):
                 and lane.queue_depth >= admission.max_queue
                 and not (critical and admission.critical_bypass)
             ):
-                reject(lane, arrival)
+                lane.reject(arrival)
             else:
-                push(lane, i, arrival, critical)
+                lane.push(i, arrival, critical)
             drain(times[i + 1] if i + 1 < n else float("inf"))
         drain(float("inf"))
 

@@ -5,9 +5,11 @@ at a time.
 :class:`~repro.serving.batcher.ArrayBatcher` reproduces with index
 arithmetic; :func:`execute_batch` prices a batch by running the real
 entropy controller and :func:`~repro.hardware.energy.batched_execution`,
-which the compiled per-config executor replaces with table gathers; and
-:class:`ReferenceSimulator` swaps the simulator's event core for the
-per-request loop over both.  Reports must be equal field for field.
+which the compiled per-config executor replaces with table gathers;
+:func:`price` is that executor's pricing as numpy gathers over a batch's
+decisions; and :class:`ReferenceSimulator` swaps the simulator's event
+core for the per-request loop over the batcher and ``execute_batch``.
+Reports must be equal field for field.
 
 The loop predates admission control and SLO classes, so it refuses both.
 """
@@ -118,6 +120,27 @@ def execute_batch(controller, profiles, dvfs_governor, stream, indices) -> Batch
         switching_j=switch,
         correct=correct,
     )
+
+
+def price(compiled, decisions: np.ndarray) -> tuple[float, float, float]:
+    """(latency_s, energy_j incl. switching, switching_j) of one batch.
+
+    ``compiled`` is a :class:`~repro.serving.simulator._CompiledConfig` and
+    ``decisions`` the batch's exit decisions, gathered from its tables.
+    """
+    busy_sum = sum(compiled._busy[decisions].tolist())
+    over = compiled._over[decisions]
+    longest = int(np.argmax(over))  # first occurrence, like max(key=...)
+    latency = busy_sum + float(over[longest])
+    energy = sum(compiled._unit[decisions].tolist()) + float(
+        compiled._passive[decisions[longest]] * over[longest]
+    )
+    switch = 0.0
+    if compiled._switch_cost_j and len(decisions) >= 2:
+        sids = compiled._sid[decisions]
+        transitions = int(np.count_nonzero(sids[1:] != sids[:-1]))
+        switch = transitions * compiled._switch_cost_j
+    return latency, energy + switch, switch
 
 
 class ReferenceSimulator(ServingSimulator):

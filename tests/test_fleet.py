@@ -21,6 +21,7 @@ from repro.serving.deploy import (
 )
 from repro.serving.fleet import (
     DeviceLane,
+    FleetReport,
     FleetSpec,
     build_fleet_stacks,
     build_fleet_trace_and_stream,
@@ -35,7 +36,11 @@ from repro.serving.router import (
     RoundRobinRouter,
     make_router,
 )
-from repro.serving.telemetry import render_fleet_report, render_router_comparison
+from repro.serving.telemetry import (
+    ServingReport,
+    render_fleet_report,
+    render_router_comparison,
+)
 from repro.serving.workload import BEST_EFFORT, LATENCY_CRITICAL
 from spec import fleet as spec_fleet
 
@@ -59,10 +64,9 @@ def searched_design(tiny_search_result):
 
 # -------------------------------------------------------------------- routers
 class _FakeLane:
-    def __init__(self, index, capacity, energy, wait):
+    def __init__(self, index, capacity, wait):
         self.index = index
         self.reference_capacity_rps = capacity
-        self.reference_energy_j = energy
         self._wait = wait
         self.queue_depth = 0
 
@@ -73,7 +77,7 @@ class _FakeLane:
 class TestRouters:
     def test_round_robin_cycles(self):
         router = RoundRobinRouter()
-        lanes = [_FakeLane(i, 10.0, 0.1, 0.0) for i in range(3)]
+        lanes = [_FakeLane(i, 10.0, 0.0) for i in range(3)]
         assert [
             spec_fleet.route(router, 0.5, BEST_EFFORT, 0.0, lanes) for _ in range(6)
         ] == [0, 1, 2, 0, 1, 2]
@@ -81,28 +85,28 @@ class TestRouters:
     def test_least_backlog_picks_least_wait(self):
         router = LeastBacklogRouter()
         lanes = [
-            _FakeLane(0, 10.0, 0.1, 0.5),
-            _FakeLane(1, 10.0, 0.1, 0.1),
-            _FakeLane(2, 10.0, 0.1, 0.9),
+            _FakeLane(0, 10.0, 0.5),
+            _FakeLane(1, 10.0, 0.1),
+            _FakeLane(2, 10.0, 0.9),
         ]
         assert spec_fleet.route(router, 0.5, BEST_EFFORT, 0.0, lanes) == 1
 
     def test_least_backlog_ties_break_on_index(self):
         router = LeastBacklogRouter()
-        lanes = [_FakeLane(i, 10.0, 0.1, 0.3) for i in range(3)]
+        lanes = [_FakeLane(i, 10.0, 0.3) for i in range(3)]
         assert spec_fleet.route(router, 0.5, BEST_EFFORT, 0.0, lanes) == 0
 
     def test_difficulty_bands_follow_capacity_order(self):
         # Lane 1 is the weak device: it owns the easy band despite its index.
-        lanes = [_FakeLane(0, 30.0, 0.3, 0.0), _FakeLane(1, 10.0, 0.1, 0.0)]
+        lanes = [_FakeLane(0, 30.0, 0.0), _FakeLane(1, 10.0, 0.0)]
         router = DifficultyAwareRouter(lanes, slo_s=0.075)
         assert router.banded_lane(0.01) == 1  # easy -> weak lane (share 0.25)
         assert router.banded_lane(0.9) == 0  # hard -> strong lane
         assert router.banded_lane(1.0) == 0  # boundary difficulty still routed
 
     def test_difficulty_spills_on_backlog(self):
-        busy_weak = _FakeLane(0, 10.0, 0.1, 10.0)  # banded choice, swamped
-        idle_strong = _FakeLane(1, 30.0, 0.3, 0.0)
+        busy_weak = _FakeLane(0, 10.0, 10.0)  # banded choice, swamped
+        idle_strong = _FakeLane(1, 30.0, 0.0)
         router = DifficultyAwareRouter([busy_weak, idle_strong], slo_s=0.075)
         assert router.banded_lane(0.01) == 0
         assert spec_fleet.route(router, 0.01, BEST_EFFORT, 0.0, [busy_weak, idle_strong]) == 1
@@ -111,8 +115,8 @@ class TestRouters:
         # Wait of 0.03 s sits between the critical threshold (0.5·0.5·SLO ≈
         # 0.019 s) and the best-effort one (0.5·SLO ≈ 0.038 s): best-effort
         # traffic stays in its band, criticals move to the idle lane.
-        moderately_busy = _FakeLane(0, 10.0, 0.1, 0.03)
-        idle_strong = _FakeLane(1, 30.0, 0.3, 0.0)
+        moderately_busy = _FakeLane(0, 10.0, 0.03)
+        idle_strong = _FakeLane(1, 30.0, 0.0)
         lanes = [moderately_busy, idle_strong]
         router = DifficultyAwareRouter(lanes, slo_s=0.075)
         assert spec_fleet.route(router, 0.01, BEST_EFFORT, 0.0, lanes) == 0
@@ -152,6 +156,14 @@ class TestFleetSpec:
         with pytest.raises(ValueError, match=field):
             FleetSpec(**{field: value})
 
+    @pytest.mark.parametrize(
+        "field,value,message",
+        [("num_exits", 0, "num_exits"), ("model", "zz", "unknown model")],
+    )
+    def test_rejects_what_a_device_spec_rejects(self, field, value, message):
+        with pytest.raises(ValueError, match=message):
+            FleetSpec(**{field: value})
+
     def test_alias_spelling_shares_cache_key(self, tmp_path):
         cache = ResultCache(tmp_path)
         a = fleet_cache_key(cache, FleetSpec(platforms=("tx2", "xavier")))
@@ -160,6 +172,12 @@ class TestFleetSpec:
 
 
 # -------------------------------------------------------------- lane batching
+def _drain(lane):
+    """Dispatch every queued batch, each at its pending start."""
+    while lane.pending_start() < float("inf"):
+        lane.pop_batch(lane.pending_start())
+
+
 class TestDeviceLane:
     @pytest.fixture(scope="class")
     def stack(self):
@@ -170,40 +188,38 @@ class TestDeviceLane:
 
         lane = DeviceLane(0, stack, StaticPolicy(stack.static_config))
         for i, t in enumerate(times):
-            spec_fleet.push(lane, i, float(t), critical=False)
+            lane.push(i, float(t), critical=False)
         return lane
 
     def test_waits_for_fleet_clock(self, stack):
         lane = self._lane(stack, [0.0, 0.001])
-        # Head expiry is 4 ms; the fleet clock is still at 1 ms: not ready.
-        assert spec_fleet.next_ready_batch(lane, until_s=0.001) is None
-        formed = spec_fleet.next_ready_batch(lane, until_s=1.0)
-        assert formed is not None
-        start, batch = formed
+        # Head expiry is 4 ms: at a fleet clock of 1 ms the batch is not due.
+        start = lane.pending_start()
         assert start == pytest.approx(0.004)
-        assert batch == [0, 1]
+        assert not start < 0.001
+        assert lane.pop_batch(start) == [0, 1]
+        assert lane.pending_start() == float("inf")
 
     def test_full_batch_dispatches_at_fill_time(self, stack):
         lane = self._lane(stack, [0.0, 0.001, 0.002, 0.003, 0.0035])
-        start, batch = spec_fleet.next_ready_batch(lane, until_s=1.0)
+        start = lane.pending_start()
         assert start == pytest.approx(0.003)  # 4th arrival fills max_batch=4
-        assert batch == [0, 1, 2, 3]
+        assert lane.pop_batch(start) == [0, 1, 2, 3]
         assert lane.queue_depth == 1
 
     def test_opportunistic_fill_while_device_busy(self, stack):
         lane = self._lane(stack, [0.0, 0.2, 0.4])
         lane.t_free = 0.5
-        start, batch = spec_fleet.next_ready_batch(lane, until_s=1.0)
+        start = lane.pending_start()
         assert start == pytest.approx(0.5)
-        assert batch == [0, 1, 2]
+        assert lane.pop_batch(start) == [0, 1, 2]
 
     def test_backlog_counts_admitted_minus_dispatched(self, stack):
         lane = self._lane(stack, [0.0, 0.1, 0.2, 5.0])
         assert lane.backlog_at(0.25) == 3
-        assert spec_fleet.next_ready_batch(lane, until_s=10.0)[1] == [0]  # head timeout batch
+        assert lane.pop_batch(lane.pending_start()) == [0]  # head timeout batch
         assert lane.backlog_at(0.25) == 2  # dispatched work no longer counted
-        while spec_fleet.next_ready_batch(lane, until_s=float("inf")) is not None:
-            pass
+        _drain(lane)
         assert lane.backlog_at(0.25) == 0
         assert lane.backlog_at(5.5) == 0
 
@@ -211,16 +227,41 @@ class TestDeviceLane:
         from repro.serving.governor import StaticPolicy
 
         lane = DeviceLane(0, stack, StaticPolicy(stack.static_config))
-        spec_fleet.push(lane, 0, 0.0, critical=True)
-        spec_fleet.push(lane, 1, 0.1, critical=False)
-        spec_fleet.push(lane, 2, 0.2, critical=True)
+        lane.push(0, 0.0, critical=True)
+        lane.push(1, 0.1, critical=False)
+        lane.push(2, 0.2, critical=True)
         assert lane.critical_backlog_at(0.15) == 1
         assert lane.critical_backlog_at(0.25) == 2
-        assert spec_fleet.next_ready_batch(lane, until_s=10.0)[1] == [0]  # head timeout batch
+        assert lane.pop_batch(lane.pending_start()) == [0]  # head timeout batch
         assert lane.critical_backlog_at(0.25) == 1  # critical 2 still queued
-        while spec_fleet.next_ready_batch(lane, until_s=float("inf")) is not None:
-            pass
+        _drain(lane)
         assert lane.critical_backlog_at(0.25) == 0
+
+    def test_steal_tail_stops_at_critical_and_keeps_books_aligned(self, stack):
+        from repro.serving.governor import StaticPolicy
+
+        lane = DeviceLane(0, stack, StaticPolicy(stack.static_config))
+        classes = np.array([BEST_EFFORT, LATENCY_CRITICAL] + [BEST_EFFORT] * 4)
+        for i, cls in enumerate(classes):
+            lane.push(i, 0.1 * i, critical=cls == LATENCY_CRITICAL)
+        assert lane.pop_batch(0.0) == [0]  # the books must stay aligned past it
+        assert lane.steal_tail(1, classes) == [5]
+        assert lane.steal_tail(10, classes) == [2, 3, 4]  # FIFO, stops at 1
+        assert lane.steal_tail(10, classes) == []  # a critical heads the tail
+        assert list(lane._queue) == [1]
+        assert list(lane._queue_arrivals) == [0.1]
+        assert lane._admitted_times[lane._popped:] == [0.1]
+        assert lane.request_indices == [0, 1]
+        assert lane.stolen_out == 4
+        assert lane.backlog_at(1.0) == 1
+        assert lane.critical_backlog_at(1.0) == 1
+
+        thief = DeviceLane(1, stack, StaticPolicy(stack.static_config))
+        thief.receive_stolen([2, 3, 4], now_s=0.6)
+        assert list(thief._queue) == [2, 3, 4]
+        assert thief._admitted_times == [0.6] * 3  # re-stamped at the steal
+        assert thief.backlog_at(0.6) == 3
+        assert thief.stolen_in == 3
 
 
 # ---------------------------------------------------------------- fleet cells
@@ -254,24 +295,25 @@ class TestFleetCell:
 
     @pytest.mark.parametrize("scenario", ["nominal", "thermal-cap", "battery-budget"])
     def test_fleet_of_one_matches_single_device(self, scenario):
-        """A one-lane fleet must reproduce the single-device simulator exactly
-        — in every scenario, including the capped ones."""
+        """A one-lane fleet reproduces the single-device simulator exactly —
+        in every scenario, including the capped ones: every field the two
+        reports share, and the device's batches, config usage and throttling."""
         fleet = run_fleet_cell(
             FleetSpec(platforms=("tx2-gpu",), pattern="bursty", scenario=scenario,
                       router="round_robin", duration_s=5.0)
         )
         single = run_serving_cell(ServingSpec(platform="tx2-gpu", pattern="bursty",
                                               scenario=scenario, duration_s=5.0))
-        assert fleet.num_requests == single.num_requests
-        assert fleet.latency_ms_p95 == pytest.approx(single.latency_ms_p95, abs=1e-9)
-        assert fleet.latency_ms_p99 == pytest.approx(single.latency_ms_p99, abs=1e-9)
-        assert fleet.total_energy_j == pytest.approx(single.total_energy_j, abs=1e-9)
-        assert fleet.deadline_miss_rate == pytest.approx(single.deadline_miss_rate)
-        assert fleet.exit_usage == single.exit_usage
-        assert fleet.accuracy == pytest.approx(single.accuracy)
-        assert fleet.battery_spent_j == pytest.approx(single.battery_spent_j, abs=1e-9)
-        assert fleet.battery_exhausted == single.battery_exhausted
-        assert fleet.peak_temperature_c == pytest.approx(single.peak_temperature_c)
+        shared = {f.name for f in dataclasses.fields(FleetReport)} & {
+            f.name for f in dataclasses.fields(ServingReport)
+        }
+        assert {name: getattr(fleet, name) for name in shared} == {
+            name: getattr(single, name) for name in shared
+        }
+        (device,) = fleet.devices
+        assert device.batches == single.num_batches
+        assert device.config_usage == single.config_usage
+        assert device.throttled_batches == single.throttled_batches
 
     def test_difficulty_aware_beats_round_robin_bursty(self):
         """The PR acceptance contract, at test scale."""
@@ -491,6 +533,15 @@ class TestFleetCli:
         assert exit_info.value.code == 2
         assert "repro serve: error:" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("flags", [["--num-exits", "0"], ["--model", "zz"]])
+    def test_serve_fleet_rejects_bad_model_and_exits(self, flags, capsys):
+        from repro.__main__ import main
+
+        with pytest.raises(SystemExit) as exit_info:
+            main(["serve", "--fleet", "tx2", "--duration-s", "1", *flags])
+        assert exit_info.value.code == 2
+        assert "repro serve: error:" in capsys.readouterr().err
+
     def test_serve_fleet_rejects_unknown_platform(self, capsys):
         from repro.__main__ import main
 
@@ -502,8 +553,6 @@ class TestFleetCli:
 # ------------------------------------------------------------- cache codec
 class TestFleetCache:
     def test_fleet_report_json_round_trip(self, tmp_path):
-        from repro.serving.fleet import FleetReport
-
         cache = ResultCache(tmp_path)
         spec = FleetSpec(platforms=("tx2-gpu", "agx-gpu"), duration_s=3.0)
         report = run_fleet_cell(spec)
@@ -560,26 +609,37 @@ class TestFleetRegressions:
 
 
 # ---------------------------------------------------------- engine identity
+_DUO = ("tx2-gpu", "agx-gpu")
+_QUAD = ("agx-gpu", "carmel-cpu", "tx2-gpu", "denver-cpu")  # the bench fleet
+
+
+def _identity_case(router, max_queue, bypass, crit, platforms=_DUO, prefix=""):
+    case = (router, max_queue, bypass, crit)
+    return pytest.param(*case, platforms, id=prefix + "-".join(map(str, case)))
+
+
 class TestEngineIdentity:
     """The block-routed loop reproduces the per-request loop
-    (``spec.fleet``) field-for-field across routers, admission settings,
-    SLO mixes and throttling."""
+    (``spec.fleet``) field-for-field across fleets, routers, admission
+    settings, SLO mixes and throttling."""
 
     @pytest.mark.parametrize(
-        "router,max_queue,bypass,crit",
+        "router,max_queue,bypass,crit,platforms",
         [
-            ("round_robin", None, True, 0.0),
-            ("round_robin", 2, False, 1.0),
-            ("least_backlog", 6, True, 0.3),
-            ("least_backlog", None, True, 1.0),
-            ("difficulty_aware", None, True, 0.0),
-            ("difficulty_aware", 6, True, 0.3),
-            ("difficulty_aware", 2, False, 1.0),
+            _identity_case("round_robin", None, True, 0.0),
+            _identity_case("round_robin", 2, False, 1.0),
+            _identity_case("least_backlog", 6, True, 0.3),
+            _identity_case("least_backlog", None, True, 1.0),
+            _identity_case("difficulty_aware", None, True, 0.0),
+            _identity_case("difficulty_aware", 6, True, 0.3),
+            _identity_case("difficulty_aware", 2, False, 1.0),
+            _identity_case("difficulty_aware", None, True, 0.0, _QUAD, "quad-"),
+            _identity_case("least_backlog", 3, True, 0.3, ("tx2-gpu",), "one-lane-"),
         ],
     )
-    def test_indexed_matches_reference(self, router, max_queue, bypass, crit):
+    def test_indexed_matches_reference(self, router, max_queue, bypass, crit, platforms):
         base = dict(
-            platforms=("tx2-gpu", "agx-gpu"),
+            platforms=platforms,
             pattern="bursty",
             router=router,
             duration_s=3.0,
@@ -664,26 +724,30 @@ class TestBandCache:
         assert [lane.capacity_reads for lane in lanes] == baseline
 
     def test_band_cache_rebuilds_on_new_fleet(self):
-        lanes = [_FakeLane(0, 10.0, 0.1, 0.0), _FakeLane(1, 30.0, 0.3, 0.0)]
+        lanes = [_FakeLane(0, 10.0, 0.0), _FakeLane(1, 30.0, 0.0)]
         router = DifficultyAwareRouter(lanes, slo_s=0.075)
         assert router.banded_lane(0.9) == 1
-        other = [_FakeLane(0, 30.0, 0.3, 0.0), _FakeLane(1, 10.0, 0.1, 0.0)]
+        other = [_FakeLane(0, 30.0, 0.0), _FakeLane(1, 10.0, 0.0)]
         assert spec_fleet.route(router, 0.9, BEST_EFFORT, 0.0, other) == 0
 
 
 # ------------------------------------------------------------ work stealing
 class TestWorkStealing:
     def test_steal_cell_stays_consistent(self):
+        # Round-robin under bursty load stalls a lane while another idles:
+        # the cell where stealing fires (backlog-aware routers self-balance).
         report = run_fleet_cell(
             FleetSpec(
                 platforms=("tx2-gpu", "agx-gpu"),
+                router="round_robin",
                 pattern="bursty",
                 duration_s=5.0,
                 utilization=0.95,
+                seed=7,
                 steal=True,
             )
         )
-        assert report.num_stolen >= 0
+        assert report.num_stolen > 0
         assert sum(d.stolen_in for d in report.devices) == report.num_stolen
         assert sum(d.stolen_out for d in report.devices) == report.num_stolen
         assert sum(d.requests for d in report.devices) == report.num_requests

@@ -432,3 +432,113 @@ class TestRouterBlockLaws:
         )
         assert (list(assignments), list(admitted)) == expected
         assert state.depth == [lane.queue_depth for lane in scalar_lanes]
+
+
+@pytest.fixture(scope="module")
+def serving_stack():
+    from repro.serving.harness import ServingSpec, build_serving_stack
+
+    return build_serving_stack(ServingSpec(duration_s=2.0))
+
+
+class TestLaneBatchLaws:
+    """A fleet lane's batch rule agrees with the per-request spec
+    (``spec.fleet.pending_start_s`` / ``next_ready_batch``) on random
+    queues, batch policies and device-free times, with pushes and
+    dispatches interleaved."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.data())
+    def test_pending_start_and_pop_batch_match_spec(self, serving_stack, data):
+        import dataclasses
+
+        from repro.serving.batcher import BatchPolicy
+        from repro.serving.fleet import DeviceLane
+        from repro.serving.governor import StaticPolicy
+        from spec.fleet import next_ready_batch, pending_start_s
+
+        policy = BatchPolicy(
+            max_batch=data.draw(st.integers(1, 6)),
+            timeout_s=data.draw(st.floats(0.0, 0.01)),
+        )
+        stack = dataclasses.replace(serving_stack, batch_policy=policy)
+        lane, spec_lane = (
+            DeviceLane(0, stack, StaticPolicy(stack.static_config)) for _ in range(2)
+        )
+
+        def dispatch_once(now_s):
+            t_free = data.draw(st.floats(0.0, now_s + 0.02))
+            lane.t_free = spec_lane.t_free = t_free
+            expected = pending_start_s(spec_lane)
+            start = lane.pending_start()
+            if expected is None:
+                assert start == float("inf")
+                return False
+            assert start == expected
+            assert lane.pop_batch(start) == next_ready_batch(spec_lane, float("inf"))[1]
+            assert (lane._popped, lane._crit_popped) == (
+                spec_lane._popped, spec_lane._crit_popped
+            )
+            assert list(lane._queue) == list(spec_lane._queue)
+            return True
+
+        now = 0.0
+        size = data.draw(st.integers(0, 24))
+        for index in range(size):
+            now += data.draw(st.floats(0.0, 0.005))
+            critical = data.draw(st.booleans())
+            lane.push(index, now, critical)
+            spec_lane.push(index, now, critical)
+            if data.draw(st.booleans()):
+                dispatch_once(now)
+        while dispatch_once(now):
+            pass
+
+
+class TestPricingLaws:
+    """Both pricing shapes of the compiled executor — contiguous spans and
+    index lists — equal the spec's numpy pricing bit for bit, and the index
+    form tallies the batch's exits.  The ladder rungs run one DVFS setting
+    (the identity tests cover those), so random per-exit settings bring in
+    the switching energy."""
+
+    @pytest.fixture(scope="class")
+    def compiled_stream(self, serving_stack):
+        from repro.serving.harness import build_trace_and_stream
+        from repro.serving.simulator import compile_stream
+
+        _, stream = build_trace_and_stream(serving_stack)
+        return compile_stream(stream)
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.data())
+    def test_span_and_index_pricing_match_spec(self, serving_stack, compiled_stream, data):
+        import dataclasses
+
+        from repro.serving.governor import _profiles_for
+        from repro.serving.simulator import _CompiledConfig
+        from spec.serving import price
+
+        stack = serving_stack
+        choices = DVFS.all_settings()[:2]
+        config = dataclasses.replace(
+            data.draw(st.sampled_from(stack.ladder)),
+            per_exit=tuple(
+                (exit_index, data.draw(st.sampled_from(choices)))
+                for exit_index in range(stack.placement.num_exits)
+            ),
+        )
+        switch_cost = data.draw(st.sampled_from((0.0, 0.003)))
+        profiles = _profiles_for(stack.evaluator, stack.placement, config.dvfs_governor())
+        compiled = _CompiledConfig(config, profiles, compiled_stream, switch_cost)
+        n = len(compiled.decisions)
+
+        lo = data.draw(st.integers(0, n - 1))
+        hi = data.draw(st.integers(lo + 1, min(n, lo + 12)))
+        assert compiled.price_span(lo, hi) == price(compiled, compiled.decisions[lo:hi])
+
+        indices = data.draw(st.lists(st.integers(0, n - 1), min_size=1, max_size=12))
+        decisions = compiled.decisions[indices]
+        counts = [0] * (compiled_stream.num_exits + 1)
+        assert compiled.price_indices(indices, counts) == price(compiled, decisions)
+        assert counts == np.bincount(decisions, minlength=len(counts)).tolist()
