@@ -212,9 +212,9 @@ def fleet_counter_rollup(
     """One observed indexed run (with stealing armed) under a live recorder.
 
     Separate from the timed rows so recorder overhead never lands in the
-    throughput contract; surfaces ``fleet.blocks``, the ``fleet.block_size``
-    histogram and ``fleet.steals`` next to the numbers, bench_dynamic_eval
-    style.
+    throughput contract; surfaces ``fleet.blocks``, ``fleet.routed``, the
+    ``fleet.block_size`` histogram and ``fleet.steals`` next to the numbers,
+    bench_dynamic_eval style.
     """
     # round_robin + bursty load is the configuration where stealing earns its
     # keep: the load-blind router builds imbalance the governor-horizon thief

@@ -368,9 +368,6 @@ class HadasSearch:
             lambda: self.make_inner_engine(backbone).run(),
         )
 
-    # Backwards-compatible alias (pre-EvaluationService name).
-    _run_inner = run_inner
-
     def inner_task(
         self, backbone: BackboneConfig, static: StaticEvaluation | None = None
     ) -> EvalTask:

@@ -163,10 +163,6 @@ class InnerEngine:
         Dissimilarity exponent (0 disables — the Fig. 7 ablation).
     nsga:
         Budget: #iterations = population x generations (paper: 3500).
-    service:
-        Optional evaluation service for batched (X, F) population
-        evaluation.  Leave ``None`` when the *outer* loop already runs inner
-        engines on a pooled service — executors must not be nested.
     cache:
         Optional persistent result cache handed to the exit oracle so its
         correctness columns warm-start across runs (the columns are
@@ -184,7 +180,6 @@ class InnerEngine:
         capability_model: ExitCapabilityModel | None = None,
         oracle_samples: int = 2048,
         seed: int = 0,
-        service=None,
         cache=None,
     ):
         self.config = config
@@ -215,7 +210,6 @@ class InnerEngine:
             evaluator=self.evaluator,
         )
         self.seed = seed
-        self.service = service
 
     def run(self) -> InnerResult:
         """Execute the NSGA-II loop and return the (X, F) Pareto set."""
@@ -223,7 +217,6 @@ class InnerEngine:
             self.problem,
             self.nsga_config,
             rng=child_rng(self.seed, "ioe", self.config.key),
-            service=self.service,
         )
         with trace.span("ioe.run", backbone=self.config.key):
             engine.run()

@@ -9,8 +9,8 @@ micro-batching pay off exactly when the system is under pressure.
 
 :class:`ArrayBatcher` implements that policy as index arithmetic over the
 sorted arrival array.  On the default path (no admission control, one SLO
-class) batches are contiguous index ranges, so ``next_batch`` is a couple
-of bisections and a pointer bump — bit-identical dispatch decisions to the
+class) batches are contiguous index ranges, so ``next_batch`` is one bounded
+bisection and a pointer bump — bit-identical dispatch decisions to the
 original object/deque batcher, which lives on as the executable spec in
 ``tests/spec/serving.py``.  With an :class:`AdmissionPolicy` or
 latency-critical requests present it switches to explicit per-class
@@ -103,8 +103,8 @@ class ArrayBatcher:
       into the sorted arrival array.  A FIFO deque batcher provably drains
       its queue completely on every dispatch (admission is capped at
       ``max_batch`` and every pop takes ``min(max_batch, len)``), so batches
-      are always contiguous index ranges; :meth:`next_batch` reduces to two
-      bisections.  Bit-identical to the deque batcher.
+      are always contiguous index ranges; :meth:`next_batch` reduces to one
+      bisection.  Bit-identical to the deque batcher.
     * **queue mode** (admission control and/or SLO classes): explicit
       per-class integer deques.  Latency-critical requests dispatch first
       within each batch window; arrivals beyond the admission cap are
@@ -142,9 +142,8 @@ class ArrayBatcher:
         self._crit: deque[int] = deque()
         self._be: deque[int] = deque()
         self._deferred: deque[int] = deque()
-        self._dropped: list[int] = []
+        self._dropped = 0
         self._ever_deferred = 0
-        self._dispatched = 0
         if self._has_critical:
             flags = (np.asarray(self._classes) == LATENCY_CRITICAL).astype(np.int64)
             self._crit_cum = np.concatenate([[0], np.cumsum(flags)])
@@ -153,27 +152,13 @@ class ArrayBatcher:
 
     # ------------------------------------------------------------ telemetry
     @property
-    def pending(self) -> int:
-        """Requests currently admitted but not dispatched."""
-        if self.contiguous:
-            return 0
-        return len(self._crit) + len(self._be)
-
-    @property
-    def num_dispatched(self) -> int:
-        return self._dispatched
-
-    @property
     def num_dropped(self) -> int:
-        return len(self._dropped)
+        return self._dropped
 
     @property
     def num_deferred(self) -> int:
         """Requests that were parked in the deferred queue at least once."""
         return self._ever_deferred
-
-    def dropped_indices(self) -> np.ndarray:
-        return np.asarray(self._dropped, dtype=np.int64)
 
     def backlog_at(self, now_s: float) -> int:
         """Arrived-but-undispatched (and not dropped) requests at ``now_s``."""
@@ -197,29 +182,29 @@ class ArrayBatcher:
         """Form the next batch as a contiguous ``[lo, hi)`` index range.
 
         Only valid in span mode.  The two-trigger policy collapses to index
-        arithmetic: the head-of-line expiry and full-batch fill are both
-        ``searchsorted`` lookups over the sorted arrival array.
+        arithmetic over the sorted arrival array: the trigger is
+        ``min(times[head] + timeout_s, times[head + max_batch - 1])``
+        floored by the device-free time (the rule
+        :meth:`~repro.serving.fleet.DeviceLane.pending_start` states for a
+        fleet lane), and the batch is every arrival by then, at most
+        ``max_batch`` of them.
         """
         head = self._head
         if head >= self._n:
             return None
         times = self._times_list
-        max_batch = self.policy.max_batch
-        cap = head + max_batch
-        if cap > self._n:
-            cap = self._n
-        expiry = times[head] + self.policy.timeout_s
-        # Both lookups only matter within [head, head + max_batch): bounding
-        # the bisection there makes each one a couple of comparisons.
-        admitted = bisect_right(times, expiry, head, cap) - head
-        if admitted >= max_batch:
-            trigger = times[head + max_batch - 1]
+        cap = head + self.policy.max_batch
+        trigger = times[head] + self.policy.timeout_s
+        if cap <= self._n:
+            fill = times[cap - 1]
+            if fill < trigger:
+                trigger = fill
         else:
-            trigger = expiry
+            cap = self._n
         start = device_free_s if device_free_s > trigger else trigger
+        # Bounded to [head, head + max_batch): a couple of comparisons.
         hi = bisect_right(times, start, head, cap)
         self._head = hi
-        self._dispatched += hi - head
         return float(start), head, hi
 
     # ----------------------------------------------------------- queue mode
@@ -264,7 +249,7 @@ class ArrayBatcher:
                 self._deferred.append(index)
                 self._ever_deferred += 1
             else:
-                self._dropped.append(index)
+                self._dropped += 1
 
     def _head_arrival(self) -> float:
         times = self._times
@@ -328,9 +313,7 @@ class ArrayBatcher:
             trigger = expiry
         start = max(device_free_s, trigger)
         self._gate(start)  # opportunistic fill + admission of interval arrivals
-        batch = self._select(start)
-        self._dispatched += len(batch)
-        return start, batch
+        return start, self._select(start)
 
     def next_batch(self, device_free_s: float) -> tuple[float, list[int]] | None:
         """Form the next batch; ``(start_s, request indices)`` or ``None``."""

@@ -41,7 +41,6 @@ from __future__ import annotations
 import dataclasses
 import gc
 from bisect import bisect_left, bisect_right
-from collections import deque
 from dataclasses import dataclass, field
 from heapq import heappop, heappush
 from math import inf
@@ -273,10 +272,16 @@ class DeviceLane:
     surface routers observe (queue depth, estimated wait, reference
     capacity) and owns everything the simulator drives per device: the
     queue, the device clocks, the current config, thermal state, the
-    compiled-config caches and the meters.  The queue holds request
-    *indices*; arrival bookkeeping is an append-only sorted list plus pop
-    counters, so :meth:`backlog_at` is a bisect instead of an O(queue) copy
-    per call.
+    compiled-config caches and the meters.
+
+    The queue is not a container of its own.  Every admitted request is
+    appended to two parallel books, ``request_indices`` and
+    ``_admitted_times`` (sorted: requests route in arrival order, and
+    migrations are re-stamped at the current instant), and dispatch only
+    advances the ``_popped`` prefix counter — so the queue is the
+    undispatched suffix ``[_popped:]`` of those books, :meth:`backlog_at`
+    is a bisect over it, and the books double as the lane's served-request
+    meter.
 
     The simulator works the queue through four methods: :meth:`push` admits
     a request, :meth:`reject` records an admission drop (which still counts
@@ -298,13 +303,11 @@ class DeviceLane:
         # config and batch policy; routers read it per decision, so it is
         # computed once instead of chasing the config property chain per call.
         self.reference_capacity_rps = self.reference.capacity_rps(stack.batch_policy)
-        # Live queue: routed-but-undispatched request indices, FIFO by arrival.
-        self._queue: deque[int] = deque()
-        self._queue_arrivals: deque[float] = deque()
-        # Append-only arrival books (sorted: requests route in arrival order).
-        self._admitted_times: list[float] = []  # admitted arrivals ever
+        # Append-only books; the queue is their suffix past ``_popped``.
+        self.request_indices: list[int] = []  # admitted request indices
+        self._admitted_times: list[float] = []  # their arrival instants
         self._crit_times: list[float] = []  # admitted latency-critical arrivals
-        self._popped = 0  # dispatched prefix of _admitted_times
+        self._popped = 0  # dispatched prefix of request_indices/_admitted_times
         self._crit_popped = 0  # dispatched prefix of _crit_times
         self._routed_times: list[float] = []  # every routed arrival (rate window)
         self._rate_cursor = 0  # left bisect bound for the trailing rate window
@@ -322,7 +325,6 @@ class DeviceLane:
         self._last_active: RuntimeConfig | None = None
         self._last_compiled: _CompiledConfig | None = None
         # Meters.
-        self.request_indices: list[int] = []
         self.busy_s = 0.0
         self.energy_j = 0.0
         self.switching_energy_j = 0.0
@@ -339,7 +341,7 @@ class DeviceLane:
     # -------------------------------------------------------- router surface
     @property
     def queue_depth(self) -> int:
-        return len(self._queue)
+        return len(self.request_indices) - self._popped
 
     def estimated_wait_s(self, now_s: float) -> float:
         """Residual busy time plus queued work at reference capacity."""
@@ -349,11 +351,9 @@ class DeviceLane:
     # ------------------------------------------------------------- the queue
     def push(self, index: int, arrival_s: float, critical: bool) -> None:
         """Admit request ``index`` onto the queue."""
-        self._queue.append(index)
-        self._queue_arrivals.append(arrival_s)
+        self.request_indices.append(index)
         self._admitted_times.append(arrival_s)
         self._routed_times.append(arrival_s)
-        self.request_indices.append(index)
         if critical:
             self._crit_times.append(arrival_s)
             self.critical_requests += 1
@@ -369,12 +369,15 @@ class DeviceLane:
         Full-batch fill or head-of-line timeout, whichever comes first,
         floored by the device-free time; ``inf`` on an empty queue.
         """
-        arrivals = self._queue_arrivals
-        if not arrivals:
+        times = self._admitted_times
+        head = self._popped
+        n = len(times)
+        if head == n:
             return inf
-        trigger = arrivals[0] + self.timeout_s
-        if len(arrivals) >= self.max_batch:
-            fill = arrivals[self.max_batch - 1]
+        trigger = times[head] + self.timeout_s
+        last = head + self.max_batch - 1
+        if last < n:
+            fill = times[last]
             if fill < trigger:
                 trigger = fill
         t_free = self.t_free
@@ -387,28 +390,20 @@ class DeviceLane:
         most ``max_batch`` long (the opportunistic fill while the device
         was busy), and advances the dispatched-prefix counters.
         """
-        arrivals = self._queue_arrivals
-        max_batch = self.max_batch
-        size = 0
-        for arrival in arrivals:
-            if size >= max_batch or arrival > start_s:
-                break
-            size += 1
-        queue = self._queue
-        batch = [queue.popleft() for _ in range(size)]
+        times = self._admitted_times
+        head = self._popped
+        cap = head + self.max_batch
+        end = bisect_right(times, start_s, head, cap if cap < len(times) else len(times))
         crit_times = self._crit_times
         if crit_times:
+            # Per entry, not a bisect over _crit_times: arrivals can tie.
             crit_popped = self._crit_popped
-            for _ in range(size):
-                arrival = arrivals.popleft()
-                if crit_popped < len(crit_times) and crit_times[crit_popped] <= arrival:
+            for k in range(head, end):
+                if crit_popped < len(crit_times) and crit_times[crit_popped] <= times[k]:
                     crit_popped += 1
             self._crit_popped = crit_popped
-        else:
-            for _ in range(size):
-                arrivals.popleft()
-        self._popped += size
-        return batch
+        self._popped = end
+        return self.request_indices[head:end]
 
     def backlog_at(self, now_s: float) -> int:
         """Routed requests that have arrived but not dispatched by ``now_s``.
@@ -439,17 +434,10 @@ class DeviceLane:
         window_start = max(0.0, now_s - window_s)
         routed = self._routed_times
         n = len(routed)
-        # Observation instants are monotone per lane, so the window's left
-        # edge only moves right: resume the bisect at the last cursor.  A
-        # tail rollback can strand the cursor past valid ground — the sorted
-        # book makes that a single comparison to detect, then redo in full.
-        lo = self._rate_cursor
-        if lo > n:
-            lo = n
-        if lo > 0 and routed[lo - 1] >= window_start:
-            lo = 0
-        lo = bisect_left(routed, window_start, lo)
-        self._rate_cursor = lo
+        # The book only grows and per-lane observation instants never
+        # decrease, so the window's left edge only moves right: resume the
+        # bisect at the last cursor.
+        lo = self._rate_cursor = bisect_left(routed, window_start, self._rate_cursor)
         if n and routed[n - 1] <= now_s:
             hi = n
         else:
@@ -460,24 +448,22 @@ class DeviceLane:
     def steal_tail(self, limit: int, slo_class) -> list[int]:
         """Pop up to ``limit`` best-effort requests off the queue tail.
 
-        The queue tail is the only place all four parallel per-lane books
-        (``_queue``, ``_queue_arrivals``, ``_admitted_times``,
-        ``request_indices``) stay aligned, so tail pops keep every sorted
-        invariant and the dispatched-prefix counters untouched.  Stops at
+        The queue is the undispatched suffix of ``request_indices`` and
+        ``_admitted_times``, so tail pops keep both books aligned and
+        sorted and leave the dispatched-prefix counters untouched.  Stops at
         the first latency-critical entry from the tail — criticals stay
         where admission placed them.  Returns the stolen request indices in
         their original FIFO order.
         """
         stolen: list[int] = []
-        queue = self._queue
-        while len(stolen) < limit and queue:
-            index = queue[-1]
+        indices = self.request_indices
+        times = self._admitted_times
+        while len(stolen) < limit and len(indices) > self._popped:
+            index = indices[-1]
             if slo_class is not None and slo_class[index] == LATENCY_CRITICAL:
                 break
-            queue.pop()
-            self._queue_arrivals.pop()
-            self._admitted_times.pop()
-            self.request_indices.pop()
+            indices.pop()
+            times.pop()
             stolen.append(index)
         stolen.reverse()
         self.stolen_out += len(stolen)
@@ -491,11 +477,8 @@ class DeviceLane:
         batcher treat migrations like fresh arrivals; latency telemetry
         still measures from the original trace arrival.
         """
-        for index in indices:
-            self._queue.append(index)
-            self._queue_arrivals.append(now_s)
-            self._admitted_times.append(now_s)
-            self.request_indices.append(index)
+        self.request_indices.extend(indices)
+        self._admitted_times.extend([now_s] * len(indices))
         self.stolen_in += len(indices)
 
     # ---------------------------------------------------------- config state
@@ -566,7 +549,6 @@ class FleetSimulator:
         stacks: list[ServingStack],
         switch_cost_j: float = 0.0,
         emergency_backlog_batches: float = 2.0,
-        admission: AdmissionPolicy | None = None,
     ):
         self.spec = spec
         self.scenario: Scenario = get_scenario(spec.scenario)
@@ -574,14 +556,7 @@ class FleetSimulator:
         self.window_s = spec.window_ms / 1e3
         self.switch_cost_j = switch_cost_j
         self.emergency_backlog = emergency_backlog_batches * spec.max_batch
-        if admission is None:
-            admission = spec.admission_policy()
-        if admission is not None and admission.mode != "drop":
-            raise ValueError(
-                "fleet admission is drop-only: deferral at the fleet door is "
-                "re-routing, which the router spill guard already performs"
-            )
-        self.admission = admission
+        self.admission = spec.admission_policy()
         self.lanes = [
             DeviceLane(i, stack, self._policy_for(stack)) for i, stack in enumerate(stacks)
         ]
@@ -812,7 +787,7 @@ class FleetSimulator:
             # backlog from above (it ignores the arrival cutoff), so a short
             # queue rules a spike out without the bisect.
             spike = (
-                len(lane._queue) + size > emergency
+                lane.queue_depth + size > emergency
                 and lane.backlog_at(start) + size > emergency
             )
             if start >= lane.next_decision or spike:
@@ -866,7 +841,7 @@ class FleetSimulator:
             lane.num_batches += 1
             li = lane.index
             t_free[li] = end
-            depth[li] = len(lane._queue)
+            depth[li] = lane.queue_depth
             pending = lane.pending_start()
             if pending < inf:
                 heappush(heap, (pending, li))
@@ -939,14 +914,16 @@ class FleetSimulator:
             if accepted < size:
                 rollback(size - accepted)
                 for lane in lanes:
-                    depth[lane.index] = len(lane._queue)
+                    depth[lane.index] = lane.queue_depth
                 cap = accepted + (accepted >> 1) + 1
             elif size == cap and cap < chunk:
                 cap <<= 1
             for li, pending in touched.items():
                 heappush(heap, (pending, li))
             if recorder is not None:
+                # Routed rows include a truncated tail, routed again later.
                 recorder.count("fleet.blocks")
+                recorder.count("fleet.routed", size)
                 recorder.observe("fleet.block_size", accepted)
 
             i += accepted

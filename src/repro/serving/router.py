@@ -31,16 +31,13 @@ fleet dispatch horizons, over which no lane's queue can drain — it returns
 the lane assignments a per-request router would make, one request at a
 time, against a :class:`BlockLaneState` snapshot that tracks within-block
 queue growth.  Round-robin is arithmetic modulo cycling; least-backlog
-re-evaluates the drain estimate per request off the snapshot lists (the
-estimate changes with every admitted push); difficulty-aware screens the
-whole block against a conservative wait bound and, when no request can
-possibly spill, assigns the precomputed capacity bands in one
-`searchsorted` — falling back to per-request stepping only when a spill is
-actually reachable.  Admission (queue-depth cap + critical bypass) is
-folded into the same pass because later routing decisions depend on which
-earlier requests were actually admitted.  The per-request decision rule
-itself lives on as the executable spec ``route`` in
-``tests/spec/fleet.py``.
+and difficulty-aware step through the block one request at a time off the
+snapshot lists (the wait estimate changes with every admitted push), the
+latter looking each request up in difficulty bands built once per router.
+Admission (queue-depth cap + critical bypass) is folded into the same pass
+because later routing decisions depend on which earlier requests were
+actually admitted.  The per-request decision rule itself lives on as the
+executable spec ``route`` in ``tests/spec/fleet.py``.
 
 Everything is deterministic: ties break on lane index.
 """
@@ -48,19 +45,12 @@ Everything is deterministic: ties break on lane index.
 from __future__ import annotations
 
 from bisect import bisect_right
-from dataclasses import dataclass
 from typing import Protocol, Sequence
-
-import numpy as np
 
 from repro.serving.workload import LATENCY_CRITICAL
 
 #: Router names accepted by :func:`make_router` (CLI/bench vocabulary).
 ROUTER_NAMES = ("round_robin", "least_backlog", "difficulty_aware")
-
-#: Block size above which the banded kernel switches from a bisect loop to
-#: one vectorized ``np.searchsorted`` (small blocks are cheaper in Python).
-_VECTOR_BLOCK = 32
 
 
 class LaneState(Protocol):
@@ -81,12 +71,13 @@ class LaneState(Protocol):
 class BlockLaneState:
     """Mutable per-lane snapshot the block kernels route against.
 
-    One instance lives for a whole fleet run: ``t_free`` and ``depth`` are
-    the live per-lane device-free times and queue depths (the owning
-    simulator keeps them in sync with dispatches), ``capacity`` the per-lane
-    reference capacity in requests/second.  The wait estimate the kernels
-    compute off these lists — ``max(t_free - now, 0) + depth / capacity`` —
-    is float-for-float :meth:`LaneState.estimated_wait_s`.
+    One instance lives for a whole fleet run, built from the lanes the
+    router was built with: ``t_free`` and ``depth`` are the live per-lane
+    device-free times and queue depths (the owning simulator keeps them in
+    sync with dispatches and steals), ``capacity`` the per-lane reference
+    capacity in requests/second.  The wait estimate the kernels compute off
+    these lists — ``max(t_free - now, 0) + depth / capacity`` — is
+    float-for-float :meth:`LaneState.estimated_wait_s`.
 
     Admission folds into routing because queue-depth admission over a
     no-dispatch stretch is a *prefix* rule: within a block the queue only
@@ -98,7 +89,7 @@ class BlockLaneState:
     :meth:`begin_block` arms the per-block position counters.
     """
 
-    __slots__ = ("lanes", "t_free", "depth", "capacity", "max_queue",
+    __slots__ = ("t_free", "depth", "capacity", "max_queue",
                  "critical_bypass", "space", "positions")
 
     def __init__(
@@ -107,7 +98,6 @@ class BlockLaneState:
         max_queue: int | None = None,
         critical_bypass: bool = True,
     ):
-        self.lanes = lanes
         self.t_free = [lane.t_free for lane in lanes]
         self.depth = [lane.queue_depth for lane in lanes]
         self.capacity = [lane.reference_capacity_rps for lane in lanes]
@@ -138,33 +128,18 @@ class BlockLaneState:
         """
         depth = self.depth
         if self.max_queue is None:
-            if len(lane_indices) >= _VECTOR_BLOCK:
-                counts = np.bincount(
-                    np.asarray(lane_indices, dtype=np.int64), minlength=len(depth)
-                ).tolist()
-                for l in range(len(depth)):
-                    depth[l] += counts[l]
-            else:
-                for l in lane_indices:
-                    depth[l] += 1
+            for l in lane_indices:
+                depth[l] += 1
             return [True] * len(lane_indices)
         space = self.space
         positions = self.positions
+        check_crit = self.critical_bypass and slo_class is not None
         out = []
         append = out.append
-        if slo_class is None or not self.critical_bypass:
-            for l in lane_indices:
-                p = positions[l]
-                positions[l] = p + 1
-                ok = p < space[l]
-                if ok:
-                    depth[l] += 1
-                append(ok)
-            return out
-        for l, cls in zip(lane_indices, slo_class):
+        for m, l in enumerate(lane_indices):
             p = positions[l]
             positions[l] = p + 1
-            ok = p < space[l] or cls == LATENCY_CRITICAL
+            ok = p < space[l] or (check_crit and slo_class[m] == LATENCY_CRITICAL)
             if ok:
                 depth[l] += 1
             append(ok)
@@ -264,15 +239,6 @@ class LeastBacklogRouter(FleetRouter):
         return assignments, admitted
 
 
-@dataclass
-class _Band:
-    """Difficulty band [lo, hi) owned by one lane."""
-
-    lane_index: int
-    lo: float
-    hi: float
-
-
 class DifficultyAwareRouter(FleetRouter):
     """Difficulty-banded assignment with a class-aware SLO spill guard.
 
@@ -284,11 +250,10 @@ class DifficultyAwareRouter(FleetRouter):
     half that threshold, so they leave a backlogged band before best-effort
     traffic does.
 
-    Bands are cached per fleet composition: building them sorts the lanes
-    by capacity (and reads the — potentially expensive — capacity figures),
-    so a routed block only ever pays a cache check before its band lookups.
-    The cache invalidates when the lane set changes (identity-checked, so a
-    router can be handed a different fleet and rebuild exactly once).
+    The bands are built once, here, from the lanes the router serves:
+    building them sorts the lanes by capacity (and reads the — potentially
+    expensive — capacity figures), so a routed request only pays a bisect
+    over the band lower edges.
     """
 
     name = "difficulty_aware"
@@ -298,139 +263,42 @@ class DifficultyAwareRouter(FleetRouter):
             raise ValueError("difficulty-aware router needs at least one lane")
         self.slo_s = slo_s
         self.spill_fraction = spill_fraction
-        self._lane_seq: Sequence[LaneState] | None = None
-        self._lane_sig: tuple[int, ...] | None = None
-        self._bands: list[_Band] = []
-        self._edges: list[float] = []
-        self._band_lanes: list[int] = []
-        self._edges_arr: np.ndarray | None = None
-        self._band_lanes_arr: np.ndarray | None = None
-        self._screen_backoff = 0
-        self._build_bands(lanes)
-
-    def _build_bands(self, lanes: Sequence[LaneState]) -> None:
         ordered = sorted(
             lanes, key=lambda lane: (lane.reference_capacity_rps, lane.index)
         )
-        total = sum(lane.reference_capacity_rps for lane in ordered)
-        self._bands = []
+        capacities = [lane.reference_capacity_rps for lane in ordered]
+        total = sum(capacities)
+        # Band lower edges and the lane owning each band; a difficulty at or
+        # past the last edge (1.0 included) lands in the last band.
+        self._edges: list[float] = []
+        self._band_lanes = [lane.index for lane in ordered]
         lo = 0.0
-        for lane in ordered:
-            share = lane.reference_capacity_rps / total if total > 0 else 1.0 / len(ordered)
-            self._bands.append(_Band(lane.index, lo, lo + share))
-            lo += share
-        self._bands[-1].hi = 1.0 + 1e-9  # difficulty == 1.0 lands in the last band
-        self._edges = [band.lo for band in self._bands]
-        self._band_lanes = [band.lane_index for band in self._bands]
-        self._edges_arr = np.asarray(self._edges)
-        self._band_lanes_arr = np.asarray(self._band_lanes, dtype=np.int64)
-        self._lane_seq = lanes
-        self._lane_sig = tuple(id(lane) for lane in lanes)
-
-    def _ensure_bands(self, lanes: Sequence[LaneState]) -> None:
-        """Revalidate the band cache against ``lanes`` (O(1) steady-state).
-
-        The common case — the same lane sequence object every call — is an
-        identity check.  A different sequence triggers a membership-identity
-        comparison and rebuilds only when the lane set actually changed.
-        """
-        if lanes is self._lane_seq:
-            return
-        sig = tuple(id(lane) for lane in lanes)
-        if sig != self._lane_sig:
-            self._build_bands(lanes)
-        else:
-            self._lane_seq = lanes
+        for capacity in capacities:
+            self._edges.append(lo)
+            lo += capacity / total if total > 0 else 1.0 / len(ordered)
 
     def banded_lane(self, difficulty: float) -> int:
         """The lane whose band contains ``difficulty`` (no spill logic)."""
-        # bisect over the band lower edges == the linear [lo, hi) scan,
-        # including the "past the last band" fallback.
-        slot = bisect_right(self._edges, difficulty) - 1
-        if slot < 0:
-            slot = len(self._band_lanes) - 1  # difficulty below 0: old fallback
-        return self._band_lanes[slot]
+        # Index -1 (difficulty below 0) falls back to the last band.
+        return self._band_lanes[bisect_right(self._edges, difficulty) - 1]
 
     def route_block(self, difficulty, slo_class, arrival, state):
-        self._ensure_bands(state.lanes)
+        edges = self._edges
+        band_lanes = self._band_lanes
         t_free = state.t_free
         depth = state.depth
         capacity = state.capacity
         num = len(depth)
-        size = len(arrival)
         threshold_be = self.spill_fraction * self.slo_s
-        has_critical = slo_class is not None and LATENCY_CRITICAL in slo_class
-        # The tightest spill threshold any request in this block could use.
-        min_threshold = threshold_be * 0.5 if has_critical else threshold_be
-
-        # Conservative no-spill screen: within the block a lane's wait is at
-        # most its residual at the block head plus its fully-grown queue, so
-        # if every lane's bound clears the tightest threshold, no request
-        # can spill and the whole block is a pure band lookup.  Under
-        # sustained backlog the screen fails every block, so a miss backs it
-        # off (the screen is an upper-bound shortcut either way — skipping
-        # it never changes the routing, only the cost of deciding it).
-        if self._screen_backoff > 0:
-            self._screen_backoff -= 1
-            spill_free = False
-        else:
-            first = arrival[0]
-            spill_free = True
-            for l in range(num):
-                r = t_free[l] - first
-                bound = (r if r > 0.0 else 0.0) + (depth[l] + size) / capacity[l]
-                if bound > min_threshold:
-                    spill_free = False
-                    self._screen_backoff = 32
-                    break
-        if spill_free:
-            edges = self._edges
-            band_lanes = self._band_lanes
-            if size >= _VECTOR_BLOCK:
-                slots = np.searchsorted(
-                    self._edges_arr, np.asarray(difficulty), side="right"
-                ) - 1
-                # Negative slot (difficulty below every edge) falls back to
-                # the last band, matching :meth:`banded_lane`.
-                assignments = self._band_lanes_arr[slots].tolist()
-            else:
-                assignments = [
-                    band_lanes[bisect_right(edges, d) - 1] for d in difficulty
-                ]
-            return assignments, state.admit(assignments, slo_class)
-
-        # Spill reachable: per-request stepping.
-        edges = self._edges
-        band_lanes = self._band_lanes
+        has_critical = slo_class is not None
         bounded = state.max_queue is not None
         space = state.space
         positions = state.positions
         bypass = state.critical_bypass
-        assignments = []
-        admitted = []
+        assignments: list[int] = []
+        admitted: list[bool] = []
         asg_append = assignments.append
         adm_append = admitted.append
-        if not has_critical and not bounded:
-            # Hot path: one threshold, everything admitted.
-            for m, now in enumerate(arrival):
-                chosen = band_lanes[bisect_right(edges, difficulty[m]) - 1]
-                r = t_free[chosen] - now
-                w = (r if r > 0.0 else 0.0) + depth[chosen] / capacity[chosen]
-                if w > threshold_be:
-                    r = t_free[0] - now
-                    best_w = (r if r > 0.0 else 0.0) + depth[0] / capacity[0]
-                    best = 0
-                    for l in range(1, num):
-                        r = t_free[l] - now
-                        w = (r if r > 0.0 else 0.0) + depth[l] / capacity[l]
-                        if w < best_w:
-                            best_w = w
-                            best = l
-                    chosen = best
-                asg_append(chosen)
-                depth[chosen] += 1
-                adm_append(True)
-            return assignments, admitted
         for m, now in enumerate(arrival):
             chosen = band_lanes[bisect_right(edges, difficulty[m]) - 1]
             critical = has_critical and slo_class[m] == LATENCY_CRITICAL
@@ -438,6 +306,7 @@ class DifficultyAwareRouter(FleetRouter):
             r = t_free[chosen] - now
             w = (r if r > 0.0 else 0.0) + depth[chosen] / capacity[chosen]
             if w > threshold:
+                # Spill: argmin of (wait, lane index), as in least-backlog.
                 r = t_free[0] - now
                 best_w = (r if r > 0.0 else 0.0) + depth[0] / capacity[0]
                 best = 0

@@ -122,11 +122,6 @@ class _CompiledConfig:
     __slots__ = (
         "decisions",
         "correct",
-        "_busy",
-        "_over",
-        "_passive",
-        "_unit",
-        "_sid",
         "_switch_cost_j",
         "_dec_req",
         "_busy_l",
@@ -154,12 +149,12 @@ class _CompiledConfig:
             undecided &= ~takes
         self.decisions = decisions
         self.correct = cstream.head_correct[decisions, np.arange(n)]
-        self._busy = np.asarray([p.busy_s for p in profiles])
-        self._over = np.asarray([p.overhead_s for p in profiles])
-        self._passive = np.asarray([p.passive_power_w for p in profiles])
-        self._unit = np.asarray(
-            [p.dynamic_energy_j + p.passive_power_w * p.busy_s for p in profiles]
-        )
+        self._busy_l = [float(p.busy_s) for p in profiles]
+        self._over_l = [float(p.overhead_s) for p in profiles]
+        self._passive_l = [float(p.passive_power_w) for p in profiles]
+        self._unit_l = [
+            float(p.dynamic_energy_j + p.passive_power_w * p.busy_s) for p in profiles
+        ]
         # DVFS settings collapsed to equality-class ids so intra-batch
         # transitions are an integer comparison instead of dataclass !=.
         governor = config.dvfs_governor(switch_cost_j)
@@ -174,14 +169,9 @@ class _CompiledConfig:
             else:
                 sid.append(len(seen))
                 seen.append(setting)
-        self._sid = np.asarray(sid, dtype=np.int64)
+        self._sid_l = sid
         self._switch_cost_j = switch_cost_j
         self._dec_req = decisions.tolist()
-        self._busy_l = self._busy.tolist()
-        self._over_l = self._over.tolist()
-        self._passive_l = self._passive.tolist()
-        self._unit_l = self._unit.tolist()
-        self._sid_l = self._sid.tolist()
         self._lat_one = [b + o for b, o in zip(self._busy_l, self._over_l)]
         self._energy_one = [
             u + p * o for u, p, o in zip(self._unit_l, self._passive_l, self._over_l)

@@ -52,7 +52,6 @@ def route(router: FleetRouter, difficulty: float, slo_class: int, now_s: float, 
     if isinstance(router, LeastBacklogRouter):
         return _least_wait(lanes, now_s)
     if isinstance(router, DifficultyAwareRouter):
-        router._ensure_bands(lanes)
         chosen = router.banded_lane(difficulty)
         threshold = router.spill_fraction * router.slo_s
         if slo_class == LATENCY_CRITICAL:
@@ -68,15 +67,18 @@ def pending_start_s(lane: DeviceLane) -> float | None:
     """Dispatch instant of the lane's next batch, were it formed now.
 
     Full-batch fill or head-of-line timeout, whichever comes first, floored
-    by the device-free time; ``None`` when the queue is empty.
+    by the device-free time; ``None`` when the queue (the arrival book past
+    the dispatched prefix) is empty.
     """
-    if not lane._queue:
+    times = lane._admitted_times
+    head = lane._popped
+    if head == len(times):
         return None
     policy = lane.stack.batch_policy
-    arrivals = lane._queue_arrivals
-    expiry = arrivals[0] + policy.timeout_s
-    if len(arrivals) >= policy.max_batch and arrivals[policy.max_batch - 1] <= expiry:
-        trigger = arrivals[policy.max_batch - 1]
+    expiry = times[head] + policy.timeout_s
+    last = head + policy.max_batch - 1
+    if last < len(times) and times[last] <= expiry:
+        trigger = times[last]
     else:
         trigger = expiry
     return max(lane.t_free, trigger)
@@ -94,21 +96,18 @@ def next_ready_batch(lane: DeviceLane, until_s: float) -> tuple[float, list[int]
     if start is None or start >= until_s:
         return None
     policy = lane.stack.batch_policy
-    size = 0
-    for arrival in lane._queue_arrivals:
-        if size >= policy.max_batch or arrival > start:
-            break
-        size += 1
-    batch = [lane._queue.popleft() for _ in range(size)]
+    times = lane._admitted_times
+    head = end = lane._popped
+    while end < len(times) and end - head < policy.max_batch and times[end] <= start:
+        end += 1
     crit_times = lane._crit_times
     crit_popped = lane._crit_popped
-    for _ in range(size):
-        arrival = lane._queue_arrivals.popleft()
-        if crit_popped < len(crit_times) and crit_times[crit_popped] <= arrival:
+    for k in range(head, end):
+        if crit_popped < len(crit_times) and crit_times[crit_popped] <= times[k]:
             crit_popped += 1
-    lane._popped += size
+    lane._popped = end
     lane._crit_popped = crit_popped
-    return start, batch
+    return start, lane.request_indices[head:end]
 
 
 # --------------------------------------------------------------------- loop

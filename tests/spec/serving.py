@@ -128,16 +128,16 @@ def price(compiled, decisions: np.ndarray) -> tuple[float, float, float]:
     ``compiled`` is a :class:`~repro.serving.simulator._CompiledConfig` and
     ``decisions`` the batch's exit decisions, gathered from its tables.
     """
-    busy_sum = sum(compiled._busy[decisions].tolist())
-    over = compiled._over[decisions]
+    busy_sum = sum(np.asarray(compiled._busy_l)[decisions].tolist())
+    over = np.asarray(compiled._over_l)[decisions]
     longest = int(np.argmax(over))  # first occurrence, like max(key=...)
     latency = busy_sum + float(over[longest])
-    energy = sum(compiled._unit[decisions].tolist()) + float(
-        compiled._passive[decisions[longest]] * over[longest]
+    energy = sum(np.asarray(compiled._unit_l)[decisions].tolist()) + float(
+        np.asarray(compiled._passive_l)[decisions[longest]] * over[longest]
     )
     switch = 0.0
     if compiled._switch_cost_j and len(decisions) >= 2:
-        sids = compiled._sid[decisions]
+        sids = np.asarray(compiled._sid_l)[decisions]
         transitions = int(np.count_nonzero(sids[1:] != sids[:-1]))
         switch = transitions * compiled._switch_cost_j
     return latency, energy + switch, switch

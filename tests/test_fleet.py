@@ -31,6 +31,7 @@ from repro.serving.fleet import (
 )
 from repro.serving.harness import ServingSpec, build_serving_stack, run_serving_cell
 from repro.serving.router import (
+    BlockLaneState,
     DifficultyAwareRouter,
     LeastBacklogRouter,
     RoundRobinRouter,
@@ -101,6 +102,7 @@ class TestRouters:
         lanes = [_FakeLane(0, 30.0, 0.0), _FakeLane(1, 10.0, 0.0)]
         router = DifficultyAwareRouter(lanes, slo_s=0.075)
         assert router.banded_lane(0.01) == 1  # easy -> weak lane (share 0.25)
+        assert router.banded_lane(0.3) == 0  # past the weak lane's share
         assert router.banded_lane(0.9) == 0  # hard -> strong lane
         assert router.banded_lane(1.0) == 0  # boundary difficulty still routed
 
@@ -121,6 +123,12 @@ class TestRouters:
         router = DifficultyAwareRouter(lanes, slo_s=0.075)
         assert spec_fleet.route(router, 0.01, BEST_EFFORT, 0.0, lanes) == 0
         assert spec_fleet.route(router, 0.01, LATENCY_CRITICAL, 0.0, lanes) == 1
+        # The block kernel keeps both thresholds; its wait here is the 0.03 s
+        # of residual busy time.
+        moderately_busy.t_free, idle_strong.t_free = 0.03, 0.0
+        assert router.route_block(
+            [0.01, 0.01], [LATENCY_CRITICAL, BEST_EFFORT], [0.0, 0.0], BlockLaneState(lanes)
+        ) == ([1, 0], [True, True])
 
     def test_make_router_rejects_unknown(self):
         with pytest.raises(ValueError, match="unknown router"):
@@ -248,18 +256,19 @@ class TestDeviceLane:
         assert lane.steal_tail(1, classes) == [5]
         assert lane.steal_tail(10, classes) == [2, 3, 4]  # FIFO, stops at 1
         assert lane.steal_tail(10, classes) == []  # a critical heads the tail
-        assert list(lane._queue) == [1]
-        assert list(lane._queue_arrivals) == [0.1]
+        assert lane.request_indices[lane._popped:] == [1]
         assert lane._admitted_times[lane._popped:] == [0.1]
         assert lane.request_indices == [0, 1]
+        assert lane.queue_depth == 1
         assert lane.stolen_out == 4
         assert lane.backlog_at(1.0) == 1
         assert lane.critical_backlog_at(1.0) == 1
 
         thief = DeviceLane(1, stack, StaticPolicy(stack.static_config))
         thief.receive_stolen([2, 3, 4], now_s=0.6)
-        assert list(thief._queue) == [2, 3, 4]
+        assert thief.request_indices[thief._popped:] == [2, 3, 4]
         assert thief._admitted_times == [0.6] * 3  # re-stamped at the steal
+        assert thief.queue_depth == 3
         assert thief.backlog_at(0.6) == 3
         assert thief.stolen_in == 3
 
@@ -696,9 +705,9 @@ class TestEngineIdentity:
 # ------------------------------------------------------------ band caching
 class TestBandCache:
     def test_route_does_not_rebuild_bands_per_call(self):
-        """Band edges are cached per fleet composition: steady-state routing
-        calls never re-read lane capacities (the sort key), so there is no
-        per-call sorting."""
+        """Band edges are built once, with the router: routing calls never
+        re-read lane capacities (the sort key), so there is no per-call
+        sorting."""
 
         class _CountingLane:
             def __init__(self, index, capacity):
@@ -718,17 +727,12 @@ class TestBandCache:
 
         lanes = [_CountingLane(0, 10.0), _CountingLane(1, 30.0)]
         router = DifficultyAwareRouter(lanes, slo_s=0.075)
+        state = BlockLaneState(lanes)
         baseline = [lane.capacity_reads for lane in lanes]
         for k in range(64):
             spec_fleet.route(router, k / 64.0, BEST_EFFORT, 0.0, lanes)
+        router.route_block([k / 64.0 for k in range(64)], None, [0.0] * 64, state)
         assert [lane.capacity_reads for lane in lanes] == baseline
-
-    def test_band_cache_rebuilds_on_new_fleet(self):
-        lanes = [_FakeLane(0, 10.0, 0.0), _FakeLane(1, 30.0, 0.0)]
-        router = DifficultyAwareRouter(lanes, slo_s=0.075)
-        assert router.banded_lane(0.9) == 1
-        other = [_FakeLane(0, 30.0, 0.0), _FakeLane(1, 10.0, 0.0)]
-        assert spec_fleet.route(router, 0.9, BEST_EFFORT, 0.0, other) == 0
 
 
 # ------------------------------------------------------------ work stealing

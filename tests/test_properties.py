@@ -321,7 +321,7 @@ class TestBatcherLaws:
 
 
 class TestRouterBlockLaws:
-    """The vectorized route_block kernels reproduce the per-request rule.
+    """The route_block kernels reproduce the per-request rule.
 
     The scalar side steps request-by-request exactly like the reference
     fleet loop (``spec.fleet``): route, then the live queue-depth admission
@@ -329,7 +329,8 @@ class TestRouterBlockLaws:
     routes the whole arrival block through one route_block call against a
     BlockLaneState.  Assignments, admissions, and final depths must agree
     float-for-float — including single-lane fleets, equal-backlog ties,
-    and all-critical blocks.
+    all-critical blocks, and blocks of up to 64 requests on idle lanes fast
+    enough (~2,000 requests/s) that no request can spill.
     """
 
     class _Lane:
@@ -366,7 +367,7 @@ class TestRouterBlockLaws:
             admitted.append(ok)
         return assignments, admitted
 
-    @settings(max_examples=60, deadline=None)
+    @settings(max_examples=200, deadline=None)
     @given(st.data())
     def test_route_block_matches_scalar_loop(self, data):
         from repro.serving.router import BlockLaneState, ROUTER_NAMES, make_router
@@ -374,20 +375,23 @@ class TestRouterBlockLaws:
 
         name = data.draw(st.sampled_from(ROUTER_NAMES))
         num_lanes = data.draw(st.integers(1, 4))
-        caps = data.draw(
-            st.lists(
-                st.sampled_from((5.0, 10.0, 25.0)),
-                min_size=num_lanes,
-                max_size=num_lanes,
-            )
-        )
-        frees = data.draw(
-            st.lists(st.floats(0.0, 0.2), min_size=num_lanes, max_size=num_lanes)
-        )
-        depths = data.draw(
-            st.lists(st.integers(0, 10), min_size=num_lanes, max_size=num_lanes)
-        )
-        size = data.draw(st.integers(1, 16))
+        # A fast lane is idle at the first arrival (depth 0, t_free 0): a
+        # fleet of them bounds every wait under the spill threshold.
+        fleet = data.draw(st.sampled_from(("slow", "fast", "mixed")))
+        fast = [
+            fleet == "fast" or (fleet == "mixed" and data.draw(st.booleans()))
+            for _ in range(num_lanes)
+        ]
+        # 80 and 160 requests/s put single-request waits right at the spill
+        # thresholds (3/80 s and 3/160 s are the best-effort and critical ones).
+        slow_caps = (5.0, 10.0, 25.0, 80.0, 160.0)
+        caps = [
+            data.draw(st.sampled_from((1800.0, 2000.0, 2400.0) if f else slow_caps))
+            for f in fast
+        ]
+        frees = [0.0 if f else data.draw(st.floats(0.0, 0.05)) for f in fast]
+        depths = [0 if f else data.draw(st.integers(0, 10)) for f in fast]
+        size = data.draw(st.one_of(st.integers(1, 16), st.integers(17, 64)))
         gaps = data.draw(st.lists(st.floats(0.0, 0.02), min_size=size, max_size=size))
         arrival = []
         now = 0.0
@@ -397,9 +401,11 @@ class TestRouterBlockLaws:
         difficulty = data.draw(
             st.lists(st.floats(0.0, 1.0), min_size=size, max_size=size)
         )
-        crit = data.draw(st.lists(st.booleans(), min_size=size, max_size=size))
-        if data.draw(st.booleans()):
-            crit = [True] * size  # all-critical block
+        mix = data.draw(st.sampled_from(("best_effort", "mixed", "critical")))
+        crit = [
+            mix == "critical" or (mix == "mixed" and data.draw(st.booleans()))
+            for _ in range(size)
+        ]
         slo_class = [LATENCY_CRITICAL if c else BEST_EFFORT for c in crit]
         max_queue = data.draw(st.one_of(st.none(), st.integers(0, 12)))
         bypass = data.draw(st.booleans())
@@ -444,8 +450,11 @@ def serving_stack():
 class TestLaneBatchLaws:
     """A fleet lane's batch rule agrees with the per-request spec
     (``spec.fleet.pending_start_s`` / ``next_ready_batch``) on random
-    queues, batch policies and device-free times, with pushes and
-    dispatches interleaved."""
+    queues, batch policies and device-free times, with pushes, rejects,
+    dispatches and work steals (``steal_tail`` / ``receive_stolen``)
+    interleaved.  The trailing arrival rate, read at non-decreasing
+    instants as the governor does, matches a count over every routed
+    arrival."""
 
     @settings(max_examples=60, deadline=None)
     @given(st.data())
@@ -455,6 +464,7 @@ class TestLaneBatchLaws:
         from repro.serving.batcher import BatchPolicy
         from repro.serving.fleet import DeviceLane
         from repro.serving.governor import StaticPolicy
+        from repro.serving.workload import BEST_EFFORT, LATENCY_CRITICAL
         from spec.fleet import next_ready_batch, pending_start_s
 
         policy = BatchPolicy(
@@ -465,6 +475,24 @@ class TestLaneBatchLaws:
         lane, spec_lane = (
             DeviceLane(0, stack, StaticPolicy(stack.static_config)) for _ in range(2)
         )
+        classes: list[int] = []
+        routed: list[float] = []
+        window_s = data.draw(st.floats(0.001, 0.03))
+
+        def check(now_s):
+            queue = lane.request_indices[lane._popped:]
+            assert lane.queue_depth == len(queue)
+            assert queue == spec_lane.request_indices[spec_lane._popped:]
+            expected = pending_start_s(spec_lane)
+            assert lane.pending_start() == (float("inf") if expected is None else expected)
+            probe = data.draw(st.floats(0.0, now_s + 0.01))
+            assert lane.backlog_at(probe) == spec_lane.backlog_at(probe)
+            assert lane.critical_backlog_at(probe) == spec_lane.critical_backlog_at(probe)
+            if now_s > 0:
+                start = max(0.0, now_s - window_s)
+                seen = sum(start <= t <= now_s for t in routed)
+                rate = lane.arrival_rate_hz(now_s, window_s, fallback=-1.0)
+                assert rate == seen / max(now_s - start, 1e-9)
 
         def dispatch_once(now_s):
             t_free = data.draw(st.floats(0.0, now_s + 0.02))
@@ -479,20 +507,53 @@ class TestLaneBatchLaws:
             assert (lane._popped, lane._crit_popped) == (
                 spec_lane._popped, spec_lane._crit_popped
             )
-            assert list(lane._queue) == list(spec_lane._queue)
             return True
 
+        def steal(limit):
+            # Best-effort entries off the tail, stopping at the first critical.
+            queue = spec_lane.request_indices[spec_lane._popped:]
+            kept = len(queue)
+            while (
+                kept > 0
+                and len(queue) - kept < limit
+                and classes[queue[kept - 1]] != LATENCY_CRITICAL
+            ):
+                kept -= 1
+            stolen = lane.steal_tail(limit, classes)
+            assert stolen == spec_lane.steal_tail(limit, classes) == queue[kept:]
+
+        def receive(count, now_s):
+            fresh = list(range(len(classes), len(classes) + count))
+            classes.extend([BEST_EFFORT] * count)
+            lane.receive_stolen(fresh, now_s)
+            spec_lane.receive_stolen(fresh, now_s)
+
         now = 0.0
-        size = data.draw(st.integers(0, 24))
-        for index in range(size):
-            now += data.draw(st.floats(0.0, 0.005))
-            critical = data.draw(st.booleans())
-            lane.push(index, now, critical)
-            spec_lane.push(index, now, critical)
-            if data.draw(st.booleans()):
+        steps = ("push", "push", "reject", "dispatch", "steal", "receive")
+        for _ in range(data.draw(st.integers(0, 32))):
+            step = data.draw(st.sampled_from(steps))
+            if step in ("push", "reject"):
+                # Zero gaps are frequent: tied arrivals across a batch cut
+                # are where the critical pop counter can go wrong.
+                now += data.draw(st.one_of(st.just(0.0), st.floats(0.0, 0.005)))
+                routed.append(now)
+            if step == "push":
+                critical = data.draw(st.booleans())
+                classes.append(LATENCY_CRITICAL if critical else BEST_EFFORT)
+                lane.push(len(classes) - 1, now, critical)
+                spec_lane.push(len(classes) - 1, now, critical)
+            elif step == "reject":
+                lane.reject(now)
+                spec_lane.reject(now)
+            elif step == "dispatch":
                 dispatch_once(now)
+            elif step == "steal":
+                steal(data.draw(st.integers(0, 4)))
+            else:
+                receive(data.draw(st.integers(1, 3)), now)
+            check(now)
         while dispatch_once(now):
-            pass
+            check(now)
 
 
 class TestPricingLaws:
