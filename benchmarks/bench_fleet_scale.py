@@ -18,7 +18,7 @@ so the speedup contract compares the indexed loop's largest run against
 the reference loop's largest feasible run.
 
 Fleet rows sweep the same axis: every fleet × scale cell runs the
-block-routed ``FleetSimulator`` (``indexed``), the per-request loop of
+heap-drained ``FleetSimulator`` (``indexed``), the lane-scanning loop of
 ``tests/spec/fleet.py`` (``ReferenceFleetSimulator``, ``reference``) up to
 ``--reference-cap``, and one work-stealing variant at the largest scale
 (``indexed+steal``; measured, but outside the identity contract by
@@ -30,17 +30,17 @@ Contracts (asserted):
   × the reference engine's largest feasible run (10× full, 3× smoke);
 - fleet: indexed req/s at the largest fleet scale ≥ ``--fleet-floor`` ×
   the reference fleet loop's largest feasible run (1.25× full, 1.1×
-  smoke — block routing is bit-identical, so the floor is honest wall
-  clock, not a vector-vs-Python cliff; measured ≈1.5× at 10⁶);
+  smoke — both loops route one arrival at a time and are bit-identical,
+  so the floor is honest wall clock, not a vector-vs-Python cliff);
 - identity: both loops produce full-field-equal ``FleetReport``s on a
   shared probe cell;
 - memory: peak RSS over the whole grid stays under ``--rss-ceiling``
   (no full-trace ``tolist`` materialization).
 
 Both loops serve every request they are offered.  The JSON payload
-embeds a ``fleet.*`` counter rollup (blocks, block-size histogram,
-steals) from a separate observed run, so the dispatch shape ships with
-the numbers.
+embeds a ``fleet.*`` counter rollup (routed arrivals, batch-size
+histogram, steals) from a separate observed run, so the dispatch shape
+ships with the numbers.
 
 Run directly::
 
@@ -212,8 +212,8 @@ def fleet_counter_rollup(
     """One observed indexed run (with stealing armed) under a live recorder.
 
     Separate from the timed rows so recorder overhead never lands in the
-    throughput contract; surfaces ``fleet.blocks``, ``fleet.routed``, the
-    ``fleet.block_size`` histogram and ``fleet.steals`` next to the numbers,
+    throughput contract; surfaces ``fleet.routed`` (one per arrival), the
+    ``fleet.batch_size`` histogram and ``fleet.steals`` next to the numbers,
     bench_dynamic_eval style.
     """
     # round_robin + bursty load is the configuration where stealing earns its

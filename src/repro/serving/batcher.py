@@ -70,29 +70,6 @@ class AdmissionPolicy:
             )
 
 
-def admit_prefix(
-    position: np.ndarray, critical: np.ndarray, space: int, critical_bypass: bool
-) -> np.ndarray:
-    """Closed form of the per-arrival queue-depth cap over a no-dispatch stretch.
-
-    Between two dispatches the queue only grows, so evaluating the cap at
-    each arrival instant collapses to a prefix rule: an arrival is admitted
-    iff its position among the stretch's arrivals is below the ``space``
-    the queue had when the stretch began, or it is latency-critical under
-    ``critical_bypass``.  (Criticals admitted past the cap still occupy
-    queue space, but any later best-effort arrival then sits at a position
-    ≥ ``space`` anyway, so the two formulations decide identically.)
-
-    Shared by :class:`ArrayBatcher` (one queue, arrivals gated in cutoff
-    order) and the fleet's block admission (per-lane positions within one
-    routed arrival block).
-    """
-    admit = position < space
-    if critical_bypass:
-        admit = admit | critical
-    return admit
-
-
 class ArrayBatcher:
     """Index-arithmetic micro-batcher over a trace's arrival array.
 
@@ -184,10 +161,8 @@ class ArrayBatcher:
         Only valid in span mode.  The two-trigger policy collapses to index
         arithmetic over the sorted arrival array: the trigger is
         ``min(times[head] + timeout_s, times[head + max_batch - 1])``
-        floored by the device-free time (the rule
-        :meth:`~repro.serving.fleet.DeviceLane.pending_start` states for a
-        fleet lane), and the batch is every arrival by then, at most
-        ``max_batch`` of them.
+        floored by the device-free time, and the batch is every arrival by
+        then, at most ``max_batch`` of them.
         """
         head = self._head
         if head >= self._n:
@@ -239,9 +214,9 @@ class ArrayBatcher:
             admit = np.ones(len(new), dtype=bool)
         else:
             space = admission.max_queue - len(self._crit) - len(self._be)
-            admit = admit_prefix(
-                np.arange(len(new)), critical, space, admission.critical_bypass
-            )
+            admit = np.arange(len(new)) < space
+            if admission.critical_bypass:
+                admit |= critical
         for index, crit, ok in zip(new.tolist(), critical.tolist(), admit.tolist()):
             if ok:
                 (self._crit if crit else self._be).append(index)

@@ -22,14 +22,15 @@ re-routing, which the router spill guard already does at arrival time).
 Dropped requests never complete (NaN completion); latency statistics cover
 served requests only.
 
-Dispatch is deterministic: requests are routed in arrival order, and a
-lane only forms a batch once no future arrival could still join it (the
-same two-trigger + opportunistic-fill semantics as the single-device
-batcher, re-derived for a queue that grows one routed request at a time:
-:meth:`DeviceLane.pending_start` and :meth:`DeviceLane.pop_batch`).
-Routing runs in blocks between dispatch horizons; the original
-per-request loop lives on as the executable spec in
-``tests/spec/fleet.py``, and both start from :meth:`FleetSimulator._setup`.
+Dispatch is deterministic: requests are routed one at a time in arrival
+order, and a lane only forms a batch once no future arrival could still
+join it (the same two-trigger + opportunistic-fill semantics as the
+single-device batcher, re-derived for a queue that grows one routed
+request at a time: :meth:`DeviceLane.pending_start` and
+:meth:`DeviceLane.pop_batch`).  The loop finds due batches through a heap
+of pending starts instead of scanning the lanes; the scanning loop lives
+on as the executable spec in ``tests/spec/fleet.py``, and both start from
+:meth:`FleetSimulator._setup`.
 
 :func:`run_fleet_cell` is the pure cell function; :func:`fleet_sweep` fans
 grids through the :class:`~repro.engine.service.EvaluationService` with
@@ -275,13 +276,13 @@ class DeviceLane:
     compiled-config caches and the meters.
 
     The queue is not a container of its own.  Every admitted request is
-    appended to two parallel books, ``request_indices`` and
+    appended to three parallel books, ``request_indices``,
     ``_admitted_times`` (sorted: requests route in arrival order, and
-    migrations are re-stamped at the current instant), and dispatch only
-    advances the ``_popped`` prefix counter — so the queue is the
-    undispatched suffix ``[_popped:]`` of those books, :meth:`backlog_at`
-    is a bisect over it, and the books double as the lane's served-request
-    meter.
+    migrations are re-stamped at the current instant) and ``_critical``
+    (its class flag), and dispatch only advances the ``_popped`` prefix
+    counter — so the queue is the undispatched suffix ``[_popped:]`` of
+    those books, :meth:`backlog_at` is a bisect over it, and the books
+    double as the lane's served-request meter.
 
     The simulator works the queue through four methods: :meth:`push` admits
     a request, :meth:`reject` records an admission drop (which still counts
@@ -306,9 +307,8 @@ class DeviceLane:
         # Append-only books; the queue is their suffix past ``_popped``.
         self.request_indices: list[int] = []  # admitted request indices
         self._admitted_times: list[float] = []  # their arrival instants
-        self._crit_times: list[float] = []  # admitted latency-critical arrivals
-        self._popped = 0  # dispatched prefix of request_indices/_admitted_times
-        self._crit_popped = 0  # dispatched prefix of _crit_times
+        self._critical = bytearray()  # their latency-critical flags (0/1)
+        self._popped = 0  # dispatched prefix of the three books
         self._routed_times: list[float] = []  # every routed arrival (rate window)
         self._rate_cursor = 0  # left bisect bound for the trailing rate window
         # Device clocks.
@@ -349,14 +349,21 @@ class DeviceLane:
         return residual + self.queue_depth / self.reference_capacity_rps
 
     # ------------------------------------------------------------- the queue
-    def push(self, index: int, arrival_s: float, critical: bool) -> None:
-        """Admit request ``index`` onto the queue."""
+    def push(self, index: int, arrival_s: float, critical: bool) -> bool:
+        """Admit request ``index`` onto the queue.
+
+        Returns True for a *trigger push*, one whose entry becomes the
+        queue's first or its ``max_batch``-th: :meth:`pending_start` reads
+        only those two entries, so no other push can move it.
+        """
+        position = len(self.request_indices) - self._popped
         self.request_indices.append(index)
         self._admitted_times.append(arrival_s)
+        self._critical.append(1 if critical else 0)
         self._routed_times.append(arrival_s)
         if critical:
-            self._crit_times.append(arrival_s)
             self.critical_requests += 1
+        return position == 0 or position == self.max_batch - 1
 
     def reject(self, arrival_s: float) -> None:
         """Record an admission drop at the lane's door."""
@@ -388,20 +395,12 @@ class DeviceLane:
 
         Pops the arrival-ordered prefix that has arrived by ``start_s``, at
         most ``max_batch`` long (the opportunistic fill while the device
-        was busy), and advances the dispatched-prefix counters.
+        was busy), and advances the dispatched-prefix counter.
         """
         times = self._admitted_times
         head = self._popped
         cap = head + self.max_batch
         end = bisect_right(times, start_s, head, cap if cap < len(times) else len(times))
-        crit_times = self._crit_times
-        if crit_times:
-            # Per entry, not a bisect over _crit_times: arrivals can tie.
-            crit_popped = self._crit_popped
-            for k in range(head, end):
-                if crit_popped < len(crit_times) and crit_times[crit_popped] <= times[k]:
-                    crit_popped += 1
-            self._crit_popped = crit_popped
         self._popped = end
         return self.request_indices[head:end]
 
@@ -422,10 +421,9 @@ class DeviceLane:
 
     def critical_backlog_at(self, now_s: float) -> int:
         """Latency-critical share of :meth:`backlog_at`."""
-        if not self._crit_times:
-            return 0
-        popped = self._crit_popped
-        return max(bisect_right(self._crit_times, now_s, popped) - popped, 0)
+        popped = self._popped
+        arrived = bisect_right(self._admitted_times, now_s, popped)
+        return self._critical.count(1, popped, arrived)
 
     def arrival_rate_hz(self, now_s: float, window_s: float, fallback: float) -> float:
         """Routed arrivals/second (admitted or dropped) over the trailing window."""
@@ -448,12 +446,11 @@ class DeviceLane:
     def steal_tail(self, limit: int, slo_class) -> list[int]:
         """Pop up to ``limit`` best-effort requests off the queue tail.
 
-        The queue is the undispatched suffix of ``request_indices`` and
-        ``_admitted_times``, so tail pops keep both books aligned and
-        sorted and leave the dispatched-prefix counters untouched.  Stops at
-        the first latency-critical entry from the tail — criticals stay
-        where admission placed them.  Returns the stolen request indices in
-        their original FIFO order.
+        The queue is the undispatched suffix of the books, so tail pops
+        keep them aligned and sorted and leave the dispatched-prefix
+        counter untouched.  Stops at the first latency-critical entry from
+        the tail — criticals stay where admission placed them.  Returns the
+        stolen request indices in their original FIFO order.
         """
         stolen: list[int] = []
         indices = self.request_indices
@@ -464,6 +461,7 @@ class DeviceLane:
                 break
             indices.pop()
             times.pop()
+            self._critical.pop()
             stolen.append(index)
         stolen.reverse()
         self.stolen_out += len(stolen)
@@ -479,6 +477,7 @@ class DeviceLane:
         """
         self.request_indices.extend(indices)
         self._admitted_times.extend([now_s] * len(indices))
+        self._critical.extend(bytes(len(indices)))
         self.stolen_in += len(indices)
 
     # ---------------------------------------------------------- config state
@@ -489,12 +488,10 @@ class DeviceLane:
             )
         return self._profiles[config.name]
 
-    def compiled_of(
-        self, config: RuntimeConfig, cstream: CompiledStream, switch_cost_j: float
-    ) -> _CompiledConfig:
+    def compiled_of(self, config: RuntimeConfig, cstream: CompiledStream) -> _CompiledConfig:
         if config.name not in self._compiled:
             self._compiled[config.name] = _CompiledConfig(
-                config, self.profiles_of(config), cstream, switch_cost_j
+                config, self.profiles_of(config), cstream, 0.0
             )
         return self._compiled[config.name]
 
@@ -543,19 +540,13 @@ def build_fleet_trace_and_stream(
 class FleetSimulator:
     """Replays one trace through a router onto N heterogeneous lanes."""
 
-    def __init__(
-        self,
-        spec: FleetSpec,
-        stacks: list[ServingStack],
-        switch_cost_j: float = 0.0,
-        emergency_backlog_batches: float = 2.0,
-    ):
+    def __init__(self, spec: FleetSpec, stacks: list[ServingStack]):
         self.spec = spec
         self.scenario: Scenario = get_scenario(spec.scenario)
         self.slo_s = spec.slo_ms / 1e3
         self.window_s = spec.window_ms / 1e3
-        self.switch_cost_j = switch_cost_j
-        self.emergency_backlog = emergency_backlog_batches * spec.max_batch
+        # A governor re-decides early once two full batches are backlogged.
+        self.emergency_backlog = 2.0 * spec.max_batch
         self.admission = spec.admission_policy()
         self.lanes = [
             DeviceLane(i, stack, self._policy_for(stack)) for i, stack in enumerate(stacks)
@@ -639,8 +630,8 @@ class FleetSimulator:
 
         Returns the router, the compiled stream and the fleet battery
         budget, after giving every lane its thermal state and its t=0
-        governor decision.  The block-routed loop and its executable spec
-        both start here.
+        governor decision.  The fleet loop and its executable spec both
+        start here.
         """
         n = trace.num_requests
         if stream.final_logits.shape[0] != n:
@@ -687,28 +678,19 @@ class FleetSimulator:
         cstream: CompiledStream,
         battery_budget: float | None,
     ) -> FleetReport:
-        """Block-routed fleet loop: the per-request loop's reports, one block
-        at a time.
+        """Fleet loop: route each arrival once, then dispatch what is due.
 
-        Between two fleet dispatch horizons no lane's queue drains, so
-        every routing decision in that window sees lane state that only
-        changes through the block's own pushes — which is exactly what the
-        router block kernels model.  The loop therefore:
-
-        * takes the next **arrival block** — all arrivals up to the
-          earliest pending batch start (the horizon) — and routes it in one
-          :meth:`~repro.serving.router.FleetRouter.route_block` call;
-        * pushes the routed block onto the lanes while watching for a
-          **mid-block violation**: a push that moves its lane's
-          :meth:`DeviceLane.pending_start` before a later in-block arrival
-          (only a push can do that — old pendings sit at or past the
-          horizon).  The block truncates at the violating arrival, the
-          tail is re-routed after the dispatch it conflicted with, and the
-          per-request dispatch order is preserved exactly;
-        * drains through a **lazy min-heap** of (pending start, lane)
-          entries instead of scanning every lane per request: every pending
-          change pushes an entry, and an entry that no longer matches its
-          lane's pending start is stale and skipped.
+        For each arrival, in trace order, the loop routes it (a one-arrival
+        :meth:`~repro.serving.router.FleetRouter.route_block` call, which
+        also applies admission), pushes it onto its lane or records the
+        drop, and then dispatches every batch that starts before the next
+        arrival.  That is the executable spec's loop, with a **lazy
+        min-heap** of (pending start, lane) entries in place of its scan
+        over the lanes: every change of a pending start pushes an entry — a
+        trigger push (see :meth:`DeviceLane.push`), a dispatch or a steal —
+        and an entry that no longer matches its lane's pending start is
+        stale and skipped.  The heap's tuple order (ascending start, ties
+        on lane index) is the spec's dispatch order.
 
         A dispatch pops its batch with :meth:`DeviceLane.pop_batch`, prices
         it through
@@ -734,10 +716,7 @@ class FleetSimulator:
         # dispatches and steals keep them in step with the lanes.
         t_free = state.t_free
         depth = state.depth
-        bounded = admission is not None
         route_block = router.route_block
-        rollback = router.rollback
-        begin_block = state.begin_block
 
         times_np = trace.arrival_s
         difficulty_np = trace.difficulty
@@ -748,7 +727,6 @@ class FleetSimulator:
         observe = self._observe
         window_s = self.window_s
         emergency = self.emergency_backlog
-        switch_cost = self.switch_cost_j
         steal_on = self.spec.steal
         battery_spent = 0.0
         battery_exhausted = False
@@ -814,7 +792,7 @@ class FleetSimulator:
             usage[active.name] = usage.get(active.name, 0) + 1
             if active is not lane._last_active:
                 lane._last_active = active
-                lane._last_compiled = lane.compiled_of(active, cstream, switch_cost)
+                lane._last_compiled = lane.compiled_of(active, cstream)
             compiled = lane._last_compiled
             latency, energy, switch = compiled.price_indices(batch, lane.exit_counts)
 
@@ -846,104 +824,37 @@ class FleetSimulator:
             if pending < inf:
                 heappush(heap, (pending, li))
 
-        # Speculative block cap.  Routing past a mid-block violation is wasted
-        # work that gets rolled back, so the cap tracks the accepted block
-        # size actually observed: it halves toward what survives and doubles
-        # when a full block goes through clean.  Without it, an empty heap
-        # (horizon = inf) would route the entire remaining chunk only to
-        # truncate at the first push's timeout trigger — quadratic.
-        cap = 16
+        # Arrivals are read as Python floats a chunk at a time, each chunk
+        # with one look-ahead arrival (``inf`` after the last): the drain
+        # bound for its final request.
         chunk = 65536
-        chunk_lo = 0
-        chunk_hi = 0
-        a_chunk: list[float] = []
-        d_chunk: list[float] = []
-        c_chunk: list[int] | None = None
-        i = 0
-        while i < n:
-            if i >= chunk_hi:
-                chunk_lo = i
-                chunk_hi = min(i + chunk, n)
-                a_chunk = times_np[chunk_lo:chunk_hi].tolist()
-                d_chunk = difficulty_np[chunk_lo:chunk_hi].tolist()
-                if any_crit:
-                    c_chunk = slo_class_arr[chunk_lo:chunk_hi].tolist()
-            # The horizon: earliest pending batch start across lanes.  The
-            # unvalidated heap top is a *lower bound* on the true horizon
-            # (every pending change pushed its then-true start; pendings
-            # only move later afterwards), and ending a block early is
-            # always exact — the extra drain in between is a no-op — so the
-            # bound serves without the validation walk.
-            horizon = heap[0][0] if heap else inf
-            rel = i - chunk_lo
-            if horizon == inf:
-                j = chunk_hi
-            else:
-                j = chunk_lo + bisect_right(a_chunk, horizon, rel, chunk_hi - chunk_lo)
-                if j <= i:
-                    j = i + 1  # unreachable: pendings sit at/past arrival[i]
-            if j - i > cap:
-                j = i + cap
-            jrel = j - chunk_lo
-            a_blk = a_chunk[rel:jrel]
-            d_blk = d_chunk[rel:jrel]
-            c_blk = c_chunk[rel:jrel] if any_crit else None
-
-            if bounded:
-                begin_block()
-            assignments, admitted = route_block(d_blk, c_blk, a_blk, state)
-
-            size = len(a_blk)
-            accepted = size
-            min_pend = inf
-            touched: dict[int, float] = {}  # lane -> its pending start now
-            for m in range(size):
-                arrival = a_blk[m]
-                li = assignments[m]
+        for lo in range(0, n, chunk):
+            hi = min(lo + chunk, n)
+            a_chunk = times_np[lo:hi + 1].tolist()
+            if hi == n:
+                a_chunk.append(inf)
+            d_chunk = difficulty_np[lo:hi].tolist()
+            c_chunk = slo_class_arr[lo:hi].tolist() if any_crit else None
+            for m in range(hi - lo):
+                arrival = a_chunk[m]
+                cls = (c_chunk[m],) if any_crit else None
+                assignments, admitted = route_block((d_chunk[m],), cls, (arrival,), state)
+                li = assignments[0]
                 lane = lanes[li]
-                if admitted[m]:
-                    lane.push(i + m, arrival, any_crit and c_blk[m] == LATENCY_CRITICAL)
-                    pending = touched[li] = lane.pending_start()
-                    if pending < min_pend:
-                        min_pend = pending
+                if admitted[0]:
+                    if lane.push(lo + m, arrival, any_crit and cls[0] == LATENCY_CRITICAL):
+                        heappush(heap, (lane.pending_start(), li))
                 else:
                     lane.reject(arrival)
-                if m + 1 < size and min_pend < a_blk[m + 1]:
-                    accepted = m + 1  # a dispatch lands mid-block: truncate
-                    break
-            if accepted < size:
-                rollback(size - accepted)
-                for lane in lanes:
-                    depth[lane.index] = lane.queue_depth
-                cap = accepted + (accepted >> 1) + 1
-            elif size == cap and cap < chunk:
-                cap <<= 1
-            for li, pending in touched.items():
-                heappush(heap, (pending, li))
-            if recorder is not None:
-                # Routed rows include a truncated tail, routed again later.
-                recorder.count("fleet.blocks")
-                recorder.count("fleet.routed", size)
-                recorder.observe("fleet.block_size", accepted)
-
-            i += accepted
-            if i >= n:
-                until = inf
-            elif i < chunk_hi:
-                until = a_chunk[i - chunk_lo]
-            else:
-                until = float(times_np[i])
-            # Drain: pop-validate-dispatch until the next arrival.  Same
-            # dispatch order as a scan over the lanes — ascending start,
-            # ties on lane index — via the heap's tuple ordering.
-            while heap:
-                start, li = heap[0]
-                if start >= until:
-                    break
-                heappop(heap)
-                lane = lanes[li]
-                if lane.pending_start() == start:
-                    dispatch(lane, start, lane.pop_batch(start))
+                if recorder is not None:
+                    recorder.count("fleet.routed")
+                # Dispatch every batch that starts before the next arrival.
+                until = a_chunk[m + 1]
+                while heap and heap[0][0] < until:
+                    start, li = heappop(heap)
+                    lane = lanes[li]
+                    if lane.pending_start() == start:
+                        dispatch(lane, start, lane.pop_batch(start))
 
         # One scatter for completion/correctness instead of per-batch writes.
         if served_ends:

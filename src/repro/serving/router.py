@@ -25,19 +25,19 @@ Three policies:
   traffic rides out moderate backlog in its band while criticals move to
   the least-loaded lane early enough to keep their deadline headroom.
 
-Routers decide in **blocks**, through :meth:`FleetRouter.route_block`:
-given a whole arrival block — a run of consecutive requests between two
-fleet dispatch horizons, over which no lane's queue can drain — it returns
-the lane assignments a per-request router would make, one request at a
-time, against a :class:`BlockLaneState` snapshot that tracks within-block
-queue growth.  Round-robin is arithmetic modulo cycling; least-backlog
-and difficulty-aware step through the block one request at a time off the
-snapshot lists (the wait estimate changes with every admitted push), the
-latter looking each request up in difficulty bands built once per router.
-Admission (queue-depth cap + critical bypass) is folded into the same pass
-because later routing decisions depend on which earlier requests were
-actually admitted.  The per-request decision rule itself lives on as the
-executable spec ``route`` in ``tests/spec/fleet.py``.
+Routers decide through :meth:`FleetRouter.route_block`: given a run of
+consecutive arrivals over which no lane's queue drains, it returns the lane
+assignments and admissions a per-request router would make, one request at
+a time, against a :class:`BlockLaneState` that tracks the live queue
+depths.  The fleet loop hands it one arrival at a time.  Round-robin is
+arithmetic modulo cycling; least-backlog and difficulty-aware step through
+the arrivals off the state's lists (the wait estimate changes with every
+admitted push), the latter looking each request up in difficulty bands
+built once per router.  Admission (queue-depth cap + critical bypass) is
+folded into the same pass because later routing decisions depend on which
+earlier requests were actually admitted.  The per-request decision rule
+itself lives on as the executable spec ``route`` in
+``tests/spec/fleet.py``.
 
 Everything is deterministic: ties break on lane index.
 """
@@ -45,6 +45,7 @@ Everything is deterministic: ties break on lane index.
 from __future__ import annotations
 
 from bisect import bisect_right
+from math import inf
 from typing import Protocol, Sequence
 
 from repro.serving.workload import LATENCY_CRITICAL
@@ -69,28 +70,23 @@ class LaneState(Protocol):
 
 
 class BlockLaneState:
-    """Mutable per-lane snapshot the block kernels route against.
+    """Mutable per-lane state the routers route against.
 
     One instance lives for a whole fleet run, built from the lanes the
     router was built with: ``t_free`` and ``depth`` are the live per-lane
-    device-free times and queue depths (the owning simulator keeps them in
-    sync with dispatches and steals), ``capacity`` the per-lane reference
-    capacity in requests/second.  The wait estimate the kernels compute off
-    these lists — ``max(t_free - now, 0) + depth / capacity`` — is
-    float-for-float :meth:`LaneState.estimated_wait_s`.
+    device-free times and queue depths (routing counts every admitted
+    request into ``depth``; the owning simulator keeps both in sync with
+    dispatches and steals), ``capacity`` the per-lane reference capacity in
+    requests/second.  The wait estimate the kernels compute off these
+    lists — ``max(t_free - now, 0) + depth / capacity`` — is float-for-float
+    :meth:`LaneState.estimated_wait_s`.
 
-    Admission folds into routing because queue-depth admission over a
-    no-dispatch stretch is a *prefix* rule: within a block the queue only
-    grows, so a request is admitted iff it is latency-critical under
-    ``critical_bypass`` or its per-lane routed position is below the space
-    the lane had when the block started — exactly the per-arrival cap
-    decision a per-request loop makes (same closed form as
-    ``ArrayBatcher._gate``; see :func:`repro.serving.batcher.admit_prefix`).
-    :meth:`begin_block` arms the per-block position counters.
+    Admission reads the live depth: a request is admitted iff its lane's
+    depth is below ``max_queue`` (``inf`` when unbounded), or it is
+    latency-critical under ``critical_bypass``.
     """
 
-    __slots__ = ("t_free", "depth", "capacity", "max_queue",
-                 "critical_bypass", "space", "positions")
+    __slots__ = ("t_free", "depth", "capacity", "max_queue", "critical_bypass")
 
     def __init__(
         self,
@@ -101,48 +97,26 @@ class BlockLaneState:
         self.t_free = [lane.t_free for lane in lanes]
         self.depth = [lane.queue_depth for lane in lanes]
         self.capacity = [lane.reference_capacity_rps for lane in lanes]
-        self.max_queue = max_queue
+        self.max_queue = inf if max_queue is None else max_queue
         self.critical_bypass = critical_bypass
-        self.space = [0] * len(self.depth)
-        self.positions = [0] * len(self.depth)
-
-    def begin_block(self) -> None:
-        """Arm per-block admission: free space per lane, positions at zero."""
-        if self.max_queue is not None:
-            mq = self.max_queue
-            depth = self.depth
-            space = self.space
-            positions = self.positions
-            for l in range(len(depth)):
-                space[l] = mq - depth[l]
-                positions[l] = 0
 
     def admit(self, lane_indices: list[int], slo_class) -> list[bool]:
-        """Apply the prefix admission rule to precomputed assignments.
+        """Apply the admission rule to precomputed assignments.
 
-        Mutates ``depth`` for admitted requests (the within-block queue
-        growth later routing decisions must observe) and advances the
-        per-lane routed positions.  Unbounded fleets admit everything.
-        ``slo_class`` may be ``None`` when the block carries no
-        latency-critical requests (every class check would be false).
+        Counts admitted requests into ``depth`` (the queue growth later
+        decisions must observe).  ``slo_class`` may be ``None`` when no
+        routed request is latency-critical (every class check would be
+        false).
         """
         depth = self.depth
-        if self.max_queue is None:
-            for l in lane_indices:
-                depth[l] += 1
-            return [True] * len(lane_indices)
-        space = self.space
-        positions = self.positions
+        max_queue = self.max_queue
         check_crit = self.critical_bypass and slo_class is not None
         out = []
-        append = out.append
         for m, l in enumerate(lane_indices):
-            p = positions[l]
-            positions[l] = p + 1
-            ok = p < space[l] or (check_crit and slo_class[m] == LATENCY_CRITICAL)
+            ok = depth[l] < max_queue or (check_crit and slo_class[m] == LATENCY_CRITICAL)
             if ok:
                 depth[l] += 1
-            append(ok)
+            out.append(ok)
         return out
 
 
@@ -158,23 +132,15 @@ class FleetRouter:
         arrival: Sequence[float],
         state: BlockLaneState,
     ) -> tuple[list[int], list[bool]]:
-        """Route one arrival block: (lane index, admitted) per request.
+        """Route consecutive arrivals: (lane index, admitted) per request.
 
         Must be decision-for-decision identical to stepping the per-request
-        rule plus the admission check over the block while updating lane
+        rule plus the admission check over the arrivals while updating lane
         depths for every admitted push (the property tests assert exactly
-        that against the spec).  Mutates ``state`` (depths, positions, any
-        router cursor).
+        that against the spec).  Mutates ``state`` (depths) and any router
+        cursor.
         """
         raise NotImplementedError
-
-    def rollback(self, count: int) -> None:
-        """Undo router-internal state for ``count`` discarded assignments.
-
-        When the caller truncates a routed block (a dispatch landed
-        mid-block), the tail assignments are re-routed later and any
-        router cursor must rewind.  Stateless routers need nothing.
-        """
 
 
 class RoundRobinRouter(FleetRouter):
@@ -192,9 +158,6 @@ class RoundRobinRouter(FleetRouter):
         assignments = [(start + k) % num for k in range(len(arrival))]
         return assignments, state.admit(assignments, slo_class)
 
-    def rollback(self, count: int) -> None:
-        self._next -= count
-
 
 class LeastBacklogRouter(FleetRouter):
     """Join the lane that will drain its queued work soonest."""
@@ -206,14 +169,10 @@ class LeastBacklogRouter(FleetRouter):
         depth = state.depth
         capacity = state.capacity
         num = len(depth)
-        bounded = state.max_queue is not None
-        space = state.space
-        positions = state.positions
+        max_queue = state.max_queue
         check_crit = state.critical_bypass and slo_class is not None
         assignments: list[int] = []
         admitted: list[bool] = []
-        asg_append = assignments.append
-        adm_append = admitted.append
         for m, now in enumerate(arrival):
             # argmin of (wait, lane index): strict < keeps the first minimum,
             # which is the lowest-index lane on ties.
@@ -226,16 +185,11 @@ class LeastBacklogRouter(FleetRouter):
                 if w < best_w:
                     best_w = w
                     best = l
-            asg_append(best)
-            if bounded:
-                p = positions[best]
-                positions[best] = p + 1
-                ok = p < space[best] or (check_crit and slo_class[m] == LATENCY_CRITICAL)
-            else:
-                ok = True
+            assignments.append(best)
+            ok = depth[best] < max_queue or (check_crit and slo_class[m] == LATENCY_CRITICAL)
             if ok:
                 depth[best] += 1
-            adm_append(ok)
+            admitted.append(ok)
         return assignments, admitted
 
 
@@ -291,14 +245,10 @@ class DifficultyAwareRouter(FleetRouter):
         num = len(depth)
         threshold_be = self.spill_fraction * self.slo_s
         has_critical = slo_class is not None
-        bounded = state.max_queue is not None
-        space = state.space
-        positions = state.positions
+        max_queue = state.max_queue
         bypass = state.critical_bypass
         assignments: list[int] = []
         admitted: list[bool] = []
-        asg_append = assignments.append
-        adm_append = admitted.append
         for m, now in enumerate(arrival):
             chosen = band_lanes[bisect_right(edges, difficulty[m]) - 1]
             critical = has_critical and slo_class[m] == LATENCY_CRITICAL
@@ -317,16 +267,11 @@ class DifficultyAwareRouter(FleetRouter):
                         best_w = w
                         best = l
                 chosen = best
-            asg_append(chosen)
-            if bounded:
-                p = positions[chosen]
-                positions[chosen] = p + 1
-                ok = p < space[chosen] or (bypass and critical)
-            else:
-                ok = True
+            assignments.append(chosen)
+            ok = depth[chosen] < max_queue or (bypass and critical)
             if ok:
                 depth[chosen] += 1
-            adm_append(ok)
+            admitted.append(ok)
         return assignments, admitted
 
 

@@ -1,14 +1,15 @@
 """Spec of fleet serving: one request routed, admitted and drained at a
 time.
 
-The fleet simulator routes whole arrival blocks through each router's
-``route_block`` kernel, pushes them onto the lanes and drains through a
-lazy heap.  This module keeps the per-request version of each step —
-:func:`route` for the routers, :func:`pending_start_s` /
+The fleet simulator routes each arrival through its router's
+``route_block`` kernel, pushes it onto its lane and drains through a lazy
+heap of pending batch starts.  This module keeps the plain version of each
+step — :func:`route` for the routers, :func:`pending_start_s` /
 :func:`next_ready_batch` for the lanes' batch rule — and
-:class:`ReferenceFleetSimulator` runs the original loop over them, admitting
-through the lanes' own ``push`` / ``reject``.  Reports must be equal field
-for field (with work stealing off: the loop takes no extensions).
+:class:`ReferenceFleetSimulator` runs the same loop over them with a scan
+over the lanes for the drain, admitting through the lanes' own ``push`` /
+``reject``.  Reports must be equal field for field (with work stealing off:
+the loop takes no extensions).
 """
 
 from __future__ import annotations
@@ -100,13 +101,7 @@ def next_ready_batch(lane: DeviceLane, until_s: float) -> tuple[float, list[int]
     head = end = lane._popped
     while end < len(times) and end - head < policy.max_batch and times[end] <= start:
         end += 1
-    crit_times = lane._crit_times
-    crit_popped = lane._crit_popped
-    for k in range(head, end):
-        if crit_popped < len(crit_times) and crit_times[crit_popped] <= times[k]:
-            crit_popped += 1
     lane._popped = end
-    lane._crit_popped = crit_popped
     return start, lane.request_indices[head:end]
 
 
@@ -116,10 +111,10 @@ class ReferenceFleetSimulator(FleetSimulator):
     time: route, admit, then dispatch every batch that is ready before the
     next arrival, lanes in ascending start order (ties on lane index)."""
 
-    def __init__(self, spec: FleetSpec, *args, **kwargs):
+    def __init__(self, spec: FleetSpec, stacks):
         if spec.steal:
             raise ValueError("the reference loop takes no work stealing")
-        super().__init__(spec, *args, **kwargs)
+        super().__init__(spec, stacks)
 
     def run(self, trace, stream) -> FleetReport:
         # Same set-up as the production loop; the collector stays on, as it
@@ -154,7 +149,7 @@ class ReferenceFleetSimulator(FleetSimulator):
             tracing.observe("fleet.batch_size", len(batch))
 
             indices = np.asarray(batch, dtype=np.int64)
-            compiled = lane.compiled_of(active, cstream, self.switch_cost_j)
+            compiled = lane.compiled_of(active, cstream)
             decisions = compiled.decisions[indices]
             latency, energy, switch = price(compiled, decisions)
             lane.switching_energy_j += switch

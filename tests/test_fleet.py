@@ -245,6 +245,18 @@ class TestDeviceLane:
         _drain(lane)
         assert lane.critical_backlog_at(0.25) == 0
 
+    def test_critical_backlog_exact_under_tied_arrivals(self, stack):
+        """A dispatch that pops best-effort entries tied with a queued
+        critical leaves the critical counted."""
+        from repro.serving.governor import StaticPolicy
+
+        lane = DeviceLane(0, stack, StaticPolicy(stack.static_config))
+        for i in range(4):
+            lane.push(i, 1.0, critical=False)
+        lane.push(4, 1.0, critical=True)
+        assert lane.pop_batch(lane.pending_start()) == [0, 1, 2, 3]  # max_batch 4
+        assert lane.critical_backlog_at(1.0) == 1
+
     def test_steal_tail_stops_at_critical_and_keeps_books_aligned(self, stack):
         from repro.serving.governor import StaticPolicy
 
@@ -628,9 +640,9 @@ def _identity_case(router, max_queue, bypass, crit, platforms=_DUO, prefix=""):
 
 
 class TestEngineIdentity:
-    """The block-routed loop reproduces the per-request loop
+    """The heap-drained loop reproduces the lane-scanning loop
     (``spec.fleet``) field-for-field across fleets, routers, admission
-    settings, SLO mixes and throttling."""
+    settings, SLO mixes, tied arrivals and throttling."""
 
     @pytest.mark.parametrize(
         "router,max_queue,bypass,crit,platforms",
@@ -684,6 +696,56 @@ class TestEngineIdentity:
         idx = run_fleet_cell(FleetSpec(**base))
         assert idx == ref
 
+
+    @pytest.mark.parametrize("router", ("round_robin", "least_backlog", "difficulty_aware"))
+    @pytest.mark.parametrize("platforms", [("tx2-gpu",), _QUAD], ids=["one-lane", "quad"])
+    @pytest.mark.parametrize("grain_s", (0.01, 0.05))
+    def test_tied_arrivals_match_reference(self, router, platforms, grain_s):
+        """Arrivals rounded to a grain tie in groups, which no built-in
+        pattern produces: a tied push can be a batch trigger (at 50 ms a
+        whole batch lands at once), and a batch starting at the next
+        arrival's instant must wait for it."""
+        from repro.serving.fleet import FleetSimulator
+        from repro.serving.workload import replay_trace
+
+        spec = FleetSpec(
+            platforms=platforms,
+            router=router,
+            utilization=1.0,
+            duration_s=3.0,
+            critical_fraction=0.3,
+            admission_max_queue=4,
+        )
+        stacks = build_fleet_stacks(spec)
+        base, _ = build_fleet_trace_and_stream(spec, stacks)
+        trace = replay_trace(
+            np.round(base.arrival_s / grain_s) * grain_s,
+            seed=spec.seed,
+            critical_fraction=0.3,
+        )
+        assert np.any(np.diff(trace.arrival_s) == 0.0)
+        stream = stacks[0].synthesizer.synthesize(trace.difficulties())
+        idx = FleetSimulator(spec, stacks).run(trace, stream)
+        ref = spec_fleet.ReferenceFleetSimulator(spec, stacks).run(trace, stream)
+        assert idx == ref
+
+    def test_each_arrival_routed_once(self):
+        """One route per arrival, served or dropped: nothing is routed twice."""
+        from repro.obs.trace import Recorder, recording
+
+        spec = FleetSpec(
+            platforms=_DUO,
+            router="round_robin",
+            pattern="bursty",
+            duration_s=2.0,
+            critical_fraction=0.3,
+            admission_max_queue=3,
+        )
+        with recording(Recorder()) as recorder:
+            report = run_fleet_cell(spec)
+        assert report.num_dropped > 0
+        assert report.num_served + report.num_dropped == report.num_requests
+        assert recorder.counters["fleet.routed"] == report.num_requests
 
     def test_throttled_cell_matches_reference(self):
         """Both lanes throttle under the thermal cap, in both loops alike."""

@@ -427,7 +427,6 @@ class TestRouterBlockLaws:
         state = BlockLaneState(
             block_lanes, max_queue=max_queue, critical_bypass=bypass
         )
-        state.begin_block()
         # The fleet loop hands the kernels None when the block carries no
         # latency-critical request; exercise that contract too.
         slo_arg = slo_class
@@ -452,9 +451,11 @@ class TestLaneBatchLaws:
     (``spec.fleet.pending_start_s`` / ``next_ready_batch``) on random
     queues, batch policies and device-free times, with pushes, rejects,
     dispatches and work steals (``steal_tail`` / ``receive_stolen``)
-    interleaved.  The trailing arrival rate, read at non-decreasing
-    instants as the governor does, matches a count over every routed
-    arrival."""
+    interleaved.  A push that ``push`` does not flag as a batch trigger
+    leaves the pending start where it was.  The backlog and its critical
+    share match a count over the arrived queue, and the trailing arrival
+    rate, read at non-decreasing instants as the governor does, matches a
+    count over every routed arrival."""
 
     @settings(max_examples=60, deadline=None)
     @given(st.data())
@@ -476,6 +477,7 @@ class TestLaneBatchLaws:
             DeviceLane(0, stack, StaticPolicy(stack.static_config)) for _ in range(2)
         )
         classes: list[int] = []
+        stamps: list[float] = []  # per request: its arrival on this lane
         routed: list[float] = []
         window_s = data.draw(st.floats(0.001, 0.03))
 
@@ -486,8 +488,11 @@ class TestLaneBatchLaws:
             expected = pending_start_s(spec_lane)
             assert lane.pending_start() == (float("inf") if expected is None else expected)
             probe = data.draw(st.floats(0.0, now_s + 0.01))
-            assert lane.backlog_at(probe) == spec_lane.backlog_at(probe)
-            assert lane.critical_backlog_at(probe) == spec_lane.critical_backlog_at(probe)
+            arrived = [i for i in queue if stamps[i] <= probe]
+            assert lane.backlog_at(probe) == spec_lane.backlog_at(probe) == len(arrived)
+            assert lane.critical_backlog_at(probe) == sum(
+                classes[i] == LATENCY_CRITICAL for i in arrived
+            )
             if now_s > 0:
                 start = max(0.0, now_s - window_s)
                 seen = sum(start <= t <= now_s for t in routed)
@@ -504,9 +509,7 @@ class TestLaneBatchLaws:
                 return False
             assert start == expected
             assert lane.pop_batch(start) == next_ready_batch(spec_lane, float("inf"))[1]
-            assert (lane._popped, lane._crit_popped) == (
-                spec_lane._popped, spec_lane._crit_popped
-            )
+            assert lane._popped == spec_lane._popped
             return True
 
         def steal(limit):
@@ -525,6 +528,7 @@ class TestLaneBatchLaws:
         def receive(count, now_s):
             fresh = list(range(len(classes), len(classes) + count))
             classes.extend([BEST_EFFORT] * count)
+            stamps.extend([now_s] * count)
             lane.receive_stolen(fresh, now_s)
             spec_lane.receive_stolen(fresh, now_s)
 
@@ -540,7 +544,10 @@ class TestLaneBatchLaws:
             if step == "push":
                 critical = data.draw(st.booleans())
                 classes.append(LATENCY_CRITICAL if critical else BEST_EFFORT)
-                lane.push(len(classes) - 1, now, critical)
+                stamps.append(now)
+                before = lane.pending_start()
+                if not lane.push(len(classes) - 1, now, critical):
+                    assert lane.pending_start() == before
                 spec_lane.push(len(classes) - 1, now, critical)
             elif step == "reject":
                 lane.reject(now)
