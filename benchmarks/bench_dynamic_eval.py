@@ -20,11 +20,10 @@ spec from ``tests/spec/evaluation.py`` (the reference loop is
   isolates the cost kernels, plus the oracle's column cache hit/miss
   counters;
 * an accuracy-side phase — the batched exit-oracle statistics kernel
-  (stacked packed-column masking with shared-prefix reuse) vs the
+  (one dense sweep over the oracle's packed column bank) vs the
   per-placement popcount loop (``PerPlacementOracle``), on
   column-prewarmed oracles so the timed region isolates the ideal-mapping
-  statistics, with the oracle's LRU memo/prefix-cache counters in the
-  report;
+  statistics, with the oracle's LRU memo counters in the report;
 * tiny- and fast-budget IOE wall-clock rows (full inner NSGA-II runs in
   all three modes: reference loop, per-call tables (``PerCallEvaluator``),
   population kernel);
@@ -117,7 +116,7 @@ class _Workbench:
         self.accuracy = self.surrogate.accuracy_fraction(self.config)
 
     def oracle(self, cls=BackboneExitOracle) -> BackboneExitOracle:
-        """A fresh exit oracle (own columns, own memo/prefix caches)."""
+        """A fresh exit oracle (own columns, own memo caches)."""
         return cls(
             self.config.key,
             self.config.total_mbconv_layers,
@@ -343,10 +342,10 @@ def _accuracy_phase(bench: _Workbench, population: int, reps: int) -> dict:
     materialised up front (column construction is identical work either
     way), so the timed region isolates the ideal-mapping statistics: the
     per-placement path pays one popcount sweep per (placement, exit), the
-    batched path one stacked pass over the packed column matrix with
-    shared-prefix reuse.  Bit-identity of every statistics field is
-    asserted across the whole population, and the batched oracle's LRU
-    memo / prefix-cache counters land in the report.
+    batched path one dense sweep per exit level over the packed column
+    bank.  Bit-identity of every statistics field is asserted across the
+    whole population, and the batched oracle's LRU memo counters land in
+    the report.
     """
     placements = _distinct_placements(bench, population, bench.seed + 41)
     distinct = sorted({p for placement in placements for p in placement.positions})
@@ -458,8 +457,8 @@ def _observability_pass(bench: _Workbench, pairs, placements_hint: int) -> dict:
         population = bench.evaluator()
         placements = _distinct_placements(bench, placements_hint, bench.seed + 17)
         population.evaluate_population(placements, bench.dvfs.default_setting())
-        # A mixed-setting generation batch: surfaces the oracle's batch-size
-        # and shared-prefix-reuse counters; it is one population call.
+        # A mixed-setting generation batch: surfaces the oracle's batch
+        # counters; it is one population call.
         generation = bench.evaluator()
         settings = _distinct_settings(bench, 4, bench.seed + 53)
         decoded = [
@@ -535,7 +534,7 @@ def main(argv: list[str] | None = None) -> int:
         reps=reps,
     )
     # Grid-sweep scale: the exhaustive DVFS artifacts stream thousands of
-    # placements per oracle, which is where prefix sharing amortises best.
+    # placements per oracle through one batch.
     accuracy = _accuracy_phase(
         bench, population=1024 if args.smoke else 2048, reps=reps
     )
@@ -582,13 +581,11 @@ def main(argv: list[str] | None = None) -> int:
         f"{population['settings']} settings; oracle columns "
         f"{population['oracle_columns']}"
     )
-    memo = accuracy["oracle_memo"]
+    memo = accuracy["oracle_memo"]["stats"]
     print(
-        "oracle LRU caches: stats "
-        f"{memo['stats']['size']}/{memo['stats']['maxsize']} "
-        f"({memo['stats']['evictions']} evictions), prefix "
-        f"{memo['prefix']['size']}/{memo['prefix']['maxsize']} "
-        f"({memo['prefix']['hits']} hits)"
+        "oracle stats memo: "
+        f"{memo['size']}/{memo['maxsize']} entries, {memo['hits']} hits / "
+        f"{memo['misses']} misses ({memo['evictions']} evictions)"
     )
     for row in ioe_rows:
         print(
@@ -616,8 +613,7 @@ def main(argv: list[str] | None = None) -> int:
         f"{obs_counters.get('dyneval.population_rows', 0):.0f} population rows, "
         f"{obs_counters.get('cost_table.builds', 0):.0f} table builds, "
         f"{obs_counters.get('oracle.batch_rows', 0):.0f} oracle batch rows / "
-        f"{obs_counters.get('oracle.prefix_nodes', 0):.0f} prefix nodes / "
-        f"{obs_counters.get('oracle.prefix_hits', 0):.0f} prefix hits, "
+        f"{obs_counters.get('oracle.batch_calls', 0):.0f} batch calls, "
         f"{rows_per_call:.1f} rows per population call"
     )
 

@@ -22,7 +22,9 @@ oracle's N_i and final accuracy line up with the accuracy surrogate.
 A :class:`BackboneExitOracle` caches one correctness column per position, so
 the inner engine's thousands of placement evaluations per backbone reuse the
 same columns — and exits at the same position are identical across
-placements, which keeps the dissimilarity signal consistent.
+placements, which keeps the dissimilarity signal consistent.  Population
+statistics sweep a bank of those columns packed into ``uint64`` words:
+per exit level, a few bitwise ops and row popcounts over the whole batch.
 
 With a persistent :class:`~repro.engine.cache.ResultCache` attached, columns
 are additionally content-addressed on disk (namespace ``oracle``, bit-packed
@@ -40,6 +42,7 @@ import math
 from collections import OrderedDict
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import chain
 from typing import TYPE_CHECKING
 
 import numpy as np
@@ -75,11 +78,26 @@ def _popcount(packed: np.ndarray) -> int:
     return int(_POPCOUNT[packed].sum())
 
 
+def _popcount_rows_table(words: np.ndarray) -> np.ndarray:
+    """Set bits per row of a C-contiguous 2-D ``uint64`` array (byte table)."""
+    return _POPCOUNT[words.view(np.uint8)].sum(axis=1, dtype=np.int64)
+
+
+def _popcount_rows_native(words: np.ndarray) -> np.ndarray:
+    return np.bitwise_count(words).sum(axis=1, dtype=np.int64)
+
+
+#: Row popcount: ``np.bitwise_count`` on numpy >= 2, else the byte table.
+popcount_rows = (
+    _popcount_rows_native if hasattr(np, "bitwise_count") else _popcount_rows_table
+)
+
+
 class _LruCache:
     """Bounded mapping with LRU eviction and hit/miss/evict counters.
 
-    The oracle's memo dicts (per-placement statistics, shared-prefix
-    states, per-column derivatives) previously grew without limit — fine
+    The oracle's memo dicts (per-placement statistics, stacked
+    populations, per-column derivatives) previously grew without limit — fine
     for one search, not for day-long grid sweeps that stream millions of
     distinct placements through one oracle.  Each cache documents its cap
     at the construction site; counters feed ``memo_stats()`` and the
@@ -255,12 +273,11 @@ class BackboneExitOracle:
         columns are stored bit-packed under the platform-independent
         ``oracle`` namespace, warm-starting re-searches where only the
         hardware side (DVFS grid, platform) changed.
-    stats_memo_size, prefix_cache_size:
-        LRU caps of the per-placement :class:`ExitEvaluation` memo and the
-        shared-prefix state cache.  The defaults (64 Ki evaluations, 32 Ki
-        prefix states — roughly 20 MB at ``n_samples=2048``) cover any
-        single search many times over while bounding day-long grid sweeps;
-        eviction counts are visible in :meth:`memo_stats`.
+    stats_memo_size:
+        LRU cap of the per-placement :class:`ExitEvaluation` memo.  The
+        default (64 Ki evaluations) covers any single search many times
+        over while bounding day-long grid sweeps; eviction counts are
+        visible in :meth:`memo_stats`.
     """
 
     def __init__(
@@ -274,7 +291,6 @@ class BackboneExitOracle:
         seed: int = 0,
         cache: "ResultCache | None" = None,
         stats_memo_size: int = 65536,
-        prefix_cache_size: int = 32768,
     ):
         check_probability("backbone_accuracy", backbone_accuracy)
         check_positive("n_samples", n_samples)
@@ -299,7 +315,14 @@ class BackboneExitOracle:
         self._packed = _LruCache(max(256, 2 * (total_layers + 1)))
         self._pert_matrix: np.ndarray | None = None
         self._stats = _LruCache(stats_memo_size)
-        self._prefix_cache = _LruCache(prefix_cache_size)
+        # Column bank: row p packs position p's column into zero-padded
+        # uint64 words, row 0 stays all-zero (the pad sentinel) and the last
+        # row is the final classifier; rows fill on first use.
+        words = -(-n_samples // 64)
+        self._bank = np.zeros((total_layers + 2, words), dtype=np.uint64)
+        self._bank_counts = np.zeros(total_layers + 2, dtype=np.int64)
+        self._banked = np.zeros(total_layers + 2, dtype=bool)
+        self._banked[0] = True
         # Whole-population stacked statistics, keyed by the batch's position
         # tuples; a handful of entries covers a DVFS sweep's repeated
         # batches while staying tiny (the rows alias the ``_stats`` memo).
@@ -453,9 +476,9 @@ class BackboneExitOracle:
         """Statistics for a whole population (order-preserving).
 
         The population kernel's accuracy side: every distinct unmemoised
-        placement goes through :meth:`_batched_stats` — one stacked pass
-        over the bit-packed column matrix with shared-prefix reuse — and
-        only memo reads remain per placement.  Bit-identical to calling
+        placement goes through :meth:`_batched_stats` — one dense sweep
+        over the packed column bank — and only memo reads remain per
+        placement.  Bit-identical to calling
         :meth:`evaluate_placement` in a loop (hypothesis-asserted): both
         produce the same integer counts divided by the same ``n``, and
         duplicates resolve to the same memoised instance.
@@ -505,139 +528,60 @@ class BackboneExitOracle:
             self._population_cache.put(key, stats)
         return stats
 
-    def _batched_stats(self, pending: list[tuple[int, ...]]) -> None:
-        """Evaluate distinct placements in one pass over packed columns.
+    def _fill_bank(self, rows) -> None:
+        """Bank ``rows`` (positions; the last row is the final classifier)
+        through :meth:`exit_column` / :meth:`final_column`, once each."""
+        banked = self._banked
+        view = self._bank.view(np.uint8)
+        for row in rows:
+            if not banked[row]:
+                final = row == len(banked) - 1
+                column = self.final_column() if final else self.exit_column(row)
+                packed = np.packbits(column)
+                view[row, : len(packed)] = packed
+                self._bank_counts[row] = np.count_nonzero(column)
+                banked[row] = True
 
-        The pending placements' distinct *prefixes* form a trie; each node
-        carries the packed ``(remaining, union)`` state after its last exit
-        plus the take count at that exit.  Nodes are resolved level by
-        level as stacked uint8 ops — one ``(nodes, n/8)`` mask/popcount per
-        trie depth instead of one per (placement, exit) — so placements
-        that overlap in early exits share those levels' work, and the
-        cross-batch LRU prefix cache extends the sharing across
-        generations (NSGA offspring mostly mutate the *tail* of good
-        placements).  Counts equal the scalar sweep's exactly: identical
-        byte masks, identical popcount table.
+    def _batched_stats(self, pending: list[tuple[int, ...]]) -> None:
+        """Evaluate distinct placements in one dense sweep over the bank.
+
+        The placements become a ``(P, E_max)`` position matrix padded with
+        row 0, the layout ``PopulationKernel.path_costs`` gathers.  At exit
+        level ``j`` every placement takes the ``remaining`` samples its
+        ``j``-th exit classifies (AND + row popcount), drops them from
+        ``remaining`` (AND-NOT) and adds them to ``union`` (OR).  Pads
+        gather the zero row, so they take nothing and change no mask; bits
+        past ``n`` stay set in ``remaining`` and clear in every column.
+        These are the masks :meth:`_assemble_stats` carries, so every count
+        and every ``count / n`` is identical.
         """
         n = self.n_samples
-        distinct = sorted({p for positions in pending for p in positions})
-        for position in distinct:
-            self.exit_column(position)
-        self.final_column()
-        final_packed = self._packed_column("final")
-        row_of = {position: i for i, position in enumerate(distinct)}
-        packed_rows = np.stack([self._packed_column(p) for p in distinct])
-        counts_of = np.asarray(
-            [self._column_count(p) for p in distinct], dtype=np.int64
-        )
-
-        # Intern every distinct prefix as a trie node id: the walk hashes
-        # flat ``parent * stride + position`` integers (identity hash)
-        # instead of re-sliced prefix tuples, and every downstream gather
-        # becomes integer fancy indexing over per-node arrays.
-        cache = self._prefix_cache
-        cache_get = cache.get
-        stride = self.total_layers + 1
-        trie: dict[int, int] = {}
-        trie_get = trie.get
-        node_parent: list[int] = []
-        node_row: list[int] = []
-        node_prefix: list[tuple[int, ...]] = []
-        cached_states: list[tuple | None] = []
-        levels: dict[int, list[int]] = {}
-        flat_id_list: list[int] = []
-        flat_append = flat_id_list.append
-        leaf_id_list: list[int] = []
-        hits = 0
-        for positions in pending:
-            parent = -1  # root sentinel: key arithmetic below maps it to 0
-            depth = 0
-            for position in positions:
-                depth += 1
-                key = (parent + 1) * stride + position
-                node = trie_get(key)
-                if node is None:
-                    node = len(node_parent)
-                    trie[key] = node
-                    node_parent.append(parent)
-                    node_row.append(row_of[position])
-                    prefix = (
-                        node_prefix[parent] + (position,) if parent >= 0 else (position,)
-                    )
-                    node_prefix.append(prefix)
-                    state = cache_get(prefix)
-                    cached_states.append(state)
-                    if state is not None:
-                        hits += 1
-                    else:
-                        levels.setdefault(depth, []).append(node)
-                flat_append(node)
-                parent = node
-            leaf_id_list.append(parent)
-
-        num_nodes = len(node_parent)
-        parent_of = np.asarray(node_parent, dtype=np.intp)
-        row_arr = np.asarray(node_row, dtype=np.intp)
-        width_bytes = packed_rows.shape[1]
-        node_remaining = np.empty((num_nodes, width_bytes), dtype=np.uint8)
-        node_union = np.empty((num_nodes, width_bytes), dtype=np.uint8)
-        node_takes = np.zeros(num_nodes, dtype=np.int64)
-        for node, state in enumerate(cached_states):
-            if state is not None:
-                node_remaining[node] = state[0]
-                node_union[node] = state[1]
-                node_takes[node] = state[2]
-        computed = 0
-        for depth in sorted(levels):
-            level_nodes = levels[depth]
-            nodes = np.asarray(level_nodes, dtype=np.intp)
-            packed = packed_rows[row_arr[nodes]]
-            if depth == 1:
-                remaining = ~packed
-                union = packed
-                takes = counts_of[row_arr[nodes]]
-            else:
-                parent_remaining = node_remaining[parent_of[nodes]]
-                takes = _POPCOUNT[parent_remaining & packed].sum(axis=1)
-                remaining = parent_remaining & ~packed
-                union = node_union[parent_of[nodes]] | packed
-            node_remaining[nodes] = remaining
-            node_union[nodes] = union
-            node_takes[nodes] = takes
-            cache.put_many(
-                (node_prefix[node], state)
-                for node, state in zip(
-                    level_nodes, zip(remaining, union, takes.tolist())
-                )
-            )
-            computed += len(level_nodes)
-        trace.count("oracle.prefix_hits", hits)
-        trace.count("oracle.prefix_nodes", computed)
-
         count = len(pending)
         widths = np.fromiter(
             (len(positions) for positions in pending), dtype=np.intp, count=count
         )
         e_max = int(widths.max())
-        flat_ids = np.asarray(flat_id_list, dtype=np.intp)
-        total = len(flat_ids)
-        rows = np.repeat(np.arange(count), widths)
-        cols = np.arange(total) - np.repeat(np.cumsum(widths) - widths, widths)
-        take_counts = np.zeros((count, e_max), dtype=np.int64)
-        marginal_counts = np.zeros((count, e_max), dtype=np.int64)
-        take_counts[rows, cols] = node_takes[flat_ids]
-        marginal_counts[rows, cols] = counts_of[row_arr[flat_ids]]
-        leaf_ids = np.asarray(leaf_id_list, dtype=np.intp)
-        leaf_remaining = node_remaining[leaf_ids]
-        leaf_union = node_union[leaf_ids]
-        tail_counts = n - _POPCOUNT[~leaf_remaining].sum(axis=1)
-        union_counts = _POPCOUNT[leaf_union | final_packed].sum(axis=1)
+        index = np.zeros((count, e_max), dtype=np.intp)
+        index[np.arange(e_max) < widths[:, None]] = np.fromiter(
+            chain.from_iterable(pending), dtype=np.intp, count=int(widths.sum())
+        )
+        bank = self._bank
+        self._fill_bank(np.unique(index).tolist() + [len(bank) - 1])
+
+        remaining = np.full((count, bank.shape[1]), ~np.uint64(0), dtype=np.uint64)
+        union = np.zeros_like(remaining)
+        take_counts = np.empty((count, e_max), dtype=np.int64)
+        for j in range(e_max):
+            column = bank[index[:, j]]
+            take_counts[:, j] = popcount_rows(remaining & column)
+            remaining &= ~column
+            union |= column
         population = ideal_mapping_stats_population(
             take_counts=take_counts,
-            tail_counts=tail_counts,
-            marginal_counts=marginal_counts,
-            union_counts=union_counts,
-            final_count=self._column_count("final"),
+            tail_counts=n - popcount_rows(~remaining),
+            marginal_counts=self._bank_counts[index],
+            union_counts=popcount_rows(union | bank[-1]),
+            final_count=int(self._bank_counts[-1]),
             n_samples=n,
             widths=widths,
         )
@@ -647,7 +591,6 @@ class BackboneExitOracle:
         """Hit/miss/evict counters of every bounded oracle cache."""
         return {
             "stats": self._stats.stats(),
-            "prefix": self._prefix_cache.stats(),
             "population": self._population_cache.stats(),
             "counts": self._counts.stats(),
             "packed": self._packed.stats(),

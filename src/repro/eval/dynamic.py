@@ -99,6 +99,8 @@ class DynamicEvaluator:
     gamma: float = 1.0
     literal_ratios: bool = False
     _branch_cache: dict[int, LayerCost] = field(default_factory=dict, repr=False)
+    # Memos keyed by (positions, core GHz, EMC GHz): one evaluator serves
+    # one backbone, so the positions identify a placement.
     _eval_cache: dict[tuple, DynamicEvaluation] = field(default_factory=dict, repr=False)
     _objectives_cache: dict[tuple, tuple[float, float, float]] = field(
         default_factory=dict, repr=False
@@ -153,7 +155,7 @@ class DynamicEvaluator:
 
     def evaluate(self, placement: ExitPlacement, setting: DvfsSetting) -> DynamicEvaluation:
         """Full dynamic evaluation of (x, f | b) (cached)."""
-        key = (placement.key, setting.core_ghz, setting.emc_ghz)
+        key = (placement.positions, setting.core_ghz, setting.emc_ghz)
         if key in self._eval_cache:
             trace.count("dyneval.memo_hits")
             return self._eval_cache[key]
@@ -223,7 +225,7 @@ class DynamicEvaluator:
         trace.count("dyneval.population_rows", len(placements))
         cache = self._eval_cache
         keys = [
-            (p.key, s.core_ghz, s.emc_ghz) for p, s in zip(placements, settings)
+            (p.positions, s.core_ghz, s.emc_ghz) for p, s in zip(placements, settings)
         ]
         pending: dict[tuple, int] = {}
         for row, key in enumerate(keys):
@@ -418,7 +420,7 @@ class DynamicEvaluator:
         :meth:`_scalar_objectives` and fills the memo.
         """
         key = (
-            evaluation.placement.key,
+            evaluation.placement.positions,
             evaluation.setting.core_ghz,
             evaluation.setting.emc_ghz,
         )

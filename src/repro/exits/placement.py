@@ -52,19 +52,49 @@ class ExitPlacement:
     def indicators(self) -> np.ndarray:
         """Paper-style indicator vector [I_5 .. I_{L-1}] (0/1 ints)."""
         vec = np.zeros(self.total_layers - MIN_EXIT_POSITION, dtype=np.int64)
-        for p in self.positions:
-            vec[p - MIN_EXIT_POSITION] = 1
+        vec[np.subtract(self.positions, MIN_EXIT_POSITION)] = 1
         return vec
 
     @classmethod
     def from_indicators(cls, total_layers: int, indicators: np.ndarray) -> "ExitPlacement":
         """Inverse of :attr:`indicators`."""
-        indicators = np.asarray(indicators)
-        expected = total_layers - MIN_EXIT_POSITION
-        if len(indicators) != expected:
-            raise ValueError(f"expected {expected} indicators, got {len(indicators)}")
-        positions = tuple(int(i + MIN_EXIT_POSITION) for i in np.flatnonzero(indicators))
-        return cls(total_layers=total_layers, positions=positions)
+        return cls.from_indicator_rows(total_layers, np.asarray(indicators)[None])[0]
+
+    @classmethod
+    def from_indicator_rows(
+        cls, total_layers: int, bits: np.ndarray
+    ) -> list["ExitPlacement"]:
+        """One placement per row of an ``(N, slots)`` indicator matrix.
+
+        One check of the matrix (2-D, ``slots`` wide, 0/1 entries, no empty
+        row) implies every ``__post_init__`` check of every row, so rows are
+        built via ``__new__`` + ``__dict__``.
+        """
+        bits = np.asarray(bits)
+        slots = total_layers - MIN_EXIT_POSITION
+        if bits.ndim != 2 or bits.shape[1] != slots:
+            raise ValueError(f"expected {slots} indicators per row, got shape {bits.shape}")
+        invalid = (bits != 0) & (bits != 1)
+        if invalid.any():
+            row, slot = np.argwhere(invalid)[0].tolist()
+            raise ValueError(
+                f"indicator gene {slot} of row {row} is {bits[row, slot]}, outside {{0, 1}}"
+            )
+        counts = np.count_nonzero(bits, axis=1)
+        if not counts.all():
+            raise ValueError("an exit placement requires at least one exit")
+        positions = (np.nonzero(bits)[1] + MIN_EXIT_POSITION).tolist()
+        new = cls.__new__
+        placements = []
+        start = 0
+        for end in counts.cumsum().tolist():
+            placement = new(cls)
+            placement.__dict__.update(
+                total_layers=total_layers, positions=tuple(positions[start:end])
+            )
+            placements.append(placement)
+            start = end
+        return placements
 
     def relative_depths(self) -> np.ndarray:
         """Exit positions as fractions of the full depth (u_i in (0, 1))."""

@@ -76,20 +76,19 @@ def _layer_terms(
 
     Returns ``({term name: (S, n) matrix}, (S,) passive power)``.  The
     per-setting operands come from the one-setting scalar functions
-    (:meth:`~repro.hardware.latency.LatencyModel.setting_scalars`,
-    :meth:`EnergyModel.rail_powers`) as ``(S, 1)`` columns, so row ``s``
-    is bit-identical to timing ``layers`` at ``settings[s]`` alone.
+    (:meth:`EnergyModel.table_scalars`, memoised per setting) as ``(S, 1)``
+    columns, so row ``s`` is bit-identical to timing ``layers`` at
+    ``settings[s]`` alone.
     """
     count = len(layers)
     macs = np.fromiter((layer.macs for layer in layers), dtype=np.float64, count=count)
     traffic = np.fromiter(
         (layer.traffic_bytes for layer in layers), dtype=np.float64, count=count
     )
-    scalars = np.array(
-        [model.latency.setting_scalars(s) + model.rail_powers(s) for s in settings],
-        dtype=np.float64,
-    ).reshape(len(settings), 7)
-    rate, bandwidth, overhead, core_w, mem_w, mem_bg_w, static_w = np.hsplit(scalars, 7)
+    scalars = np.array([model.table_scalars(s) for s in settings], dtype=np.float64)
+    rate, bandwidth, overhead, core_w, mem_w, mem_bg_w, static_w = np.hsplit(
+        scalars.reshape(len(settings), 7), 7
+    )
     timing = model.latency.scalar_timing(macs, traffic, rate, bandwidth, overhead)
     core, mem_dyn, mem_bg, static = model.power_energy_terms(
         timing, core_w, mem_w, mem_bg_w, static_w

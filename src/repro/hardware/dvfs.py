@@ -34,6 +34,10 @@ class DvfsSpace:
         self.platform = platform
         self.core_freqs = platform.core_freqs_ghz
         self.emc_freqs = platform.emc_freqs_ghz
+        #: Every setting once, core-major: row ``core · |emc| + emc``.
+        self._grid = [
+            DvfsSetting(core, emc) for core in self.core_freqs for emc in self.emc_freqs
+        ]
 
     @property
     def cardinality(self) -> int:
@@ -46,7 +50,19 @@ class DvfsSpace:
 
     def decode(self, core_idx: int, emc_idx: int) -> DvfsSetting:
         """Indices -> concrete setting."""
-        return DvfsSetting(self.core_freqs[int(core_idx)], self.emc_freqs[int(emc_idx)])
+        return self.decode_rows(np.array([[int(core_idx), int(emc_idx)]]))[0]
+
+    def decode_rows(self, genes: np.ndarray) -> list[DvfsSetting]:
+        """``(N, 2)`` (core, EMC) indices -> N settings; an off-grid index
+        raises ``ValueError`` naming the gene and its bound."""
+        genes = np.asarray(genes)
+        bounds = self.gene_bounds()
+        for name, column, bound in zip(("core", "emc"), genes.T, bounds.tolist()):
+            bad = (column < 0) | (column >= bound)
+            if bad.any():
+                raise ValueError(f"{name} gene {column[bad][0]} outside [0, {bound - 1}]")
+        grid = self._grid
+        return [grid[row] for row in (genes[:, 0] * bounds[1] + genes[:, 1]).tolist()]
 
     def encode(self, setting: DvfsSetting) -> tuple[int, int]:
         """Concrete setting -> indices (must be on the grid)."""
@@ -59,7 +75,7 @@ class DvfsSpace:
         leaving DVFS exploration to the IOE; Jetson boards under `nvpmodel
         MAXN` run at maximum clocks, which we adopt as the default.
         """
-        return DvfsSetting(self.core_freqs[-1], self.emc_freqs[-1])
+        return self._grid[-1]
 
     def sample(self, rng=None) -> DvfsSetting:
         """Uniform random setting."""
@@ -69,7 +85,5 @@ class DvfsSpace:
         )
 
     def all_settings(self) -> list[DvfsSetting]:
-        """Enumerate the full grid (used by exhaustive sweeps)."""
-        return [
-            DvfsSetting(core, emc) for core in self.core_freqs for emc in self.emc_freqs
-        ]
+        """Enumerate the full grid (used by exhaustive sweeps), core-major."""
+        return list(self._grid)

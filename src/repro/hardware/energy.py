@@ -112,10 +112,7 @@ class EnergyModel:
         self.platform = platform
         self.latency = LatencyModel(platform)
         self.power = PowerModel(platform)
-
-    def layer_energy_j(self, layer: LayerCost, setting: DvfsSetting) -> float:
-        """Energy of a single layer (J)."""
-        return self._accumulate([layer], setting).energy_j
+        self._table_scalars: dict[tuple[float, float], tuple[float, ...]] = {}
 
     def rail_powers(self, setting: DvfsSetting) -> tuple[float, float, float, float]:
         """Full-activity ``(core dynamic, mem dynamic, mem background,
@@ -127,6 +124,17 @@ class EnergyModel:
             power.mem_background_power(setting),
             power.static_power(setting),
         )
+
+    def table_scalars(self, setting: DvfsSetting) -> tuple[float, ...]:
+        """The seven per-setting operands of a cost-table build
+        (:meth:`LatencyModel.setting_scalars` + :meth:`rail_powers`),
+        memoised per clock pair; racing threads store equal tuples."""
+        key = (setting.core_ghz, setting.emc_ghz)
+        scalars = self._table_scalars.get(key)
+        if scalars is None:
+            scalars = self.latency.setting_scalars(setting) + self.rail_powers(setting)
+            self._table_scalars[key] = scalars
+        return scalars
 
     def layer_energy_terms(
         self, timing: BatchTiming, setting: DvfsSetting

@@ -24,8 +24,7 @@ from repro.arch.config import BackboneConfig
 from repro.eval.dynamic import DynamicEvaluation, DynamicEvaluator
 from repro.eval.static import StaticEvaluator
 from repro.exits.placement import ExitPlacement, ExitSpace
-from repro.hardware.dvfs import DvfsSpace
-from repro.hardware.energy import EnergyModel
+from repro.hardware.dvfs import DvfsSetting, DvfsSpace
 from repro.obs import trace
 from repro.search import operators
 from repro.search.archive import ParetoArchive
@@ -97,10 +96,13 @@ class _InnerProblem(Problem):
         return genome[..., : self.num_slots], genome[..., self.num_slots :]
 
     def decode(self, genome: np.ndarray):
-        bits, dvfs = self.split(genome)
-        placement = ExitPlacement.from_indicators(self.exit_space.total_layers, bits)
-        setting = self.dvfs_space.decode(dvfs[0], dvfs[1])
-        return placement, setting
+        return self.decode_rows(np.asarray(genome)[None])[0]
+
+    def decode_rows(self, genomes: np.ndarray) -> list[tuple[ExitPlacement, DvfsSetting]]:
+        """(placement, setting) per row of an ``(N, G)`` genome matrix."""
+        bits, dvfs = self.split(genomes)
+        placements = ExitPlacement.from_indicator_rows(self.exit_space.total_layers, bits)
+        return list(zip(placements, self.dvfs_space.decode_rows(dvfs)))
 
     def sample(self, rng: np.random.Generator) -> np.ndarray:
         placement = self.exit_space.sample(rng, density=self.exit_density)
@@ -120,10 +122,10 @@ class _InnerProblem(Problem):
         :meth:`DynamicEvaluator.evaluate_generation` — one fused
         accuracy+cost kernel call, each row at its decoded DVFS setting —
         and the objective vectors come back from the evaluator's fused-
-        objectives memo.  Bit-identical to the serial :meth:`evaluate`
-        loop.
+        objectives memo; the stacked genomes decode in one pass.
+        Bit-identical to the serial :meth:`evaluate` loop.
         """
-        decoded = [self.decode(genome) for genome in genomes]
+        decoded = self.decode_rows(np.stack(genomes))
         trace.count("ioe.population_batches")
         trace.count("ioe.population_genomes", len(genomes))
         evaluations = self.evaluator.evaluate_generation(decoded)
@@ -198,7 +200,7 @@ class InnerEngine:
             config=config,
             cost=static_evaluator.cost(config),
             oracle=oracle,
-            energy_model=EnergyModel(static_evaluator.platform),
+            energy_model=static_evaluator.hwil.model,  # one scalar memo per search
             baseline_energy_j=static.energy_j,
             baseline_latency_s=static.latency_s,
             gamma=gamma,

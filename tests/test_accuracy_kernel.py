@@ -1,13 +1,14 @@
 """Batched exit-oracle accuracy kernel: bit-identity and fusion contracts.
 
 ``BackboneExitOracle.evaluate_placements`` lowers a whole population's
-ideal-mapping statistics to one stacked pass over the bit-packed column
-matrix with shared-prefix reuse.  Its contract is absolute: every field of
-every returned :class:`ExitEvaluation` equals the per-placement popcount
-loop *bit for bit* — across population sizes (N=1, duplicates, heavily
-overlapping prefixes), cross-batch prefix-cache reuse and LRU eviction
-pressure — so search trajectories and golden artifacts are unchanged no
-matter which kernel produced them.  Alongside it: the stacked
+ideal-mapping statistics to one dense sweep over the oracle's packed column
+bank.  Its contract is absolute: every field of every returned
+:class:`ExitEvaluation` equals the per-placement popcount loop *bit for
+bit* — across sample counts with partial last bytes and words, population
+sizes (N=1, duplicates, one to every exit), consecutive batches sharing
+prefixes and LRU eviction pressure — so search trajectories and golden
+artifacts are unchanged no matter which kernel produced them.  Alongside
+it: both row-popcount branches, the lazily filled bank, the stacked
 :class:`PopulationExitStats` rows, the fused-objectives memo of the
 dynamic evaluator, ``evaluate_generation`` grouping, and the flag-on/off
 equivalence of whole search engines (IOE, random search).
@@ -20,6 +21,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.accuracy import exit_model
 from repro.accuracy.exit_model import BackboneExitOracle, _LruCache
 from repro.arch.cost import estimate_cost
 from repro.baselines.attentivenas import attentivenas_model
@@ -48,21 +50,25 @@ def _oracle(cls=BackboneExitOracle, **kwargs) -> BackboneExitOracle:
     return cls(**defaults)
 
 
-def _reference_oracle() -> BackboneExitOracle:
-    return _oracle(spec_evaluation.PerPlacementOracle)
+def _reference_oracle(**kwargs) -> BackboneExitOracle:
+    return _oracle(spec_evaluation.PerPlacementOracle, **kwargs)
 
 
 def _placement(positions) -> ExitPlacement:
     return ExitPlacement(_LAYERS, tuple(sorted(positions)))
 
 
-def _placements_strategy():
+def _placements_strategy(max_exits: int = 6):
     one = st.sets(
         st.integers(min_value=MIN_EXIT_POSITION, max_value=_LAYERS - 1),
         min_size=1,
-        max_size=6,
+        max_size=max_exits,
     ).map(_placement)
     return st.lists(one, min_size=1, max_size=12)
+
+
+#: Sample counts with whole and partial last bytes and ``uint64`` words.
+_SAMPLE_COUNTS = (64, 100, 513, 1000, 2048)
 
 
 def _assert_stats_identical(got, want):
@@ -108,14 +114,27 @@ class TestBatchedOracleBitIdentity:
     """evaluate_placements == [evaluate_placement(p) ...], bitwise."""
 
     @settings(max_examples=30, deadline=None)
-    @given(placements=_placements_strategy())
-    def test_matches_reference_oracle(self, placements):
-        batched = _oracle()
-        reference = _reference_oracle()
-        got = batched.evaluate_placements(placements)
-        want = reference.evaluate_placements(placements)
-        for g, w in zip(got, want):
-            _assert_stats_identical(g, w)
+    @given(data=st.data())
+    def test_matches_reference_oracle(self, data):
+        """Any sample count; one to every exit, with duplicates, per batch;
+        then a second batch on the same oracle that keeps a prefix of each
+        first-batch placement and extends it."""
+        n_samples = data.draw(st.sampled_from(_SAMPLE_COUNTS))
+        first = data.draw(_placements_strategy(max_exits=_LAYERS - MIN_EXIT_POSITION))
+        first += data.draw(st.lists(st.sampled_from(first), max_size=4))
+        second = []
+        for placement in first:
+            prefix = placement.positions[: data.draw(st.integers(1, placement.num_exits))]
+            room = range(prefix[-1] + 1, _LAYERS)
+            tail = data.draw(st.sets(st.sampled_from(room), max_size=3)) if room else ()
+            second.append(_placement(prefix + tuple(tail)))
+        batched = _oracle(n_samples=n_samples)
+        reference = _reference_oracle(n_samples=n_samples)
+        for batch in (first, second):
+            got = batched.evaluate_placements(batch)
+            want = reference.evaluate_placements(batch)
+            for g, w in zip(got, want):
+                _assert_stats_identical(g, w)
 
     def test_single_placement(self):
         batched = _oracle()
@@ -131,61 +150,32 @@ class TestBatchedOracleBitIdentity:
         # A later per-placement call returns the same instance too.
         assert batched.evaluate_placement(placement) is a
 
-    def test_overlapping_prefixes_share_trie_levels(self):
-        """Placements sharing early exits resolve through shared prefix
-        nodes — fewer nodes than (placement, exit) pairs — with no effect
-        on the counts."""
-        batched = _oracle()
-        reference = _reference_oracle()
-        base = [6, 8, 10]
-        family = [_placement(base[:k] + [tail]) for k in (1, 2, 3) for tail in (13, 15, 17)]
-        got = batched.evaluate_placements(family)
-        for g, placement in zip(got, family):
-            _assert_stats_identical(g, reference.evaluate_placement(placement))
-        stats = batched.memo_stats()
-        total_exits = sum(p.num_exits for p in family)
-        assert stats["prefix"]["size"] < total_exits
-
-    def test_cross_batch_prefix_reuse(self):
-        """A second batch extending the first's placements hits the prefix
-        cache and still matches the reference."""
-        batched = _oracle()
-        reference = _reference_oracle()
-        first = [_placement([6, 9]), _placement([7, 11])]
-        batched.evaluate_placements(first)
-        hits_before = batched.memo_stats()["prefix"]["hits"]
-        second = [_placement([6, 9, 14]), _placement([7, 11, 16])]
-        got = batched.evaluate_placements(second)
-        assert batched.memo_stats()["prefix"]["hits"] > hits_before
-        for g, placement in zip(got, second):
-            _assert_stats_identical(g, reference.evaluate_placement(placement))
-
     @settings(max_examples=15, deadline=None)
     @given(placements=_placements_strategy())
     def test_identical_under_lru_eviction(self, placements):
-        """Tiny memo/prefix caps force constant eviction; results must not
+        """A tiny memo cap forces constant eviction; results must not
         change (entries rebuild from the packed columns)."""
-        tiny = _oracle(stats_memo_size=2, prefix_cache_size=2)
+        tiny = _oracle(stats_memo_size=2)
         reference = _reference_oracle()
         got = tiny.evaluate_placements(placements)
         for g, placement in zip(got, placements):
             _assert_stats_identical(g, reference.evaluate_placement(placement))
 
     def test_eviction_counter_visible(self):
-        tiny = _oracle(stats_memo_size=2, prefix_cache_size=2)
+        tiny = _oracle(stats_memo_size=2)
         placements = [
             _placement([p, p + 2]) for p in range(MIN_EXIT_POSITION, _LAYERS - 2)
         ]
         tiny.evaluate_placements(placements)
         stats = tiny.memo_stats()
         assert stats["stats"]["evictions"] > 0
-        assert stats["stats"]["size"] <= 2 and stats["prefix"]["size"] <= 2
+        assert stats["stats"]["size"] <= 2
 
     def test_memo_stats_shape(self):
         oracle = _oracle()
         oracle.evaluate_placements([_placement([6, 9])])
         stats = oracle.memo_stats()
-        for name in ("stats", "prefix", "counts", "packed"):
+        for name in ("stats", "counts", "packed"):
             for key in ("size", "maxsize", "hits", "misses", "evictions"):
                 assert isinstance(stats[name][key], int)
 
@@ -194,6 +184,36 @@ class TestBatchedOracleBitIdentity:
         wrong = ExitPlacement(_LAYERS + 4, (6, 9))
         with pytest.raises(ValueError):
             oracle.evaluate_placements([wrong])
+
+    def test_bank_fills_lazily(self):
+        """A batch touching positions {6, 9} builds exactly those columns
+        plus the final one; each banked row packs its column."""
+        oracle = _oracle(n_samples=100)
+        oracle.evaluate_placements([_placement([6, 9]), _placement([9])])
+        assert oracle.column_stats["built"] == 3
+        assert set(oracle._columns) == {6, 9, "final"}
+        assert np.flatnonzero(oracle._banked).tolist() == [0, 6, 9, _LAYERS + 1]
+        for row, column in ((6, oracle.exit_column(6)), (-1, oracle.final_column())):
+            bits = np.unpackbits(oracle._bank[row].view(np.uint8))
+            assert np.array_equal(bits[:100], column) and not bits[100:].any()
+        assert not oracle._bank[0].any()
+        oracle.evaluate_placements([_placement([6, 9, 12])])
+        assert oracle.column_stats["built"] == 4
+
+
+class TestPopcountRows:
+    """Both row-popcount branches count every set bit of every word."""
+
+    def test_matches_bin_count(self):
+        rng = np.random.default_rng(0)
+        words = rng.integers(0, 2**64, size=(6, 5), dtype=np.uint64, endpoint=False)
+        words[0] = 0
+        words[1] = np.uint64(2**64 - 1)
+        words[2, 3] = np.uint64(2**63)
+        want = [sum(bin(int(word)).count("1") for word in row) for row in words]
+        # The byte-table branch is called directly so it runs under any numpy.
+        assert exit_model._popcount_rows_table(words).tolist() == want
+        assert exit_model.popcount_rows(words).tolist() == want
 
 
 class TestPopulationStats:

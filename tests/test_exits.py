@@ -67,6 +67,47 @@ class TestExitPlacement:
         placement = ExitPlacement.from_indicators(layers, bits)
         np.testing.assert_array_equal(placement.indicators, bits)
 
+    @settings(max_examples=40, deadline=None)
+    @given(st.integers(6, 40), st.integers(1, 8), st.data())
+    def test_indicator_rows_match_per_row(self, layers, rows, data):
+        """The matrix decoder equals the validated per-row construction."""
+        slots = layers - MIN_EXIT_POSITION
+        bits = data.draw(hnp.arrays(np.int64, (rows, slots), elements=st.integers(0, 1)))
+        bits[~bits.any(axis=1), -1] = 1
+        decoded = ExitPlacement.from_indicator_rows(layers, bits)
+        assert len(decoded) == rows
+        for placement, row in zip(decoded, bits):
+            want = ExitPlacement(
+                layers, tuple(int(i) + MIN_EXIT_POSITION for i in np.flatnonzero(row))
+            )
+            assert placement == want == ExitPlacement.from_indicators(layers, row)
+            assert hash(placement) == hash(want) and placement.key == want.key
+            assert all(type(p) is int for p in placement.positions)
+
+    def test_indicator_rows_reject_malformed(self):
+        bits = np.zeros((3, 15), dtype=np.int64)
+        bits[:, 4] = 1
+        with pytest.raises(ValueError, match="15 indicators"):
+            ExitPlacement.from_indicator_rows(20, bits[:, :14])
+        with pytest.raises(ValueError, match="15 indicators"):
+            ExitPlacement.from_indicator_rows(20, bits[0])
+        for value in (2, -1):
+            bad = bits.copy()
+            bad[1, 7] = value
+            with pytest.raises(ValueError, match=f"gene 7 of row 1 is {value}"):
+                ExitPlacement.from_indicator_rows(20, bad)
+        empty = bits.copy()
+        empty[2] = 0
+        with pytest.raises(ValueError, match="at least one exit"):
+            ExitPlacement.from_indicator_rows(20, empty)
+
+    def test_indicators_reject_non_binary_gene(self):
+        """A gene of 2 is rejected, not read as an exit."""
+        vec = np.zeros(15, dtype=np.int64)
+        vec[[2, 6]] = (1, 2)
+        with pytest.raises(ValueError, match=r"gene 6 of row 0 is 2, outside \{0, 1\}"):
+            ExitPlacement.from_indicators(20, vec)
+
 
 class TestExitSpace:
     def test_table2_formulas(self):

@@ -108,6 +108,31 @@ class TestDvfsSpace:
             assert s.core_ghz in tx2_dvfs.core_freqs
             assert s.emc_ghz in tx2_dvfs.emc_freqs
 
+    def test_decode_rows_core_major(self, tx2_dvfs):
+        n_core, n_emc = tx2_dvfs.gene_bounds().tolist()
+        genes = np.array([(c, e) for c in range(n_core) for e in range(n_emc)])
+        want = [
+            DvfsSetting(tx2_dvfs.core_freqs[c], tx2_dvfs.emc_freqs[e]) for c, e in genes
+        ]
+        assert tx2_dvfs.decode_rows(genes) == want == tx2_dvfs.all_settings()
+        assert [tx2_dvfs.decode(c, e) for c, e in genes] == want
+        assert tx2_dvfs.default_setting() == want[-1]
+
+    def test_decode_rejects_off_grid_genes(self, tx2_dvfs):
+        """Off-grid genes raise ValueError naming the gene and its bound; a
+        negative index must not wrap around to the top clock."""
+        cases = (
+            (-1, 0, r"core gene -1 outside \[0, 12\]"),
+            (13, 0, r"core gene 13 outside \[0, 12\]"),
+            (0, -1, r"emc gene -1 outside \[0, 10\]"),
+            (0, 11, r"emc gene 11 outside \[0, 10\]"),
+        )
+        for core, emc, message in cases:
+            with pytest.raises(ValueError, match=message):
+                tx2_dvfs.decode(core, emc)
+            with pytest.raises(ValueError, match=message):
+                tx2_dvfs.decode_rows(np.array([[0, 0], [core, emc]]))
+
 
 class TestPowerModel:
     def test_dynamic_power_scales_superlinearly_with_freq(self, tx2_gpu):

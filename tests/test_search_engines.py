@@ -112,6 +112,21 @@ class TestProblemVariation:
         assert one.shape == genomes[0].shape
         problem.decode(one)
 
+    def test_inner_decode_rows_match_per_row(self, inner_engine_problem):
+        from repro.exits.placement import ExitPlacement
+        from repro.hardware.dvfs import DvfsSetting
+
+        problem, rng = inner_engine_problem, np.random.default_rng(3)
+        genomes = np.stack([problem.sample(rng) for _ in range(25)])
+        dvfs = problem.dvfs_space
+        layers = problem.exit_space.total_layers
+        for (placement, setting), genome in zip(problem.decode_rows(genomes), genomes):
+            bits, (core, emc) = problem.split(genome)
+            positions = tuple(int(i) + MIN_EXIT_POSITION for i in np.flatnonzero(bits))
+            assert placement == ExitPlacement(layers, positions)
+            assert setting == DvfsSetting(dvfs.core_freqs[core], dvfs.emc_freqs[emc])
+            assert problem.decode(genome) == (placement, setting)
+
     def test_outer_crossover_swaps_genes_per_position(self, static_evaluator):
         from repro.arch.space import BackboneSpace
         from repro.search.ooe import _BackboneProblem
