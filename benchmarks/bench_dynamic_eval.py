@@ -23,13 +23,13 @@ spec from ``tests/spec/evaluation.py`` (the reference loop is
   (one dense sweep over the oracle's packed column bank) vs the
   per-placement popcount loop (``PerPlacementOracle``), on
   column-prewarmed oracles so the timed region isolates the ideal-mapping
-  statistics, with the oracle's LRU memo counters in the report;
+  statistics, with the batched oracle's column bank fill in the report;
 * tiny- and fast-budget IOE wall-clock rows (full inner NSGA-II runs in
   all three modes: reference loop, per-call tables (``PerCallEvaluator``),
   population kernel);
 * a paper-budget (50 x 70) IOE wall-clock row — the fused
   accuracy+cost kernel stack vs the PR-6 population mode (per-placement
-  oracle, no fused objectives (``UnfusedEvaluator``), and Deb's pairwise
+  oracle, per-row objective means (``UnfusedEvaluator``), and Deb's pairwise
   non-dominated sort from ``tests/spec/pareto.py`` swapped in; archive
   bookkeeping stays vectorized, which makes the measured speedup
   conservative).
@@ -63,7 +63,7 @@ from repro.arch.space import BackboneSpace
 from repro.baselines.attentivenas import attentivenas_model
 from repro.eval.dynamic import DynamicEvaluator
 from repro.eval.static import StaticEvaluator
-from repro.exits.placement import MIN_EXIT_POSITION, ExitPlacement
+from repro.exits.placement import MIN_EXIT_POSITION, ExitPlacement, position_matrix
 from repro.hardware.dvfs import DvfsSpace
 from repro.hardware.energy import EnergyModel
 from repro.hardware.platform import get_platform
@@ -156,15 +156,16 @@ class _Workbench:
 
     def record_ioe_stream(self, budget: str) -> list[tuple[ExitPlacement, object]]:
         """The exact evaluation stream one IOE run at ``budget`` performs:
-        every (placement, setting) row each generation hands to
-        ``evaluate_generation``, duplicates included, in order."""
+        the (placement, setting) of every row of every generation
+        ``evaluate_generation`` returns, duplicates included, in order."""
         engine = self.inner_engine(budget)
         stream: list[tuple[ExitPlacement, object]] = []
         original = engine.evaluator.evaluate_generation
 
-        def recording(decoded):
-            stream.extend(decoded)
-            return original(decoded)
+        def recording(*args):
+            generation = original(*args)
+            stream.extend((row.placement, row.setting) for row in generation)
+            return generation
 
         engine.evaluator.evaluate_generation = recording
         engine.run()
@@ -268,9 +269,11 @@ def _population_phase(
     """Population-scale sweep: stacked kernel vs the per-call table kernel.
 
     Both sides run on fresh evaluators with the exit oracle pre-warmed for
-    the whole population (the oracle is the accuracy side, identical work
-    either way), so the timed region isolates the cost kernels: per-call
-    pays N Python calls per setting, the population path one stacked
+    the whole population — the per-placement statistics memo for per-call,
+    the packed column bank for the population path, which sweeps its
+    statistics on every call — so the timed region is the cost kernels
+    plus what each path pays per call on the accuracy side: per-call pays
+    N Python calls per setting, the population path one stacked sweep and
     gather.  Bit-identity of every field is asserted against the per-call
     kernel for all (placement, setting) pairs and against the pre-table
     reference loop for a subset.
@@ -281,7 +284,8 @@ def _population_phase(
 
     def per_call_pass() -> float:
         evaluator = bench.evaluator()
-        evaluator.oracle.evaluate_placements(placements)
+        for placement in placements:
+            evaluator.oracle.evaluate_placement(placement)
         start = time.perf_counter()
         for setting in settings:
             for placement in placements:
@@ -344,7 +348,7 @@ def _accuracy_phase(bench: _Workbench, population: int, reps: int) -> dict:
     per-placement path pays one popcount sweep per (placement, exit), the
     batched path one dense sweep per exit level over the packed column
     bank.  Bit-identity of every statistics field is asserted across the
-    whole population, and the batched oracle's LRU memo counters land in
+    whole population, and the batched oracle's column bank fill lands in
     the report.
     """
     placements = _distinct_placements(bench, population, bench.seed + 41)
@@ -365,7 +369,7 @@ def _accuracy_phase(bench: _Workbench, population: int, reps: int) -> dict:
     per_placement_wall = min(wall for wall, _ in per_placement_runs)
     batched_oracle = batched_runs[-1][1]
 
-    got = batched_oracle.evaluate_placements(placements)  # memo reads
+    got = batched_oracle.evaluate_placements(placements)
     want = per_placement_runs[-1][1].evaluate_placements(placements)
     for fast, slow in zip(got, want):
         assert np.array_equal(fast.n_i, slow.n_i)
@@ -379,7 +383,11 @@ def _accuracy_phase(bench: _Workbench, population: int, reps: int) -> dict:
         "per_placement_evals_per_s": len(placements) / per_placement_wall,
         "batched_evals_per_s": len(placements) / batched_wall,
         "speedup": per_placement_wall / batched_wall,
-        "oracle_memo": batched_oracle.memo_stats(),
+        "oracle_bank": {
+            "rows": len(batched_oracle._banked),
+            "filled": int(batched_oracle._banked.sum()),
+            "columns": dict(batched_oracle.column_stats),
+        },
     }
 
 
@@ -388,7 +396,7 @@ def _paper_ioe_row(bench: _Workbench) -> dict:
 
     The PR-6 comparator is the population cost kernel *without* the
     accuracy-side kernels — the per-placement oracle
-    (``PerPlacementOracle``), no fused objective pass
+    (``PerPlacementOracle``), objective means one row at a time
     (``UnfusedEvaluator``), and Deb's pairwise sort from
     ``tests/spec/pareto.py`` swapped into the NSGA-II module (the scalar
     ``dominates`` loop dominated the PR-6 profile).  Archive bookkeeping
@@ -461,11 +469,10 @@ def _observability_pass(bench: _Workbench, pairs, placements_hint: int) -> dict:
         # counters; it is one population call.
         generation = bench.evaluator()
         settings = _distinct_settings(bench, 4, bench.seed + 53)
-        decoded = [
-            (placement, settings[i % len(settings)])
-            for i, placement in enumerate(placements)
-        ]
-        generation.evaluate_generation(decoded)
+        positions, _ = position_matrix([placement.positions for placement in placements])
+        generation.evaluate_generation(
+            positions, [settings[i % len(settings)] for i in range(len(placements))]
+        )
     finally:
         trace.uninstall()
     return counter_rollup(recorder)
@@ -581,11 +588,10 @@ def main(argv: list[str] | None = None) -> int:
         f"{population['settings']} settings; oracle columns "
         f"{population['oracle_columns']}"
     )
-    memo = accuracy["oracle_memo"]["stats"]
+    bank = accuracy["oracle_bank"]
     print(
-        "oracle stats memo: "
-        f"{memo['size']}/{memo['maxsize']} entries, {memo['hits']} hits / "
-        f"{memo['misses']} misses ({memo['evictions']} evictions)"
+        f"oracle column bank: {bank['filled']}/{bank['rows']} rows filled, "
+        f"columns {bank['columns']}"
     )
     for row in ioe_rows:
         print(

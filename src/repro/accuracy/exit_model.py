@@ -42,8 +42,7 @@ import math
 from collections import OrderedDict
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import chain
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, Sequence
 
 import numpy as np
 
@@ -52,9 +51,8 @@ from repro.exits.evaluation import (
     ExitEvaluation,
     PopulationExitStats,
     ideal_mapping_stats_population,
-    stack_exit_evaluations,
 )
-from repro.exits.placement import ExitPlacement
+from repro.exits.placement import ExitPlacement, position_matrix
 from repro.obs import trace
 from repro.utils.rng import child_rng
 from repro.utils.validation import check_positive, check_probability
@@ -96,12 +94,11 @@ popcount_rows = (
 class _LruCache:
     """Bounded mapping with LRU eviction and hit/miss/evict counters.
 
-    The oracle's memo dicts (per-placement statistics, stacked
-    populations, per-column derivatives) previously grew without limit — fine
-    for one search, not for day-long grid sweeps that stream millions of
-    distinct placements through one oracle.  Each cache documents its cap
-    at the construction site; counters feed ``memo_stats()`` and the
-    dynamic-eval bench rollup.
+    The oracle's memo dicts (per-placement statistics, per-column
+    derivatives) previously grew without limit — fine for one search, not
+    for day-long grid sweeps that stream millions of distinct placements
+    through one oracle.  Each cache documents its cap at the construction
+    site; its counters feed ``memo_stats()``.
     """
 
     __slots__ = ("maxsize", "hits", "misses", "evictions", "_data")
@@ -132,7 +129,7 @@ class _LruCache:
         return value
 
     def peek(self, key):
-        """Uncounted lookup (no recency refresh) for post-batch gathers."""
+        """Uncounted lookup (no recency refresh)."""
         return self._data.get(key)
 
     def put(self, key, value) -> None:
@@ -145,23 +142,6 @@ class _LruCache:
         if len(data) > self.maxsize:
             data.popitem(last=False)
             self.evictions += 1
-
-    def put_many(self, items) -> None:
-        """Bulk insert of known-fresh keys (batch kernels' hot path).
-
-        Skips the per-key existence check — callers pass keys that just
-        missed — and settles the cap once at the end; the evicted set is
-        identical to per-key :meth:`put` because every inserted key is
-        newer than anything already stored.
-        """
-        data = self._data
-        for key, value in items:
-            data[key] = value
-        over = len(data) - self.maxsize
-        if over > 0:
-            for _ in range(over):
-                data.popitem(last=False)
-            self.evictions += over
 
     def stats(self) -> dict[str, int]:
         return {
@@ -274,7 +254,7 @@ class BackboneExitOracle:
         ``oracle`` namespace, warm-starting re-searches where only the
         hardware side (DVFS grid, platform) changed.
     stats_memo_size:
-        LRU cap of the per-placement :class:`ExitEvaluation` memo.  The
+        LRU cap of :meth:`evaluate_placement`'s :class:`ExitEvaluation` memo.  The
         default (64 Ki evaluations) covers any single search many times
         over while bounding day-long grid sweeps; eviction counts are
         visible in :meth:`memo_stats`.
@@ -323,10 +303,6 @@ class BackboneExitOracle:
         self._bank_counts = np.zeros(total_layers + 2, dtype=np.int64)
         self._banked = np.zeros(total_layers + 2, dtype=bool)
         self._banked[0] = True
-        # Whole-population stacked statistics, keyed by the batch's position
-        # tuples; a handful of entries covers a DVFS sweep's repeated
-        # batches while staying tiny (the rows alias the ``_stats`` memo).
-        self._population_cache = _LruCache(8)
         #: Column-resolution counters (column requests by outcome): how many
         #: landed in memory, warm-started from the persistent cache, or were
         #: built from the Monte-Carlo population.  The dynamic-eval bench
@@ -471,62 +447,34 @@ class BackboneExitOracle:
         return stats
 
     def evaluate_placements(
-        self, placements: list[ExitPlacement]
-    ) -> list[ExitEvaluation]:
-        """Statistics for a whole population (order-preserving).
+        self, placements: Sequence[ExitPlacement] | np.ndarray
+    ) -> PopulationExitStats:
+        """Stacked statistics of a whole population, one sweep.
 
-        The population kernel's accuracy side: every distinct unmemoised
-        placement goes through :meth:`_batched_stats` — one dense sweep
-        over the packed column bank — and only memo reads remain per
-        placement.  Bit-identical to calling
-        :meth:`evaluate_placement` in a loop (hypothesis-asserted): both
-        produce the same integer counts divided by the same ``n``, and
-        duplicates resolve to the same memoised instance.
+        ``placements`` is a sequence of :class:`ExitPlacement` or an
+        ``(N, E_max)`` position matrix in the
+        :func:`~repro.exits.placement.position_matrix` layout (rows the
+        caller has validated, as the IOE's genome decode does).  Every row
+        goes through :meth:`_batched_stats`, duplicates included: the sweep
+        costs the same per row as a memo read would.  The result is the
+        stacked matrices the dynamic evaluator fuses with the cost kernel,
+        and reads as a sequence of :class:`ExitEvaluation` rows, each
+        bitwise :meth:`evaluate_placement` of its placement
+        (hypothesis-asserted): both produce the same integer counts divided
+        by the same ``n``.
         """
-        for placement in placements:
-            if placement.total_layers != self.total_layers:
-                raise ValueError(
-                    f"placement assumes {placement.total_layers} layers, oracle "
-                    f"has {self.total_layers}"
-                )
+        if not isinstance(placements, np.ndarray):
+            for placement in placements:
+                if placement.total_layers != self.total_layers:
+                    raise ValueError(
+                        f"placement assumes {placement.total_layers} layers, oracle "
+                        f"has {self.total_layers}"
+                    )
+            placements = [placement.positions for placement in placements]
+        positions, widths = position_matrix(placements)
         trace.count("oracle.batch_calls")
-        trace.count("oracle.batch_rows", len(placements))
-        memo = self._stats
-        pending: dict[tuple[int, ...], None] = {}
-        for placement in placements:
-            positions = placement.positions
-            if positions not in pending and memo.get(positions) is None:
-                pending[positions] = None
-        if pending:
-            self._batched_stats(list(pending))
-        results = []
-        for placement in placements:
-            stats = memo.peek(placement.positions)
-            if stats is None:  # evicted mid-gather: batch larger than the memo cap
-                stats = self.evaluate_placement(placement)
-            results.append(stats)
-        return results
-
-    def population_stats(self, placements: list[ExitPlacement]) -> PopulationExitStats:
-        """Stacked accuracy matrices + per-placement evaluations of a batch.
-
-        The fusion surface the dynamic evaluator consumes: one call yields
-        the ``(N, E_max)`` accuracy-side matrices aligned with the cost
-        kernel's padded layout plus the (memo-shared) per-placement
-        evaluations.  Rows are bitwise the per-placement statistics
-        regardless of which placements were memoised beforehand.
-
-        The statistics are DVFS-independent, so a population swept across
-        many settings (the exhaustive-grid shards, the bench) re-reads one
-        stacked instance from a small LRU instead of restacking per
-        setting.
-        """
-        key = tuple(placement.positions for placement in placements)
-        stats = self._population_cache.get(key)
-        if stats is None:
-            stats = stack_exit_evaluations(self.evaluate_placements(placements))
-            self._population_cache.put(key, stats)
-        return stats
+        trace.count("oracle.batch_rows", len(widths))
+        return self._batched_stats(positions, widths)
 
     def _fill_bank(self, rows) -> None:
         """Bank ``rows`` (positions; the last row is the final classifier)
@@ -542,56 +490,46 @@ class BackboneExitOracle:
                 self._bank_counts[row] = np.count_nonzero(column)
                 banked[row] = True
 
-    def _batched_stats(self, pending: list[tuple[int, ...]]) -> None:
-        """Evaluate distinct placements in one dense sweep over the bank.
+    def _batched_stats(self, index: np.ndarray, widths: np.ndarray) -> PopulationExitStats:
+        """Evaluate placements in one dense sweep over the bank.
 
-        The placements become a ``(P, E_max)`` position matrix padded with
-        row 0, the layout ``PopulationKernel.path_costs`` gathers.  At exit
-        level ``j`` every placement takes the ``remaining`` samples its
-        ``j``-th exit classifies (AND + row popcount), drops them from
-        ``remaining`` (AND-NOT) and adds them to ``union`` (OR).  Pads
-        gather the zero row, so they take nothing and change no mask; bits
-        past ``n`` stay set in ``remaining`` and clear in every column.
-        These are the masks :meth:`_assemble_stats` carries, so every count
-        and every ``count / n`` is identical.
+        ``index`` is the ``(P, E_max)`` position matrix padded with row 0,
+        the layout ``PopulationKernel.path_costs`` gathers.  At exit level
+        ``j`` every placement takes the ``remaining`` samples its ``j``-th
+        exit classifies (AND + row popcount), drops them from ``remaining``
+        (AND-NOT) and adds them to ``union`` (OR).  Pads gather the zero
+        row, so they take nothing and change no mask; bits past ``n`` stay
+        set in ``remaining`` and clear in every column.  These are the
+        masks :meth:`_assemble_stats` carries, so every count and every
+        ``count / n`` is identical.
         """
         n = self.n_samples
-        count = len(pending)
-        widths = np.fromiter(
-            (len(positions) for positions in pending), dtype=np.intp, count=count
-        )
-        e_max = int(widths.max())
-        index = np.zeros((count, e_max), dtype=np.intp)
-        index[np.arange(e_max) < widths[:, None]] = np.fromiter(
-            chain.from_iterable(pending), dtype=np.intp, count=int(widths.sum())
-        )
         bank = self._bank
         self._fill_bank(np.unique(index).tolist() + [len(bank) - 1])
 
-        remaining = np.full((count, bank.shape[1]), ~np.uint64(0), dtype=np.uint64)
+        remaining = np.full((len(index), bank.shape[1]), ~np.uint64(0), dtype=np.uint64)
         union = np.zeros_like(remaining)
-        take_counts = np.empty((count, e_max), dtype=np.int64)
-        for j in range(e_max):
+        take_counts = np.empty(index.shape, dtype=np.int64)
+        for j in range(index.shape[1]):
             column = bank[index[:, j]]
             take_counts[:, j] = popcount_rows(remaining & column)
             remaining &= ~column
             union |= column
-        population = ideal_mapping_stats_population(
+        return ideal_mapping_stats_population(
+            positions=index,
+            widths=widths,
             take_counts=take_counts,
             tail_counts=n - popcount_rows(~remaining),
             marginal_counts=self._bank_counts[index],
             union_counts=popcount_rows(union | bank[-1]),
             final_count=int(self._bank_counts[-1]),
             n_samples=n,
-            widths=widths,
         )
-        self._stats.put_many(zip(pending, population.evaluations))
 
     def memo_stats(self) -> dict[str, dict[str, int]]:
         """Hit/miss/evict counters of every bounded oracle cache."""
         return {
             "stats": self._stats.stats(),
-            "population": self._population_cache.stats(),
             "counts": self._counts.stats(),
             "packed": self._packed.stats(),
         }

@@ -11,6 +11,7 @@ precisely what makes different subnets prefer different DVFS points.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 from repro.arch.config import BackboneConfig, LayerSpec
 
@@ -149,6 +150,7 @@ def _merge(name: str, kind: str, index: int, parts: list[LayerCost]) -> LayerCos
     )
 
 
+@lru_cache(maxsize=1 << 14)
 def _mbconv_cost(
     spec: LayerSpec,
     include_se: bool,
@@ -193,7 +195,13 @@ def estimate_cost(
     include_se: bool = True,
     bytes_per_element: float = DEFAULT_BYTES_PER_ELEMENT,
 ) -> NetworkCost:
-    """Lower a backbone config into its per-layer cost profile."""
+    """Lower a backbone config into its per-layer cost profile.
+
+    MBConv layers are costed once per distinct :class:`LayerSpec`: the
+    backbones of one search share most of their layers (a paper-budget
+    search repeats about three in four), and the frozen :class:`LayerCost`
+    is shared between their profiles.
+    """
     cost = NetworkCost(config_key=config.key)
     for spec in config.layers():
         if spec.kind == "stem":

@@ -22,7 +22,7 @@ reading; documented in DESIGN.md).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from typing import Sequence
 
 import numpy as np
@@ -56,6 +56,23 @@ class DynamicEvaluation:
     scores: np.ndarray  # eq. 6 per exit
     d_score: float  # eq. 5 aggregate
 
+    def __getattr__(self, name: str):
+        # Reached only for a field a generation row has not filled yet:
+        # :class:`DynamicGeneration` hands out rows whose ``__dict__`` holds
+        # just ``_source`` = (generation, row) until one field is read.
+        # ``self.__dict__`` never recurses here, so pickle and copy probing
+        # an empty instance for ``__setstate__`` or ``__deepcopy__`` get a
+        # plain AttributeError.
+        state = self.__dict__
+        source = state.get("_source")
+        if source is not None and name in _ROW_FIELDS:
+            state.update(source[0].row_fields(source[1]))
+            state.pop("_source", None)
+        try:
+            return state[name]
+        except KeyError:
+            raise AttributeError(name) from None
+
     @property
     def mean_n_i(self) -> float:
         return self.exit_stats.mean_n_i
@@ -64,6 +81,107 @@ class DynamicEvaluation:
     def dynamic_accuracy(self) -> float:
         """Union accuracy (fraction) under ideal mapping."""
         return self.exit_stats.dynamic_accuracy
+
+
+_ROW_FIELDS = frozenset(f.name for f in fields(DynamicEvaluation))
+
+
+class DynamicGeneration:
+    """N evaluated (placement, setting) rows of D(x, f | b) as plain arrays.
+
+    What :meth:`DynamicEvaluator.evaluate_population` returns: the stacked
+    accuracy statistics and path costs of the population, the ``(N, E_max)``
+    eq. 6 score matrix, the ``(N,)`` eq. 5 ``d_scores`` and the ``(N, 3)``
+    IOE ``objectives`` matrix.  It reads as a sequence of
+    :class:`DynamicEvaluation` rows; ``self[i]`` is a row whose fields are
+    built from the arrays the first time one of them is read, so a search
+    pays for the rows it looks at (archive members, the reported best) and
+    not for every candidate.  The block holds only arrays, settings and
+    floats — no evaluator, oracle or cost bank — so it pickles small.
+
+    ``objectives`` row ``i`` is the IOE maximisation vector of candidate
+    ``i`` (paper eqs. 5-6).  All three components are *per-exit proxy
+    averages*, exactly as the paper's D formulation: the accuracy side
+    folds the dissimilarity regulariser in (mean of N_i * dissim_i^gamma),
+    and the energy/latency sides average the per-exit normalised savings.
+    None of them is an ideal-mapping aggregate — which is precisely why,
+    without the dissimilarity term, the search degenerates to clustered
+    exits (the proxies do not punish redundancy; the paper's Fig. 7
+    ablation shows the same failure).  Deployment metrics
+    (``energy_gain`` etc.) are still the physical ideal-mapping
+    aggregates.
+    """
+
+    def __init__(
+        self,
+        total_layers: int,
+        settings: list[DvfsSetting],
+        stats: PopulationExitStats,
+        costs: PopulationPathCosts,
+        scores: np.ndarray,
+        d_scores: np.ndarray,
+        objectives: np.ndarray,
+        baseline_energy_j: float,
+        baseline_latency_s: float,
+    ):
+        self.total_layers = total_layers
+        self.settings = settings
+        self.stats = stats
+        self.costs = costs
+        self.scores = scores
+        self.d_scores = d_scores
+        self.objectives = objectives
+        self.baseline_energy_j = baseline_energy_j
+        self.baseline_latency_s = baseline_latency_s
+
+    def __len__(self) -> int:
+        return len(self.settings)
+
+    def __getitem__(self, row: int) -> DynamicEvaluation:
+        return self._unbuilt(range(len(self.settings))[row])
+
+    def __iter__(self):
+        return map(self._unbuilt, range(len(self.settings)))
+
+    def _unbuilt(self, row: int) -> DynamicEvaluation:
+        """Row ``row`` with no field yet: they fill from
+        :meth:`row_fields` when the first one is read."""
+        evaluation = DynamicEvaluation.__new__(DynamicEvaluation)
+        evaluation.__dict__["_source"] = (self, row)
+        return evaluation
+
+    def row_fields(self, row: int) -> dict:
+        """The :class:`DynamicEvaluation` fields of row ``row``.
+
+        The arrays are views of the row's valid slice (read-only by
+        convention, like ``ExitEvaluation.dissimilarity``).  The
+        usage-weighted dots run per row on those slices, the operands
+        :meth:`DynamicEvaluator.evaluate` dots, so every scalar is
+        bit-identical to the per-pair call.
+        """
+        stats, costs = self.stats, self.costs
+        width = int(stats.widths[row])
+        exit_stats = stats[row]
+        exit_energy = costs.exit_energy_j[row, :width]
+        exit_latency = costs.exit_latency_s[row, :width]
+        head, tail = exit_stats.usage_split
+        dynamic_energy = float(head @ exit_energy + tail * float(costs.full_energy_j[row]))
+        dynamic_latency = float(head @ exit_latency + tail * float(costs.full_latency_s[row]))
+        return {
+            "placement": ExitPlacement.unchecked(
+                self.total_layers, tuple(stats.positions[row, :width].tolist())
+            ),
+            "setting": self.settings[row],
+            "exit_stats": exit_stats,
+            "exit_energy_j": exit_energy,
+            "exit_latency_s": exit_latency,
+            "dynamic_energy_j": dynamic_energy,
+            "dynamic_latency_s": dynamic_latency,
+            "energy_gain": 1.0 - dynamic_energy / self.baseline_energy_j,
+            "latency_gain": 1.0 - dynamic_latency / self.baseline_latency_s,
+            "scores": self.scores[row, :width],
+            "d_score": float(self.d_scores[row]),
+        }
 
 
 @dataclass
@@ -99,12 +217,9 @@ class DynamicEvaluator:
     gamma: float = 1.0
     literal_ratios: bool = False
     _branch_cache: dict[int, LayerCost] = field(default_factory=dict, repr=False)
-    # Memos keyed by (positions, core GHz, EMC GHz): one evaluator serves
-    # one backbone, so the positions identify a placement.
+    # :meth:`evaluate`'s memo, keyed by (positions, core GHz, EMC GHz): one
+    # evaluator serves one backbone, so the positions identify a placement.
     _eval_cache: dict[tuple, DynamicEvaluation] = field(default_factory=dict, repr=False)
-    _objectives_cache: dict[tuple, tuple[float, float, float]] = field(
-        default_factory=dict, repr=False
-    )
 
     def __post_init__(self):
         check_nonneg("gamma", self.gamma)
@@ -199,250 +314,91 @@ class DynamicEvaluator:
 
     def evaluate_population(
         self,
-        placements: list[ExitPlacement],
+        placements: Sequence[ExitPlacement] | np.ndarray,
         setting: DvfsSetting | Sequence[DvfsSetting],
-    ) -> list[DynamicEvaluation]:
+    ) -> DynamicGeneration:
         """Evaluate N placements as one stacked kernel call.
 
-        ``setting`` is one setting for every placement or a sequence of one
-        per placement; rows may mix settings freely.  Bit-identical to
-        ``[self.evaluate(p, s) for p, s in zip(placements, settings)]``
-        (asserted by the population property tests and the bench): the
-        stacked kernel performs exactly the per-placement elementwise work,
-        and every reduction (usage-weighted dots, score means) runs per row
-        on operand slices identical to the per-call arrays.  Shares
-        :meth:`evaluate`'s cache — duplicates and previously seen
-        (placement, setting) pairs cost a dict read, mixed call patterns
-        stay coherent — and memoises each new row's IOE objective vector
-        for :meth:`objectives`.
+        ``placements`` is a sequence of :class:`ExitPlacement` or an
+        ``(N, E_max)`` position matrix in the
+        :func:`~repro.exits.placement.position_matrix` layout; ``setting``
+        is one setting for every placement or a sequence of one per
+        placement, so rows may mix settings freely.  Row ``i`` of the
+        returned :class:`DynamicGeneration` is bit-identical to
+        ``self.evaluate(placements[i], settings[i])`` and its objective row
+        to the per-exit means of that evaluation's arrays (asserted by the
+        population property tests and the bench): the stacked kernel
+        performs exactly the per-placement elementwise work, and every
+        reduction runs on each row's exact valid slice (see
+        :meth:`_row_means`).  Every row is computed, duplicates included;
+        :meth:`evaluate`'s memo is neither read nor filled.
         """
-        placements = list(placements)
+        count = len(placements)
         if isinstance(setting, DvfsSetting):
-            settings = [setting] * len(placements)
+            settings = [setting] * count
         else:
             settings = list(setting)
         trace.count("dyneval.population_calls")
-        trace.count("dyneval.population_rows", len(placements))
-        cache = self._eval_cache
-        keys = [
-            (p.positions, s.core_ghz, s.emc_ghz) for p, s in zip(placements, settings)
-        ]
-        pending: dict[tuple, int] = {}
-        for row, key in enumerate(keys):
-            if key not in cache and key not in pending:
-                pending[key] = row
-        if pending:
-            batch = [placements[row] for row in pending.values()]
-            batch_settings = [settings[row] for row in pending.values()]
-            fused = self.population.fused_batch(batch, batch_settings, self.oracle)
-            evaluations, objectives = self._finalize_population(
-                batch, fused.stats, fused.costs, batch_settings
-            )
-            cache.update(zip(pending, evaluations))
-            self._objectives_cache.update(zip(pending, objectives))
-        return [cache[key] for key in keys]
+        trace.count("dyneval.population_rows", count)
+        fused = self.population.fused_batch(placements, settings, self.oracle)
+        stats, costs = fused.stats, fused.costs
 
-    def evaluate_generation(
-        self, decoded: list[tuple[ExitPlacement, DvfsSetting]]
-    ) -> list[DynamicEvaluation]:
-        """Evaluate a mixed-setting generation in one population call.
-
-        One eval-cache dedupe, one oracle pass over the distinct
-        placements, one stacked cost gather with per-row settings and one
-        finalisation (order-preserving results) — the entry point the
-        NSGA-II/IOE batch hook and random search lower to.  Bit-identical to
-        evaluating each (placement, setting) pair individually, since
-        :meth:`evaluate_population` is.
-        """
-        trace.count("dyneval.generation_calls")
-        trace.count("dyneval.generation_rows", len(decoded))
-        return self.evaluate_population(
-            [placement for placement, _ in decoded],
-            [setting for _, setting in decoded],
-        )
-
-    def _finalize_population(
-        self,
-        placements: list[ExitPlacement],
-        stats: PopulationExitStats,
-        costs: PopulationPathCosts,
-        settings: list[DvfsSetting],
-    ) -> tuple[list[DynamicEvaluation], list[tuple[float, float, float]]]:
-        """Stacked eq. 5–7 tail: ratios, clamps and scores as fixed-shape
-        matrix ops; reductions per row (see :meth:`evaluate_population`).
-
-        The accuracy matrices arrive pre-stacked from the oracle's
-        population kernel — fused with the cost matrices here — and the
-        per-row IOE objective vectors come out of the same pass (guarded
-        stacked reductions), returned beside the evaluations so the caller
-        memoises them and :meth:`objectives` never recomputes them."""
-        exit_energy = costs.exit_energy_j
-        exit_latency = costs.exit_latency_s
-        energy_ratio = exit_energy / self.baseline_energy_j
-        latency_ratio = exit_latency / self.baseline_latency_s
+        energy_ratio = costs.exit_energy_j / self.baseline_energy_j
+        latency_ratio = costs.exit_latency_s / self.baseline_latency_s
         if self.literal_ratios:
             energy_term = energy_ratio
             latency_term = latency_ratio
         else:
             energy_term = np.clip(1.0 - energy_ratio, 0.0, None)
             latency_term = np.clip(1.0 - latency_ratio, 0.0, None)
-        n_i = stats.n_i
         dissim_pow = stats.dissimilarity**self.gamma
-        scores = n_i * energy_term * latency_term * dissim_pow
-
-        widths = costs.widths.tolist()
-        full_energies = costs.full_energy_j.tolist()
-        full_latencies = costs.full_latency_s.tolist()
-        baseline_energy = self.baseline_energy_j
-        baseline_latency = self.baseline_latency_s
-        # d_score = scores[:width].mean() per row.  Below numpy's pairwise
-        # 8-element unroll every row reduction is the strict left-to-right
-        # sum ``mean`` performs, pad columns are exactly ±0.0 (n_i pads are
-        # zero), and trailing ±0.0 adds are bitwise no-ops on the
-        # non-negative scores — so one stacked reduction divided by the true
-        # widths gives ``mean``'s bits for the whole batch.  At eight or
-        # more columns the padded and unpadded accumulation orders can
-        # differ, so fall back to per-row sums of the exact slices.
-        if scores.shape[1] < 8:
-            d_scores = (np.add.reduce(scores, axis=1) / costs.widths).tolist()
-        else:
-            d_scores = [
-                float(np.add.reduce(scores[row, :widths[row]]) / widths[row])
-                for row in range(len(widths))
-            ]
-        # One gather turns the padded matrices into flat concatenations of
-        # the valid row prefixes; each evaluation's arrays are contiguous
-        # slices of those buffers (read-only by convention, like
-        # ``ExitEvaluation.dissimilarity``) — same values as per-row copies
-        # without N allocations.  The frozen record is built via __new__ +
-        # __dict__ (frozen dataclasses pay one guarded ``object.__setattr__``
-        # per field in ``__init__``; this builds the identical object).
-        valid = np.arange(scores.shape[1]) < costs.widths[:, None]
-        flat_energy = exit_energy[valid]
-        flat_latency = exit_latency[valid]
-        flat_scores = scores[valid]
-        bounds = np.concatenate(([0], np.cumsum(costs.widths))).tolist()
-        new = DynamicEvaluation.__new__
-        cls = DynamicEvaluation
-        evaluations = []
-        for row, (placement, setting, exit_stats) in enumerate(
-            zip(placements, settings, stats.evaluations)
-        ):
-            start = bounds[row]
-            end = bounds[row + 1]
-            row_energy = flat_energy[start:end]
-            row_latency = flat_latency[start:end]
-            full_energy = full_energies[row]
-            full_latency = full_latencies[row]
-            head, tail = exit_stats.usage_split
-            dynamic_energy = float(head @ row_energy + tail * full_energy)
-            dynamic_latency = float(head @ row_latency + tail * full_latency)
-            evaluation = new(cls)
-            evaluation.__dict__.update({
-                "placement": placement,
-                "setting": setting,
-                "exit_stats": exit_stats,
-                "exit_energy_j": row_energy,
-                "exit_latency_s": row_latency,
-                "dynamic_energy_j": dynamic_energy,
-                "dynamic_latency_s": dynamic_latency,
-                "energy_gain": 1.0 - dynamic_energy / baseline_energy,
-                "latency_gain": 1.0 - dynamic_latency / baseline_latency,
-                "scores": flat_scores[start:end],
-                "d_score": d_scores[row],
-            })
-            evaluations.append(evaluation)
-        objectives = self._fused_objectives(
-            n_i, dissim_pow, energy_term, latency_term, costs
+        scores = stats.n_i * energy_term * latency_term * dissim_pow
+        # Per-exit operands of the three IOE objectives (see
+        # DynamicGeneration) and of eq. 5's d_score, reduced together.
+        means = self._row_means(
+            np.stack((stats.n_i * dissim_pow, energy_term, latency_term, scores)),
+            stats.widths,
         )
-        return evaluations, objectives
-
-    def _fused_objectives(
-        self,
-        n_i: np.ndarray,
-        dissim_pow: np.ndarray,
-        energy_term: np.ndarray,
-        latency_term: np.ndarray,
-        costs: PopulationPathCosts,
-    ) -> list[tuple[float, float, float]]:
-        """Per-row IOE objective vectors as stacked guarded reductions.
-
-        Each component is a per-exit mean over the row's valid slice (see
-        :meth:`objectives`).  The accuracy operand's pads are exactly +0.0
-        (``n_i`` pads are zero), but the energy/latency savings terms are
-        ``clip(1 - 0/E_b) = 1.0`` at pad columns — the cost kernel's padded
-        exit costs gather 0 — so those operands are explicitly zeroed by
-        the width mask before reducing.  The same < 8-column guard as the
-        d_score reduction keeps every quotient bit-identical to
-        ``np.mean`` over the exact row slice.
-        """
-        widths = costs.widths
-        acc = n_i * dissim_pow
-        valid = np.arange(acc.shape[1]) < widths[:, None]
-        energy_masked = np.where(valid, energy_term, 0.0)
-        latency_masked = np.where(valid, latency_term, 0.0)
-        if acc.shape[1] < 8:
-            d_acc = (np.add.reduce(acc, axis=1) / widths).tolist()
-            d_energy = (np.add.reduce(energy_masked, axis=1) / widths).tolist()
-            d_latency = (np.add.reduce(latency_masked, axis=1) / widths).tolist()
-        else:
-            width_list = widths.tolist()
-            d_acc = [
-                float(np.add.reduce(acc[row, :w]) / w)
-                for row, w in enumerate(width_list)
-            ]
-            d_energy = [
-                float(np.add.reduce(energy_masked[row, :w]) / w)
-                for row, w in enumerate(width_list)
-            ]
-            d_latency = [
-                float(np.add.reduce(latency_masked[row, :w]) / w)
-                for row, w in enumerate(width_list)
-            ]
-        return list(zip(d_acc, d_energy, d_latency))
-
-    def objectives(self, evaluation: DynamicEvaluation) -> tuple[float, float, float]:
-        """IOE maximisation vector for one evaluation (paper eqs. 5-6).
-
-        All three components are *per-exit proxy averages*, exactly as the
-        paper's D formulation: the accuracy side folds the dissimilarity
-        regulariser in (mean of N_i * dissim_i^gamma), and the energy/
-        latency sides average the per-exit normalised savings.  None of them
-        is an ideal-mapping aggregate — which is precisely why, without the
-        dissimilarity term, the search degenerates to clustered exits (the
-        proxies do not punish redundancy; the paper's Fig. 7 ablation shows
-        the same failure).  Deployment metrics (``energy_gain`` etc.) are
-        still the physical ideal-mapping aggregates.
-
-        Population evaluations memoise the vector inside the fused
-        finalisation, so the search hot path lands on a dict read; a miss
-        (per-placement :meth:`evaluate` callers) computes it with
-        :meth:`_scalar_objectives` and fills the memo.
-        """
-        key = (
-            evaluation.placement.positions,
-            evaluation.setting.core_ghz,
-            evaluation.setting.emc_ghz,
+        return DynamicGeneration(
+            total_layers=self.oracle.total_layers,
+            settings=settings,
+            stats=stats,
+            costs=costs,
+            scores=scores,
+            d_scores=means[3],
+            objectives=np.ascontiguousarray(means[:3].T),
+            baseline_energy_j=self.baseline_energy_j,
+            baseline_latency_s=self.baseline_latency_s,
         )
-        cached = self._objectives_cache.get(key)
-        if cached is None:
-            cached = self._objectives_cache[key] = self._scalar_objectives(evaluation)
-        return cached
 
-    def _scalar_objectives(
-        self, evaluation: DynamicEvaluation
-    ) -> tuple[float, float, float]:
-        """:meth:`objectives` from one evaluation's arrays (per-exit means);
-        the fused reductions reproduce it bit for bit."""
-        stats = evaluation.exit_stats
-        dissim = stats.dissimilarity**self.gamma
-        d_acc = float(np.mean(stats.n_i * dissim))
-        energy_ratio = evaluation.exit_energy_j / self.baseline_energy_j
-        latency_ratio = evaluation.exit_latency_s / self.baseline_latency_s
-        if self.literal_ratios:
-            d_energy = float(np.mean(energy_ratio))
-            d_latency = float(np.mean(latency_ratio))
-        else:
-            d_energy = float(np.mean(np.clip(1.0 - energy_ratio, 0.0, None)))
-            d_latency = float(np.mean(np.clip(1.0 - latency_ratio, 0.0, None)))
-        return d_acc, d_energy, d_latency
+    def evaluate_generation(
+        self, positions: np.ndarray, settings: Sequence[DvfsSetting]
+    ) -> DynamicGeneration:
+        """Evaluate one search generation in one population call.
+
+        ``positions`` is the generation's ``(N, E_max)`` position matrix
+        (:func:`~repro.exits.placement.indicator_positions` of its genome
+        bits) and ``settings`` one setting per row — the entry point the
+        NSGA-II/IOE batch hook and random search lower to.  One oracle
+        sweep, one stacked cost gather with per-row settings and one array
+        tail; see :meth:`evaluate_population`.
+        """
+        trace.count("dyneval.generation_calls")
+        trace.count("dyneval.generation_rows", len(positions))
+        return self.evaluate_population(positions, settings)
+
+    def _row_means(self, per_exit: np.ndarray, widths: np.ndarray) -> np.ndarray:
+        """``(K, N)`` means of ``(K, N, E_max)`` per-exit operands, row
+        ``n`` over its first ``widths[n]`` columns.
+
+        One reduction per distinct width: ``np.add.reduce(M[rows, :w],
+        axis=-1) / w`` sums each row's contiguous ``w`` elements in the
+        same pairwise order ``np.mean`` uses on the 1-D slice, then divides
+        by the same count — bit-identical to ``np.mean`` of every row
+        slice, with no pad column entering any sum.
+        """
+        means = np.empty(per_exit.shape[:2])
+        for width in np.unique(widths).tolist():
+            rows = np.flatnonzero(widths == width)
+            means[:, rows] = np.add.reduce(per_exit[:, rows, :width], axis=-1) / width
+        return means

@@ -88,19 +88,18 @@ class PopulationExitStats:
 
     The accuracy-side twin of
     :class:`~repro.hardware.population_kernel.PopulationPathCosts`: matrices
-    are ``(N, E_max)`` with row ``j`` valid through ``widths[j]`` columns.
-    Every entry is an exact integer count divided by the shared sample count
-    ``n`` — the same quotients :func:`ideal_mapping_stats` produces per
-    placement — so consumers may mix stacked and per-placement reads freely.
-    Pad entries of ``n_i`` and ``usage_head`` are exactly ``0.0`` (which is
-    what lets downstream stacked reductions treat pads as no-ops);
-    ``dissimilarity`` pads are finite and non-negative but otherwise
-    unspecified — mask by width before reducing over them.
+    are ``(N, E_max)`` with row ``j`` valid through ``widths[j]`` columns,
+    in the :func:`~repro.exits.placement.position_matrix` layout of
+    ``positions``.  Every entry is an exact integer count divided by the
+    shared sample count ``n`` — the same quotients
+    :func:`ideal_mapping_stats` produces per placement.  Pad entries are
+    finite but unspecified: read row ``j`` through ``widths[j]`` only.
 
-    ``evaluations[j]`` is the per-placement :class:`ExitEvaluation` whose
-    arrays are row views of these matrices (or of the memoised originals).
+    The stats act as a sequence of :class:`ExitEvaluation` rows; row ``j``
+    is built when it is read.
     """
 
+    positions: np.ndarray  # (N, E_max) exit positions, rows padded with 0
     widths: np.ndarray  # (N,) exits per placement
     n_i: np.ndarray  # (N, E_max) marginal correct fractions
     usage_head: np.ndarray  # (N, E_max) usage[:-1] rows
@@ -108,39 +107,36 @@ class PopulationExitStats:
     dissimilarity: np.ndarray  # (N, E_max) eq. 7 rows
     dynamic_accuracy: np.ndarray  # (N,) union accuracies
     final_accuracy: float
-    evaluations: tuple[ExitEvaluation, ...]
 
     def __len__(self) -> int:
-        return len(self.evaluations)
+        return len(self.widths)
 
+    def __getitem__(self, row: int) -> ExitEvaluation:
+        """Row ``row`` as a frozen :class:`ExitEvaluation`, built without
+        ``__init__``: frozen dataclasses pay one guarded
+        ``object.__setattr__`` per field, ``__new__`` + ``__dict__`` builds
+        the identical object.  Pre-seeding the ``cached_property`` slots
+        (``dissimilarity``, ``usage_split``) with the stacked rows means no
+        lazy per-row recomputation runs.  The arrays are views into the
+        stacked matrices — read-only by the same convention as the cached
+        properties."""
+        width = int(self.widths[row])
+        head = self.usage_head[row, :width]
+        tail = float(self.usage_tail[row])
+        usage = np.append(head, tail)
+        evaluation = ExitEvaluation.__new__(ExitEvaluation)
+        evaluation.__dict__.update(
+            n_i=self.n_i[row, :width],
+            final_accuracy=self.final_accuracy,
+            dynamic_accuracy=float(self.dynamic_accuracy[row]),
+            usage=usage,
+            dissimilarity=self.dissimilarity[row, :width],
+            usage_split=(usage[:-1], tail),
+        )
+        return evaluation
 
-def _assemble_evaluation(
-    n_i_row: np.ndarray,
-    usage_row: np.ndarray,
-    dissim_row: np.ndarray,
-    final_accuracy: float,
-    dynamic_accuracy: float,
-    tail: float,
-) -> ExitEvaluation:
-    """Build a frozen :class:`ExitEvaluation` without ``__init__``.
-
-    Frozen dataclasses pay one guarded ``object.__setattr__`` per field;
-    ``__new__`` + ``__dict__.update`` builds the identical object, and
-    pre-seeding the ``cached_property`` slots (``dissimilarity``,
-    ``usage_split``) with the already-stacked rows means no lazy per-row
-    recomputation ever runs.  The rows are views into shared population
-    matrices — read-only by the same convention as the cached properties.
-    """
-    evaluation = ExitEvaluation.__new__(ExitEvaluation)
-    evaluation.__dict__.update(
-        n_i=n_i_row,
-        final_accuracy=final_accuracy,
-        dynamic_accuracy=dynamic_accuracy,
-        usage=usage_row,
-        dissimilarity=dissim_row,
-        usage_split=(usage_row[:-1], tail),
-    )
-    return evaluation
+    def __iter__(self):
+        return (self[row] for row in range(len(self)))
 
 
 def _population_dissimilarity(n_i: np.ndarray) -> np.ndarray:
@@ -161,98 +157,35 @@ def _population_dissimilarity(n_i: np.ndarray) -> np.ndarray:
 
 def ideal_mapping_stats_population(
     *,
+    positions: np.ndarray,
+    widths: np.ndarray,
     take_counts: np.ndarray,
     tail_counts: np.ndarray,
     marginal_counts: np.ndarray,
     union_counts: np.ndarray,
     final_count: int,
     n_samples: int,
-    widths: np.ndarray,
 ) -> PopulationExitStats:
     """Population-level :func:`ideal_mapping_stats` from stacked counts.
 
-    All inputs are exact integer sample counts (pads zero): ``take_counts``
-    — samples leaving at each exit under ideal mapping; ``tail_counts`` —
-    samples no exit takes; ``marginal_counts`` — per-exit correct samples
-    (the N_i numerators); ``union_counts`` — samples some head (any exit or
-    the final classifier) classifies.  Every output is ``count / n``, the
-    same quotient the per-placement path computes, so results are
-    bit-identical to :func:`ideal_mapping_stats` row by row.
+    All inputs are exact integer sample counts: ``take_counts`` — samples
+    leaving at each exit under ideal mapping; ``tail_counts`` — samples no
+    exit takes; ``marginal_counts`` — per-exit correct samples (the N_i
+    numerators); ``union_counts`` — samples some head (any exit or the
+    final classifier) classifies.  Every output is ``count / n``, the same
+    quotient the per-placement path computes, so results are bit-identical
+    to :func:`ideal_mapping_stats` row by row.
     """
-    widths = np.asarray(widths, dtype=np.intp)
-    count = len(widths)
     n_i = marginal_counts / n_samples
-    usage_head = take_counts / n_samples
-    usage_tail = tail_counts / n_samples
-    dissim = _population_dissimilarity(n_i)
-    dynamic_accuracy = union_counts / n_samples
-    final_accuracy = final_count / n_samples
-    e_max = n_i.shape[1]
-    # usage rows carry the tail at column widths[j]; pads stay 0.0.
-    usage = np.zeros((count, e_max + 1))
-    usage[:, :e_max] = usage_head
-    usage[np.arange(count), widths] = usage_tail
-    width_list = widths.tolist()
-    dyn_list = dynamic_accuracy.tolist()
-    tail_list = usage_tail.tolist()
-    evaluations = tuple(
-        _assemble_evaluation(
-            n_i[j, :w],
-            usage[j, : w + 1],
-            dissim[j, :w],
-            final_accuracy,
-            dyn_list[j],
-            tail_list[j],
-        )
-        for j, w in enumerate(width_list)
-    )
     return PopulationExitStats(
+        positions=positions,
         widths=widths,
         n_i=n_i,
-        usage_head=usage_head,
-        usage_tail=usage_tail,
-        dissimilarity=dissim,
-        dynamic_accuracy=dynamic_accuracy,
-        final_accuracy=final_accuracy,
-        evaluations=evaluations,
-    )
-
-
-def stack_exit_evaluations(evaluations: list[ExitEvaluation]) -> PopulationExitStats:
-    """Stack existing per-placement evaluations into population matrices.
-
-    The restack path for memo-mixed populations: values are copied from each
-    evaluation's (possibly memoised) arrays, so the stacked rows are bitwise
-    the per-placement statistics.  Pads are 0.0 (``dissimilarity`` included,
-    which keeps ``n_i * dissim**gamma`` pads at exactly +0.0 for any gamma).
-    """
-    count = len(evaluations)
-    widths = np.fromiter(
-        (evaluation.num_exits for evaluation in evaluations), dtype=np.intp, count=count
-    )
-    e_max = int(widths.max()) if count else 0
-    n_i = np.zeros((count, e_max))
-    usage_head = np.zeros((count, e_max))
-    dissim = np.zeros((count, e_max))
-    usage_tail = np.zeros(count)
-    dynamic_accuracy = np.zeros(count)
-    for j, evaluation in enumerate(evaluations):
-        w = int(widths[j])
-        n_i[j, :w] = evaluation.n_i
-        dissim[j, :w] = evaluation.dissimilarity
-        head, tail = evaluation.usage_split
-        usage_head[j, :w] = head
-        usage_tail[j] = tail
-        dynamic_accuracy[j] = evaluation.dynamic_accuracy
-    return PopulationExitStats(
-        widths=widths,
-        n_i=n_i,
-        usage_head=usage_head,
-        usage_tail=usage_tail,
-        dissimilarity=dissim,
-        dynamic_accuracy=dynamic_accuracy,
-        final_accuracy=evaluations[0].final_accuracy if count else 0.0,
-        evaluations=tuple(evaluations),
+        usage_head=take_counts / n_samples,
+        usage_tail=tail_counts / n_samples,
+        dissimilarity=_population_dissimilarity(n_i),
+        dynamic_accuracy=union_counts / n_samples,
+        final_accuracy=final_count / n_samples,
     )
 
 

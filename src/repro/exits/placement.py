@@ -10,6 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import chain
 from math import comb
 
 import numpy as np
@@ -64,37 +65,20 @@ class ExitPlacement:
     def from_indicator_rows(
         cls, total_layers: int, bits: np.ndarray
     ) -> list["ExitPlacement"]:
-        """One placement per row of an ``(N, slots)`` indicator matrix.
+        """One placement per row of an ``(N, slots)`` indicator matrix."""
+        positions, widths = indicator_positions(total_layers, bits)
+        return [
+            cls.unchecked(total_layers, tuple(row[:width]))
+            for row, width in zip(positions.tolist(), widths.tolist())
+        ]
 
-        One check of the matrix (2-D, ``slots`` wide, 0/1 entries, no empty
-        row) implies every ``__post_init__`` check of every row, so rows are
-        built via ``__new__`` + ``__dict__``.
-        """
-        bits = np.asarray(bits)
-        slots = total_layers - MIN_EXIT_POSITION
-        if bits.ndim != 2 or bits.shape[1] != slots:
-            raise ValueError(f"expected {slots} indicators per row, got shape {bits.shape}")
-        invalid = (bits != 0) & (bits != 1)
-        if invalid.any():
-            row, slot = np.argwhere(invalid)[0].tolist()
-            raise ValueError(
-                f"indicator gene {slot} of row {row} is {bits[row, slot]}, outside {{0, 1}}"
-            )
-        counts = np.count_nonzero(bits, axis=1)
-        if not counts.all():
-            raise ValueError("an exit placement requires at least one exit")
-        positions = (np.nonzero(bits)[1] + MIN_EXIT_POSITION).tolist()
-        new = cls.__new__
-        placements = []
-        start = 0
-        for end in counts.cumsum().tolist():
-            placement = new(cls)
-            placement.__dict__.update(
-                total_layers=total_layers, positions=tuple(positions[start:end])
-            )
-            placements.append(placement)
-            start = end
-        return placements
+    @classmethod
+    def unchecked(cls, total_layers: int, positions: tuple[int, ...]) -> "ExitPlacement":
+        """A placement built via ``__new__`` + ``__dict__``, for positions a
+        matrix-wide check has already validated."""
+        placement = cls.__new__(cls)
+        placement.__dict__.update(total_layers=total_layers, positions=positions)
+        return placement
 
     def relative_depths(self) -> np.ndarray:
         """Exit positions as fractions of the full depth (u_i in (0, 1))."""
@@ -106,6 +90,56 @@ class ExitPlacement:
         # dataclasses permit — placements are immutable, keys are hot
         # (evaluation caches, oracle memos), so build the string once.
         return "x" + "-".join(str(p) for p in self.positions)
+
+
+def indicator_positions(total_layers: int, bits: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The :func:`position_matrix` layout of an ``(N, slots)`` indicator
+    matrix, rows ascending.
+
+    One check of the matrix (2-D, ``slots`` wide, 0/1 entries, no empty
+    row) implies every :class:`ExitPlacement` check of every row.  A stable
+    sort of "slot off" moves each row's set slots to its front in slot
+    order.
+    """
+    bits = np.asarray(bits)
+    slots = total_layers - MIN_EXIT_POSITION
+    if bits.ndim != 2 or bits.shape[1] != slots:
+        raise ValueError(f"expected {slots} indicators per row, got shape {bits.shape}")
+    invalid = (bits != 0) & (bits != 1)
+    if invalid.any():
+        row, slot = np.argwhere(invalid)[0].tolist()
+        raise ValueError(
+            f"indicator gene {slot} of row {row} is {bits[row, slot]}, outside {{0, 1}}"
+        )
+    widths = np.count_nonzero(bits, axis=1)
+    if not widths.all():
+        raise ValueError("an exit placement requires at least one exit")
+    e_max = int(widths.max()) if len(widths) else 0
+    order = np.argsort(bits == 0, axis=1, kind="stable")[:, :e_max]
+    valid = np.arange(e_max) < widths[:, None]
+    return np.where(valid, order + MIN_EXIT_POSITION, 0), widths
+
+
+def position_matrix(position_lists) -> tuple[np.ndarray, np.ndarray]:
+    """``(N, E_max)`` exit positions with each row padded by 0, and the
+    ``(N,)`` row widths.
+
+    ``position_lists`` holds one position sequence per row, or is already
+    such a matrix (positions are >= 1, so its widths are its non-zero
+    counts).  Both population kernels, accuracy and cost, gather with it.
+    """
+    if isinstance(position_lists, np.ndarray):
+        return position_lists, np.count_nonzero(position_lists, axis=1)
+    count = len(position_lists)
+    widths = np.fromiter(
+        (len(positions) for positions in position_lists), dtype=np.intp, count=count
+    )
+    e_max = int(widths.max()) if count else 0
+    matrix = np.zeros((count, e_max), dtype=np.intp)
+    matrix[np.arange(e_max) < widths[:, None]] = np.fromiter(
+        chain.from_iterable(position_lists), dtype=np.intp, count=int(widths.sum())
+    )
+    return matrix, widths
 
 
 class ExitSpace:
@@ -144,7 +178,8 @@ class ExitSpace:
         indicators = (rng.random(self.num_slots) < density).astype(np.int64)
         if indicators.sum() == 0:
             indicators[rng.integers(0, self.num_slots)] = 1
-        return ExitPlacement.from_indicators(self.total_layers, indicators)
+        positions = np.flatnonzero(indicators) + MIN_EXIT_POSITION
+        return ExitPlacement.unchecked(self.total_layers, tuple(positions.tolist()))
 
     def repair(self, indicators: np.ndarray, rng=None) -> np.ndarray:
         """Force validity: at least one active indicator per vector.

@@ -28,21 +28,23 @@ loop of ``tests/spec/evaluation.py`` — bit for bit, for every row:
   ``x + 0.0`` no-ops (bitwise identity for the strictly positive costs
   involved), and padded exit columns are never read.
 
-Reductions (usage-weighted dots, score means) deliberately stay *per-row* in
-the evaluator: a matrix reduction would change BLAS/pairwise summation order
-and drift by ULPs.  What gets stacked is exactly the elementwise work.
+Reductions (usage-weighted dots, score and objective means) stay out of
+this kernel: a reduction over padded rows would change BLAS/pairwise
+summation order and drift by ULPs.  The evaluator reduces each row over
+its exact valid slice, grouped by width.  What gets stacked here is
+exactly the elementwise work.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import chain
 from typing import Callable, Sequence
 
 import numpy as np
 
 from repro.arch.cost import LayerCost
 from repro.exits.evaluation import PopulationExitStats
+from repro.exits.placement import position_matrix
 from repro.hardware.cost_table import CostTableBank
 from repro.hardware.dvfs import DvfsSetting
 
@@ -116,24 +118,17 @@ class PopulationKernel:
         settings: Sequence[DvfsSetting],
     ) -> PopulationPathCosts:
         """Exit-path and full-path costs of N placements, row ``n`` at
-        ``settings[n]``.
+        ``settings[n]``.  ``position_lists`` holds one position sequence
+        per placement or is the padded
+        :func:`~repro.exits.placement.position_matrix` itself.
 
         One ``(N, E_max)`` gather over the bank's stacked grid at the flat
         index ``setting_row · L + prefix``, then one broadcast column
         addition per exit slot — total work O(N · E_max) array elements
         with no per-placement Python loop over branches.
         """
-        count = len(position_lists)
-        widths = np.fromiter(
-            (len(positions) for positions in position_lists),
-            dtype=np.intp,
-            count=count,
-        )
-        e_max = int(widths.max()) if count else 0
-        positions = np.zeros((count, e_max), dtype=np.intp)
-        positions[np.arange(e_max) < widths[:, None]] = np.fromiter(
-            chain.from_iterable(position_lists), dtype=np.intp, count=int(widths.sum())
-        )
+        positions, widths = position_matrix(position_lists)
+        e_max = positions.shape[1]
         bank = self._bank
         grid, rows = bank.rows(settings, positions, self._branch_cost)
         cum, branch = grid.cum, grid.branch
@@ -186,12 +181,14 @@ class PopulationKernel:
         """Accuracy + cost matrices of N placements in one fused call.
 
         Row ``n`` is costed at ``settings[n]``.  ``oracle`` is any provider
-        exposing ``population_stats(placements)``
-        (a :class:`~repro.accuracy.exit_model.BackboneExitOracle`); its
-        stacked statistics and this kernel's path costs come back aligned
+        whose ``evaluate_placements(placements)`` returns stacked
+        :class:`PopulationExitStats` (a
+        :class:`~repro.accuracy.exit_model.BackboneExitOracle`);
+        ``placements`` is whatever it accepts, and its position matrix
+        drives this kernel's path costs, so both sides come back aligned
         and width-checked.  This is the surface
         :meth:`DynamicEvaluator.evaluate_population` drives.
         """
-        stats = oracle.population_stats(placements)
-        costs = self.path_costs([p.positions for p in placements], settings)
+        stats = oracle.evaluate_placements(placements)
+        costs = self.path_costs(stats.positions, settings)
         return FusedPopulationBatch(stats=stats, costs=costs)

@@ -32,7 +32,8 @@ from repro.utils.validation import check_nonneg, check_positive
 
 #: Bump when inner-engine semantics change; orphans persisted inner results.
 #: "2": batched NSGA-II variation draws the engine RNG in a new order.
-INNER_ENGINE_VERSION = "2"
+#: "3": payload evaluations are rows of pickled array generation blocks.
+INNER_ENGINE_VERSION = "3"
 
 
 @dataclass(frozen=True)

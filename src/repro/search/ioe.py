@@ -23,7 +23,7 @@ from repro.accuracy.exit_model import BackboneExitOracle, ExitCapabilityModel
 from repro.arch.config import BackboneConfig
 from repro.eval.dynamic import DynamicEvaluation, DynamicEvaluator
 from repro.eval.static import StaticEvaluator
-from repro.exits.placement import ExitPlacement, ExitSpace
+from repro.exits.placement import ExitPlacement, ExitSpace, indicator_positions
 from repro.hardware.dvfs import DvfsSetting, DvfsSpace
 from repro.obs import trace
 from repro.search import operators
@@ -111,28 +111,27 @@ class _InnerProblem(Problem):
         return np.concatenate([placement.indicators, [core, emc]]).astype(np.int64)
 
     def evaluate(self, genome: np.ndarray):
-        placement, setting = self.decode(genome)
-        evaluation = self.evaluator.evaluate(placement, setting)
-        return np.asarray(self.evaluator.objectives(evaluation)), {"evaluation": evaluation}
+        return self.evaluate_batch([genome])[0]
 
     def evaluate_batch(self, genomes: list[np.ndarray]):
-        """Generation batches lowered to the fused population kernel.
+        """A generation from its genome matrix to its objective matrix.
 
-        The whole batch goes through
-        :meth:`DynamicEvaluator.evaluate_generation` — one fused
-        accuracy+cost kernel call, each row at its decoded DVFS setting —
-        and the objective vectors come back from the evaluator's fused-
-        objectives memo; the stacked genomes decode in one pass.
-        Bit-identical to the serial :meth:`evaluate` loop.
+        The stacked ``(N, G)`` genomes split once: the indicator bits
+        become the ``(N, E_max)`` position matrix and the DVFS genes grid
+        settings, and :meth:`DynamicEvaluator.evaluate_generation` runs
+        them as one fused accuracy+cost kernel call.  Each payload holds
+        the generation's row, built only if it is read.
         """
-        decoded = self.decode_rows(np.stack(genomes))
+        bits, dvfs = self.split(np.stack(genomes))
+        positions, _ = indicator_positions(self.exit_space.total_layers, bits)
         trace.count("ioe.population_batches")
         trace.count("ioe.population_genomes", len(genomes))
-        evaluations = self.evaluator.evaluate_generation(decoded)
-        objectives = self.evaluator.objectives
+        generation = self.evaluator.evaluate_generation(
+            positions, self.dvfs_space.decode_rows(dvfs)
+        )
         return [
-            (np.asarray(objectives(evaluation)), {"evaluation": evaluation})
-            for evaluation in evaluations
+            (objectives, {"evaluation": evaluation})
+            for objectives, evaluation in zip(generation.objectives, generation)
         ]
 
     def crossover(self, a, b, rng):

@@ -8,10 +8,12 @@ hook it replaces, so everything else stays shared:
 * :class:`ReferenceEvaluator` — exit and full paths walked layer by layer
   (:func:`path_costs`), one pair at a time;
 * :class:`PerCallEvaluator` — the cost tables, but populations as a loop
-  of :meth:`~repro.eval.dynamic.DynamicEvaluator.evaluate` calls;
-* :class:`UnfusedEvaluator` — the population kernel without the fused
-  objective pass: :meth:`objectives` recomputes every vector;
-* :class:`PerPlacementOracle` — oracle statistics one placement at a time;
+  of :meth:`~repro.eval.dynamic.DynamicEvaluator.evaluate` calls, each
+  objective vector from :func:`scalar_objectives`;
+* :class:`UnfusedEvaluator` — the population kernel without the
+  width-grouped reductions: every mean is ``np.mean`` of one row slice;
+* :class:`PerPlacementOracle` — oracle statistics one placement at a time,
+  restacked by :func:`stack_exit_evaluations`;
 * :class:`SpecInnerEngine` — an IOE run on any of the above.
 
 :func:`profiles_for` and :func:`plan_per_exit_dvfs` are the runtime
@@ -25,8 +27,9 @@ import dataclasses
 import numpy as np
 
 from repro.accuracy.exit_model import BackboneExitOracle
-from repro.eval.dynamic import DynamicEvaluator
-from repro.exits.placement import ExitPlacement
+from repro.eval.dynamic import DynamicEvaluation, DynamicEvaluator
+from repro.exits.evaluation import ExitEvaluation, PopulationExitStats
+from repro.exits.placement import ExitPlacement, position_matrix
 from repro.hardware.dvfs import DvfsSetting, DvfsSpace
 from repro.hardware.energy import EnergyReport, PathProfile
 from repro.runtime.governor import DvfsGovernor
@@ -77,16 +80,61 @@ def path_costs(
     )
 
 
+def scalar_objectives(
+    evaluator: DynamicEvaluator, evaluation: DynamicEvaluation
+) -> tuple[float, float, float]:
+    """The IOE objective vector of one evaluation, from its own arrays: the
+    per-exit means ``np.mean(N_i * dissim_i^gamma)`` and the means of the
+    clamped energy and latency savings (raw ratios with
+    ``literal_ratios``) — what a :class:`~repro.eval.dynamic.
+    DynamicGeneration` holds in the evaluation's ``objectives`` row."""
+    stats = evaluation.exit_stats
+    dissim = stats.dissimilarity**evaluator.gamma
+    d_acc = float(np.mean(stats.n_i * dissim))
+    energy_ratio = evaluation.exit_energy_j / evaluator.baseline_energy_j
+    latency_ratio = evaluation.exit_latency_s / evaluator.baseline_latency_s
+    if evaluator.literal_ratios:
+        d_energy = float(np.mean(energy_ratio))
+        d_latency = float(np.mean(latency_ratio))
+    else:
+        d_energy = float(np.mean(np.clip(1.0 - energy_ratio, 0.0, None)))
+        d_latency = float(np.mean(np.clip(1.0 - latency_ratio, 0.0, None)))
+    return d_acc, d_energy, d_latency
+
+
+def as_placements(total_layers: int, placements) -> list[ExitPlacement]:
+    """``placements`` as validated :class:`ExitPlacement` objects; a
+    position matrix is read row by row."""
+    if not isinstance(placements, np.ndarray):
+        return list(placements)
+    positions, widths = position_matrix(placements)
+    return [
+        ExitPlacement(total_layers, tuple(row[:width]))
+        for row, width in zip(positions.tolist(), widths.tolist())
+    ]
+
+
+class EvaluationRows(list):
+    """Per-pair evaluations in a list, with the ``(N, 3)`` objective matrix
+    a :class:`~repro.eval.dynamic.DynamicGeneration` carries."""
+
+    def __init__(self, rows, objectives: np.ndarray):
+        super().__init__(rows)
+        self.objectives = objectives
+
+
 class PerCallEvaluator(DynamicEvaluator):
     """Populations evaluated as a loop of per-pair :meth:`evaluate` calls."""
 
     def evaluate_population(self, placements, setting):
-        placements = list(placements)
+        placements = as_placements(self.oracle.total_layers, placements)
         if isinstance(setting, DvfsSetting):
             settings = [setting] * len(placements)
         else:
             settings = list(setting)
-        return [self.evaluate(p, s) for p, s in zip(placements, settings)]
+        rows = [self.evaluate(p, s) for p, s in zip(placements, settings)]
+        objectives = [scalar_objectives(self, row) for row in rows]
+        return EvaluationRows(rows, np.asarray(objectives).reshape(len(rows), 3))
 
 
 class ReferenceEvaluator(PerCallEvaluator):
@@ -97,18 +145,51 @@ class ReferenceEvaluator(PerCallEvaluator):
 
 
 class UnfusedEvaluator(DynamicEvaluator):
-    """The population kernel without the fused objective pass.
+    """The population kernel without the width-grouped reductions.
 
-    No objective vectors are reduced alongside the evaluations, and
-    :meth:`objectives` computes each vector from the evaluation's arrays on
-    every call, with no memo.
+    Every objective component and every d_score is ``np.mean`` of one row's
+    valid slice, one row at a time.
     """
 
-    def _fused_objectives(self, *args):
-        return ()
+    def _row_means(self, per_exit, widths):
+        return np.asarray(
+            [
+                [np.mean(matrix[row, :width]) for row, width in enumerate(widths.tolist())]
+                for matrix in per_exit
+            ]
+        ).reshape(per_exit.shape[:2])
 
-    def objectives(self, evaluation):
-        return self._scalar_objectives(evaluation)
+
+def stack_exit_evaluations(
+    placements: list[ExitPlacement], evaluations: list[ExitEvaluation]
+) -> PopulationExitStats:
+    """Stack per-placement evaluations into population matrices, values
+    copied from each evaluation's arrays; pads are 0.0."""
+    positions, widths = position_matrix([p.positions for p in placements])
+    count, e_max = positions.shape
+    n_i = np.zeros((count, e_max))
+    usage_head = np.zeros((count, e_max))
+    dissim = np.zeros((count, e_max))
+    usage_tail = np.zeros(count)
+    dynamic_accuracy = np.zeros(count)
+    for j, evaluation in enumerate(evaluations):
+        w = int(widths[j])
+        n_i[j, :w] = evaluation.n_i
+        dissim[j, :w] = evaluation.dissimilarity
+        head, tail = evaluation.usage_split
+        usage_head[j, :w] = head
+        usage_tail[j] = tail
+        dynamic_accuracy[j] = evaluation.dynamic_accuracy
+    return PopulationExitStats(
+        positions=positions,
+        widths=widths,
+        n_i=n_i,
+        usage_head=usage_head,
+        usage_tail=usage_tail,
+        dissimilarity=dissim,
+        dynamic_accuracy=dynamic_accuracy,
+        final_accuracy=evaluations[0].final_accuracy if count else 0.0,
+    )
 
 
 class PerPlacementOracle(BackboneExitOracle):
@@ -119,6 +200,7 @@ class PerPlacementOracle(BackboneExitOracle):
     """
 
     def evaluate_placements(self, placements):
+        placements = as_placements(self.total_layers, placements)
         for placement in placements:
             if placement.total_layers != self.total_layers:
                 raise ValueError(
@@ -128,7 +210,9 @@ class PerPlacementOracle(BackboneExitOracle):
         for position in sorted({p for pl in placements for p in pl.positions}):
             self.exit_column(position)
         self.final_column()
-        return [self.evaluate_placement(placement) for placement in placements]
+        return stack_exit_evaluations(
+            placements, [self.evaluate_placement(placement) for placement in placements]
+        )
 
 
 class SpecInnerEngine(InnerEngine):

@@ -2,16 +2,17 @@
 
 ``BackboneExitOracle.evaluate_placements`` lowers a whole population's
 ideal-mapping statistics to one dense sweep over the oracle's packed column
-bank.  Its contract is absolute: every field of every returned
-:class:`ExitEvaluation` equals the per-placement popcount loop *bit for
-bit* — across sample counts with partial last bytes and words, population
-sizes (N=1, duplicates, one to every exit), consecutive batches sharing
-prefixes and LRU eviction pressure — so search trajectories and golden
-artifacts are unchanged no matter which kernel produced them.  Alongside
-it: both row-popcount branches, the lazily filled bank, the stacked
-:class:`PopulationExitStats` rows, the fused-objectives memo of the
-dynamic evaluator, ``evaluate_generation`` grouping, and the flag-on/off
-equivalence of whole search engines (IOE, random search).
+bank.  Its contract is absolute: every field of every
+:class:`ExitEvaluation` row it returns equals the per-placement popcount
+loop *bit for bit* — across sample counts with partial last bytes and
+words, population sizes (N=1, duplicates, one to every exit), consecutive
+batches sharing prefixes and LRU eviction pressure — so search
+trajectories and golden artifacts are unchanged no matter which kernel
+produced them.  Alongside it: both row-popcount branches, the lazily
+filled bank, the stacked :class:`PopulationExitStats` rows, the dynamic
+evaluator's objective matrix and rows built on first read,
+``evaluate_generation`` ordering, and the equivalence of whole search
+engines (IOE, random search) with the spec comparators.
 """
 
 from __future__ import annotations
@@ -26,7 +27,7 @@ from repro.accuracy.exit_model import BackboneExitOracle, _LruCache
 from repro.arch.cost import estimate_cost
 from repro.baselines.attentivenas import attentivenas_model
 from repro.eval.dynamic import DynamicEvaluator
-from repro.exits.placement import MIN_EXIT_POSITION, ExitPlacement
+from repro.exits.placement import MIN_EXIT_POSITION, ExitPlacement, position_matrix
 from repro.hardware.dvfs import DvfsSpace
 from repro.hardware.energy import EnergyModel
 from repro.hardware.platform import get_platform
@@ -142,31 +143,38 @@ class TestBatchedOracleBitIdentity:
         (got,) = batched.evaluate_placements([placement])
         _assert_stats_identical(got, _reference_oracle().evaluate_placement(placement))
 
-    def test_duplicates_share_memoised_instance(self):
+    def test_duplicates_get_identical_rows(self):
+        """The sweep computes every row, duplicates included; only the
+        per-placement call memoises."""
         batched = _oracle()
         placement = _placement([6, 9, 12])
         a, b = batched.evaluate_placements([placement, placement])
-        assert a is b
-        # A later per-placement call returns the same instance too.
-        assert batched.evaluate_placement(placement) is a
+        _assert_stats_identical(a, b)
+        single = batched.evaluate_placement(placement)
+        _assert_stats_identical(a, single)
+        assert batched.evaluate_placement(placement) is single
 
     @settings(max_examples=15, deadline=None)
     @given(placements=_placements_strategy())
     def test_identical_under_lru_eviction(self, placements):
-        """A tiny memo cap forces constant eviction; results must not
-        change (entries rebuild from the packed columns)."""
+        """A tiny memo cap forces constant eviction of the per-placement
+        memo; results must not change (entries rebuild from the packed
+        columns), on either path."""
         tiny = _oracle(stats_memo_size=2)
         reference = _reference_oracle()
         got = tiny.evaluate_placements(placements)
         for g, placement in zip(got, placements):
-            _assert_stats_identical(g, reference.evaluate_placement(placement))
+            want = reference.evaluate_placement(placement)
+            _assert_stats_identical(g, want)
+            _assert_stats_identical(tiny.evaluate_placement(placement), want)
 
     def test_eviction_counter_visible(self):
         tiny = _oracle(stats_memo_size=2)
         placements = [
             _placement([p, p + 2]) for p in range(MIN_EXIT_POSITION, _LAYERS - 2)
         ]
-        tiny.evaluate_placements(placements)
+        for placement in placements:
+            tiny.evaluate_placement(placement)
         stats = tiny.memo_stats()
         assert stats["stats"]["evictions"] > 0
         assert stats["stats"]["size"] <= 2
@@ -226,13 +234,13 @@ class TestPopulationStats:
             _placement([6, 9, 12]),
             _placement([7, 8, 9, 10, 11]),
         ]
-        stats = oracle.population_stats(placements)
+        stats = oracle.evaluate_placements(placements)
         assert len(stats) == len(placements)
-        for row, (placement, evaluation) in enumerate(
-            zip(placements, stats.evaluations)
-        ):
+        for row, (placement, evaluation) in enumerate(zip(placements, stats)):
             w = placement.num_exits
             assert stats.widths[row] == w
+            assert tuple(stats.positions[row, :w].tolist()) == placement.positions
+            assert not stats.positions[row, w:].any()
             assert np.array_equal(stats.n_i[row, :w], evaluation.n_i)
             assert np.array_equal(stats.usage_head[row, :w], evaluation.usage[:-1])
             assert stats.usage_tail[row] == evaluation.usage[-1]
@@ -240,12 +248,11 @@ class TestPopulationStats:
                 stats.dissimilarity[row, :w], evaluation.dissimilarity
             )
             assert stats.dynamic_accuracy[row] == evaluation.dynamic_accuracy
-            # Padding stays zero beyond each row's width.
-            assert not stats.n_i[row, w:].any()
+            _assert_stats_identical(evaluation, oracle.evaluate_placement(placement))
 
     def test_empty_population(self):
-        stats = _oracle().population_stats([])
-        assert len(stats) == 0
+        stats = _oracle().evaluate_placements([])
+        assert len(stats) == 0 and list(stats) == []
 
 
 class _EvalContext:
@@ -279,8 +286,14 @@ def _context(platform_key: str) -> _EvalContext:
     return _EVAL_CONTEXTS[platform_key]
 
 
+def _generation(evaluator, decoded):
+    """``evaluate_generation`` on (placement, setting) pairs."""
+    positions, _ = position_matrix([placement.positions for placement, _ in decoded])
+    return evaluator.evaluate_generation(positions, [setting for _, setting in decoded])
+
+
 class TestFusedObjectives:
-    """Fused objective vectors equal the scalar objectives() bitwise."""
+    """Objective matrices equal the per-row scalar objectives bitwise."""
 
     @pytest.mark.parametrize("platform_key", PLATFORM_KEYS)
     @settings(max_examples=15, deadline=None)
@@ -291,12 +304,13 @@ class TestFusedObjectives:
         setting = ctx.dvfs.all_settings()[
             data.draw(st.integers(0, len(ctx.dvfs.all_settings()) - 1))
         ]
-        fused_evals = ctx.fused.evaluate_population(placements, setting)
-        ref_evals = ctx.reference.evaluate_population(placements, setting)
-        for fe, re_ in zip(fused_evals, ref_evals):
-            got = ctx.fused.objectives(fe)
-            want = ctx.reference.objectives(re_)
-            assert got == want
+        fused = ctx.fused.evaluate_population(placements, setting)
+        reference = ctx.reference.evaluate_population(placements, setting)
+        assert np.array_equal(fused.objectives, reference.objectives)
+        assert np.array_equal(fused.d_scores, reference.d_scores)
+        for row, evaluation in enumerate(fused):
+            want = spec_evaluation.scalar_objectives(ctx.fused, evaluation)
+            assert tuple(fused.objectives[row].tolist()) == want
 
     @pytest.mark.parametrize("platform_key", PLATFORM_KEYS)
     def test_generation_matches_per_call(self, platform_key):
@@ -311,7 +325,7 @@ class TestFusedObjectives:
             (_placement([8]), settings_list[0]),
             (_placement([6, 9]), settings_list[0]),  # duplicate pair
         ]
-        got = ctx.fused.evaluate_generation(decoded)
+        got = _generation(ctx.fused, decoded)
         assert len(got) == len(decoded)
         for evaluation, (placement, setting) in zip(got, decoded):
             want = ctx.reference.evaluate(placement, setting)
@@ -324,14 +338,20 @@ class TestFusedObjectives:
             assert evaluation.latency_gain == want.latency_gain
             assert evaluation.d_score == want.d_score
 
-    def test_objectives_memo_populated(self):
-        # A fresh context: the shared one may already hold this candidate
-        # from the hypothesis tests above.
-        ctx = _EvalContext("tx2-gpu")
+    def test_rows_built_on_first_read(self):
+        """The block carries the objective matrix; a row holds only its
+        source until a field is read, then every field at once."""
+        ctx = _context("tx2-gpu")
         setting = ctx.dvfs.default_setting()
-        assert not ctx.fused._objectives_cache
-        ctx.fused.evaluate_population([_placement([6, 10, 14])], setting)
-        assert ctx.fused._objectives_cache
+        placement = _placement([6, 10, 14])
+        generation = ctx.fused.evaluate_population([placement, placement], setting)
+        assert generation.objectives.shape == (2, 3)
+        row = generation[-1]
+        assert list(row.__dict__) == ["_source"]
+        assert row.d_score == generation.d_scores[1]
+        assert "_source" not in row.__dict__
+        assert row.placement == placement and row.setting == setting
+        assert list(generation[0].__dict__) == ["_source"]
 
 
 class TestEngineEquivalence:

@@ -234,7 +234,10 @@ class TestDynamicEvaluatorBitIdentity:
         setting = ctx["dvfs"].default_setting()
         vec = ctx["vectorized"].evaluate(placement, setting)
         ref = ctx["reference"].evaluate(placement, setting)
-        assert ctx["vectorized"].objectives(vec) == ctx["reference"].objectives(ref)
+        want = spec_evaluation.scalar_objectives(ctx["reference"], ref)
+        assert spec_evaluation.scalar_objectives(ctx["vectorized"], vec) == want
+        generation = ctx["vectorized"].evaluate_population([placement], setting)
+        assert tuple(generation.objectives[0].tolist()) == want
 
     def test_hot_path_is_table_driven(self):
         """Once a setting's table (and its branch scalars) exist, new

@@ -155,8 +155,11 @@ class TestDynamicEvaluator:
 
     def test_objectives_are_proxy_averages(self, dyn_evaluator, static_evaluator, a3):
         placement = self._placement(a3)
-        evaluation = dyn_evaluator.evaluate(placement, static_evaluator.default_setting)
-        d_acc, d_energy, d_latency = dyn_evaluator.objectives(evaluation)
+        generation = dyn_evaluator.evaluate_population(
+            [placement], static_evaluator.default_setting
+        )
+        evaluation = generation[0]
+        d_acc, d_energy, d_latency = generation.objectives[0]
         stats = evaluation.exit_stats
         assert d_acc == pytest.approx(float(np.mean(stats.n_i * stats.dissimilarity)))
         expected_energy = np.clip(

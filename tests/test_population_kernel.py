@@ -4,11 +4,13 @@
 rows — one setting for all, or a mixed-setting NSGA generation via
 ``evaluate_generation`` — to a single padded gather over the bank's
 stacked (setting × layer) grid.  Its contract is the same absolute one the
-cost tables carry: every field of every returned
-:class:`DynamicEvaluation` equals the per-pair ``evaluate`` loop *bit for
-bit*, across population sizes (including N=1 and duplicate genomes),
-random placements, random and off-grid settings — so search trajectories,
-caches and golden artifacts are unchanged no matter which kernel produced
+cost tables carry: every field of every :class:`DynamicEvaluation` row it
+returns equals the per-pair ``evaluate`` loop *bit for bit*, and every
+objective row the per-exit means of that evaluation
+(``spec.evaluation.scalar_objectives``), across population sizes
+(including N=1 and duplicate genomes), one to every exit, random
+placements, random and off-grid settings — so search trajectories, caches
+and golden artifacts are unchanged no matter which kernel produced
 them.  Every grid row also equals the per-setting table the bank used to
 build one setting at a time (:func:`_per_setting_table`, kept here as the
 spec).  Alongside it: the thread-safety of the shared
@@ -31,7 +33,7 @@ from repro.accuracy.exit_model import BackboneExitOracle
 from repro.arch.cost import estimate_cost
 from repro.baselines.attentivenas import attentivenas_model
 from repro.eval.dynamic import DynamicEvaluator
-from repro.exits.placement import MIN_EXIT_POSITION, ExitPlacement
+from repro.exits.placement import MIN_EXIT_POSITION, ExitPlacement, position_matrix
 from repro.hardware.cost_table import CostTableBank
 from repro.hardware.dvfs import DvfsSetting, DvfsSpace
 from repro.hardware.energy import EnergyModel, interleaved_cumsum
@@ -105,12 +107,13 @@ def _assert_evaluations_identical(got, want):
     assert got.d_score == want.d_score
 
 
-def _placement_strategy(total_layers: int, max_size: int = 6):
-    return st.sets(
-        st.integers(min_value=MIN_EXIT_POSITION, max_value=total_layers - 1),
-        min_size=1,
-        max_size=max_size,
-    ).map(lambda s: tuple(sorted(s)))
+def _placement_strategy(total_layers: int):
+    """One exit to every slot, the exit count drawn first (uniformly), so
+    every row width up to the full width is as likely as any other."""
+    slots = list(range(MIN_EXIT_POSITION, total_layers))
+    return st.tuples(
+        st.integers(min_value=1, max_value=len(slots)), st.permutations(slots)
+    ).map(lambda drawn: tuple(sorted(drawn[1][: drawn[0]])))
 
 
 def _per_setting_table(model, cost, setting, branch_items):
@@ -183,17 +186,20 @@ class TestPopulationBitIdentity:
         ]
         batch = ctx["population"].evaluate_population(placements, setting)
         assert len(batch) == len(placements)
-        for placement, got in zip(placements, batch):
+        for row, (placement, got) in enumerate(zip(placements, batch)):
             want = ctx["per_call"].evaluate(placement, setting)
             _assert_evaluations_identical(got, want)
             reference = ctx["reference"].evaluate(placement, setting)
             _assert_evaluations_identical(got, reference)
+            assert tuple(batch.objectives[row].tolist()) == (
+                spec_evaluation.scalar_objectives(ctx["per_call"], want)
+            )
 
     @pytest.mark.parametrize("platform_key", PLATFORM_KEYS)
     def test_singleton_and_duplicates(self, platform_key):
         """Explicit N=1 and duplicate-heavy populations (not left to
-        hypothesis's whims): duplicates must come back as the same cached
-        evaluation, and a singleton batch must equal the scalar call."""
+        hypothesis's whims): duplicates come back as identical rows, and a
+        singleton batch must equal the scalar call."""
         ctx = _context(platform_key)
         total_layers = ctx["config"].total_mbconv_layers
         setting = ctx["dvfs"].default_setting()
@@ -205,15 +211,16 @@ class TestPopulationBitIdentity:
         batch = ctx["population"].evaluate_population(
             [single, other, single, single, other], setting
         )
-        assert batch[0] is batch[2] is batch[3]
-        assert batch[1] is batch[4]
+        for a, b in ((0, 2), (0, 3), (1, 4)):
+            _assert_evaluations_identical(batch[a], batch[b])
+            assert np.array_equal(batch.objectives[a], batch.objectives[b])
         _assert_evaluations_identical(batch[1], ctx["per_call"].evaluate(other, setting))
 
     @pytest.mark.parametrize("platform_key", PLATFORM_KEYS)
     def test_wide_population_crosses_vector_width(self, platform_key):
-        """Mixed widths spanning the 8-exit pairwise-summation boundary —
-        the d_score reduction switches strategy there, and both branches
-        must stay bit-identical to the reference ``mean()``."""
+        """Mixed widths spanning the 8-exit pairwise-summation boundary,
+        where numpy's sum unrolls: every width group's reduction must stay
+        bit-identical to the reference ``mean()``."""
         ctx = _context(platform_key)
         total_layers = ctx["config"].total_mbconv_layers
         rng = np.random.default_rng(7)
@@ -255,12 +262,15 @@ class TestGenerationBitIdentity:
     @staticmethod
     def _check(ctx, decoded, reference_rows: int = 2):
         generation = DynamicEvaluator(**ctx["kwargs"])
-        got = generation.evaluate_generation(decoded)
+        positions, _ = position_matrix([placement.positions for placement, _ in decoded])
+        got = generation.evaluate_generation(positions, [setting for _, setting in decoded])
         assert len(got) == len(decoded)
-        for (placement, setting), evaluation in zip(decoded, got):
+        for row, ((placement, setting), evaluation) in enumerate(zip(decoded, got)):
             want = ctx["per_call"].evaluate(placement, setting)
             _assert_evaluations_identical(evaluation, want)
-            assert generation.objectives(evaluation) == ctx["per_call"].objectives(want)
+            assert tuple(got.objectives[row].tolist()) == (
+                spec_evaluation.scalar_objectives(ctx["per_call"], want)
+            )
         for (placement, setting), evaluation in list(zip(decoded, got))[:reference_rows]:
             _assert_evaluations_identical(
                 evaluation, ctx["reference"].evaluate(placement, setting)
@@ -275,7 +285,7 @@ class TestGenerationBitIdentity:
         total_layers = ctx["config"].total_mbconv_layers
         pool = data.draw(
             st.lists(
-                _placement_strategy(total_layers, max_size=10),
+                _placement_strategy(total_layers),
                 min_size=1,
                 max_size=4,
                 unique=True,
@@ -299,8 +309,8 @@ class TestGenerationBitIdentity:
     @pytest.mark.parametrize("platform_key", PLATFORM_KEYS)
     def test_explicit_generation_shapes(self, platform_key):
         """N=1, duplicate pairs, one placement at every grid setting, an
-        off-grid row, and rows of >= 8 exits (the per-row reduction
-        fallback) beside narrow ones."""
+        off-grid row, and rows of >= 8 exits (past numpy's pairwise
+        unroll) beside narrow ones."""
         ctx = _context(platform_key)
         total_layers = ctx["config"].total_mbconv_layers
         grid = ctx["settings"]
@@ -312,8 +322,8 @@ class TestGenerationBitIdentity:
         duplicates = self._check(
             ctx, [(narrow, grid[3]), (wide, grid[3]), (narrow, grid[3]), (narrow, grid[4])]
         )
-        assert duplicates[0] is duplicates[2]
-        assert duplicates[0] is not duplicates[3]
+        _assert_evaluations_identical(duplicates[0], duplicates[2])
+        assert duplicates[0].setting != duplicates[3].setting
         self._check(ctx, [(wide, setting) for setting in grid])
         self._check(ctx, [(narrow, OFF_GRID), (wide, grid[-1]), (narrow, grid[-1])], 3)
 
