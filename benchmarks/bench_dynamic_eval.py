@@ -21,7 +21,7 @@ spec from ``tests/spec/evaluation.py`` (the reference loop is
   counters;
 * an accuracy-side phase — the batched exit-oracle statistics kernel
   (one dense sweep over the oracle's packed column bank) vs the
-  per-placement popcount loop (``PerPlacementOracle``), on
+  per-placement loop over boolean columns (``PerPlacementOracle``), on
   column-prewarmed oracles so the timed region isolates the ideal-mapping
   statistics, with the batched oracle's column bank fill in the report;
 * tiny- and fast-budget IOE wall-clock rows (full inner NSGA-II runs in
@@ -345,9 +345,9 @@ def _accuracy_phase(bench: _Workbench, population: int, reps: int) -> dict:
     Both sides run on fresh oracles with every correctness column
     materialised up front (column construction is identical work either
     way), so the timed region isolates the ideal-mapping statistics: the
-    per-placement path pays one popcount sweep per (placement, exit), the
-    batched path one dense sweep per exit level over the packed column
-    bank.  Bit-identity of every statistics field is asserted across the
+    per-placement path pays one ``ideal_mapping_stats`` pass over each
+    placement's boolean columns, the batched path one dense sweep per exit
+    level over the packed column bank.  Bit-identity of every statistics field is asserted across the
     whole population, and the batched oracle's column bank fill lands in
     the report.
     """

@@ -127,7 +127,7 @@ def main(argv: list[str] | None = None) -> int:
                         help="persistent evaluation-result cache directory")
     parser.add_argument("--dvfs-grid", action="store_true",
                         help="table2: sweep the exhaustive core x EMC grid per "
-                             "platform (one population-eval batch per setting)")
+                             "platform (one population call per platform)")
     parser.add_argument("--trace", default=None, metavar="OUT.jsonl",
                         help="record a trace of the run (spans/counters from "
                              "all workers) plus a run manifest; inspect with "

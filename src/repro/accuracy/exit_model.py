@@ -22,9 +22,10 @@ oracle's N_i and final accuracy line up with the accuracy surrogate.
 A :class:`BackboneExitOracle` caches one correctness column per position, so
 the inner engine's thousands of placement evaluations per backbone reuse the
 same columns — and exits at the same position are identical across
-placements, which keeps the dissimilarity signal consistent.  Population
-statistics sweep a bank of those columns packed into ``uint64`` words:
-per exit level, a few bitwise ops and row popcounts over the whole batch.
+placements, which keeps the dissimilarity signal consistent.  Statistics
+sweep a bank of those columns packed into ``uint64`` words: per exit
+level, a few bitwise ops and row popcounts over the whole batch, or over
+one placement's rows.
 
 With a persistent :class:`~repro.engine.cache.ResultCache` attached, columns
 are additionally content-addressed on disk (namespace ``oracle``, bit-packed
@@ -71,11 +72,6 @@ _POPCOUNT = np.unpackbits(np.arange(256, dtype=np.uint8)[:, None], axis=1).sum(
 )
 
 
-def _popcount(packed: np.ndarray) -> int:
-    """Number of set bits in a packbits array."""
-    return int(_POPCOUNT[packed].sum())
-
-
 def _popcount_rows_table(words: np.ndarray) -> np.ndarray:
     """Set bits per row of a C-contiguous 2-D ``uint64`` array (byte table)."""
     return _POPCOUNT[words.view(np.uint8)].sum(axis=1, dtype=np.int64)
@@ -94,11 +90,10 @@ popcount_rows = (
 class _LruCache:
     """Bounded mapping with LRU eviction and hit/miss/evict counters.
 
-    The oracle's memo dicts (per-placement statistics, per-column
-    derivatives) previously grew without limit — fine for one search, not
-    for day-long grid sweeps that stream millions of distinct placements
-    through one oracle.  Each cache documents its cap at the construction
-    site; its counters feed ``memo_stats()``.
+    Holds the oracle's per-placement statistics memo, bounded because
+    day-long sweeps stream millions of distinct placements through one
+    oracle.  The cap is documented at the construction site; the counters
+    feed ``memo_stats()``.
     """
 
     __slots__ = ("maxsize", "hits", "misses", "evictions", "_data")
@@ -127,10 +122,6 @@ class _LruCache:
         data.move_to_end(key)
         self.hits += 1
         return value
-
-    def peek(self, key):
-        """Uncounted lookup (no recency refresh)."""
-        return self._data.get(key)
 
     def put(self, key, value) -> None:
         data = self._data
@@ -287,12 +278,6 @@ class BackboneExitOracle:
         gp_rng = child_rng(seed, "exit-gp", backbone_key)
         self._latent = gp_rng.normal(0.0, 1.0, size=(n_samples, self.model.num_basis))
         self._columns: dict[int | str, np.ndarray] = {}
-        # Derived-per-column caches (counts, packed forms) are keyed by exit
-        # position, so their population is naturally bounded by
-        # ``total_layers + 1`` — the LRU cap is a backstop, and eviction is
-        # always safe because entries rebuild from ``_columns``.
-        self._counts = _LruCache(max(256, 2 * (total_layers + 1)))
-        self._packed = _LruCache(max(256, 2 * (total_layers + 1)))
         self._pert_matrix: np.ndarray | None = None
         self._stats = _LruCache(stats_memo_size)
         # Column bank: row p packs position p's column into zero-padded
@@ -402,27 +387,6 @@ class BackboneExitOracle:
         """Boolean correctness column of the backbone's final classifier."""
         return self._column("final", self.backbone_accuracy, self.total_layers)
 
-    def _column_count(self, key: int | str) -> int:
-        """Number of correct samples in a materialised column (memoised)."""
-        count = self._counts.get(key)
-        if count is None:
-            count = int(np.count_nonzero(self._columns[key]))
-            self._counts.put(key, count)
-        return count
-
-    def _packed_column(self, key: int | str) -> np.ndarray:
-        """Bit-packed view of a materialised column (memoised).
-
-        The packed form (``n/8`` bytes, zero-padded tail) drives the
-        ideal-mapping statistics: bitwise masking plus a popcount replaces
-        boolean-matrix reductions at an eighth of the memory traffic.
-        """
-        packed = self._packed.get(key)
-        if packed is None:
-            packed = np.packbits(self._columns[key])
-            self._packed.put(key, packed)
-        return packed
-
     def n_i(self, position: int) -> float:
         """Marginal correct fraction of an exit (the paper's N_i)."""
         return float(self.exit_column(position).mean())
@@ -527,49 +491,39 @@ class BackboneExitOracle:
         )
 
     def memo_stats(self) -> dict[str, dict[str, int]]:
-        """Hit/miss/evict counters of every bounded oracle cache."""
-        return {
-            "stats": self._stats.stats(),
-            "counts": self._counts.stats(),
-            "packed": self._packed.stats(),
-        }
+        """Hit/miss/evict counters of the per-placement statistics memo."""
+        return {"stats": self._stats.stats()}
 
     def _assemble_stats(self, positions: tuple[int, ...]) -> ExitEvaluation:
-        """Build :class:`ExitEvaluation` from cached columns and counts.
+        """One placement's :class:`ExitEvaluation` from the column bank.
 
-        Equivalent to ``ideal_mapping_stats(np.stack(columns, axis=1))`` bit
-        for bit (asserted in the test suite): the masked first-correct-exit
-        sweep is the original algorithm run on *bit-packed* columns (bitwise
-        AND + popcount instead of boolean-matrix reductions), and marginals
-        come from per-column counts cached at column creation.  Every
-        fraction is the same integer count divided by the same ``n``.
+        :meth:`_batched_stats`'s sweep on one placement's bank rows: exit
+        ``i`` takes the samples its column classifies that no earlier exit
+        did (AND-NOT the running OR of the earlier columns), and one row
+        popcount counts every take, the samples some exit classifies and
+        their union with the final classifier.  The counts are those of
+        ``ideal_mapping_stats`` on the boolean columns, and every fraction
+        is the same integer count divided by the same ``n``.
         """
-        num_exits = len(positions)
         n = self.n_samples
-        for position in positions:  # materialise columns before packing
-            self.exit_column(position)
-        self.final_column()
-        usage = np.zeros(num_exits + 1)
-        remaining = None  # samples no earlier exit has taken (packed)
-        union = None  # samples some exit classifies (packed)
-        for i, position in enumerate(positions):
-            packed = self._packed_column(position)
-            if remaining is None:
-                takes = packed
-                remaining = ~packed
-                union = packed
-            else:
-                takes = remaining & packed
-                remaining &= ~packed
-                union = union | packed
-            usage[i] = _popcount(takes) / n
-        usage[-1] = (n - _popcount(~remaining)) / n
-        n_i = (
-            np.asarray([self._column_count(p) for p in positions], dtype=np.int64) / n
+        bank = self._bank
+        final = len(bank) - 1
+        rows = list(positions)
+        self._fill_bank(rows + [final])
+        columns = bank[rows]
+        seen = np.bitwise_or.accumulate(columns)
+        counts = popcount_rows(
+            np.concatenate(
+                (columns[:1], columns[1:] & ~seen[:-1], seen[-1:], seen[-1:] | bank[final:])
+            )
         )
+        num_exits = len(rows)
+        usage = np.empty(num_exits + 1)
+        usage[:num_exits] = counts[:num_exits] / n
+        usage[-1] = (n - int(counts[num_exits])) / n
         return ExitEvaluation(
-            n_i=n_i,
-            final_accuracy=self._column_count("final") / n,
-            dynamic_accuracy=_popcount(union | self._packed_column("final")) / n,
+            n_i=self._bank_counts[rows] / n,
+            final_accuracy=int(self._bank_counts[final]) / n,
+            dynamic_accuracy=int(counts[-1]) / n,
             usage=usage,
         )

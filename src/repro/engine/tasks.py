@@ -34,8 +34,6 @@ kind                    evaluates
 ``serving-cell``        one serving-grid cell (pattern × scenario × policy)
 ``fleet-cell``          one fleet-grid cell (fleet × pattern × router)
 ``table2-dvfs``         one platform's Table II DVFS-space rows
-``population-eval``     one (population-chunk, DVFS setting) stacked batch of
-                        dynamic evaluations (slim per-placement rows)
 ======================  =====================================================
 """
 
@@ -260,98 +258,3 @@ def _table2_dvfs(*, platform: str):
 
     return platform_dvfs_rows(platform)
 
-
-@lru_cache(maxsize=8)
-def _dynamic_context(
-    platform: str,
-    num_classes: int,
-    seed: int,
-    backbone,
-    gamma: float,
-    oracle_samples: int,
-    literal_ratios: bool,
-    capability_model,
-    cache_dir: str | None,
-):
-    """One backbone's :class:`DynamicEvaluator` — the ``population-eval``
-    worker context.  Memoised like :func:`_static_context` (the backbone and
-    capability model are frozen dataclasses, hence hashable): an exhaustive
-    grid sweep ships one spec per (chunk, setting), and a worker builds the
-    oracle/evaluator stack once for the whole sweep."""
-    from repro.search.ioe import InnerEngine
-
-    _, surrogate, evaluator, cache = _static_context(
-        platform, num_classes, seed, cache_dir
-    )
-    return InnerEngine(
-        config=backbone,
-        static_evaluator=evaluator,
-        backbone_accuracy_fraction=surrogate.accuracy_fraction(
-            backbone, evaluator.cost(backbone)
-        ),
-        gamma=gamma,
-        literal_ratios=literal_ratios,
-        capability_model=capability_model,
-        oracle_samples=oracle_samples,
-        seed=seed,
-        cache=cache,
-    ).evaluator
-
-
-@register_task("population-eval")
-def _population_eval(
-    *,
-    platform: str,
-    num_classes: int,
-    seed: int,
-    backbone,
-    placements,
-    core_ghz: float,
-    emc_ghz: float,
-    gamma: float = 1.0,
-    oracle_samples: int = 2048,
-    literal_ratios: bool = False,
-    capability_model=None,
-    cache_dir: str | None = None,
-):
-    """One (population-chunk, setting) batch through the fused kernel.
-
-    ``placements`` is a sequence of exit-position tuples; the result is one
-    slim JSON-able row per placement, in input order — what the exhaustive
-    DVFS-grid artifacts assemble.  The call lowers to
-    ``DynamicEvaluator.evaluate_population`` — one fused accuracy+cost
-    kernel pass (batched oracle statistics plus the stacked cost gather) —
-    with the same seeds, so sharded sweeps are bit-identical to inline ones.
-    """
-    from repro.exits.placement import ExitPlacement
-    from repro.hardware.dvfs import DvfsSetting
-
-    evaluator = _dynamic_context(
-        platform,
-        num_classes,
-        seed,
-        backbone,
-        gamma,
-        oracle_samples,
-        literal_ratios,
-        capability_model,
-        cache_dir,
-    )
-    decoded = [
-        ExitPlacement(backbone.total_mbconv_layers, tuple(int(p) for p in positions))
-        for positions in placements
-    ]
-    setting = DvfsSetting(core_ghz=float(core_ghz), emc_ghz=float(emc_ghz))
-    return [
-        {
-            "positions": [int(p) for p in evaluation.placement.positions],
-            "dynamic_energy_j": float(evaluation.dynamic_energy_j),
-            "dynamic_latency_s": float(evaluation.dynamic_latency_s),
-            "energy_gain": float(evaluation.energy_gain),
-            "latency_gain": float(evaluation.latency_gain),
-            "d_score": float(evaluation.d_score),
-            "dynamic_accuracy": float(evaluation.dynamic_accuracy),
-            "mean_n_i": float(evaluation.mean_n_i),
-        }
-        for evaluation in evaluator.evaluate_population(decoded, setting)
-    ]

@@ -78,7 +78,6 @@ def run(
     executor: str = "auto",
     cache_dir: str | None = None,
     dvfs_grid: bool = False,
-    grid_oracle_samples: int = 2048,
 ) -> Table2Result:
     """Derive every Table II row from the space definitions.
 
@@ -86,15 +85,18 @@ def run(
     ``workers > 1`` they shard across the service like every other
     multi-platform sweep (identical rows either way).  ``cache_dir``
     persists each platform's rows under its spec fingerprint (the
-    ``table2-dvfs`` kind has no richer domain key), so repeat derivations —
-    including full-DVFS-grid sweeps — are cache reads.
+    ``table2-dvfs`` kind has no richer domain key), so repeat derivations
+    are cache reads.
 
     ``dvfs_grid=True`` additionally sweeps every platform's *entire*
     core × EMC grid for the canonical reference DyNN (a6 +
-    :func:`reference_placement`) as ``population-eval`` specs — one stacked
-    kernel call per setting — and records per-platform summaries in
-    ``grid_rows`` plus the full :class:`~repro.experiments.dvfs_grid.
-    DvfsGridArtifact` objects in ``grids``.
+    :func:`reference_placement`), inline through
+    :func:`~repro.experiments.dvfs_grid.compute_grid` — one population call
+    per platform, on the evaluator table3 would build for a6 — and records
+    per-platform summaries in ``grid_rows`` plus the full
+    :class:`~repro.experiments.dvfs_grid.DvfsGridArtifact` objects in
+    ``grids``.  ``cache_dir`` warm-starts the evaluators' static costs and
+    oracle columns.
     """
     space = space or BackboneSpace()
     result = Table2Result(backbone_cardinality=space.cardinality())
@@ -137,34 +139,35 @@ def run(
                 for key in PAPER_PLATFORM_ORDER
             ]
         )
-        for rows in per_platform:
-            result.dvfs_rows.extend(rows)
-        if dvfs_grid:
-            from repro.experiments.dvfs_grid import sharded_grid
+    for rows in per_platform:
+        result.dvfs_rows.extend(rows)
+    if dvfs_grid:
+        from repro.experiments.dvfs_grid import compute_grid
+        from repro.search.hadas import HadasConfig, HadasSearch
 
-            backbone = reference
-            placement = reference_placement(backbone.total_mbconv_layers)
-            for key in PAPER_PLATFORM_ORDER:
-                grid = sharded_grid(
-                    key,
-                    backbone,
+        placement = reference_placement(reference.total_mbconv_layers)
+        for key in PAPER_PLATFORM_ORDER:
+            search = HadasSearch(HadasConfig(platform=key, cache_dir=cache_dir))
+            try:
+                grid = compute_grid(
+                    search.make_inner_engine(reference).evaluator,
+                    search.static_evaluator.dvfs_space,
                     [placement],
-                    cache_dir=cache_dir,
-                    service=service,
-                    oracle_samples=grid_oracle_samples,
                 )
-                result.grids[key] = grid
-                best = grid.best_energy_setting()
-                default_mj = grid.dynamic_energy_j[0, -1, -1] * 1e3
-                result.grid_rows.append(
-                    [
-                        get_platform(key).name,
-                        grid.num_settings,
-                        f"{grid.min_energy_j() * 1e3:.2f}",
-                        f"{default_mj:.2f}",
-                        str(best),
-                    ]
-                )
+            finally:
+                search.close()
+            result.grids[key] = grid
+            best = grid.best_energy_setting()
+            default_mj = grid.dynamic_energy_j[0, -1, -1] * 1e3
+            result.grid_rows.append(
+                [
+                    get_platform(key).name,
+                    grid.num_settings,
+                    f"{grid.min_energy_j() * 1e3:.2f}",
+                    f"{default_mj:.2f}",
+                    str(best),
+                ]
+            )
     return result
 
 

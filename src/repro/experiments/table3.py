@@ -99,7 +99,7 @@ def _model_row(
     The EEx+DVFS column re-optimises the operating point for the chosen
     placement over the *exhaustive* core × EMC grid, computed as a
     first-class :class:`~repro.experiments.dvfs_grid.DvfsGridArtifact`
-    (one stacked population-kernel call per setting).  The searched and
+    (one population-kernel call over every grid setting).  The searched and
     default settings are still compared explicitly — a deployment never
     keeps a setting worse than default — but both lie on the grid, so the
     minimum is bit-identical to the old per-candidate loop.

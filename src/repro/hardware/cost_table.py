@@ -44,12 +44,7 @@ import numpy as np
 from repro.arch.cost import LayerCost, NetworkCost
 from repro.hardware.dvfs import DvfsSetting, DvfsSpace
 from repro.obs import trace
-from repro.hardware.energy import (
-    EnergyModel,
-    EnergyReport,
-    PathProfile,
-    interleaved_cumsum,
-)
+from repro.hardware.energy import EnergyModel, PathProfile, interleaved_cumsum
 
 
 @dataclass(frozen=True)
@@ -200,11 +195,6 @@ class _CostGrid:
         self.filled[positions] = True
 
 
-def _branch_width(cost: NetworkCost) -> int:
-    """Branch columns of a grid: the sentinel plus one per MBConv position."""
-    return max((layer.index for layer in cost.mbconv_layers()), default=0) + 1
-
-
 class SettingCostTable:
     """Precomputed per-layer cost vectors of one network at one setting.
 
@@ -214,23 +204,9 @@ class SettingCostTable:
     position, which holds by construction (the evaluator derives the branch
     from the backbone's channels at that position).
 
-    A table is a view of one grid row.  :meth:`CostTableBank.table` hands
-    out views of its bank's rows; constructing a table directly builds a
-    one-row grid, with the optional ``branch_items`` — ``(position, branch
-    LayerCost)`` pairs — timed in the same pass as the backbone.
+    A table is a view of one grid row, built by :meth:`over_row`;
+    :meth:`CostTableBank.table` hands out the views of its bank's rows.
     """
-
-    def __init__(
-        self,
-        model: EnergyModel,
-        cost: NetworkCost,
-        setting: DvfsSetting,
-        branch_items: Sequence[tuple[int, LayerCost]] = (),
-    ):
-        grid = _CostGrid.build(
-            model, cost, [setting], dict(branch_items), _branch_width(cost)
-        )
-        self._bind(model, cost, setting, grid, 0)
 
     @classmethod
     def over_row(
@@ -243,38 +219,28 @@ class SettingCostTable:
     ) -> "SettingCostTable":
         """The view of ``grid``'s row ``row`` (the row of ``setting``)."""
         table = cls.__new__(cls)
-        table._bind(model, cost, setting, grid, row)
-        return table
-
-    def _bind(
-        self,
-        model: EnergyModel,
-        cost: NetworkCost,
-        setting: DvfsSetting,
-        grid: _CostGrid,
-        row: int,
-    ) -> None:
-        self.setting = setting
-        self.cost = cost
-        self._model = model
+        table.setting = setting
+        table.cost = cost
+        table._model = model
         cum = grid.cum
-        self.cum_total = cum["total"][row]
-        self.cum_core = cum["core"][row]
-        self.cum_mem = cum["mem"][row]
-        self.cum_static = cum["static"][row]
+        table.cum_total = cum["total"][row]
+        table.cum_core = cum["core"][row]
+        table.cum_mem = cum["mem"][row]
+        table.cum_static = cum["static"][row]
         # Serving-ladder construction reads the path-profile accumulators
         # instead of re-walking layers through the timing kernel.
-        self.cum_busy = cum["busy"][row]
-        self.cum_overhead = cum["overhead"][row]
-        self.cum_dynamic = cum["dynamic"][row]
-        self.passive_power_w = float(grid.passive_power_w[row])
+        table.cum_busy = cum["busy"][row]
+        table.cum_overhead = cum["overhead"][row]
+        table.cum_dynamic = cum["dynamic"][row]
+        table.passive_power_w = float(grid.passive_power_w[row])
         columns = (np.flatnonzero(grid.filled[1:]) + 1).tolist()
         values = zip(
             *(grid.branch[name][row, columns].tolist() for name in _BRANCH_FIELDS)
         )
-        self._branch: dict[int, BranchTerms] = {
+        table._branch = {
             position: BranchTerms(*terms) for position, terms in zip(columns, values)
         }
+        return table
 
     # ------------------------------------------------------------- indexing
     def prefix_end(self, position: int) -> int:
@@ -396,53 +362,6 @@ class SettingCostTable:
             passive_power_w=self.passive_power_w,
         )
 
-    # --------------------------------------------------------------- reports
-    def _report_at(self, index: int) -> tuple[float, float, float, float]:
-        """(latency, core, mem, static) accumulator values after ``index``."""
-        return (
-            float(self.cum_total[index]),
-            float(self.cum_core[index]),
-            float(self.cum_mem[index]),
-            float(self.cum_static[index]),
-        )
-
-    def prefix_report(
-        self, position: int, exit_layer: LayerCost | None = None
-    ) -> EnergyReport:
-        """Cumsum-lookup equivalent of :meth:`EnergyModel.prefix_report`.
-
-        Bit-identical to accumulating ``cost.prefix(position)`` (plus the
-        optional exit branch) through the reference loop.  The branch terms
-        are computed fresh here — ``exit_layer`` need not be the canonical
-        branch for ``position``.
-        """
-        latency, core, mem, static = self._report_at(self.prefix_end(position))
-        if exit_layer is not None:
-            terms = self._terms(exit_layer)
-            latency += terms.total_s
-            core += terms.core_j
-            mem += terms.mem_dyn_j
-            mem += terms.mem_bg_j
-            static += terms.static_j
-        return EnergyReport(
-            latency_s=latency,
-            energy_j=core + mem + static,
-            core_energy_j=core,
-            mem_energy_j=mem,
-            static_energy_j=static,
-        )
-
-    def network_report(self) -> EnergyReport:
-        """Full-network report (all layers, no branches) from the tables."""
-        latency, core, mem, static = self._report_at(len(self.cost.layers) - 1)
-        return EnergyReport(
-            latency_s=latency,
-            energy_j=core + mem + static,
-            core_energy_j=core,
-            mem_energy_j=mem,
-            static_energy_j=static,
-        )
-
 
 class CostTableBank:
     """One network's cost tables over the platform's whole DVFS grid.
@@ -455,8 +374,9 @@ class CostTableBank:
     position the first pass did not cover gets its column filled for every
     row on first request.
 
-    ``branch_items`` (static) or ``branch_provider`` (lazy callable) names
-    the exit branches the first pass times alongside the backbone.
+    ``branch_provider`` (a callable returning ``(position, branch
+    LayerCost)`` pairs, called once on the first build) names the exit
+    branches the first pass times alongside the backbone.
     ``prefix_index[p]`` is the cumulative-array index of MBConv position
     ``p``'s prefix (0 for the padding sentinel ``p = 0``).
     """
@@ -465,14 +385,15 @@ class CostTableBank:
         self,
         model: EnergyModel,
         cost: NetworkCost,
-        branch_items: Sequence[tuple[int, LayerCost]] = (),
         branch_provider=None,
     ):
         self.model = model
         self.cost = cost
-        self._branch_layers = dict(branch_items)
+        self._branch_layers: dict[int, LayerCost] = {}
         self._branch_provider = branch_provider
-        self.prefix_index = np.zeros(_branch_width(cost), dtype=np.intp)
+        # One entry per branch column: the sentinel plus every MBConv position.
+        width = max((layer.index for layer in cost.mbconv_layers()), default=0) + 1
+        self.prefix_index = np.zeros(width, dtype=np.intp)
         for position in range(1, len(self.prefix_index)):
             self.prefix_index[position] = cost.prefix_end(position)
         self._grid: _CostGrid | None = None

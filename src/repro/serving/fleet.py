@@ -327,7 +327,6 @@ class DeviceLane:
         # Meters.
         self.busy_s = 0.0
         self.energy_j = 0.0
-        self.switching_energy_j = 0.0
         self.num_batches = 0
         self.throttled = 0
         self.governor_decisions = 0
@@ -491,7 +490,7 @@ class DeviceLane:
     def compiled_of(self, config: RuntimeConfig, cstream: CompiledStream) -> _CompiledConfig:
         if config.name not in self._compiled:
             self._compiled[config.name] = _CompiledConfig(
-                config, self.profiles_of(config), cstream, 0.0
+                config, self.profiles_of(config), cstream
             )
         return self._compiled[config.name]
 
@@ -794,7 +793,7 @@ class FleetSimulator:
                 lane._last_active = active
                 lane._last_compiled = lane.compiled_of(active, cstream)
             compiled = lane._last_compiled
-            latency, energy, switch = compiled.price_indices(batch, lane.exit_counts)
+            latency, energy = compiled.price_indices(batch, lane.exit_counts)
 
             end = start + latency
             sf_extend(batch)
@@ -806,7 +805,6 @@ class FleetSimulator:
             else:
                 group[1].extend(batch)
 
-            lane.switching_energy_j += switch
             lane.energy_j += energy
             lane.busy_s += latency
             battery_spent += energy
@@ -961,7 +959,7 @@ class FleetSimulator:
                     deadline_miss_rate=float((lane_lat > self.slo_s).mean()) if lane_served else 0.0,
                     energy_j=lane.energy_j,
                     energy_per_request_j=lane.energy_j / lane_served if lane_served else 0.0,
-                    switching_energy_j=lane.switching_energy_j,
+                    switching_energy_j=0.0,
                     accuracy=float(correct[idx].mean()) if lane_served else 0.0,
                     exit_usage=[float(c) / lane_served if lane_served else 0.0 for c in lane.exit_counts],
                     config_usage=dict(lane.config_usage),
@@ -999,7 +997,7 @@ class FleetSimulator:
             else 0.0,
             energy_per_request_j=total_energy / num_served if num_served else 0.0,
             total_energy_j=total_energy,
-            switching_energy_j=sum(lane.switching_energy_j for lane in self.lanes),
+            switching_energy_j=0.0,
             accuracy=float(correct[served].mean()) if num_served else 0.0,
             exit_usage=[
                 float(c) / num_served if num_served else 0.0 for c in exit_counts

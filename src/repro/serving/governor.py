@@ -72,9 +72,9 @@ class RuntimeConfig:
             np.asarray(self.thresholds), num_exits=len(self.thresholds)
         )
 
-    def dvfs_governor(self, switch_cost_j: float = 0.0) -> DvfsGovernor:
+    def dvfs_governor(self) -> DvfsGovernor:
         per_exit = dict(self.per_exit) if self.per_exit is not None else None
-        return DvfsGovernor(self.setting, per_exit=per_exit, switch_cost_j=switch_cost_j)
+        return DvfsGovernor(self.setting, per_exit=per_exit)
 
     def expected_shared_overhead_s(self, batch_size: int) -> float:
         """Expected dispatch overhead paid once by a batch of ``batch_size``.

@@ -4,12 +4,10 @@ Feeds a timestamped request :class:`~repro.serving.workload.Trace` through a
 micro-batcher onto a single simulated edge device.  Per decision window the
 serving policy picks a :class:`~repro.serving.governor.RuntimeConfig`
 (entropy thresholds + DVFS); per batch the *real* entropy controller decides
-each request's exit, the hardware model prices the batch (busy time
+each request's exit and the hardware model prices the batch (busy time
 serialises, dispatch overhead is shared —
-:func:`repro.hardware.energy.batched_execution`), and the
-:class:`~repro.runtime.governor.DvfsGovernor` charges frequency-switch
-energy across the intra-batch exit sequence.  Thermal and battery state
-evolve alongside and feed back into the governor's observation.
+:func:`repro.hardware.energy.batched_execution`).  Thermal and battery
+state evolve alongside and feed back into the governor's observation.
 
 The event core is vectorized: an
 :class:`~repro.serving.batcher.ArrayBatcher` forms batches as index
@@ -103,8 +101,8 @@ class _CompiledConfig:
     ``decisions`` replicates :meth:`EntropyThresholdController.decide` over
     the full stream (first exit whose entropy clears its threshold);
     :meth:`price_span` and :meth:`price_indices` replicate
-    :func:`~repro.hardware.energy.batched_execution` +
-    :meth:`DvfsGovernor.switching_energy` for a batch of those decisions.
+    :func:`~repro.hardware.energy.batched_execution` for a batch of those
+    decisions.
     Sums run as sequential Python float sums (NOT ``np.sum``, whose
     pairwise reduction associates differently) and the shared-overhead
     path is the *first* maximum, exactly like ``max(..., key=...)`` — this
@@ -122,13 +120,11 @@ class _CompiledConfig:
     __slots__ = (
         "decisions",
         "correct",
-        "_switch_cost_j",
         "_dec_req",
         "_busy_l",
         "_over_l",
         "_passive_l",
         "_unit_l",
-        "_sid_l",
         "_lat_one",
         "_energy_one",
     )
@@ -138,7 +134,6 @@ class _CompiledConfig:
         config: RuntimeConfig,
         profiles: list[PathProfile],
         cstream: CompiledStream,
-        switch_cost_j: float,
     ):
         n = cstream.head_correct.shape[1]
         decisions = np.full(n, cstream.num_exits, dtype=np.int64)
@@ -155,35 +150,19 @@ class _CompiledConfig:
         self._unit_l = [
             float(p.dynamic_energy_j + p.passive_power_w * p.busy_s) for p in profiles
         ]
-        # DVFS settings collapsed to equality-class ids so intra-batch
-        # transitions are an integer comparison instead of dataclass !=.
-        governor = config.dvfs_governor(switch_cost_j)
-        seen: list = []
-        sid = []
-        for path in range(len(profiles)):
-            setting = governor.setting_for(path)
-            for class_id, other in enumerate(seen):
-                if setting == other:
-                    sid.append(class_id)
-                    break
-            else:
-                sid.append(len(seen))
-                seen.append(setting)
-        self._sid_l = sid
-        self._switch_cost_j = switch_cost_j
         self._dec_req = decisions.tolist()
         self._lat_one = [b + o for b, o in zip(self._busy_l, self._over_l)]
         self._energy_one = [
             u + p * o for u, p, o in zip(self._unit_l, self._passive_l, self._over_l)
         ]
 
-    def price_span(self, lo: int, hi: int) -> tuple[float, float, float]:
-        """(latency_s, energy_j incl. switching, switching_j) of the
-        contiguous batch ``[lo, hi)`` (the span-mode batcher's batches)."""
+    def price_span(self, lo: int, hi: int) -> tuple[float, float]:
+        """(latency_s, energy_j) of the contiguous batch ``[lo, hi)`` (the
+        span-mode batcher's batches)."""
         dec = self._dec_req
         if hi - lo == 1:
             d = dec[lo]
-            return self._lat_one[d], self._energy_one[d], 0.0
+            return self._lat_one[d], self._energy_one[d]
         busy = self._busy_l
         over = self._over_l
         unit = self._unit_l
@@ -201,22 +180,11 @@ class _CompiledConfig:
                 longest = j
         latency = busy_sum + peak
         energy += self._passive_l[dec[longest]] * peak
-        switch = 0.0
-        if self._switch_cost_j:
-            sids = self._sid_l
-            prev = sids[dec[lo]]
-            transitions = 0
-            for j in range(lo + 1, hi):
-                cur = sids[dec[j]]
-                if cur != prev:
-                    transitions += 1
-                    prev = cur
-            switch = transitions * self._switch_cost_j
-        return latency, energy + switch, switch
+        return latency, energy
 
     def price_indices(
         self, indices: list[int], counts: list[int] | np.ndarray
-    ) -> tuple[float, float, float]:
+    ) -> tuple[float, float]:
         """:meth:`price_span` for an explicit request-index batch.
 
         Fleet lanes and the single-device queue mode dispatch
@@ -228,7 +196,7 @@ class _CompiledConfig:
         if len(indices) == 1:
             d = dec[indices[0]]
             counts[d] += 1
-            return self._lat_one[d], self._energy_one[d], 0.0
+            return self._lat_one[d], self._energy_one[d]
         busy = self._busy_l
         over = self._over_l
         unit = self._unit_l
@@ -247,18 +215,7 @@ class _CompiledConfig:
                 longest = t
         latency = busy_sum + peak
         energy += self._passive_l[dec[longest]] * peak
-        switch = 0.0
-        if self._switch_cost_j:
-            sids = self._sid_l
-            prev = sids[dec[indices[0]]]
-            transitions = 0
-            for t in indices[1:]:
-                cur = sids[dec[t]]
-                if cur != prev:
-                    transitions += 1
-                    prev = cur
-            switch = transitions * self._switch_cost_j
-        return latency, energy + switch, switch
+        return latency, energy
 
 
 @dataclass
@@ -269,7 +226,6 @@ class _RunState:
     correct: np.ndarray
     exit_counts: np.ndarray
     total_energy: float = 0.0
-    switching_energy: float = 0.0
     battery_spent: float = 0.0
     battery_exhausted: bool = False
     num_batches: int = 0
@@ -299,9 +255,8 @@ class ServingSimulator:
     slo_s:
         Per-request completion deadline.
     window_s:
-        Governor decision period.  Backlog spikes (more than
-        ``emergency_backlog_batches`` full batches in the system, counting
-        the batch being formed) trigger an immediate re-decision instead of
+        Governor decision period.  Backlog spikes (more than two full
+        batches in the system, counting the batch being formed) trigger an immediate re-decision instead of
         waiting out the window — burst onsets are reacted to at batch
         granularity.
     battery_budget_j:
@@ -321,9 +276,7 @@ class ServingSimulator:
         slo_s: float,
         batch_policy: BatchPolicy | None = None,
         window_s: float = 0.5,
-        switch_cost_j: float = 0.0,
         battery_budget_j: float | None = None,
-        emergency_backlog_batches: float = 2.0,
         admission: AdmissionPolicy | None = None,
     ):
         check_positive("slo_s", slo_s)
@@ -336,10 +289,9 @@ class ServingSimulator:
         self.slo_s = slo_s
         self.batch_policy = batch_policy or BatchPolicy()
         self.window_s = window_s
-        self.switch_cost_j = switch_cost_j
         self.battery_budget_j = battery_budget_j
         self.admission = admission
-        self.emergency_backlog = emergency_backlog_batches * self.batch_policy.max_batch
+        self.emergency_backlog = 2.0 * self.batch_policy.max_batch
         self._max_power_w = max(c.expected_power_w for c in self.ladder)
         self._coolest = min(self.ladder, key=lambda c: c.expected_power_w)
         self._profiles: dict[str, list[PathProfile]] = {}
@@ -483,9 +435,7 @@ class ServingSimulator:
         def compiled_of(config: RuntimeConfig) -> _CompiledConfig:
             cc = compiled.get(config.name)
             if cc is None:
-                cc = _CompiledConfig(
-                    config, self._profiles_of(config), cstream, self.switch_cost_j
-                )
+                cc = _CompiledConfig(config, self._profiles_of(config), cstream)
                 compiled[config.name] = cc
             return cc
 
@@ -511,7 +461,6 @@ class ServingSimulator:
         num_batches = 0
         total_energy = 0.0
         battery_spent = 0.0
-        switching_energy = 0.0
         # Span-mode writes of `correct`/`exit_counts` are flushed per *run*
         # of consecutive batches priced by the same compiled config — one
         # slice copy and one bincount per config stretch instead of per
@@ -570,7 +519,7 @@ class ServingSimulator:
 
             cc = compiled_of(active)
             if use_span:
-                latency, energy, switch = cc.price_span(lo, hi)
+                latency, energy = cc.price_span(lo, hi)
                 if cc is run_cc and lo == run_hi:
                     run_hi = hi
                 else:
@@ -578,10 +527,9 @@ class ServingSimulator:
                     run_cc, run_lo, run_hi = cc, lo, hi
                 completion[lo:hi] = start + latency
             else:
-                latency, energy, switch = cc.price_indices(indices, exit_counts)
+                latency, energy = cc.price_indices(indices, exit_counts)
                 completion[indices] = start + latency
                 correct[indices] = cc.correct[indices]
-            switching_energy += switch
 
             end = start + latency
             total_energy += energy
@@ -598,7 +546,6 @@ class ServingSimulator:
         state.num_batches = num_batches
         state.total_energy = total_energy
         state.battery_spent = battery_spent
-        state.switching_energy = switching_energy
         state.num_dropped = batcher.num_dropped
         state.num_deferred = batcher.num_deferred
 
@@ -644,7 +591,7 @@ class ServingSimulator:
             else 0.0,
             energy_per_request_j=state.total_energy / num_served if num_served else 0.0,
             total_energy_j=state.total_energy,
-            switching_energy_j=state.switching_energy,
+            switching_energy_j=0.0,
             accuracy=float(state.correct[served].mean()) if num_served else 0.0,
             exit_usage=[
                 float(c) / num_served if num_served else 0.0 for c in state.exit_counts

@@ -12,8 +12,8 @@ hook it replaces, so everything else stays shared:
   objective vector from :func:`scalar_objectives`;
 * :class:`UnfusedEvaluator` — the population kernel without the
   width-grouped reductions: every mean is ``np.mean`` of one row slice;
-* :class:`PerPlacementOracle` — oracle statistics one placement at a time,
-  restacked by :func:`stack_exit_evaluations`;
+* :class:`PerPlacementOracle` — oracle statistics one placement at a time
+  from the boolean columns, restacked by :func:`stack_exit_evaluations`;
 * :class:`SpecInnerEngine` — an IOE run on any of the above.
 
 :func:`profiles_for` and :func:`plan_per_exit_dvfs` are the runtime
@@ -28,7 +28,11 @@ import numpy as np
 
 from repro.accuracy.exit_model import BackboneExitOracle
 from repro.eval.dynamic import DynamicEvaluation, DynamicEvaluator
-from repro.exits.evaluation import ExitEvaluation, PopulationExitStats
+from repro.exits.evaluation import (
+    ExitEvaluation,
+    PopulationExitStats,
+    ideal_mapping_stats,
+)
 from repro.exits.placement import ExitPlacement, position_matrix
 from repro.hardware.dvfs import DvfsSetting, DvfsSpace
 from repro.hardware.energy import EnergyReport, PathProfile
@@ -193,11 +197,22 @@ def stack_exit_evaluations(
 
 
 class PerPlacementOracle(BackboneExitOracle):
-    """Population statistics as a loop of :meth:`evaluate_placement` calls.
+    """Population statistics as a loop of :meth:`evaluate_placement` calls,
+    each placement's from its boolean columns.
 
-    The columns every placement needs are built up front, so the loop
-    times the ideal-mapping statistics alone.
+    :meth:`_assemble_stats` runs :func:`~repro.exits.evaluation.
+    ideal_mapping_stats` on the placement's exit columns and the final
+    classifier's, so no statistic reads the packed column bank.  The
+    columns every placement needs are built up front, so the loop times
+    the ideal-mapping statistics alone.
     """
+
+    def _assemble_stats(self, positions):
+        return ideal_mapping_stats(
+            np.column_stack(
+                [self.exit_column(p) for p in positions] + [self.final_column()]
+            )
+        )
 
     def evaluate_placements(self, placements):
         placements = as_placements(self.total_layers, placements)

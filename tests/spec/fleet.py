@@ -151,8 +151,7 @@ class ReferenceFleetSimulator(FleetSimulator):
             indices = np.asarray(batch, dtype=np.int64)
             compiled = lane.compiled_of(active, cstream)
             decisions = compiled.decisions[indices]
-            latency, energy, switch = price(compiled, decisions)
-            lane.switching_energy_j += switch
+            latency, energy = price(compiled, decisions)
 
             end = start + latency
             completion[indices] = end

@@ -95,17 +95,15 @@ class BatchOutcome:
 
     decisions: object  # per-request exit index (num_exits = full network)
     latency_s: float
-    energy_j: float  # includes switching energy
-    switching_j: float
+    energy_j: float
     correct: np.ndarray  # per-request correctness flags
 
 
-def execute_batch(controller, profiles, dvfs_governor, stream, indices) -> BatchOutcome:
+def execute_batch(controller, profiles, stream, indices) -> BatchOutcome:
     """Run one micro-batch: real exit decisions + physical batch pricing."""
     exit_logits, final_logits, labels = stream.batch(indices)
     decisions = controller.decide(exit_logits)
     latency, energy = batched_execution([profiles[d] for d in decisions])
-    switch = dvfs_governor.switching_energy(decisions)
     num_exits = stream.num_exits
     correct = np.empty(len(indices), dtype=bool)
     for j, d in enumerate(decisions):
@@ -114,16 +112,12 @@ def execute_batch(controller, profiles, dvfs_governor, stream, indices) -> Batch
         else:
             correct[j] = final_logits[j].argmax() == labels[j]
     return BatchOutcome(
-        decisions=decisions,
-        latency_s=latency,
-        energy_j=energy + switch,
-        switching_j=switch,
-        correct=correct,
+        decisions=decisions, latency_s=latency, energy_j=energy, correct=correct
     )
 
 
-def price(compiled, decisions: np.ndarray) -> tuple[float, float, float]:
-    """(latency_s, energy_j incl. switching, switching_j) of one batch.
+def price(compiled, decisions: np.ndarray) -> tuple[float, float]:
+    """(latency_s, energy_j) of one batch.
 
     ``compiled`` is a :class:`~repro.serving.simulator._CompiledConfig` and
     ``decisions`` the batch's exit decisions, gathered from its tables.
@@ -135,12 +129,7 @@ def price(compiled, decisions: np.ndarray) -> tuple[float, float, float]:
     energy = sum(np.asarray(compiled._unit_l)[decisions].tolist()) + float(
         np.asarray(compiled._passive_l)[decisions[longest]] * over[longest]
     )
-    switch = 0.0
-    if compiled._switch_cost_j and len(decisions) >= 2:
-        sids = np.asarray(compiled._sid_l)[decisions]
-        transitions = int(np.count_nonzero(sids[1:] != sids[:-1]))
-        switch = transitions * compiled._switch_cost_j
-    return latency, energy + switch, switch
+    return latency, energy
 
 
 class ReferenceSimulator(ServingSimulator):
@@ -195,13 +184,8 @@ class ReferenceSimulator(ServingSimulator):
 
             indices = np.asarray([r.index for r in batch], dtype=np.int64)
             outcome = execute_batch(
-                self._controller_of(active),
-                self._profiles_of(active),
-                active.dvfs_governor(self.switch_cost_j),
-                stream,
-                indices,
+                self._controller_of(active), self._profiles_of(active), stream, indices
             )
-            state.switching_energy += outcome.switching_j
 
             end = start + outcome.latency_s
             state.completion[indices] = end

@@ -98,13 +98,6 @@ class TestLruCache:
         assert stats["hits"] == 3 and stats["misses"] == 1
         assert stats["size"] == 2 and stats["maxsize"] == 2
 
-    def test_peek_uncounted(self):
-        cache = _LruCache(4)
-        cache.put("a", 1)
-        assert cache.peek("a") == 1 and cache.peek("x") is None
-        stats = cache.stats()
-        assert stats["hits"] == 0 and stats["misses"] == 0
-
     def test_stores_falsy_values(self):
         cache = _LruCache(4)
         cache.put("zero", 0)
@@ -119,7 +112,8 @@ class TestBatchedOracleBitIdentity:
     def test_matches_reference_oracle(self, data):
         """Any sample count; one to every exit, with duplicates, per batch;
         then a second batch on the same oracle that keeps a prefix of each
-        first-batch placement and extends it."""
+        first-batch placement and extends it.  The per-placement path,
+        filling its own bank, gives the same rows."""
         n_samples = data.draw(st.sampled_from(_SAMPLE_COUNTS))
         first = data.draw(_placements_strategy(max_exits=_LAYERS - MIN_EXIT_POSITION))
         first += data.draw(st.lists(st.sampled_from(first), max_size=4))
@@ -130,12 +124,14 @@ class TestBatchedOracleBitIdentity:
             tail = data.draw(st.sets(st.sampled_from(room), max_size=3)) if room else ()
             second.append(_placement(prefix + tuple(tail)))
         batched = _oracle(n_samples=n_samples)
+        single = _oracle(n_samples=n_samples)  # per-placement calls only
         reference = _reference_oracle(n_samples=n_samples)
         for batch in (first, second):
             got = batched.evaluate_placements(batch)
             want = reference.evaluate_placements(batch)
-            for g, w in zip(got, want):
+            for g, w, placement in zip(got, want, batch):
                 _assert_stats_identical(g, w)
+                _assert_stats_identical(single.evaluate_placement(placement), w)
 
     def test_single_placement(self):
         batched = _oracle()
@@ -181,11 +177,12 @@ class TestBatchedOracleBitIdentity:
 
     def test_memo_stats_shape(self):
         oracle = _oracle()
-        oracle.evaluate_placements([_placement([6, 9])])
+        oracle.evaluate_placement(_placement([6, 9]))
         stats = oracle.memo_stats()
-        for name in ("stats", "counts", "packed"):
-            for key in ("size", "maxsize", "hits", "misses", "evictions"):
-                assert isinstance(stats[name][key], int)
+        assert set(stats) == {"stats"}
+        for key in ("size", "maxsize", "hits", "misses", "evictions"):
+            assert isinstance(stats["stats"][key], int)
+        assert stats["stats"]["misses"] == 1 and stats["stats"]["size"] == 1
 
     def test_layer_mismatch_rejected(self):
         oracle = _oracle()

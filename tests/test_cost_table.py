@@ -23,7 +23,7 @@ from repro.baselines.attentivenas import attentivenas_model
 from repro.eval.dynamic import DynamicEvaluator
 from repro.exits.evaluation import ExitEvaluation, ideal_mapping_stats
 from repro.exits.placement import MIN_EXIT_POSITION, ExitPlacement
-from repro.hardware.cost_table import CostTableBank, SettingCostTable
+from repro.hardware.cost_table import CostTableBank
 from repro.hardware.dvfs import DvfsSpace
 from repro.hardware.energy import EnergyModel, interleaved_cumsum
 from repro.hardware.platform import get_platform
@@ -108,44 +108,44 @@ class TestBatchTiming:
         )
 
 
+def _grid_report(grid, row: int, index: int) -> tuple:
+    """:func:`_report_fields` read off grid row ``row``'s cumulative
+    accumulators after layer ``index``."""
+    latency, core, mem, static = (
+        grid.cum[name][row, index] for name in ("total", "core", "mem", "static")
+    )
+    return (latency, core + mem + static, core, mem, static)
+
+
 class TestSettingCostTable:
     @pytest.mark.parametrize("platform_key", PLATFORM_KEYS)
     def test_prefix_report_equivalence(self, platform_key):
-        """Cumsum lookups == reference loop over every prefix, with and
-        without an exit branch."""
+        """The grid's cumulative rows at every MBConv prefix end == the
+        reference loop's report of that prefix."""
         ctx = _context(platform_key)
-        cost, model, config = ctx["cost"], ctx["model"], ctx["config"]
+        cost, model, dvfs = ctx["cost"], ctx["model"], ctx["dvfs"]
+        bank = CostTableBank(model, cost)
         rng = np.random.default_rng(3)
-        channels = {
-            spec.index: (spec.out_channels, spec.out_resolution)
-            for spec in config.layers()
-            if spec.kind == "mbconv"
-        }
-        for _ in range(3):
-            setting = ctx["dvfs"].sample(rng)
-            table = SettingCostTable(model, cost, setting)
-            for position in range(1, config.total_mbconv_layers + 1):
+        settings_list = [dvfs.sample(rng) for _ in range(3)]
+        grid, rows = bank.rows(settings_list)
+        for setting, row in zip(settings_list, rows.tolist()):
+            for position in range(1, ctx["config"].total_mbconv_layers + 1):
                 reference = spec_hardware.composite_report(
                     model, cost.prefix(position), setting
                 )
-                assert _report_fields(table.prefix_report(position)) == _report_fields(
-                    reference
-                )
-                width, resolution = channels[position]
-                branch = exit_branch_cost(width, resolution, config.num_classes)
-                with_branch = spec_hardware.composite_report(
-                    model, list(cost.prefix(position)) + [branch], setting
-                )
-                assert _report_fields(
-                    table.prefix_report(position, exit_layer=branch)
-                ) == _report_fields(with_branch)
+                assert _grid_report(
+                    grid, row, bank.prefix_index[position]
+                ) == _report_fields(reference)
 
     @pytest.mark.parametrize("platform_key", PLATFORM_KEYS)
     def test_network_report_equivalence(self, platform_key):
+        """The grid's cumulative rows at the last layer == the reference
+        loop's full-network report."""
         ctx = _context(platform_key)
         setting = ctx["dvfs"].default_setting()
-        table = SettingCostTable(ctx["model"], ctx["cost"], setting)
-        assert _report_fields(table.network_report()) == _report_fields(
+        bank = CostTableBank(ctx["model"], ctx["cost"])
+        grid, (row,) = bank.rows([setting])
+        assert _grid_report(grid, row, len(ctx["cost"].layers) - 1) == _report_fields(
             spec_hardware.composite_report(ctx["model"], ctx["cost"].layers, setting)
         )
 

@@ -174,6 +174,19 @@ class TestTable2:
         assert "[16, 1984]" in text
         assert "2.94" in text
 
+    def test_dvfs_grid_covers_every_platform(self):
+        from repro.hardware.dvfs import DvfsSpace
+        from repro.hardware.platform import PAPER_PLATFORM_ORDER, get_platform
+
+        result = table2.run(dvfs_grid=True)
+        assert list(result.grids) == list(PAPER_PLATFORM_ORDER)
+        for key, grid in result.grids.items():
+            assert grid.platform == key
+            assert grid.num_settings == DvfsSpace(get_platform(key)).cardinality
+        assert [row[1] for row in result.grid_rows] == [
+            grid.num_settings for grid in result.grids.values()
+        ]
+
 
 class TestTable3:
     def test_rows_complete(self, micro_profile):

@@ -161,6 +161,16 @@ class TestCli:
         out = capsys.readouterr().out
         assert "2.94" in out
 
+    def test_table2_dvfs_grid_artifact(self, capsys):
+        from repro.__main__ import main
+        from repro.hardware.platform import PAPER_PLATFORM_ORDER, get_platform
+
+        assert main(["table2", "--dvfs-grid"]) == 0
+        out = capsys.readouterr().out
+        block = out[out.index("Exhaustive DVFS grids") :]
+        for key in PAPER_PLATFORM_ORDER:
+            assert get_platform(key).name in block
+
     def test_unknown_artifact(self):
         from repro.__main__ import main
 

@@ -15,8 +15,7 @@ them.  Every grid row also equals the per-setting table the bank used to
 build one setting at a time (:func:`_per_setting_table`, kept here as the
 spec).  Alongside it: the thread-safety of the shared
 :class:`CostTableBank`, the table-backed runtime planner/serving-profile
-paths, and the ``population-eval`` task codec that shards exhaustive DVFS
-grids.
+paths, and the exhaustive DVFS grids built in one population call.
 """
 
 from __future__ import annotations
@@ -566,82 +565,49 @@ class TestRuntimePathsViaBank:
         assert stacked.full_latency_s[0] == want[3]
 
 
-class TestPopulationEvalCodec:
-    """The population-eval TaskSpec and the DVFS-grid artifacts it shards."""
+class TestDvfsGrid:
+    """Exhaustive core × EMC grids: one population call per grid."""
 
-    def test_spec_round_trip_matches_inline(self):
-        from repro.engine.tasks import _dynamic_context, run_spec, task_spec
+    def test_compute_grid_is_one_population_call(self):
+        """Every (placement, setting) cell comes from one mixed-setting
+        population call and equals a fresh evaluator's per-pair
+        ``evaluate``; the argmin helpers read the filled arrays."""
+        from repro.experiments.dvfs_grid import compute_grid
+        from repro.obs.trace import Recorder
 
-        backbone = attentivenas_model("a3")
-        placements = ((5, 9), (6,), (5, 9))  # duplicates survive the codec
-        setting_kwargs = dict(core_ghz=1.11, emc_ghz=1.062)
-        spec = task_spec(
-            "population-eval",
-            platform="tx2-gpu",
-            num_classes=100,
-            seed=0,
-            backbone=backbone,
-            placements=placements,
-            oracle_samples=512,
-            **setting_kwargs,
+        ctx = _context("tx2-gpu")
+        space = ctx["dvfs"]
+        total = ctx["config"].total_mbconv_layers
+        placements = [ExitPlacement(total, p) for p in [(5, 9, 14), (7,)]]
+        recorder = Recorder()
+        with trace.recording(recorder):
+            grid = compute_grid(DynamicEvaluator(**ctx["kwargs"]), space, placements)
+        assert recorder.counters["dyneval.population_calls"] == 1
+        assert recorder.counters["dyneval.population_rows"] == (
+            len(placements) * space.cardinality
         )
-        rows = run_spec(spec)
-        assert [tuple(r["positions"]) for r in rows] == list(placements)
-        evaluator = _dynamic_context(
-            "tx2-gpu", 100, 0, backbone, 1.0, 512, False, None, None
-        )
-        from repro.hardware.dvfs import DvfsSetting
+        assert grid.placements == ((5, 9, 14), (7,))
+        assert grid.core_ghz == tuple(space.core_freqs)
+        assert grid.emc_ghz == tuple(space.emc_freqs)
+        assert grid.num_settings == space.cardinality
+        shape = (len(placements), len(space.core_freqs), len(space.emc_freqs))
+        assert grid.dynamic_energy_j.shape == shape
 
-        decoded = [
-            ExitPlacement(backbone.total_mbconv_layers, p) for p in placements
-        ]
-        inline = evaluator.evaluate_population(
-            decoded, DvfsSetting(**setting_kwargs)
-        )
-        for row, evaluation in zip(rows, inline):
-            assert row["dynamic_energy_j"] == evaluation.dynamic_energy_j
-            assert row["dynamic_latency_s"] == evaluation.dynamic_latency_s
-            assert row["d_score"] == evaluation.d_score
-            assert row["energy_gain"] == evaluation.energy_gain
-            assert row["latency_gain"] == evaluation.latency_gain
-
-    def test_sharded_grid_matches_compute_grid(self):
-        from repro.engine.tasks import _dynamic_context
-        from repro.experiments.dvfs_grid import compute_grid, sharded_grid
-
-        backbone = attentivenas_model("a3")
-        decoded = [
-            ExitPlacement(backbone.total_mbconv_layers, p)
-            for p in [(5, 9, 14), (7,)]
-        ]
-        sharded = sharded_grid(
-            "tx2-gpu",
-            backbone,
-            decoded,
-            workers=1,
-            executor="serial",
-            oracle_samples=512,
-        )
-        evaluator = _dynamic_context(
-            "tx2-gpu", 100, 0, backbone, 1.0, 512, False, None, None
-        )
-        space = DvfsSpace(get_platform("tx2-gpu"))
-        inline = compute_grid(evaluator, space, decoded)
-        assert sharded.placements == inline.placements
-        assert sharded.core_ghz == inline.core_ghz
-        assert sharded.emc_ghz == inline.emc_ghz
-        assert np.array_equal(sharded.dynamic_energy_j, inline.dynamic_energy_j)
-        assert np.array_equal(sharded.dynamic_latency_s, inline.dynamic_latency_s)
-        assert np.array_equal(sharded.d_score, inline.d_score)
-        assert sharded.num_settings == space.cardinality
-        # The artifact's argmin helpers address the assembled arrays.
-        best = sharded.best_energy_setting()
-        assert sharded.min_energy_j() == min(
-            sharded.dynamic_energy_j[0, ci, ei]
-            for ci in range(len(sharded.core_ghz))
-            for ei in range(len(sharded.emc_ghz))
-        )
-        assert best in space.all_settings()
+        fresh = DynamicEvaluator(**ctx["kwargs"])
+        for pi, placement in enumerate(placements):
+            energies = []
+            for ci, core in enumerate(grid.core_ghz):
+                for ei, emc in enumerate(grid.emc_ghz):
+                    setting = DvfsSetting(core, emc)
+                    want = fresh.evaluate(placement, setting)
+                    assert grid.dynamic_energy_j[pi, ci, ei] == want.dynamic_energy_j
+                    assert grid.dynamic_latency_s[pi, ci, ei] == want.dynamic_latency_s
+                    assert grid.d_score[pi, ci, ei] == want.d_score
+                    energies.append((want.dynamic_energy_j, setting))
+            lowest = min(energy for energy, _ in energies)
+            assert grid.min_energy_j(pi) == lowest
+            first = next(setting for energy, setting in energies if energy == lowest)
+            assert grid.best_energy_setting(pi) == first
 
     def test_reference_placement_is_deterministic(self):
         from repro.experiments.table2 import reference_placement

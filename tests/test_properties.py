@@ -567,8 +567,8 @@ class TestPricingLaws:
     """Both pricing shapes of the compiled executor — contiguous spans and
     index lists — equal the spec's numpy pricing bit for bit, and the index
     form tallies the batch's exits.  The ladder rungs run one DVFS setting
-    (the identity tests cover those), so random per-exit settings bring in
-    the switching energy."""
+    (the identity tests cover those), so random per-exit settings give
+    every exit path its own costs."""
 
     @pytest.fixture(scope="class")
     def compiled_stream(self, serving_stack):
@@ -596,9 +596,8 @@ class TestPricingLaws:
                 for exit_index in range(stack.placement.num_exits)
             ),
         )
-        switch_cost = data.draw(st.sampled_from((0.0, 0.003)))
         profiles = _profiles_for(stack.evaluator, stack.placement, config.dvfs_governor())
-        compiled = _CompiledConfig(config, profiles, compiled_stream, switch_cost)
+        compiled = _CompiledConfig(config, profiles, compiled_stream)
         n = len(compiled.decisions)
 
         lo = data.draw(st.integers(0, n - 1))

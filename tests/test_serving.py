@@ -703,7 +703,7 @@ class TestEngineEquivalence:
         """Regression: the backlog-spike check ignored the batch that
         ``next_batch`` had just popped, so a burst exactly one batch over the
         emergency threshold never triggered a governor re-decision."""
-        trace = replay_trace(np.zeros(5))
+        trace = replay_trace(np.zeros(9))
         stream = stack.synthesizer.synthesize(trace.difficulties())
         simulator = simulator_cls(
             evaluator=stack.evaluator,
@@ -714,12 +714,12 @@ class TestEngineEquivalence:
             slo_s=0.075,
             batch_policy=BatchPolicy(max_batch=4, timeout_s=0.004),
             window_s=100.0,
-            emergency_backlog_batches=1.0,
         )
         report = simulator.run(trace, stream)
-        # The first batch of 4 leaves a backlog of 1: 1 queued + 4 in
-        # flight > 4 is a spike, so the governor decides twice (initial +
-        # emergency), never on the (100 s) window.
+        # The first batch of 4 leaves a backlog of 5: 5 queued + 4 in
+        # flight > 8 (two full batches) is a spike, while 5 queued alone is
+        # not, so the governor decides twice (initial + emergency), never on
+        # the (100 s) window.
         assert report.governor_decisions == 2
 
     def test_replay_day_scale_keeps_final_arrival(self):
