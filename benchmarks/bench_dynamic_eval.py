@@ -20,10 +20,12 @@ spec from ``tests/spec/evaluation.py`` (the reference loop is
   isolates the cost kernels, plus the oracle's column cache hit/miss
   counters;
 * an accuracy-side phase — the batched exit-oracle statistics kernel
-  (one dense sweep over the oracle's packed column bank) vs the
-  per-placement loop over boolean columns (``PerPlacementOracle``), on
-  column-prewarmed oracles so the timed region isolates the ideal-mapping
-  statistics, with the batched oracle's column bank fill in the report;
+  (one dense sweep over the oracle's packed column bank) vs one
+  ``evaluate_placement`` call per placement, on column-prewarmed
+  production oracles so the timed region isolates the ideal-mapping
+  statistics, every field checked against the per-placement loop over
+  boolean columns (``PerPlacementOracle``), with the batched oracle's
+  column bank fill in the report;
 * tiny- and fast-budget IOE wall-clock rows (full inner NSGA-II runs in
   all three modes: reference loop, per-call tables (``PerCallEvaluator``),
   population kernel);
@@ -37,7 +39,8 @@ spec from ``tests/spec/evaluation.py`` (the reference loop is
 Asserts the acceptance contracts: ≥ 5x single-worker speedup on the
 fast-budget IOE evaluation loop (tables vs reference), ≥ 5x
 evaluations/sec at population scale (population kernel vs per-call
-tables), ≥ 3x oracle statistics throughput (batched vs per-placement),
+tables), ≥ 3x oracle statistics throughput (batched sweep vs
+per-placement calls),
 ≥ 3x paper-budget IOE wall clock (fused vs PR-6 mode), bit-identical
 results everywhere, and a table-driven (O(exits)) hot path.
 
@@ -340,37 +343,48 @@ def _population_phase(
 
 
 def _accuracy_phase(bench: _Workbench, population: int, reps: int) -> dict:
-    """Oracle statistics throughput: batched kernel vs per-placement loop.
+    """Oracle statistics throughput: batched sweep vs per-placement calls.
 
-    Both sides run on fresh oracles with every correctness column
-    materialised up front (column construction is identical work either
-    way), so the timed region isolates the ideal-mapping statistics: the
-    per-placement path pays one ``ideal_mapping_stats`` pass over each
-    placement's boolean columns, the batched path one dense sweep per exit
-    level over the packed column bank.  Bit-identity of every statistics field is asserted across the
-    whole population, and the batched oracle's column bank fill lands in
-    the report.
+    Both sides run on fresh production oracles with every correctness
+    column materialised up front (column construction is identical work
+    either way), so the timed region isolates the ideal-mapping
+    statistics: the per-placement side is one
+    :meth:`~BackboneExitOracle.evaluate_placement` call per placement, the
+    batched side one dense sweep per exit level over the packed column
+    bank.  Bit-identity of every statistics field is asserted across the
+    whole population against the per-placement loop over boolean columns
+    (``PerPlacementOracle``), and the batched oracle's column bank fill
+    lands in the report.
     """
     placements = _distinct_placements(bench, population, bench.seed + 41)
     distinct = sorted({p for placement in placements for p in placement.positions})
 
-    def timed_pass(cls) -> tuple[float, BackboneExitOracle]:
+    def fresh_oracle(cls=BackboneExitOracle) -> BackboneExitOracle:
         oracle = bench.oracle(cls)
         for position in distinct:
             oracle.exit_column(position)
         oracle.final_column()
+        return oracle
+
+    def batched_pass() -> tuple[float, BackboneExitOracle]:
+        oracle = fresh_oracle()
         start = time.perf_counter()
         oracle.evaluate_placements(placements)
         return time.perf_counter() - start, oracle
 
-    batched_runs = [timed_pass(BackboneExitOracle) for _ in range(reps)]
-    per_placement_runs = [timed_pass(PerPlacementOracle) for _ in range(reps)]
+    def per_placement_pass() -> float:
+        oracle = fresh_oracle()
+        start = time.perf_counter()
+        [oracle.evaluate_placement(placement) for placement in placements]
+        return time.perf_counter() - start
+
+    batched_runs = [batched_pass() for _ in range(reps)]
+    per_placement_wall = min(per_placement_pass() for _ in range(reps))
     batched_wall = min(wall for wall, _ in batched_runs)
-    per_placement_wall = min(wall for wall, _ in per_placement_runs)
     batched_oracle = batched_runs[-1][1]
 
     got = batched_oracle.evaluate_placements(placements)
-    want = per_placement_runs[-1][1].evaluate_placements(placements)
+    want = fresh_oracle(PerPlacementOracle).evaluate_placements(placements)
     for fast, slow in zip(got, want):
         assert np.array_equal(fast.n_i, slow.n_i)
         assert np.array_equal(fast.usage, slow.usage)

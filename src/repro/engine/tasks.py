@@ -47,8 +47,9 @@ from typing import Any, Callable
 #: Bump when spec semantics change (what a kind's params mean, or what a
 #: spec evaluates to); folded into every spec fingerprint, so content
 #: addresses derived from specs roll over.  "2": searches follow the batched
-#: NSGA-II variation's trajectories.
-TASK_CODEC_VERSION = "2"
+#: NSGA-II variation's trajectories.  "3": results that embed an
+#: ``InnerResult`` (``platform-experiment``) carry its new layout.
+TASK_CODEC_VERSION = "3"
 
 _REGISTRY: dict[str, Callable[..., Any]] = {}
 

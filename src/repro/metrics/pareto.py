@@ -80,26 +80,33 @@ def pareto_front(points: np.ndarray) -> np.ndarray:
     return points[non_dominated_mask(points)]
 
 
-def non_dominated_sort(points: np.ndarray) -> list[np.ndarray]:
+def non_dominated_sort(points: np.ndarray, bound: int | None = None) -> list[np.ndarray]:
     """Deb's fast non-dominated sort: list of index arrays, best front first.
 
     One dominance matrix replaces the N² scalar :func:`dominates` calls;
     the front peel then works on integer domination counts — subtracting
     each assigned front's column sums uncovers the next front, exactly
     Deb's decrement loop in matrix form.
+
+    ``bound`` stops the peel once the fronts hold ``bound`` rows or more:
+    the result is then the leading fronts of the full sort that first
+    cover ``bound`` (NSGA-II's truncation never looks past them).
     """
     points = np.atleast_2d(np.asarray(points, dtype=float))
     n = len(points)
+    bound = n if bound is None else bound
     if n == 0:
         return []
     matrix = dominance_matrix(points)
     domination_count = matrix.sum(axis=0)
     fronts: list[np.ndarray] = []
+    covered = 0
     assigned = np.zeros(n, dtype=bool)
     current = domination_count == 0
-    while current.any():
+    while covered < bound and current.any():
         front = np.flatnonzero(current)
         fronts.append(front)
+        covered += len(front)
         assigned |= current
         domination_count = domination_count - matrix[front].sum(axis=0)
         current = (domination_count == 0) & ~assigned

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from typing import Callable
+
 import numpy as np
 
 from repro.metrics.pareto import non_dominated_mask
@@ -64,23 +66,38 @@ class ParetoArchive:
         """
         if any(not ind.evaluated for ind in individuals):
             raise ValueError("cannot archive an unevaluated individual")
+        if not individuals:
+            return 0
+        return self.add_rows(
+            [ind.key() for ind in individuals],
+            np.stack([np.asarray(ind.objectives, dtype=float) for ind in individuals]),
+            individuals.__getitem__,
+        )
+
+    def add_rows(
+        self, keys: list[tuple], objectives: np.ndarray, build: Callable[[int], Individual]
+    ) -> int:
+        """:meth:`add_all` over candidates given as rows.
+
+        Candidate ``i`` has genome key ``keys[i]`` (as
+        :meth:`Individual.key`) and objective row ``objectives[i]``;
+        ``build(i)`` makes its :class:`Individual`, and runs only for the
+        candidates that enter.
+        """
         entered = 0
-        for start in range(0, len(individuals), _MERGE_BLOCK):
-            entered += self._merge(individuals[start : start + _MERGE_BLOCK])
+        for start in range(0, len(keys), _MERGE_BLOCK):
+            entered += self._merge(keys, objectives, build, start, start + _MERGE_BLOCK)
         return entered
 
-    def _merge(self, block: list[Individual]) -> int:
+    def _merge(self, keys, objectives, build, start: int, stop: int) -> int:
         """One block: first occurrence of each new genome, one dominance pass."""
-        fresh: dict[tuple, Individual] = {}
-        for individual in block:
-            key = individual.key()
+        fresh: dict[tuple, int] = {}
+        for i, key in enumerate(keys[start:stop], start):
             if key not in self._keys and key not in fresh:
-                fresh[key] = individual
+                fresh[key] = i
         if not fresh:
             return 0
-        candidates = np.stack(
-            [np.asarray(ind.objectives, dtype=float) for ind in fresh.values()]
-        )
+        candidates = objectives[list(fresh.values())]
         merged = candidates if self._objs is None else np.concatenate([self._objs, candidates])
         keep = non_dominated_mask(merged)
         members = len(self._items)
@@ -89,9 +106,9 @@ class ParetoArchive:
             evicted = np.flatnonzero(~keep[:members])
             self._keys.difference_update(self._items[i].key() for i in evicted)
             self._items = [self._items[i] for i in np.flatnonzero(keep[:members])]
-        for (key, individual), enters in zip(fresh.items(), entering.tolist()):
+        for (key, i), enters in zip(fresh.items(), entering.tolist()):
             if enters:
-                self._items.append(individual)
+                self._items.append(build(i))
                 self._keys.add(key)
         self._objs = merged[keep]
         return int(entering.sum())

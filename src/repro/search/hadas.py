@@ -33,7 +33,9 @@ from repro.utils.validation import check_nonneg, check_positive
 #: Bump when inner-engine semantics change; orphans persisted inner results.
 #: "2": batched NSGA-II variation draws the engine RNG in a new order.
 #: "3": payload evaluations are rows of pickled array generation blocks.
-INNER_ENGINE_VERSION = "3"
+#: "4": an :class:`InnerResult` holds its evaluation table and history rows,
+#: and builds ``explored`` from them when read.
+INNER_ENGINE_VERSION = "4"
 
 
 @dataclass(frozen=True)

@@ -41,10 +41,10 @@ class Individual:
     def key(self) -> tuple:
         """Hashable genome identity (for de-duplication).
 
-        ``ndarray.tolist`` yields the same Python ints as the older
-        per-element ``int(g)`` generator, in one C call — this runs once
-        per archive/dedup touch, which is hundreds of thousands of times
-        in a paper-budget search.
+        ``ndarray.tolist`` yields the same Python ints as a per-element
+        ``int(g)`` generator, in one C call.  Archives key their members
+        by it; the NSGA-II engine keys its evaluation table by genome
+        bytes instead and builds individuals only at its edges.
         """
         genome = self.genome
         if isinstance(genome, np.ndarray):

@@ -11,17 +11,26 @@ i.e. the accuracy-side component carries the dissimilarity regulariser (γ=0
 switches it off — the Fig. 7 ablation), while the energy/latency components
 are ideal-mapping savings relative to the backbone at default clocks.  The
 scalar D of eq. 5 ranks the returned Pareto set (``best`` below).
+
+A generation goes from its ``(N, G)`` genome matrix to one
+:class:`~repro.eval.dynamic.DynamicGeneration` and back to the engine as
+its objective matrix plus the block itself, whose rows are built only when
+read.  The run's Pareto archive comes from the engine's evaluation table
+(only its members become :class:`Individual` objects), and
+:attr:`InnerResult.explored` is built from the table and the history's row
+ids on first read.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
 from repro.accuracy.exit_model import BackboneExitOracle, ExitCapabilityModel
 from repro.arch.config import BackboneConfig
-from repro.eval.dynamic import DynamicEvaluation, DynamicEvaluator
+from repro.eval.dynamic import DynamicEvaluation, DynamicEvaluator, DynamicGeneration
 from repro.eval.static import StaticEvaluator
 from repro.exits.placement import ExitPlacement, ExitSpace, indicator_positions
 from repro.hardware.dvfs import DvfsSetting, DvfsSpace
@@ -29,18 +38,30 @@ from repro.obs import trace
 from repro.search import operators
 from repro.search.archive import ParetoArchive
 from repro.search.individual import Individual
-from repro.search.nsga2 import NSGA2, Nsga2Config, Problem
+from repro.search.nsga2 import NSGA2, EvaluationTable, Nsga2Config, Problem
 from repro.utils.rng import child_rng
 
 
-@dataclass
+@dataclass(eq=False)
 class InnerResult:
-    """Outcome of one IOE invocation for a single backbone."""
+    """Outcome of one IOE invocation for a single backbone.
+
+    ``table`` holds every distinct (X, F) genome the run evaluated and
+    ``history`` the table row of every genome of every generation, in
+    order; :attr:`explored` is that history as :class:`Individual` objects,
+    built when first read.
+    """
 
     backbone_key: str
     pareto: ParetoArchive
-    explored: list[Individual] = field(default_factory=list)
+    table: EvaluationTable
+    history: np.ndarray
     num_evaluations: int = 0
+
+    @cached_property
+    def explored(self) -> list[Individual]:
+        """Every evaluated candidate of the run, duplicates included, in order."""
+        return self.table.individuals(self.history)
 
     def evaluations(self) -> list[DynamicEvaluation]:
         """Dynamic evaluations of the Pareto members."""
@@ -69,6 +90,19 @@ class InnerResult:
     def best(self) -> Individual:
         """Pareto member with the highest scalar D score (eq. 5)."""
         return self.pareto.best_by(lambda ind: ind.payload["evaluation"].d_score)
+
+
+class _EvaluationPayloads:
+    """The payload ``{"evaluation": row}`` of each row of a generation."""
+
+    def __init__(self, generation: DynamicGeneration):
+        self.generation = generation
+
+    def __len__(self) -> int:
+        return len(self.generation)
+
+    def __getitem__(self, row: int) -> dict:
+        return {"evaluation": self.generation[row]}
 
 
 class _InnerProblem(Problem):
@@ -110,29 +144,24 @@ class _InnerProblem(Problem):
         emc = rng.integers(0, self._dvfs_bounds[1])
         return np.concatenate([placement.indicators, [core, emc]]).astype(np.int64)
 
-    def evaluate(self, genome: np.ndarray):
-        return self.evaluate_batch([genome])[0]
-
-    def evaluate_batch(self, genomes: list[np.ndarray]):
+    def evaluate_batch(self, genomes: np.ndarray):
         """A generation from its genome matrix to its objective matrix.
 
-        The stacked ``(N, G)`` genomes split once: the indicator bits
-        become the ``(N, E_max)`` position matrix and the DVFS genes grid
-        settings, and :meth:`DynamicEvaluator.evaluate_generation` runs
-        them as one fused accuracy+cost kernel call.  Each payload holds
-        the generation's row, built only if it is read.
+        The ``(N, G)`` genomes split once: the indicator bits become the
+        ``(N, E_max)`` position matrix and the DVFS genes grid settings,
+        and :meth:`DynamicEvaluator.evaluate_generation` runs them as one
+        fused accuracy+cost kernel call.  The generation comes back as it
+        is: its objective matrix, and its rows as payloads, each built only
+        if it is read.
         """
-        bits, dvfs = self.split(np.stack(genomes))
+        bits, dvfs = self.split(np.asarray(genomes))
         positions, _ = indicator_positions(self.exit_space.total_layers, bits)
         trace.count("ioe.population_batches")
         trace.count("ioe.population_genomes", len(genomes))
         generation = self.evaluator.evaluate_generation(
             positions, self.dvfs_space.decode_rows(dvfs)
         )
-        return [
-            (objectives, {"evaluation": evaluation})
-            for objectives, evaluation in zip(generation.objectives, generation)
-        ]
+        return generation.objectives, _EvaluationPayloads(generation)
 
     def crossover(self, a, b, rng):
         return operators.uniform_crossover(a, b, rng)
@@ -221,11 +250,10 @@ class InnerEngine:
         )
         with trace.span("ioe.run", backbone=self.config.key):
             engine.run()
-        archive = ParetoArchive()
-        archive.add_all(engine.history)
         return InnerResult(
             backbone_key=self.config.key,
-            pareto=archive,
-            explored=engine.history,
+            pareto=engine.table.archive(),
+            table=engine.table,
+            history=engine.history_rows,
             num_evaluations=engine.num_evaluations,
         )

@@ -7,23 +7,29 @@ engines (OOE and IOE) instantiate it with their own problems; the OOE
 additionally intercepts the loop for its two-stage selection (see
 :mod:`repro.search.ooe`).
 
-Generation batches flow through :func:`evaluate_genomes` →
-:meth:`Problem.evaluate_batch`, which is how population-fused problems (the
-IOE's fused accuracy+cost kernel) receive whole generations; the sorting/
-crowding bookkeeping itself runs on the vectorized dominance-matrix
-primitives in :mod:`repro.metrics.pareto`, and variation on stacked genome
-matrices (:meth:`NSGA2.make_offspring`).
+:meth:`NSGA2.run` keeps each generation as arrays: a genome matrix, the row
+ids of its genomes in the engine's :class:`EvaluationTable`, and rank and
+crowding vectors.  A generation's unseen genomes reach
+:meth:`Problem.evaluate_batch` through :func:`evaluate_genomes` as one
+matrix, and come back as an objective matrix plus payloads the table keeps
+as they are; selection ranks only the fronts that fill the next population
+(the bound of :func:`~repro.metrics.pareto.non_dominated_sort`).
+:class:`Individual` objects are built only at the edges: the final
+population, the OOE's bookkeeping (:meth:`NSGA2.initial_population`,
+:meth:`NSGA2.make_offspring`), archives and histories read after a run.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Callable
+from bisect import bisect_right
+from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 
 from repro.metrics.pareto import crowding_distance, non_dominated_sort
 from repro.obs import trace
+from repro.search.archive import ParetoArchive
 from repro.search.individual import Individual
 from repro.utils.rng import make_rng
 from repro.utils.validation import check_positive
@@ -40,18 +46,21 @@ class Problem:
         """Return (objective vector to maximise, payload dict)."""
         raise NotImplementedError
 
-    def evaluate_batch(self, genomes: list[np.ndarray]) -> list[tuple[np.ndarray, dict]]:
-        """Evaluate many genomes; results in input order.
+    def evaluate_batch(self, genomes: np.ndarray) -> tuple[np.ndarray, Sequence[dict]]:
+        """Evaluate an ``(N, G)`` genome matrix.
 
-        The default delegates to :meth:`evaluate` serially.  Engines route
-        whole populations through this hook (or an
+        Returns the ``(N, M)`` objective matrix and an indexable sequence
+        whose item ``i`` is row ``i``'s payload dict; the engine keeps the
+        sequence as it is and indexes it only for the rows it hands out.
+        The default evaluates row by row through :meth:`evaluate`.  Engines
+        route whole populations through this hook (or an
         :class:`~repro.engine.service.EvaluationService` when one is
         attached), so problems backed by batchable evaluators can override
         it without touching the search loop.
         """
-        return [self.evaluate(genome) for genome in genomes]
+        return stack_evaluations([self.evaluate(genome) for genome in genomes])
 
-    def task_specs(self, genomes: list[np.ndarray]):
+    def task_specs(self, genomes: np.ndarray):
         """Optional codec lowering: one ``TaskSpec`` per genome, or ``None``.
 
         Problems whose evaluation is reconstructible from slim data (see
@@ -104,42 +113,90 @@ class Nsga2Config:
         return self.population * self.generations
 
 
-def evaluate_genomes(
-    problem: Problem, genomes: list[np.ndarray], service=None
-) -> list[tuple[np.ndarray, dict]]:
-    """Dispatch a genome batch for evaluation (shared by every engine).
+def stack_evaluations(outputs: Sequence[tuple[np.ndarray, dict]]) -> tuple[np.ndarray, list[dict]]:
+    """Per-genome ``(objectives, payload)`` pairs as the batch contract's
+    ``(N, M)`` objective matrix and payload list."""
+    objectives = np.asarray([objective for objective, _ in outputs], dtype=float)
+    return objectives.reshape(len(outputs), -1), [payload for _, payload in outputs]
 
-    A problem that overrides :meth:`Problem.evaluate_batch` owns its
-    batching (vectorised evaluators etc.) and keeps that ownership even when
-    a service is attached; only the default point-wise implementation is
-    fanned out across the service's workers.
+
+def evaluate_genomes(
+    problem: Problem, genomes: np.ndarray, service=None
+) -> tuple[np.ndarray, Sequence[dict]]:
+    """Dispatch an ``(N, G)`` genome matrix for evaluation (every engine's path).
+
+    Returns the ``(N, M)`` float objective matrix and the payloads of
+    :meth:`Problem.evaluate_batch`.  A problem that overrides it owns its
+    batching (vectorised evaluators etc.) and keeps that ownership even
+    when a service is attached; only the default point-wise implementation
+    is fanned out across the service's workers.
     """
     custom_batch = type(problem).evaluate_batch is not Problem.evaluate_batch
-    if service is not None and not custom_batch:
-        if getattr(service, "prefers_specs", False):
-            specs = problem.task_specs(genomes)
-            if specs is not None:
-                # Local import keeps the generic engine decoupled from the
-                # codec for problems that never lower to specs.
-                from repro.engine.tasks import spec_task
+    if service is None or custom_batch:
+        objectives, payloads = problem.evaluate_batch(genomes)
+    else:
+        specs = problem.task_specs(genomes) if getattr(service, "prefers_specs", False) else None
+        if specs is not None:
+            # Local import keeps the generic engine decoupled from the
+            # codec for problems that never lower to specs.
+            from repro.engine.tasks import spec_task
 
-                return service.evaluate_batch([spec_task(spec) for spec in specs])
-        return service.map(problem.evaluate, [(genome,) for genome in genomes])
-    return problem.evaluate_batch(genomes)
+            outputs = service.evaluate_batch([spec_task(spec) for spec in specs])
+        else:
+            outputs = service.map(problem.evaluate, [(genome,) for genome in genomes])
+        objectives, payloads = stack_evaluations(outputs)
+    return np.asarray(objectives, dtype=float).reshape(len(genomes), -1), payloads
+
+
+def rank_fronts(
+    objectives: np.ndarray, bound: int | None = None
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``(rows, rank, crowding)`` over the leading fronts of ``objectives``.
+
+    ``rows`` lists the rows of the fronts that first cover ``bound`` rows
+    (every front when ``None``), front by front and ascending within a
+    front; ``rank`` and ``crowding`` are aligned with it.  Crowding is
+    measured within each whole front, so it is the same whether or not
+    later fronts were peeled.
+    """
+    fronts = non_dominated_sort(objectives, bound)
+    if not fronts:
+        return np.zeros(0, dtype=np.int64), np.zeros(0, dtype=np.int64), np.zeros(0)
+    rows = np.concatenate(fronts)
+    rank = np.repeat(np.arange(len(fronts)), [len(front) for front in fronts])
+    return rows, rank, crowding_distance(objectives[rows], rank)
+
+
+def select(objectives: np.ndarray, size: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Elitist truncation of an objective matrix: fill by front, break ties
+    by crowding.
+
+    Returns the survivors' rows in selection order with their rank and
+    crowding.  One stable ``lexsort`` on (rank, −crowding) over the fronts
+    that fill ``size`` orders them as the same sort over every row does.
+    """
+    rows, rank, crowding = rank_fronts(objectives, size)
+    order = np.lexsort((-crowding, rank))[:size]
+    return rows[order], rank[order], crowding[order]
+
+
+def rank_rows(objectives: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Every row's NSGA-II rank and crowding distance, in row order."""
+    rows, front_rank, front_crowding = rank_fronts(objectives)
+    rank = np.empty(len(rows), dtype=np.int64)
+    crowding = np.empty(len(rows))
+    rank[rows], crowding[rows] = front_rank, front_crowding
+    return rank, crowding
 
 
 def rank_and_crowd(population: list[Individual]) -> tuple[np.ndarray, np.ndarray]:
-    """Assign NSGA-II rank and crowding distance in place.
+    """Assign NSGA-II rank and crowding distance to every member, in place.
 
     Both are also returned as arrays, in population order.
     """
     if not population:
         return np.zeros(0, dtype=np.int64), np.zeros(0)
-    objectives = np.stack([ind.objectives for ind in population])
-    rank = np.empty(len(population), dtype=np.int64)
-    for front_rank, front in enumerate(non_dominated_sort(objectives)):
-        rank[front] = front_rank
-    crowd = crowding_distance(objectives, rank)
+    rank, crowd = rank_rows(np.stack([ind.objectives for ind in population]))
     for individual, r, c in zip(population, rank.tolist(), crowd.tolist()):
         individual.rank = r
         individual.crowding = c
@@ -149,77 +206,155 @@ def rank_and_crowd(population: list[Individual]) -> tuple[np.ndarray, np.ndarray
 def environmental_selection(population: list[Individual], size: int) -> list[Individual]:
     """Elitist truncation: fill by front, break ties by crowding.
 
-    One stable ``lexsort`` on (rank, −crowding) — the order of
+    Ranks every member first (the OOE mates from the whole ranked
+    population when too few backbones survive), then one stable
+    ``lexsort`` on (rank, −crowding) — the order of
     ``sorted(population, key=lambda ind: (ind.rank, -ind.crowding))``.
     """
     rank, crowd = rank_and_crowd(population)
     return [population[i] for i in np.lexsort((-crowd, rank))[:size]]
 
 
-class NSGA2:
-    """The evolutionary loop."""
+class EvaluationTable:
+    """Every distinct genome an engine evaluated, one row each.
 
-    def __init__(
-        self,
-        problem: Problem,
-        config: Nsga2Config,
-        rng=None,
-        on_generation: Callable[[int, list[Individual]], None] | None = None,
-        service=None,
-    ):
+    Rows take ids in first-seen order.  The table holds the genome and
+    objective matrices and, per evaluated batch, the payload sequence the
+    problem returned, as it was returned; :meth:`individual` builds the
+    :class:`Individual` of a row on request.  It holds no evaluator, so it
+    pickles as small as its arrays and payloads.
+    """
+
+    def __init__(self):
+        self._genomes: list[np.ndarray] = []
+        self.objectives = np.zeros((0, 0))
+        self._payloads: list[Sequence[dict]] = []
+        self._starts: list[int] = []  # first row id of each payload sequence
+
+    def __len__(self) -> int:
+        return len(self.objectives)
+
+    def append(self, genomes: np.ndarray, objectives: np.ndarray, payloads: Sequence[dict]) -> None:
+        """Add one evaluated batch as the next rows."""
+        self._starts.append(len(self))
+        self._genomes.append(genomes)
+        self._payloads.append(payloads)
+        self.objectives = (
+            np.concatenate([self.objectives, objectives]) if len(self) else objectives
+        )
+
+    @property
+    def genomes(self) -> np.ndarray:
+        """``(rows, G)`` genome matrix."""
+        if len(self._genomes) != 1:
+            self._genomes[:] = [np.concatenate(self._genomes or [np.zeros((0, 0), dtype=np.int64)])]
+        return self._genomes[0]
+
+    def individual(self, row: int) -> Individual:
+        """Row ``row`` as an evaluated :class:`Individual`."""
+        block = bisect_right(self._starts, row) - 1
+        return Individual(
+            genome=self.genomes[row],
+            objectives=self.objectives[row].copy(),
+            payload=self._payloads[block][row - self._starts[block]],
+        )
+
+    def individuals(self, rows: np.ndarray) -> list[Individual]:
+        return [self.individual(row) for row in np.asarray(rows).tolist()]
+
+    def archive(self) -> ParetoArchive:
+        """The Pareto archive of every row.
+
+        The rows are distinct genomes in first-seen order, so this is the
+        archive :meth:`ParetoArchive.add_all` keeps over a history of them
+        (duplicates included); only its members become
+        :class:`Individual` objects.
+        """
+        archive = ParetoArchive()
+        archive.add_rows(list(map(tuple, self.genomes.tolist())), self.objectives, self.individual)
+        return archive
+
+
+class NSGA2:
+    """The evolutionary loop, over one :class:`EvaluationTable`.
+
+    ``num_evaluations`` counts the table's rows (distinct genomes
+    evaluated); :attr:`history_rows` lists the row of every genome of every
+    evaluated generation, in order, and :attr:`history` the same as
+    :class:`Individual` objects, built when read.
+    """
+
+    def __init__(self, problem: Problem, config: Nsga2Config, rng=None, service=None):
         self.problem = problem
         self.config = config
         self.rng = make_rng(rng)
-        self.on_generation = on_generation
         self.service = service  # optional EvaluationService for batch execution
-        self.history: list[Individual] = []
-        self._eval_cache: dict[tuple, tuple[np.ndarray, dict]] = {}
-        self.num_evaluations = 0
+        self.table = EvaluationTable()
+        self._index: dict[bytes, int] = {}  # genome bytes -> table row
+        self._history: list[np.ndarray] = []
+
+    @property
+    def num_evaluations(self) -> int:
+        return len(self.table)
+
+    @property
+    def history_rows(self) -> np.ndarray:
+        return np.concatenate(self._history) if self._history else np.zeros(0, dtype=np.int64)
+
+    @property
+    def history(self) -> list[Individual]:
+        return self.table.individuals(self.history_rows)
 
     # --------------------------------------------------------------- pieces
-    def _evaluate(self, individual: Individual) -> Individual:
-        return self._evaluate_all([individual])[0]
+    def evaluate(self, genomes: np.ndarray) -> np.ndarray:
+        """Table rows of a generation's ``(N, G)`` genomes.
 
-    def _evaluate_all(self, individuals: list[Individual]) -> list[Individual]:
-        """Batch-evaluate a population (deduplicated, order-preserving).
-
-        Unseen genomes are submitted as one batch — to the attached
-        :class:`EvaluationService` when present (parallel execution across
-        the population), otherwise to :meth:`Problem.evaluate_batch`.
-        Results are bit-identical to genome-by-genome evaluation because
-        evaluation consumes no engine RNG and tasks are pure.
+        The generation's unseen genomes, first occurrences in order, go out
+        as one matrix — to the attached :class:`EvaluationService` when
+        present, otherwise to :meth:`Problem.evaluate_batch` — and become
+        the table's next rows; the generation joins the history.  Results
+        are bit-identical to genome-by-genome evaluation because evaluation
+        consumes no engine RNG and tasks are pure.
         """
-        keys = [individual.key() for individual in individuals]
-        fresh: dict[tuple, np.ndarray] = {}
-        for key, individual in zip(keys, individuals):
-            if key not in self._eval_cache and key not in fresh:
-                fresh[key] = individual.genome
+        genomes = np.ascontiguousarray(genomes, dtype=np.int64)
+        index = self._index
+        width = genomes.shape[1] * genomes.itemsize
+        flat = genomes.tobytes()
+        rows, fresh = [], []
+        for position, start in enumerate(range(0, len(flat), width)):
+            key = flat[start : start + width]
+            row = index.get(key)
+            if row is None:
+                row = index[key] = len(index)
+                fresh.append(position)
+            rows.append(row)
         if fresh:
-            genomes = list(fresh.values())
-            outputs = evaluate_genomes(self.problem, genomes, self.service)
-            for key, (objectives, payload) in zip(fresh, outputs):
-                self._eval_cache[key] = (np.asarray(objectives, dtype=float), payload)
-            self.num_evaluations += len(fresh)
+            unseen = genomes[fresh]
+            self.table.append(unseen, *evaluate_genomes(self.problem, unseen, self.service))
             trace.count("nsga.evaluations", len(fresh))
-            trace.count("nsga.memoized", len(individuals) - len(fresh))
-        for key, individual in zip(keys, individuals):
-            objectives, payload = self._eval_cache[key]
-            individual.objectives = objectives.copy()
-            individual.payload = dict(payload)
-        return individuals
+            trace.count("nsga.memoized", len(genomes) - len(fresh))
+        rows = np.asarray(rows, dtype=np.int64)
+        self._history.append(rows)
+        return rows
 
-    def _initial_population(self) -> list[Individual]:
-        population = [
-            Individual(genome=np.asarray(self.problem.sample(self.rng), dtype=np.int64))
-            for _ in range(self.config.population)
-        ]
-        return self._evaluate_all(population)
+    def _sample(self) -> np.ndarray:
+        """The initial genome matrix, one :meth:`Problem.sample` per row."""
+        return np.stack(
+            [
+                np.asarray(self.problem.sample(self.rng), dtype=np.int64)
+                for _ in range(self.config.population)
+            ]
+        )
 
-    def make_offspring(self, population: list[Individual]) -> list[Individual]:
-        """Mating selection + crossover + mutation -> evaluated children.
+    def initial_population(self) -> list[Individual]:
+        """A sampled, evaluated, unranked first generation."""
+        return self.table.individuals(self.evaluate(self._sample()))
+
+    def vary(self, genomes: np.ndarray, rank: np.ndarray, crowding: np.ndarray) -> np.ndarray:
+        """Mating selection + crossover + mutation: the children's genome matrix.
 
         One generation's variation is a few whole-array steps over the
-        stacked parents (genomes, ranks, crowding distances).  For N
+        parents' stacked genomes, ranks and crowding distances.  For N
         children in P = ceil(N / 2) pairs, the engine RNG is drawn in this
         order:
 
@@ -238,15 +373,11 @@ class NSGA2:
            in pair order (a0, b0, a1, b1, ...) with the last one dropped
            when N is odd.
 
-        The children are then evaluated as one batch; evaluation never
-        draws from the engine RNG.
+        Evaluation never draws from the engine RNG.
         """
-        size = len(population)
+        size = len(genomes)
         if size < 2:
             raise ValueError(f"binary tournaments need a mating pool of two or more, got {size}")
-        genomes = np.stack([ind.genome for ind in population])
-        rank = np.asarray([ind.rank for ind in population])
-        crowding = np.asarray([ind.crowding for ind in population])
         count = self.config.population
         pairs = -(-count // 2)
 
@@ -262,25 +393,37 @@ class NSGA2:
         child_a, child_b = self.problem.crossover(parents[:, 0], parents[:, 1], self.rng)
         parents[crossed, 0], parents[crossed, 1] = child_a[crossed], child_b[crossed]
         children = self.problem.mutate(parents.reshape(2 * pairs, -1)[:count], self.rng)
-        return self._evaluate_all(
-            [Individual(genome=genome) for genome in np.asarray(children, dtype=np.int64)]
+        return np.asarray(children, dtype=np.int64)
+
+    def make_offspring(self, population: list[Individual]) -> list[Individual]:
+        """:meth:`vary` over ranked members, then the evaluated children."""
+        children = self.vary(
+            np.stack([ind.genome for ind in population]),
+            np.asarray([ind.rank for ind in population]),
+            np.asarray([ind.crowding for ind in population]),
         )
+        return self.table.individuals(self.evaluate(children))
 
     # ----------------------------------------------------------------- loop
     def run(self) -> list[Individual]:
-        """Full NSGA-II run; returns the final population (ranked)."""
+        """Full NSGA-II run; returns the final population (ranked).
+
+        Each generation's offspring join the population's genomes and rows,
+        and :func:`select` keeps the next population with the rank and
+        crowding it measured on the merged set.
+        """
+        size = self.config.population
         with trace.span("nsga.generation", generation=0):
-            population = self._initial_population()
-        rank_and_crowd(population)
-        self.history.extend(population)
+            genomes = self._sample()
+            rows = self.evaluate(genomes)
+        rank, crowding = rank_rows(self.table.objectives[rows])
         for generation in range(1, self.config.generations):
             with trace.span("nsga.generation", generation=generation):
-                offspring = self.make_offspring(population)
-                self.history.extend(offspring)
-                population = environmental_selection(
-                    population + offspring, self.config.population
-                )
-            if self.on_generation is not None:
-                self.on_generation(generation, population)
+                children = self.vary(genomes, rank, crowding)
+                rows = np.concatenate([rows, self.evaluate(children)])
+                genomes = np.concatenate([genomes, children])
+                survivors, rank, crowding = select(self.table.objectives[rows], size)
+                rows, genomes = rows[survivors], genomes[survivors]
+        population = self.table.individuals(rows)
         rank_and_crowd(population)
         return population

@@ -258,9 +258,8 @@ class OuterEngine:
         )
 
         with trace.span("ooe.generation", generation=0):
-            population = engine._initial_population()
+            population = engine.initial_population()
         rank_and_crowd(population)
-        engine.history.extend(population)
 
         for generation in range(self.nsga_config.generations):
             with trace.span("ooe.generation", generation=generation + 1):
@@ -315,13 +314,12 @@ class OuterEngine:
                 offspring = engine.make_offspring(
                     survivor_inds if len(survivor_inds) >= 2 else population
                 )
-                engine.history.extend(offspring)
                 population = environmental_selection(
                     population + offspring, self.nsga_config.population
                 )
 
         result.explored = engine.history
-        result.static_archive.add_all(engine.history)
+        result.static_archive.add_all(result.explored)
         result.generations = self.nsga_config.generations
         result.num_static_evaluations = engine.num_evaluations
         return result

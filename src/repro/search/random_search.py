@@ -57,18 +57,14 @@ class RandomSearch:
             self._seen.add(key)
             genomes.append(genome)
         # The whole budget lands in the problem's batch hook — for the IOE
-        # problem that is one fused accuracy+cost kernel pass per distinct
-        # DVFS setting, not per-candidate oracle calls.
-        outputs = evaluate_genomes(self.problem, genomes, self.service)
-        for genome, (objectives, payload) in zip(genomes, outputs):
-            self.history.append(
-                Individual(
-                    genome=genome,
-                    objectives=np.asarray(objectives, dtype=float),
-                    payload=dict(payload),
+        # problem that is one fused accuracy+cost kernel call.
+        if genomes:
+            objectives, payloads = evaluate_genomes(self.problem, np.stack(genomes), self.service)
+            for row, genome in enumerate(genomes):
+                self.history.append(
+                    Individual(genome=genome, objectives=objectives[row], payload=payloads[row])
                 )
-            )
-            self.num_evaluations += 1
+            self.num_evaluations += len(genomes)
         rank_and_crowd(self.history)
         return self.history
 

@@ -9,6 +9,8 @@ that a production kernel in ``src/repro`` must reproduce bit for bit:
   and oracle statistics, the unfused objectives, and the per-setting DVFS
   planner;
 * :mod:`spec.pareto` — Deb's pairwise non-dominated sort and mask;
+* :mod:`spec.search` — the NSGA-II loop over one ``Individual`` per genome,
+  with its per-genome memo and full-population selection;
 * :mod:`spec.serving` — the per-request single-device serving loop and
   the numpy batch pricing the compiled executor reproduces;
 * :mod:`spec.fleet` — the per-request fleet loop, scalar routing and the

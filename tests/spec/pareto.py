@@ -29,8 +29,11 @@ def non_dominated_mask(points: np.ndarray) -> np.ndarray:
     return mask
 
 
-def non_dominated_sort(points: np.ndarray) -> list[np.ndarray]:
-    """Deb's fast non-dominated sort: index arrays, best front first."""
+def non_dominated_sort(points: np.ndarray, bound: int | None = None) -> list[np.ndarray]:
+    """Deb's fast non-dominated sort: index arrays, best front first.
+
+    With ``bound``, fronts stop once they hold ``bound`` rows or more.
+    """
     points = np.atleast_2d(np.asarray(points, dtype=float))
     n = len(points)
     dominated_by: list[list[int]] = [[] for _ in range(n)]
@@ -44,9 +47,12 @@ def non_dominated_sort(points: np.ndarray) -> list[np.ndarray]:
                 dominated_by[j].append(i)
                 domination_count[i] += 1
     fronts: list[np.ndarray] = []
+    covered = 0
+    bound = n if bound is None else bound
     current = np.flatnonzero(domination_count == 0)
-    while len(current):
+    while covered < bound and len(current):
         fronts.append(current)
+        covered += len(current)
         next_front: list[int] = []
         for i in current:
             for j in dominated_by[i]:

@@ -14,38 +14,10 @@ from repro.search.individual import Individual
 from repro.search.nsga2 import (
     NSGA2,
     Nsga2Config,
-    Problem,
     environmental_selection,
     rank_and_crowd,
 )
-
-
-class ZdtLikeProblem(Problem):
-    """Integer-genome bi-objective toy with a known trade-off.
-
-    Genome of length 8 with genes in [0, 10]; objectives (maximise):
-    f1 = mean(g)/10, f2 = 1 - (mean(g)/10)^2 scaled by a diversity factor —
-    an explicit convex front.
-    """
-
-    length = 8
-    bounds = np.full(8, 11, dtype=np.int64)
-
-    def sample(self, rng):
-        return rng.integers(0, 11, size=self.length)
-
-    def evaluate(self, genome):
-        x = genome.mean() / 10.0
-        spread = genome.std() / 10.0
-        f1 = x
-        f2 = 1.0 - x**2 - 0.05 * spread
-        return np.asarray([f1, f2]), {"x": x}
-
-    def crossover(self, a, b, rng):
-        return operators.uniform_crossover(a, b, rng)
-
-    def mutate(self, genome, rng):
-        return operators.creep_mutation(genome, self.bounds, rng, prob=0.3)
+from spec.search import ZdtLikeProblem
 
 
 class TestOperators:
@@ -499,13 +471,3 @@ class TestNsga2Engine:
         engine = NSGA2(ZdtLikeProblem(), Nsga2Config(population=8, generations=3), rng=4)
         engine.run()
         assert len(engine.history) == 8 * 3
-
-    def test_on_generation_callback(self):
-        calls = []
-        engine = NSGA2(
-            ZdtLikeProblem(), Nsga2Config(population=8, generations=4), rng=5,
-            on_generation=lambda g, pop: calls.append((g, len(pop))),
-        )
-        engine.run()
-        assert [c[0] for c in calls] == [1, 2, 3]
-        assert all(n == 8 for _, n in calls)
