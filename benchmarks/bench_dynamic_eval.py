@@ -17,8 +17,8 @@ spec from ``tests/spec/evaluation.py`` (the reference loop is
   settings through ``evaluate_population`` (one stacked gather over the
   bank's setting × layer grid per call) vs the per-call cost-table
   kernel, with the exit oracle pre-warmed on both sides so the comparison
-  isolates the cost kernels, plus the oracle's column cache hit/miss
-  counters;
+  isolates the cost kernels, plus the oracle's column counters
+  (``oracle_columns``: requests served from memory, columns built);
 * an accuracy-side phase — the batched exit-oracle statistics kernel
   (one dense sweep over the oracle's packed column bank) vs one
   ``evaluate_placement`` call per placement, on column-prewarmed

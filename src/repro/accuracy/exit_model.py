@@ -27,14 +27,10 @@ sweep a bank of those columns packed into ``uint64`` words: per exit
 level, a few bitwise ops and row popcounts over the whole batch, or over
 one placement's rows.
 
-With a persistent :class:`~repro.engine.cache.ResultCache` attached, columns
-are additionally content-addressed on disk (namespace ``oracle``, bit-packed
-JSON).  Columns depend only on the *accuracy side* of the problem —
-(backbone key, backbone accuracy, capability model, difficulty distribution,
-sample count, seed) — and **not** on the platform or its DVFS grid, so a
-re-search where only the hardware side changed (a trimmed DVFS grid, a new
-platform) warm-starts every oracle from cached columns instead of
-regenerating the Monte-Carlo population.
+Columns are a pure function of the oracle's fields and live in memory only:
+the Monte-Carlo population is drawn in ``__init__`` either way, and with it
+a column costs tens of microseconds to build — less than reading a stored
+copy back from the persistent result cache, let alone writing one.
 """
 
 from __future__ import annotations
@@ -43,7 +39,7 @@ import math
 from collections import OrderedDict
 from dataclasses import dataclass
 from functools import cached_property
-from typing import TYPE_CHECKING, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -57,12 +53,6 @@ from repro.exits.placement import ExitPlacement, position_matrix
 from repro.obs import trace
 from repro.utils.rng import child_rng
 from repro.utils.validation import check_positive, check_probability
-
-if TYPE_CHECKING:  # imported lazily at runtime; keeps accuracy/ engine-free
-    from repro.engine.cache import ResultCache
-
-#: Bump when column semantics change; orphans persisted oracle columns.
-ORACLE_COLUMN_VERSION = "1"
 
 #: Bits set per byte value — the popcount table the packed ideal-mapping
 #: statistics use.  Counting set bits is exact integer work, so the packed
@@ -225,7 +215,10 @@ class ExitCapabilityModel:
 
 
 class BackboneExitOracle:
-    """Per-backbone cache of simulated exit-correctness columns.
+    """Per-backbone, in-memory cache of simulated exit-correctness columns.
+
+    Each column is built from the Monte-Carlo population the constructor
+    draws, the first time it is asked for, and never persisted.
 
     Parameters
     ----------
@@ -239,11 +232,6 @@ class BackboneExitOracle:
         Capability model and sample-difficulty distribution.
     n_samples:
         Monte-Carlo population size (2048 keeps N_i std below 1 point).
-    cache:
-        Optional persistent :class:`~repro.engine.cache.ResultCache`;
-        columns are stored bit-packed under the platform-independent
-        ``oracle`` namespace, warm-starting re-searches where only the
-        hardware side (DVFS grid, platform) changed.
     stats_memo_size:
         LRU cap of :meth:`evaluate_placement`'s :class:`ExitEvaluation` memo.  The
         default (64 Ki evaluations) covers any single search many times
@@ -260,7 +248,6 @@ class BackboneExitOracle:
         difficulty: DifficultyDistribution | None = None,
         n_samples: int = 2048,
         seed: int = 0,
-        cache: "ResultCache | None" = None,
         stats_memo_size: int = 65536,
     ):
         check_probability("backbone_accuracy", backbone_accuracy)
@@ -272,7 +259,6 @@ class BackboneExitOracle:
         self.difficulty = difficulty or DifficultyDistribution()
         self.n_samples = n_samples
         self.seed = seed
-        self.cache = cache
         rng = child_rng(seed, "difficulties", backbone_key)
         self._difficulties = self.difficulty.sample(n_samples, rng)
         gp_rng = child_rng(seed, "exit-gp", backbone_key)
@@ -289,10 +275,9 @@ class BackboneExitOracle:
         self._banked = np.zeros(total_layers + 2, dtype=bool)
         self._banked[0] = True
         #: Column-resolution counters (column requests by outcome): how many
-        #: landed in memory, warm-started from the persistent cache, or were
-        #: built from the Monte-Carlo population.  The dynamic-eval bench
-        #: surfaces these so warm-start efficacy is visible in its report.
-        self.column_stats: dict[str, int] = {"memory": 0, "disk": 0, "built": 0}
+        #: were already in memory and how many were built from the
+        #: Monte-Carlo population.  The dynamic-eval bench reports them.
+        self.column_stats: dict[str, int] = {"memory": 0, "built": 0}
 
     def _perturbations(self) -> np.ndarray:
         """``(n_samples, total_layers)`` GP perturbations — one matrix op.
@@ -308,10 +293,9 @@ class BackboneExitOracle:
         Each column is the pre-batching formula ``(latent @ basis(u)) *
         sigma`` evaluated with the same per-column gemv (``column_stack``
         of gemvs, not one gemm, whose BLAS accumulation order would drift
-        by ULPs) — bit-identical to the pre-batching oracle, so columns
-        persisted to disk by older code and freshly computed ones always
-        agree.  The stack is built once per oracle; the gemv-vs-gemm cost
-        difference is unmeasurable at that frequency.
+        by ULPs) — bit-identical to the pre-batching oracle.  The stack is
+        built once per oracle; the gemv-vs-gemm cost difference is
+        unmeasurable at that frequency.
         """
         if self._pert_matrix is None:
             us = np.arange(1, self.total_layers + 1, dtype=float) / self.total_layers
@@ -321,39 +305,10 @@ class BackboneExitOracle:
             ) * self.model.idiosyncratic_sigma
         return self._pert_matrix
 
-    def _column_key(self, key: int | str):
-        """Content address of one column: accuracy-side fields only.
-
-        Deliberately excludes anything hardware-side, which is what makes
-        DVFS-grid-only changes warm-start from cached columns.
-        """
-        return self.cache.key(
-            "oracle",
-            evaluator_version=ORACLE_COLUMN_VERSION,
-            backbone=self.backbone_key,
-            layers=self.total_layers,
-            accuracy=self.backbone_accuracy,
-            model=self.model,
-            difficulty=self.difficulty,
-            samples=self.n_samples,
-            seed=self.seed,
-            column=str(key),
-        )
-
     def _column(self, key: int | str, capability: float, position: int) -> np.ndarray:
         if key in self._columns:
             self.column_stats["memory"] += 1
             return self._columns[key]
-        cache_key = self._column_key(key) if self.cache is not None else None
-        if cache_key is not None:
-            stored = self.cache.get(cache_key)
-            if stored is not None:
-                self.column_stats["disk"] += 1
-                column = np.unpackbits(
-                    np.asarray(stored["bits"], dtype=np.uint8), count=self.n_samples
-                ).astype(bool)
-                self._columns[key] = column
-                return column
         self.column_stats["built"] += 1
         # The head ranks samples by perceived difficulty and classifies
         # exactly its capability fraction: marginals are exact while the GP
@@ -364,10 +319,6 @@ class BackboneExitOracle:
         if n_correct > 0:
             easiest = np.argpartition(score, max(n_correct - 1, 0))[:n_correct]
             column[easiest] = True
-        if cache_key is not None:
-            # Bit-packed + plain ints keeps the entry a small JSON file
-            # (~n/8 bytes) rather than a pickle of the bool array.
-            self.cache.put(cache_key, {"bits": np.packbits(column).tolist()})
         self._columns[key] = column
         return column
 

@@ -573,7 +573,7 @@ class ResultCache:
 
         ``namespace`` restricts the wipe to that namespace's indexed entries
         (e.g. drop the ``serving`` grid but keep ``static``/``inner``/
-        ``oracle`` warm); unindexed files and tmp remnants are left alone
+        ``spec`` warm); unindexed files and tmp remnants are left alone
         then, and the index is rewritten to the surviving entries.
         """
         removed = 0

@@ -11,9 +11,10 @@ Subcommands::
 breakdowns; ``prune`` removes entries written under superseded cache
 versions (unreachable since the version is folded into every digest);
 ``clear`` wipes the directory.  ``--namespace`` scopes any action to one
-namespace (``static``, ``inner``, ``oracle``, ``serving``, ``fleet``, ...)
-so a single grid can be dropped or audited without touching warm entries of
-the others.
+namespace (``static``, ``inner``, ``spec``, ``serving``, ``fleet``) so a
+single grid can be dropped or audited without touching warm entries of the
+others.  Entries that older releases wrote under ``oracle`` are never read
+any more; ``clear --namespace oracle`` removes them.
 """
 
 from __future__ import annotations
@@ -45,8 +46,8 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument(
         "--namespace",
         default=None,
-        help="restrict the action to one namespace (static, inner, oracle, "
-        "serving, fleet, ...)",
+        help="restrict the action to one namespace (static, inner, spec, "
+        "serving, fleet)",
     )
     parser.add_argument(
         "--keep-version",

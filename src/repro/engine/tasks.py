@@ -168,7 +168,7 @@ def _static_context(platform: str, num_classes: int, seed: int, cache_dir: str |
     evaluator = StaticEvaluator(
         get_platform(platform), surrogate, seed=seed, cache=cache
     )
-    return space, surrogate, evaluator, cache
+    return space, surrogate, evaluator
 
 
 # ----------------------------------------------------------- built-in kinds
@@ -179,7 +179,7 @@ def _static_backbone(
     """S(b) of one genome — mirrors ``_BackboneProblem.evaluate`` exactly."""
     import numpy as np
 
-    space, _, evaluator, _ = _static_context(platform, num_classes, seed, cache_dir)
+    space, _, evaluator = _static_context(platform, num_classes, seed, cache_dir)
     config = space.decode(np.asarray(genome, dtype=np.int64))
     static = evaluator.evaluate(config)
     return np.asarray(static.objectives()), {"config": config, "static": static}
@@ -204,9 +204,7 @@ def _inner_run(
     from repro.search.ioe import InnerEngine
     from repro.search.nsga2 import Nsga2Config
 
-    _, surrogate, evaluator, cache = _static_context(
-        platform, num_classes, seed, cache_dir
-    )
+    _, surrogate, evaluator = _static_context(platform, num_classes, seed, cache_dir)
     return InnerEngine(
         config=backbone,
         static_evaluator=evaluator,
@@ -219,7 +217,6 @@ def _inner_run(
         capability_model=capability_model,
         oracle_samples=oracle_samples,
         seed=seed,
-        cache=cache,
     ).run()
 
 

@@ -365,7 +365,7 @@ class DynamicEvaluator:
             stats=stats,
             costs=costs,
             scores=scores,
-            d_scores=means[3],
+            d_scores=means[3].copy(),  # owned: a view would pin all of ``means``
             objectives=np.ascontiguousarray(means[:3].T),
             baseline_energy_j=self.baseline_energy_j,
             baseline_latency_s=self.baseline_latency_s,

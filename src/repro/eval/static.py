@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import threading
 from dataclasses import dataclass
+from functools import cached_property
 
 from repro.accuracy.surrogate import AccuracySurrogate
 from repro.arch.config import BackboneConfig
@@ -90,6 +91,12 @@ class StaticEvaluator:
             self._cost_cache[config.key] = estimate_cost(config)
         return self._cost_cache[config.key]
 
+    @cached_property
+    def _space_fingerprint(self) -> str:
+        """The surrogate space's fingerprint, rendered once: the space is
+        fixed for the evaluator's lifetime, and every static key folds it in."""
+        return self.surrogate.space.fingerprint()
+
     def _cache_key(self, config: BackboneConfig):
         return self.result_cache.key(
             "static",
@@ -102,7 +109,7 @@ class StaticEvaluator:
             seed=self.hwil.seed,
             # Surrogate accuracy is calibrated against the space's bounds
             # and anchors, so both are result-determining inputs.
-            space=self.surrogate.space.fingerprint(),
+            space=self._space_fingerprint,
             anchors=self.surrogate.anchors,
             surrogate_seed=self.surrogate.seed,
             noise_cv=self.hwil.noise_cv,

@@ -180,10 +180,12 @@ def run_platform_experiments(
     context-managed :class:`EvaluationService`, so a multi-worker profile
     overlaps whole platforms (the ``auto`` executor runs codec-backed
     batches on its process pool).  Each shard forces its in-worker engine
-    to ``serial`` — pools are never nested — while sharing ``cache_dir``,
-    so shards warm each other's platform-independent entries (oracle
-    columns).  Results are bit-identical to the serial loop; the service is
-    torn down on every exit path, including ``KeyboardInterrupt``.
+    to ``serial`` — pools are never nested — while sharing ``cache_dir``:
+    an identical rerun reads whole shards back (``spec``), and one at
+    another γ or inner budget still reads their ``static`` entries.  Every
+    persisted key names its platform, so concurrent shards share no entry.
+    Results are bit-identical to the serial loop; the service is torn down
+    on every exit path, including ``KeyboardInterrupt``.
     """
     profile = (profile or Profile.fast()).with_engine(
         workers=workers, executor=executor, cache_dir=cache_dir

@@ -10,6 +10,7 @@ reproduces the paper's TX2 experiment at the configured budget.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from pathlib import Path
 
 import numpy as np
@@ -297,7 +298,7 @@ class HadasSearch:
         keep closure tasks (which pickle the live evaluator graph).
         """
         if injected_space is not None and (
-            self.space.fingerprint()
+            self._space_fingerprint
             != BackboneSpace(num_classes=self.config.num_classes).fingerprint()
         ):
             return None
@@ -329,8 +330,13 @@ class HadasSearch:
             capability_model=self.capability_model,
             oracle_samples=self.config.oracle_samples,
             seed=self.config.seed,
-            cache=self.cache,
         )
+
+    @cached_property
+    def _space_fingerprint(self) -> str:
+        """The space's fingerprint, rendered once: the space is fixed for
+        the search's lifetime, and every inner cache key folds it in."""
+        return self.space.fingerprint()
 
     def _inner_cache_key(self, backbone: BackboneConfig):
         return self.cache.key(
@@ -340,7 +346,7 @@ class HadasSearch:
             # backbone.key does not encode the classifier/exit-head width.
             num_classes=backbone.num_classes,
             platform=self.platform.name,
-            space=self.space.fingerprint(),
+            space=self._space_fingerprint,
             anchors=self.surrogate.anchors,
             seed=self.config.seed,
             gamma=self.config.gamma,

@@ -193,10 +193,10 @@ class InnerEngine:
         Dissimilarity exponent (0 disables — the Fig. 7 ablation).
     nsga:
         Budget: #iterations = population x generations (paper: 3500).
-    cache:
-        Optional persistent result cache handed to the exit oracle so its
-        correctness columns warm-start across runs (the columns are
-        platform-independent; see :mod:`repro.accuracy.exit_model`).
+
+    The exit oracle builds its correctness columns in memory; a persistent
+    cache, where there is one, stores the whole :class:`InnerResult`
+    instead (see :meth:`repro.search.hadas.HadasSearch.run_inner`).
     """
 
     def __init__(
@@ -210,7 +210,6 @@ class InnerEngine:
         capability_model: ExitCapabilityModel | None = None,
         oracle_samples: int = 2048,
         seed: int = 0,
-        cache=None,
     ):
         self.config = config
         self.nsga_config = nsga or Nsga2Config(population=20, generations=8)
@@ -222,7 +221,6 @@ class InnerEngine:
             model=capability_model,
             n_samples=oracle_samples,
             seed=seed,
-            cache=cache,
         )
         self.evaluator = DynamicEvaluator(
             config=config,

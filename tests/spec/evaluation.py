@@ -261,7 +261,6 @@ class SpecInnerEngine(InnerEngine):
             difficulty=oracle.difficulty,
             n_samples=oracle.n_samples,
             seed=oracle.seed,
-            cache=oracle.cache,
         )
         self.evaluator = evaluator_cls(**fields)
         self.problem.evaluator = self.evaluator

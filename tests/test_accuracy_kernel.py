@@ -350,6 +350,17 @@ class TestFusedObjectives:
         assert row.placement == placement and row.setting == setting
         assert list(generation[0].__dict__) == ["_source"]
 
+    def test_block_arrays_own_their_memory(self):
+        """A retained block keeps only its own arrays alive: ``d_scores``
+        and ``objectives`` are not views of the evaluator's scratch."""
+        ctx = _context("tx2-gpu")
+        generation = ctx.fused.evaluate_population(
+            [_placement([6, 10, 14]), _placement([7])], ctx.dvfs.default_setting()
+        )
+        assert generation.d_scores.shape == (2,)
+        assert generation.d_scores.base is None
+        assert generation.objectives.base is None
+
 
 class TestEngineEquivalence:
     """Whole-engine archives equal those of the per-placement oracle and

@@ -396,6 +396,23 @@ class TestPersistentCacheInSearch:
         config = space.sample(np.random.default_rng(0))
         assert default_eval._cache_key(config) != shifted_eval._cache_key(config)
 
+    def test_key_digests_are_pinned(self, tmp_path):
+        """Persisted ``static`` and ``inner`` entries stay addressable: the
+        digests are literals from an earlier release, so a change to the
+        key fields that silently orphans existing entries fails here."""
+        from repro.baselines.attentivenas import attentivenas_model
+
+        search = HadasSearch(HadasConfig(seed=5, cache_dir=str(tmp_path)))
+        a0 = attentivenas_model("a0")
+        assert (
+            search.static_evaluator._cache_key(a0).digest
+            == "86c747289b6849df590db87a5dfbcc7a0fa5d54e"
+        )
+        assert (
+            search._inner_cache_key(a0).digest
+            == "b9f56622ec8e17ac1da673cccfcab5c4117c67bd"
+        )
+
     def test_distinct_num_classes_do_not_share_entries(self, tmp_path):
         # config.key omits the classifier width, but head cost depends on it;
         # the persistent key must separate the two.
@@ -406,65 +423,16 @@ class TestPersistentCacheInSearch:
         assert other.static_evaluator.num_measurements > 0
 
 
-class TestOracleColumnCache:
-    """Oracle correctness columns persist per column, platform-independent."""
+class TestOracleColumnsStayInMemory:
+    """Exit-oracle columns are rebuilt in memory, never persisted."""
 
-    def _run_inner(self, platform, config, surrogate, cache, seed=0):
-        from repro.eval.static import StaticEvaluator
-        from repro.search.ioe import InnerEngine
-        from repro.search.nsga2 import Nsga2Config
-
-        evaluator = StaticEvaluator(platform, surrogate, seed=seed, cache=cache)
-        return InnerEngine(
-            config=config,
-            static_evaluator=evaluator,
-            backbone_accuracy_fraction=surrogate.accuracy_fraction(config),
-            nsga=Nsga2Config(population=6, generations=2),
-            oracle_samples=256,
-            seed=seed,
-            cache=cache,
-        ).run()
-
-    def test_dvfs_grid_only_change_warm_starts_columns(
-        self, space, surrogate, tx2_gpu, tmp_path
-    ):
-        cache = ResultCache(tmp_path)
-        config = space.sample(np.random.default_rng(2))
-        cold = self._run_inner(tx2_gpu, config, surrogate, cache)
-        cold_puts, cold_hits = cache.stats("oracle").puts, cache.stats("oracle").hits
-        assert cold_puts > 0
-        assert cold_hits == 0
-
-        # Hardware-side-only change: trim the DVFS grid (different name so
-        # the hardware-keyed namespaces do not collide).  Oracle columns are
-        # keyed purely on the accuracy side, so they must warm-start.
-        trimmed = tx2_gpu.with_overrides(
-            name="tx2-gpu-trimmed", core_freqs_ghz=tx2_gpu.core_freqs_ghz[::2]
-        )
-        warm = self._run_inner(trimmed, config, surrogate, cache)
-        warm_stats = cache.stats("oracle")
-        assert warm_stats.hits > cold_hits
-        assert warm_stats.hit_rate > 0.0
-        # The change is real: the trimmed grid explores a different (X, F)
-        # landscape, while the shared columns keep accuracy semantics fixed.
-        assert cold.backbone_key == warm.backbone_key
-
-    def test_column_roundtrip_is_bit_identical(self, tmp_path):
-        from repro.accuracy.exit_model import BackboneExitOracle
-
-        plain = BackboneExitOracle("bb", 12, 0.7, n_samples=128, seed=3)
-        cache = ResultCache(tmp_path)
-        writer = BackboneExitOracle("bb", 12, 0.7, n_samples=128, seed=3, cache=cache)
-        reader = BackboneExitOracle("bb", 12, 0.7, n_samples=128, seed=3, cache=cache)
-        for position in (5, 9, 12):
-            np.testing.assert_array_equal(
-                plain.exit_column(position), writer.exit_column(position)
-            )
-            np.testing.assert_array_equal(
-                writer.exit_column(position), reader.exit_column(position)
-            )
-        assert cache.stats("oracle").hits >= 3  # reader hit the packed entries
-        np.testing.assert_array_equal(plain.final_column(), reader.final_column())
+    def test_search_persists_only_static_and_inner(self, tmp_path):
+        search = HadasSearch(_tiny_config(cache_dir=str(tmp_path)))
+        cached = search.run()
+        assert set(search.cache.disk_stats()["namespaces"]) == {"static", "inner"}
+        uncached = HadasSearch(_tiny_config()).run()
+        assert _pareto_bytes(cached) == _pareto_bytes(uncached)
+        assert cached.num_evaluations == uncached.num_evaluations
 
 
 class TestCacheNamespaceFiltering:
