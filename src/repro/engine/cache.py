@@ -1,4 +1,4 @@
-"""Content-addressed, persistent on-disk result cache.
+"""Content-addressed, persistent result cache in one SQLite database.
 
 A cache entry is addressed by the blake2b digest of a canonical-JSON
 rendering of its key fields — ``(namespace, evaluator version, backbone key,
@@ -6,13 +6,20 @@ platform, seed, gamma, ...)`` — so any change to any field, including a
 version bump, yields a different address and naturally invalidates stale
 entries without any scanning or TTL machinery.
 
-Two codecs are used transparently: values that survive
-:func:`repro.utils.serialization.to_jsonable` are stored as human-readable
-``<digest>.json`` files (static evaluations are three floats); richer object
-graphs (inner-engine results with their Pareto archives) fall back to
-``<digest>.pkl`` pickles.  Writes are atomic (temp file + rename), so a
-killed run never leaves a torn entry behind, and concurrent writers of the
-same key are idempotent because evaluations are pure.
+Every entry is one row of the ``cache.sqlite3`` database in the cache
+directory: its digest, namespace, the cache version that wrote it, its codec
+and its payload.  Two codecs are used transparently: values that survive
+:func:`repro.utils.serialization.to_jsonable` are stored as JSON (static
+evaluations are three floats); richer object graphs (inner-engine results
+with their Pareto archives) fall back to pickles.  A put is one autocommit
+insert in WAL mode, so a killed writer leaves an entry complete or absent,
+and concurrent writers of the same key are idempotent because evaluations
+are pure.  WAL readers and writers share memory through the ``-shm`` file,
+so the directory must be on a local filesystem.
+
+Entry files of the older file-per-entry store (``<digest>.json``/``.pkl``)
+are never read: :meth:`ResultCache.disk_stats` counts them as ``unindexed``,
+and ``prune(orphans=True)`` and :meth:`ResultCache.clear` delete them.
 """
 
 from __future__ import annotations
@@ -21,7 +28,6 @@ import hashlib
 import json
 import os
 import pickle
-import tempfile
 import threading
 import time
 import weakref
@@ -35,6 +41,24 @@ from repro.utils.serialization import canonical_json, from_jsonable, to_jsonable
 
 #: Bump to invalidate every entry written by older engine code.
 ENGINE_CACHE_VERSION = "1"
+
+#: The database file inside the cache directory.
+DATABASE_NAME = "cache.sqlite3"
+
+#: How long a statement waits on another connection's lock.  Puts are
+#: single-row inserts, so a wait lasts milliseconds; the margin covers a
+#: worker's autocheckpoint of a large WAL on a slow disk.
+_BUSY_TIMEOUT_S = 60.0
+
+_SCHEMA = (
+    "CREATE TABLE IF NOT EXISTS entries ("
+    "digest TEXT PRIMARY KEY, namespace TEXT NOT NULL, version TEXT NOT NULL, "
+    "codec TEXT NOT NULL, payload BLOB NOT NULL)"
+)
+
+#: Entry files and write remnants of the file-per-entry store, and its index.
+_LEGACY_PATTERNS = ("*.json", "*.pkl", "*.tmp")
+_LEGACY_INDEX = "index.jsonl"
 
 _MISS = object()
 
@@ -168,9 +192,10 @@ class ResultCache:
     Parameters
     ----------
     directory:
-        Root directory of the cache; created on first use.  Entries from
-        different namespaces share the directory (the digest already
-        incorporates the namespace).
+        Root directory of the cache; created on construction.  Its database
+        is created by the first put, so a cache that is only read leaves
+        none.  Entries from different namespaces share the database (the
+        digest already incorporates the namespace).
     version:
         Cache-format version folded into every key; bumping it orphans all
         existing entries (they stay on disk but are never addressed again).
@@ -181,6 +206,10 @@ class ResultCache:
     _stats: dict[str, CacheStats] = field(default_factory=dict, repr=False)
     _flushed: dict[str, tuple[int, int, int]] = field(default_factory=dict, repr=False)
     _lock: threading.Lock = field(default_factory=threading.Lock, repr=False)
+    # (pid, thread id) -> that thread's connection.  A forked child keeps
+    # its parent's entries but never looks them up: an SQLite connection
+    # must not be used (or closed) in a process other than its opener's.
+    _connections: dict = field(default_factory=dict, repr=False, compare=False)
 
     def __post_init__(self):
         self.directory = Path(self.directory)
@@ -190,14 +219,63 @@ class ResultCache:
     # ------------------------------------------------------------- pickling
     def __getstate__(self):
         state = self.__dict__.copy()
-        del state["_lock"]
+        del state["_lock"], state["_connections"]
         return state
 
     def __setstate__(self, state):
         self.__dict__.update(state)
         self.__dict__.setdefault("_flushed", {})
         self._lock = threading.Lock()
+        self._connections = {}
         _register_cache(self)
+
+    # ------------------------------------------------------------- database
+    @property
+    def database(self) -> Path:
+        """The SQLite file that holds every entry."""
+        return self.directory / DATABASE_NAME
+
+    def _connection(self, create: bool = False):
+        """This (process, thread)'s connection, opened on first use.
+
+        ``None`` when the database does not exist and ``create`` is false.
+        """
+        slot = (os.getpid(), threading.get_ident())
+        connection = self._connections.get(slot)
+        if connection is None:
+            if not create and not self.database.exists():
+                return None
+            import sqlite3  # here, not at module import: keeps start-up light
+
+            connection = sqlite3.connect(
+                self.database, timeout=_BUSY_TIMEOUT_S, isolation_level=None
+            )
+            deadline = time.monotonic() + _BUSY_TIMEOUT_S
+            while True:
+                try:
+                    connection.execute("PRAGMA journal_mode=WAL")
+                    break
+                except sqlite3.OperationalError as exc:
+                    # Two connections converting a new file at once: SQLite
+                    # fails the loser's read-to-write upgrade without waiting
+                    # (its deadlock guard), so wait here instead.
+                    if str(exc) != "database is locked" or time.monotonic() > deadline:
+                        raise
+                    time.sleep(0.001)
+            connection.execute("PRAGMA synchronous=NORMAL")
+            connection.execute(_SCHEMA)
+            self._connections[slot] = connection
+        return connection
+
+    def _rows(self, sql: str, params: tuple = ()) -> list[tuple]:
+        """The rows of a read query; none while the database does not exist."""
+        connection = self._connection()
+        return [] if connection is None else connection.execute(sql, params).fetchall()
+
+    def _delete(self, sql: str, params: tuple = ()) -> int:
+        """Run a ``DELETE``; how many entries it removed."""
+        connection = self._connection()
+        return 0 if connection is None else connection.execute(sql, params).rowcount
 
     # ----------------------------------------------------------------- keys
     def key(self, namespace: str, **fields: Any) -> CacheKey:
@@ -247,62 +325,6 @@ class ResultCache:
                 stats.misses += int(delta.get("misses", 0))
                 stats.puts += int(delta.get("puts", 0))
 
-    def _paths(self, key: CacheKey) -> tuple[Path, Path]:
-        return (
-            self.directory / f"{key.digest}.json",
-            self.directory / f"{key.digest}.pkl",
-        )
-
-    # ---------------------------------------------------------------- index
-    # The digest folds the namespace and version in, so entries are
-    # unreachable (not just stale) after a version bump.  The index sidecar
-    # records (digest -> namespace, version) at write time, which is what
-    # lets `prune` find orphaned generations without guessing: filenames
-    # alone cannot be mapped back to the version that produced them.
-    @property
-    def _index_path(self) -> Path:
-        return self.directory / "index.jsonl"
-
-    def _index_append(self, key: CacheKey) -> None:
-        line = json.dumps(
-            {"digest": key.digest, "namespace": key.namespace, "version": str(self.version)}
-        )
-        with self._lock:
-            with self._index_path.open("a+b") as handle:
-                # A hard-killed writer can leave a torn line with no trailing
-                # newline; start on a fresh line so this record cannot be
-                # welded onto the remnant and lost with it.
-                if handle.seek(0, os.SEEK_END) > 0:
-                    handle.seek(-1, os.SEEK_END)
-                    if handle.read(1) != b"\n":
-                        handle.write(b"\n")
-                handle.write(line.encode("utf-8") + b"\n")
-
-    def index_entries(self) -> dict[str, dict]:
-        """Parse the index sidecar: digest -> {namespace, version} (last wins).
-
-        Corrupt lines (torn concurrent appends) are skipped; entries whose
-        files are gone are dropped.
-        """
-        entries: dict[str, dict] = {}
-        try:
-            lines = self._index_path.read_text().splitlines()
-        except OSError:
-            return entries
-        for line in lines:
-            try:
-                record = json.loads(line)
-                digest = record["digest"]
-            except (ValueError, TypeError, KeyError):
-                continue
-            entries[digest] = record
-        return {
-            digest: record
-            for digest, record in entries.items()
-            if (self.directory / f"{digest}.json").exists()
-            or (self.directory / f"{digest}.pkl").exists()
-        }
-
     # -------------------------------------------------------------- get/put
     def get(self, key: CacheKey, cls: type | None = None, default: Any = None) -> Any:
         """Fetch the entry at ``key``; ``default`` on miss.
@@ -319,59 +341,59 @@ class ResultCache:
         return value
 
     def _get(self, key: CacheKey, cls: type | None, default: Any) -> Any:
-        json_path, pkl_path = self._paths(key)
-        try:
-            if json_path.exists():
-                data = json.loads(json_path.read_text())
-                value = from_jsonable(data, cls) if cls is not None else data
+        rows = self._rows(
+            "SELECT codec, payload FROM entries WHERE digest = ?", (key.digest,)
+        )
+        if rows:
+            codec, payload = rows[0]
+            try:
+                if codec == "json":
+                    data = json.loads(payload)
+                    value = from_jsonable(data, cls) if cls is not None else data
+                else:
+                    value = pickle.loads(payload)
+            except (
+                ValueError,
+                # JSON that does not fit ``cls`` (missing or unknown fields):
+                TypeError,
+                pickle.UnpicklingError,
+                EOFError,
+                IndexError,
+                # Stale pickles referencing moved/renamed classes:
+                AttributeError,
+                ImportError,
+            ):
+                pass  # corrupt/stale entry: treat as a miss, re-evaluation overwrites it
+            else:
                 self._record(key.namespace, hit=True)  # only after deserialization
                 return value
-            if pkl_path.exists():
-                with pkl_path.open("rb") as handle:
-                    value = pickle.load(handle)
-                self._record(key.namespace, hit=True)
-                return value
-        except (
-            OSError,
-            ValueError,
-            pickle.UnpicklingError,
-            EOFError,
-            # Stale pickles referencing moved/renamed classes:
-            AttributeError,
-            ImportError,
-        ):
-            pass  # torn/corrupt/stale entry: treat as a miss, re-evaluation overwrites it
         self._record(key.namespace)
         return default
 
     def contains(self, key: CacheKey) -> bool:
         """Existence check without touching hit/miss accounting."""
-        json_path, pkl_path = self._paths(key)
-        return json_path.exists() or pkl_path.exists()
+        return bool(self._rows("SELECT 1 FROM entries WHERE digest = ?", (key.digest,)))
 
-    def put(self, key: CacheKey, value: Any) -> Path:
+    def put(self, key: CacheKey, value: Any) -> None:
         """Store ``value`` at ``key`` (JSON when possible, pickle otherwise)."""
         recorder = trace.active()
         if recorder is None:
-            return self._put(key, value)
+            self._put(key, value)
+            return
         start = time.perf_counter()
-        path = self._put(key, value)
+        self._put(key, value)
         recorder.observe(f"cache.{key.namespace}.put_s", time.perf_counter() - start)
-        return path
 
-    def _put(self, key: CacheKey, value: Any) -> Path:
-        json_path, pkl_path = self._paths(key)
+    def _put(self, key: CacheKey, value: Any) -> None:
         try:
-            rendered = json.dumps(to_jsonable(value), sort_keys=True)
+            codec, payload = "json", json.dumps(to_jsonable(value), sort_keys=True).encode()
         except TypeError:
-            self._write_atomic(pkl_path, pickle.dumps(value, protocol=pickle.HIGHEST_PROTOCOL))
-            self._record(key.namespace, put=True)
-            self._index_append(key)
-            return pkl_path
-        self._write_atomic(json_path, rendered.encode("utf-8"))
+            codec, payload = "pickle", pickle.dumps(value, protocol=pickle.HIGHEST_PROTOCOL)
+        self._connection(create=True).execute(
+            "INSERT OR REPLACE INTO entries VALUES (?, ?, ?, ?, ?)",
+            (key.digest, key.namespace, str(self.version), codec, payload),
+        )
         self._record(key.namespace, put=True)
-        self._index_append(key)
-        return json_path
 
     # ------------------------------------------------------- session stats
     # Runtime hit/miss accounting is in-memory and per-process; the sidecar
@@ -443,55 +465,56 @@ class ResultCache:
         self.put(key, value)
         return value
 
-    def _write_atomic(self, path: Path, payload: bytes) -> None:
-        fd, tmp = tempfile.mkstemp(dir=str(self.directory), suffix=".tmp")
-        try:
-            with os.fdopen(fd, "wb") as handle:
-                handle.write(payload)
-            os.replace(tmp, path)
-        except BaseException:
-            try:
-                os.unlink(tmp)
-            except OSError:
-                pass
-            raise
-
     # ------------------------------------------------------------ inventory
     def __len__(self) -> int:
-        return sum(1 for _ in self.directory.glob("*.json")) + sum(
-            1 for _ in self.directory.glob("*.pkl")
-        )
+        rows = self._rows("SELECT COUNT(*) FROM entries")
+        return rows[0][0] if rows else 0
+
+    def index_entries(self) -> dict[str, dict]:
+        """Every entry's ``{digest, namespace, version}``, by digest."""
+        return {
+            digest: {"digest": digest, "namespace": namespace, "version": version}
+            for digest, namespace, version in self._rows(
+                "SELECT digest, namespace, version FROM entries"
+            )
+        }
+
+    def _legacy_files(self) -> list[Path]:
+        return [
+            path for pattern in _LEGACY_PATTERNS for path in self.directory.glob(pattern)
+        ]
+
+    def _remove_legacy(self) -> int:
+        """Delete the file-per-entry store's files; how many entry files went."""
+        files = self._legacy_files()
+        for path in files:
+            path.unlink(missing_ok=True)
+        (self.directory / _LEGACY_INDEX).unlink(missing_ok=True)
+        return len(files)
 
     def disk_stats(self) -> dict:
-        """On-disk inventory: entry/byte totals plus per-namespace and
-        per-version breakdowns from the index sidecar.
+        """Inventory: entry and payload-byte totals, per namespace and per
+        version.
 
-        ``unindexed`` counts entry files the index does not know about
-        (written by pre-index engine versions); they are left alone by
-        :meth:`prune` unless explicitly requested.
+        ``unindexed`` counts files left by the older file-per-entry store
+        (``<digest>.json``/``.pkl`` and torn ``*.tmp`` writes); they are
+        never read, and :meth:`prune` removes them only when asked.
         """
-        files = {
-            path.stem: path
-            for pattern in ("*.json", "*.pkl")
-            for path in self.directory.glob(pattern)
-        }
-        entries = self.index_entries()
         namespaces: dict[str, dict] = {}
         versions: dict[str, int] = {}
-        for digest, record in entries.items():
-            size = files[digest].stat().st_size if digest in files else 0
-            space = namespaces.setdefault(
-                record.get("namespace", "?"), {"entries": 0, "bytes": 0}
-            )
-            space["entries"] += 1
+        for namespace, version, count, size in self._rows(
+            "SELECT namespace, version, COUNT(*), SUM(LENGTH(payload)) "
+            "FROM entries GROUP BY namespace, version"
+        ):
+            space = namespaces.setdefault(namespace, {"entries": 0, "bytes": 0})
+            space["entries"] += count
             space["bytes"] += size
-            version = str(record.get("version", "?"))
-            versions[version] = versions.get(version, 0) + 1
+            versions[version] = versions.get(version, 0) + count
         return {
             "directory": str(self.directory),
-            "entries": len(files),
-            "bytes": sum(path.stat().st_size for path in files.values()),
-            "unindexed": len(set(files) - set(entries)),
+            "entries": sum(versions.values()),
+            "bytes": sum(space["bytes"] for space in namespaces.values()),
+            "unindexed": len(self._legacy_files()),
             "namespaces": namespaces,
             "versions": versions,
         }
@@ -500,108 +523,37 @@ class ResultCache:
         self,
         keep_version: str | None = None,
         orphans: bool = False,
-        orphan_min_age_s: float = 60.0,
         namespace: str | None = None,
     ) -> int:
         """Delete entries written under any version other than ``keep_version``.
 
         Those entries are unreachable — the version is folded into every
-        digest — so pruning reclaims disk without affecting hit rates.
-        ``orphans=True`` additionally removes unindexed entry files (written
-        before the index existed; indistinguishable from stale, so opt-in).
-        Files younger than ``orphan_min_age_s`` are never swept as orphans:
-        a concurrent writer creates the entry file *before* its index line
-        lands, and the age guard keeps that window from looking orphaned.
-        ``namespace`` limits the sweep to that namespace's entries (the
-        orphan sweep is skipped then: unindexed files carry no namespace to
-        match against).  Returns the number of entry files removed and
-        rewrites the index to the surviving entries.
+        digest — so pruning drops them without affecting hit rates; their
+        pages are reused by later puts.  ``orphans=True`` also deletes the
+        older store's files (see :meth:`disk_stats`).  ``namespace`` limits
+        the sweep to that namespace's entries (the orphan sweep is skipped
+        then: those files carry no namespace to match against).  Returns the
+        number of entries and files removed.
         """
         keep = str(self.version if keep_version is None else keep_version)
-        entries = self.index_entries()
-        removed = 0
-        survivors: dict[str, dict] = {}
-
-        def survives(record: dict) -> bool:
-            if str(record.get("version")) == keep:
-                return True
-            return namespace is not None and record.get("namespace") != namespace
-
-        for digest, record in entries.items():
-            if survives(record):
-                survivors[digest] = record
-                continue
-            for suffix in (".json", ".pkl"):
-                path = self.directory / f"{digest}{suffix}"
-                if path.exists():
-                    path.unlink(missing_ok=True)
-                    removed += 1
-        if orphans and namespace is None:
-            cutoff = time.time() - orphan_min_age_s
-            for pattern in ("*.json", "*.pkl"):
-                for path in self.directory.glob(pattern):
-                    if path.stem in entries:
-                        continue
-                    try:
-                        if path.stat().st_mtime > cutoff:
-                            continue  # too fresh: may be a racing writer's entry
-                    except OSError:
-                        continue
-                    path.unlink(missing_ok=True)
-                    removed += 1
-        # Re-read instead of trusting the pre-deletion snapshot: index lines
-        # appended by concurrent writers while we swept must survive the
-        # rewrite, or their (live) entries would look orphaned forever.
-        with self._lock:
-            latest = self.index_entries()
-            survivors.update(
-                (digest, record)
-                for digest, record in latest.items()
-                if digest not in survivors and survives(record)
+        if namespace is not None:
+            return self._delete(
+                "DELETE FROM entries WHERE version != ? AND namespace = ?",
+                (keep, namespace),
             )
-            rendered = "".join(json.dumps(record) + "\n" for record in survivors.values())
-            self._write_atomic(self._index_path, rendered.encode("utf-8"))
-        return removed
+        removed = self._delete("DELETE FROM entries WHERE version != ?", (keep,))
+        return removed + (self._remove_legacy() if orphans else 0)
 
     def clear(self, namespace: str | None = None) -> int:
-        """Delete every entry; returns how many files were removed.
+        """Delete every entry; returns how many entries and files went.
 
-        Also sweeps ``*.tmp`` remnants of writes that were hard-killed
-        between ``mkstemp`` and the atomic rename (safe here: a clear is an
-        explicit request, not something raced by concurrent writers) and
-        the index sidecar.
-
-        ``namespace`` restricts the wipe to that namespace's indexed entries
-        (e.g. drop the ``serving`` grid but keep ``static``/``inner``/
-        ``spec`` warm); unindexed files and tmp remnants are left alone
-        then, and the index is rewritten to the surviving entries.
+        Also deletes the older store's files (see :meth:`disk_stats`) and
+        the session-stats sidecar.  ``namespace`` restricts the wipe to that
+        namespace's entries (e.g. drop the ``serving`` grid but keep
+        ``static``/``inner``/``spec`` warm); files are left alone then.
         """
-        removed = 0
         if namespace is not None:
-            entries = self.index_entries()
-            for digest, record in entries.items():
-                if record.get("namespace") != namespace:
-                    continue
-                for suffix in (".json", ".pkl"):
-                    path = self.directory / f"{digest}{suffix}"
-                    if path.exists():
-                        path.unlink(missing_ok=True)
-                        removed += 1
-            with self._lock:
-                survivors = {
-                    digest: record
-                    for digest, record in self.index_entries().items()
-                    if record.get("namespace") != namespace
-                }
-                rendered = "".join(
-                    json.dumps(record) + "\n" for record in survivors.values()
-                )
-                self._write_atomic(self._index_path, rendered.encode("utf-8"))
-            return removed
-        for pattern in ("*.json", "*.pkl", "*.tmp"):
-            for path in self.directory.glob(pattern):
-                path.unlink(missing_ok=True)
-                removed += 1
-        self._index_path.unlink(missing_ok=True)
+            return self._delete("DELETE FROM entries WHERE namespace = ?", (namespace,))
+        removed = self._delete("DELETE FROM entries") + self._remove_legacy()
         self._session_stats_path.unlink(missing_ok=True)
         return removed

@@ -7,14 +7,19 @@ Subcommands::
     repro cache prune --cache-dir .cache/engine [--keep-version 1] [--orphans]
                       [--namespace inner]
 
-``stats`` reports entry/byte totals with per-namespace and per-version
-breakdowns; ``prune`` removes entries written under superseded cache
-versions (unreachable since the version is folded into every digest);
-``clear`` wipes the directory.  ``--namespace`` scopes any action to one
-namespace (``static``, ``inner``, ``spec``, ``serving``, ``fleet``) so a
-single grid can be dropped or audited without touching warm entries of the
-others.  Entries that older releases wrote under ``oracle`` are never read
-any more; ``clear --namespace oracle`` removes them.
+Every entry is one row of the ``cache.sqlite3`` database in the cache
+directory.  ``stats`` reports entry and payload-byte totals with
+per-namespace and per-version breakdowns; ``prune`` removes entries written
+under superseded cache versions (unreachable since the version is folded
+into every digest), and with ``--orphans`` also the ``<digest>.json``/
+``.pkl`` files an older file-per-entry release left in the directory, which
+are never read; ``clear`` deletes every entry and those files.
+``--namespace`` scopes any action to one namespace (``static``, ``inner``,
+``spec``, ``serving``, ``fleet``) so a single grid can be dropped or audited
+without touching warm entries of the others.  Entries that older releases
+wrote under ``oracle`` are never read any more; ``clear --namespace
+oracle`` removes them.  Removed entries free pages that later puts reuse;
+the database file does not shrink.
 """
 
 from __future__ import annotations
@@ -57,8 +62,8 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument(
         "--orphans",
         action="store_true",
-        help="prune: also remove unindexed entries (pre-index cache files; "
-        "ignored with --namespace, which cannot attribute them)",
+        help="prune: also remove entry files of the older file-per-entry store "
+        "(ignored with --namespace, which cannot attribute them)",
     )
     args = parser.parse_args(argv)
 
@@ -101,7 +106,7 @@ def main(argv: list[str] | None = None) -> int:
     if args.action == "clear":
         removed = cache.clear(namespace=args.namespace)
         scope = f" (namespace {args.namespace})" if args.namespace else ""
-        print(f"removed {removed} files from {cache.directory}{scope}")
+        print(f"removed {removed} entries from {cache.directory}{scope}")
         return 0
     removed = cache.prune(
         keep_version=args.keep_version,
@@ -111,6 +116,6 @@ def main(argv: list[str] | None = None) -> int:
     keep = args.keep_version if args.keep_version is not None else cache.version
     scope = f", namespace {args.namespace}" if args.namespace else ""
     print(
-        f"pruned {removed} entry files (kept version {keep!r}{scope}) in {cache.directory}"
+        f"pruned {removed} entries (kept version {keep!r}{scope}) in {cache.directory}"
     )
     return 0

@@ -48,8 +48,9 @@ from typing import Any, Callable
 #: spec evaluates to); folded into every spec fingerprint, so content
 #: addresses derived from specs roll over.  "2": searches follow the batched
 #: NSGA-II variation's trajectories.  "3": results that embed an
-#: ``InnerResult`` (``platform-experiment``) carry its new layout.
-TASK_CODEC_VERSION = "3"
+#: ``InnerResult`` (``platform-experiment``) carry its new layout.  "4":
+#: ``platform-experiment`` results hold no live search or static evaluator.
+TASK_CODEC_VERSION = "4"
 
 _REGISTRY: dict[str, Callable[..., Any]] = {}
 
@@ -149,8 +150,8 @@ def spec_task(spec: TaskSpec, key=None, cls: type | None = None, cache=None):
 # Worker-side evaluator contexts.  Heavy, reusable, deterministic per key —
 # built once per process (lru_cache) and shared by every task of that
 # context.  ``cache_dir`` attaches the persistent ResultCache so worker
-# processes read and extend the same on-disk store as the parent (writes are
-# atomic and idempotent, so concurrent workers are safe).
+# processes read and extend the same database as the parent (each put is one
+# atomic, idempotent insert, so concurrent workers are safe).
 # --------------------------------------------------------------------------
 
 

@@ -31,14 +31,17 @@ from repro.search.ioe import InnerResult
 
 @dataclass
 class PlatformExperiment:
-    """One platform's full co-optimisation study."""
+    """One platform's full co-optimisation study, as data.
+
+    It holds results only, never the live search that produced them, so a
+    ``platform-experiment`` shard pickles without an evaluator graph.
+    """
 
     platform: str
     profile: Profile
     hadas: HadasResult
     baseline_static: dict[str, StaticEvaluation]
     baseline_inner: dict[str, InnerResult] = field(default_factory=dict)
-    search: HadasSearch | None = field(default=None, repr=False)
 
     # ------------------------------------------------------------ fig5 data
     def hadas_dynamic_points(self, pareto_only: bool = True) -> np.ndarray:
@@ -124,8 +127,6 @@ def compute_platform_experiment(
         # Error/interrupt path: cancel queued work so no pool workers leak.
         search.close(cancel=True)
         raise
-    # Release executor pools now that all batches ran; the service lazily
-    # re-creates them if the memoised search is ever driven again.
     search.close()
     return PlatformExperiment(
         platform=platform,
@@ -133,7 +134,6 @@ def compute_platform_experiment(
         hadas=hadas,
         baseline_static=baseline_static,
         baseline_inner=baseline_inner,
-        search=search,
     )
 
 

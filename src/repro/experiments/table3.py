@@ -28,6 +28,7 @@ from repro.exits.placement import ExitPlacement
 from repro.experiments.config import Profile
 from repro.experiments.runner import PlatformExperiment, run_platform_experiment
 from repro.hardware.dvfs import DvfsSetting
+from repro.search.hadas import HadasSearch
 from repro.utils.tables import format_table
 
 #: Published values for side-by-side rendering.
@@ -88,7 +89,7 @@ class Table3Result:
 
 
 def _model_row(
-    experiment: PlatformExperiment,
+    search: HadasSearch,
     name: str,
     config: BackboneConfig,
     placement: ExitPlacement,
@@ -106,7 +107,6 @@ def _model_row(
     """
     from repro.experiments.dvfs_grid import compute_grid
 
-    search = experiment.search
     static = search.static_evaluator.evaluate(config)
     evaluator = search.make_inner_engine(config).evaluator
     default = search.static_evaluator.default_setting
@@ -131,8 +131,24 @@ def _model_row(
 
 
 def run(profile: Profile | None = None, platform: str = "tx2-gpu") -> Table3Result:
-    """Regenerate Table III."""
+    """Regenerate Table III.
+
+    The rows are costed by one :class:`HadasSearch` built from the run's
+    config (the experiment keeps no live search), closed afterwards.
+    """
     experiment = run_platform_experiment(platform, profile)
+    search = HadasSearch(experiment.hadas.config)
+    try:
+        rows, grids = _rows(experiment, search)
+    finally:
+        search.close()
+    return Table3Result(rows=rows, experiment=experiment, grids=grids)
+
+
+def _rows(
+    experiment: PlatformExperiment, search: HadasSearch
+) -> tuple[list[DynnRow], dict]:
+    """The six rows and their DVFS grids, each costed by ``search``."""
     rows: list[DynnRow] = []
     grids: dict = {}
 
@@ -144,7 +160,7 @@ def run(profile: Profile | None = None, platform: str = "tx2-gpu") -> Table3Resu
             [member.payload["evaluation"] for member in inner.pareto]
         )
         row, grid = _model_row(
-            experiment,
+            search,
             f"AttentiveNAS-{name}",
             attentivenas_model(name),
             best.placement,
@@ -178,7 +194,7 @@ def run(profile: Profile | None = None, platform: str = "tx2-gpu") -> Table3Resu
     for rank, member in enumerate(picked, start=1):
         evaluation = member.payload["evaluation"]
         row, grid = _model_row(
-            experiment,
+            search,
             f"HADAS-b{rank}",
             member.payload["config"],
             evaluation.placement,
@@ -186,7 +202,7 @@ def run(profile: Profile | None = None, platform: str = "tx2-gpu") -> Table3Resu
         )
         rows.append(row)
         grids[row.name] = grid
-    return Table3Result(rows=rows, experiment=experiment, grids=grids)
+    return rows, grids
 
 
 def _utopia_pick(evaluations):

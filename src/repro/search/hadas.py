@@ -9,7 +9,7 @@ reproduces the paper's TX2 experiment at the configured budget.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 from pathlib import Path
 
@@ -18,6 +18,7 @@ import numpy as np
 from repro.accuracy.exit_model import ExitCapabilityModel
 from repro.accuracy.surrogate import AccuracySurrogate
 from repro.arch.config import BackboneConfig
+from repro.arch.cost import estimate_cost
 from repro.arch.space import BackboneSpace
 from repro.engine.cache import ResultCache
 from repro.engine.executors import EXECUTOR_KINDS
@@ -109,13 +110,12 @@ class HadasConfig:
 
 @dataclass
 class HadasResult:
-    """Outcome of a HADAS run."""
+    """Outcome of a HADAS run: data only, no live evaluator."""
 
     config: HadasConfig
     outer: OuterResult
     space: BackboneSpace
     surrogate: AccuracySurrogate
-    static_evaluator: StaticEvaluator = field(repr=False)
 
     # ------------------------------------------------------------- queries
     def backbone_pareto(self) -> list[Individual]:
@@ -218,7 +218,7 @@ class HadasResult:
             platform=self.config.platform,
             seed=self.config.seed,
             backbone_accuracy=self.surrogate.accuracy_fraction(
-                backbone, self.static_evaluator.cost(backbone)
+                backbone, estimate_cost(backbone)
             ),
             label=label,
         )
@@ -427,7 +427,6 @@ class HadasSearch:
             outer=result,
             space=self.space,
             surrogate=self.surrogate,
-            static_evaluator=self.static_evaluator,
         )
 
     def close(self, cancel: bool = False) -> None:

@@ -91,3 +91,19 @@ def gradcheck():
         np.testing.assert_allclose(analytic, numeric, atol=atol, rtol=1e-4)
 
     return check
+
+
+@pytest.fixture(scope="session")
+def entry_codec():
+    """Return a helper reading the codec a ResultCache stored an entry with."""
+    import sqlite3
+    from contextlib import closing
+
+    def codec(cache, key) -> str:
+        with closing(sqlite3.connect(cache.database)) as connection:
+            (name,) = connection.execute(
+                "SELECT codec FROM entries WHERE digest = ?", (key.digest,)
+            ).fetchone()
+        return name
+
+    return codec

@@ -2,9 +2,16 @@
 
 from __future__ import annotations
 
+import multiprocessing
+import os
+import sys
+import threading
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import repro
 from repro.engine.cache import ResultCache
 from repro.engine.executors import (
     ProcessExecutor,
@@ -45,21 +52,34 @@ def _pareto_bytes(result) -> bytes:
 
 
 # --------------------------------------------------------------------- cache
+def _set_payload(cache: ResultCache, key, codec: str, payload: bytes) -> None:
+    """Overwrite an entry's row in place, as a corrupt or stale write would."""
+    import sqlite3
+    from contextlib import closing
+
+    with closing(sqlite3.connect(cache.database)) as connection:
+        connection.execute(
+            "UPDATE entries SET codec = ?, payload = ? WHERE digest = ?",
+            (codec, payload, key.digest),
+        )
+        connection.commit()
+
+
 class TestResultCache:
-    def test_json_roundtrip_dataclass(self, tmp_path):
+    def test_json_roundtrip_dataclass(self, tmp_path, entry_codec):
         cache = ResultCache(tmp_path)
         key = cache.key("static", backbone="b1", platform="tx2")
         evaluation = StaticEvaluation(accuracy=71.5, latency_s=0.02, energy_j=0.4)
-        path = cache.put(key, evaluation)
-        assert path.suffix == ".json"
+        assert cache.put(key, evaluation) is None
+        assert entry_codec(cache, key) == "json"
         assert cache.get(key, cls=StaticEvaluation) == evaluation
 
-    def test_pickle_fallback_for_rich_objects(self, tmp_path):
+    def test_pickle_fallback_for_rich_objects(self, tmp_path, entry_codec):
         cache = ResultCache(tmp_path)
         key = cache.key("inner", backbone="b1")
         value = {"archive": ParetoArchive(), "arr": np.arange(3)}
-        path = cache.put(key, value)
-        assert path.suffix == ".pkl"
+        cache.put(key, value)
+        assert entry_codec(cache, key) == "pickle"
         loaded = cache.get(key)
         assert isinstance(loaded["archive"], ParetoArchive)
         np.testing.assert_array_equal(loaded["arr"], np.arange(3))
@@ -105,14 +125,30 @@ class TestResultCache:
     def test_corrupt_entry_is_a_miss(self, tmp_path):
         cache = ResultCache(tmp_path)
         key = cache.key("static", backbone="b")
-        (tmp_path / f"{key.digest}.json").write_text("{not json")
+        cache.put(key, {"x": 1})
+        _set_payload(cache, key, "json", b"{not json")
         assert cache.get(key, default="fallback") == "fallback"
+        _set_payload(cache, key, "pickle", b"not a pickle")
+        assert cache.get(key, default="fallback") == "fallback"
+        assert cache.stats("static").misses == 2
+        cache.put(key, {"x": 2})  # re-evaluation overwrites the row
+        assert cache.get(key) == {"x": 2}
+
+    def test_json_that_does_not_fit_cls_is_a_miss(self, tmp_path):
+        cache = ResultCache(tmp_path)
+        key = cache.key("static", backbone="b")
+        cache.put(key, {})  # parses, but lacks StaticEvaluation's fields
+        assert cache.get(key, cls=StaticEvaluation, default="miss") == "miss"
+        assert cache.stats("static").misses == 1
+        evaluation = StaticEvaluation(accuracy=71.5, latency_s=0.02, energy_j=0.4)
+        cache.put(key, evaluation)
+        assert cache.get(key, cls=StaticEvaluation) == evaluation
 
     def test_len_and_clear(self, tmp_path):
         cache = ResultCache(tmp_path)
         cache.put(cache.key("a", i=1), {"x": 1})
         cache.put(cache.key("b", i=2), {"arr": ParetoArchive()})
-        (tmp_path / "deadbeef.tmp").write_bytes(b"torn write")  # hard-kill remnant
+        (tmp_path / "deadbeef.tmp").write_bytes(b"torn write")  # file-store remnant
         assert len(cache) == 2
         assert cache.clear() == 3
         assert len(cache) == 0
@@ -123,13 +159,16 @@ class TestResultCache:
 
         cache = ResultCache(tmp_path)
         key = cache.key("inner", backbone="b")
+        cache.put(key, ParetoArchive())
         # A pickle referencing a module that no longer exists (same-length
         # rename keeps the pickle structurally valid).
         payload = pickle.dumps(ParetoArchive()).replace(
             b"repro.search.archive", b"repro.search.gonecls"
         )
-        (tmp_path / f"{key.digest}.pkl").write_bytes(payload)
+        _set_payload(cache, key, "pickle", payload)
         assert cache.get(key, default="recompute") == "recompute"
+        cache.put(key, {"x": 1})
+        assert cache.get(key) == {"x": 1}
 
 
 # ----------------------------------------------------------------- executors
@@ -479,7 +518,7 @@ class TestCacheNamespaceFiltering:
         cache = self._seeded(tmp_path)
         orphan = tmp_path / "deadbeef.json"
         orphan.write_text("{}")
-        assert cache.prune(namespace="static", orphans=True, orphan_min_age_s=0.0) == 0
+        assert cache.prune(namespace="static", orphans=True) == 0
         assert orphan.exists()  # unindexed files carry no namespace to match
 
     def test_cli_namespace_stats_and_clear(self, tmp_path, capsys):
@@ -490,7 +529,7 @@ class TestCacheNamespaceFiltering:
         out = capsys.readouterr().out
         assert "namespace static" in out and "2 entries" in out
         assert cache_main(["clear", "--cache-dir", str(tmp_path), "--namespace", "static"]) == 0
-        assert "removed 2 files" in capsys.readouterr().out
+        assert "removed 2 entries" in capsys.readouterr().out
         assert set(ResultCache(tmp_path).disk_stats()["namespaces"]) == {"serving"}
 
 
@@ -542,7 +581,7 @@ class TestRandomSearchBudget:
 
 
 class TestEmptyArchiveGuidance:
-    def test_selected_model_raises_runtime_error(self, space, surrogate, static_evaluator):
+    def test_selected_model_raises_runtime_error(self, space, surrogate):
         result = HadasResult(
             config=HadasConfig(),
             outer=OuterResult(
@@ -550,7 +589,6 @@ class TestEmptyArchiveGuidance:
             ),
             space=space,
             surrogate=surrogate,
-            static_evaluator=static_evaluator,
         )
         assert result.top_models(2) == []
         with pytest.raises(RuntimeError, match="dynamic archive is empty"):
@@ -558,7 +596,7 @@ class TestEmptyArchiveGuidance:
 
 
 class TestCacheIndexAndPrune:
-    """The index sidecar behind `repro cache` stats/prune."""
+    """The entry table behind `repro cache` stats/prune."""
 
     def test_put_indexes_entry(self, tmp_path):
         cache = ResultCache(tmp_path)
@@ -592,38 +630,47 @@ class TestCacheIndexAndPrune:
         assert removed == 1
         assert cur.get(cur_key) == {"x": "new"}
         assert not cur.contains(old_key)
-        # Index rewritten to survivors only.
         assert set(cur.index_entries()) == {cur_key.digest}
 
-    def test_prune_keeps_unindexed_unless_asked(self, tmp_path):
-        cache = ResultCache(tmp_path)
-        orphan = tmp_path / "deadbeef.json"
-        orphan.write_text("{}")
-        assert cache.prune() == 0
-        assert orphan.exists()
-        assert cache.disk_stats()["unindexed"] == 1
-        # Fresh files are protected from the orphan sweep (racing-writer
-        # guard); an aged orphan is collected.
-        assert cache.prune(orphans=True) == 0
-        assert orphan.exists()
-        assert cache.prune(orphans=True, orphan_min_age_s=0.0) == 1
-        assert not orphan.exists()
+    def test_prune_keep_version_scoped_by_namespace(self, tmp_path):
+        old = ResultCache(tmp_path, version="0")
+        old.put(old.key("static", b=1), {"x": "old"})
+        cur = ResultCache(tmp_path)
+        cur.put(cur.key("static", b=1), {"x": "new"})
+        cur.put(cur.key("serving", cell=1), {"y": "new"})
+        # Keeping version "0" drops the current entries, here only `serving`'s.
+        assert cur.prune(keep_version="0", namespace="serving") == 1
+        assert cur.disk_stats()["versions"] == {"0": 1, str(cur.version): 1}
+        assert cur.prune(keep_version="0") == 1
+        assert cur.disk_stats()["versions"] == {"0": 1}
+        assert old.get(old.key("static", b=1)) == {"x": "old"}
 
-    def test_corrupt_index_lines_skipped(self, tmp_path):
+    def test_prune_keeps_unindexed_unless_asked(self, tmp_path):
+        """Files of the file-per-entry store are counted, never read, and
+        removed only by an orphan prune."""
         cache = ResultCache(tmp_path)
         key = cache.key("static", b=1)
-        cache.put(key, {"x": 1})
-        with (tmp_path / "index.jsonl").open("a") as handle:
-            handle.write("not json at all\n")
-            handle.write('{"no": "digest"}\n')
-        assert set(cache.index_entries()) == {key.digest}
+        (tmp_path / f"{key.digest}.json").write_text('{"x": 1}')
+        (tmp_path / "deadbeef.pkl").write_bytes(b"\x80\x04N.")
+        assert cache.get(key, default="miss") == "miss"
+        assert not cache.contains(key)
+        assert cache.disk_stats()["unindexed"] == 2
+        assert cache.prune() == 0
+        assert cache.disk_stats()["unindexed"] == 2
+        assert cache.prune(orphans=True) == 2
+        assert not list(tmp_path.glob("*.json")) and not list(tmp_path.glob("*.pkl"))
 
     def test_clear_removes_index(self, tmp_path):
+        """clear() empties the table and removes the file store's index."""
         cache = ResultCache(tmp_path)
         cache.put(cache.key("static", b=1), {"x": 1})
-        cache.clear()
+        (tmp_path / "index.jsonl").write_text('{"digest": "deadbeef"}\n')
+        (tmp_path / "deadbeef.json").write_text("{}")
+        assert cache.clear() == 2
         assert not (tmp_path / "index.jsonl").exists()
+        assert not (tmp_path / "deadbeef.json").exists()
         assert cache.index_entries() == {}
+        assert cache.disk_stats()["unindexed"] == 0
 
     def test_stats_on_empty_cache(self, tmp_path):
         cache = ResultCache(tmp_path)
@@ -637,65 +684,139 @@ class TestCacheIndexAndPrune:
         assert cache.prune() == 0
         assert cache.stats().hit_rate == 0.0
 
-    def test_prune_survives_racing_writer(self, tmp_path, monkeypatch):
-        """An entry PUT while prune is sweeping must survive the index rewrite.
-
-        The race window: prune snapshots the index, deletes stale files, then
-        rewrites the index.  A concurrent writer (stubbed here by hooking the
-        first ``index_entries`` call) lands a brand-new entry in that window —
-        prune's post-deletion re-read must fold it into the rewritten index.
-        """
-        old = ResultCache(tmp_path, version="0")
-        old.put(old.key("static", b=1), {"x": "old"})
+    def test_reads_create_no_database(self, tmp_path):
         cache = ResultCache(tmp_path)
-        racer = ResultCache(tmp_path)  # the concurrent writer
-        raced_key = racer.key("static", b="raced")
-
-        real_index_entries = ResultCache.index_entries
-        fired = {"done": False}
-
-        def racing_index_entries(self):
-            snapshot = real_index_entries(self)
-            if not fired["done"]:
-                fired["done"] = True
-                racer.put(raced_key, {"x": "raced"})  # lands inside the window
-            return snapshot
-
-        monkeypatch.setattr(ResultCache, "index_entries", racing_index_entries)
-        removed = cache.prune()
-        monkeypatch.undo()
-        assert removed == 1  # only the stale version-0 entry
-        assert cache.contains(raced_key)
-        assert raced_key.digest in cache.index_entries()
-        assert cache.get(raced_key) == {"x": "raced"}
-
-    def test_truncated_index_line_recovers(self, tmp_path):
-        """A torn append (hard kill mid-write) must not poison the index."""
-        cache = ResultCache(tmp_path)
-        first = cache.key("static", b=1)
-        cache.put(first, {"x": 1})
-        index = tmp_path / "index.jsonl"
-        # Simulate a torn final line: a second put whose index record was cut.
-        second = cache.key("static", b=2)
-        cache.put(second, {"x": 2})
-        content = index.read_text().splitlines()
-        index.write_text(content[0] + "\n" + content[1][: len(content[1]) // 2])
-        entries = cache.index_entries()
-        assert first.digest in entries
-        assert second.digest not in entries  # torn line skipped, not fatal
-        # The entry file itself is intact: reads hit, and stats count it as
-        # unindexed rather than losing it.
-        assert cache.get(second) == {"x": 2}
-        assert cache.disk_stats()["unindexed"] == 1
-        # Re-putting restores the index line.
-        cache.put(second, {"x": 2})
-        assert second.digest in cache.index_entries()
+        key = cache.key("static", b=1)
+        assert cache.get(key) is None
+        assert not cache.contains(key)
+        assert len(cache) == 0
+        assert cache.index_entries() == {}
+        cache.disk_stats()
+        assert cache.prune(orphans=True) == 0
+        assert cache.clear(namespace="static") == 0
+        assert cache.clear() == 0
+        assert not cache.database.exists()
+        assert list(tmp_path.iterdir()) == []
 
     def test_index_last_record_wins(self, tmp_path):
         cache = ResultCache(tmp_path)
         key = cache.key("static", b=1)
         cache.put(key, {"x": 1})
-        cache.put(key, {"x": 2})  # idempotent overwrite appends a second line
+        cache.put(key, {"x": 2})  # an idempotent overwrite replaces the row
         entries = cache.index_entries()
         assert entries[key.digest]["version"] == str(cache.version)
         assert len(entries) == 1
+        assert cache.get(key) == {"x": 2}
+
+
+def _put_range(cache: ResultCache, tag: str, n: int, barrier=None) -> None:
+    if barrier is not None:
+        barrier.wait()
+    for i in range(n):
+        cache.put(cache.key("static", tag=tag, i=i), {"tag": tag, "i": i})
+
+
+def _put_range_and_exit(directory: str, n: int) -> None:
+    _put_range(ResultCache(directory), "child", n)
+    os._exit(0)  # no close, no interpreter teardown: a killed worker
+
+
+class TestCacheConcurrency:
+    """Each (process, thread) writes through its own connection."""
+
+    @pytest.mark.skipif(
+        "fork" not in multiprocessing.get_all_start_methods(), reason="needs fork"
+    )
+    def test_forked_writers_beside_an_open_parent_connection(self, tmp_path):
+        ctx = multiprocessing.get_context("fork")
+        cache = ResultCache(tmp_path)
+        cache.put(cache.key("spec", tag="parent"), {"tag": "parent"})  # opens it
+        n = 60
+        barrier = ctx.Barrier(2, timeout=60)
+        # The children write through the cache they inherit, as pool workers
+        # forked after the parent's first read do.
+        children = [
+            ctx.Process(target=_put_range, args=(cache, tag, n, barrier))
+            for tag in ("a", "b")
+        ]
+        for child in children:
+            child.start()
+        for child in children:
+            child.join(timeout=120)
+            assert not child.is_alive()
+            assert child.exitcode == 0
+        fresh = ResultCache(tmp_path)
+        for reader in (cache, fresh):
+            for tag in ("a", "b"):
+                for i in range(n):
+                    key = reader.key("static", tag=tag, i=i)
+                    assert reader.get(key) == {"tag": tag, "i": i}
+        stats = fresh.disk_stats()
+        assert stats["entries"] == 2 * n + 1
+        assert stats["namespaces"]["static"]["entries"] == 2 * n
+        assert stats["namespaces"]["spec"]["entries"] == 1
+
+    def test_threads_keep_exact_stats(self, tmp_path):
+        cache = ResultCache(tmp_path)
+        threads, n = 8, 25
+        errors: list[BaseException] = []
+
+        def work(tag):
+            try:
+                for i in range(n):
+                    key = cache.key("static", tag=tag, i=i)
+                    assert cache.get(key) is None
+                    cache.put(key, {"i": i})
+                    assert cache.get(key) == {"i": i}
+            except BaseException as exc:  # surfaced by the assert below
+                errors.append(exc)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            workers = [
+                threading.Thread(target=work, args=(tag,)) for tag in range(threads)
+            ]
+            for worker in workers:
+                worker.start()
+            for worker in workers:
+                worker.join(timeout=120)
+                assert not worker.is_alive()
+        finally:
+            sys.setswitchinterval(interval)
+        assert errors == []
+        stats = cache.stats("static")
+        assert (stats.hits, stats.misses, stats.puts) == (threads * n,) * 3
+        assert len(cache) == threads * n
+
+    @pytest.mark.skipif(
+        "fork" not in multiprocessing.get_all_start_methods(), reason="needs fork"
+    )
+    def test_entries_survive_a_writer_that_exits_without_closing(self, tmp_path):
+        import subprocess
+
+        n = 40
+        child = multiprocessing.get_context("fork").Process(
+            target=_put_range_and_exit, args=(str(tmp_path), n)
+        )
+        child.start()
+        child.join(timeout=120)
+        assert child.exitcode == 0
+        # The commits sit in the WAL, not yet checkpointed into the database.
+        assert (tmp_path / "cache.sqlite3-wal").stat().st_size > 0
+        code = (
+            "import sys; from repro.engine.cache import ResultCache\n"
+            "cache = ResultCache(sys.argv[1])\n"
+            "print(sum(cache.get(cache.key('static', tag='child', i=i)) =="
+            " {'tag': 'child', 'i': i} for i in range(int(sys.argv[2]))))\n"
+        )
+        src = str(Path(repro.__file__).resolve().parents[1])
+        out = subprocess.run(
+            [sys.executable, "-c", code, str(tmp_path), str(n)],
+            capture_output=True,
+            text=True,
+            timeout=120,
+            env={**os.environ, "PYTHONPATH": src},
+            check=True,
+        ).stdout
+        assert int(out) == n

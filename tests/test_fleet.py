@@ -573,13 +573,13 @@ class TestFleetCli:
 
 # ------------------------------------------------------------- cache codec
 class TestFleetCache:
-    def test_fleet_report_json_round_trip(self, tmp_path):
+    def test_fleet_report_json_round_trip(self, tmp_path, entry_codec):
         cache = ResultCache(tmp_path)
         spec = FleetSpec(platforms=("tx2-gpu", "agx-gpu"), duration_s=3.0)
         report = run_fleet_cell(spec)
         key = fleet_cache_key(cache, spec)
-        path = cache.put(key, report)
-        assert path.suffix == ".json"  # plain-data report, human-readable
+        cache.put(key, report)
+        assert entry_codec(cache, key) == "json"  # plain-data report, human-readable
         rebuilt = cache.get(key, cls=FleetReport)
         assert rebuilt == report
         assert rebuilt.devices[0] == report.devices[0]

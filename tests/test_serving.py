@@ -517,13 +517,13 @@ class TestHarness:
         with pytest.raises(ValueError, match=field):
             ServingSpec(**{field: value})
 
-    def test_report_json_round_trip(self, tmp_path):
+    def test_report_json_round_trip(self, tmp_path, entry_codec):
         cache = ResultCache(tmp_path)
         spec = ServingSpec(duration_s=3.0)
         report = run_serving_cell(spec)
         key = cell_cache_key(cache, spec)
-        path = cache.put(key, report)
-        assert path.suffix == ".json"  # plain-data report, human-readable
+        cache.put(key, report)
+        assert entry_codec(cache, key) == "json"  # plain-data report, human-readable
         rebuilt = cache.get(key, cls=ServingReport)
         assert rebuilt == report
 
