@@ -16,6 +16,7 @@ noise) is what matters, not per-architecture ground truth (DESIGN.md §1).
 from __future__ import annotations
 
 import math
+from typing import Sequence
 
 import numpy as np
 
@@ -28,6 +29,7 @@ from repro.utils.rng import child_rng
 
 #: Capacity-score feature weights (log-MACs dominates, as in NAS predictors).
 _W_MACS, _W_RES, _W_DEPTH, _W_EXPAND = 0.55, 0.15, 0.15, 0.15
+_WEIGHTS = np.asarray([_W_MACS, _W_RES, _W_DEPTH, _W_EXPAND])
 
 #: Saturation rate of the accuracy-vs-capacity curve.
 _SATURATION_K = 3.0
@@ -65,39 +67,53 @@ class AccuracySurrogate:
         self._c0, self._c1 = self._solve_scale()
 
     # ------------------------------------------------------------- features
-    def _raw_features(self, config: BackboneConfig, cost: NetworkCost | None = None) -> np.ndarray:
-        cost = cost if cost is not None else estimate_cost(config)
-        log_macs = math.log10(max(cost.total_macs, 1.0))
-        depth = float(config.total_mbconv_layers)
-        res = float(config.resolution)
-        expand = float(np.mean([s.expand for s in config.stages]))
-        return np.asarray([log_macs, res, depth, expand])
+    @staticmethod
+    def _raw_features(
+        configs: Sequence[BackboneConfig], total_macs: Sequence[float]
+    ) -> np.ndarray:
+        """``(B, 4)`` raw features: log10 MACs, resolution, depth, mean
+        expand ratio.  ``math.log10`` runs per row: ``np.log10`` rounds a
+        fraction of a percent of inputs differently."""
+        raw = np.empty((len(configs), 4))
+        raw[:, 0] = [math.log10(max(macs, 1.0)) for macs in total_macs]
+        raw[:, 1] = [config.resolution for config in configs]
+        raw[:, 2] = [config.total_mbconv_layers for config in configs]
+        raw[:, 3] = np.mean([[s.expand for s in config.stages] for config in configs], axis=1)
+        return raw
 
     def _feature_bounds(self) -> tuple[np.ndarray, np.ndarray]:
-        lo = self._raw_features(self.space.decode(self.space.min_genome()))
-        hi = self._raw_features(self.space.decode(self.space.max_genome()))
+        space = self.space
+        corners = [space.decode(space.min_genome()), space.decode(space.max_genome())]
+        lo, hi = self._raw_features(corners, [estimate_cost(c).total_macs for c in corners])
         span = np.where(hi - lo <= 0, 1.0, hi - lo)
         return lo, span
 
+    def _feature_matrix(
+        self, configs: Sequence[BackboneConfig], total_macs: Sequence[float]
+    ) -> np.ndarray:
+        """Normalised ``(B, 4)`` features in [0, 1] (clipped for off-space
+        configs)."""
+        lo, span = self._bounds
+        return np.clip((self._raw_features(configs, total_macs) - lo) / span, 0.0, 1.0)
+
     def _features(self, config: BackboneConfig, cost: NetworkCost | None = None) -> np.ndarray:
-        """Normalised features in [0, 1] (clipped for off-space configs).
+        """One config's normalised features.
 
         ``cost`` is the backbone's cost profile when the caller already has
         it (the static evaluator does); otherwise it is estimated here.
         """
-        lo, span = self._bounds
-        return np.clip((self._raw_features(config, cost) - lo) / span, 0.0, 1.0)
+        cost = cost if cost is not None else estimate_cost(config)
+        return self._feature_matrix([config], [cost.total_macs])[0]
 
     @staticmethod
     def _capacity(feats: np.ndarray) -> float:
-        weights = np.asarray([_W_MACS, _W_RES, _W_DEPTH, _W_EXPAND])
-        return float(weights @ feats)
+        return float(_WEIGHTS @ feats)
 
     @staticmethod
-    def _penalty(feats: np.ndarray) -> float:
-        depth_norm = feats[2]
-        width_norm = feats[0]  # log-MACs tracks width closely at fixed depth
-        return _BALANCE_PENALTY * abs(depth_norm - width_norm)
+    def _penalty(feats: np.ndarray):
+        depth_norm = feats[..., 2]
+        width_norm = feats[..., 0]  # log-MACs tracks width closely at fixed depth
+        return _BALANCE_PENALTY * np.abs(depth_norm - width_norm)
 
     def capacity_score(self, config: BackboneConfig) -> float:
         """Normalised capacity in [0, 1] (clipped for off-space configs)."""
@@ -122,18 +138,42 @@ class AccuracySurrogate:
         c0 = target0 - c1 * g0
         return c0, c1
 
+    def _noiseless(self, feats: np.ndarray) -> np.ndarray:
+        """Accuracy (%) without the residual, per row of a feature matrix.
+
+        The saturating curve and its 4-term weight dot run per row:
+        ``np.exp`` and a matrix-vector product round some inputs
+        differently from ``math.exp`` and a one-row dot, and every score
+        must equal the config's one-at-a-time value.
+        """
+        g = np.asarray([self._saturating(self._capacity(row)) for row in feats])
+        return self._c0 + self._c1 * g - self._penalty(feats)
+
     # ------------------------------------------------------------ interface
     def noiseless_accuracy(self, config: BackboneConfig, cost: NetworkCost | None = None) -> float:
         """Accuracy (%) without the per-architecture residual."""
-        feats = self._features(config, cost)
-        g = self._saturating(self._capacity(feats))
-        return self._c0 + self._c1 * g - self._penalty(feats)
+        return float(self._noiseless(self._features(config, cost)[None])[0])
+
+    def accuracy_population(
+        self, configs: Sequence[BackboneConfig], total_macs: Sequence[float]
+    ) -> np.ndarray:
+        """Predicted accuracies (%) of backbones with the given total MACs.
+
+        Each row's residual is drawn from its own ``(seed, "acc-noise",
+        key)`` stream, so a backbone scores the same in any batch.
+        """
+        noise = [
+            child_rng(self.seed, "acc-noise", config.key).normal(0.0, _NOISE_STD)
+            for config in configs
+        ]
+        noise = np.clip(noise, -2 * _NOISE_STD, 2 * _NOISE_STD)
+        noiseless = self._noiseless(self._feature_matrix(configs, total_macs))
+        return np.clip(noiseless + noise, 1.0, 99.5)
 
     def accuracy(self, config: BackboneConfig, cost: NetworkCost | None = None) -> float:
         """Predicted CIFAR-100 top-1 accuracy (%), deterministic per config."""
-        rng = child_rng(self.seed, "acc-noise", config.key)
-        noise = float(np.clip(rng.normal(0.0, _NOISE_STD), -2 * _NOISE_STD, 2 * _NOISE_STD))
-        return float(np.clip(self.noiseless_accuracy(config, cost) + noise, 1.0, 99.5))
+        cost = cost if cost is not None else estimate_cost(config)
+        return float(self.accuracy_population([config], [cost.total_macs])[0])
 
     def accuracy_fraction(self, config: BackboneConfig, cost: NetworkCost | None = None) -> float:
         """Accuracy as a fraction in [0, 1] (what the exit oracle consumes)."""

@@ -9,7 +9,8 @@ after MBConv layers) and at which the cost model operates.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
 
 from repro.utils.validation import check_positive
 
@@ -158,7 +159,21 @@ class BackboneConfig:
             f"res{self.resolution}/stem{self.stem_width}/{stage_str}/head{self.head_width}"
         )
 
-    @property
+    @cached_property
     def key(self) -> str:
-        """Stable identity string (used for caching evaluations)."""
+        """Stable identity string (used for caching evaluations).
+
+        Rendered once per instance: the config is immutable, and the key is
+        read several times per evaluation (memo, cache key, noise streams).
+        ``cached_property`` writes straight into ``__dict__``, which frozen
+        dataclasses permit; equality and hashing still see only the fields.
+        """
         return self.describe()
+
+    def __getstate__(self) -> dict:
+        # Pickles carry the fields only, as before the key was cached, so
+        # persisted entries and task payloads keep their bytes; an
+        # unpickled config renders its key again on first read.
+        state = dict(self.__dict__)
+        state.pop("key", None)
+        return state

@@ -12,8 +12,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import lru_cache
+from typing import Sequence
 
-from repro.arch.config import BackboneConfig, LayerSpec
+import numpy as np
+
+from repro.arch.config import BackboneConfig
 
 #: Bytes per element; the paper's measurements run fp32 PyTorch eager mode.
 DEFAULT_BYTES_PER_ELEMENT = 4.0
@@ -151,23 +154,45 @@ def _merge(name: str, kind: str, index: int, parts: list[LayerCost]) -> LayerCos
 
 
 @lru_cache(maxsize=1 << 14)
-def _mbconv_cost(
-    spec: LayerSpec,
+def _shape_cost(
+    kind: str,
+    in_ch: int,
+    out_ch: int,
+    kernel: int,
+    expand: int,
+    stride: int,
+    in_res: int,
     include_se: bool,
     bytes_per_element: float,
 ) -> LayerCost:
-    in_ch, out_ch = spec.in_channels, spec.out_channels
-    mid = in_ch * spec.expand
-    in_res, out_res = spec.in_resolution, spec.out_resolution
+    """Cost of one layer of a given shape, named after its kind.
+
+    Memoised per shape: the backbones of one search share most of their
+    layers, and a stage's repeated layers all share one shape.
+    """
+    out_res = max(1, in_res // stride)
+    if kind == "classifier":
+        macs = float(in_ch * out_ch)
+        params = float(in_ch * out_ch + out_ch)
+        return LayerCost(
+            kind, kind, 0, macs, params,
+            input_bytes=float(in_ch * bytes_per_element),
+            output_bytes=float(out_ch * bytes_per_element),
+            weight_bytes=float(params * bytes_per_element),
+        )
+    if kind != "mbconv":  # stem / head: one plain convolution
+        return _conv_cost(kind, kind, 0, in_ch, out_ch, kernel, in_res, out_res,
+                          bytes_per_element=bytes_per_element)
+    mid = in_ch * expand
     parts: list[LayerCost] = []
-    if spec.expand > 1:
+    if expand > 1:
         parts.append(
             _conv_cost("expand", "sub", 0, in_ch, mid, 1, in_res, in_res,
                        bytes_per_element=bytes_per_element)
         )
     parts.append(
         _conv_cost(
-            "depthwise", "sub", 0, mid, mid, spec.kernel, in_res, out_res,
+            "depthwise", "sub", 0, mid, mid, kernel, in_res, out_res,
             groups=mid, bytes_per_element=bytes_per_element,
         )
     )
@@ -187,7 +212,36 @@ def _mbconv_cost(
         _conv_cost("project", "sub", 0, mid, out_ch, 1, out_res, out_res,
                    bytes_per_element=bytes_per_element)
     )
-    return _merge(f"mbconv{spec.index}", "mbconv", spec.index, parts)
+    return _merge("mbconv", "mbconv", 0, parts)
+
+
+def _layer_runs(
+    config: BackboneConfig, include_se: bool, bytes_per_element: float
+) -> list[tuple[LayerCost, int]]:
+    """The backbone's layers as ``(cost, repeats)`` runs, one walk per stage.
+
+    Stem, then per stage its first MBConv layer (the stage's stride and
+    input width) and its ``depth - 1`` identical repeats, then head and
+    classifier: always ``2 * stages + 3`` runs, a repeat run of a depth-1
+    stage counting zero layers.  Each run is one shape lookup.
+    """
+    res = config.resolution
+    runs = [(_shape_cost("stem", 3, config.stem_width, 3, 1, 2, res,
+                         include_se, bytes_per_element), 1)]
+    res //= 2
+    channels = config.stem_width
+    for stage in config.stages:
+        runs.append((_shape_cost("mbconv", channels, stage.width, stage.kernel, stage.expand,
+                                 stage.stride, res, include_se, bytes_per_element), 1))
+        res = max(1, res // stage.stride)
+        channels = stage.width
+        runs.append((_shape_cost("mbconv", channels, channels, stage.kernel, stage.expand,
+                                 1, res, include_se, bytes_per_element), stage.depth - 1))
+    runs.append((_shape_cost("head", channels, config.head_width, 1, 1, 1, res,
+                             include_se, bytes_per_element), 1))
+    runs.append((_shape_cost("classifier", config.head_width, config.num_classes, 1, 1, 1,
+                             res, include_se, bytes_per_element), 1))
+    return runs
 
 
 def estimate_cost(
@@ -197,41 +251,94 @@ def estimate_cost(
 ) -> NetworkCost:
     """Lower a backbone config into its per-layer cost profile.
 
-    MBConv layers are costed once per distinct :class:`LayerSpec`: the
-    backbones of one search share most of their layers (a paper-budget
-    search repeats about three in four), and the frozen :class:`LayerCost`
-    is shared between their profiles.
+    Each layer shape is costed once per process (see :func:`_layer_runs`);
+    MBConv layers carry their 1-based position as ``index`` and in their
+    name, the paper's exit numbering.
     """
     cost = NetworkCost(config_key=config.key)
-    for spec in config.layers():
-        if spec.kind == "stem":
-            cost.layers.append(
-                _conv_cost("stem", "stem", 0, spec.in_channels, spec.out_channels,
-                           spec.kernel, spec.in_resolution, spec.out_resolution,
-                           bytes_per_element=bytes_per_element)
-            )
-        elif spec.kind == "mbconv":
-            cost.layers.append(_mbconv_cost(spec, include_se, bytes_per_element))
-        elif spec.kind == "head":
-            cost.layers.append(
-                _conv_cost("head", "head", 0, spec.in_channels, spec.out_channels,
-                           1, spec.in_resolution, spec.out_resolution,
-                           bytes_per_element=bytes_per_element)
-            )
-        elif spec.kind == "classifier":
-            macs = float(spec.in_channels * spec.out_channels)
-            params = float(spec.in_channels * spec.out_channels + spec.out_channels)
+    index = 0
+    for shape, repeats in _layer_runs(config, include_se, bytes_per_element):
+        if shape.kind != "mbconv":
+            cost.layers.append(shape)
+            continue
+        for _ in range(repeats):
+            index += 1
             cost.layers.append(
                 LayerCost(
-                    "classifier", "classifier", 0, macs, params,
-                    input_bytes=float(spec.in_channels * bytes_per_element),
-                    output_bytes=float(spec.out_channels * bytes_per_element),
-                    weight_bytes=float(params * bytes_per_element),
+                    f"mbconv{index}", "mbconv", index, shape.macs, shape.params,
+                    shape.input_bytes, shape.output_bytes, shape.weight_bytes,
                 )
             )
-        else:  # pragma: no cover - defensive
-            raise ValueError(f"unknown layer kind {spec.kind!r}")
     return cost
+
+
+@dataclass(frozen=True)
+class LayerTable:
+    """Per-layer MACs and DRAM traffic of ``B`` layer sequences, stacked.
+
+    Row ``i`` of the ``(B, L)`` matrices holds sequence ``i``'s first
+    ``lengths[i]`` layers in execution order and zeros after them; every
+    length is at least 1.  The roofline and energy models run one array
+    pass over the whole table (:meth:`repro.hardware.energy.EnergyModel.
+    population_report`).
+    """
+
+    macs: np.ndarray
+    traffic: np.ndarray
+    lengths: np.ndarray
+
+    @classmethod
+    def of_configs(
+        cls,
+        configs: Sequence[BackboneConfig],
+        include_se: bool = True,
+        bytes_per_element: float = DEFAULT_BYTES_PER_ELEMENT,
+    ) -> "LayerTable":
+        """The table of backbones, one row each — the values
+        :func:`estimate_cost` gives, without building its layer lists."""
+        runs = [
+            run for config in configs for run in _layer_runs(config, include_se, bytes_per_element)
+        ]
+        count = len(runs)
+        macs = np.fromiter((shape.macs for shape, _ in runs), np.float64, count)
+        traffic = np.fromiter((shape.traffic_bytes for shape, _ in runs), np.float64, count)
+        repeats = np.fromiter((times for _, times in runs), np.int64, count)
+        lengths = repeats.reshape(len(configs), -1).sum(axis=1)
+        return cls._stack(np.repeat(macs, repeats), np.repeat(traffic, repeats), lengths)
+
+    @classmethod
+    def of_layers(cls, sequences: Sequence[Sequence[LayerCost]]) -> "LayerTable":
+        """The table of explicit layer sequences, one row each."""
+        lengths = np.asarray([len(layers) for layers in sequences], dtype=np.int64)
+        layers = [layer for sequence in sequences for layer in sequence]
+        return cls._stack(
+            np.asarray([layer.macs for layer in layers], dtype=np.float64),
+            np.asarray([layer.traffic_bytes for layer in layers], dtype=np.float64),
+            lengths,
+        )
+
+    @classmethod
+    def _stack(cls, macs: np.ndarray, traffic: np.ndarray, lengths: np.ndarray) -> "LayerTable":
+        """Rows from the sequences' layers laid end to end."""
+        filled = np.arange(int(lengths.max())) < lengths[:, None]
+        padded_macs, padded_traffic = np.zeros(filled.shape), np.zeros(filled.shape)
+        # A boolean assignment fills row-major: each row takes its layers in order.
+        padded_macs[filled], padded_traffic[filled] = macs, traffic
+        return cls(padded_macs, padded_traffic, lengths)
+
+    def __len__(self) -> int:
+        return len(self.lengths)
+
+    def take(self, rows) -> "LayerTable":
+        """The sub-table of ``rows``."""
+        return LayerTable(self.macs[rows], self.traffic[rows], self.lengths[rows])
+
+    @property
+    def total_macs(self) -> np.ndarray:
+        """``(B,)`` MACs per sequence.  MACs are integer-valued floats far
+        below 2**53, so this equals :attr:`NetworkCost.total_macs` exactly,
+        whatever the summation order."""
+        return self.macs.sum(axis=1)
 
 
 def exit_branch_cost(

@@ -263,6 +263,9 @@ class ResultCache:
                         raise
                     time.sleep(0.001)
             connection.execute("PRAGMA synchronous=NORMAL")
+            # Some SQLite builds default to zeroing every freed page, which
+            # writes a deleted entry's whole payload again, through the WAL.
+            connection.execute("PRAGMA secure_delete=OFF")
             connection.execute(_SCHEMA)
             self._connections[slot] = connection
         return connection
@@ -273,9 +276,21 @@ class ResultCache:
         return [] if connection is None else connection.execute(sql, params).fetchall()
 
     def _delete(self, sql: str, params: tuple = ()) -> int:
-        """Run a ``DELETE``; how many entries it removed."""
+        """Run a ``DELETE``; how many entries it removed.
+
+        When it removed any, the freed pages go back to the file system:
+        ``VACUUM`` rewrites the database without them, and a truncating
+        checkpoint copies the rewrite into ``cache.sqlite3`` and empties the
+        WAL, so both files end at the size of what is left.
+        """
         connection = self._connection()
-        return 0 if connection is None else connection.execute(sql, params).rowcount
+        if connection is None:
+            return 0
+        removed = connection.execute(sql, params).rowcount
+        if removed:
+            connection.execute("VACUUM")
+            connection.execute("PRAGMA wal_checkpoint(TRUNCATE)")
+        return removed
 
     # ----------------------------------------------------------------- keys
     def key(self, namespace: str, **fields: Any) -> CacheKey:
@@ -528,12 +543,13 @@ class ResultCache:
         """Delete entries written under any version other than ``keep_version``.
 
         Those entries are unreachable — the version is folded into every
-        digest — so pruning drops them without affecting hit rates; their
-        pages are reused by later puts.  ``orphans=True`` also deletes the
-        older store's files (see :meth:`disk_stats`).  ``namespace`` limits
-        the sweep to that namespace's entries (the orphan sweep is skipped
-        then: those files carry no namespace to match against).  Returns the
-        number of entries and files removed.
+        digest — so pruning drops them without affecting hit rates, and
+        their space goes back to the file system (see :meth:`_delete`).
+        ``orphans=True`` also deletes the older store's files (see
+        :meth:`disk_stats`).  ``namespace`` limits the sweep to that
+        namespace's entries (the orphan sweep is skipped then: those files
+        carry no namespace to match against).  Returns the number of
+        entries and files removed.
         """
         keep = str(self.version if keep_version is None else keep_version)
         if namespace is not None:
@@ -548,7 +564,8 @@ class ResultCache:
         """Delete every entry; returns how many entries and files went.
 
         Also deletes the older store's files (see :meth:`disk_stats`) and
-        the session-stats sidecar.  ``namespace`` restricts the wipe to that
+        the session-stats sidecar; the database shrinks to what is left
+        (see :meth:`_delete`).  ``namespace`` restricts the wipe to that
         namespace's entries (e.g. drop the ``serving`` grid but keep
         ``static``/``inner``/``spec`` warm); files are left alone then.
         """

@@ -18,8 +18,9 @@ are never read; ``clear`` deletes every entry and those files.
 ``spec``, ``serving``, ``fleet``) so a single grid can be dropped or audited
 without touching warm entries of the others.  Entries that older releases
 wrote under ``oracle`` are never read any more; ``clear --namespace
-oracle`` removes them.  Removed entries free pages that later puts reuse;
-the database file does not shrink.
+oracle`` removes them.  A ``clear`` or ``prune`` that removed entries
+compacts the database, so ``cache.sqlite3`` and its WAL shrink to the size
+of what is left.
 """
 
 from __future__ import annotations

@@ -28,7 +28,6 @@ stays import-light and cycle-free):
 ======================  =====================================================
 kind                    evaluates
 ======================  =====================================================
-``static-backbone``     S(b) of one genome — OOE/NSGA-II population members
 ``inner-run``           one backbone's full IOE (oracle + (X, F) NSGA-II)
 ``platform-experiment`` one platform's HADAS + baselines study (fig5/fig6)
 ``serving-cell``        one serving-grid cell (pattern × scenario × policy)
@@ -169,23 +168,10 @@ def _static_context(platform: str, num_classes: int, seed: int, cache_dir: str |
     evaluator = StaticEvaluator(
         get_platform(platform), surrogate, seed=seed, cache=cache
     )
-    return space, surrogate, evaluator
+    return surrogate, evaluator
 
 
 # ----------------------------------------------------------- built-in kinds
-@register_task("static-backbone")
-def _static_backbone(
-    *, platform: str, num_classes: int, seed: int, genome, cache_dir: str | None = None
-):
-    """S(b) of one genome — mirrors ``_BackboneProblem.evaluate`` exactly."""
-    import numpy as np
-
-    space, _, evaluator = _static_context(platform, num_classes, seed, cache_dir)
-    config = space.decode(np.asarray(genome, dtype=np.int64))
-    static = evaluator.evaluate(config)
-    return np.asarray(static.objectives()), {"config": config, "static": static}
-
-
 @register_task("inner-run")
 def _inner_run(
     *,
@@ -205,7 +191,7 @@ def _inner_run(
     from repro.search.ioe import InnerEngine
     from repro.search.nsga2 import Nsga2Config
 
-    _, surrogate, evaluator = _static_context(platform, num_classes, seed, cache_dir)
+    surrogate, evaluator = _static_context(platform, num_classes, seed, cache_dir)
     return InnerEngine(
         config=backbone,
         static_evaluator=evaluator,

@@ -17,14 +17,16 @@ from __future__ import annotations
 import threading
 from dataclasses import dataclass
 from functools import cached_property
+from typing import Sequence
 
 from repro.accuracy.surrogate import AccuracySurrogate
 from repro.arch.config import BackboneConfig
-from repro.arch.cost import NetworkCost, estimate_cost
+from repro.arch.cost import LayerTable, NetworkCost, estimate_cost
 from repro.engine.cache import ResultCache
 from repro.hardware.dvfs import DvfsSetting, DvfsSpace
 from repro.hardware.measurement import HardwareInTheLoop
 from repro.hardware.platform import HardwarePlatform
+from repro.obs import trace
 
 #: Bump when the static evaluation semantics change; orphans persisted entries.
 STATIC_EVALUATOR_VERSION = "1"
@@ -121,30 +123,66 @@ class StaticEvaluator:
 
     def evaluate(self, config: BackboneConfig) -> StaticEvaluation:
         """S(b) at default hardware settings (cached per backbone)."""
-        if config.key in self._cache:
-            return self._cache[config.key]
-        key = self._cache_key(config) if self.result_cache is not None else None
-        if key is not None:
-            cached = self.result_cache.get(key, cls=StaticEvaluation)
-            if cached is not None:
+        return self.evaluate_population([config])[0]
+
+    def evaluate_population(self, configs: Sequence[BackboneConfig]) -> list[StaticEvaluation]:
+        """S(b) of every config, in order, at default hardware settings.
+
+        Memoised backbones return before any array work.  The others are
+        looked up in the persistent cache once per distinct key, and the
+        rest are costed, measured and scored together: one
+        :class:`~repro.arch.cost.LayerTable`, one stacked latency/energy
+        report and one feature matrix for the whole batch, with each row's
+        noise drawn from its own stream, so every S(b) equals the backbone's
+        one-at-a-time value.  Calls that reach past the memo record a
+        ``static.population`` span and count ``static.population_calls``
+        and ``static.population_rows`` (distinct backbones past the memo).
+        """
+        memo = self._cache
+        pending: dict[str, BackboneConfig] = {}
+        for config in configs:
+            if config.key not in memo:
+                pending.setdefault(config.key, config)
+        if pending:
+            with trace.span("static.population", rows=len(pending)):
+                trace.count("static.population_calls")
+                trace.count("static.population_rows", len(pending))
+                self._resolve(list(pending.values()))
+        return [memo[config.key] for config in configs]
+
+    def _resolve(self, configs: list[BackboneConfig]) -> None:
+        """Memoise S(b) of distinct, unmemoised configs."""
+        todo = []
+        for config in configs:
+            key = self._cache_key(config) if self.result_cache is not None else None
+            cached = None if key is None else self.result_cache.get(key, cls=StaticEvaluation)
+            if cached is None:
+                todo.append((config, key))
+            else:
                 self._cache[config.key] = cached
-                return cached
-        cost = self.cost(config)
-        measurement = self.hwil.measure(cost, self.default_setting)
-        evaluation = StaticEvaluation(
-            accuracy=self.surrogate.accuracy(config, cost),
-            latency_s=measurement.latency_s_mean,
-            energy_j=measurement.energy_j_mean,
+        if not todo:
+            return
+        fresh = [config for config, _ in todo]
+        table = LayerTable.of_configs(fresh)
+        measurements = self.hwil.measure_population(
+            [config.key for config in fresh], table, self.default_setting
         )
+        accuracies = self.surrogate.accuracy_population(fresh, table.total_macs.tolist())
         # Thread executors may race two workers onto the same fresh backbone;
         # both compute identical values, so insertion just needs to count once.
         with self._lock:
-            if config.key not in self._cache:
+            for (config, key), measurement, accuracy in zip(todo, measurements, accuracies.tolist()):
+                if config.key in self._cache:
+                    continue
+                evaluation = StaticEvaluation(
+                    accuracy=accuracy,
+                    latency_s=measurement.latency_s_mean,
+                    energy_j=measurement.energy_j_mean,
+                )
                 self._cache[config.key] = evaluation
                 self.num_measurements += 1
                 if key is not None:
                     self.result_cache.put(key, evaluation)
-        return self._cache[config.key]
 
     @property
     def num_evaluations(self) -> int:

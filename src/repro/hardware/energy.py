@@ -14,7 +14,7 @@ from typing import Sequence
 
 import numpy as np
 
-from repro.arch.cost import LayerCost, NetworkCost
+from repro.arch.cost import LayerCost, LayerTable, NetworkCost
 from repro.hardware.dvfs import DvfsSetting
 from repro.hardware.latency import BatchTiming, LatencyModel
 from repro.hardware.platform import HardwarePlatform
@@ -167,26 +167,33 @@ class EnergyModel:
         static = static_w * timing.total_s
         return core, mem_dyn, mem_bg, static
 
+    def population_report(self, table: LayerTable, setting: DvfsSetting) -> np.ndarray:
+        """Latency and energy of every row of a layer table at one setting.
+
+        Returns a ``(5, B)`` matrix whose rows are the :class:`EnergyReport`
+        fields in order (latency, energy, core, memory and static energy).
+        One :meth:`LatencyModel.scalar_timing` and energy-term pass covers
+        the padded table; each row's totals are read from the cumulative
+        sums at its own last layer, so padding never enters them.  A cumsum
+        adds left to right along each row, and the memory rail's two
+        per-layer terms are interleaved before summing, so each column is
+        bit-identical to a per-layer loop over that row's layers.
+        """
+        timing = self.latency.batch_timing_arrays(table.macs, table.traffic, setting)
+        core, mem_dyn, mem_bg, static = self.layer_energy_terms(timing, setting)
+        last = (np.arange(len(table)), table.lengths - 1)
+        core_j = np.cumsum(core, axis=-1)[last]
+        mem_j = interleaved_cumsum(mem_dyn, mem_bg)[last]
+        static_j = np.cumsum(static, axis=-1)[last]
+        latency_s = np.cumsum(timing.total_s, axis=-1)[last]
+        return np.stack([latency_s, core_j + mem_j + static_j, core_j, mem_j, static_j])
+
     def _accumulate(self, layers: list[LayerCost], setting: DvfsSetting) -> EnergyReport:
-        """Vectorized accumulation — one :meth:`LatencyModel.batch_timing`
-        pass instead of a per-layer Python loop; bit-identical to that loop
-        (cumsum preserves its left-to-right addition order, and the memory
-        rail's two per-layer terms are interleaved before summing)."""
+        """One layer sequence's report: a one-row :meth:`population_report`."""
         if not layers:
             return EnergyReport(0.0, 0.0, 0.0, 0.0, 0.0)
-        timing = self.latency.batch_timing(layers, setting)
-        core, mem_dyn, mem_bg, static = self.layer_energy_terms(timing, setting)
-        core_j = float(np.cumsum(core)[-1])
-        mem_j = float(interleaved_cumsum(mem_dyn, mem_bg)[-1])
-        static_j = float(np.cumsum(static)[-1])
-        latency_s = float(np.cumsum(timing.total_s)[-1])
-        return EnergyReport(
-            latency_s=latency_s,
-            energy_j=core_j + mem_j + static_j,
-            core_energy_j=core_j,
-            mem_energy_j=mem_j,
-            static_energy_j=static_j,
-        )
+        report = self.population_report(LayerTable.of_layers([layers]), setting)
+        return EnergyReport(*report[:, 0].tolist())
 
     def composite_report(self, layers: list[LayerCost], setting: DvfsSetting) -> EnergyReport:
         """Latency/energy of an arbitrary layer sequence (e.g. prefix +

@@ -11,10 +11,11 @@ queries are free — mirroring how a real measurement harness amortises cost.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 
-from repro.arch.cost import NetworkCost
+from repro.arch.cost import LayerTable, NetworkCost
 from repro.hardware.dvfs import DvfsSetting
 from repro.hardware.energy import EnergyModel
 from repro.hardware.platform import HardwarePlatform
@@ -78,27 +79,50 @@ class HardwareInTheLoop:
 
     def measure(self, cost: NetworkCost, setting: DvfsSetting) -> Measurement:
         """Measure latency/energy of a network at a DVFS setting."""
-        key = (cost.config_key, setting.core_ghz, setting.emc_ghz)
-        self.query_count += 1
-        if key in self._cache:
-            self.cache_hits += 1
-            return self._cache[key]
+        return self.measure_population(
+            [cost.config_key], LayerTable.of_layers([cost.layers]), setting
+        )[0]
 
-        report = self.model.network_report(cost, setting)
-        rng = child_rng(self.seed, "hwil", *key)
-        # Warm-up draws are consumed and discarded, like discarded runs.
-        self._noise(rng, self.warmup)
-        lat = report.latency_s * self._noise(rng, self.repeats)
-        erg = report.energy_j * self._noise(rng, self.repeats)
-        measurement = Measurement(
-            latency_s_mean=float(lat.mean()),
-            latency_s_std=float(lat.std()),
-            energy_j_mean=float(erg.mean()),
-            energy_j_std=float(erg.std()),
-            repeats=self.repeats,
-        )
-        self._cache[key] = measurement
-        return measurement
+    def measure_population(
+        self, keys: Sequence[str], table: LayerTable, setting: DvfsSetting
+    ) -> list[Measurement]:
+        """Measure every row of a layer table at one DVFS setting.
+
+        ``keys[i]`` names row ``i``'s network.  Rows already in the lookup
+        table are served from it, as are repeats of a row earlier in the
+        batch, each counted as a query and a hit; the rest are reported in
+        one :meth:`EnergyModel.population_report` pass.  Each of those rows
+        draws from its own ``(seed, "hwil", key, core, emc)`` stream: the
+        discarded warm-up runs, then ``repeats`` latency and ``repeats``
+        energy runs, as one draw of the same values in the same order.
+        """
+        point = (setting.core_ghz, setting.emc_ghz)
+        self.query_count += len(keys)
+        lookups = [(key, *point) for key in keys]
+        fresh: dict[tuple[str, float, float], int] = {}
+        for row, lookup in enumerate(lookups):
+            if lookup in self._cache or lookup in fresh:
+                self.cache_hits += 1
+            else:
+                fresh[lookup] = row
+        if fresh:
+            report = self.model.population_report(table.take(list(fresh.values())), setting)
+            warmup, repeats = self.warmup, self.repeats
+            noise = np.stack(
+                [
+                    self._noise(child_rng(self.seed, "hwil", *lookup), warmup + 2 * repeats)
+                    for lookup in fresh
+                ]
+            )[:, warmup:]
+            latency = report[0][:, None] * noise[:, :repeats]
+            energy = report[1][:, None] * noise[:, repeats:]
+            columns = zip(
+                latency.mean(axis=1).tolist(), latency.std(axis=1).tolist(),
+                energy.mean(axis=1).tolist(), energy.std(axis=1).tolist(),
+            )
+            for lookup, stats in zip(fresh, columns):
+                self._cache[lookup] = Measurement(*stats, repeats=repeats)
+        return [self._cache[lookup] for lookup in lookups]
 
     @property
     def cache_size(self) -> int:

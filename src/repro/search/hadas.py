@@ -294,8 +294,8 @@ class HadasSearch:
         The facade always builds its own surrogate/static evaluator from
         (platform, num_classes, seed), so the only obstacle to rebuilding
         them inside a worker process is a custom backbone space.  Returns
-        the ``static-backbone``/``inner-run`` spec context, or ``None`` to
-        keep closure tasks (which pickle the live evaluator graph).
+        the ``inner-run`` spec context, or ``None`` to keep closure tasks
+        (which pickle the live evaluator graph).
         """
         if injected_space is not None and (
             self._space_fingerprint
@@ -419,7 +419,6 @@ class HadasSearch:
             seed=self.config.seed,
             service=self.service,
             inner_task=self.inner_task,
-            spec_context=self._spec_context,
         )
         result = outer.run()
         return HadasResult(

@@ -60,17 +60,6 @@ class Problem:
         """
         return stack_evaluations([self.evaluate(genome) for genome in genomes])
 
-    def task_specs(self, genomes: np.ndarray):
-        """Optional codec lowering: one ``TaskSpec`` per genome, or ``None``.
-
-        Problems whose evaluation is reconstructible from slim data (see
-        :mod:`repro.engine.tasks`) return specs here so a process-pool
-        service ships data instead of pickled evaluator graphs.  The default
-        ``None`` keeps the closure path.
-        """
-        del genomes
-        return None
-
     def crossover(
         self, a: np.ndarray, b: np.ndarray, rng: np.random.Generator
     ) -> tuple[np.ndarray, np.ndarray]:  # pragma: no cover
@@ -135,15 +124,7 @@ def evaluate_genomes(
     if service is None or custom_batch:
         objectives, payloads = problem.evaluate_batch(genomes)
     else:
-        specs = problem.task_specs(genomes) if getattr(service, "prefers_specs", False) else None
-        if specs is not None:
-            # Local import keeps the generic engine decoupled from the
-            # codec for problems that never lower to specs.
-            from repro.engine.tasks import spec_task
-
-            outputs = service.evaluate_batch([spec_task(spec) for spec in specs])
-        else:
-            outputs = service.map(problem.evaluate, [(genome,) for genome in genomes])
+        outputs = service.map(problem.evaluate, [(genome,) for genome in genomes])
         objectives, payloads = stack_evaluations(outputs)
     return np.asarray(objectives, dtype=float).reshape(len(genomes), -1), payloads
 

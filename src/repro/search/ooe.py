@@ -39,45 +39,28 @@ from repro.utils.validation import check_positive
 class _BackboneProblem(Problem):
     """Backbone genome handling + static evaluation.
 
-    ``spec_context`` (platform / num_classes / seed / cache_dir) marks the
-    evaluator stack as reconstructible from data: when set and the service
-    prefers specs, population batches are lowered to ``static-backbone``
-    task specs so worker processes rebuild the evaluator instead of
-    receiving this problem's whole object graph.
+    A generation's unseen genomes are decoded and scored in one
+    :meth:`StaticEvaluator.evaluate_population` call, inline: the batch
+    hook owns its batching, so static batches never fan out to a service's
+    workers (a worker round trip costs more than the row it would score).
     """
 
-    def __init__(
-        self,
-        space: BackboneSpace,
-        evaluator: StaticEvaluator,
-        spec_context: dict | None = None,
-    ):
+    def __init__(self, space: BackboneSpace, evaluator: StaticEvaluator):
         self.space = space
         self.evaluator = evaluator
-        self.spec_context = spec_context
         self._bounds = space.gene_bounds()
 
     def sample(self, rng: np.random.Generator) -> np.ndarray:
         return self.space.sample_genome(rng)
 
-    def evaluate(self, genome: np.ndarray):
-        config = self.space.decode(genome)
-        static = self.evaluator.evaluate(config)
-        return np.asarray(static.objectives()), {"config": config, "static": static}
-
-    def task_specs(self, genomes):
-        if self.spec_context is None:
-            return None
-        from repro.engine.tasks import task_spec
-
-        return [
-            task_spec(
-                "static-backbone",
-                genome=tuple(int(gene) for gene in genome),
-                **self.spec_context,
-            )
-            for genome in genomes
+    def evaluate_batch(self, genomes: np.ndarray):
+        configs = [self.space.decode(genome) for genome in genomes]
+        statics = self.evaluator.evaluate_population(configs)
+        objectives = np.asarray([static.objectives() for static in statics], dtype=float)
+        payloads = [
+            {"config": config, "static": static} for config, static in zip(configs, statics)
         ]
+        return objectives.reshape(len(configs), 3), payloads
 
     def crossover(self, a, b, rng):
         """Uniform or two-point crossover, with even odds per pair: both run
@@ -158,18 +141,16 @@ class OuterEngine:
     ioe_candidates:
         Size of P'_B — backbones per generation granted an inner run.
     service:
-        Evaluation service carrying the executor and result cache.  Static
-        population evaluations and the generation's inner-engine runs are
-        submitted through it as batches; inner runs within a generation are
-        embarrassingly parallel (each is seeded by its backbone key), so a
-        multi-worker service overlaps them without changing any result.
+        Evaluation service carrying the executor and result cache.  Each
+        generation's inner-engine runs are submitted through it as one
+        batch; they are embarrassingly parallel (each is seeded by its
+        backbone key), so a multi-worker service overlaps them without
+        changing any result.  Static evaluation runs inline (see
+        :class:`_BackboneProblem`).
     inner_task:
         Optional factory lowering one inner run to an :class:`EvalTask`
         (the HADAS facade supplies codec-backed specs plus persistent cache
         keys here); the default wraps ``run_inner`` as a closure task.
-    spec_context:
-        Optional static-evaluation codec context forwarded to the backbone
-        problem (see :class:`_BackboneProblem`).
     """
 
     def __init__(
@@ -182,7 +163,6 @@ class OuterEngine:
         seed: int = 0,
         service: EvaluationService | None = None,
         inner_task: Callable[[BackboneConfig, StaticEvaluation], EvalTask] | None = None,
-        spec_context: dict | None = None,
     ):
         check_positive("ioe_candidates", ioe_candidates)
         self.space = space
@@ -195,7 +175,7 @@ class OuterEngine:
         self.ioe_candidates = ioe_candidates
         self.seed = seed
         self.service = service or EvaluationService()
-        self.problem = _BackboneProblem(space, evaluator, spec_context=spec_context)
+        self.problem = _BackboneProblem(space, evaluator)
 
     # ------------------------------------------------------------ internals
     def _combined_objectives(self, individual: Individual, inner: InnerResult) -> np.ndarray:

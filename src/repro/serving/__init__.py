@@ -28,150 +28,98 @@ timestamped request streams through searched designs:
 
 Entry points: ``repro serve ...`` (CLI), ``benchmarks/bench_serving.py``
 and ``benchmarks/bench_fleet.py``.
+
+Importing the package imports none of its modules: each name below loads
+its module on first access (PEP 562), so a search that only needs
+:mod:`~repro.serving.deploy` does not load the simulator, the fleet or the
+runtime.
 """
 
-from repro.serving.batcher import (
-    ADMISSION_MODES,
-    AdmissionPolicy,
-    ArrayBatcher,
-    BatchPolicy,
-)
-from repro.serving.governor import (
-    AdaptiveGovernor,
-    GovernorObservation,
-    RuntimeConfig,
-    ServingPolicy,
-    StaticPolicy,
-    plan_config_ladder,
-    static_config_for,
-)
-from repro.serving.harness import (
-    SERVING_CELL_VERSION,
-    ServingSpec,
-    ServingStack,
-    build_serving_stack,
-    build_trace_and_stream,
-    run_serving_cell,
-    sweep,
-)
-from repro.serving.deploy import (
-    DeployedDesign,
-    design_from_individual,
-    load_design,
-    save_design,
-)
-from repro.serving.fleet import (
-    FLEET_CELL_VERSION,
-    DeviceTelemetry,
-    FleetReport,
-    FleetSimulator,
-    FleetSpec,
-    build_fleet_stacks,
-    build_fleet_trace_and_stream,
-    fleet_sweep,
-    run_fleet_cell,
-)
-from repro.serving.router import (
-    ROUTER_NAMES,
-    DifficultyAwareRouter,
-    FleetRouter,
-    LeastBacklogRouter,
-    RoundRobinRouter,
-    make_router,
-)
-from repro.serving.scenarios import SCENARIO_NAMES, SCENARIOS, Scenario, get_scenario
-from repro.serving.simulator import (
-    CompiledStream,
-    ServingSimulator,
-    compile_stream,
-)
-from repro.serving.stream import LogitsSynthesizer, ServingStream
-from repro.serving.telemetry import (
-    ServingReport,
-    class_latency_stats,
-    render_comparison,
-    render_fleet_report,
-    render_report,
-    render_router_comparison,
-)
-from repro.serving.workload import (
-    BEST_EFFORT,
-    LATENCY_CRITICAL,
-    LOAD_PATTERNS,
-    SLO_CLASSES,
-    Request,
-    Trace,
-    bursty_trace,
-    diurnal_trace,
-    flash_crowd_trace,
-    make_trace,
-    poisson_trace,
-    replay_trace,
-)
+from __future__ import annotations
 
-__all__ = [
-    "ADMISSION_MODES",
-    "AdaptiveGovernor",
-    "AdmissionPolicy",
-    "ArrayBatcher",
-    "BEST_EFFORT",
-    "BatchPolicy",
-    "CompiledStream",
-    "LATENCY_CRITICAL",
-    "SLO_CLASSES",
-    "DeployedDesign",
-    "DeviceTelemetry",
-    "DifficultyAwareRouter",
-    "FLEET_CELL_VERSION",
-    "FleetReport",
-    "FleetRouter",
-    "FleetSimulator",
-    "FleetSpec",
-    "GovernorObservation",
-    "LOAD_PATTERNS",
-    "LeastBacklogRouter",
-    "ROUTER_NAMES",
-    "RoundRobinRouter",
-    "LogitsSynthesizer",
-    "Request",
-    "RuntimeConfig",
-    "SCENARIO_NAMES",
-    "SCENARIOS",
-    "SERVING_CELL_VERSION",
-    "Scenario",
-    "ServingPolicy",
-    "ServingReport",
-    "ServingSimulator",
-    "ServingSpec",
-    "ServingStack",
-    "ServingStream",
-    "StaticPolicy",
-    "Trace",
-    "build_fleet_stacks",
-    "build_fleet_trace_and_stream",
-    "build_serving_stack",
-    "build_trace_and_stream",
-    "bursty_trace",
-    "class_latency_stats",
-    "compile_stream",
-    "design_from_individual",
-    "diurnal_trace",
-    "flash_crowd_trace",
-    "fleet_sweep",
-    "get_scenario",
-    "load_design",
-    "make_router",
-    "make_trace",
-    "plan_config_ladder",
-    "poisson_trace",
-    "render_comparison",
-    "render_fleet_report",
-    "render_report",
-    "render_router_comparison",
-    "replay_trace",
-    "run_fleet_cell",
-    "run_serving_cell",
-    "save_design",
-    "static_config_for",
-    "sweep",
-]
+import importlib
+
+#: Public names by the module that defines them.
+_EXPORTS = {
+    "batcher": ("ADMISSION_MODES", "AdmissionPolicy", "ArrayBatcher", "BatchPolicy"),
+    "governor": (
+        "AdaptiveGovernor",
+        "GovernorObservation",
+        "RuntimeConfig",
+        "ServingPolicy",
+        "StaticPolicy",
+        "plan_config_ladder",
+        "static_config_for",
+    ),
+    "harness": (
+        "SERVING_CELL_VERSION",
+        "ServingSpec",
+        "ServingStack",
+        "build_serving_stack",
+        "build_trace_and_stream",
+        "run_serving_cell",
+        "sweep",
+    ),
+    "deploy": ("DeployedDesign", "design_from_individual", "load_design", "save_design"),
+    "fleet": (
+        "FLEET_CELL_VERSION",
+        "DeviceTelemetry",
+        "FleetReport",
+        "FleetSimulator",
+        "FleetSpec",
+        "build_fleet_stacks",
+        "build_fleet_trace_and_stream",
+        "fleet_sweep",
+        "run_fleet_cell",
+    ),
+    "router": (
+        "ROUTER_NAMES",
+        "DifficultyAwareRouter",
+        "FleetRouter",
+        "LeastBacklogRouter",
+        "RoundRobinRouter",
+        "make_router",
+    ),
+    "scenarios": ("SCENARIO_NAMES", "SCENARIOS", "Scenario", "get_scenario"),
+    "simulator": ("CompiledStream", "ServingSimulator", "compile_stream"),
+    "stream": ("LogitsSynthesizer", "ServingStream"),
+    "telemetry": (
+        "ServingReport",
+        "class_latency_stats",
+        "render_comparison",
+        "render_fleet_report",
+        "render_report",
+        "render_router_comparison",
+    ),
+    "workload": (
+        "BEST_EFFORT",
+        "LATENCY_CRITICAL",
+        "LOAD_PATTERNS",
+        "SLO_CLASSES",
+        "Request",
+        "Trace",
+        "bursty_trace",
+        "diurnal_trace",
+        "flash_crowd_trace",
+        "make_trace",
+        "poisson_trace",
+        "replay_trace",
+    ),
+}
+
+_ORIGIN = {name: module for module, names in _EXPORTS.items() for name in names}
+
+__all__ = sorted(_ORIGIN)
+
+
+def __getattr__(name: str):
+    module = _ORIGIN.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(f"{__name__}.{module}"), name)
+    globals()[name] = value  # later reads skip this hook
+    return value
+
+
+def __dir__() -> list[str]:
+    return sorted(set(globals()) | set(__all__))

@@ -5,6 +5,8 @@ that a production kernel in ``src/repro`` must reproduce bit for bit:
 
 * :mod:`spec.hardware` — the per-layer energy accumulation and path
   profiles the cost tables replace;
+* :mod:`spec.static` — S(b) one backbone at a time: the ``config.layers()``
+  cost walk, one measurement and one surrogate feature vector per backbone;
 * :mod:`spec.evaluation` — the per-layer, per-placement dynamic evaluation
   and oracle statistics, the unfused objectives, and the per-setting DVFS
   planner;

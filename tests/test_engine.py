@@ -709,6 +709,39 @@ class TestCacheIndexAndPrune:
         assert cache.get(key) == {"x": 2}
 
 
+class TestCacheGivesSpaceBack:
+    """A ``clear`` or ``prune`` that removes entries compacts the database:
+    neither ``cache.sqlite3`` nor its WAL keeps the deleted payloads."""
+
+    @staticmethod
+    def _fill(cache: ResultCache, count: int) -> None:
+        rng = np.random.default_rng(0)
+        for i in range(count):
+            cache.put(cache.key("spec", i=i), rng.bytes(1 << 20))
+
+    @staticmethod
+    def _sizes(cache: ResultCache) -> tuple[int, int]:
+        wal = cache.database.with_name(cache.database.name + "-wal")
+        return cache.database.stat().st_size, wal.stat().st_size if wal.exists() else 0
+
+    def test_clear_shrinks_database_and_wal(self, tmp_path):
+        cache = ResultCache(tmp_path)
+        self._fill(cache, 20)
+        assert cache.clear() == 20
+        database, wal = self._sizes(cache)
+        assert database < 1 << 20 and wal < 1 << 20
+
+    def test_prune_shrinks_to_what_is_left(self, tmp_path):
+        self._fill(ResultCache(tmp_path, version="0"), 10)
+        cache = ResultCache(tmp_path)
+        kept = cache.key("spec", i=0)
+        cache.put(kept, b"kept")
+        assert cache.prune() == 10
+        database, wal = self._sizes(cache)
+        assert database < 1 << 20 and wal < 1 << 20
+        assert cache.get(kept) == b"kept" and len(cache) == 1
+
+
 def _put_range(cache: ResultCache, tag: str, n: int, barrier=None) -> None:
     if barrier is not None:
         barrier.wait()

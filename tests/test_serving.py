@@ -780,3 +780,35 @@ class TestAdmissionAndSloClasses:
         best = report.class_stats["best_effort"]
         assert crit["num_served"] > 20 and best["num_served"] > 20
         assert crit["latency_ms_p95"] <= best["latency_ms_p95"]
+
+
+class TestLazyPackage:
+    """``repro.serving`` loads a module only when one of its names is read."""
+
+    def test_deploy_leaves_the_serving_stack_unloaded(self):
+        import os
+        import subprocess
+        import sys
+        from pathlib import Path
+
+        import repro
+
+        code = (
+            "import sys\n"
+            "from repro.search import hadas\n"
+            "import repro.serving.deploy\n"
+            "loaded = [m for m in ('repro.serving.simulator', 'repro.serving.fleet',"
+            " 'repro.runtime') if m in sys.modules]\n"
+            "assert not loaded, loaded\n"
+        )
+        src = str(Path(repro.__file__).resolve().parents[1])
+        env = {**os.environ, "PYTHONPATH": src}
+        subprocess.run([sys.executable, "-c", code], env=env, check=True, timeout=120)
+
+    def test_every_exported_name_resolves(self):
+        import repro.serving as serving
+
+        for name in serving.__all__:
+            assert getattr(serving, name) is not None
+        with pytest.raises(AttributeError):
+            serving.no_such_name  # noqa: B018

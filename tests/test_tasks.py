@@ -16,7 +16,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.accuracy.exit_model import ExitCapabilityModel
-from repro.accuracy.surrogate import AccuracySurrogate
 from repro.arch.space import BackboneSpace
 from repro.engine.executors import ProcessExecutor, is_codec_call
 from repro.engine.tasks import (
@@ -27,8 +26,6 @@ from repro.engine.tasks import (
     task_kinds,
     task_spec,
 )
-from repro.eval.static import StaticEvaluator
-from repro.hardware.platform import get_platform
 from repro.search.hadas import HadasConfig, HadasSearch
 
 SPACE = BackboneSpace()
@@ -44,7 +41,6 @@ class TestRegistry:
     def test_builtin_kinds_registered(self):
         kinds = task_kinds()
         for kind in (
-            "static-backbone",
             "inner-run",
             "platform-experiment",
             "serving-cell",
@@ -75,40 +71,27 @@ class TestRegistry:
         assert is_codec_call((task.fn, task.args))
         assert not is_codec_call((len, ((),)))
 
-    def test_specs_are_slim_pickles(self):
+    @settings(max_examples=15, deadline=None)
+    @given(space_genomes())
+    def test_specs_are_slim_pickles(self, genome):
         # The codec's raison d'être: a spec pickle is orders of magnitude
         # smaller than the evaluator graph a closure task would drag along.
+        backbone = SPACE.decode(np.asarray(genome, dtype=np.int64))
         spec = task_spec(
-            "static-backbone",
+            "inner-run",
             platform="tx2-gpu",
             num_classes=100,
             seed=0,
-            genome=tuple(int(g) for g in SPACE.sample_genome(np.random.default_rng(0))),
+            cache_dir=None,
+            backbone=backbone,
+            gamma=1.0,
+            population=50,
+            generations=10,
+            oracle_samples=4096,
+            literal_ratios=False,
+            capability_model=ExitCapabilityModel(),
         )
         assert len(pickle.dumps(spec)) < 2_000
-
-
-class TestStaticBackboneRoundTrip:
-    @settings(max_examples=15, deadline=None)
-    @given(space_genomes())
-    def test_spec_matches_direct_evaluation(self, genome):
-        surrogate = AccuracySurrogate(SPACE, seed=0)
-        evaluator = StaticEvaluator(get_platform("tx2-gpu"), surrogate, seed=0)
-        config = SPACE.decode(np.asarray(genome, dtype=np.int64))
-        direct = evaluator.evaluate(config)
-
-        objectives, payload = run_spec(
-            task_spec(
-                "static-backbone",
-                platform="tx2-gpu",
-                num_classes=SPACE.num_classes,
-                seed=0,
-                genome=genome,
-            )
-        )
-        assert payload["static"] == direct  # dataclass equality: exact floats
-        assert payload["config"] == config
-        np.testing.assert_array_equal(objectives, np.asarray(direct.objectives()))
 
 
 class TestInnerRunRoundTrip:
