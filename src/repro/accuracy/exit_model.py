@@ -36,7 +36,6 @@ copy back from the persistent result cache, let alone writing one.
 from __future__ import annotations
 
 import math
-from collections import OrderedDict
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Sequence
@@ -75,63 +74,6 @@ def _popcount_rows_native(words: np.ndarray) -> np.ndarray:
 popcount_rows = (
     _popcount_rows_native if hasattr(np, "bitwise_count") else _popcount_rows_table
 )
-
-
-class _LruCache:
-    """Bounded mapping with LRU eviction and hit/miss/evict counters.
-
-    Holds the oracle's per-placement statistics memo, bounded because
-    day-long sweeps stream millions of distinct placements through one
-    oracle.  The cap is documented at the construction site; the counters
-    feed ``memo_stats()``.
-    """
-
-    __slots__ = ("maxsize", "hits", "misses", "evictions", "_data")
-
-    def __init__(self, maxsize: int):
-        check_positive("maxsize", maxsize)
-        self.maxsize = maxsize
-        self.hits = 0
-        self.misses = 0
-        self.evictions = 0
-        self._data: OrderedDict = OrderedDict()
-
-    def __len__(self) -> int:
-        return len(self._data)
-
-    def __contains__(self, key) -> bool:
-        return key in self._data
-
-    def get(self, key):
-        """Counted lookup; refreshes recency on hit, returns None on miss."""
-        data = self._data
-        value = data.get(key)
-        if value is None:
-            self.misses += 1
-            return None
-        data.move_to_end(key)
-        self.hits += 1
-        return value
-
-    def put(self, key, value) -> None:
-        data = self._data
-        if key in data:
-            data[key] = value
-            data.move_to_end(key)
-            return
-        data[key] = value
-        if len(data) > self.maxsize:
-            data.popitem(last=False)
-            self.evictions += 1
-
-    def stats(self) -> dict[str, int]:
-        return {
-            "size": len(self._data),
-            "maxsize": self.maxsize,
-            "hits": self.hits,
-            "misses": self.misses,
-            "evictions": self.evictions,
-        }
 
 
 @dataclass(frozen=True)
@@ -232,11 +174,12 @@ class BackboneExitOracle:
         Capability model and sample-difficulty distribution.
     n_samples:
         Monte-Carlo population size (2048 keeps N_i std below 1 point).
-    stats_memo_size:
-        LRU cap of :meth:`evaluate_placement`'s :class:`ExitEvaluation` memo.  The
-        default (64 Ki evaluations) covers any single search many times
-        over while bounding day-long grid sweeps; eviction counts are
-        visible in :meth:`memo_stats`.
+
+    :meth:`evaluate_placement` memoises one :class:`ExitEvaluation` per
+    placement in a plain dict.  Its callers (the scalar dynamic evaluation
+    and the runtime DVFS planner) see a few placements per backbone;
+    populations and grid sweeps go through :meth:`evaluate_placements`,
+    which never touches the memo.
     """
 
     def __init__(
@@ -248,7 +191,6 @@ class BackboneExitOracle:
         difficulty: DifficultyDistribution | None = None,
         n_samples: int = 2048,
         seed: int = 0,
-        stats_memo_size: int = 65536,
     ):
         check_probability("backbone_accuracy", backbone_accuracy)
         check_positive("n_samples", n_samples)
@@ -265,7 +207,7 @@ class BackboneExitOracle:
         self._latent = gp_rng.normal(0.0, 1.0, size=(n_samples, self.model.num_basis))
         self._columns: dict[int | str, np.ndarray] = {}
         self._pert_matrix: np.ndarray | None = None
-        self._stats = _LruCache(stats_memo_size)
+        self._stats: dict[tuple[int, ...], ExitEvaluation] = {}
         # Column bank: row p packs position p's column into zero-padded
         # uint64 words, row 0 stays all-zero (the pad sentinel) and the last
         # row is the final classifier; rows fill on first use.
@@ -355,10 +297,10 @@ class BackboneExitOracle:
                 f"placement assumes {placement.total_layers} layers, oracle has "
                 f"{self.total_layers}"
             )
-        stats = self._stats.get(placement.positions)
+        positions = placement.positions
+        stats = self._stats.get(positions)
         if stats is None:
-            stats = self._assemble_stats(placement.positions)
-            self._stats.put(placement.positions, stats)
+            stats = self._stats[positions] = self._assemble_stats(positions)
         return stats
 
     def evaluate_placements(
@@ -440,10 +382,6 @@ class BackboneExitOracle:
             final_count=int(self._bank_counts[-1]),
             n_samples=n,
         )
-
-    def memo_stats(self) -> dict[str, dict[str, int]]:
-        """Hit/miss/evict counters of the per-placement statistics memo."""
-        return {"stats": self._stats.stats()}
 
     def _assemble_stats(self, positions: tuple[int, ...]) -> ExitEvaluation:
         """One placement's :class:`ExitEvaluation` from the column bank.

@@ -229,9 +229,9 @@ def _serving_cell(*, spec):
 
 @register_task("fleet-cell")
 def _fleet_cell(*, spec):
-    # ``spec.engine`` / ``spec.steal`` ride the FleetSpec into the cache key
-    # (FLEET_CELL_VERSION separates the dispatch-core generations), so both
-    # engines and steal variants cache as distinct cells.
+    # Every FleetSpec field (``steal`` among them) rides into the cache key
+    # (FLEET_CELL_VERSION separates the dispatch-core generations), so steal
+    # variants cache as distinct cells.
     from repro.serving.fleet import run_fleet_cell
 
     return run_fleet_cell(spec)

@@ -234,7 +234,7 @@ class DynamicEvaluator:
         self.bank = CostTableBank(
             self.energy_model, self.cost, branch_provider=self._branch_items
         )
-        self.population = PopulationKernel(self.bank, self.branch_cost)
+        self.population = PopulationKernel(self.bank)
 
     def _branch_items(self) -> list[tuple[int, LayerCost]]:
         """(position, branch cost) for every legal exit position."""
@@ -257,16 +257,13 @@ class DynamicEvaluator:
         """Vectorized per-exit and full-path costs from the table bank.
 
         O(exits) array work: cumulative-sum gathers at the prefix indices
-        plus one cached scalar bundle per traversed branch — no per-layer
-        iteration at all once the bank's grid exists.  The grid is built
-        with every legal exit branch's scalars in its single batched pass,
-        so later placements never re-enter the timing kernel.
+        plus one precomputed scalar bundle per traversed branch — no
+        per-layer iteration at all once the bank's grid exists.  The grid is
+        built with every legal exit branch's scalars in its single batched
+        pass, so later placements never re-enter the timing kernel.
         """
-        table = self.bank.table(setting)
-        branches = [self.branch_cost(p) for p in positions]
-        exit_energy, exit_latency = table.exit_path_costs(positions, branches)
-        full_energy, full_latency = table.full_path_cost(positions, branches)
-        return exit_energy, exit_latency, full_energy, full_latency
+        energy, latency = self.bank.table(setting).path_costs(positions)
+        return energy[:-1], latency[:-1], float(energy[-1]), float(latency[-1])
 
     def evaluate(self, placement: ExitPlacement, setting: DvfsSetting) -> DynamicEvaluation:
         """Full dynamic evaluation of (x, f | b) (cached)."""

@@ -207,17 +207,3 @@ class EnergyModel:
     def network_energy_j(self, cost: NetworkCost, setting: DvfsSetting) -> float:
         """Full-network energy (J)."""
         return self.network_report(cost, setting).energy_j
-
-    def prefix_report(
-        self,
-        cost: NetworkCost,
-        position: int,
-        setting: DvfsSetting,
-        exit_layer: LayerCost | None = None,
-    ) -> EnergyReport:
-        """Latency/energy of the backbone prefix up to MBConv ``position``
-        plus an optional exit branch — E_{x_i, f} and L_{x_i, f} of eq. 6."""
-        layers = list(cost.prefix(position))
-        if exit_layer is not None:
-            layers.append(exit_layer)
-        return self._accumulate(layers, setting)

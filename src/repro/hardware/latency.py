@@ -214,20 +214,3 @@ class LatencyModel:
     def network_latency_s(self, cost: NetworkCost, setting: DvfsSetting) -> float:
         """End-to-end single-image latency (seconds)."""
         return sum(t.total_s for t in self.timings(cost, setting))
-
-    def prefix_latency_s(
-        self,
-        cost: NetworkCost,
-        position: int,
-        setting: DvfsSetting,
-        exit_layer: LayerCost | None = None,
-    ) -> float:
-        """Latency of executing up to MBConv ``position`` plus an exit branch.
-
-        This is the early-exit latency L_{x_i, f} of paper eq. 6: the shared
-        backbone prefix, plus the exit branch itself when provided.
-        """
-        total = sum(self.layer_timing(layer, setting).total_s for layer in cost.prefix(position))
-        if exit_layer is not None:
-            total += self.layer_timing(exit_layer, setting).total_s
-        return total

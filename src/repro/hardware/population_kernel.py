@@ -12,9 +12,9 @@ layer) grid at the flat index ``setting_row · L + prefix``, plus ``E_max``
 broadcast column additions, independent of N.
 
 Bit-identity contract (same as every kernel in this repo): the stacked path
-costs equal :meth:`SettingCostTable.exit_path_costs` /
-:meth:`~SettingCostTable.full_path_cost` — and therefore the per-layer
-loop of ``tests/spec/evaluation.py`` — bit for bit, for every row:
+costs equal :meth:`SettingCostTable.path_costs` — and therefore the
+per-layer loop of ``tests/spec/evaluation.py`` — bit for bit, for every
+row:
 
 * Row ``n``'s gathered prefix values are the same cumulative-array elements
   the per-placement kernel reads from its setting's table.
@@ -38,11 +38,10 @@ exactly the elementwise work.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
-from repro.arch.cost import LayerCost
 from repro.exits.evaluation import PopulationExitStats
 from repro.exits.placement import position_matrix
 from repro.hardware.cost_table import CostTableBank
@@ -104,13 +103,11 @@ class PopulationKernel:
     One kernel hangs off a :class:`~repro.eval.dynamic.DynamicEvaluator`
     (same lifetime as its bank); :meth:`path_costs` is the stable entry
     point the evaluator, the IOE batch hook, the exhaustive-grid sweeps and
-    the runtime DVFS planners all call.  ``branch_cost(position)`` supplies the branch layer of any
-    position whose column the bank has not filled yet.
+    the runtime DVFS planners all call.
     """
 
-    def __init__(self, bank: CostTableBank, branch_cost: Callable[[int], LayerCost]):
+    def __init__(self, bank: CostTableBank):
         self._bank = bank
-        self._branch_cost = branch_cost
 
     def path_costs(
         self,
@@ -125,12 +122,14 @@ class PopulationKernel:
         One ``(N, E_max)`` gather over the bank's stacked grid at the flat
         index ``setting_row · L + prefix``, then one broadcast column
         addition per exit slot — total work O(N · E_max) array elements
-        with no per-placement Python loop over branches.
+        with no per-placement Python loop over branches.  A setting off
+        the platform's grid or a position without an exit branch raises
+        ``ValueError``.
         """
         positions, widths = position_matrix(position_lists)
         e_max = positions.shape[1]
         bank = self._bank
-        grid, rows = bank.rows(settings, positions, self._branch_cost)
+        grid, rows = bank.rows(settings, positions)
         cum, branch = grid.cum, grid.branch
 
         layers = cum["total"].shape[1]

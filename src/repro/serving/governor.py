@@ -189,15 +189,10 @@ def _profiles_for(
     one table per distinct setting).
     """
     positions = placement.positions
-    branches = [evaluator.branch_cost(p) for p in positions]
-    profiles = []
-    for index in range(len(positions) + 1):
-        table = evaluator.bank.table(governor.setting_for(index))
-        if index < len(positions):
-            profiles.append(table.exit_path_profile(positions, branches, index))
-        else:
-            profiles.append(table.full_path_profile(positions, branches))
-    return profiles
+    return [
+        evaluator.bank.table(governor.setting_for(index)).path_profile(positions, index)
+        for index in range(len(positions) + 1)
+    ]
 
 
 def _expected_usage(

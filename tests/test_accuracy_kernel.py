@@ -5,14 +5,14 @@ ideal-mapping statistics to one dense sweep over the oracle's packed column
 bank.  Its contract is absolute: every field of every
 :class:`ExitEvaluation` row it returns equals the per-placement popcount
 loop *bit for bit* — across sample counts with partial last bytes and
-words, population sizes (N=1, duplicates, one to every exit), consecutive
-batches sharing prefixes and LRU eviction pressure — so search
-trajectories and golden artifacts are unchanged no matter which kernel
-produced them.  Alongside it: both row-popcount branches, the lazily
-filled bank, the stacked :class:`PopulationExitStats` rows, the dynamic
-evaluator's objective matrix and rows built on first read,
-``evaluate_generation`` ordering, and the equivalence of whole search
-engines (IOE, random search) with the spec comparators.
+words, population sizes (N=1, duplicates, one to every exit) and
+consecutive batches sharing prefixes — so search trajectories and golden
+artifacts are unchanged no matter which kernel produced them.  Alongside
+it: both row-popcount branches, the lazily filled bank, the stacked
+:class:`PopulationExitStats` rows, the dynamic evaluator's objective
+matrix and rows built on first read, ``evaluate_generation`` ordering, and
+the equivalence of whole search engines (IOE, random search) with the spec
+comparators.
 """
 
 from __future__ import annotations
@@ -23,7 +23,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.accuracy import exit_model
-from repro.accuracy.exit_model import BackboneExitOracle, _LruCache
+from repro.accuracy.exit_model import BackboneExitOracle
 from repro.arch.cost import estimate_cost
 from repro.baselines.attentivenas import attentivenas_model
 from repro.eval.dynamic import DynamicEvaluator
@@ -84,26 +84,6 @@ def _assert_stats_identical(got, want):
     assert np.array_equal(head_g, head_w) and tail_g == tail_w
 
 
-class TestLruCache:
-    def test_eviction_order_and_counters(self):
-        cache = _LruCache(2)
-        cache.put("a", 1)
-        cache.put("b", 2)
-        assert cache.get("a") == 1  # refreshes "a"
-        cache.put("c", 3)  # evicts "b" (least recent)
-        assert cache.get("b") is None
-        assert cache.get("a") == 1 and cache.get("c") == 3
-        stats = cache.stats()
-        assert stats["evictions"] == 1
-        assert stats["hits"] == 3 and stats["misses"] == 1
-        assert stats["size"] == 2 and stats["maxsize"] == 2
-
-    def test_stores_falsy_values(self):
-        cache = _LruCache(4)
-        cache.put("zero", 0)
-        assert cache.get("zero") == 0
-
-
 class TestBatchedOracleBitIdentity:
     """evaluate_placements == [evaluate_placement(p) ...], bitwise."""
 
@@ -149,40 +129,6 @@ class TestBatchedOracleBitIdentity:
         single = batched.evaluate_placement(placement)
         _assert_stats_identical(a, single)
         assert batched.evaluate_placement(placement) is single
-
-    @settings(max_examples=15, deadline=None)
-    @given(placements=_placements_strategy())
-    def test_identical_under_lru_eviction(self, placements):
-        """A tiny memo cap forces constant eviction of the per-placement
-        memo; results must not change (entries rebuild from the packed
-        columns), on either path."""
-        tiny = _oracle(stats_memo_size=2)
-        reference = _reference_oracle()
-        got = tiny.evaluate_placements(placements)
-        for g, placement in zip(got, placements):
-            want = reference.evaluate_placement(placement)
-            _assert_stats_identical(g, want)
-            _assert_stats_identical(tiny.evaluate_placement(placement), want)
-
-    def test_eviction_counter_visible(self):
-        tiny = _oracle(stats_memo_size=2)
-        placements = [
-            _placement([p, p + 2]) for p in range(MIN_EXIT_POSITION, _LAYERS - 2)
-        ]
-        for placement in placements:
-            tiny.evaluate_placement(placement)
-        stats = tiny.memo_stats()
-        assert stats["stats"]["evictions"] > 0
-        assert stats["stats"]["size"] <= 2
-
-    def test_memo_stats_shape(self):
-        oracle = _oracle()
-        oracle.evaluate_placement(_placement([6, 9]))
-        stats = oracle.memo_stats()
-        assert set(stats) == {"stats"}
-        for key in ("size", "maxsize", "hits", "misses", "evictions"):
-            assert isinstance(stats["stats"][key], int)
-        assert stats["stats"]["misses"] == 1 and stats["stats"]["size"] == 1
 
     def test_layer_mismatch_rejected(self):
         oracle = _oracle()

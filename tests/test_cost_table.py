@@ -124,7 +124,7 @@ class TestSettingCostTable:
         reference loop's report of that prefix."""
         ctx = _context(platform_key)
         cost, model, dvfs = ctx["cost"], ctx["model"], ctx["dvfs"]
-        bank = CostTableBank(model, cost)
+        bank = CostTableBank(model, cost, ctx["vectorized"]._branch_items)
         rng = np.random.default_rng(3)
         settings_list = [dvfs.sample(rng) for _ in range(3)]
         grid, rows = bank.rows(settings_list)
@@ -143,21 +143,15 @@ class TestSettingCostTable:
         loop's full-network report."""
         ctx = _context(platform_key)
         setting = ctx["dvfs"].default_setting()
-        bank = CostTableBank(ctx["model"], ctx["cost"])
+        bank = CostTableBank(ctx["model"], ctx["cost"], ctx["vectorized"]._branch_items)
         grid, (row,) = bank.rows([setting])
         assert _grid_report(grid, row, len(ctx["cost"].layers) - 1) == _report_fields(
             spec_hardware.composite_report(ctx["model"], ctx["cost"].layers, setting)
         )
 
-    def test_branch_terms_cached_per_position(self):
-        ctx = _context("tx2-gpu")
-        table = ctx["vectorized"].bank.table(ctx["dvfs"].default_setting())
-        branch = ctx["vectorized"].branch_cost(6)
-        assert table.branch_terms(6, branch) is table.branch_terms(6, branch)
-
     def test_bank_shares_tables_across_placements(self):
         ctx = _context("tx2-gpu")
-        bank = CostTableBank(ctx["model"], ctx["cost"])
+        bank = CostTableBank(ctx["model"], ctx["cost"], ctx["vectorized"]._branch_items)
         a = ctx["dvfs"].decode(0, 0)
         b = ctx["dvfs"].decode(1, 0)
         assert bank.table(a) is bank.table(a)

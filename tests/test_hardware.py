@@ -215,14 +215,6 @@ class TestLatencyModel:
         total = model.network_latency_s(cost, setting)
         assert total == pytest.approx(sum(t.total_s for t in model.timings(cost, setting)))
 
-    def test_prefix_latency_less_than_full(self, tx2_gpu):
-        model = LatencyModel(tx2_gpu)
-        config = attentivenas_model("a0")
-        cost = estimate_cost(config)
-        setting = DvfsSetting(1.4, 1.8)
-        prefix = model.prefix_latency_s(cost, 5, setting)
-        assert prefix < model.network_latency_s(cost, setting)
-
     def test_activity_fractions_bounded(self, tx2_gpu):
         model = LatencyModel(tx2_gpu)
         for macs, traffic in [(1e9, 1e3), (1e3, 1e9), (1e6, 1e6)]:

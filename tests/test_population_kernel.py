@@ -9,17 +9,20 @@ returns equals the per-pair ``evaluate`` loop *bit for bit*, and every
 objective row the per-exit means of that evaluation
 (``spec.evaluation.scalar_objectives``), across population sizes
 (including N=1 and duplicate genomes), one to every exit, random
-placements, random and off-grid settings — so search trajectories, caches
-and golden artifacts are unchanged no matter which kernel produced
-them.  Every grid row also equals the per-setting table the bank used to
-build one setting at a time (:func:`_per_setting_table`, kept here as the
+placements and random settings — so search trajectories, caches and
+golden artifacts are unchanged no matter which kernel produced them.
+Every grid row also equals the per-setting table the bank used to build
+one setting at a time (:func:`_per_setting_table`, kept here as the
 spec).  Alongside it: the thread-safety of the shared
-:class:`CostTableBank`, the table-backed runtime planner/serving-profile
-paths, and the exhaustive DVFS grids built in one population call.
+:class:`CostTableBank`, its rejection of settings off the platform's grid
+and of positions without an exit branch, the table-backed runtime
+planner/serving-profile paths, and the exhaustive DVFS grids built in one
+population call.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import sys
 import threading
 
@@ -41,9 +44,6 @@ from repro.obs import trace
 from spec import evaluation as spec_evaluation
 
 PLATFORM_KEYS = ("tx2-gpu", "carmel-cpu")
-
-#: A setting off both platforms' core × EMC grids (inside their ranges).
-OFF_GRID = DvfsSetting(0.7777, 1.2345)
 
 _CONTEXTS: dict[str, dict] = {}
 
@@ -290,7 +290,7 @@ class TestGenerationBitIdentity:
                 unique=True,
             )
         )
-        choices = ctx["settings"] + [OFF_GRID]
+        choices = ctx["settings"]
         rows = data.draw(
             st.lists(
                 st.tuples(
@@ -307,9 +307,9 @@ class TestGenerationBitIdentity:
 
     @pytest.mark.parametrize("platform_key", PLATFORM_KEYS)
     def test_explicit_generation_shapes(self, platform_key):
-        """N=1, duplicate pairs, one placement at every grid setting, an
-        off-grid row, and rows of >= 8 exits (past numpy's pairwise
-        unroll) beside narrow ones."""
+        """N=1, duplicate pairs, one placement at every grid setting, and
+        rows of >= 8 exits (past numpy's pairwise unroll) beside narrow
+        ones."""
         ctx = _context(platform_key)
         total_layers = ctx["config"].total_mbconv_layers
         grid = ctx["settings"]
@@ -324,7 +324,7 @@ class TestGenerationBitIdentity:
         _assert_evaluations_identical(duplicates[0], duplicates[2])
         assert duplicates[0].setting != duplicates[3].setting
         self._check(ctx, [(wide, setting) for setting in grid])
-        self._check(ctx, [(narrow, OFF_GRID), (wide, grid[-1]), (narrow, grid[-1])], 3)
+        self._check(ctx, [(wide, grid[-1]), (narrow, grid[-1])])
 
     def test_traced_ioe_makes_one_population_call_per_generation(
         self, static_evaluator, surrogate
@@ -357,69 +357,79 @@ class TestGenerationBitIdentity:
 class TestStackedGrid:
     @pytest.mark.parametrize("platform_key", PLATFORM_KEYS)
     def test_every_row_matches_per_setting_spec(self, platform_key):
-        """Every grid row — on-grid settings, an appended off-grid row and
-        lazily filled branch columns included — equals the per-setting
-        spec, and ``bank.table`` views read the same bits."""
+        """The grid holds one row per setting of the platform's grid and a
+        branch column per legal exit position; every row equals the
+        per-setting spec, and the ``bank.table`` views read the same bits."""
         ctx = _context(platform_key)
         evaluator = DynamicEvaluator(**ctx["kwargs"])
         bank = evaluator.bank
-        total_layers = ctx["config"].total_mbconv_layers
-        outside = [2, 3]  # before the first legal exit: filled on request
-        settings_list = ctx["settings"] + [OFF_GRID]
-        grid, rows = bank.rows(settings_list, np.asarray(outside), evaluator.branch_cost)
-        assert len(grid.settings) == len(settings_list)
-        branch_items = [
-            (p, evaluator.branch_cost(p))
-            for p in outside + list(range(MIN_EXIT_POSITION, total_layers + 1))
-        ]
+        legal = list(range(MIN_EXIT_POSITION, ctx["config"].total_mbconv_layers + 1))
+        grid, rows = bank.rows(ctx["settings"], np.asarray(legal))
+        assert grid.settings == ctx["settings"]
+        assert rows.tolist() == list(range(len(ctx["settings"])))
+        assert np.flatnonzero(grid.branched).tolist() == [0, *legal]
         assert not grid.branch["total_s"][:, 0].any()  # the padding sentinel
-        for setting, row in zip(settings_list, rows.tolist()):
+        branch_items = [(p, evaluator.branch_cost(p)) for p in legal]
+        for setting, row in zip(ctx["settings"], rows.tolist()):
             cum, branch, passive = _per_setting_table(
                 ctx["model"], ctx["cost"], setting, branch_items
             )
             for name, values in cum.items():
                 assert np.array_equal(grid.cum[name][row], values), name
+            table = bank.table(setting)
             for position, terms in branch.items():
                 for name, value in terms.items():
                     assert grid.branch[name][row, position] == value, (position, name)
+                assert dataclasses.asdict(table._branch[position]) == terms
             assert grid.passive_power_w[row] == passive
-            table = bank.table(setting)
             assert np.array_equal(table.cum_mem, cum["mem"])
             assert np.array_equal(table.cum_dynamic, cum["dynamic"])
             assert table.passive_power_w == passive
-            assert table.branch_terms(2, evaluator.branch_cost(2)).core_j == (
-                branch[2]["core_j"]
-            )
 
-    def test_positions_outside_provider_range_still_evaluate(self):
-        """Kernel rows may name positions the branch provider skipped: their
-        columns are filled on first use and cost like the reference loop."""
-        ctx = _context("carmel-cpu")
+    def test_rejects_off_grid_settings_and_branchless_positions(self):
+        """A setting off the platform's core × EMC grid and a position
+        without an exit branch raise ``ValueError`` at the population
+        kernel and at ``CostTableBank.table``, instead of being costed."""
+        ctx = _context("tx2-gpu")
         evaluator = DynamicEvaluator(**ctx["kwargs"])
-        position_lists = [(1, 4, 9), (2,), (3, MIN_EXIT_POSITION)]
-        settings_list = [ctx["settings"][7], OFF_GRID, ctx["settings"][7]]
-        costs = evaluator.population.path_costs(position_lists, settings_list)
-        for row, (positions, setting) in enumerate(zip(position_lists, settings_list)):
-            energy, latency = costs.row(row)
-            want = spec_evaluation.path_costs(ctx["reference"], positions, setting)
-            assert np.array_equal(energy, want[0])
-            assert np.array_equal(latency, want[1])
-            assert costs.full_energy_j[row] == want[2]
-            assert costs.full_latency_s[row] == want[3]
+        kernel, bank = evaluator.population, evaluator.bank
+        on_grid = ctx["dvfs"].default_setting()
+        off_grid = DvfsSetting(0.7777, 1.2345)
+        with pytest.raises(ValueError, match="not on the tx2-gpu DVFS grid"):
+            kernel.path_costs([(MIN_EXIT_POSITION,)] * 2, [on_grid, off_grid])
+        with pytest.raises(ValueError, match="not on the tx2-gpu DVFS grid"):
+            bank.table(off_grid)
+        total_layers = ctx["config"].total_mbconv_layers
+        for position in (2, MIN_EXIT_POSITION - 1, total_layers + 1):
+            positions = (position, MIN_EXIT_POSITION + 1)
+            with pytest.raises(ValueError, match=f"no exit branch at position {position}"):
+                kernel.path_costs([(MIN_EXIT_POSITION,), positions], [on_grid] * 2)
+            table = bank.table(on_grid)
+            with pytest.raises(ValueError, match=f"no exit branch at position {position}"):
+                table.path_costs(positions)
+            with pytest.raises(ValueError):
+                table.path_profile(positions, len(positions))
+        assert len(bank) == 1
 
     def test_concurrent_first_use_builds_each_row_once(self):
-        """Eight threads race the grid build, off-grid rows and unfilled
-        branch columns under a tiny switch interval: each gets the serial
-        costs, and the shared grid holds every setting exactly once."""
+        """Eight threads race the one grid build under a tiny switch
+        interval, each with its own grid settings: each gets the serial
+        costs, and the shared grid, built once, holds exactly the
+        platform's settings."""
+        from repro.obs.trace import Recorder
+
         ctx = _context("tx2-gpu")
         shared = DynamicEvaluator(**ctx["kwargs"])
-        off_grid = [DvfsSetting(0.5 + 0.01 * k, 1.2345) for k in range(4)]
-        position_lists = [(1, 6), (2, 7, 9), (3,), (4, MIN_EXIT_POSITION)]
+        total_layers = ctx["config"].total_mbconv_layers
+        position_lists = [
+            (MIN_EXIT_POSITION, 6),
+            (7, 9, 11),
+            (MIN_EXIT_POSITION + 3,),
+            (8, total_layers - 1),
+        ]
+        grid_settings = ctx["settings"]
         jobs = [
-            [
-                off_grid[(t + k) % 4] if k % 2 else ctx["settings"][t * 7 + k]
-                for k in range(4)
-            ]
+            [grid_settings[(t * 17 + k * 5) % len(grid_settings)] for k in range(4)]
             for t in range(8)
         ]
         expected = [
@@ -433,8 +443,10 @@ class TestStackedGrid:
             barrier.wait()
             results[slot] = shared.population.path_costs(position_lists, jobs[slot])
 
+        recorder = Recorder()
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
+        trace.install(recorder)
         try:
             threads = [
                 threading.Thread(target=run, args=(slot,)) for slot in range(len(jobs))
@@ -444,21 +456,23 @@ class TestStackedGrid:
             for thread in threads:
                 thread.join(timeout=60)
         finally:
+            trace.uninstall()
             sys.setswitchinterval(interval)
         assert not any(thread.is_alive() for thread in threads)
         for got, want in zip(results, expected):
             assert np.array_equal(got.exit_energy_j, want.exit_energy_j)
             assert np.array_equal(got.exit_latency_s, want.exit_latency_s)
             assert np.array_equal(got.full_energy_j, want.full_energy_j)
+        assert recorder.counters["cost_table.builds"] == 1
         grid, _ = shared.bank.rows([])
-        assert len(grid.settings) == len(ctx["settings"]) + len(off_grid)
-        assert len(grid.rows) == len(grid.settings)
+        assert grid.settings == grid_settings
+        assert len(grid.rows) == len(grid_settings)
 
 
 class TestCostTableBankThreadSafety:
     def test_racing_builders_share_one_table(self):
         ctx = _context("tx2-gpu")
-        bank = CostTableBank(ctx["model"], ctx["cost"])
+        bank = CostTableBank(ctx["model"], ctx["cost"], ctx["population"]._branch_items)
         setting = ctx["dvfs"].default_setting()
         n_threads = 8
         barrier = threading.Barrier(n_threads)
@@ -480,7 +494,7 @@ class TestCostTableBankThreadSafety:
 
     def test_distinct_settings_race_to_distinct_tables(self):
         ctx = _context("tx2-gpu")
-        bank = CostTableBank(ctx["model"], ctx["cost"])
+        bank = CostTableBank(ctx["model"], ctx["cost"], ctx["population"]._branch_items)
         rng = np.random.default_rng(3)
         settings_pair = [ctx["dvfs"].default_setting(), ctx["dvfs"].sample(rng)]
         assert settings_pair[0] != settings_pair[1]
