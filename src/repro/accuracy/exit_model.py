@@ -362,7 +362,8 @@ class BackboneExitOracle:
         """
         n = self.n_samples
         bank = self._bank
-        self._fill_bank(np.unique(index).tolist() + [len(bank) - 1])
+        # Distinct positions ascending, as np.unique lists them: no sort, no numpy.ma import.
+        self._fill_bank(np.flatnonzero(np.bincount(index.ravel())).tolist() + [len(bank) - 1])
 
         remaining = np.full((len(index), bank.shape[1]), ~np.uint64(0), dtype=np.uint64)
         union = np.zeros_like(remaining)

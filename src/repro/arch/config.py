@@ -143,13 +143,6 @@ class BackboneConfig:
                 return spec.out_channels
         raise AssertionError("unreachable")
 
-    def resolution_at_layer(self, position: int) -> int:
-        """Spatial resolution of the feature map after MBConv ``position``."""
-        for spec in self.layers():
-            if spec.kind == "mbconv" and spec.index == position:
-                return spec.out_resolution
-        raise ValueError(f"no MBConv layer at position {position}")
-
     def describe(self) -> str:
         """One-line human summary."""
         stage_str = "-".join(

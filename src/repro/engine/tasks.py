@@ -49,7 +49,8 @@ from typing import Any, Callable
 #: NSGA-II variation's trajectories.  "3": results that embed an
 #: ``InnerResult`` (``platform-experiment``) carry its new layout.  "4":
 #: ``platform-experiment`` results hold no live search or static evaluator.
-TASK_CODEC_VERSION = "4"
+#: "5": the ``InnerResult``s they embed are folded (no evaluation table).
+TASK_CODEC_VERSION = "5"
 
 _REGISTRY: dict[str, Callable[..., Any]] = {}
 

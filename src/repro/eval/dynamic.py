@@ -22,7 +22,7 @@ reading; documented in DESIGN.md).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field, fields, replace
 from typing import Sequence
 
 import numpy as np
@@ -77,6 +77,18 @@ class DynamicEvaluation:
     def mean_n_i(self) -> float:
         return self.exit_stats.mean_n_i
 
+    def owned(self) -> DynamicEvaluation:
+        """This evaluation built, its arrays copied out of any generation block."""
+        stats = self.exit_stats
+        n_i, usage = stats.n_i.copy(), stats.usage.copy()
+        return replace(
+            self,
+            exit_stats=ExitEvaluation(n_i, stats.final_accuracy, stats.dynamic_accuracy, usage),
+            exit_energy_j=self.exit_energy_j.copy(),
+            exit_latency_s=self.exit_latency_s.copy(),
+            scores=self.scores.copy(),
+        )
+
     @property
     def dynamic_accuracy(self) -> float:
         """Union accuracy (fraction) under ideal mapping."""
@@ -91,13 +103,15 @@ class DynamicGeneration:
 
     What :meth:`DynamicEvaluator.evaluate_population` returns: the stacked
     accuracy statistics and path costs of the population, the ``(N, E_max)``
-    eq. 6 score matrix, the ``(N,)`` eq. 5 ``d_scores`` and the ``(N, 3)``
-    IOE ``objectives`` matrix.  It reads as a sequence of
-    :class:`DynamicEvaluation` rows; ``self[i]`` is a row whose fields are
-    built from the arrays the first time one of them is read, so a search
-    pays for the rows it looks at (archive members, the reported best) and
-    not for every candidate.  The block holds only arrays, settings and
-    floats — no evaluator, oracle or cost bank — so it pickles small.
+    eq. 6 score matrix, the ``(N,)`` eq. 5 ``d_scores``, the ``(N,)``
+    ``mean_n_i`` row and the ``(N, 3)`` IOE ``objectives`` matrix.  It
+    reads as a sequence of :class:`DynamicEvaluation` rows; ``self[i]`` is
+    a row whose fields are built from the arrays the first time one of them
+    is read, so a search pays for the rows it looks at (archive members,
+    the final population) and not for every candidate; :meth:`points`
+    gives every row's fig5 coordinates without building any.  The block
+    holds only arrays, settings and floats — no evaluator, oracle or cost
+    bank.
 
     ``objectives`` row ``i`` is the IOE maximisation vector of candidate
     ``i`` (paper eqs. 5-6).  All three components are *per-exit proxy
@@ -120,6 +134,7 @@ class DynamicGeneration:
         costs: PopulationPathCosts,
         scores: np.ndarray,
         d_scores: np.ndarray,
+        mean_n_i: np.ndarray,
         objectives: np.ndarray,
         baseline_energy_j: float,
         baseline_latency_s: float,
@@ -130,6 +145,7 @@ class DynamicGeneration:
         self.costs = costs
         self.scores = scores
         self.d_scores = d_scores
+        self.mean_n_i = mean_n_i
         self.objectives = objectives
         self.baseline_energy_j = baseline_energy_j
         self.baseline_latency_s = baseline_latency_s
@@ -182,6 +198,18 @@ class DynamicGeneration:
             "scores": self.scores[row, :width],
             "d_score": float(self.d_scores[row]),
         }
+
+    def points(self) -> np.ndarray:
+        """``(N, 3)`` ``energy_gain``, ``mean_n_i`` and ``dynamic_accuracy``
+        of every row, bit-identical to :meth:`row_fields`: one dot per row
+        over the operands it dots, the rest elementwise."""
+        stats, costs = self.stats, self.costs
+        rows = zip(stats.usage_head, costs.exit_energy_j, stats.widths.tolist())
+        dots = np.array([head[:width].dot(energy[:width]) for head, energy, width in rows])
+        dynamic_energy = dots + stats.usage_tail * costs.full_energy_j
+        return np.column_stack(
+            (1.0 - dynamic_energy / self.baseline_energy_j, self.mean_n_i, stats.dynamic_accuracy)
+        )
 
 
 @dataclass
@@ -351,9 +379,10 @@ class DynamicEvaluator:
         dissim_pow = stats.dissimilarity**self.gamma
         scores = stats.n_i * energy_term * latency_term * dissim_pow
         # Per-exit operands of the three IOE objectives (see
-        # DynamicGeneration) and of eq. 5's d_score, reduced together.
+        # DynamicGeneration), of eq. 5's d_score and of mean N_i, reduced
+        # together.
         means = self._row_means(
-            np.stack((stats.n_i * dissim_pow, energy_term, latency_term, scores)),
+            np.stack((stats.n_i * dissim_pow, energy_term, latency_term, scores, stats.n_i)),
             stats.widths,
         )
         return DynamicGeneration(
@@ -363,6 +392,7 @@ class DynamicEvaluator:
             costs=costs,
             scores=scores,
             d_scores=means[3].copy(),  # owned: a view would pin all of ``means``
+            mean_n_i=means[4].copy(),
             objectives=np.ascontiguousarray(means[:3].T),
             baseline_energy_j=self.baseline_energy_j,
             baseline_latency_s=self.baseline_latency_s,
@@ -392,10 +422,11 @@ class DynamicEvaluator:
         axis=-1) / w`` sums each row's contiguous ``w`` elements in the
         same pairwise order ``np.mean`` uses on the 1-D slice, then divides
         by the same count — bit-identical to ``np.mean`` of every row
-        slice, with no pad column entering any sum.
+        slice, with no pad column entering any sum.  A row with no exit
+        sums nothing and reads 0.0, as :attr:`ExitEvaluation.mean_n_i` does.
         """
         means = np.empty(per_exit.shape[:2])
-        for width in np.unique(widths).tolist():
+        for width in np.flatnonzero(np.bincount(widths)).tolist():  # np.unique loads numpy.ma
             rows = np.flatnonzero(widths == width)
-            means[:, rows] = np.add.reduce(per_exit[:, rows, :width], axis=-1) / width
+            means[:, rows] = np.add.reduce(per_exit[:, rows, :width], axis=-1) / max(width, 1)
         return means

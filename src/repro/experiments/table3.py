@@ -53,11 +53,6 @@ class DynnRow:
     eex_energy_mj: float
     eex_dvfs_energy_mj: float
 
-    @property
-    def dvfs_extra_gain(self) -> float:
-        """Energy gain from DVFS on top of early exiting."""
-        return 1.0 - self.eex_dvfs_energy_mj / self.eex_energy_mj
-
 
 @dataclass
 class Table3Result:

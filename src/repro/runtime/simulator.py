@@ -50,20 +50,15 @@ class StreamSimulator:
     def _path_cost(self, exit_index: int) -> tuple[float, float]:
         """(energy, latency) of leaving at ``exit_index`` under its setting.
 
-        Each setting's paths (exits then full) come from one gather over
-        the evaluator's cost-table bank.
+        Each setting's paths (exits then full) come from one read of its
+        cost-table view.
         """
         setting = self.governor.setting_for(exit_index)
         key = (setting.core_ghz, setting.emc_ghz)
         if key not in self._path_costs:
-            costs = self.evaluator.population.path_costs(
-                [self.placement.positions], [setting]
-            )
-            energy, latency = costs.row(0)
-            self._path_costs[key] = (
-                energy.tolist() + costs.full_energy_j.tolist(),
-                latency.tolist() + costs.full_latency_s.tolist(),
-            )
+            table = self.evaluator.bank.table(setting)
+            energy, latency = table.path_costs(self.placement.positions)
+            self._path_costs[key] = (energy.tolist(), latency.tolist())
         energies, latencies = self._path_costs[key]
         return energies[exit_index], latencies[exit_index]
 

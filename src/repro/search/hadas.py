@@ -36,8 +36,9 @@ from repro.utils.validation import check_nonneg, check_positive
 #: "2": batched NSGA-II variation draws the engine RNG in a new order.
 #: "3": payload evaluations are rows of pickled array generation blocks.
 #: "4": an :class:`InnerResult` holds its evaluation table and history rows,
-#: and builds ``explored`` from them when read.
-INNER_ENGINE_VERSION = "4"
+#: and builds ``explored`` from them when read.  "5": it holds the folded
+#: run (built members, genome/objective/point matrices), not the table.
+INNER_ENGINE_VERSION = "5"
 
 
 @dataclass(frozen=True)

@@ -15,16 +15,16 @@ scalar D of eq. 5 ranks the returned Pareto set (``best`` below).
 A generation goes from its ``(N, G)`` genome matrix to one
 :class:`~repro.eval.dynamic.DynamicGeneration` and back to the engine as
 its objective matrix plus the block itself, whose rows are built only when
-read.  The run's Pareto archive comes from the engine's evaluation table
-(only its members become :class:`Individual` objects), and
-:attr:`InnerResult.explored` is built from the table and the history's row
-ids on first read.
+read.  At the end of a run the engine's evaluation table folds into a
+compact :class:`InnerResult`: the Pareto members with built, self-contained
+evaluations, the distinct genomes with their objectives and the history's
+row ids, and one matrix of every row's fig5 coordinates.  The table and
+its blocks go with the engine.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
@@ -38,30 +38,59 @@ from repro.obs import trace
 from repro.search import operators
 from repro.search.archive import ParetoArchive
 from repro.search.individual import Individual
-from repro.search.nsga2 import NSGA2, EvaluationTable, Nsga2Config, Problem
+from repro.search.nsga2 import NSGA2, Nsga2Config, Problem
 from repro.utils.rng import child_rng
 
 
 @dataclass(eq=False)
 class InnerResult:
-    """Outcome of one IOE invocation for a single backbone.
+    """Outcome of one IOE invocation for a single backbone, as data.
 
-    ``table`` holds every distinct (X, F) genome the run evaluated and
-    ``history`` the table row of every genome of every generation, in
-    order; :attr:`explored` is that history as :class:`Individual` objects,
-    built when first read.
+    ``pareto`` holds the run's Pareto members, each with an owned genome
+    and a fully built :class:`DynamicEvaluation` that pins nothing.
+    ``genomes`` (narrowest integer dtype of the problem's gene bounds) and
+    ``objectives`` are the distinct (X, F) genomes the run evaluated, in
+    evaluation order; ``history`` is the row of every genome of every
+    generation, in order, and ``points`` each row's energy gain, mean N_i
+    and dynamic accuracy.  :attr:`explored` rebuilds the history as
+    payload-free :class:`Individual` objects when read.
     """
 
     backbone_key: str
     pareto: ParetoArchive
-    table: EvaluationTable
+    genomes: np.ndarray
+    objectives: np.ndarray
     history: np.ndarray
+    points: np.ndarray
     num_evaluations: int = 0
 
-    @cached_property
+    @classmethod
+    def fold(cls, backbone_key: str, engine: NSGA2, dtype: np.dtype) -> InnerResult:
+        """The compact result of a finished ``engine``; nothing in it
+        refers to the engine's table or its generation blocks."""
+        table = engine.table
+        pareto = table.archive()
+        for member in pareto:
+            member.genome = member.genome.copy()
+            member.payload = {"evaluation": member.payload["evaluation"].owned()}
+        return cls(
+            backbone_key=backbone_key,
+            pareto=pareto,
+            genomes=table.genomes.astype(dtype),
+            objectives=table.objectives,
+            history=engine.history_rows,
+            points=np.concatenate([block.generation.points() for block in table.payloads]),
+            num_evaluations=engine.num_evaluations,
+        )
+
+    @property
     def explored(self) -> list[Individual]:
         """Every evaluated candidate of the run, duplicates included, in order."""
-        return self.table.individuals(self.history)
+        genomes = self.genomes.astype(np.int64)
+        return [
+            Individual(genomes[row], self.objectives[row].copy())
+            for row in self.history.tolist()
+        ]
 
     def evaluations(self) -> list[DynamicEvaluation]:
         """Dynamic evaluations of the Pareto members."""
@@ -72,19 +101,16 @@ class InnerResult:
 
         ``accuracy="mean_n_i"`` uses the average of the N_i values (Fig. 5
         bottom); ``accuracy="dynamic"`` uses the ideal-mapping union accuracy
-        (the quantity the dissimilarity ablation improves).
+        (the quantity the dissimilarity ablation improves).  ``explored``
+        reads every history row's point, otherwise the Pareto members'.
         """
-        source = self.explored if explored else self.pareto.items
-        if not source:
-            return np.zeros((0, 2))
-        if accuracy == "mean_n_i":
-            second = [ind.payload["evaluation"].mean_n_i for ind in source]
-        elif accuracy == "dynamic":
-            second = [ind.payload["evaluation"].dynamic_accuracy for ind in source]
-        else:
+        column = {"mean_n_i": 1, "dynamic": 2}.get(accuracy)
+        if column is None:
             raise ValueError(f"unknown accuracy axis {accuracy!r}")
-        gains = [ind.payload["evaluation"].energy_gain for ind in source]
-        return np.column_stack([gains, second])
+        if explored:
+            return self.points[self.history][:, [0, column]]
+        rows = [(e.energy_gain, e.mean_n_i, e.dynamic_accuracy) for e in self.evaluations()]
+        return np.array(rows).reshape(len(rows), 3)[:, [0, column]]
 
     @property
     def best(self) -> Individual:
@@ -248,10 +274,7 @@ class InnerEngine:
         )
         with trace.span("ioe.run", backbone=self.config.key):
             engine.run()
-        return InnerResult(
-            backbone_key=self.config.key,
-            pareto=engine.table.archive(),
-            table=engine.table,
-            history=engine.history_rows,
-            num_evaluations=engine.num_evaluations,
-        )
+        # Genes are exit bits and DVFS indices below their bounds, and the
+        # smallest signed dtype holding -bound holds every index.
+        dtype = np.min_scalar_type(-max(self.problem._dvfs_bounds))
+        return InnerResult.fold(self.config.key, engine, dtype)

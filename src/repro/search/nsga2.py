@@ -200,16 +200,16 @@ class EvaluationTable:
     """Every distinct genome an engine evaluated, one row each.
 
     Rows take ids in first-seen order.  The table holds the genome and
-    objective matrices and, per evaluated batch, the payload sequence the
-    problem returned, as it was returned; :meth:`individual` builds the
-    :class:`Individual` of a row on request.  It holds no evaluator, so it
-    pickles as small as its arrays and payloads.
+    objective matrices and, in ``payloads``, the payload sequence the
+    problem returned for each evaluated batch, as it was returned, in row
+    order; :meth:`individual` builds the :class:`Individual` of a row on
+    request.  It holds no evaluator.
     """
 
     def __init__(self):
         self._genomes: list[np.ndarray] = []
         self.objectives = np.zeros((0, 0))
-        self._payloads: list[Sequence[dict]] = []
+        self.payloads: list[Sequence[dict]] = []
         self._starts: list[int] = []  # first row id of each payload sequence
 
     def __len__(self) -> int:
@@ -219,7 +219,7 @@ class EvaluationTable:
         """Add one evaluated batch as the next rows."""
         self._starts.append(len(self))
         self._genomes.append(genomes)
-        self._payloads.append(payloads)
+        self.payloads.append(payloads)
         self.objectives = (
             np.concatenate([self.objectives, objectives]) if len(self) else objectives
         )
@@ -237,7 +237,7 @@ class EvaluationTable:
         return Individual(
             genome=self.genomes[row],
             objectives=self.objectives[row].copy(),
-            payload=self._payloads[block][row - self._starts[block]],
+            payload=self.payloads[block][row - self._starts[block]],
         )
 
     def individuals(self, rows: np.ndarray) -> list[Individual]:

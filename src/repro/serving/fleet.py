@@ -261,10 +261,6 @@ class FleetReport:
     class_stats: dict[str, dict] = field(default_factory=dict)  # per SLO class
     num_stolen: int = 0  # queued requests migrated between lanes (steal)
 
-    @property
-    def met_slo_rate(self) -> float:
-        return 1.0 - self.deadline_miss_rate
-
 
 class DeviceLane:
     """One fleet member: a serving stack plus its live queue, clocks and meters.

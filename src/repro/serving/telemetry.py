@@ -105,10 +105,6 @@ class ServingReport:
     drop_rate: float = 0.0
     class_stats: dict[str, dict] = field(default_factory=dict)  # per SLO class
 
-    @property
-    def met_slo_rate(self) -> float:
-        return 1.0 - self.deadline_miss_rate
-
 
 def _admission_lines(report) -> list[str]:
     """Drop/defer and per-class lines shared by the single/fleet renderers."""

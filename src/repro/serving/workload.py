@@ -47,11 +47,6 @@ BEST_EFFORT = 1
 SLO_CLASSES = ("latency_critical", "best_effort")
 
 
-def slo_class_name(code: int) -> str:
-    """Human name of an SLO class code."""
-    return SLO_CLASSES[int(code)]
-
-
 @dataclass(frozen=True)
 class Request:
     """One inference request: arrival time, difficulty and SLO class."""

@@ -120,11 +120,18 @@ def as_placements(total_layers: int, placements) -> list[ExitPlacement]:
 
 class EvaluationRows(list):
     """Per-pair evaluations in a list, with the ``(N, 3)`` objective matrix
-    a :class:`~repro.eval.dynamic.DynamicGeneration` carries."""
+    and the fig5 points a :class:`~repro.eval.dynamic.DynamicGeneration`
+    carries."""
 
     def __init__(self, rows, objectives: np.ndarray):
         super().__init__(rows)
         self.objectives = objectives
+
+    def points(self) -> np.ndarray:
+        """Each row's ``(energy_gain, mean_n_i, dynamic_accuracy)``, read
+        from its fields."""
+        fields = [(row.energy_gain, row.mean_n_i, row.dynamic_accuracy) for row in self]
+        return np.asarray(fields).reshape(len(self), 3)
 
 
 class PerCallEvaluator(DynamicEvaluator):

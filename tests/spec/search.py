@@ -11,7 +11,8 @@ merged population.  It draws the same numbers in the same order, so a
 seeded run must match production in its final population, its history,
 its evaluation count and its final RNG state.
 
-:class:`ZdtLikeProblem` is the toy problem the engine tests run on.
+:class:`ZdtLikeProblem` is the toy problem the engine tests run on, and
+:func:`inner_explored_points` builds an IOE run's explored points row by row.
 """
 
 from __future__ import annotations
@@ -21,8 +22,9 @@ import numpy as np
 from repro.metrics.pareto import crowding_distance, non_dominated_sort
 from repro.search import operators
 from repro.search.individual import Individual
-from repro.search.nsga2 import Nsga2Config, Problem, evaluate_genomes
-from repro.utils.rng import make_rng
+from repro.search.ioe import InnerEngine
+from repro.search.nsga2 import NSGA2, Nsga2Config, Problem, evaluate_genomes
+from repro.utils.rng import child_rng, make_rng
 
 
 class ZdtLikeProblem(Problem):
@@ -156,3 +158,24 @@ class SpecNSGA2:
             population = environmental_selection(population + offspring, self.config.population)
         rank_and_crowd(population)
         return population
+
+
+def inner_explored_points(engine: InnerEngine, accuracy: str) -> np.ndarray:
+    """``engine``'s explored (energy gain, accuracy-side) points, one built
+    :class:`~repro.eval.dynamic.DynamicEvaluation` per history row: the
+    row-by-row reference for ``InnerResult.points_2d(explored=True)``.
+
+    Its NSGA-II runs directly on the engine's problem and RNG stream, and
+    every history row's evaluation is read field by field.
+    """
+    nsga = NSGA2(
+        engine.problem,
+        engine.nsga_config,
+        rng=child_rng(engine.seed, "ioe", engine.config.key),
+    )
+    nsga.run()
+    second = {"mean_n_i": "mean_n_i", "dynamic": "dynamic_accuracy"}[accuracy]
+    rows = [ind.payload["evaluation"] for ind in nsga.history]
+    return np.column_stack(
+        [[row.energy_gain for row in rows], [getattr(row, second) for row in rows]]
+    )

@@ -449,7 +449,7 @@ class TestPersistentCacheInSearch:
         )
         assert (
             search._inner_cache_key(a0).digest
-            == "b9f56622ec8e17ac1da673cccfcab5c4117c67bd"
+            == "186b8ee8bdf0bdb23510f3e983a5d5e5c3ef5c19"
         )
 
     def test_distinct_num_classes_do_not_share_entries(self, tmp_path):

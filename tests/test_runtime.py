@@ -310,3 +310,26 @@ class TestStreamSimulator:
         sim = StreamSimulator(simulator.evaluator, simulator.placement, governor)
         report = sim.simulate(exit_logits, final_logits, labels, OracleController())
         assert report.switching_energy_j > 0
+
+    def test_path_costs_match_one_row_kernel(self, tx2_dvfs, simulator):
+        """Each exit index costs, bit for bit, what a one-row population
+        kernel call at that index's setting gives."""
+        settings = tx2_dvfs.all_settings()
+        governor = DvfsGovernor(
+            settings[0],
+            per_exit={1: settings[len(settings) // 2], 3: settings[-1]},
+        )
+        sim = StreamSimulator(simulator.evaluator, simulator.placement, governor)
+        positions = simulator.placement.positions
+        for index in range(len(positions) + 1):
+            costs = simulator.evaluator.population.path_costs(
+                [positions], [governor.setting_for(index)]
+            )
+            energy, latency = costs.row(0)
+            want = (
+                np.append(energy, costs.full_energy_j)[index],
+                np.append(latency, costs.full_latency_s)[index],
+            )
+            got = sim._path_cost(index)
+            assert np.array(got).tobytes() == np.array(want).tobytes(), index
+        assert len(sim._path_costs) == 3
