@@ -60,8 +60,6 @@ _SCHEMA = (
 _LEGACY_PATTERNS = ("*.json", "*.pkl", "*.tmp")
 _LEGACY_INDEX = "index.jsonl"
 
-_MISS = object()
-
 
 @dataclass(frozen=True)
 class CacheKey:
@@ -470,15 +468,6 @@ class ResultCache:
                 stats.misses += int(delta.get("misses", 0))
                 stats.puts += int(delta.get("puts", 0))
         return totals
-
-    def memoize(self, key: CacheKey, fn, cls: type | None = None) -> Any:
-        """Return the cached value at ``key``, computing and storing on miss."""
-        value = self.get(key, cls=cls, default=_MISS)
-        if value is not _MISS:
-            return value
-        value = fn()
-        self.put(key, value)
-        return value
 
     # ------------------------------------------------------------ inventory
     def __len__(self) -> int:

@@ -11,6 +11,10 @@ computes:
   corresponding gains over the backbone at default clocks;
 * per-exit scores (eq. 6) and the aggregate D (eq. 5).
 
+A population call returns a :class:`DynamicGeneration`, plain arrays for
+every row; indexing it builds that one row's :class:`DynamicEvaluation`,
+with arrays of its own.
+
 Score semantics: eq. 6 multiplies N_i by "normalized dynamic energy ...
 relative to the backbone" terms.  Since the engines *maximise* D and the
 paper's Fig. 5 reports energy-efficiency *gains*, the normalised terms are
@@ -22,7 +26,7 @@ reading; documented in DESIGN.md).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import dataclass, field
 from typing import Sequence
 
 import numpy as np
@@ -56,46 +60,14 @@ class DynamicEvaluation:
     scores: np.ndarray  # eq. 6 per exit
     d_score: float  # eq. 5 aggregate
 
-    def __getattr__(self, name: str):
-        # Reached only for a field a generation row has not filled yet:
-        # :class:`DynamicGeneration` hands out rows whose ``__dict__`` holds
-        # just ``_source`` = (generation, row) until one field is read.
-        # ``self.__dict__`` never recurses here, so pickle and copy probing
-        # an empty instance for ``__setstate__`` or ``__deepcopy__`` get a
-        # plain AttributeError.
-        state = self.__dict__
-        source = state.get("_source")
-        if source is not None and name in _ROW_FIELDS:
-            state.update(source[0].row_fields(source[1]))
-            state.pop("_source", None)
-        try:
-            return state[name]
-        except KeyError:
-            raise AttributeError(name) from None
-
     @property
     def mean_n_i(self) -> float:
         return self.exit_stats.mean_n_i
-
-    def owned(self) -> DynamicEvaluation:
-        """This evaluation built, its arrays copied out of any generation block."""
-        stats = self.exit_stats
-        n_i, usage = stats.n_i.copy(), stats.usage.copy()
-        return replace(
-            self,
-            exit_stats=ExitEvaluation(n_i, stats.final_accuracy, stats.dynamic_accuracy, usage),
-            exit_energy_j=self.exit_energy_j.copy(),
-            exit_latency_s=self.exit_latency_s.copy(),
-            scores=self.scores.copy(),
-        )
 
     @property
     def dynamic_accuracy(self) -> float:
         """Union accuracy (fraction) under ideal mapping."""
         return self.exit_stats.dynamic_accuracy
-
-
-_ROW_FIELDS = frozenset(f.name for f in fields(DynamicEvaluation))
 
 
 class DynamicGeneration:
@@ -105,13 +77,12 @@ class DynamicGeneration:
     accuracy statistics and path costs of the population, the ``(N, E_max)``
     eq. 6 score matrix, the ``(N,)`` eq. 5 ``d_scores``, the ``(N,)``
     ``mean_n_i`` row and the ``(N, 3)`` IOE ``objectives`` matrix.  It
-    reads as a sequence of :class:`DynamicEvaluation` rows; ``self[i]`` is
-    a row whose fields are built from the arrays the first time one of them
-    is read, so a search pays for the rows it looks at (archive members,
-    the final population) and not for every candidate; :meth:`points`
-    gives every row's fig5 coordinates without building any.  The block
-    holds only arrays, settings and floats — no evaluator, oracle or cost
-    bank.
+    reads as a sequence of :class:`DynamicEvaluation` rows; ``self[i]``
+    builds row ``i`` with arrays of its own, so a search pays for the rows
+    it asks for (archive members) and not for every candidate;
+    :meth:`points` gives every row's fig5 coordinates without building
+    any.  The block holds only arrays, settings and floats — no evaluator,
+    oracle or cost bank.
 
     ``objectives`` row ``i`` is the IOE maximisation vector of candidate
     ``i`` (paper eqs. 5-6).  All three components are *per-exit proxy
@@ -154,55 +125,49 @@ class DynamicGeneration:
         return len(self.settings)
 
     def __getitem__(self, row: int) -> DynamicEvaluation:
-        return self._unbuilt(range(len(self.settings))[row])
+        """Row ``row`` as a built :class:`DynamicEvaluation` that pins no
+        array of the block.
 
-    def __iter__(self):
-        return map(self._unbuilt, range(len(self.settings)))
-
-    def _unbuilt(self, row: int) -> DynamicEvaluation:
-        """Row ``row`` with no field yet: they fill from
-        :meth:`row_fields` when the first one is read."""
-        evaluation = DynamicEvaluation.__new__(DynamicEvaluation)
-        evaluation.__dict__["_source"] = (self, row)
-        return evaluation
-
-    def row_fields(self, row: int) -> dict:
-        """The :class:`DynamicEvaluation` fields of row ``row``.
-
-        The arrays are views of the row's valid slice (read-only by
-        convention, like ``ExitEvaluation.dissimilarity``).  The
-        usage-weighted dots run per row on those slices, the operands
-        :meth:`DynamicEvaluator.evaluate` dots, so every scalar is
-        bit-identical to the per-pair call.
+        The usage-weighted dots run per row on the row's valid slices, the
+        operands :meth:`DynamicEvaluator.evaluate` dots, so every scalar is
+        bit-identical to the per-pair call; the stored arrays are copies.
+        The owned :class:`ExitEvaluation` holds its four fields only (its
+        cached properties fill on first read), so pickles stay small.
         """
+        row = range(len(self.settings))[row]
         stats, costs = self.stats, self.costs
         width = int(stats.widths[row])
-        exit_stats = stats[row]
+        view = stats[row]
         exit_energy = costs.exit_energy_j[row, :width]
         exit_latency = costs.exit_latency_s[row, :width]
-        head, tail = exit_stats.usage_split
+        head, tail = view.usage_split
         dynamic_energy = float(head @ exit_energy + tail * float(costs.full_energy_j[row]))
         dynamic_latency = float(head @ exit_latency + tail * float(costs.full_latency_s[row]))
-        return {
-            "placement": ExitPlacement.unchecked(
+        return DynamicEvaluation(
+            placement=ExitPlacement.unchecked(
                 self.total_layers, tuple(stats.positions[row, :width].tolist())
             ),
-            "setting": self.settings[row],
-            "exit_stats": exit_stats,
-            "exit_energy_j": exit_energy,
-            "exit_latency_s": exit_latency,
-            "dynamic_energy_j": dynamic_energy,
-            "dynamic_latency_s": dynamic_latency,
-            "energy_gain": 1.0 - dynamic_energy / self.baseline_energy_j,
-            "latency_gain": 1.0 - dynamic_latency / self.baseline_latency_s,
-            "scores": self.scores[row, :width],
-            "d_score": float(self.d_scores[row]),
-        }
+            setting=self.settings[row],
+            exit_stats=ExitEvaluation(
+                view.n_i.copy(), view.final_accuracy, view.dynamic_accuracy, view.usage
+            ),
+            exit_energy_j=exit_energy.copy(),
+            exit_latency_s=exit_latency.copy(),
+            dynamic_energy_j=dynamic_energy,
+            dynamic_latency_s=dynamic_latency,
+            energy_gain=1.0 - dynamic_energy / self.baseline_energy_j,
+            latency_gain=1.0 - dynamic_latency / self.baseline_latency_s,
+            scores=self.scores[row, :width].copy(),
+            d_score=float(self.d_scores[row]),
+        )
+
+    def __iter__(self):
+        return map(self.__getitem__, range(len(self.settings)))
 
     def points(self) -> np.ndarray:
         """``(N, 3)`` ``energy_gain``, ``mean_n_i`` and ``dynamic_accuracy``
-        of every row, bit-identical to :meth:`row_fields`: one dot per row
-        over the operands it dots, the rest elementwise."""
+        of every row, bit-identical to the built rows: one dot per row over
+        the operands :meth:`__getitem__` dots, the rest elementwise."""
         stats, costs = self.stats, self.costs
         rows = zip(stats.usage_head, costs.exit_energy_j, stats.widths.tolist())
         dots = np.array([head[:width].dot(energy[:width]) for head, energy, width in rows])

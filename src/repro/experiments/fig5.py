@@ -20,7 +20,7 @@ import numpy as np
 from repro.experiments.config import Profile
 from repro.experiments.runner import PlatformExperiment, run_platform_experiments
 from repro.hardware.platform import PAPER_PLATFORM_ORDER
-from repro.metrics.pareto import non_dominated_mask, pareto_front
+from repro.metrics.pareto import pareto_front, pareto_rows
 from repro.utils.ascii_plot import scatter
 
 #: Paper's bottom-row RoD annotations, in platform order.
@@ -38,7 +38,7 @@ class Fig5Panel:
     def static_series(self) -> dict[str, np.ndarray]:
         """Explored backbones, their Pareto front, and the baselines."""
         explored = self.experiment.hadas.outer.static_points()
-        front = explored[non_dominated_mask(_acc_energy_to_max(explored))]
+        front = explored[pareto_rows(_acc_energy_to_max(explored))]
         baselines = np.asarray(
             [
                 (ev.accuracy, ev.energy_j)

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.metrics.pareto import non_dominated_mask
+from repro.metrics.pareto import pareto_rows
 
 
 def _hv_2d(points: np.ndarray, reference: np.ndarray) -> float:
@@ -19,7 +19,7 @@ def _hv_2d(points: np.ndarray, reference: np.ndarray) -> float:
     points = points[keep]
     if len(points) == 0:
         return 0.0
-    points = points[non_dominated_mask(points)]
+    points = points[pareto_rows(points)]
     order = np.argsort(-points[:, 0], kind="stable")
     points = points[order]
     volume = 0.0
@@ -36,7 +36,7 @@ def _hv_3d(points: np.ndarray, reference: np.ndarray) -> float:
     points = points[keep]
     if len(points) == 0:
         return 0.0
-    points = points[non_dominated_mask(points)]
+    points = points[pareto_rows(points)]
     # Sweep descending in z; each slab [z_next, z) contributes the 2-D HV of
     # all points with z' >= z.
     order = np.argsort(-points[:, 2], kind="stable")

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.metrics.pareto import non_dominated_mask
+from repro.metrics.pareto import pareto_rows
 
 
 def inverted_generational_distance(front: np.ndarray, reference: np.ndarray) -> float:
@@ -43,8 +43,7 @@ def knee_point(points: np.ndarray) -> int:
     points = np.atleast_2d(np.asarray(points, dtype=float))
     if points.shape[1] != 2:
         raise ValueError("knee_point is defined for 2-D fronts")
-    mask = non_dominated_mask(points)
-    front_idx = np.flatnonzero(mask)
+    front_idx = pareto_rows(points)
     front = points[front_idx]
     if len(front) == 1:
         return int(front_idx[0])

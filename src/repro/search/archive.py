@@ -1,39 +1,43 @@
-"""A Pareto archive of every non-dominated candidate seen during a run."""
+"""The Pareto archive of a stream of candidates, built once."""
 
 from __future__ import annotations
 
-from typing import Callable
+from typing import Iterable
 
 import numpy as np
 
-from repro.metrics.pareto import non_dominated_mask
+from repro.metrics.pareto import pareto_rows
 from repro.search.individual import Individual
-
-#: Candidates merged per dominance pass in :meth:`ParetoArchive.add_all`.
-_MERGE_BLOCK = 64
 
 
 class ParetoArchive:
-    """Maintains the non-dominated set over a stream of individuals.
+    """The non-dominated members of a stream of evaluated individuals.
 
-    Duplicated genomes are kept once (first wins).  Members keep their
-    first-seen order, and their objectives are mirrored in a stacked float
-    matrix.
-
-    :meth:`add_all` merges the stream in blocks of :data:`_MERGE_BLOCK`
-    candidates, one :func:`~repro.metrics.pareto.non_dominated_mask` over
-    members plus block each.  When a genome determines its objectives (as
-    every search's does), inserting one candidate at a time keeps exactly
-    the first occurrence of every genome that nothing seen strictly
-    dominates, in first-seen order — and block-by-block filtering keeps
-    that same set in that same order.  Blocks rather than one pass keep
-    each mask at (archive + block)² comparisons instead of (stream)².
+    Duplicated genomes are kept once (first wins), and the members keep
+    their first-seen order, their objectives mirrored in a stacked float
+    matrix.  When a genome determines its objectives (as every search's
+    does), inserting one candidate at a time keeps exactly the first
+    occurrence of every genome that nothing in the stream strictly
+    dominates, in first-seen order; filtering the stream's distinct genomes
+    with :func:`~repro.metrics.pareto.pareto_rows` keeps that same set in
+    that same order.
     """
 
-    def __init__(self):
-        self._items: list[Individual] = []
-        self._keys: set[tuple] = set()
-        self._objs: np.ndarray | None = None  # (len, m) mirror of the members
+    def __init__(self, candidates: Iterable[Individual] = ()):
+        first: dict[tuple, Individual] = {}
+        for individual in candidates:
+            if not individual.evaluated:
+                raise ValueError("cannot archive an unevaluated individual")
+            first.setdefault(individual.key(), individual)
+        distinct = list(first.values())
+        objectives = (
+            np.stack([np.asarray(ind.objectives, dtype=float) for ind in distinct])
+            if distinct
+            else np.zeros((0, 0))
+        )
+        keep = pareto_rows(objectives)
+        self._items: list[Individual] = [distinct[i] for i in keep.tolist()]
+        self._objs = objectives[keep]  # (len, m) mirror of the members
 
     def __len__(self) -> int:
         return len(self._items)
@@ -50,75 +54,6 @@ class ParetoArchive:
         if not self._items:
             return np.zeros((0, 0))
         return self._objs.copy()
-
-    def add(self, individual: Individual) -> bool:
-        """Insert if non-dominated; evict newly dominated members.
-
-        Returns True when the individual enters the archive.
-        """
-        return self.add_all([individual]) == 1
-
-    def add_all(self, individuals: list[Individual]) -> int:
-        """Insert many; returns how many entered.
-
-        A candidate that a later one in its own block dominates never
-        counts as entering.
-        """
-        if any(not ind.evaluated for ind in individuals):
-            raise ValueError("cannot archive an unevaluated individual")
-        if not individuals:
-            return 0
-        return self.add_rows(
-            [ind.key() for ind in individuals],
-            np.stack([np.asarray(ind.objectives, dtype=float) for ind in individuals]),
-            individuals.__getitem__,
-        )
-
-    def add_rows(
-        self, keys: list[tuple], objectives: np.ndarray, build: Callable[[int], Individual]
-    ) -> int:
-        """:meth:`add_all` over candidates given as rows.
-
-        Candidate ``i`` has genome key ``keys[i]`` (as
-        :meth:`Individual.key`) and objective row ``objectives[i]``;
-        ``build(i)`` makes its :class:`Individual`, and runs only for the
-        candidates that enter.
-        """
-        entered = 0
-        for start in range(0, len(keys), _MERGE_BLOCK):
-            entered += self._merge(keys, objectives, build, start, start + _MERGE_BLOCK)
-        return entered
-
-    def _merge(self, keys, objectives, build, start: int, stop: int) -> int:
-        """One block: first occurrence of each new genome, one dominance pass."""
-        fresh: dict[tuple, int] = {}
-        for i, key in enumerate(keys[start:stop], start):
-            if key not in self._keys and key not in fresh:
-                fresh[key] = i
-        if not fresh:
-            return 0
-        candidates = objectives[list(fresh.values())]
-        merged = candidates if self._objs is None else np.concatenate([self._objs, candidates])
-        keep = non_dominated_mask(merged)
-        members = len(self._items)
-        entering = keep[members:]
-        if members:
-            evicted = np.flatnonzero(~keep[:members])
-            self._keys.difference_update(self._items[i].key() for i in evicted)
-            self._items = [self._items[i] for i in np.flatnonzero(keep[:members])]
-        for (key, i), enters in zip(fresh.items(), entering.tolist()):
-            if enters:
-                self._items.append(build(i))
-                self._keys.add(key)
-        self._objs = merged[keep]
-        return int(entering.sum())
-
-    def front(self) -> np.ndarray:
-        """Objective matrix (already non-dominated by construction)."""
-        objs = self.objectives()
-        if objs.size == 0:
-            return objs
-        return objs[non_dominated_mask(objs)]
 
     def best_by(self, scalarizer) -> Individual:
         """Archive member maximising ``scalarizer(individual)``."""

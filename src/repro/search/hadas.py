@@ -361,35 +361,32 @@ class HadasSearch:
     def run_inner(
         self, backbone: BackboneConfig, static: StaticEvaluation | None = None
     ) -> InnerResult:
-        """Run (or fetch from the persistent cache) one backbone's IOE.
+        """Run one backbone's IOE: the closure path of :meth:`inner_task`.
 
-        This is the oracle path shared by the outer loop and the optimized
-        baselines: the full :class:`InnerResult` — oracle construction, the
-        whole (X, F) NSGA-II run and its Pareto archive — is content-
-        addressed by (backbone, platform, seed, gamma, budget, evaluator
-        version), so repeated backbones across generations, restarts and the
-        experiment runner's memoisation are never re-searched.
+        The ``static`` argument completes the outer engine's ``run_inner``
+        contract; the inner engine derives its own normalisers.
         """
-        del static  # the inner engine derives its own normalisers
-        if self.cache is None:
-            return self.make_inner_engine(backbone).run()
-        return self.cache.memoize(
-            self._inner_cache_key(backbone),
-            lambda: self.make_inner_engine(backbone).run(),
-        )
+        del static
+        return self.make_inner_engine(backbone).run()
 
     def inner_task(
         self, backbone: BackboneConfig, static: StaticEvaluation | None = None
     ) -> EvalTask:
         """Lower one backbone's IOE to an :class:`EvalTask` for the service.
 
-        When the evaluator stack is data-reconstructible and the service's
-        executor crosses a process boundary, the task is a slim ``inner-run``
-        spec (backbone + platform/seed/gamma/budget) carrying the persistent
-        cache key, so the service resolves the cache before shipping anything
-        to a worker and workers rebuild evaluators from data.  Otherwise the
-        task closes over :meth:`run_inner`, which handles the cache itself.
+        The task carries the persistent cache key whenever there is a
+        cache: the full :class:`InnerResult` — oracle construction, the
+        whole (X, F) NSGA-II run and its Pareto archive — is content-
+        addressed by (backbone, platform, seed, gamma, budget, evaluator
+        version), so the service resolves repeated backbones across
+        generations, restarts and the experiment runner's baselines from
+        the cache before anything runs.  When the evaluator stack is
+        data-reconstructible and the service's executor crosses a process
+        boundary, the task is a slim ``inner-run`` spec (backbone +
+        platform/seed/gamma/budget) whose workers rebuild evaluators from
+        data; otherwise it closes over :meth:`run_inner`.
         """
+        key = self._inner_cache_key(backbone) if self.cache is not None else None
         if self._spec_context is not None and self.service.prefers_specs:
             spec = task_spec(
                 "inner-run",
@@ -402,9 +399,8 @@ class HadasSearch:
                 capability_model=self.capability_model,
                 **self._spec_context,
             )
-            key = self._inner_cache_key(backbone) if self.cache is not None else None
             return spec_task(spec, key=key)
-        return EvalTask(self.run_inner, (backbone, static))
+        return EvalTask(self.run_inner, (backbone, static), key=key)
 
     def run(self) -> HadasResult:
         """Execute the bi-level search."""

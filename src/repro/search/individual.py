@@ -44,7 +44,7 @@ class Individual:
         ``ndarray.tolist`` yields the same Python ints as a per-element
         ``int(g)`` generator, in one C call.  Archives key their members
         by it; the NSGA-II engine keys its evaluation table by genome
-        bytes instead and builds individuals only at its edges.
+        bytes instead and builds individuals only for the rows asked for.
         """
         genome = self.genome
         if isinstance(genome, np.ndarray):

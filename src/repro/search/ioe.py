@@ -14,11 +14,12 @@ scalar D of eq. 5 ranks the returned Pareto set (``best`` below).
 
 A generation goes from its ``(N, G)`` genome matrix to one
 :class:`~repro.eval.dynamic.DynamicGeneration` and back to the engine as
-its objective matrix plus the block itself, whose rows are built only when
-read.  At the end of a run the engine's evaluation table folds into a
-compact :class:`InnerResult`: the Pareto members with built, self-contained
-evaluations, the distinct genomes with their objectives and the history's
-row ids, and one matrix of every row's fig5 coordinates.  The table and
+its objective matrix plus the block itself, which builds a row's
+evaluation only when that row is asked for.  At the end of a run the
+engine's evaluation table folds into a compact :class:`InnerResult`: the
+Pareto members, the only rows built, each with a self-contained
+evaluation; the distinct genomes with their objectives and the history's
+row ids; and one matrix of every row's fig5 coordinates.  The table and
 its blocks go with the engine.
 """
 
@@ -34,6 +35,7 @@ from repro.eval.dynamic import DynamicEvaluation, DynamicEvaluator, DynamicGener
 from repro.eval.static import StaticEvaluator
 from repro.exits.placement import ExitPlacement, ExitSpace, indicator_positions
 from repro.hardware.dvfs import DvfsSetting, DvfsSpace
+from repro.metrics.pareto import pareto_rows
 from repro.obs import trace
 from repro.search import operators
 from repro.search.archive import ParetoArchive
@@ -67,15 +69,13 @@ class InnerResult:
     @classmethod
     def fold(cls, backbone_key: str, engine: NSGA2, dtype: np.dtype) -> InnerResult:
         """The compact result of a finished ``engine``; nothing in it
-        refers to the engine's table or its generation blocks."""
+        refers to the engine's table or its generation blocks.  The table's
+        rows are distinct genomes, so its Pareto rows are the archive of
+        the whole history, and only they are built."""
         table = engine.table
-        pareto = table.archive()
-        for member in pareto:
-            member.genome = member.genome.copy()
-            member.payload = {"evaluation": member.payload["evaluation"].owned()}
         return cls(
             backbone_key=backbone_key,
-            pareto=pareto,
+            pareto=ParetoArchive(table.individuals(pareto_rows(table.objectives))),
             genomes=table.genomes.astype(dtype),
             objectives=table.objectives,
             history=engine.history_rows,
@@ -178,7 +178,7 @@ class _InnerProblem(Problem):
         and :meth:`DynamicEvaluator.evaluate_generation` runs them as one
         fused accuracy+cost kernel call.  The generation comes back as it
         is: its objective matrix, and its rows as payloads, each built only
-        if it is read.
+        if it is asked for.
         """
         bits, dvfs = self.split(np.asarray(genomes))
         positions, _ = indicator_positions(self.exit_space.total_layers, bits)
@@ -222,7 +222,7 @@ class InnerEngine:
 
     The exit oracle builds its correctness columns in memory; a persistent
     cache, where there is one, stores the whole :class:`InnerResult`
-    instead (see :meth:`repro.search.hadas.HadasSearch.run_inner`).
+    instead (see :meth:`repro.search.hadas.HadasSearch.inner_task`).
     """
 
     def __init__(

@@ -9,14 +9,15 @@ additionally intercepts the loop for its two-stage selection (see
 
 :meth:`NSGA2.run` keeps each generation as arrays: a genome matrix, the row
 ids of its genomes in the engine's :class:`EvaluationTable`, and rank and
-crowding vectors.  A generation's unseen genomes reach
-:meth:`Problem.evaluate_batch` through :func:`evaluate_genomes` as one
+crowding vectors, and returns the final population as table rows.  A
+generation's unseen genomes reach :meth:`Problem.evaluate_batch` as one
 matrix, and come back as an objective matrix plus payloads the table keeps
 as they are; selection ranks only the fronts that fill the next population
 (the bound of :func:`~repro.metrics.pareto.non_dominated_sort`).
-:class:`Individual` objects are built only at the edges: the final
-population, the OOE's bookkeeping (:meth:`NSGA2.initial_population`,
-:meth:`NSGA2.make_offspring`), archives and histories read after a run.
+:class:`Individual` objects are built only where a caller asks for rows:
+the OOE's bookkeeping (:meth:`NSGA2.initial_population`,
+:meth:`NSGA2.make_offspring`), archive members and histories read after a
+run.
 """
 
 from __future__ import annotations
@@ -29,7 +30,6 @@ import numpy as np
 
 from repro.metrics.pareto import crowding_distance, non_dominated_sort
 from repro.obs import trace
-from repro.search.archive import ParetoArchive
 from repro.search.individual import Individual
 from repro.utils.rng import make_rng
 from repro.utils.validation import check_positive
@@ -49,16 +49,17 @@ class Problem:
     def evaluate_batch(self, genomes: np.ndarray) -> tuple[np.ndarray, Sequence[dict]]:
         """Evaluate an ``(N, G)`` genome matrix.
 
-        Returns the ``(N, M)`` objective matrix and an indexable sequence
-        whose item ``i`` is row ``i``'s payload dict; the engine keeps the
-        sequence as it is and indexes it only for the rows it hands out.
-        The default evaluates row by row through :meth:`evaluate`.  Engines
-        route whole populations through this hook (or an
-        :class:`~repro.engine.service.EvaluationService` when one is
-        attached), so problems backed by batchable evaluators can override
-        it without touching the search loop.
+        Returns the ``(N, M)`` float objective matrix and an indexable
+        sequence whose item ``i`` is row ``i``'s payload dict; the engine
+        keeps the sequence as it is and indexes it only for the rows it
+        hands out.  The default evaluates row by row through
+        :meth:`evaluate`.  Engines route whole populations through this
+        hook, so problems backed by batchable evaluators can override it
+        without touching the search loop.
         """
-        return stack_evaluations([self.evaluate(genome) for genome in genomes])
+        outputs = [self.evaluate(genome) for genome in genomes]
+        objectives = np.asarray([objective for objective, _ in outputs], dtype=float)
+        return objectives.reshape(len(outputs), -1), [payload for _, payload in outputs]
 
     def crossover(
         self, a: np.ndarray, b: np.ndarray, rng: np.random.Generator
@@ -100,33 +101,6 @@ class Nsga2Config:
     @property
     def iterations(self) -> int:
         return self.population * self.generations
-
-
-def stack_evaluations(outputs: Sequence[tuple[np.ndarray, dict]]) -> tuple[np.ndarray, list[dict]]:
-    """Per-genome ``(objectives, payload)`` pairs as the batch contract's
-    ``(N, M)`` objective matrix and payload list."""
-    objectives = np.asarray([objective for objective, _ in outputs], dtype=float)
-    return objectives.reshape(len(outputs), -1), [payload for _, payload in outputs]
-
-
-def evaluate_genomes(
-    problem: Problem, genomes: np.ndarray, service=None
-) -> tuple[np.ndarray, Sequence[dict]]:
-    """Dispatch an ``(N, G)`` genome matrix for evaluation (every engine's path).
-
-    Returns the ``(N, M)`` float objective matrix and the payloads of
-    :meth:`Problem.evaluate_batch`.  A problem that overrides it owns its
-    batching (vectorised evaluators etc.) and keeps that ownership even
-    when a service is attached; only the default point-wise implementation
-    is fanned out across the service's workers.
-    """
-    custom_batch = type(problem).evaluate_batch is not Problem.evaluate_batch
-    if service is None or custom_batch:
-        objectives, payloads = problem.evaluate_batch(genomes)
-    else:
-        outputs = service.map(problem.evaluate, [(genome,) for genome in genomes])
-        objectives, payloads = stack_evaluations(outputs)
-    return np.asarray(objectives, dtype=float).reshape(len(genomes), -1), payloads
 
 
 def rank_fronts(
@@ -203,7 +177,8 @@ class EvaluationTable:
     objective matrices and, in ``payloads``, the payload sequence the
     problem returned for each evaluated batch, as it was returned, in row
     order; :meth:`individual` builds the :class:`Individual` of a row on
-    request.  It holds no evaluator.
+    request, with its own copies of the genome and objectives.  It holds no
+    evaluator.
     """
 
     def __init__(self):
@@ -235,25 +210,13 @@ class EvaluationTable:
         """Row ``row`` as an evaluated :class:`Individual`."""
         block = bisect_right(self._starts, row) - 1
         return Individual(
-            genome=self.genomes[row],
+            genome=self.genomes[row].copy(),
             objectives=self.objectives[row].copy(),
             payload=self.payloads[block][row - self._starts[block]],
         )
 
     def individuals(self, rows: np.ndarray) -> list[Individual]:
         return [self.individual(row) for row in np.asarray(rows).tolist()]
-
-    def archive(self) -> ParetoArchive:
-        """The Pareto archive of every row.
-
-        The rows are distinct genomes in first-seen order, so this is the
-        archive :meth:`ParetoArchive.add_all` keeps over a history of them
-        (duplicates included); only its members become
-        :class:`Individual` objects.
-        """
-        archive = ParetoArchive()
-        archive.add_rows(list(map(tuple, self.genomes.tolist())), self.objectives, self.individual)
-        return archive
 
 
 class NSGA2:
@@ -265,11 +228,10 @@ class NSGA2:
     :class:`Individual` objects, built when read.
     """
 
-    def __init__(self, problem: Problem, config: Nsga2Config, rng=None, service=None):
+    def __init__(self, problem: Problem, config: Nsga2Config, rng=None):
         self.problem = problem
         self.config = config
         self.rng = make_rng(rng)
-        self.service = service  # optional EvaluationService for batch execution
         self.table = EvaluationTable()
         self._index: dict[bytes, int] = {}  # genome bytes -> table row
         self._history: list[np.ndarray] = []
@@ -291,11 +253,10 @@ class NSGA2:
         """Table rows of a generation's ``(N, G)`` genomes.
 
         The generation's unseen genomes, first occurrences in order, go out
-        as one matrix — to the attached :class:`EvaluationService` when
-        present, otherwise to :meth:`Problem.evaluate_batch` — and become
-        the table's next rows; the generation joins the history.  Results
-        are bit-identical to genome-by-genome evaluation because evaluation
-        consumes no engine RNG and tasks are pure.
+        as one matrix to :meth:`Problem.evaluate_batch` and become the
+        table's next rows; the generation joins the history.  Results are
+        bit-identical to genome-by-genome evaluation because evaluation
+        consumes no engine RNG.
         """
         genomes = np.ascontiguousarray(genomes, dtype=np.int64)
         index = self._index
@@ -311,7 +272,7 @@ class NSGA2:
             rows.append(row)
         if fresh:
             unseen = genomes[fresh]
-            self.table.append(unseen, *evaluate_genomes(self.problem, unseen, self.service))
+            self.table.append(unseen, *self.problem.evaluate_batch(unseen))
             trace.count("nsga.evaluations", len(fresh))
             trace.count("nsga.memoized", len(genomes) - len(fresh))
         rows = np.asarray(rows, dtype=np.int64)
@@ -386,12 +347,14 @@ class NSGA2:
         return self.table.individuals(self.evaluate(children))
 
     # ----------------------------------------------------------------- loop
-    def run(self) -> list[Individual]:
-        """Full NSGA-II run; returns the final population (ranked).
+    def run(self) -> np.ndarray:
+        """Full NSGA-II run; returns the final population's table rows, in
+        selection order.
 
         Each generation's offspring join the population's genomes and rows,
         and :func:`select` keeps the next population with the rank and
-        crowding it measured on the merged set.
+        crowding it measured on the merged set.  ``rank_and_crowd(
+        engine.table.individuals(rows))`` builds the ranked population.
         """
         size = self.config.population
         with trace.span("nsga.generation", generation=0):
@@ -405,6 +368,4 @@ class NSGA2:
                 genomes = np.concatenate([genomes, children])
                 survivors, rank, crowding = select(self.table.objectives[rows], size)
                 rows, genomes = rows[survivors], genomes[survivors]
-        population = self.table.individuals(rows)
-        rank_and_crowd(population)
-        return population
+        return rows

@@ -10,9 +10,11 @@ Reproduces the paper's Fig. 3 outer loop:
 5. **second selection** on the combined S and D scores picks P''_B;
 6. P''_B undergoes crossover/mutation into the next generation.
 
-Two global archives accumulate over the run: the static 3-D backbone Pareto
-(Fig. 5 top) and the dynamic (B, X, F) Pareto over
-(dynamic accuracy, energy gain, latency gain) (Fig. 5 bottom).
+Two global archives are built once the loop ends, each from every
+candidate the run produced: the static 3-D backbone Pareto over the
+explored backbones (Fig. 5 top) and the dynamic (B, X, F) Pareto over
+(dynamic accuracy, energy gain, latency gain) of every IOE Pareto member
+(Fig. 5 bottom).
 """
 
 from __future__ import annotations
@@ -40,9 +42,8 @@ class _BackboneProblem(Problem):
     """Backbone genome handling + static evaluation.
 
     A generation's unseen genomes are decoded and scored in one
-    :meth:`StaticEvaluator.evaluate_population` call, inline: the batch
-    hook owns its batching, so static batches never fan out to a service's
-    workers (a worker round trip costs more than the row it would score).
+    :meth:`StaticEvaluator.evaluate_population` call, inline: a worker
+    round trip would cost more than the row it scores.
     """
 
     def __init__(self, space: BackboneSpace, evaluator: StaticEvaluator):
@@ -227,15 +228,9 @@ class OuterEngine:
         """Execute the full bi-level outer loop."""
         from repro.search.nsga2 import NSGA2  # local import to reuse machinery
 
-        engine = NSGA2(
-            self.problem,
-            self.nsga_config,
-            rng=child_rng(self.seed, "ooe"),
-            service=self.service,
-        )
-        result = OuterResult(
-            static_archive=ParetoArchive(), dynamic_archive=ParetoArchive()
-        )
+        engine = NSGA2(self.problem, self.nsga_config, rng=child_rng(self.seed, "ooe"))
+        inner_results: dict[str, InnerResult] = {}
+        deployable: list[Individual] = []  # every IOE member lifted into (B, X, F)
 
         with trace.span("ooe.generation", generation=0):
             population = engine.initial_population()
@@ -253,7 +248,7 @@ class OuterEngine:
                 fresh: dict[str, Individual] = {}
                 for backbone in pruned:
                     config: BackboneConfig = backbone.payload["config"]
-                    if config.key not in result.inner_results:
+                    if config.key not in inner_results:
                         fresh.setdefault(config.key, backbone)
                 trace.count("ooe.inner_runs", len(fresh))
                 trace.count("ooe.inner_memoized", len(pruned) - len(fresh))
@@ -265,14 +260,11 @@ class OuterEngine:
                         ]
                     )
                     for backbone, inner in zip(fresh.values(), inners):
-                        result.inner_results[backbone.payload["config"].key] = inner
-                        result.num_dynamic_evaluations += inner.num_evaluations
-                        result.dynamic_archive.add_all(
-                            self._dynamic_individuals(backbone, inner)
-                        )
+                        inner_results[backbone.payload["config"].key] = inner
+                        deployable += self._dynamic_individuals(backbone, inner)
                 combined: list[tuple[Individual, np.ndarray]] = []
                 for backbone in pruned:
-                    inner = result.inner_results[backbone.payload["config"].key]
+                    inner = inner_results[backbone.payload["config"].key]
                     combined.append((backbone, self._combined_objectives(backbone, inner)))
 
                 # Second selection on combined S+D scores -> P''_B.
@@ -298,8 +290,15 @@ class OuterEngine:
                     population + offspring, self.nsga_config.population
                 )
 
-        result.explored = engine.history
-        result.static_archive.add_all(result.explored)
-        result.generations = self.nsga_config.generations
-        result.num_static_evaluations = engine.num_evaluations
-        return result
+        explored = engine.history
+        return OuterResult(
+            static_archive=ParetoArchive(explored),
+            dynamic_archive=ParetoArchive(deployable),
+            inner_results=inner_results,
+            explored=explored,
+            generations=self.nsga_config.generations,
+            num_static_evaluations=engine.num_evaluations,
+            num_dynamic_evaluations=sum(
+                inner.num_evaluations for inner in inner_results.values()
+            ),
+        )

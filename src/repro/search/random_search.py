@@ -12,26 +12,19 @@ import numpy as np
 
 from repro.search.archive import ParetoArchive
 from repro.search.individual import Individual
-from repro.search.nsga2 import Problem, evaluate_genomes, rank_and_crowd
+from repro.search.nsga2 import Problem, rank_and_crowd
 from repro.utils.rng import make_rng
 
 
 class RandomSearch:
-    """Uniform random sampling at a fixed evaluation budget.
+    """Uniform random sampling at a fixed evaluation budget."""
 
-    When an :class:`~repro.engine.service.EvaluationService` is supplied,
-    the whole budget is evaluated as one batch through it (sampling is
-    independent of evaluation results, so the RNG stream — and therefore
-    every sampled genome — is unchanged).
-    """
-
-    def __init__(self, problem: Problem, budget: int, rng=None, service=None):
+    def __init__(self, problem: Problem, budget: int, rng=None):
         if budget <= 0:
             raise ValueError(f"budget must be positive, got {budget}")
         self.problem = problem
         self.budget = budget
         self.rng = make_rng(rng)
-        self.service = service
         self.history: list[Individual] = []
         self.num_evaluations = 0
         self._seen: set[tuple] = set()
@@ -59,7 +52,7 @@ class RandomSearch:
         # The whole budget lands in the problem's batch hook — for the IOE
         # problem that is one fused accuracy+cost kernel call.
         if genomes:
-            objectives, payloads = evaluate_genomes(self.problem, np.stack(genomes), self.service)
+            objectives, payloads = self.problem.evaluate_batch(np.stack(genomes))
             for row, genome in enumerate(genomes):
                 self.history.append(
                     Individual(genome=genome, objectives=objectives[row], payload=payloads[row])
@@ -70,6 +63,4 @@ class RandomSearch:
 
     def pareto(self) -> ParetoArchive:
         """Non-dominated subset of everything sampled."""
-        archive = ParetoArchive()
-        archive.add_all(self.history)
-        return archive
+        return ParetoArchive(self.history)

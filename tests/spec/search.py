@@ -1,15 +1,22 @@
-"""Spec of the NSGA-II loop: one :class:`Individual` per genome.
+"""Specs of the NSGA-II loop (one :class:`Individual` per genome) and of
+the Pareto archive (one insertion per candidate).
 
 :class:`repro.search.nsga2.NSGA2` keeps each generation as a genome matrix,
 the rows of its evaluation table and rank/crowding vectors, ranks only the
 fronts that fill the next population, and builds :class:`Individual`
-objects only at the edges.  :class:`SpecNSGA2` is the loop it replaced:
-every genome of every generation an evaluated :class:`Individual`, a
-per-genome memo whose objective vector and payload dict are copied out to
-every member, and selection through a full :func:`rank_and_crowd` of the
-merged population.  It draws the same numbers in the same order, so a
-seeded run must match production in its final population, its history,
-its evaluation count and its final RNG state.
+objects only for the rows a caller asks for.  :class:`SpecNSGA2` is the
+loop it replaced: every genome of every generation an evaluated
+:class:`Individual`, a per-genome memo whose objective vector and payload
+dict are copied out to every member, and selection through a full
+:func:`rank_and_crowd` of the merged population.  It draws the same numbers
+in the same order, so a seeded run must match production in its final
+population, its history, its evaluation count and its final RNG state.
+
+:class:`repro.search.archive.ParetoArchive` is built once from a whole
+stream of candidates; :class:`SequentialArchive` is the archive it
+replaced, inserting one candidate at a time.  On a stream whose genomes
+determine their objectives (every search's), both keep the same members in
+the same order.
 
 :class:`ZdtLikeProblem` is the toy problem the engine tests run on, and
 :func:`inner_explored_points` builds an IOE run's explored points row by row.
@@ -19,11 +26,11 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.metrics.pareto import crowding_distance, non_dominated_sort
+from repro.metrics.pareto import crowding_distance, dominates, non_dominated_sort
 from repro.search import operators
 from repro.search.individual import Individual
 from repro.search.ioe import InnerEngine
-from repro.search.nsga2 import NSGA2, Nsga2Config, Problem, evaluate_genomes
+from repro.search.nsga2 import NSGA2, Nsga2Config, Problem
 from repro.utils.rng import child_rng, make_rng
 
 
@@ -55,6 +62,27 @@ class ZdtLikeProblem(Problem):
         return operators.creep_mutation(genome, self.bounds, rng, prob=0.3)
 
 
+class SequentialArchive:
+    """The Pareto archive inserting one candidate at a time: a repeated
+    genome is skipped, a dominated candidate rejected, and an entering one
+    evicts the members it dominates."""
+
+    def __init__(self):
+        self.items: list[Individual] = []
+
+    def add(self, individual: Individual) -> bool:
+        if any(member.key() == individual.key() for member in self.items):
+            return False
+        if any(dominates(member.objectives, individual.objectives) for member in self.items):
+            return False
+        self.items = [
+            member for member in self.items
+            if not dominates(individual.objectives, member.objectives)
+        ]
+        self.items.append(individual)
+        return True
+
+
 def rank_and_crowd(population: list[Individual]) -> None:
     """Rank and crowding of every member, from the full sort, in place."""
     objectives = np.stack([ind.objectives for ind in population])
@@ -81,11 +109,10 @@ class SpecNSGA2:
     ``num_evaluations``), so an outer run can take it in its place.
     """
 
-    def __init__(self, problem: Problem, config: Nsga2Config, rng=None, service=None):
+    def __init__(self, problem: Problem, config: Nsga2Config, rng=None):
         self.problem = problem
         self.config = config
         self.rng = make_rng(rng)
-        self.service = service
         self.history: list[Individual] = []
         self._eval_cache: dict[tuple, tuple[np.ndarray, dict]] = {}
         self.num_evaluations = 0
@@ -100,9 +127,7 @@ class SpecNSGA2:
             if key not in self._eval_cache and key not in fresh:
                 fresh[key] = individual.genome
         if fresh:
-            objectives, payloads = evaluate_genomes(
-                self.problem, np.stack(list(fresh.values())), self.service
-            )
+            objectives, payloads = self.problem.evaluate_batch(np.stack(list(fresh.values())))
             for row, key in enumerate(fresh):
                 self._eval_cache[key] = (np.asarray(objectives[row], dtype=float), payloads[row])
             self.num_evaluations += len(fresh)

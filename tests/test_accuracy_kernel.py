@@ -10,12 +10,14 @@ consecutive batches sharing prefixes — so search trajectories and golden
 artifacts are unchanged no matter which kernel produced them.  Alongside
 it: both row-popcount branches, the lazily filled bank, the stacked
 :class:`PopulationExitStats` rows, the dynamic evaluator's objective
-matrix and rows built on first read, ``evaluate_generation`` ordering, and
+matrix and its built, self-owned rows, ``evaluate_generation`` ordering, and
 the equivalence of whole search engines (IOE, random search) with the spec
 comparators.
 """
 
 from __future__ import annotations
+
+import dataclasses
 
 import numpy as np
 import pytest
@@ -281,20 +283,38 @@ class TestFusedObjectives:
             assert evaluation.latency_gain == want.latency_gain
             assert evaluation.d_score == want.d_score
 
-    def test_rows_built_on_first_read(self):
-        """The block carries the objective matrix; a row holds only its
-        source until a field is read, then every field at once."""
+    def test_rows_are_built_and_own_their_arrays(self):
+        """Indexing a block builds the whole row: every field set, every
+        array a copy, equal to the per-pair ``evaluate``."""
         ctx = _context("tx2-gpu")
-        setting = ctx.dvfs.default_setting()
-        placement = _placement([6, 10, 14])
-        generation = ctx.fused.evaluate_population([placement, placement], setting)
-        assert generation.objectives.shape == (2, 3)
-        row = generation[-1]
-        assert list(row.__dict__) == ["_source"]
-        assert row.d_score == generation.d_scores[1]
-        assert "_source" not in row.__dict__
-        assert row.placement == placement and row.setting == setting
-        assert list(generation[0].__dict__) == ["_source"]
+        settings_list = ctx.dvfs.all_settings()
+        decoded = [
+            (_placement([6, 10, 14]), settings_list[0]),
+            (_placement([7]), settings_list[-1]),
+            (_placement([6, 10, 14]), settings_list[-1]),
+        ]
+        generation = _generation(ctx.fused, decoded)
+        assert generation.objectives.shape == (3, 3)
+        rows = [generation[-1], *generation]
+        assert rows[0].d_score == generation.d_scores[2]
+        for evaluation, (placement, setting) in zip(rows, decoded[-1:] + decoded):
+            want = ctx.reference.evaluate(placement, setting)
+            stats = evaluation.exit_stats
+            assert set(evaluation.__dict__) == {f.name for f in dataclasses.fields(evaluation)}
+            arrays = [stats.n_i, stats.usage, evaluation.scores]
+            arrays += [evaluation.exit_energy_j, evaluation.exit_latency_s]
+            assert all(array.base is None for array in arrays)
+            assert evaluation.placement == placement and evaluation.setting == setting
+            assert np.array_equal(stats.n_i, want.exit_stats.n_i)
+            assert np.array_equal(stats.usage, want.exit_stats.usage)
+            assert np.array_equal(evaluation.exit_energy_j, want.exit_energy_j)
+            assert np.array_equal(evaluation.exit_latency_s, want.exit_latency_s)
+            assert np.array_equal(evaluation.scores, want.scores)
+            assert evaluation.dynamic_energy_j == want.dynamic_energy_j
+            assert evaluation.dynamic_latency_s == want.dynamic_latency_s
+            assert evaluation.energy_gain == want.energy_gain
+            assert evaluation.latency_gain == want.latency_gain
+            assert evaluation.d_score == want.d_score
 
     def test_block_arrays_own_their_memory(self):
         """A retained block keeps only its own arrays alive: ``d_scores``

@@ -1,9 +1,9 @@
 """IOE generations as array blocks, folded into compact results.
 
 An IOE generation is one :class:`~repro.eval.dynamic.DynamicGeneration`:
-plain arrays whose :class:`~repro.eval.dynamic.DynamicEvaluation` rows are
-built when first read.  At the end of a run the engine folds its table of
-generations into an :class:`~repro.search.ioe.InnerResult`, and three
+plain arrays that build a :class:`~repro.eval.dynamic.DynamicEvaluation`
+row when it is asked for.  At the end of a run the engine folds its table
+of generations into an :class:`~repro.search.ioe.InnerResult`, and three
 contracts ride on that:
 
 * the result pickles (the persistent result cache and process shards do
@@ -11,7 +11,8 @@ contracts ride on that:
   costs, let alone the evaluator, the exit oracle or the cost bank, and
   reads back with the same front, best member and explored points;
 * the explored points equal, bit for bit, the points built row by row from
-  the run's evaluations, and the Pareto members own their arrays;
+  the run's evaluations, and the Pareto members own their arrays and
+  carry no cached views;
 * the benchmark's traced pass (``perfbench/layers.py``, loaded unchanged)
   still finds every search layer on the hot path, with row counts that add
   up to the searches' evaluation counts.
@@ -172,6 +173,14 @@ class TestCompactInnerResult:
             assert member.genome.dtype == np.int64
         assert result.genomes.dtype == np.int8
         assert [ind.genome.dtype for ind in result.explored[:1]] == [np.int64]
+
+    def test_member_exit_stats_hold_only_their_fields(self, static_evaluator, surrogate):
+        """No member caches ``usage_split`` or ``dissimilarity``: either
+        would put a view array in its ``__dict__`` and in every pickle."""
+        result = _small_run(static_evaluator, surrogate).run()
+        fields = ["n_i", "final_accuracy", "dynamic_accuracy", "usage"]
+        for member in result.pareto:
+            assert list(member.payload["evaluation"].exit_stats.__dict__) == fields
 
     def test_inner_run_leaves_numpy_ma_unloaded(self):
         probe = "import sys, numpy; print('numpy.ma' in sys.modules)"

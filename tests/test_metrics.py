@@ -17,6 +17,7 @@ from repro.metrics.pareto import (
     non_dominated_mask,
     non_dominated_sort,
     pareto_front,
+    pareto_rows,
 )
 from spec import pareto as spec_pareto
 
@@ -119,6 +120,16 @@ class TestVectorizedMatchesReference:
             non_dominated_mask(points), spec_pareto.non_dominated_mask(points)
         )
 
+    @settings(max_examples=80, deadline=None)
+    @given(st.integers(1, 200), st.integers(1, 3), st.integers(0, 2**31))
+    def test_pareto_rows_is_the_mask(self, rows, objectives, seed):
+        """Tie-heavy matrices with duplicate rows, long enough to cross the
+        filter's merge blocks."""
+        rng = np.random.default_rng(seed)
+        points = rng.integers(0, 5, size=(rows, objectives)).astype(float)
+        want = np.flatnonzero(spec_pareto.non_dominated_mask(points))
+        assert pareto_rows(points).tolist() == want.tolist()
+
     def test_duplicate_rows_share_front(self):
         pts = np.asarray([[1.0, 1.0], [1.0, 1.0], [0.0, 2.0], [0.0, 0.0]])
         got = non_dominated_sort(pts)
@@ -132,6 +143,7 @@ class TestVectorizedMatchesReference:
 
     def test_empty(self):
         assert non_dominated_mask(np.zeros((0, 3))).shape == (0,)
+        assert pareto_rows(np.zeros((0, 3))).shape == (0,)
         assert non_dominated_sort(np.zeros((0, 3))) == []
 
 

@@ -6,8 +6,8 @@
 * the bounded non-dominated sort returns the full sort's leading fronts;
 * array selection keeps what :func:`environmental_selection` keeps, with
   the same ranks and crowding, on tie-heavy matrices with duplicate rows;
-* an evaluation table archives to what the whole materialised history
-  archives to, and the IOE's archive is that one;
+* the archive of an evaluation table's Pareto rows is the archive of the
+  whole materialised history, and the IOE's archive is that one;
 * an OOE run with one IOE candidate per generation (too few survivors, so
   the whole ranked population mates) is the same on either engine.
 """
@@ -21,12 +21,19 @@ from hypothesis import strategies as st
 
 import repro.search.nsga2 as nsga2_module
 from repro.baselines.attentivenas import attentivenas_model
-from repro.metrics.pareto import non_dominated_sort
+from repro.metrics.pareto import non_dominated_sort, pareto_rows
 from repro.search.archive import ParetoArchive
 from repro.search.hadas import HadasConfig, HadasSearch
 from repro.search.individual import Individual
 from repro.search.ioe import InnerEngine
-from repro.search.nsga2 import NSGA2, Nsga2Config, Problem, environmental_selection, select
+from repro.search.nsga2 import (
+    NSGA2,
+    Nsga2Config,
+    Problem,
+    environmental_selection,
+    rank_and_crowd,
+    select,
+)
 from spec import pareto as spec_pareto
 from spec import search as spec_search
 from spec.search import SpecNSGA2, ZdtLikeProblem
@@ -41,7 +48,8 @@ def _assert_same_members(got: list[Individual], want: list[Individual]) -> None:
 def _assert_same_run(engine: NSGA2, spec: SpecNSGA2) -> tuple[list, list]:
     """Both runs to the end: the same final population, history,
     evaluation count and RNG state; returns both final populations."""
-    final, want = engine.run(), spec.run()
+    final, want = engine.table.individuals(engine.run()), spec.run()
+    rank_and_crowd(final)
     _assert_same_members(final, want)
     assert [(ind.rank, ind.crowding) for ind in final] == [
         (ind.rank, ind.crowding) for ind in want
@@ -136,9 +144,8 @@ class TestTableArchive:
         engine = NSGA2(_TableProblem(), Nsga2Config(population=2, generations=1))
         for size in sizes:
             engine.evaluate(rng.integers(0, 6, size=(size, 2)))
-        want = ParetoArchive()
-        want.add_all(engine.history)
-        got = engine.table.archive()
+        want = ParetoArchive(engine.history)
+        got = ParetoArchive(engine.table.individuals(pareto_rows(engine.table.objectives)))
         _assert_same_members(list(got), list(want))
         assert np.array_equal(got.objectives(), want.objectives())
         assert [ind.payload for ind in got] == [ind.payload for ind in want]
@@ -153,8 +160,7 @@ class TestTableArchive:
             nsga=Nsga2Config(population=12, generations=5),
             seed=seed,
         ).run()
-        want = ParetoArchive()
-        want.add_all(result.explored)
+        want = ParetoArchive(result.explored)
         _assert_same_members(list(result.pareto), list(want))
         assert np.array_equal(result.pareto.objectives(), want.objectives())
         assert len(result.explored) == 12 * 5

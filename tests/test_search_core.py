@@ -17,7 +17,7 @@ from repro.search.nsga2 import (
     environmental_selection,
     rank_and_crowd,
 )
-from spec.search import ZdtLikeProblem
+from spec.search import SequentialArchive, ZdtLikeProblem
 
 
 class TestOperators:
@@ -303,25 +303,6 @@ class TestRankAndSelection:
         assert 1.1 not in xs
 
 
-class _SequentialArchive:
-    """Spec: the archive inserting one candidate at a time."""
-
-    def __init__(self):
-        self.items: list[Individual] = []
-
-    def add(self, individual: Individual) -> bool:
-        if any(member.key() == individual.key() for member in self.items):
-            return False
-        if any(dominates(member.objectives, individual.objectives) for member in self.items):
-            return False
-        self.items = [
-            member for member in self.items
-            if not dominates(individual.objectives, member.objectives)
-        ]
-        self.items.append(individual)
-        return True
-
-
 class TestParetoArchive:
     def _ind(self, objs, key=None):
         ind = Individual(genome=np.asarray(key if key is not None else objs))
@@ -329,38 +310,30 @@ class TestParetoArchive:
         return ind
 
     def test_dominated_rejected(self):
-        archive = ParetoArchive()
-        assert archive.add(self._ind([2, 2]))
-        assert not archive.add(self._ind([1, 1]))
+        archive = ParetoArchive([self._ind([2, 2]), self._ind([1, 1])])
         assert len(archive) == 1
+        np.testing.assert_array_equal(archive.items[0].objectives, [2, 2])
 
     def test_dominating_evicts(self):
-        archive = ParetoArchive()
-        archive.add(self._ind([1, 1]))
-        archive.add(self._ind([2, 2]))
+        archive = ParetoArchive([self._ind([1, 1]), self._ind([2, 2])])
         assert len(archive) == 1
         np.testing.assert_array_equal(archive.items[0].objectives, [2, 2])
 
     def test_incomparable_coexist(self):
-        archive = ParetoArchive()
-        archive.add(self._ind([2, 0]))
-        archive.add(self._ind([0, 2]))
+        archive = ParetoArchive([self._ind([2, 0]), self._ind([0, 2])])
         assert len(archive) == 2
 
     def test_duplicate_genome_skipped(self):
-        archive = ParetoArchive()
-        assert archive.add(self._ind([1, 0], key=[7]))
-        assert not archive.add(self._ind([0, 1], key=[7]))
+        first = self._ind([1, 0], key=[7])
+        archive = ParetoArchive([first, self._ind([1, 0], key=[7])])
+        assert archive.items == [first]
 
     def test_unevaluated_rejected(self):
-        archive = ParetoArchive()
         with pytest.raises(ValueError):
-            archive.add(Individual(genome=np.asarray([1])))
+            ParetoArchive([self._ind([1, 1]), Individual(genome=np.asarray([1]))])
 
     def test_best_by(self):
-        archive = ParetoArchive()
-        archive.add(self._ind([2, 0]))
-        archive.add(self._ind([0, 2]))
+        archive = ParetoArchive([self._ind([2, 0]), self._ind([0, 2])])
         best = archive.best_by(lambda ind: ind.objectives[1])
         assert best.objectives[1] == 2
 
@@ -371,22 +344,19 @@ class TestParetoArchive:
     @settings(max_examples=25, deadline=None)
     @given(st.lists(st.tuples(st.floats(0, 1), st.floats(0, 1)), min_size=1, max_size=30))
     def test_archive_is_always_mutually_nondominated(self, points):
-        archive = ParetoArchive()
-        for i, p in enumerate(points):
-            archive.add(self._ind(list(p), key=[i]))
+        archive = ParetoArchive(self._ind(list(p), key=[i]) for i, p in enumerate(points))
         objs = archive.objectives()
         for i in range(len(objs)):
             for j in range(len(objs)):
                 if i != j:
                     assert not dominates(objs[i], objs[j])
 
-
     @settings(max_examples=120, deadline=None)
     @given(st.data())
     def test_block_merges_match_sequential_add(self, data):
-        """Streams with repeated genomes and tied objectives, split across
-        calls and across merge blocks, keep the sequential spec's members
-        in its order."""
+        """Streams with repeated genomes, each genome's objectives fixed
+        (as every search's are) and tie-heavy, longer than a merge block:
+        the archive keeps the sequential spec's members in its order."""
         num_keys = data.draw(st.integers(1, 40))
         table = data.draw(
             st.lists(
@@ -396,25 +366,13 @@ class TestParetoArchive:
             )
         )
         stream = data.draw(st.lists(st.integers(0, num_keys - 1), min_size=1, max_size=200))
-        cuts = sorted(data.draw(st.lists(st.integers(0, len(stream)), max_size=4)))
         individuals = [self._ind(list(table[key]), key=[key]) for key in stream]
-        archive, spec = ParetoArchive(), _SequentialArchive()
-        for lo, hi in zip([0] + cuts, cuts + [len(stream)]):
-            archive.add_all(individuals[lo:hi])
-            for individual in individuals[lo:hi]:
-                spec.add(individual)
-            assert [id(ind) for ind in archive] == [id(ind) for ind in spec.items]
+        archive, spec = ParetoArchive(individuals), SequentialArchive()
+        for individual in individuals:
+            spec.add(individual)
+        assert [id(ind) for ind in archive] == [id(ind) for ind in spec.items]
         want = np.asarray([ind.objectives for ind in spec.items]).reshape(len(spec.items), -1)
         assert np.array_equal(archive.objectives().reshape(len(spec.items), -1), want)
-
-    @settings(max_examples=60, deadline=None)
-    @given(st.lists(st.tuples(st.integers(0, 3), st.integers(0, 3)), min_size=1, max_size=40))
-    def test_add_matches_sequential_add(self, points):
-        archive, spec = ParetoArchive(), _SequentialArchive()
-        for i, point in enumerate(points):
-            individual = self._ind(list(point), key=[i % 7])
-            assert archive.add(individual) == spec.add(individual)
-        assert [id(ind) for ind in archive] == [id(ind) for ind in spec.items]
 
 
 class TestNsga2Engine:
@@ -434,7 +392,8 @@ class TestNsga2Engine:
     def test_deterministic_under_seed(self):
         def run(seed):
             engine = NSGA2(ZdtLikeProblem(), Nsga2Config(population=10, generations=4), rng=seed)
-            pop = engine.run()
+            pop = engine.table.individuals(engine.run())
+            rank_and_crowd(pop)
             return sorted(tuple(ind.genome) for ind in pop)
 
         assert run(5) == run(5)
