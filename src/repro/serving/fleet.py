@@ -629,10 +629,8 @@ class FleetSimulator:
         start here.
         """
         n = trace.num_requests
-        if stream.final_logits.shape[0] != n:
-            raise ValueError(
-                f"stream carries {stream.final_logits.shape[0]} requests, trace has {n}"
-            )
+        if stream.num_requests != n:
+            raise ValueError(f"stream carries {stream.num_requests} requests, trace has {n}")
         placement = self.lanes[0].stack.placement
         if stream.num_exits != placement.num_exits:
             raise ValueError(

@@ -196,21 +196,15 @@ def _profiles_for(
 
 
 def _expected_usage(
-    calibration: ServingStream, thresholds: np.ndarray
+    logits: np.ndarray, labels: np.ndarray, thresholds: np.ndarray
 ) -> tuple[np.ndarray, float]:
     """(exit-usage fractions, accuracy) of thresholds on the calibration mix."""
-    controller = EntropyThresholdController(thresholds, calibration.num_exits)
-    decisions = controller.decide(calibration.exit_logits)
-    counts = np.bincount(decisions, minlength=calibration.num_exits + 1)
+    num_exits = len(logits) - 1
+    decisions = EntropyThresholdController(thresholds, num_exits).decide(logits[:-1])
+    counts = np.bincount(decisions, minlength=num_exits + 1)
     n = max(len(decisions), 1)
-    correct = 0
-    for j, d in enumerate(decisions):
-        if d < calibration.num_exits:
-            predicted = calibration.exit_logits[d, j].argmax()
-        else:
-            predicted = calibration.final_logits[j].argmax()
-        correct += int(predicted == calibration.labels[j])
-    return counts / n, correct / n
+    predicted = logits[decisions, np.arange(len(decisions))].argmax(axis=-1)
+    return counts / n, np.count_nonzero(predicted == labels) / n
 
 
 def build_config(
@@ -218,13 +212,15 @@ def build_config(
     exit_rate: float,
     evaluator: DynamicEvaluator,
     placement: ExitPlacement,
-    calibration: ServingStream,
+    logits: np.ndarray,
+    labels: np.ndarray,
     setting: DvfsSetting,
     per_exit: dict[int, DvfsSetting] | None = None,
 ) -> RuntimeConfig:
-    """Materialise one ladder rung and annotate its expectations."""
-    thresholds = tune_thresholds(calibration.exit_logits, exit_rate, kind="entropy")
-    usage, accuracy = _expected_usage(calibration, thresholds)
+    """Materialise one ladder rung and annotate its expectations on the
+    calibration stream's ``(num_exits + 1, n, classes)`` logits and labels."""
+    thresholds = tune_thresholds(logits[:-1], exit_rate, kind="entropy")
+    usage, accuracy = _expected_usage(logits, labels, thresholds)
     governor = DvfsGovernor(setting, per_exit=per_exit)
     profiles = _profiles_for(evaluator, placement, governor)
     busy = float(usage @ np.asarray([p.busy_s for p in profiles]))
@@ -277,6 +273,7 @@ def plan_config_ladder(
         ("balanced", balanced, None),
         ("eco", balanced, dict(eco_plan.settings)),
     ]
+    logits = calibration.logits()
     ladder = []
     for rate in exit_rates:
         for tier, setting, per_exit in tiers:
@@ -286,7 +283,8 @@ def plan_config_ladder(
                     rate,
                     evaluator,
                     placement,
-                    calibration,
+                    logits,
+                    calibration.labels,
                     setting,
                     per_exit,
                 )

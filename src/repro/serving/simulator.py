@@ -11,7 +11,9 @@ state evolve alongside and feed back into the governor's observation.
 
 The event core is vectorized: an
 :class:`~repro.serving.batcher.ArrayBatcher` forms batches as index
-arithmetic over the arrival array, and a per-config compiled executor
+arithmetic over the arrival array; :func:`compile_stream` reduces the
+stream's logits, regenerated block by block and never held whole, to
+per-head entropy and correctness; and a per-config compiled executor
 (:class:`_CompiledConfig`) precomputes full-stream exit decisions,
 correctness and per-path cost tables once, so the per-batch work is a few
 table gathers.  Reports are bit-identical to the original per-request loop
@@ -68,30 +70,18 @@ class CompiledStream:
     head_correct: np.ndarray  # (num_exits + 1, n) argmax == label per head
 
 
-#: Rows per chunk when compiling a stream.  Entropy and argmax act per
-#: row, so chunking changes nothing numerically — it only keeps the
-#: softmax temporaries cache-sized instead of materializing multiple
-#: (n, classes) float64 scratch arrays at million-request scale.
-_COMPILE_CHUNK = 65536
-
-
 def compile_stream(stream: ServingStream) -> CompiledStream:
-    """Precompute per-head entropies and correctness for the whole stream."""
+    """Precompute per-head entropies and correctness for the whole stream,
+    one regenerated logits block at a time."""
     num_exits = stream.num_exits
     labels = stream.labels
     n = len(labels)
     entropy = np.empty((num_exits, n))
     head_correct = np.empty((num_exits + 1, n), dtype=bool)
-    for i in range(num_exits):
-        logits = stream.exit_logits[i]
-        for lo in range(0, n, _COMPILE_CHUNK):
-            hi = min(lo + _COMPILE_CHUNK, n)
-            entropy[i, lo:hi] = entropy_np(logits[lo:hi], axis=-1)
-            head_correct[i, lo:hi] = logits[lo:hi].argmax(axis=-1) == labels[lo:hi]
-    final = stream.final_logits
-    for lo in range(0, n, _COMPILE_CHUNK):
-        hi = min(lo + _COMPILE_CHUNK, n)
-        head_correct[num_exits, lo:hi] = final[lo:hi].argmax(axis=-1) == labels[lo:hi]
+    for head, lo, hi, logits in stream.blocks():
+        if head < num_exits:
+            entropy[head, lo:hi] = entropy_np(logits, axis=-1)
+        np.equal(logits.argmax(axis=-1), labels[lo:hi], out=head_correct[head, lo:hi])
     return CompiledStream(num_exits=num_exits, entropy=entropy, head_correct=head_correct)
 
 
@@ -109,12 +99,13 @@ class _CompiledConfig:
     is what keeps the compiled executor bit-identical to pricing each batch
     directly (``tests/spec/serving.py`` keeps that pricing as ``price``).
 
-    Batches average a handful of requests, so pricing works off one Python
-    list of per-request exit decisions (small ints, so ``tolist`` is cheap
-    — unlike converting five per-request float gathers) plus per-exit
-    Python float tables.  ``_lat_one`` and ``_energy_one`` pre-fold the
-    single-request batch: ``busy + over`` and ``unit + passive * over``
-    associate identically to the batch formulas at size one.
+    Batches average a handful of requests, so pricing works off one
+    ``bytes`` of per-request exit decisions (a placement has far fewer than
+    255 exits, so a byte holds each, and indexing ``bytes`` yields Python
+    ints) plus per-exit Python float tables.  ``_lat_one`` and
+    ``_energy_one`` pre-fold the single-request batch: ``busy + over`` and
+    ``unit + passive * over`` associate identically to the batch formulas at
+    size one.
     """
 
     __slots__ = (
@@ -136,7 +127,7 @@ class _CompiledConfig:
         cstream: CompiledStream,
     ):
         n = cstream.head_correct.shape[1]
-        decisions = np.full(n, cstream.num_exits, dtype=np.int64)
+        decisions = np.full(n, cstream.num_exits, dtype=np.uint8)
         undecided = np.ones(n, dtype=bool)
         for i, threshold in enumerate(config.thresholds):
             takes = undecided & (cstream.entropy[i] <= threshold)
@@ -150,7 +141,7 @@ class _CompiledConfig:
         self._unit_l = [
             float(p.dynamic_energy_j + p.passive_power_w * p.busy_s) for p in profiles
         ]
-        self._dec_req = decisions.tolist()
+        self._dec_req = decisions.tobytes()
         self._lat_one = [b + o for b, o in zip(self._busy_l, self._over_l)]
         self._energy_one = [
             u + p * o for u, p, o in zip(self._unit_l, self._passive_l, self._over_l)
@@ -391,10 +382,8 @@ class ServingSimulator:
         its executable spec both start here.
         """
         n = trace.num_requests
-        if stream.final_logits.shape[0] != n:
-            raise ValueError(
-                f"stream carries {stream.final_logits.shape[0]} requests, trace has {n}"
-            )
+        if stream.num_requests != n:
+            raise ValueError(f"stream carries {stream.num_requests} requests, trace has {n}")
         if stream.num_exits != self.placement.num_exits:
             raise ValueError(
                 f"stream carries {stream.num_exits} exit heads but the deployed "

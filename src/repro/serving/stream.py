@@ -10,14 +10,20 @@ margin on a request of difficulty ``d`` is proportional to ``cap(u) − d``
 shallow heads and exit early; hard requests stay uncertain until deep in
 the network — precisely the behaviour entropy thresholding exploits.
 
-Logits are synthesised for the *whole trace up front* (keyed by request
+The draws are made for the *whole trace up front* (keyed by request
 index), so exit decisions for a given request are identical regardless of
 how the batcher groups it — static and adaptive policies are compared on a
-paired stream.
+paired stream.  A :class:`ServingStream` keeps those draws — labels,
+per-head true-class margins and the generator state where the logit noise
+starts — not the ``(E+1) × n × classes`` logits: :meth:`ServingStream.blocks`
+regenerates the noise block by block.  numpy's normal draws are sequential,
+so drawing the noise in pieces yields the very values (and leaves the
+generator in the very state) of one whole draw.
 """
 
 from __future__ import annotations
 
+from collections.abc import Iterator
 from dataclasses import dataclass
 
 import numpy as np
@@ -29,22 +35,65 @@ from repro.utils.rng import child_rng
 from repro.utils.validation import check_positive
 
 
+#: Rows per regenerated noise block: one reused ``(STREAM_BLOCK, classes)``
+#: buffer sizes both walks of the noise (see ``EXPERIMENTS.md`` for the sweep).
+STREAM_BLOCK = 16384
+
+
+def _noise_blocks(
+    rng: np.random.Generator, heads: int, n: int, classes: int
+) -> Iterator[tuple[int, int, int, np.ndarray]]:
+    """Yield ``(head, lo, hi, noise)`` over the ``(heads, n, classes)`` logit
+    noise in draw order, each block drawn into one reused buffer."""
+    buf = np.empty((min(STREAM_BLOCK, n), classes))
+    for head in range(heads):
+        for lo in range(0, n, STREAM_BLOCK):
+            hi = min(lo + STREAM_BLOCK, n)
+            noise = buf[: hi - lo]
+            rng.standard_normal(out=noise)
+            yield head, lo, hi, noise
+
+
 @dataclass(frozen=True)
 class ServingStream:
-    """Pre-synthesised logits for every request of a trace."""
+    """The draws behind every request's logits, regenerated on demand."""
 
-    exit_logits: np.ndarray  # (E, n, classes)
-    final_logits: np.ndarray  # (n, classes)
     labels: np.ndarray  # (n,)
+    margins: np.ndarray  # (num_exits + 1, n) true-class margin per head
+    noise_state: dict  # bit-generator state where the logit noise starts
+    num_classes: int
 
     @property
     def num_exits(self) -> int:
-        return self.exit_logits.shape[0]
+        return len(self.margins) - 1
 
-    def batch(self, indices: np.ndarray | list[int]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Slice the stream down to one micro-batch (by request index)."""
-        idx = np.asarray(indices, dtype=np.int64)
-        return self.exit_logits[:, idx], self.final_logits[idx], self.labels[idx]
+    @property
+    def num_requests(self) -> int:
+        return len(self.labels)
+
+    def blocks(self) -> Iterator[tuple[int, int, int, np.ndarray]]:
+        """Yield ``(head, lo, hi, logits)`` in draw order, ``logits`` being
+        head ``head``'s ``(hi - lo, classes)`` logits of requests ``[lo, hi)``.
+
+        Every block lands in one reused buffer, overwritten at the next step:
+        callers reduce or copy it at once.
+        """
+        bit_generator = getattr(np.random, self.noise_state["bit_generator"])()
+        bit_generator.state = self.noise_state
+        rng = np.random.Generator(bit_generator)
+        n = self.num_requests
+        arange = np.arange(min(STREAM_BLOCK, n))
+        for head, lo, hi, logits in _noise_blocks(rng, len(self.margins), n, self.num_classes):
+            logits[arange[: hi - lo], self.labels[lo:hi]] += self.margins[head, lo:hi]
+            yield head, lo, hi, logits
+
+    def logits(self) -> np.ndarray:
+        """The ``(num_exits + 1, n, classes)`` logits materialised, the final
+        head last.  Only small streams should ask."""
+        out = np.empty((len(self.margins), self.num_requests, self.num_classes))
+        for head, lo, hi, logits in self.blocks():
+            out[head, lo:hi] = logits
+        return out
 
 
 @dataclass(frozen=True)
@@ -86,27 +135,28 @@ class LogitsSynthesizer:
         """
         difficulties = np.asarray(difficulties, dtype=float)
         n = len(difficulties)
-        num_exits = self.placement.num_exits
+        num_heads = self.placement.num_exits + 1
         rng = child_rng(self.seed, "serving", "logits", branch, self.placement.key)
         labels = rng.integers(0, self.num_classes, size=n)
+        noise_state = rng.bit_generator.state
+        # Base logits are noise, one (heads, n, classes) block drawn after
+        # the labels; heads add a margin on the true class that grows with
+        # (capability - difficulty).  The stream regenerates the noise, so
+        # here it is only walked past.
+        for _ in _noise_blocks(rng, num_heads, n, self.num_classes):
+            pass
+        # Nearby depths share the perturbation (one draw per request), so
+        # consecutive heads agree — the correlation structure the oracle's
+        # GP encodes.
         depths = np.concatenate([self.placement.relative_depths(), [1.0]])
-        capabilities = np.asarray(
-            [float(self.model.capability(self.backbone_accuracy, u)) for u in depths]
-        )
-        # Base logits are noise; heads add a margin on the true class that
-        # grows with (capability - difficulty).  Nearby depths share the
-        # perturbation (one draw per request), so consecutive heads agree —
-        # the correlation structure the oracle's GP encodes.
-        logits = rng.normal(0.0, 1.0, size=(num_exits + 1, n, self.num_classes))
         perturbation = rng.normal(0.0, self.margin_noise, size=n)
-        for head, cap in enumerate(capabilities):
-            margin = np.clip(cap - difficulties + perturbation, 0.0, None)
-            logits[head, np.arange(n), labels] += self.margin_gain * margin
-        return ServingStream(
-            exit_logits=logits[:num_exits],
-            final_logits=logits[num_exits],
-            labels=labels,
-        )
+        margins = np.empty((num_heads, n))
+        for head, u in enumerate(depths):
+            cap = float(self.model.capability(self.backbone_accuracy, u))
+            margins[head] = self.margin_gain * np.clip(
+                cap - difficulties + perturbation, 0.0, None
+            )
+        return ServingStream(labels, margins, noise_state, self.num_classes)
 
     def calibration_stream(
         self,

@@ -1,7 +1,11 @@
 """Spec of the single-device serving loop: requests as objects, one batch
 at a time.
 
-:class:`MicroBatcher` is the deque batcher that
+:func:`synthesize_logits` draws a stream's logits whole, in one normal
+draw, and :func:`compile_logits` reduces them to per-head entropy and
+correctness — what :class:`~repro.serving.stream.ServingStream` and
+:func:`~repro.serving.simulator.compile_stream` do block by block without
+holding the logits.  :class:`MicroBatcher` is the deque batcher that
 :class:`~repro.serving.batcher.ArrayBatcher` reproduces with index
 arithmetic; :func:`execute_batch` prices a batch by running the real
 entropy controller and :func:`~repro.hardware.energy.batched_execution`,
@@ -23,10 +27,42 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.hardware.energy import batched_execution
+from repro.nn.functional import entropy_np
 from repro.obs import trace as tracing
 from repro.serving.batcher import BatchPolicy
-from repro.serving.simulator import ServingSimulator
+from repro.serving.simulator import CompiledStream, ServingSimulator
 from repro.serving.workload import Request, Trace
+from repro.utils.rng import child_rng
+
+
+def synthesize_logits(synthesizer, difficulties, branch: str = "trace"):
+    """``(logits, labels)`` of
+    :meth:`~repro.serving.stream.LogitsSynthesizer.synthesize`, the
+    ``(num_exits + 1, n, classes)`` logits drawn whole: the labels, one
+    normal draw for every head's noise, the per-request perturbation, then
+    the true-class margins scattered on."""
+    difficulties = np.asarray(difficulties, dtype=float)
+    n = len(difficulties)
+    num_exits = synthesizer.placement.num_exits
+    rng = child_rng(synthesizer.seed, "serving", "logits", branch, synthesizer.placement.key)
+    labels = rng.integers(0, synthesizer.num_classes, size=n)
+    depths = np.concatenate([synthesizer.placement.relative_depths(), [1.0]])
+    model, accuracy = synthesizer.model, synthesizer.backbone_accuracy
+    capabilities = [float(model.capability(accuracy, u)) for u in depths]
+    logits = rng.normal(0.0, 1.0, size=(num_exits + 1, n, synthesizer.num_classes))
+    perturbation = rng.normal(0.0, synthesizer.margin_noise, size=n)
+    for head, cap in enumerate(capabilities):
+        margin = np.clip(cap - difficulties + perturbation, 0.0, None)
+        logits[head, np.arange(n), labels] += synthesizer.margin_gain * margin
+    return logits, labels
+
+
+def compile_logits(logits, labels) -> CompiledStream:
+    """:func:`~repro.serving.simulator.compile_stream` over materialised
+    ``(num_exits + 1, n, classes)`` logits, one head at a time."""
+    entropy = np.stack([entropy_np(head, axis=-1) for head in logits[:-1]])
+    head_correct = np.stack([head.argmax(axis=-1) == labels for head in logits])
+    return CompiledStream(num_exits=len(logits) - 1, entropy=entropy, head_correct=head_correct)
 
 
 class MicroBatcher:
@@ -99,12 +135,17 @@ class BatchOutcome:
     correct: np.ndarray  # per-request correctness flags
 
 
-def execute_batch(controller, profiles, stream, indices) -> BatchOutcome:
-    """Run one micro-batch: real exit decisions + physical batch pricing."""
-    exit_logits, final_logits, labels = stream.batch(indices)
+def execute_batch(controller, profiles, logits, labels, indices) -> BatchOutcome:
+    """Run one micro-batch: real exit decisions + physical batch pricing.
+
+    ``logits`` is the stream's materialised ``(num_exits + 1, n, classes)``
+    logits and ``labels`` its labels; the batch is their slice at ``indices``.
+    """
+    heads, labels = logits[:, indices], labels[indices]
+    exit_logits, final_logits = heads[:-1], heads[-1]
     decisions = controller.decide(exit_logits)
     latency, energy = batched_execution([profiles[d] for d in decisions])
-    num_exits = stream.num_exits
+    num_exits = len(exit_logits)
     correct = np.empty(len(indices), dtype=bool)
     for j, d in enumerate(decisions):
         if d < num_exits:
@@ -153,6 +194,7 @@ class ReferenceSimulator(ServingSimulator):
             raise ValueError("the reference loop is class-agnostic")
         arrivals = trace.arrival_s
         batcher = MicroBatcher(trace, self.batch_policy)
+        logits = stream.logits()
         clock = 0.0  # last simulated instant (for thermal integration)
         t_free = 0.0
         next_decision = self.window_s
@@ -184,7 +226,11 @@ class ReferenceSimulator(ServingSimulator):
 
             indices = np.asarray([r.index for r in batch], dtype=np.int64)
             outcome = execute_batch(
-                self._controller_of(active), self._profiles_of(active), stream, indices
+                self._controller_of(active),
+                self._profiles_of(active),
+                logits,
+                stream.labels,
+                indices,
             )
 
             end = start + outcome.latency_s

@@ -603,7 +603,7 @@ class TestFleetStacks:
         spec = FleetSpec(platforms=("tx2-gpu", "agx-gpu"), duration_s=3.0)
         stacks = build_fleet_stacks(spec)
         trace, stream = build_fleet_trace_and_stream(spec, stacks)
-        assert stream.final_logits.shape[0] == trace.num_requests
+        assert stream.num_requests == trace.num_requests
         # Identical mounts ⇒ identical placements on every lane.
         assert len({s.placement.positions for s in stacks}) == 1
 
@@ -615,16 +615,11 @@ class TestFleetRegressions:
         crash deep inside a lane's compiled executor; the fleet now refuses
         upfront, same as the single-device simulator."""
         from repro.serving.fleet import FleetSimulator
-        from repro.serving.stream import ServingStream
 
         spec = FleetSpec(platforms=("tx2-gpu", "agx-gpu"), duration_s=3.0)
         stacks = build_fleet_stacks(spec)
         trace, stream = build_fleet_trace_and_stream(spec, stacks)
-        wrong = ServingStream(
-            exit_logits=stream.exit_logits[:-1],
-            final_logits=stream.final_logits,
-            labels=stream.labels,
-        )
+        wrong = dataclasses.replace(stream, margins=stream.margins[:-1])
         with pytest.raises(ValueError, match="exit heads"):
             FleetSimulator(spec, stacks).run(trace, wrong)
 

@@ -4,11 +4,13 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from repro.engine.cache import ResultCache
+from repro.exits.placement import ExitPlacement
 from repro.hardware.energy import PathProfile, batched_execution
 from repro.serving import (
     AdaptiveGovernor,
@@ -33,11 +35,13 @@ from repro.serving.harness import (
     cell_cache_key,
 )
 from repro.serving.scenarios import ThermalParams, ThermalState
-from repro.serving.simulator import ServingSimulator
+from repro.serving.simulator import ServingSimulator, compile_stream
+from repro.serving.stream import STREAM_BLOCK, LogitsSynthesizer
 from repro.serving.telemetry import ServingReport
 from repro.serving.workload import Request, Trace
 from spec import evaluation as spec_evaluation
 from spec import hardware as spec_hardware
+from spec import serving as spec_serving
 from spec.serving import MicroBatcher, ReferenceSimulator
 
 
@@ -243,29 +247,81 @@ class TestBatchedExecution:
 
 
 # ------------------------------------------------------------------- streams
+#: Two exit placements (three and five exit heads) for the stream identity.
+_PLACEMENTS = (
+    ExitPlacement(total_layers=16, positions=(5, 8, 12)),
+    ExitPlacement(total_layers=24, positions=(5, 9, 13, 17, 21)),
+)
+
+
 class TestLogitsStream:
     def test_shapes_and_determinism(self, stack):
         difficulties = np.linspace(0, 1, 32)
         a = stack.synthesizer.synthesize(difficulties)
         b = stack.synthesizer.synthesize(difficulties)
-        assert a.exit_logits.shape == (stack.placement.num_exits, 32, 10)
-        assert a.final_logits.shape == (32, 10)
-        np.testing.assert_array_equal(a.exit_logits, b.exit_logits)
+        a_logits = a.logits()
+        assert a_logits[:-1].shape == (stack.placement.num_exits, 32, 10)
+        assert a_logits[-1].shape == (32, 10)
+        np.testing.assert_array_equal(a_logits, b.logits())
         np.testing.assert_array_equal(a.labels, b.labels)
 
     def test_easy_requests_exit_earlier(self, stack):
-        easy = stack.synthesizer.synthesize(np.full(200, 0.05))
-        hard = stack.synthesizer.synthesize(np.full(200, 0.95))
+        easy = stack.synthesizer.synthesize(np.full(200, 0.05)).logits()[:-1]
+        hard = stack.synthesizer.synthesize(np.full(200, 0.95)).logits()[:-1]
         config = stack.ladder[0]
         controller = config.controller()
-        easy_exits = controller.decide(easy.exit_logits)
-        hard_exits = controller.decide(hard.exit_logits)
+        easy_exits = controller.decide(easy)
+        hard_exits = controller.decide(hard)
         assert easy_exits.mean() < hard_exits.mean()
 
     def test_calibration_differs_from_trace_stream(self, stack):
         calibration = stack.synthesizer.calibration_stream(64)
         trace_stream = stack.synthesizer.synthesize(np.full(64, 0.3))
         assert not np.array_equal(calibration.labels, trace_stream.labels)
+
+    @pytest.mark.parametrize("placement", _PLACEMENTS, ids=lambda p: p.key)
+    @pytest.mark.parametrize("branch", ["trace", "calibration"])
+    @pytest.mark.parametrize(
+        "n",
+        [0, 1, 511, STREAM_BLOCK - 1, STREAM_BLOCK, STREAM_BLOCK + 1, 2 * STREAM_BLOCK + 17],
+    )
+    def test_regenerated_logits_equal_one_whole_draw(self, placement, branch, n):
+        """The stream's block-by-block logits, and their compiled entropy and
+        correctness, equal the spec's single whole draw bit for bit."""
+        synthesizer = LogitsSynthesizer(placement=placement, backbone_accuracy=0.8, seed=3)
+        difficulties = np.random.default_rng(n).beta(2.0, 5.0, size=n)
+        stream = synthesizer.synthesize(difficulties, branch)
+        logits, labels = spec_serving.synthesize_logits(synthesizer, difficulties, branch)
+        np.testing.assert_array_equal(stream.labels, labels)
+        got = stream.logits()
+        assert got.shape == logits.shape
+        assert got.tobytes() == logits.tobytes()
+        compiled = compile_stream(stream)
+        expected = spec_serving.compile_logits(logits, labels)
+        assert compiled.num_exits == expected.num_exits == placement.num_exits
+        assert compiled.entropy.shape == expected.entropy.shape
+        assert compiled.entropy.tobytes() == expected.entropy.tobytes()
+        np.testing.assert_array_equal(compiled.head_correct, expected.head_correct)
+
+    def test_stream_never_holds_the_logits_tensor(self):
+        """``synthesize`` and ``compile_stream`` each peak well below the
+        ``(E+1) × n × classes`` float64 logits they regenerate in blocks."""
+        n = 200_000
+        placement = _PLACEMENTS[0]
+        synthesizer = LogitsSynthesizer(placement=placement, backbone_accuracy=0.8)
+        difficulties = np.random.default_rng(0).beta(2.0, 5.0, size=n)
+        tensor_bytes = (placement.num_exits + 1) * n * synthesizer.num_classes * 8
+        tracemalloc.start()
+        try:
+            stream = synthesizer.synthesize(difficulties)
+            synthesize_peak = tracemalloc.get_traced_memory()[1]
+            tracemalloc.reset_peak()
+            compile_stream(stream)
+            compile_peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert synthesize_peak < 0.4 * tensor_bytes, synthesize_peak / tensor_bytes
+        assert compile_peak < 0.4 * tensor_bytes, compile_peak / tensor_bytes
 
 
 # -------------------------------------------------------------------- ladder
@@ -676,15 +732,8 @@ class TestEngineEquivalence:
     def test_exit_head_mismatch_raises(self, stack, simulator_cls):
         """Regression: a stream with the wrong number of exit heads used to
         crash deep inside the controller; now both loops refuse upfront."""
-        trace, _ = build_trace_and_stream(stack)
-        from repro.serving.stream import ServingStream
-
-        stream = stack.synthesizer.synthesize(trace.difficulties())
-        wrong = ServingStream(
-            exit_logits=stream.exit_logits[:-1],
-            final_logits=stream.final_logits,
-            labels=stream.labels,
-        )
+        trace, stream = build_trace_and_stream(stack)
+        wrong = dataclasses.replace(stream, margins=stream.margins[:-1])
         simulator = simulator_cls(
             evaluator=stack.evaluator,
             placement=stack.placement,
