@@ -1,0 +1,189 @@
+"""Golden digests: recompute the result digests a change must keep.
+
+Every entry of ``tests/golden/digests.json`` is the digest of one
+deterministic result.  A change that claims "every output is unchanged"
+proves it by running::
+
+    PYTHONPATH=src python benchmarks/golden.py --check    # exit 1, naming each moved entry
+    PYTHONPATH=src python benchmarks/golden.py --update   # rewrite the file, print what moved
+
+Two families of entries:
+
+* ``perfbench/<workload>/seed<k>`` — the ``Outcome.digest`` of each
+  perfbench workload at seeds 1 and 5, computed in this process through
+  the workload's ``build``/``run``/``finish``/``close`` steps
+  (``perfbench/workloads.py``, imported read-only).  A run whose output
+  checks fail counts as moved.
+* ``serving/<cell>`` and ``fleet/<cell>`` — the digest of the report of a
+  serving cell that perfbench does not drive: single-device cells in queue
+  mode (admission drop and defer, latency-critical traffic) across every
+  scenario and policy, and three-lane fleet cells under the thermal cap
+  with admission, for every router, with and without work stealing.
+
+Both families use perfbench's digest (blake2b of the sorted-key JSON, every
+float digit kept).  ``--only PREFIX`` restricts either mode to the entries
+whose name starts with a prefix (repeatable).
+"""
+
+from __future__ import annotations
+
+import argparse
+import dataclasses
+import gc
+import json
+import sys
+import tempfile
+import time
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+DIGESTS = ROOT / "tests" / "golden" / "digests.json"
+sys.path.insert(0, str(ROOT / "src"))
+sys.path.insert(0, str(ROOT / "perfbench"))
+
+from workloads import WORKLOADS, digest  # noqa: E402  (perfbench/, read-only)
+
+PERFBENCH_SEEDS = (1, 5)
+
+#: Three lanes for the fleet cells: two GPUs and a CPU.
+FLEET_PLATFORMS = ("tx2-gpu", "agx-gpu", "carmel-cpu")
+
+
+def perfbench_entries() -> dict:
+    """``name -> thunk`` for every perfbench workload at every seed."""
+
+    def outcome_digest(name: str, seed: int) -> str:
+        workload = WORKLOADS[name](smoke=False)
+        workload.import_modules()
+        with tempfile.TemporaryDirectory(prefix="golden-") as root:
+            try:
+                workload.build(seed, Path(root))
+                workload.run()
+                outcome = workload.finish()
+            finally:
+                workload.close()
+        if outcome.problems:
+            raise RuntimeError(f"{name} seed {seed}: output checks failed: {outcome.problems}")
+        return outcome.digest
+
+    return {
+        f"perfbench/{name}/seed{seed}": (lambda name=name, seed=seed: outcome_digest(name, seed))
+        for name in WORKLOADS
+        for seed in PERFBENCH_SEEDS
+    }
+
+
+def serving_entries() -> dict:
+    """``name -> thunk`` for the queue-mode single-device cells."""
+    from repro.serving.harness import ServingSpec, run_serving_cell
+    from repro.serving.scenarios import SCENARIO_NAMES
+
+    def cell(spec: ServingSpec):
+        return lambda: digest(dataclasses.asdict(run_serving_cell(spec)))
+
+    return {
+        f"serving/bursty-q8-{mode}-crit0.2/{scenario}/{policy}": cell(
+            ServingSpec(
+                pattern="bursty",
+                scenario=scenario,
+                policy=policy,
+                critical_fraction=0.2,
+                admission_max_queue=8,
+                admission_mode=mode,
+            )
+        )
+        for mode in ("drop", "defer")
+        for scenario in SCENARIO_NAMES
+        for policy in ("static", "adaptive")
+    }
+
+
+def fleet_entries() -> dict:
+    """``name -> thunk`` for the three-lane thermal-cap fleet cells."""
+    from repro.serving.fleet import FleetSpec, run_fleet_cell
+    from repro.serving.router import ROUTER_NAMES
+
+    def cell(spec: FleetSpec):
+        def run() -> str:
+            report = run_fleet_cell(spec)
+            # Backlog-aware routers balance the lanes, so only round-robin
+            # leaves a lane stalled past the SLO for another to rob.
+            if spec.steal and spec.router == "round_robin" and not report.num_stolen:
+                raise RuntimeError("the round-robin steal cell stole nothing")
+            return digest(dataclasses.asdict(report))
+
+        return run
+
+    return {
+        f"fleet/trio-thermal-bursty-q32-crit0.05/{router}" + ("-steal" if steal else ""): cell(
+            FleetSpec(
+                platforms=FLEET_PLATFORMS,
+                pattern="bursty",
+                scenario="thermal-cap",
+                router=router,
+                utilization=1.1,
+                critical_fraction=0.05,
+                admission_max_queue=32,
+                steal=steal,
+            )
+        )
+        for router in ROUTER_NAMES
+        for steal in (False, True)
+    }
+
+
+def all_entries() -> dict:
+    return {**perfbench_entries(), **serving_entries(), **fleet_entries()}
+
+
+def compute(entries: dict) -> dict[str, str]:
+    digests = {}
+    for name, thunk in entries.items():
+        start = time.perf_counter()
+        digests[name] = thunk()
+        gc.collect()  # the 10^6-request runs hold hundreds of MiB
+        print(f"  {name:<55s} {digests[name][:16]}  ({time.perf_counter() - start:.1f}s)")
+    return digests
+
+
+def main(argv: list[str] | None = None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    mode = parser.add_mutually_exclusive_group(required=True)
+    mode.add_argument("--check", action="store_true", help="fail if any digest moved")
+    mode.add_argument("--update", action="store_true", help="rewrite the digest file")
+    parser.add_argument("--only", action="append", default=[], metavar="PREFIX")
+    args = parser.parse_args(argv)
+
+    entries = all_entries()
+    if args.only:
+        entries = {
+            name: thunk for name, thunk in entries.items()
+            if any(name.startswith(prefix) for prefix in args.only)
+        }
+    stored = json.loads(DIGESTS.read_text()) if DIGESTS.exists() else {}
+    start = time.perf_counter()
+    digests = compute(entries)
+    moved = sorted(name for name, value in digests.items() if stored.get(name) != value)
+    elapsed = time.perf_counter() - start
+
+    if args.update:
+        DIGESTS.parent.mkdir(parents=True, exist_ok=True)
+        kept = {**stored, **digests} if args.only else digests  # a full run drops stale names
+        DIGESTS.write_text(json.dumps(kept, indent=2, sort_keys=True) + "\n")
+        for name in moved:
+            print(f"moved: {name}  {stored.get(name, '(new)')} -> {digests[name]}")
+        print(f"{len(digests)} entries written, {len(moved)} moved ({elapsed:.1f}s)")
+        return 0
+    missing = sorted(set(entries) - set(stored))
+    for name in moved:
+        print(f"MOVED: {name}  expected {stored.get(name, '(missing)')}, got {digests[name]}")
+    if moved:
+        print(f"{len(moved)} of {len(digests)} golden digests moved"
+              + (f" ({len(missing)} not in {DIGESTS.name}; run --update)" if missing else ""))
+        return 1
+    print(f"{len(digests)} golden digests unchanged ({elapsed:.1f}s)")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

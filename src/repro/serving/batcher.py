@@ -9,13 +9,14 @@ micro-batching pay off exactly when the system is under pressure.
 
 :class:`ArrayBatcher` implements that policy as index arithmetic over the
 sorted arrival array.  On the default path (no admission control, one SLO
-class) batches are contiguous index ranges, so ``next_batch`` is one bounded
-bisection and a pointer bump — bit-identical dispatch decisions to the
-original object/deque batcher, which lives on as the executable spec in
-``tests/spec/serving.py``.  With an :class:`AdmissionPolicy` or
-latency-critical requests present it switches to explicit per-class
-integer queues: critical-first dispatch, and arrivals beyond the queue cap
-are dropped (or deferred) instead of ballooning the backlog.
+class) batches are contiguous index ranges, handed out as ``range``
+objects, so forming one is one bounded bisection and a pointer bump —
+bit-identical dispatch decisions to the original object/deque batcher,
+which lives on as the executable spec in ``tests/spec/serving.py``.  With
+an :class:`AdmissionPolicy` or latency-critical requests present it
+switches to explicit per-class integer queues: critical-first dispatch,
+and arrivals beyond the queue cap are dropped (or deferred) instead of
+ballooning the backlog.
 """
 
 from __future__ import annotations
@@ -87,10 +88,9 @@ class ArrayBatcher:
       within each batch window; arrivals beyond the admission cap are
       dropped or deferred at their (lazily evaluated) arrival instants.
 
-    ``next_batch`` returns ``(start_s, indices)`` with ``indices`` a list of
-    request indices in both modes; span mode callers can use
-    :meth:`next_span` instead to get the ``(start_s, lo, hi)`` range without
-    materialising the list.
+    ``next_batch`` returns ``(start_s, requests)`` in both modes:
+    ``requests`` is a ``range`` of request indices in span mode (what
+    :meth:`next_span` returns) and a list of them in queue mode.
     """
 
     def __init__(
@@ -102,12 +102,11 @@ class ArrayBatcher:
         self.policy = policy
         self.admission = admission
         self._times = np.ascontiguousarray(trace.arrival_s, dtype=float)
-        # Python-float mirror of the arrival array: the per-batch lookups
-        # (``next_span``/``backlog_at``) are a few elements each, where
-        # ``bisect_right`` over a list beats an ndarray ``searchsorted``
-        # call by its fixed per-call overhead.  Same doubles, same
-        # ``side="right"`` semantics.
-        self._times_list: list[float] = self._times.tolist()
+        # Zero-copy view for the per-batch lookups (``next_span``,
+        # ``backlog_at``), which read a few elements each: ``bisect_right``
+        # over it skips an ndarray ``searchsorted`` call's fixed overhead,
+        # and indexing yields the same doubles as Python floats.
+        self._times_view = memoryview(self._times)
         self._classes = trace.slo_class
         self._n = len(self._times)
         self._has_critical = bool(np.any(self._classes == LATENCY_CRITICAL))
@@ -139,7 +138,7 @@ class ArrayBatcher:
 
     def backlog_at(self, now_s: float) -> int:
         """Arrived-but-undispatched (and not dropped) requests at ``now_s``."""
-        arrived = bisect_right(self._times_list, now_s)
+        arrived = bisect_right(self._times_view, now_s)
         if self.contiguous:
             return max(arrived - self._head, 0)
         ungated = max(arrived - self._cursor, 0)
@@ -149,14 +148,14 @@ class ArrayBatcher:
         """Latency-critical share of :meth:`backlog_at` (0 when untagged)."""
         if not self._has_critical:
             return 0
-        arrived = bisect_right(self._times_list, now_s)
+        arrived = bisect_right(self._times_view, now_s)
         hi = max(arrived, self._cursor)
         ungated = int(self._crit_cum[hi] - self._crit_cum[self._cursor])
         return len(self._crit) + ungated
 
     # ------------------------------------------------------------ span mode
-    def next_span(self, device_free_s: float) -> tuple[float, int, int] | None:
-        """Form the next batch as a contiguous ``[lo, hi)`` index range.
+    def next_span(self, device_free_s: float) -> tuple[float, range] | None:
+        """Form the next batch as a contiguous ``range(lo, hi)`` of indices.
 
         Only valid in span mode.  The two-trigger policy collapses to index
         arithmetic over the sorted arrival array: the trigger is
@@ -167,7 +166,7 @@ class ArrayBatcher:
         head = self._head
         if head >= self._n:
             return None
-        times = self._times_list
+        times = self._times_view
         cap = head + self.policy.max_batch
         trigger = times[head] + self.policy.timeout_s
         if cap <= self._n:
@@ -180,7 +179,7 @@ class ArrayBatcher:
         # Bounded to [head, head + max_batch): a couple of comparisons.
         hi = bisect_right(times, start, head, cap)
         self._head = hi
-        return float(start), head, hi
+        return float(start), range(head, hi)
 
     # ----------------------------------------------------------- queue mode
     def _gate(self, cutoff_s: float) -> None:
@@ -290,12 +289,8 @@ class ArrayBatcher:
         self._gate(start)  # opportunistic fill + admission of interval arrivals
         return start, self._select(start)
 
-    def next_batch(self, device_free_s: float) -> tuple[float, list[int]] | None:
+    def next_batch(self, device_free_s: float) -> tuple[float, range | list[int]] | None:
         """Form the next batch; ``(start_s, request indices)`` or ``None``."""
         if self.contiguous:
-            formed = self.next_span(device_free_s)
-            if formed is None:
-                return None
-            start, lo, hi = formed
-            return start, list(range(lo, hi))
+            return self.next_span(device_free_s)
         return self._next_batch_queued(device_free_s)

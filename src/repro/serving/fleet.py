@@ -11,9 +11,9 @@ to a device lane at arrival time (latency-critical requests spill off
 backlogged lanes earlier than best-effort ones), and each lane then
 batches and serves its share exactly like the single-device simulator
 would.  A :class:`DeviceLane` owns its queue of request *indices*, its
-clocks and its meters, and prices batches through the same compiled
-per-config executor as the single-device event core
-(:class:`~repro.serving.simulator._CompiledConfig`).
+clocks and its meters, and serves batches through the single-device
+engine's rungs, pricing loop and served-batch log
+(:mod:`repro.serving.simulator`).
 
 With an :class:`~repro.serving.batcher.AdmissionPolicy` the fleet applies
 queue-depth admission at the lane door: a request routed to a full lane is
@@ -51,7 +51,6 @@ import numpy as np
 from repro.engine.cache import ResultCache
 from repro.engine.service import EvaluationService
 from repro.engine.tasks import spec_task, task_spec
-from repro.hardware.energy import PathProfile
 from repro.hardware.platform import resolve_platform_keys
 from repro.obs import trace as tracing
 from repro.serving.batcher import AdmissionPolicy
@@ -62,9 +61,9 @@ from repro.serving.governor import (
     RuntimeConfig,
     ServingPolicy,
     StaticPolicy,
-    _profiles_for,
     static_config_for,
 )
+from repro.serving import workload
 from repro.serving.harness import (
     ServingSpec,
     ServingStack,
@@ -79,18 +78,17 @@ from repro.serving.router import (
 )
 from repro.serving.scenarios import Scenario, ThermalState, get_scenario
 from repro.serving.simulator import (
-    CompiledStream,
+    _check_stream,
     _CompiledConfig,
+    _energy_cap_j,
+    _first_observation,
+    _RungMemo,
+    _ServedLog,
     compile_stream,
 )
 from repro.serving.stream import ServingStream
-from repro.serving.telemetry import class_latency_stats, percentile_ms
-from repro.serving.workload import (
-    LATENCY_CRITICAL,
-    SLO_CLASSES,
-    Trace,
-    make_trace,
-)
+from repro.serving.telemetry import latency_summary, run_summary
+from repro.serving.workload import LATENCY_CRITICAL, Trace
 from repro.utils.validation import check_positive
 
 #: Bump when fleet-cell semantics change; orphans persisted fleet entries.
@@ -268,8 +266,8 @@ class DeviceLane:
     The lane exposes the read-only :class:`~repro.serving.router.LaneState`
     surface routers observe (queue depth, estimated wait, reference
     capacity) and owns everything the simulator drives per device: the
-    queue, the device clocks, the current config, thermal state, the
-    compiled-config caches and the meters.
+    queue, the device clocks, the current config, thermal state, the rung
+    memo (``rungs``), the served-batch log (``served``) and the meters.
 
     The queue is not a container of its own.  Every admitted request is
     appended to three parallel books, ``request_indices``,
@@ -313,11 +311,11 @@ class DeviceLane:
         self.next_decision = 0.0
         self.config: RuntimeConfig | None = None
         self.thermal: ThermalState | None = None
-        # Caches shared across batches.  The active config changes only at
-        # governor decisions and throttle edges, so the last one and its
-        # compiled executor are kept at hand for the next batch.
-        self._profiles: dict[str, list[PathProfile]] = {}
-        self._compiled: dict[str, _CompiledConfig] = {}
+        # Per-run rungs (set up by the simulator).  The active config changes
+        # only at governor decisions and throttle edges, so the last one and
+        # its compiled executor are kept at hand for the next batch.
+        self.rungs: _RungMemo | None = None
+        self.served = _ServedLog()
         self._last_active: RuntimeConfig | None = None
         self._last_compiled: _CompiledConfig | None = None
         # Meters.
@@ -331,7 +329,7 @@ class DeviceLane:
         self.stolen_in = 0
         self.stolen_out = 0
         self.config_usage: dict[str, int] = {}
-        self.exit_counts = [0] * (stack.placement.num_exits + 1)
+        self.exit_counts = np.zeros(stack.placement.num_exits + 1, dtype=np.int64)
 
     # -------------------------------------------------------- router surface
     @property
@@ -475,21 +473,6 @@ class DeviceLane:
         self._critical.extend(bytes(len(indices)))
         self.stolen_in += len(indices)
 
-    # ---------------------------------------------------------- config state
-    def profiles_of(self, config: RuntimeConfig) -> list[PathProfile]:
-        if config.name not in self._profiles:
-            self._profiles[config.name] = _profiles_for(
-                self.stack.evaluator, self.stack.placement, config.dvfs_governor()
-            )
-        return self._profiles[config.name]
-
-    def compiled_of(self, config: RuntimeConfig, cstream: CompiledStream) -> _CompiledConfig:
-        if config.name not in self._compiled:
-            self._compiled[config.name] = _CompiledConfig(
-                config, self.profiles_of(config), cstream
-            )
-        return self._compiled[config.name]
-
 
 def build_fleet_stacks(spec: FleetSpec) -> list[ServingStack]:
     """One serving stack per platform, provisioned for its share of load.
@@ -521,7 +504,7 @@ def build_fleet_trace_and_stream(
     the stream comes from the first and is valid for all lanes.
     """
     fleet_rate = sum(stack.rate_hz for stack in stacks)
-    trace = make_trace(
+    trace = workload.make_trace(
         spec.pattern,
         fleet_rate,
         spec.duration_s,
@@ -582,13 +565,6 @@ class FleetSimulator:
         power_cap = (
             lane.thermal.power_cap_w(lane.max_power_w) if lane.thermal else None
         )
-        energy_cap = None
-        if battery_budget_j is not None:
-            remaining_j = max(battery_budget_j - battery_spent_j, 0.0)
-            remaining_requests = max(
-                trace.mean_rate_hz * max(trace.duration_s - now_s, 0.0), 1.0
-            )
-            energy_cap = remaining_j / remaining_requests
         return GovernorObservation(
             now_s=now_s,
             window_s=self.window_s,
@@ -597,13 +573,13 @@ class FleetSimulator:
             slo_s=self.slo_s,
             temperature_c=lane.thermal.temperature_c if lane.thermal else 0.0,
             power_cap_w=power_cap,
-            energy_cap_j=energy_cap,
+            energy_cap_j=_energy_cap_j(battery_budget_j, battery_spent_j, trace, now_s),
             critical_backlog=lane.critical_backlog_at(now_s),
         )
 
     # -------------------------------------------------------------- main loop
     def run(self, trace: Trace, stream: ServingStream) -> FleetReport:
-        router, cstream, battery_budget = self._setup(trace, stream)
+        router, battery_budget = self._setup(trace, stream)
         # The loop allocates acyclically (flat books, batch lists freed as
         # they are priced), so cycle collection has nothing to find — but
         # generational collections still traverse the ever-growing books,
@@ -613,62 +589,40 @@ class FleetSimulator:
         if was_enabled:
             gc.disable()
         try:
-            return self._serve(trace, router, cstream, battery_budget)
+            return self._serve(trace, router, battery_budget)
         finally:
             if was_enabled:
                 gc.enable()
 
     def _setup(
         self, trace: Trace, stream: ServingStream
-    ) -> tuple[FleetRouter, CompiledStream, float | None]:
+    ) -> tuple[FleetRouter, float | None]:
         """Check the inputs and build one run's starting state.
 
-        Returns the router, the compiled stream and the fleet battery
-        budget, after giving every lane its thermal state and its t=0
-        governor decision.  The fleet loop and its executable spec both
+        Returns the router and the fleet battery budget, after giving every
+        lane its rungs for the compiled stream, its thermal state and its
+        t=0 governor decision.  The fleet loop and its executable spec both
         start here.
         """
-        n = trace.num_requests
-        if stream.num_requests != n:
-            raise ValueError(f"stream carries {stream.num_requests} requests, trace has {n}")
-        placement = self.lanes[0].stack.placement
-        if stream.num_exits != placement.num_exits:
-            raise ValueError(
-                f"stream carries {stream.num_exits} exit heads but the deployed "
-                f"placement expects {placement.num_exits}; the mounted logits "
-                "stream and exit placement must describe the same DyNN"
-            )
+        _check_stream(stream, trace, self.lanes[0].stack.placement)
         router = make_router(self.spec.router, self.lanes, self.slo_s)
         cstream = compile_stream(stream)
         for lane in self.lanes:
-            lane.thermal = (
-                ThermalState(self.scenario.thermal, lane.max_power_w)
-                if self.scenario.thermal is not None
-                else None
-            )
-            # The t=0 observation is the same minimal one the single-device
-            # simulator hand-builds (no caps, no backlog) at the lane's
-            # capacity share of the mean rate — keeping a fleet of one
-            # bit-identical to ServingSimulator in *every* scenario.
-            lane.config = lane.policy.select(
-                GovernorObservation(
-                    now_s=0.0,
-                    window_s=self.window_s,
-                    arrival_rate_hz=trace.mean_rate_hz
-                    * lane.reference_capacity_rps / self._total_capacity_rps,
-                    backlog=0,
-                    slo_s=self.slo_s,
-                )
-            )
+            lane.rungs = _RungMemo(lane.stack.evaluator, lane.stack.placement, cstream)
+            lane.thermal = self.scenario.thermal_state(lane.max_power_w)
+            # The single-device t=0 observation at the lane's capacity share
+            # of the mean rate: a fleet of one stays bit-identical to
+            # ServingSimulator in *every* scenario.
+            rate = trace.mean_rate_hz * lane.reference_capacity_rps / self._total_capacity_rps
+            lane.config = lane.policy.select(_first_observation(self.window_s, rate, self.slo_s))
             lane.governor_decisions += 1
             lane.next_decision = self.window_s
-        return router, cstream, self._battery_budget_j(trace)
+        return router, self._battery_budget_j(trace)
 
     def _serve(
         self,
         trace: Trace,
         router: FleetRouter,
-        cstream: CompiledStream,
         battery_budget: float | None,
     ) -> FleetReport:
         """Fleet loop: route each arrival once, then dispatch what is due.
@@ -686,18 +640,14 @@ class FleetSimulator:
         on lane index) is the spec's dispatch order.
 
         A dispatch pops its batch with :meth:`DeviceLane.pop_batch`, prices
-        it through
-        :meth:`~repro.serving.simulator._CompiledConfig.price_indices` (the
-        same Python-float tables as the single-device span engine) and
-        advances the lane's own clocks and meters; completion/correctness
-        scatters happen once at the end.  With ``spec.steal`` set, governor
-        decisions on an unloaded lane may migrate queued best-effort
-        requests off a stalled lane — the one intentional (opt-in)
-        departure from the per-request loop.
+        it (:meth:`~repro.serving.simulator._CompiledConfig.price`), logs it
+        on the lane's served-batch log, which settles at the end, and
+        advances the lane's clocks and meters.  With ``spec.steal`` set,
+        governor decisions on an unloaded lane may migrate queued
+        best-effort requests off a stalled lane — the one intentional
+        (opt-in) departure from the per-request loop.
         """
         n = trace.num_requests
-        completion = np.full(n, np.nan)
-        correct = np.zeros(n, dtype=bool)
         lanes = self.lanes
         admission = self.admission
         state = BlockLaneState(
@@ -729,23 +679,6 @@ class FleetSimulator:
         lane_counter = [
             f"fleet.lane.{lane.stack.spec.platform}.batches" for lane in lanes
         ]
-
-        # Dispatch log: per-batch index lists and completion times, scattered
-        # into the report arrays once at the end (a numpy fancy write per
-        # two-request batch costs more than the batch itself).
-        # Served requests accumulate *flat* (indices + per-batch sizes), not
-        # as retained batch lists: a million retained small lists keeps the
-        # GC-tracked heap growing all run and generational collections go
-        # quadratic.  Flat int/float lists are opaque to the GC.
-        served_flat: list[int] = []
-        served_sizes: list[int] = []
-        served_ends: list[float] = []
-        sf_extend = served_flat.extend
-        ss_append = served_sizes.append
-        se_append = served_ends.append
-        # Correctness groups by compiled config (correct[i] depends on which
-        # config served request i).
-        correct_groups: dict[int, tuple[_CompiledConfig, list[int]]] = {}
 
         def dispatch(lane: DeviceLane, start: float, batch: list[int]) -> None:
             nonlocal battery_spent, battery_exhausted, num_stolen
@@ -785,19 +718,11 @@ class FleetSimulator:
             usage[active.name] = usage.get(active.name, 0) + 1
             if active is not lane._last_active:
                 lane._last_active = active
-                lane._last_compiled = lane.compiled_of(active, cstream)
+                lane._last_compiled = lane.rungs.compiled_of(active)
             compiled = lane._last_compiled
-            latency, energy = compiled.price_indices(batch, lane.exit_counts)
-
+            latency, energy = compiled.price(batch)
             end = start + latency
-            sf_extend(batch)
-            ss_append(size)
-            se_append(end)
-            group = correct_groups.get(id(compiled))
-            if group is None:
-                correct_groups[id(compiled)] = (compiled, batch)
-            else:
-                group[1].extend(batch)
+            lane.served.add(compiled, batch, end)
 
             lane.energy_j += energy
             lane.busy_s += latency
@@ -848,15 +773,10 @@ class FleetSimulator:
                     if lane.pending_start() == start:
                         dispatch(lane, start, lane.pop_batch(start))
 
-        # One scatter for completion/correctness instead of per-batch writes.
-        if served_ends:
-            flat = np.asarray(served_flat, dtype=np.int64)
-            sizes = np.asarray(served_sizes, dtype=np.int64)
-            completion[flat] = np.repeat(np.asarray(served_ends), sizes)
-        for compiled, idx_list in correct_groups.values():
-            idx = np.asarray(idx_list, dtype=np.int64)
-            correct[idx] = compiled.correct[idx]
-
+        completion = np.full(n, np.nan)
+        correct = np.zeros(n, dtype=bool)
+        for lane in lanes:
+            lane.exit_counts = lane.served.settle(completion, correct, len(lane.exit_counts))
         return self._report(trace, completion, correct, battery_budget,
                             battery_spent, battery_exhausted,
                             num_stolen=num_stolen)
@@ -926,19 +846,20 @@ class FleetSimulator:
     ) -> FleetReport:
         n = trace.num_requests
         arrivals = trace.arrival_s
-        served = ~np.isnan(completion)
-        num_served = int(served.sum())
-        num_dropped = n - num_served
-        latencies = completion[served] - arrivals[served]
-        makespan = max(
-            float(np.max(completion[served])) if num_served else 0.0, trace.duration_s
+        lanes = self.lanes
+        total_energy = sum(lane.energy_j for lane in lanes)
+        summary, makespan = run_summary(
+            trace, completion, correct, np.sum([lane.exit_counts for lane in lanes], axis=0),
+            total_energy, self.slo_s,
         )
+        num_dropped = n - summary["num_served"]
 
         devices = []
-        for lane in self.lanes:
+        for lane in lanes:
             idx = np.asarray(lane.request_indices, dtype=np.int64)
-            lane_lat = (completion[idx] - arrivals[idx]) if len(idx) else np.zeros(0)
             lane_served = len(idx)
+            latency = latency_summary(completion[idx] - arrivals[idx], self.slo_s)
+            del latency["latency_ms_mean"]  # devices report no mean
             devices.append(
                 DeviceTelemetry(
                     platform=lane.stack.spec.platform,
@@ -947,10 +868,7 @@ class FleetSimulator:
                     batches=lane.num_batches,
                     mean_batch_size=lane_served / lane.num_batches if lane.num_batches else 0.0,
                     utilization=lane.busy_s / makespan if makespan > 0 else 0.0,
-                    latency_ms_p50=percentile_ms(lane_lat, 50),
-                    latency_ms_p95=percentile_ms(lane_lat, 95),
-                    latency_ms_p99=percentile_ms(lane_lat, 99),
-                    deadline_miss_rate=float((lane_lat > self.slo_s).mean()) if lane_served else 0.0,
+                    **latency,
                     energy_j=lane.energy_j,
                     energy_per_request_j=lane.energy_j / lane_served if lane_served else 0.0,
                     switching_energy_j=0.0,
@@ -967,8 +885,6 @@ class FleetSimulator:
                 )
             )
 
-        exit_counts = np.sum([lane.exit_counts for lane in self.lanes], axis=0)
-        total_energy = sum(lane.energy_j for lane in self.lanes)
         return FleetReport(
             pattern=trace.pattern,
             scenario=self.scenario.name,
@@ -981,38 +897,22 @@ class FleetSimulator:
             num_requests=n,
             duration_s=trace.duration_s,
             offered_rate_rps=trace.mean_rate_hz,
-            throughput_rps=num_served / makespan if makespan > 0 else 0.0,
-            latency_ms_mean=float(latencies.mean() * 1e3) if num_served else 0.0,
-            latency_ms_p50=percentile_ms(latencies, 50),
-            latency_ms_p95=percentile_ms(latencies, 95),
-            latency_ms_p99=percentile_ms(latencies, 99),
-            deadline_miss_rate=float((latencies > self.slo_s).mean())
-            if num_served
-            else 0.0,
-            energy_per_request_j=total_energy / num_served if num_served else 0.0,
             total_energy_j=total_energy,
             switching_energy_j=0.0,
-            accuracy=float(correct[served].mean()) if num_served else 0.0,
-            exit_usage=[
-                float(c) / num_served if num_served else 0.0 for c in exit_counts
-            ],
-            governor_decisions=sum(lane.governor_decisions for lane in self.lanes),
+            governor_decisions=sum(lane.governor_decisions for lane in lanes),
             peak_temperature_c=max(
-                (lane.thermal.peak_c for lane in self.lanes if lane.thermal is not None),
+                (lane.thermal.peak_c for lane in lanes if lane.thermal is not None),
                 default=0.0,
             ),
             battery_budget_j=battery_budget or 0.0,
             battery_spent_j=battery_spent if battery_budget is not None else 0.0,
             battery_exhausted=battery_exhausted,
             devices=devices,
-            num_served=num_served,
             num_dropped=num_dropped,
             num_deferred=0,
             drop_rate=num_dropped / n if n else 0.0,
-            class_stats=class_latency_stats(
-                trace.slo_class, SLO_CLASSES, arrivals, completion, self.slo_s
-            ),
             num_stolen=num_stolen,
+            **summary,
         )
 
 

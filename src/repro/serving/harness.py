@@ -29,6 +29,7 @@ from repro.exits.placement import MIN_EXIT_POSITION, ExitPlacement
 from repro.hardware.dvfs import DvfsSpace
 from repro.hardware.energy import EnergyModel
 from repro.hardware.platform import get_platform, validate_platform_keys
+from repro.serving import workload
 from repro.serving.batcher import ADMISSION_MODES, AdmissionPolicy, BatchPolicy
 from repro.serving.deploy import DeployedDesign
 from repro.serving.governor import (
@@ -42,7 +43,7 @@ from repro.serving.scenarios import Scenario, get_scenario
 from repro.serving.simulator import ServingSimulator
 from repro.serving.stream import LogitsSynthesizer, ServingStream
 from repro.serving.telemetry import ServingReport
-from repro.serving.workload import LOAD_PATTERNS, Trace, make_trace
+from repro.serving.workload import LOAD_PATTERNS, Trace
 from repro.utils.validation import check_nonneg, check_positive
 
 #: Bump when serving-cell semantics change; orphans persisted serving entries.
@@ -247,7 +248,7 @@ def build_serving_stack(spec: ServingSpec) -> ServingStack:
 def build_trace_and_stream(stack: ServingStack) -> tuple[Trace, ServingStream]:
     """The paired (trace, logits) inputs both policies are compared on."""
     spec = stack.spec
-    trace = make_trace(
+    trace = workload.make_trace(
         spec.pattern,
         stack.rate_hz,
         spec.duration_s,

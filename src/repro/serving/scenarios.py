@@ -96,6 +96,10 @@ class Scenario:
         if self.battery_scale is not None:
             check_positive("battery_scale", self.battery_scale)
 
+    def thermal_state(self, max_power_w: float) -> ThermalState | None:
+        """A device's thermal state at the start of a run (None: no thermal model)."""
+        return ThermalState(self.thermal, max_power_w) if self.thermal is not None else None
+
 
 SCENARIOS: dict[str, Scenario] = {
     "nominal": Scenario(name="nominal"),

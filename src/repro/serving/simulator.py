@@ -15,10 +15,13 @@ arithmetic over the arrival array; :func:`compile_stream` reduces the
 stream's logits, regenerated block by block and never held whole, to
 per-head entropy and correctness; and a per-config compiled executor
 (:class:`_CompiledConfig`) precomputes full-stream exit decisions,
-correctness and per-path cost tables once, so the per-batch work is a few
-table gathers.  Reports are bit-identical to the original per-request loop
-over :class:`~repro.serving.workload.Request` objects, which lives on as
-the executable spec in ``tests/spec/serving.py`` and shares this module's
+correctness and per-path cost tables once, so pricing a batch
+(:meth:`_CompiledConfig.price`) is a few table lookups; a
+:class:`_ServedLog` settles completion, correctness and exit counts once
+per run.  The fleet's lanes serve through the same rungs, pricing and log.
+Reports are bit-identical to the original per-request loop over
+:class:`~repro.serving.workload.Request` objects, which lives on as the
+executable spec in ``tests/spec/serving.py`` and shares this module's
 per-run set-up (:meth:`ServingSimulator._setup`).
 
 The core also supports admission control
@@ -32,6 +35,7 @@ decision are pure functions of the seed and configuration.
 
 from __future__ import annotations
 
+from array import array
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -50,8 +54,8 @@ from repro.serving.governor import (
 )
 from repro.serving.scenarios import Scenario, ThermalState
 from repro.serving.stream import ServingStream
-from repro.serving.telemetry import ServingReport, class_latency_stats, percentile_ms
-from repro.serving.workload import SLO_CLASSES, Trace
+from repro.serving.telemetry import ServingReport, run_summary
+from repro.serving.workload import Trace
 from repro.utils.validation import check_positive
 
 @dataclass(frozen=True)
@@ -90,9 +94,8 @@ class _CompiledConfig:
 
     ``decisions`` replicates :meth:`EntropyThresholdController.decide` over
     the full stream (first exit whose entropy clears its threshold);
-    :meth:`price_span` and :meth:`price_indices` replicate
-    :func:`~repro.hardware.energy.batched_execution` for a batch of those
-    decisions.
+    :meth:`price` replicates :func:`~repro.hardware.energy.batched_execution`
+    for a batch of those decisions.
     Sums run as sequential Python float sums (NOT ``np.sum``, whose
     pairwise reduction associates differently) and the shared-overhead
     path is the *first* maximum, exactly like ``max(..., key=...)`` — this
@@ -147,12 +150,12 @@ class _CompiledConfig:
             u + p * o for u, p, o in zip(self._unit_l, self._passive_l, self._over_l)
         ]
 
-    def price_span(self, lo: int, hi: int) -> tuple[float, float]:
-        """(latency_s, energy_j) of the contiguous batch ``[lo, hi)`` (the
-        span-mode batcher's batches)."""
+    def price(self, requests: range | list[int]) -> tuple[float, float]:
+        """(latency_s, energy_j) of one batch: a ``range`` of request indices
+        (span mode) or a list of them (queue mode, fleet lanes)."""
         dec = self._dec_req
-        if hi - lo == 1:
-            d = dec[lo]
+        if len(requests) == 1:
+            d = dec[requests[0]]
             return self._lat_one[d], self._energy_one[d]
         busy = self._busy_l
         over = self._over_l
@@ -160,53 +163,138 @@ class _CompiledConfig:
         busy_sum = 0.0
         energy = 0.0
         peak = -1.0
-        longest = lo
-        for j in range(lo, hi):
-            d = dec[j]
-            busy_sum += busy[d]
-            energy += unit[d]
-            o = over[d]
-            if o > peak:  # strict: keeps the first maximum, like argmax
-                peak = o
-                longest = j
-        latency = busy_sum + peak
-        energy += self._passive_l[dec[longest]] * peak
-        return latency, energy
-
-    def price_indices(
-        self, indices: list[int], counts: list[int] | np.ndarray
-    ) -> tuple[float, float]:
-        """:meth:`price_span` for an explicit request-index batch.
-
-        Fleet lanes and the single-device queue mode dispatch
-        non-contiguous index batches; same tables, same sequential sums and
-        strict first maximum.  ``counts`` tallies the per-exit decisions in
-        the same pass (the exit usage meters).
-        """
-        dec = self._dec_req
-        if len(indices) == 1:
-            d = dec[indices[0]]
-            counts[d] += 1
-            return self._lat_one[d], self._energy_one[d]
-        busy = self._busy_l
-        over = self._over_l
-        unit = self._unit_l
-        busy_sum = 0.0
-        energy = 0.0
-        peak = -1.0
-        longest = indices[0]
-        for t in indices:
+        longest = 0
+        for t in requests:
             d = dec[t]
-            counts[d] += 1
             busy_sum += busy[d]
             energy += unit[d]
             o = over[d]
             if o > peak:  # strict: keeps the first maximum, like argmax
                 peak = o
-                longest = t
+                longest = d
         latency = busy_sum + peak
-        energy += self._passive_l[dec[longest]] * peak
+        energy += self._passive_l[longest] * peak
         return latency, energy
+
+
+class _RungMemo:
+    """One device's rungs for one run (the simulator's or a fleet lane's):
+    each config compiled against the run's stream once, by name.  Every
+    run builds its own, so no rung outlives the stream it was compiled
+    against."""
+
+    def __init__(
+        self, evaluator: DynamicEvaluator, placement: ExitPlacement, cstream: CompiledStream
+    ):
+        self.evaluator = evaluator
+        self.placement = placement
+        self.cstream = cstream
+        self._compiled: dict[str, _CompiledConfig] = {}
+
+    def compiled_of(self, config: RuntimeConfig) -> _CompiledConfig:
+        compiled = self._compiled.get(config.name)
+        if compiled is None:
+            profiles = _profiles_for(self.evaluator, self.placement, config.dvfs_governor())
+            compiled = self._compiled[config.name] = _CompiledConfig(
+                config, profiles, self.cstream
+            )
+        return compiled
+
+
+class _ServedLog:
+    """Every batch one engine serves in a run, settled into telemetry once.
+
+    :meth:`add` appends each priced batch to typed buffers: the slot of the
+    rung that priced it, its size and its completion instant.  While the
+    batches are ranges that tile ``[0, hi)`` in order (the span-mode
+    batcher's), the request order stays implicit; from the first other
+    batch on, the log keeps every served request index, in order, in one
+    ``array('q')``.  :meth:`settle` walks the runs of consecutive batches
+    priced by one rung: per run, one completion write, one correctness copy
+    and one ``bincount``.  No Python object is kept per batch or per
+    request.
+    """
+
+    __slots__ = ("_rungs", "_slot_of", "_slots", "_sizes", "_ends", "_requests", "_tiled")
+
+    def __init__(self):
+        self._rungs: list[_CompiledConfig] = []
+        self._slot_of: dict[_CompiledConfig, int] = {}
+        self._slots = array("H")
+        self._sizes = array("I")
+        self._ends = array("d")
+        self._requests: array | None = None  # None while the batches tile [0, _tiled)
+        self._tiled = 0
+
+    def add(self, rung: _CompiledConfig, requests: range | list[int], end: float) -> None:
+        slot = self._slot_of.get(rung)
+        if slot is None:
+            slot = self._slot_of[rung] = len(self._rungs)
+            self._rungs.append(rung)
+        self._slots.append(slot)
+        self._sizes.append(len(requests))
+        self._ends.append(end)
+        if self._requests is None:
+            if type(requests) is range and requests.start == self._tiled:
+                self._tiled = requests.stop
+                return
+            self._requests = array("q", range(self._tiled))
+        self._requests.extend(requests)
+
+    def settle(self, completion: np.ndarray, correct: np.ndarray, heads: int) -> np.ndarray:
+        """Write each logged request's completion instant and correctness;
+        return the per-exit counts (``heads`` = exits + 1)."""
+        counts = np.zeros(heads, dtype=np.int64)
+        if not self._slots:
+            return counts
+        slots = np.frombuffer(self._slots, dtype=np.uint16)
+        sizes = np.frombuffer(self._sizes, dtype=np.uint32)
+        ends = np.frombuffer(self._ends)
+        requests = None if self._requests is None else np.frombuffer(self._requests, np.int64)
+        # Runs of one rung: their first batches, and their first requests.
+        firsts = np.concatenate(([0], np.flatnonzero(slots[1:] != slots[:-1]) + 1))
+        run_sizes = np.add.reduceat(sizes, firsts, dtype=np.int64)
+        batch_edges = [*firsts.tolist(), len(slots)]
+        edges = [0, *np.cumsum(run_sizes).tolist()]
+        for i, slot in enumerate(slots[firsts].tolist()):
+            lo, hi = edges[i], edges[i + 1]
+            seg = slice(lo, hi) if requests is None else requests[lo:hi]
+            batches = slice(batch_edges[i], batch_edges[i + 1])
+            rung = self._rungs[slot]
+            completion[seg] = np.repeat(ends[batches], sizes[batches])
+            correct[seg] = rung.correct[seg]
+            counts += np.bincount(rung.decisions[seg], minlength=heads)
+        return counts
+
+
+def _check_stream(stream: ServingStream, trace: Trace, placement: ExitPlacement) -> None:
+    """Refuse a stream that does not describe the trace and the deployed DyNN."""
+    n = trace.num_requests
+    if stream.num_requests != n:
+        raise ValueError(f"stream carries {stream.num_requests} requests, trace has {n}")
+    if stream.num_exits != placement.num_exits:
+        raise ValueError(
+            f"stream carries {stream.num_exits} exit heads but the deployed "
+            f"placement expects {placement.num_exits}; the mounted logits "
+            "stream and exit placement must describe the same DyNN"
+        )
+
+
+def _first_observation(window_s: float, rate_hz: float, slo_s: float) -> GovernorObservation:
+    """A device's t=0 observation: the expected rate, no backlog, no caps."""
+    return GovernorObservation(
+        now_s=0.0, window_s=window_s, arrival_rate_hz=rate_hz, backlog=0, slo_s=slo_s
+    )
+
+
+def _energy_cap_j(budget_j: float | None, spent_j: float, trace: Trace, now_s: float):
+    """Per-request energy the battery still allows: what is left of the
+    budget over the requests the trace still expects (None: no battery)."""
+    if budget_j is None:
+        return None
+    remaining_j = max(budget_j - spent_j, 0.0)
+    remaining_requests = max(trace.mean_rate_hz * max(trace.duration_s - now_s, 0.0), 1.0)
+    return remaining_j / remaining_requests
 
 
 @dataclass
@@ -225,7 +313,6 @@ class _RunState:
     num_dropped: int = 0
     num_deferred: int = 0
     config_usage: dict[str, int] = field(default_factory=dict)
-    peak_temperature_c: float = 0.0
 
 
 class ServingSimulator:
@@ -285,16 +372,8 @@ class ServingSimulator:
         self.emergency_backlog = 2.0 * self.batch_policy.max_batch
         self._max_power_w = max(c.expected_power_w for c in self.ladder)
         self._coolest = min(self.ladder, key=lambda c: c.expected_power_w)
-        self._profiles: dict[str, list[PathProfile]] = {}
 
     # ------------------------------------------------------------- internals
-    def _profiles_of(self, config: RuntimeConfig) -> list[PathProfile]:
-        if config.name not in self._profiles:
-            self._profiles[config.name] = _profiles_for(
-                self.evaluator, self.placement, config.dvfs_governor()
-            )
-        return self._profiles[config.name]
-
     def _observe(
         self,
         now_s: float,
@@ -310,13 +389,6 @@ class ServingSimulator:
         span = max(now_s - window_start, 1e-9)
         rate = (hi - lo) / span if now_s > 0 else trace.mean_rate_hz
         power_cap = thermal.power_cap_w(self._max_power_w) if thermal else None
-        energy_cap = None
-        if self.battery_budget_j is not None:
-            remaining_j = max(self.battery_budget_j - battery_spent_j, 0.0)
-            remaining_requests = max(
-                trace.mean_rate_hz * max(trace.duration_s - now_s, 0.0), 1.0
-            )
-            energy_cap = remaining_j / remaining_requests
         return GovernorObservation(
             now_s=now_s,
             window_s=self.window_s,
@@ -325,19 +397,8 @@ class ServingSimulator:
             slo_s=self.slo_s,
             temperature_c=thermal.temperature_c if thermal else 0.0,
             power_cap_w=power_cap,
-            energy_cap_j=energy_cap,
+            energy_cap_j=_energy_cap_j(self.battery_budget_j, battery_spent_j, trace, now_s),
             critical_backlog=batcher.critical_backlog_at(now_s),
-        )
-
-    def _initial_config(self, trace: Trace) -> RuntimeConfig:
-        return self.policy.select(
-            GovernorObservation(
-                now_s=0.0,
-                window_s=self.window_s,
-                arrival_rate_hz=trace.mean_rate_hz,
-                backlog=0,
-                slo_s=self.slo_s,
-            )
         )
 
     # -------------------------------------------------------------- main loop
@@ -381,20 +442,8 @@ class ServingSimulator:
         first governor decision — and empty telemetry.  The event loop and
         its executable spec both start here.
         """
+        _check_stream(stream, trace, self.placement)
         n = trace.num_requests
-        if stream.num_requests != n:
-            raise ValueError(f"stream carries {stream.num_requests} requests, trace has {n}")
-        if stream.num_exits != self.placement.num_exits:
-            raise ValueError(
-                f"stream carries {stream.num_exits} exit heads but the deployed "
-                f"placement expects {self.placement.num_exits}; the mounted "
-                "logits stream and exit placement must describe the same DyNN"
-            )
-        thermal = (
-            ThermalState(self.scenario.thermal, self._max_power_w)
-            if self.scenario.thermal is not None
-            else None
-        )
         state = _RunState(
             completion=np.full(n, np.nan),
             correct=np.zeros(n, dtype=bool),
@@ -402,7 +451,10 @@ class ServingSimulator:
             governor_decisions=1,
         )
         tracing.count("serving.governor_decisions")
-        return thermal, self._initial_config(trace), state
+        config = self.policy.select(
+            _first_observation(self.window_s, trace.mean_rate_hz, self.slo_s)
+        )
+        return self.scenario.thermal_state(self._max_power_w), config, state
 
     def _serve(
         self,
@@ -415,23 +467,14 @@ class ServingSimulator:
         """The vectorized event core: ArrayBatcher + compiled executor.
 
         Serves the whole trace from ``config`` onwards, filling ``state``.
+        Span-mode batches are ``range`` objects, queue-mode batches lists;
+        pricing and the log take either.
         """
         arrivals = trace.arrival_s
         batcher = ArrayBatcher(trace, self.batch_policy, self.admission)
-        cstream = compile_stream(stream)
-        compiled: dict[str, _CompiledConfig] = {}
-
-        def compiled_of(config: RuntimeConfig) -> _CompiledConfig:
-            cc = compiled.get(config.name)
-            if cc is None:
-                cc = _CompiledConfig(config, self._profiles_of(config), cstream)
-                compiled[config.name] = cc
-            return cc
-
-        completion = state.completion
-        correct = state.correct
-        exit_counts = state.exit_counts
-        use_span = batcher.contiguous
+        rungs = _RungMemo(self.evaluator, self.placement, compile_stream(stream))
+        log = _ServedLog()
+        next_batch = batcher.next_span if batcher.contiguous else batcher.next_batch
         clock = 0.0
         t_free = 0.0
         next_decision = self.window_s
@@ -442,6 +485,8 @@ class ServingSimulator:
         # loop is synchronous) and writes the meters back at the end.
         recorder = tracing.active()
         policy_select = self.policy.select
+        compiled_of = rungs.compiled_of
+        log_add = log.add
         window_s = self.window_s
         emergency_backlog = self.emergency_backlog
         battery_budget = self.battery_budget_j
@@ -450,34 +495,14 @@ class ServingSimulator:
         num_batches = 0
         total_energy = 0.0
         battery_spent = 0.0
-        # Span-mode writes of `correct`/`exit_counts` are flushed per *run*
-        # of consecutive batches priced by the same compiled config — one
-        # slice copy and one bincount per config stretch instead of per
-        # batch (a static nominal run flushes exactly once).
-        run_cc: _CompiledConfig | None = None
-        run_lo = run_hi = 0
+        # The active config changes only at governor decisions and throttle
+        # edges, so its compiled rung is looked up only then.
+        last_active: RuntimeConfig | None = None
+        cc: _CompiledConfig | None = None
 
-        def flush_run() -> None:
-            if run_cc is not None and run_hi > run_lo:
-                correct[run_lo:run_hi] = run_cc.correct[run_lo:run_hi]
-                counts = np.bincount(
-                    run_cc.decisions[run_lo:run_hi], minlength=len(exit_counts)
-                )
-                np.add(exit_counts, counts, out=exit_counts)
-
-        while True:
-            if use_span:
-                formed = batcher.next_span(t_free)
-            else:
-                formed = batcher.next_batch(t_free)
-            if formed is None:
-                break
-            if use_span:
-                start, lo, hi = formed
-                size = hi - lo
-            else:
-                start, indices = formed
-                size = len(indices)
+        while (formed := next_batch(t_free)) is not None:
+            start, requests = formed
+            size = len(requests)
             if thermal is not None and start > clock:
                 thermal.advance(0.0, start - clock)  # idle: device cools
             # Spike check counts the in-flight batch: the batcher already
@@ -506,21 +531,12 @@ class ServingSimulator:
                 recorder.count("serving.batches", 1)
                 recorder.observe("serving.batch_size", size)
 
-            cc = compiled_of(active)
-            if use_span:
-                latency, energy = cc.price_span(lo, hi)
-                if cc is run_cc and lo == run_hi:
-                    run_hi = hi
-                else:
-                    flush_run()
-                    run_cc, run_lo, run_hi = cc, lo, hi
-                completion[lo:hi] = start + latency
-            else:
-                latency, energy = cc.price_indices(indices, exit_counts)
-                completion[indices] = start + latency
-                correct[indices] = cc.correct[indices]
-
+            if active is not last_active:
+                last_active = active
+                cc = compiled_of(active)
+            latency, energy = cc.price(requests)
             end = start + latency
+            log_add(cc, requests, end)
             total_energy += energy
             battery_spent += energy
             if battery_budget is not None and battery_spent > battery_budget:
@@ -531,7 +547,9 @@ class ServingSimulator:
             t_free = end
             num_batches += 1
 
-        flush_run()
+        state.exit_counts = log.settle(
+            state.completion, state.correct, len(state.exit_counts)
+        )
         state.num_batches = num_batches
         state.total_energy = total_energy
         state.battery_spent = battery_spent
@@ -548,13 +566,9 @@ class ServingSimulator:
         seed: int,
     ) -> ServingReport:
         n = trace.num_requests
-        arrivals = trace.arrival_s
-        completion = state.completion
-        served = ~np.isnan(completion)
-        num_served = int(served.sum())
-        latencies = completion[served] - arrivals[served]
-        makespan = max(
-            float(np.max(completion[served])) if num_served else 0.0, trace.duration_s
+        summary, _ = run_summary(
+            trace, state.completion, state.correct, state.exit_counts,
+            state.total_energy, self.slo_s,
         )
         num_batches = state.num_batches
         return ServingReport(
@@ -568,23 +582,10 @@ class ServingSimulator:
             num_requests=n,
             duration_s=trace.duration_s,
             offered_rate_rps=trace.mean_rate_hz,
-            throughput_rps=num_served / makespan if makespan > 0 else 0.0,
             num_batches=num_batches,
-            mean_batch_size=num_served / num_batches if num_batches else 0.0,
-            latency_ms_mean=float(latencies.mean() * 1e3) if num_served else 0.0,
-            latency_ms_p50=percentile_ms(latencies, 50),
-            latency_ms_p95=percentile_ms(latencies, 95),
-            latency_ms_p99=percentile_ms(latencies, 99),
-            deadline_miss_rate=float((latencies > self.slo_s).mean())
-            if num_served
-            else 0.0,
-            energy_per_request_j=state.total_energy / num_served if num_served else 0.0,
+            mean_batch_size=summary["num_served"] / num_batches if num_batches else 0.0,
             total_energy_j=state.total_energy,
             switching_energy_j=0.0,
-            accuracy=float(state.correct[served].mean()) if num_served else 0.0,
-            exit_usage=[
-                float(c) / num_served if num_served else 0.0 for c in state.exit_counts
-            ],
             config_usage=state.config_usage,
             governor_decisions=state.governor_decisions,
             throttled_batches=state.throttled,
@@ -594,11 +595,8 @@ class ServingSimulator:
             if self.battery_budget_j is not None
             else 0.0,
             battery_exhausted=state.battery_exhausted,
-            num_served=num_served,
             num_dropped=state.num_dropped,
             num_deferred=state.num_deferred,
             drop_rate=state.num_dropped / n if n else 0.0,
-            class_stats=class_latency_stats(
-                trace.slo_class, SLO_CLASSES, arrivals, completion, self.slo_s
-            ),
+            **summary,
         )

@@ -1,5 +1,9 @@
 """SLO telemetry for serving runs: percentiles, misses, energy, exits.
 
+:func:`run_summary` builds the run-level fields that the single-device
+:class:`ServingReport` and the fleet's ``FleetReport`` share; its
+:func:`latency_summary` also serves each fleet device and SLO class.
+
 :class:`ServingReport` is deliberately plain (floats, lists, string-keyed
 dicts) so it survives ``to_jsonable`` round-trips — serving cells are cached
 in the persistent :class:`~repro.engine.cache.ResultCache` as JSON and
@@ -12,12 +16,21 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from repro.serving.workload import SLO_CLASSES, Trace
 
-def percentile_ms(latencies_s: np.ndarray, q: float) -> float:
-    """Latency percentile in milliseconds (0 for an empty run)."""
-    if len(latencies_s) == 0:
-        return 0.0
-    return float(np.percentile(latencies_s, q) * 1e3)
+_LATENCY_FIELDS = (
+    "latency_ms_mean", "latency_ms_p50", "latency_ms_p95", "latency_ms_p99", "deadline_miss_rate"
+)
+
+
+def latency_summary(latencies_s: np.ndarray, slo_s: float) -> dict[str, float]:
+    """Mean, p50/p95/p99 (ms) and deadline-miss rate of served latencies,
+    keyed by their report field names (all 0 when nothing was served)."""
+    if not len(latencies_s):
+        return dict.fromkeys(_LATENCY_FIELDS, 0.0)
+    percentiles = [float(np.percentile(latencies_s, q) * 1e3) for q in (50, 95, 99)]
+    values = [float(latencies_s.mean() * 1e3), *percentiles, float((latencies_s > slo_s).mean())]
+    return dict(zip(_LATENCY_FIELDS, values))
 
 
 def class_latency_stats(
@@ -47,15 +60,44 @@ def class_latency_stats(
             "num_requests": total,
             "num_served": num_served,
             "num_dropped": total - num_served,
-            "latency_ms_mean": float(latencies.mean() * 1e3) if num_served else 0.0,
-            "latency_ms_p50": percentile_ms(latencies, 50),
-            "latency_ms_p95": percentile_ms(latencies, 95),
-            "latency_ms_p99": percentile_ms(latencies, 99),
-            "deadline_miss_rate": float((latencies > slo_s).mean())
-            if num_served
-            else 0.0,
+            **latency_summary(latencies, slo_s),
         }
     return stats
+
+
+def run_summary(
+    trace: Trace,
+    completion_s: np.ndarray,
+    correct: np.ndarray,
+    exit_counts: np.ndarray,
+    total_energy_j: float,
+    slo_s: float,
+) -> tuple[dict, float]:
+    """The run-level report fields both serving engines share, and the
+    makespan (the trace's duration or the last completion, if later).
+
+    ``completion_s`` holds NaN for requests never served; every field
+    covers served requests only.
+    """
+    arrivals = trace.arrival_s
+    served = ~np.isnan(completion_s)
+    num_served = int(served.sum())
+    latencies = completion_s[served] - arrivals[served]
+    makespan = max(
+        float(np.max(completion_s[served])) if num_served else 0.0, trace.duration_s
+    )
+    fields = {
+        "num_served": num_served,
+        "throughput_rps": num_served / makespan if makespan > 0 else 0.0,
+        **latency_summary(latencies, slo_s),
+        "energy_per_request_j": total_energy_j / num_served if num_served else 0.0,
+        "accuracy": float(correct[served].mean()) if num_served else 0.0,
+        "exit_usage": [float(c) / num_served if num_served else 0.0 for c in exit_counts],
+        "class_stats": class_latency_stats(
+            trace.slo_class, SLO_CLASSES, arrivals, completion_s, slo_s
+        ),
+    }
+    return fields, makespan
 
 
 @dataclass(frozen=True)
@@ -106,16 +148,23 @@ class ServingReport:
     class_stats: dict[str, dict] = field(default_factory=dict)  # per SLO class
 
 
-def _admission_lines(report) -> list[str]:
-    """Drop/defer and per-class lines shared by the single/fleet renderers."""
-    lines: list[str] = []
+def _run_lines(report, header: str, energy_note: str = "") -> list[str]:
+    """The run-level lines both renderers print under their header."""
+    lines = [
+        header,
+        f"  requests        {report.num_requests} over {report.duration_s:.1f}s "
+        f"(offered {report.offered_rate_rps:.1f} rps, served {report.throughput_rps:.1f} rps)",
+        f"  latency ms      mean {report.latency_ms_mean:.1f}  p50 {report.latency_ms_p50:.1f}  "
+        f"p95 {report.latency_ms_p95:.1f}  p99 {report.latency_ms_p99:.1f}",
+        f"  SLO {report.slo_ms:.0f}ms       miss rate {report.deadline_miss_rate * 100:.1f}%",
+    ]
     if report.num_dropped or report.num_deferred:
         lines.append(
             f"  admission       {report.num_served} served, "
             f"{report.num_dropped} dropped ({report.drop_rate * 100:.1f}%), "
             f"{report.num_deferred} deferred"
         )
-    stats = getattr(report, "class_stats", None) or {}
+    stats = report.class_stats
     critical = stats.get("latency_critical")
     if critical and critical["num_requests"]:
         for name, cls in stats.items():
@@ -124,26 +173,33 @@ def _admission_lines(report) -> list[str]:
                 f"p95 {cls['latency_ms_p95']:.1f}ms  "
                 f"miss {cls['deadline_miss_rate'] * 100:.1f}%"
             )
-    return lines
+    return lines + [
+        f"  energy          {report.energy_per_request_j * 1e3:.1f} mJ/request "
+        f"({report.total_energy_j:.2f} J total{energy_note})",
+        f"  accuracy        {report.accuracy * 100:.1f}%",
+        f"  exits           " + " ".join(f"{u * 100:.0f}%" for u in report.exit_usage),
+    ]
+
+
+def _battery_lines(report) -> list[str]:
+    if not report.battery_budget_j:
+        return []
+    return [
+        f"  battery         spent {report.battery_spent_j:.2f} / "
+        f"{report.battery_budget_j:.2f} J"
+        + ("  EXHAUSTED" if report.battery_exhausted else "")
+    ]
 
 
 def render_report(report: ServingReport) -> str:
     """One run as a human-readable block."""
-    lines = [
+    lines = _run_lines(
+        report,
         f"{report.pattern} x {report.scenario} x {report.policy} "
         f"({report.model} on {report.platform}, seed {report.seed})",
-        f"  requests        {report.num_requests} over {report.duration_s:.1f}s "
-        f"(offered {report.offered_rate_rps:.1f} rps, served {report.throughput_rps:.1f} rps)",
-        f"  latency ms      mean {report.latency_ms_mean:.1f}  p50 {report.latency_ms_p50:.1f}  "
-        f"p95 {report.latency_ms_p95:.1f}  p99 {report.latency_ms_p99:.1f}",
-        f"  SLO {report.slo_ms:.0f}ms       miss rate {report.deadline_miss_rate * 100:.1f}%",
-        *_admission_lines(report),
-        f"  energy          {report.energy_per_request_j * 1e3:.1f} mJ/request "
-        f"({report.total_energy_j:.2f} J total, switch {report.switching_energy_j * 1e3:.1f} mJ)",
-        f"  accuracy        {report.accuracy * 100:.1f}%",
-        f"  exits           " + " ".join(f"{u * 100:.0f}%" for u in report.exit_usage),
-        f"  batches         {report.num_batches} (mean size {report.mean_batch_size:.1f})",
-    ]
+        f", switch {report.switching_energy_j * 1e3:.1f} mJ",
+    )
+    lines.append(f"  batches         {report.num_batches} (mean size {report.mean_batch_size:.1f})")
     if report.config_usage:
         top = sorted(report.config_usage.items(), key=lambda kv: -kv[1])[:4]
         lines.append(
@@ -158,32 +214,17 @@ def render_report(report: ServingReport) -> str:
         )
     elif report.peak_temperature_c:
         lines.append(f"  thermal         peak {report.peak_temperature_c:.1f}C")
-    if report.battery_budget_j:
-        lines.append(
-            f"  battery         spent {report.battery_spent_j:.2f} / "
-            f"{report.battery_budget_j:.2f} J"
-            + ("  EXHAUSTED" if report.battery_exhausted else "")
-        )
-    return "\n".join(lines)
+    return "\n".join(lines + _battery_lines(report))
 
 
 def render_fleet_report(report) -> str:
     """One fleet run (:class:`~repro.serving.fleet.FleetReport`) as text."""
-    lines = [
+    lines = _run_lines(
+        report,
         f"{report.pattern} x {report.scenario} x {report.router} router "
         f"({report.model} on [{', '.join(report.platforms)}], "
         f"{report.policy} governors, seed {report.seed})",
-        f"  requests        {report.num_requests} over {report.duration_s:.1f}s "
-        f"(offered {report.offered_rate_rps:.1f} rps, served {report.throughput_rps:.1f} rps)",
-        f"  latency ms      mean {report.latency_ms_mean:.1f}  p50 {report.latency_ms_p50:.1f}  "
-        f"p95 {report.latency_ms_p95:.1f}  p99 {report.latency_ms_p99:.1f}",
-        f"  SLO {report.slo_ms:.0f}ms       miss rate {report.deadline_miss_rate * 100:.1f}%",
-        *_admission_lines(report),
-        f"  energy          {report.energy_per_request_j * 1e3:.1f} mJ/request "
-        f"({report.total_energy_j:.2f} J total)",
-        f"  accuracy        {report.accuracy * 100:.1f}%",
-        f"  exits           " + " ".join(f"{u * 100:.0f}%" for u in report.exit_usage),
-    ]
+    )
     for device in report.devices:
         lines.append(
             f"  - {device.platform:<12s} {device.requests:>5d} reqs "
@@ -192,13 +233,7 @@ def render_fleet_report(report) -> str:
             f"{device.energy_per_request_j * 1e3:6.1f} mJ/req"
             + (f"  {device.throttled_batches} throttled" if device.throttled_batches else "")
         )
-    if report.battery_budget_j:
-        lines.append(
-            f"  battery         spent {report.battery_spent_j:.2f} / "
-            f"{report.battery_budget_j:.2f} J"
-            + ("  EXHAUSTED" if report.battery_exhausted else "")
-        )
-    return "\n".join(lines)
+    return "\n".join(lines + _battery_lines(report))
 
 
 def render_router_comparison(baseline, candidate) -> str:

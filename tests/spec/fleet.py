@@ -119,7 +119,7 @@ class ReferenceFleetSimulator(FleetSimulator):
     def run(self, trace, stream) -> FleetReport:
         # Same set-up as the production loop; the collector stays on, as it
         # always did for this loop.
-        router, cstream, battery_budget = self._setup(trace, stream)
+        router, battery_budget = self._setup(trace, stream)
         n = trace.num_requests
         completion = np.full(n, np.nan)
         correct = np.zeros(n, dtype=bool)
@@ -149,7 +149,7 @@ class ReferenceFleetSimulator(FleetSimulator):
             tracing.observe("fleet.batch_size", len(batch))
 
             indices = np.asarray(batch, dtype=np.int64)
-            compiled = lane.compiled_of(active, cstream)
+            compiled = lane.rungs.compiled_of(active)
             decisions = compiled.decisions[indices]
             latency, energy = price(compiled, decisions)
 

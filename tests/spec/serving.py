@@ -30,6 +30,7 @@ from repro.hardware.energy import batched_execution
 from repro.nn.functional import entropy_np
 from repro.obs import trace as tracing
 from repro.serving.batcher import BatchPolicy
+from repro.serving.governor import _profiles_for
 from repro.serving.simulator import CompiledStream, ServingSimulator
 from repro.serving.workload import Request, Trace
 from repro.utils.rng import child_rng
@@ -227,7 +228,7 @@ class ReferenceSimulator(ServingSimulator):
             indices = np.asarray([r.index for r in batch], dtype=np.int64)
             outcome = execute_batch(
                 self._controller_of(active),
-                self._profiles_of(active),
+                _profiles_for(self.evaluator, self.placement, active.dvfs_governor()),
                 logits,
                 stream.labels,
                 indices,

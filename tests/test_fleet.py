@@ -607,6 +607,20 @@ class TestFleetStacks:
         # Identical mounts ⇒ identical placements on every lane.
         assert len({s.placement.positions for s in stacks}) == 1
 
+    def test_trace_is_built_through_the_workload_module(self, monkeypatch):
+        """Tracing wrappers replace ``repro.serving.workload.make_trace``, so
+        ``build_fleet_trace_and_stream`` must call that attribute, not a name bound at import."""
+        from repro.serving import workload
+
+        calls = []
+        make_trace = workload.make_trace
+        monkeypatch.setattr(
+            workload, "make_trace", lambda *a, **k: calls.append(a) or make_trace(*a, **k)
+        )
+        spec = FleetSpec(platforms=("tx2-gpu", "agx-gpu"), duration_s=2.0)
+        build_fleet_trace_and_stream(spec, build_fleet_stacks(spec))
+        assert len(calls) == 1
+
 
 # ----------------------------------------------------------- latent-bug pins
 class TestFleetRegressions:

@@ -564,11 +564,11 @@ class TestLaneBatchLaws:
 
 
 class TestPricingLaws:
-    """Both pricing shapes of the compiled executor — contiguous spans and
-    index lists — equal the spec's numpy pricing bit for bit, and the index
-    form tallies the batch's exits.  The ladder rungs run one DVFS setting
-    (the identity tests cover those), so random per-exit settings give
-    every exit path its own costs."""
+    """The compiled executor prices both batch shapes — a ``range`` of
+    request indices and a list of them — bit for bit like the spec's numpy
+    pricing.  The ladder rungs run one DVFS setting (the identity tests
+    cover those), so random per-exit settings give every exit path its own
+    costs."""
 
     @pytest.fixture(scope="class")
     def compiled_stream(self, serving_stack):
@@ -602,10 +602,76 @@ class TestPricingLaws:
 
         lo = data.draw(st.integers(0, n - 1))
         hi = data.draw(st.integers(lo + 1, min(n, lo + 12)))
-        assert compiled.price_span(lo, hi) == price(compiled, compiled.decisions[lo:hi])
+        assert compiled.price(range(lo, hi)) == price(compiled, compiled.decisions[lo:hi])
 
         indices = data.draw(st.lists(st.integers(0, n - 1), min_size=1, max_size=12))
-        decisions = compiled.decisions[indices]
-        counts = [0] * (compiled_stream.num_exits + 1)
-        assert compiled.price_indices(indices, counts) == price(compiled, decisions)
-        assert counts == np.bincount(decisions, minlength=len(counts)).tolist()
+        assert compiled.price(indices) == price(compiled, compiled.decisions[indices])
+
+
+class TestServedLogLaws:
+    """A served-batch log settles to exactly what per-batch writes give:
+    each request's completion instant and correctness under the rung that
+    priced it, and the exits counted with ``np.bincount`` batch by batch.
+    Sequences mix ranges that tile from request 0, ranges that skip ahead,
+    unordered index lists, and repeated and switching rungs; every request
+    is served at most once, as in both engines."""
+
+    N = 400
+
+    @pytest.fixture(scope="class")
+    def rungs(self, serving_stack):
+        from repro.serving.simulator import _RungMemo, compile_stream
+
+        difficulties = np.random.default_rng(0).uniform(0.0, 1.0, self.N)
+        cstream = compile_stream(serving_stack.synthesizer.synthesize(difficulties))
+        memo = _RungMemo(serving_stack.evaluator, serving_stack.placement, cstream)
+        return [memo.compiled_of(config) for config in serving_stack.ladder[::4]]
+
+    @staticmethod
+    def _settle_both(rungs, batches, heads):
+        from repro.serving.simulator import _ServedLog
+
+        n = len(rungs[0].decisions)
+        expected = (np.full(n, np.nan), np.zeros(n, dtype=bool), np.zeros(heads, np.int64))
+        log = _ServedLog()
+        for slot, requests, end in batches:
+            rung = rungs[slot]
+            log.add(rung, requests, end)
+            index = np.asarray(list(requests), dtype=np.int64)
+            expected[0][index] = end
+            expected[1][index] = rung.correct[index]
+            expected[2][:] += np.bincount(rung.decisions[index], minlength=heads)
+        completion, correct = np.full(n, np.nan), np.zeros(n, dtype=bool)
+        counts = log.settle(completion, correct, heads)
+        return (completion, correct, counts), expected
+
+    @settings(max_examples=80, deadline=None)
+    @given(st.data())
+    def test_settle_matches_per_batch_writes(self, serving_stack, rungs, data):
+        batches, cursor = [], 0
+        slot = st.integers(0, len(rungs) - 1)
+        end = st.floats(0.0, 1e3, allow_nan=False)
+        for _ in range(data.draw(st.integers(0, 8))):  # ranges tiling [0, cursor)
+            size = data.draw(st.integers(1, 6))
+            batches.append((data.draw(slot), range(cursor, cursor + size), data.draw(end)))
+            cursor += size
+        for _ in range(data.draw(st.integers(0, 12))):
+            size = data.draw(st.integers(1, 6))
+            if data.draw(st.booleans()):  # a range that may skip ahead
+                start = cursor + data.draw(st.integers(0, 3))
+                requests, cursor = range(start, start + size), start + size
+            else:  # an unordered list drawn from the next 2 * size requests
+                pool = data.draw(st.permutations(range(cursor, cursor + 2 * size)))
+                requests, cursor = list(pool[:size]), cursor + 2 * size
+            batches.append((data.draw(slot), requests, data.draw(end)))
+        assert cursor <= self.N
+        heads = serving_stack.placement.num_exits + 1
+        got, expected = self._settle_both(rungs, batches, heads)
+        for settled, written in zip(got, expected):
+            assert settled.dtype == written.dtype
+            assert settled.tobytes() == written.tobytes()
+
+    def test_empty_log_settles_to_nothing(self, serving_stack, rungs):
+        got, expected = self._settle_both(rungs, [], serving_stack.placement.num_exits + 1)
+        assert not np.any(got[2]) and np.isnan(got[0]).all() and not got[1].any()
+        assert all(a.tobytes() == b.tobytes() for a, b in zip(got, expected))

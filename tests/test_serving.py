@@ -209,6 +209,24 @@ class TestMicroBatcher:
         assert batcher.backlog_at(5.5) == 4
 
 
+class TestArrayBatcher:
+    def test_construction_keeps_no_copy_of_the_arrivals(self):
+        """At 10^6 requests the batcher reads the arrival array through a
+        zero-copy view; a Python-float list mirror of it held 30.5 MiB."""
+        from repro.serving.batcher import ArrayBatcher
+
+        trace = replay_trace(np.arange(1_000_000) * 1e-3)
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            batcher = ArrayBatcher(trace, BatchPolicy())
+            held = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        assert batcher.contiguous
+        assert held < 2**20
+
+
 # -------------------------------------------------------------- batch pricing
 class TestBatchedExecution:
     def test_batch_of_one_matches_standalone(self):
@@ -600,6 +618,19 @@ class TestHarness:
     def test_sweep_without_cache(self):
         reports = sweep([ServingSpec(duration_s=3.0, policy="static")])
         assert len(reports) == 1 and reports[0].num_requests > 0
+
+    def test_trace_is_built_through_the_workload_module(self, monkeypatch):
+        """Tracing wrappers replace ``repro.serving.workload.make_trace``, so
+        ``build_trace_and_stream`` must call that attribute, not a name bound at import."""
+        from repro.serving import workload
+
+        calls = []
+        make_trace = workload.make_trace
+        monkeypatch.setattr(
+            workload, "make_trace", lambda *a, **k: calls.append(a) or make_trace(*a, **k)
+        )
+        build_trace_and_stream(build_serving_stack(ServingSpec(duration_s=2.0)))
+        assert len(calls) == 1
 
 
 # ----------------------------------------------------------------------- CLI
