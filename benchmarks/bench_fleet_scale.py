@@ -65,7 +65,6 @@ from repro.serving.fleet import (
     build_fleet_stacks,
     build_fleet_trace_and_stream,
 )
-from repro.serving.governor import AdaptiveGovernor, StaticPolicy
 from repro.serving.harness import ServingSpec, build_serving_stack
 from repro.serving.simulator import ServingSimulator
 from repro.serving.workload import make_trace
@@ -94,14 +93,10 @@ def peak_rss_mb() -> float:
 
 
 def _simulator(stack, spec: ServingSpec, engine: str) -> ServingSimulator:
-    if spec.policy == "static":
-        policy = StaticPolicy(stack.static_config)
-    else:
-        policy = AdaptiveGovernor(stack.ladder, stack.batch_policy)
     return SINGLE_ENGINES[engine](
         evaluator=stack.evaluator,
         placement=stack.placement,
-        policy=policy,
+        policy=stack.make_policy(),
         ladder=stack.ladder,
         scenario=stack.scenario,
         slo_s=spec.slo_ms / 1e3,

@@ -18,9 +18,13 @@ Two families of entries:
   serving cell that perfbench does not drive: single-device cells in queue
   mode (admission drop and defer, latency-critical traffic) across every
   scenario and policy, and three-lane fleet cells under the thermal cap
-  with admission, for every router, with and without work stealing.
+  with admission and under a battery budget, for every router, with and
+  without work stealing.
+* ``cli/<command>`` — the digest of what ``repro serve`` prints
+  (:func:`repro.serving.cli.main`, called in this process) for one
+  single-device and one fleet command line.
 
-Both families use perfbench's digest (blake2b of the sorted-key JSON, every
+Every family uses perfbench's digest (blake2b of the sorted-key JSON, every
 float digit kept).  ``--only PREFIX`` restricts either mode to the entries
 whose name starts with a prefix (repeatable).
 """
@@ -28,8 +32,10 @@ whose name starts with a prefix (repeatable).
 from __future__ import annotations
 
 import argparse
+import contextlib
 import dataclasses
 import gc
+import io
 import json
 import sys
 import tempfile
@@ -45,8 +51,23 @@ from workloads import WORKLOADS, digest  # noqa: E402  (perfbench/, read-only)
 
 PERFBENCH_SEEDS = (1, 5)
 
-#: Three lanes for the fleet cells: two GPUs and a CPU.
+#: Three lanes for the thermal-cap fleet cells: two GPUs and a CPU.
 FLEET_PLATFORMS = ("tx2-gpu", "agx-gpu", "carmel-cpu")
+
+#: Three lanes for the battery-budget fleet cells.
+BATTERY_PLATFORMS = ("agx-gpu", "tx2-gpu", "denver-cpu")
+
+#: ``repro serve`` command lines whose printed output is pinned.
+CLI_COMMANDS = {
+    "serve-single": (
+        "--trace bursty --scenario thermal-cap --policy both --duration-s 5 "
+        "--critical-fraction 0.2 --admission-queue 8"
+    ),
+    "serve-fleet": (
+        "--fleet agx-gpu,tx2-gpu,denver-cpu --router all --trace bursty "
+        "--scenario battery-budget --duration-s 5 --steal"
+    ),
+}
 
 
 def perfbench_entries() -> dict:
@@ -99,7 +120,7 @@ def serving_entries() -> dict:
 
 
 def fleet_entries() -> dict:
-    """``name -> thunk`` for the three-lane thermal-cap fleet cells."""
+    """``name -> thunk`` for the three-lane thermal-cap and battery fleet cells."""
     from repro.serving.fleet import FleetSpec, run_fleet_cell
     from repro.serving.router import ROUTER_NAMES
 
@@ -129,11 +150,40 @@ def fleet_entries() -> dict:
         )
         for router in ROUTER_NAMES
         for steal in (False, True)
+    } | {
+        f"fleet/trio-battery-bursty/{router}" + ("-steal" if steal else ""): cell(
+            FleetSpec(
+                platforms=BATTERY_PLATFORMS,
+                pattern="bursty",
+                scenario="battery-budget",
+                router=router,
+                duration_s=5.0,
+                steal=steal,
+            )
+        )
+        for router in ROUTER_NAMES
+        for steal in (False, True)
     }
 
 
+def cli_entries() -> dict:
+    """``name -> thunk`` for the pinned ``repro serve`` command lines."""
+    from repro.serving.cli import main as serve
+
+    def command(argv: list[str]):
+        def run() -> str:
+            out = io.StringIO()
+            with contextlib.redirect_stdout(out):
+                serve(argv)
+            return digest(out.getvalue())
+
+        return run
+
+    return {f"cli/{name}": command(line.split()) for name, line in CLI_COMMANDS.items()}
+
+
 def all_entries() -> dict:
-    return {**perfbench_entries(), **serving_entries(), **fleet_entries()}
+    return {**perfbench_entries(), **serving_entries(), **fleet_entries(), **cli_entries()}
 
 
 def compute(entries: dict) -> dict[str, str]:

@@ -17,11 +17,15 @@ an :class:`AdmissionPolicy` or latency-critical requests present it
 switches to explicit per-class integer queues: critical-first dispatch,
 and arrivals beyond the queue cap are dropped (or deferred) instead of
 ballooning the backlog.
+
+The batcher is also the queue a single device's governor observes: the
+trailing arrival rate, and the backlog, counted by galloping forward from
+the queue head because it is usually a few requests long.
 """
 
 from __future__ import annotations
 
-from bisect import bisect_right
+from bisect import bisect_left, bisect_right
 from collections import deque
 from dataclasses import dataclass
 
@@ -93,12 +97,7 @@ class ArrayBatcher:
     :meth:`next_span` returns) and a list of them in queue mode.
     """
 
-    def __init__(
-        self,
-        trace: Trace,
-        policy: BatchPolicy,
-        admission: AdmissionPolicy | None = None,
-    ):
+    def __init__(self, trace: Trace, policy: BatchPolicy, admission: AdmissionPolicy | None = None):
         self.policy = policy
         self.admission = admission
         self._times = np.ascontiguousarray(trace.arrival_s, dtype=float)
@@ -136,22 +135,47 @@ class ArrayBatcher:
         """Requests that were parked in the deferred queue at least once."""
         return self._ever_deferred
 
+    def _arrived_from(self, lo: int, now_s: float) -> int:
+        """``max(lo, arrivals ≤ now_s)``: gallop forward from ``lo`` in
+        doubling steps, then bisect within the last one."""
+        times = self._times_view
+        n = self._n
+        if lo >= n or times[lo] > now_s:
+            return lo
+        step = 1
+        hi = lo + 1
+        while hi < n and times[hi] <= now_s:  # invariant: times[lo] <= now_s
+            lo = hi
+            step += step
+            hi = lo + step
+        return bisect_right(times, now_s, lo + 1, hi if hi < n else n)
+
     def backlog_at(self, now_s: float) -> int:
         """Arrived-but-undispatched (and not dropped) requests at ``now_s``."""
-        arrived = bisect_right(self._times_view, now_s)
         if self.contiguous:
-            return max(arrived - self._head, 0)
-        ungated = max(arrived - self._cursor, 0)
+            head = self._head
+            return self._arrived_from(head, now_s) - head
+        cursor = self._cursor
+        ungated = self._arrived_from(cursor, now_s) - cursor
         return len(self._crit) + len(self._be) + len(self._deferred) + ungated
 
     def critical_backlog_at(self, now_s: float) -> int:
         """Latency-critical share of :meth:`backlog_at` (0 when untagged)."""
         if not self._has_critical:
             return 0
-        arrived = bisect_right(self._times_view, now_s)
-        hi = max(arrived, self._cursor)
-        ungated = int(self._crit_cum[hi] - self._crit_cum[self._cursor])
-        return len(self._crit) + ungated
+        cursor = self._cursor
+        hi = self._arrived_from(cursor, now_s)
+        return len(self._crit) + int(self._crit_cum[hi] - self._crit_cum[cursor])
+
+    def arrival_rate_hz(self, now_s: float, window_s: float, fallback: float) -> float:
+        """Arrivals/second (admitted or not) over the trailing window;
+        ``fallback`` at t ≤ 0."""
+        if now_s <= 0:
+            return fallback
+        window_start = max(0.0, now_s - window_s)
+        lo = bisect_left(self._times_view, window_start)
+        hi = bisect_right(self._times_view, now_s)
+        return (hi - lo) / max(now_s - window_start, 1e-9)
 
     # ------------------------------------------------------------ span mode
     def next_span(self, device_free_s: float) -> tuple[float, range] | None:

@@ -10,10 +10,12 @@ pluggable :class:`~repro.serving.router.FleetRouter` assigns every request
 to a device lane at arrival time (latency-critical requests spill off
 backlogged lanes earlier than best-effort ones), and each lane then
 batches and serves its share exactly like the single-device simulator
-would.  A :class:`DeviceLane` owns its queue of request *indices*, its
-clocks and its meters, and serves batches through the single-device
-engine's rungs, pricing loop and served-batch log
-(:mod:`repro.serving.simulator`).
+would.  A :class:`DeviceLane` is the single-device engine's
+:class:`~repro.serving.simulator.ServingDevice` — governor, throttle,
+rungs, pricing, served-batch log, meters and clocks — plus its queue of
+request *indices*; every batch is served through the device's
+:meth:`~repro.serving.simulator.ServingDevice.serve`, and the lanes draw
+on one shared :class:`~repro.serving.simulator.Battery`.
 
 With an :class:`~repro.serving.batcher.AdmissionPolicy` the fleet applies
 queue-depth admission at the lane door: a request routed to a full lane is
@@ -33,8 +35,9 @@ on as the executable spec in ``tests/spec/fleet.py``, and both start from
 :meth:`FleetSimulator._setup`.
 
 :func:`run_fleet_cell` is the pure cell function; :func:`fleet_sweep` fans
-grids through the :class:`~repro.engine.service.EvaluationService` with
-results persisted under the ``fleet`` cache namespace.
+grids through the :class:`~repro.engine.service.EvaluationService` (the
+harness's sweep, as fleet tasks) with results persisted under the ``fleet``
+cache namespace.
 """
 
 from __future__ import annotations
@@ -50,23 +53,16 @@ import numpy as np
 
 from repro.engine.cache import ResultCache
 from repro.engine.service import EvaluationService
-from repro.engine.tasks import spec_task, task_spec
 from repro.hardware.platform import resolve_platform_keys
 from repro.obs import trace as tracing
 from repro.serving.batcher import AdmissionPolicy
 from repro.serving.deploy import DeployedDesign
-from repro.serving.governor import (
-    AdaptiveGovernor,
-    GovernorObservation,
-    RuntimeConfig,
-    ServingPolicy,
-    StaticPolicy,
-    static_config_for,
-)
+from repro.serving.governor import ServingPolicy, static_config_for
 from repro.serving import workload
 from repro.serving.harness import (
     ServingSpec,
     ServingStack,
+    _sweep_cells,
     build_serving_stack,
     reference_config,
 )
@@ -76,16 +72,8 @@ from repro.serving.router import (
     FleetRouter,
     make_router,
 )
-from repro.serving.scenarios import Scenario, ThermalState, get_scenario
-from repro.serving.simulator import (
-    _check_stream,
-    _CompiledConfig,
-    _energy_cap_j,
-    _first_observation,
-    _RungMemo,
-    _ServedLog,
-    compile_stream,
-)
+from repro.serving.scenarios import Scenario, get_scenario
+from repro.serving.simulator import Battery, ServingDevice, _check_stream, compile_stream
 from repro.serving.stream import ServingStream
 from repro.serving.telemetry import latency_summary, run_summary
 from repro.serving.workload import LATENCY_CRITICAL, Trace
@@ -260,14 +248,11 @@ class FleetReport:
     num_stolen: int = 0  # queued requests migrated between lanes (steal)
 
 
-class DeviceLane:
-    """One fleet member: a serving stack plus its live queue, clocks and meters.
-
-    The lane exposes the read-only :class:`~repro.serving.router.LaneState`
-    surface routers observe (queue depth, estimated wait, reference
-    capacity) and owns everything the simulator drives per device: the
-    queue, the device clocks, the current config, thermal state, the rung
-    memo (``rungs``), the served-batch log (``served``) and the meters.
+class DeviceLane(ServingDevice):
+    """One fleet member: a :class:`~repro.serving.simulator.ServingDevice`
+    that is its own queue, plus the read-only
+    :class:`~repro.serving.router.LaneState` surface routers observe (queue
+    depth, estimated wait, reference capacity).
 
     The queue is not a container of its own.  Every admitted request is
     appended to three parallel books, ``request_indices``,
@@ -286,18 +271,23 @@ class DeviceLane:
     """
 
     def __init__(self, index: int, stack: ServingStack, policy: ServingPolicy):
+        spec = stack.spec
+        super().__init__(
+            stack.evaluator, stack.placement, policy, stack.ladder,
+            spec.slo_ms / 1e3, spec.window_ms / 1e3, stack.batch_policy.max_batch,
+            counters="fleet",
+        )
+        self._batch_counters += (f"fleet.lane.{spec.platform}.batches",)
         self.index = index
         self.stack = stack
-        self.policy = policy
         self.max_batch = stack.batch_policy.max_batch
         self.timeout_s = stack.batch_policy.timeout_s
-        self.reference = reference_config(stack.ladder)
-        self.coolest = min(stack.ladder, key=lambda c: c.expected_power_w)
-        self.max_power_w = max(c.expected_power_w for c in stack.ladder)
         # The reference capacity is a pure function of the (frozen) reference
         # config and batch policy; routers read it per decision, so it is
         # computed once instead of chasing the config property chain per call.
-        self.reference_capacity_rps = self.reference.capacity_rps(stack.batch_policy)
+        self.reference_capacity_rps = reference_config(stack.ladder).capacity_rps(
+            stack.batch_policy
+        )
         # Append-only books; the queue is their suffix past ``_popped``.
         self.request_indices: list[int] = []  # admitted request indices
         self._admitted_times: list[float] = []  # their arrival instants
@@ -305,31 +295,11 @@ class DeviceLane:
         self._popped = 0  # dispatched prefix of the three books
         self._routed_times: list[float] = []  # every routed arrival (rate window)
         self._rate_cursor = 0  # left bisect bound for the trailing rate window
-        # Device clocks.
-        self.t_free = 0.0
-        self.clock = 0.0
-        self.next_decision = 0.0
-        self.config: RuntimeConfig | None = None
-        self.thermal: ThermalState | None = None
-        # Per-run rungs (set up by the simulator).  The active config changes
-        # only at governor decisions and throttle edges, so the last one and
-        # its compiled executor are kept at hand for the next batch.
-        self.rungs: _RungMemo | None = None
-        self.served = _ServedLog()
-        self._last_active: RuntimeConfig | None = None
-        self._last_compiled: _CompiledConfig | None = None
-        # Meters.
-        self.busy_s = 0.0
-        self.energy_j = 0.0
-        self.num_batches = 0
-        self.throttled = 0
-        self.governor_decisions = 0
+        # Meters of the lane's door and of work stealing.
         self.critical_requests = 0
         self.num_dropped = 0
         self.stolen_in = 0
         self.stolen_out = 0
-        self.config_usage: dict[str, int] = {}
-        self.exit_counts = np.zeros(stack.placement.num_exits + 1, dtype=np.int64)
 
     # -------------------------------------------------------- router surface
     @property
@@ -522,21 +492,13 @@ class FleetSimulator:
         self.spec = spec
         self.scenario: Scenario = get_scenario(spec.scenario)
         self.slo_s = spec.slo_ms / 1e3
-        self.window_s = spec.window_ms / 1e3
-        # A governor re-decides early once two full batches are backlogged.
-        self.emergency_backlog = 2.0 * spec.max_batch
         self.admission = spec.admission_policy()
         self.lanes = [
-            DeviceLane(i, stack, self._policy_for(stack)) for i, stack in enumerate(stacks)
+            DeviceLane(i, stack, stack.make_policy()) for i, stack in enumerate(stacks)
         ]
         self._total_capacity_rps = sum(
             lane.reference_capacity_rps for lane in self.lanes
         )
-
-    def _policy_for(self, stack: ServingStack) -> ServingPolicy:
-        if self.spec.policy == "static":
-            return StaticPolicy(stack.static_config)
-        return AdaptiveGovernor(stack.ladder, stack.batch_policy)
 
     def _battery_budget_j(self, trace: Trace) -> float | None:
         """Fleet allowance: scenario scale × capacity-weighted static spend."""
@@ -550,36 +512,9 @@ class FleetSimulator:
         )
         return self.scenario.battery_scale * per_request * max(trace.num_requests, 1)
 
-    def _observe(
-        self,
-        lane: DeviceLane,
-        now_s: float,
-        trace: Trace,
-        battery_budget_j: float | None,
-        battery_spent_j: float,
-    ) -> GovernorObservation:
-        share = lane.reference_capacity_rps / self._total_capacity_rps
-        rate = lane.arrival_rate_hz(
-            now_s, self.window_s, fallback=trace.mean_rate_hz * share
-        )
-        power_cap = (
-            lane.thermal.power_cap_w(lane.max_power_w) if lane.thermal else None
-        )
-        return GovernorObservation(
-            now_s=now_s,
-            window_s=self.window_s,
-            arrival_rate_hz=rate,
-            backlog=lane.backlog_at(now_s),
-            slo_s=self.slo_s,
-            temperature_c=lane.thermal.temperature_c if lane.thermal else 0.0,
-            power_cap_w=power_cap,
-            energy_cap_j=_energy_cap_j(battery_budget_j, battery_spent_j, trace, now_s),
-            critical_backlog=lane.critical_backlog_at(now_s),
-        )
-
     # -------------------------------------------------------------- main loop
     def run(self, trace: Trace, stream: ServingStream) -> FleetReport:
-        router, battery_budget = self._setup(trace, stream)
+        router, battery = self._setup(trace, stream)
         # The loop allocates acyclically (flat books, batch lists freed as
         # they are priced), so cycle collection has nothing to find — but
         # generational collections still traverse the ever-growing books,
@@ -589,42 +524,31 @@ class FleetSimulator:
         if was_enabled:
             gc.disable()
         try:
-            return self._serve(trace, router, battery_budget)
+            return self._serve(trace, router, battery)
         finally:
             if was_enabled:
                 gc.enable()
 
-    def _setup(
-        self, trace: Trace, stream: ServingStream
-    ) -> tuple[FleetRouter, float | None]:
+    def _setup(self, trace: Trace, stream: ServingStream) -> tuple[FleetRouter, Battery]:
         """Check the inputs and build one run's starting state.
 
-        Returns the router and the fleet battery budget, after giving every
-        lane its rungs for the compiled stream, its thermal state and its
-        t=0 governor decision.  The fleet loop and its executable spec both
-        start here.
+        Returns the router and the battery every lane draws on, after
+        starting each lane on the compiled stream: its rungs, its thermal
+        state and its t=0 governor decision, at its capacity share of the
+        mean rate (a fleet of one stays bit-identical to
+        ServingSimulator in *every* scenario).  The fleet loop and its
+        executable spec both start here.
         """
-        _check_stream(stream, trace, self.lanes[0].stack.placement)
+        _check_stream(stream, trace, self.lanes[0].placement)
         router = make_router(self.spec.router, self.lanes, self.slo_s)
         cstream = compile_stream(stream)
+        battery = Battery(self._battery_budget_j(trace))
         for lane in self.lanes:
-            lane.rungs = _RungMemo(lane.stack.evaluator, lane.stack.placement, cstream)
-            lane.thermal = self.scenario.thermal_state(lane.max_power_w)
-            # The single-device t=0 observation at the lane's capacity share
-            # of the mean rate: a fleet of one stays bit-identical to
-            # ServingSimulator in *every* scenario.
-            rate = trace.mean_rate_hz * lane.reference_capacity_rps / self._total_capacity_rps
-            lane.config = lane.policy.select(_first_observation(self.window_s, rate, self.slo_s))
-            lane.governor_decisions += 1
-            lane.next_decision = self.window_s
-        return router, self._battery_budget_j(trace)
+            rate_hz = trace.mean_rate_hz * lane.reference_capacity_rps / self._total_capacity_rps
+            lane.start(cstream, trace, lane, battery, rate_hz, self.scenario)
+        return router, battery
 
-    def _serve(
-        self,
-        trace: Trace,
-        router: FleetRouter,
-        battery_budget: float | None,
-    ) -> FleetReport:
+    def _serve(self, trace: Trace, router: FleetRouter, battery: Battery) -> FleetReport:
         """Fleet loop: route each arrival once, then dispatch what is due.
 
         For each arrival, in trace order, the loop routes it (a one-arrival
@@ -639,13 +563,12 @@ class FleetSimulator:
         stale and skipped.  The heap's tuple order (ascending start, ties
         on lane index) is the spec's dispatch order.
 
-        A dispatch pops its batch with :meth:`DeviceLane.pop_batch`, prices
-        it (:meth:`~repro.serving.simulator._CompiledConfig.price`), logs it
-        on the lane's served-batch log, which settles at the end, and
-        advances the lane's clocks and meters.  With ``spec.steal`` set,
-        governor decisions on an unloaded lane may migrate queued
-        best-effort requests off a stalled lane — the one intentional
-        (opt-in) departure from the per-request loop.
+        A dispatch pops its batch (:meth:`DeviceLane.pop_batch`), serves it
+        on the lane, updates the router's view of the lane and queues the
+        lane's next batch.  With ``spec.steal`` set, governor decisions on
+        an unloaded lane may migrate queued best-effort requests off a
+        stalled lane — the one intentional (opt-in) departure from the
+        per-request loop.
         """
         n = trace.num_requests
         lanes = self.lanes
@@ -667,79 +590,15 @@ class FleetSimulator:
         slo_class_arr = trace.slo_class if any_crit else None
 
         recorder = tracing.active()
-        observe = self._observe
-        window_s = self.window_s
-        emergency = self.emergency_backlog
-        steal_on = self.spec.steal
-        battery_spent = 0.0
-        battery_exhausted = False
-        has_battery = battery_budget is not None
-        num_stolen = 0
         heap: list[tuple[float, int]] = []
-        lane_counter = [
-            f"fleet.lane.{lane.stack.spec.platform}.batches" for lane in lanes
-        ]
+        if self.spec.steal:
+            # A steal runs right after the thief's re-decision, while the
+            # thief's heap entry still stands on its pre-batch free time.
+            def steal(thief: DeviceLane, now_s: float) -> None:
+                self._try_steal(thief, now_s, state, heap, slo_class_arr, recorder)
 
-        def dispatch(lane: DeviceLane, start: float, batch: list[int]) -> None:
-            nonlocal battery_spent, battery_exhausted, num_stolen
-            thermal = lane.thermal
-            if thermal is not None and start > lane.clock:
-                thermal.advance(0.0, start - lane.clock)  # idle: device cools
-            size = len(batch)
-            # Spike check counts the in-flight batch: it was popped already
-            # but it is still unserved work.  The queue length bounds the
-            # backlog from above (it ignores the arrival cutoff), so a short
-            # queue rules a spike out without the bisect.
-            spike = (
-                lane.queue_depth + size > emergency
-                and lane.backlog_at(start) + size > emergency
-            )
-            if start >= lane.next_decision or spike:
-                lane.config = lane.policy.select(
-                    observe(lane, start, trace, battery_budget, battery_spent)
-                )
-                lane.governor_decisions += 1
-                if recorder is not None:
-                    recorder.count("fleet.governor_decisions")
-                lane.next_decision = start + window_s
-                if steal_on:
-                    num_stolen += self._try_steal(
-                        lane, start, state, heap, slo_class_arr, recorder
-                    )
-            active = lane.config
-            if thermal is not None and thermal.throttled:
-                active = lane.coolest  # hardware throttle overrides the policy
-                lane.throttled += 1
-            if recorder is not None:
-                recorder.count("fleet.batches")
-                recorder.count(lane_counter[lane.index])
-                recorder.observe("fleet.batch_size", size)
-            usage = lane.config_usage
-            usage[active.name] = usage.get(active.name, 0) + 1
-            if active is not lane._last_active:
-                lane._last_active = active
-                lane._last_compiled = lane.rungs.compiled_of(active)
-            compiled = lane._last_compiled
-            latency, energy = compiled.price(batch)
-            end = start + latency
-            lane.served.add(compiled, batch, end)
-
-            lane.energy_j += energy
-            lane.busy_s += latency
-            battery_spent += energy
-            if has_battery and battery_spent > battery_budget:
-                battery_exhausted = True
-            if thermal is not None and latency > 0:
-                thermal.advance(energy / latency, latency)
-            lane.clock = end
-            lane.t_free = end
-            lane.num_batches += 1
-            li = lane.index
-            t_free[li] = end
-            depth[li] = lane.queue_depth
-            pending = lane.pending_start()
-            if pending < inf:
-                heappush(heap, (pending, li))
+            for lane in lanes:
+                lane.on_decision = steal
 
         # Arrivals are read as Python floats a chunk at a time, each chunk
         # with one look-ahead arrival (``inf`` after the last): the drain
@@ -771,15 +630,17 @@ class FleetSimulator:
                     start, li = heappop(heap)
                     lane = lanes[li]
                     if lane.pending_start() == start:
-                        dispatch(lane, start, lane.pop_batch(start))
+                        t_free[li] = lane.serve(start, lane.pop_batch(start))
+                        depth[li] = lane.queue_depth
+                        pending = lane.pending_start()
+                        if pending < inf:
+                            heappush(heap, (pending, li))
 
         completion = np.full(n, np.nan)
         correct = np.zeros(n, dtype=bool)
         for lane in lanes:
-            lane.exit_counts = lane.served.settle(completion, correct, len(lane.exit_counts))
-        return self._report(trace, completion, correct, battery_budget,
-                            battery_spent, battery_exhausted,
-                            num_stolen=num_stolen)
+            lane.settle(completion, correct)
+        return self._report(trace, completion, correct, battery)
 
     def _try_steal(
         self,
@@ -789,14 +650,15 @@ class FleetSimulator:
         heap: list[tuple[float, int]],
         slo_class,
         recorder,
-    ) -> int:
+    ) -> None:
         """Opportunistic work stealing at a governor horizon.
 
         When the lane that just re-decided has comfortable headroom
         (estimated wait under half the SLO) and some other lane is stalled
         past the SLO, up to one batch of queued *best-effort* requests
         migrates from the stalled lane's queue tail to the thief,
-        re-stamped as arriving now.  Returns how many requests moved.
+        re-stamped as arriving now (counted in the lanes' ``stolen_in`` /
+        ``stolen_out``).
         """
         t_free = state.t_free
         depth = state.depth
@@ -805,7 +667,7 @@ class FleetSimulator:
         residual = t_free[li] - now_s
         thief_wait = (residual if residual > 0.0 else 0.0) + depth[li] / capacity[li]
         if thief_wait > 0.5 * self.slo_s:
-            return 0
+            return
         victim = None
         worst = self.slo_s  # a lane must be stalled *past* the SLO to rob
         for lane in self.lanes:
@@ -818,31 +680,23 @@ class FleetSimulator:
                 worst = wait
                 victim = lane
         if victim is None:
-            return 0
+            return
         limit = min(victim.queue_depth // 2, thief.max_batch)
         if limit <= 0:
-            return 0
+            return
         stolen = victim.steal_tail(limit, slo_class)
         if not stolen:
-            return 0
+            return
         thief.receive_stolen(stolen, now_s)
         for lane in (victim, thief):
             depth[lane.index] = lane.queue_depth
             heappush(heap, (lane.pending_start(), lane.index))
         if recorder is not None:
             recorder.count("fleet.steals", len(stolen))
-        return len(stolen)
 
     # -------------------------------------------------------------- telemetry
     def _report(
-        self,
-        trace: Trace,
-        completion: np.ndarray,
-        correct: np.ndarray,
-        battery_budget: float | None,
-        battery_spent: float,
-        battery_exhausted: bool,
-        num_stolen: int = 0,
+        self, trace: Trace, completion: np.ndarray, correct: np.ndarray, battery: Battery
     ) -> FleetReport:
         n = trace.num_requests
         arrivals = trace.arrival_s
@@ -904,14 +758,12 @@ class FleetSimulator:
                 (lane.thermal.peak_c for lane in lanes if lane.thermal is not None),
                 default=0.0,
             ),
-            battery_budget_j=battery_budget or 0.0,
-            battery_spent_j=battery_spent if battery_budget is not None else 0.0,
-            battery_exhausted=battery_exhausted,
+            **battery.summary(),
             devices=devices,
             num_dropped=num_dropped,
             num_deferred=0,
             drop_rate=num_dropped / n if n else 0.0,
-            num_stolen=num_stolen,
+            num_stolen=sum(lane.stolen_in for lane in lanes),
             **summary,
         )
 
@@ -945,28 +797,6 @@ def fleet_sweep(
     deduplicated within the batch and, with ``cache_dir`` set, persist
     across runs under the ``fleet`` cache namespace.
     """
-    owned = service is None
-    if service is None:
-        cache = ResultCache(cache_dir) if cache_dir is not None else None
-        service = EvaluationService(executor=executor, workers=workers, cache=cache)
-    try:
-        # Codec-backed: a FleetSpec *is* the slim task payload, so the
-        # multi-worker ``auto`` executor runs the grid on its process pool.
-        tasks = [
-            spec_task(
-                task_spec("fleet-cell", spec=spec),
-                key=fleet_cache_key(service.cache, spec)
-                if service.cache is not None
-                else None,
-                cls=FleetReport,
-            )
-            for spec in specs
-        ]
-        return service.evaluate_batch(tasks)
-    except BaseException:
-        if owned:
-            service.close(cancel=True)  # drop queued cells; leak no workers
-        raise
-    finally:
-        if owned:
-            service.close()
+    return _sweep_cells(
+        "fleet-cell", fleet_cache_key, FleetReport, specs, service, workers, executor, cache_dir
+    )

@@ -1,13 +1,17 @@
 """Serving cells: spec → stack → report, and the concurrent sweep.
 
 A :class:`ServingSpec` fully describes one serving run (platform, model,
-load pattern, scenario, policy, SLO, seed ...) as plain JSON-able fields.
-:func:`run_serving_cell` is the pure module-level function evaluating one
-spec — picklable for the process executor and content-addressable for the
-persistent :class:`~repro.engine.cache.ResultCache` — and :func:`sweep`
-fans a grid of specs through the PR-1 :class:`~repro.engine.service.
-EvaluationService` so a full scenario grid runs concurrently with results
-keyed into the cache.
+load pattern, scenario, policy, SLO, seed ...) as plain JSON-able fields,
+and a :class:`ServingStack` is what one spec builds once: the deployed
+DyNN, its config ladder, the static baseline and the serving policy
+(:meth:`ServingStack.make_policy`, for the single device and every fleet
+lane alike).  :func:`run_serving_cell` is the pure module-level function
+evaluating one spec — picklable for the process executor and
+content-addressable for the persistent
+:class:`~repro.engine.cache.ResultCache` — and :func:`sweep` fans a grid of
+specs through the :class:`~repro.engine.service.EvaluationService` so a
+full scenario grid runs concurrently with results keyed into the cache;
+the fleet's ``fleet_sweep`` runs through the same helper.
 """
 
 from __future__ import annotations
@@ -33,8 +37,9 @@ from repro.serving import workload
 from repro.serving.batcher import ADMISSION_MODES, AdmissionPolicy, BatchPolicy
 from repro.serving.deploy import DeployedDesign
 from repro.serving.governor import (
-    RuntimeConfig,
     AdaptiveGovernor,
+    RuntimeConfig,
+    ServingPolicy,
     StaticPolicy,
     plan_config_ladder,
     static_config_for,
@@ -148,6 +153,13 @@ class ServingStack:
     batch_policy: BatchPolicy
     scenario: Scenario
     rate_hz: float
+
+    def make_policy(self) -> ServingPolicy:
+        """The spec's serving policy on this stack: the static baseline or
+        the adaptive governor over the ladder."""
+        if self.spec.policy == "static":
+            return StaticPolicy(self.static_config)
+        return AdaptiveGovernor(self.ladder, self.batch_policy)
 
     def battery_budget_j(self, num_requests: int) -> float | None:
         """Absolute allowance: scenario scale × static-baseline spend."""
@@ -263,14 +275,10 @@ def run_serving_cell(spec: ServingSpec) -> ServingReport:
     """Evaluate one grid cell: pure function of the spec (cache-safe)."""
     stack = build_serving_stack(spec)
     trace, stream = build_trace_and_stream(stack)
-    if spec.policy == "static":
-        policy = StaticPolicy(stack.static_config)
-    else:
-        policy = AdaptiveGovernor(stack.ladder, stack.batch_policy)
     simulator = ServingSimulator(
         evaluator=stack.evaluator,
         placement=stack.placement,
-        policy=policy,
+        policy=stack.make_policy(),
         ladder=stack.ladder,
         scenario=stack.scenario,
         slo_s=spec.slo_ms / 1e3,
@@ -306,22 +314,29 @@ def sweep(
     deduplicated within the batch and, with ``cache_dir`` set, persist
     across runs under the ``serving`` cache namespace.
     """
+    return _sweep_cells(
+        "serving-cell", cell_cache_key, ServingReport, specs, service, workers, executor, cache_dir
+    )
+
+
+def _sweep_cells(kind, key_of, cls, specs, service, workers, executor, cache_dir) -> list:
+    """Evaluate one ``kind`` task per spec (:func:`sweep`, and the fleet's
+    ``fleet_sweep``), each keyed by ``key_of(cache, spec)`` when the
+    service has a cache, on ``service`` or on one built for the call."""
     owned = service is None
     if service is None:
         cache = ResultCache(cache_dir) if cache_dir is not None else None
         service = EvaluationService(executor=executor, workers=workers, cache=cache)
     try:
-        # Codec-backed: a ServingSpec *is* the slim task payload, so the
+        # Codec-backed: a spec *is* the slim task payload, so the
         # multi-worker ``auto`` executor runs the grid on its process pool.
         tasks = [
             spec_task(
-                task_spec("serving-cell", spec=spec),
+                task_spec(kind, spec=spec),
                 # `is not None`, not truthiness: an *empty* ResultCache has
                 # len() == 0 and would otherwise be skipped on first use.
-                key=cell_cache_key(service.cache, spec)
-                if service.cache is not None
-                else None,
-                cls=ServingReport,
+                key=key_of(service.cache, spec) if service.cache is not None else None,
+                cls=cls,
             )
             for spec in specs
         ]

@@ -1,4 +1,5 @@
-"""The discrete-event edge-serving simulator.
+"""The discrete-event edge-serving simulator, and the device both serving
+engines share.
 
 Feeds a timestamped request :class:`~repro.serving.workload.Trace` through a
 micro-batcher onto a single simulated edge device.  Per decision window the
@@ -9,20 +10,21 @@ serialises, dispatch overhead is shared —
 :func:`repro.hardware.energy.batched_execution`).  Thermal and battery
 state evolve alongside and feed back into the governor's observation.
 
-The event core is vectorized: an
-:class:`~repro.serving.batcher.ArrayBatcher` forms batches as index
-arithmetic over the arrival array; :func:`compile_stream` reduces the
-stream's logits, regenerated block by block and never held whole, to
-per-head entropy and correctness; and a per-config compiled executor
+:class:`ServingDevice` is everything one device does to a batch, and both
+engines serve every batch through it: :class:`ServingSimulator` is an
+:class:`~repro.serving.batcher.ArrayBatcher`'s loop over one device, and
+each fleet lane (:class:`~repro.serving.fleet.DeviceLane`) is a device
+plus its request books.  The core is vectorized: the batcher forms batches
+as index arithmetic over the arrival array; :func:`compile_stream` reduces
+the stream's logits, regenerated block by block and never held whole, to
+per-head entropy and correctness; each compiled rung
 (:class:`_CompiledConfig`) precomputes full-stream exit decisions,
-correctness and per-path cost tables once, so pricing a batch
-(:meth:`_CompiledConfig.price`) is a few table lookups; a
-:class:`_ServedLog` settles completion, correctness and exit counts once
-per run.  The fleet's lanes serve through the same rungs, pricing and log.
-Reports are bit-identical to the original per-request loop over
-:class:`~repro.serving.workload.Request` objects, which lives on as the
-executable spec in ``tests/spec/serving.py`` and shares this module's
-per-run set-up (:meth:`ServingSimulator._setup`).
+correctness and per-path cost tables, so pricing a batch is a few table
+lookups; and a :class:`_ServedLog` settles completion, correctness and exit
+counts once per run.  Reports are bit-identical to the original
+per-request loop over :class:`~repro.serving.workload.Request` objects,
+which lives on as the executable spec in ``tests/spec/serving.py`` and
+shares :meth:`ServingSimulator._setup` and :meth:`ServingDevice.observe`.
 
 The core also supports admission control
 (:class:`~repro.serving.batcher.AdmissionPolicy`) and latency-critical /
@@ -36,7 +38,7 @@ decision are pure functions of the seed and configuration.
 from __future__ import annotations
 
 from array import array
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -52,7 +54,7 @@ from repro.serving.governor import (
     ServingPolicy,
     _profiles_for,
 )
-from repro.serving.scenarios import Scenario, ThermalState
+from repro.serving.scenarios import Scenario
 from repro.serving.stream import ServingStream
 from repro.serving.telemetry import ServingReport, run_summary
 from repro.serving.workload import Trace
@@ -178,10 +180,9 @@ class _CompiledConfig:
 
 
 class _RungMemo:
-    """One device's rungs for one run (the simulator's or a fleet lane's):
-    each config compiled against the run's stream once, by name.  Every
-    run builds its own, so no rung outlives the stream it was compiled
-    against."""
+    """One device's rungs for one run: each config compiled against the
+    run's stream once, by name.  Every run builds its own and
+    :meth:`ServingDevice.settle` drops it, so no rung outlives its run."""
 
     def __init__(
         self, evaluator: DynamicEvaluator, placement: ExitPlacement, cstream: CompiledStream
@@ -280,39 +281,193 @@ def _check_stream(stream: ServingStream, trace: Trace, placement: ExitPlacement)
         )
 
 
-def _first_observation(window_s: float, rate_hz: float, slo_s: float) -> GovernorObservation:
-    """A device's t=0 observation: the expected rate, no backlog, no caps."""
-    return GovernorObservation(
-        now_s=0.0, window_s=window_s, arrival_rate_hz=rate_hz, backlog=0, slo_s=slo_s
-    )
+class Battery:
+    """One run's energy allowance: a single device's, or a whole fleet's,
+    whose lanes all draw on it.  ``budget_j`` is ``None`` without a
+    battery; the meter runs either way."""
+
+    def __init__(self, budget_j: float | None):
+        self.budget_j = budget_j
+        self.spent_j = 0.0
+        self.exhausted = False
+
+    def cap_j(self, trace: Trace, now_s: float) -> float | None:
+        """Per-request energy the battery still allows: what is left of the
+        budget over the requests the trace still expects (None: no battery)."""
+        if self.budget_j is None:
+            return None
+        remaining_j = max(self.budget_j - self.spent_j, 0.0)
+        remaining_requests = max(trace.mean_rate_hz * max(trace.duration_s - now_s, 0.0), 1.0)
+        return remaining_j / remaining_requests
+
+    def summary(self) -> dict:
+        """The battery fields of a run report."""
+        has_battery = self.budget_j is not None
+        return {
+            "battery_budget_j": self.budget_j if has_battery else 0.0,
+            "battery_spent_j": self.spent_j if has_battery else 0.0,
+            "battery_exhausted": self.exhausted,
+        }
 
 
-def _energy_cap_j(budget_j: float | None, spent_j: float, trace: Trace, now_s: float):
-    """Per-request energy the battery still allows: what is left of the
-    budget over the requests the trace still expects (None: no battery)."""
-    if budget_j is None:
-        return None
-    remaining_j = max(budget_j - spent_j, 0.0)
-    remaining_requests = max(trace.mean_rate_hz * max(trace.duration_s - now_s, 0.0), 1.0)
-    return remaining_j / remaining_requests
+class ServingDevice:
+    """One simulated edge device: everything it does to a batch.
 
+    A run is :meth:`start` (rungs for the compiled stream, the thermal
+    state, the t=0 governor decision), :meth:`serve` per batch, then
+    :meth:`settle`, which writes completion, correctness and exit counts and
+    lets go of the run's rungs, compiled stream, log and queue.  The queue
+    is what :meth:`observe` reads (``arrival_rate_hz``, ``backlog_at``,
+    ``critical_backlog_at``): the batcher, or a fleet lane's own books.
+    ``on_decision(device, now_s)``, when set, runs right after each
+    re-decision, before the batch is priced (the fleet's work stealing).
+    Tracing counters go under ``counters`` (``serving`` or ``fleet``).
+    """
 
-@dataclass
-class _RunState:
-    """Accumulated telemetry of one serving loop (and of its spec)."""
+    def __init__(
+        self, evaluator: DynamicEvaluator, placement: ExitPlacement, policy: ServingPolicy,
+        ladder: list[RuntimeConfig], slo_s: float, window_s: float, max_batch: int,
+        counters: str = "serving",
+    ):
+        self.evaluator = evaluator
+        self.placement = placement
+        self.policy = policy
+        # The hottest rung anchors the thermal model; the coolest is the
+        # throttle fallback, even under a static policy.
+        self.max_power_w = max(c.expected_power_w for c in ladder)
+        self.coolest = min(ladder, key=lambda c: c.expected_power_w)
+        self.slo_s = slo_s
+        self.window_s = window_s
+        # The governor re-decides early once more than two full batches are
+        # in the system, counting the batch being served.
+        self.emergency_backlog = 2.0 * max_batch
+        self.on_decision = None
+        self._decision_counter = f"{counters}.governor_decisions"
+        self._throttle_counter = f"{counters}.throttled_batches"
+        self._batch_counters = (f"{counters}.batches",)
+        self._size_histogram = f"{counters}.batch_size"
+        # One run's state, set by start() and released by settle().
+        self.queue = self.trace = self.battery = self.thermal = self.rungs = self.log = None
+        self.config = self._recorder = self._last_active = self._rung = None
+        self.rate_hz = 0.0
+        # Clocks and meters.
+        self.clock = self.t_free = 0.0
+        self.next_decision = window_s
+        self.energy_j = self.busy_s = 0.0
+        self.num_batches = self.throttled = self.governor_decisions = 0
+        self.config_usage: dict[str, int] = {}
+        self.exit_counts = np.zeros(placement.num_exits + 1, dtype=np.int64)
 
-    completion: np.ndarray  # NaN = never served (dropped at admission)
-    correct: np.ndarray
-    exit_counts: np.ndarray
-    total_energy: float = 0.0
-    battery_spent: float = 0.0
-    battery_exhausted: bool = False
-    num_batches: int = 0
-    throttled: int = 0
-    governor_decisions: int = 0
-    num_dropped: int = 0
-    num_deferred: int = 0
-    config_usage: dict[str, int] = field(default_factory=dict)
+    def start(
+        self, cstream: CompiledStream, trace: Trace, queue, battery: Battery, rate_hz: float,
+        scenario: Scenario,
+    ) -> None:
+        """Set the device up for one run and take its t=0 governor decision.
+
+        ``rate_hz`` is the arrival rate the device expects: its t=0
+        observation's, and the trailing-window fallback at t ≤ 0.
+        """
+        self.queue = queue
+        self.trace = trace
+        self.battery = battery
+        self.rate_hz = rate_hz
+        self.rungs = _RungMemo(self.evaluator, self.placement, cstream)
+        self.log = _ServedLog()
+        self.thermal = scenario.thermal_state(self.max_power_w)
+        self._recorder = tracing.active()  # thread-scoped: fixed for the run
+        # The t=0 observation: the expected rate, no backlog, no caps.
+        self.config = self.policy.select(
+            GovernorObservation(
+                now_s=0.0, window_s=self.window_s, arrival_rate_hz=rate_hz, backlog=0,
+                slo_s=self.slo_s,
+            )
+        )
+        self._decided()
+
+    def _decided(self) -> None:
+        self.governor_decisions += 1
+        if self._recorder is not None:
+            self._recorder.count(self._decision_counter, 1)
+
+    def observe(self, now_s: float) -> GovernorObservation:
+        """What the governor sees at ``now_s``."""
+        queue = self.queue
+        thermal = self.thermal
+        return GovernorObservation(
+            now_s=now_s,
+            window_s=self.window_s,
+            arrival_rate_hz=queue.arrival_rate_hz(now_s, self.window_s, self.rate_hz),
+            backlog=queue.backlog_at(now_s),
+            slo_s=self.slo_s,
+            temperature_c=thermal.temperature_c if thermal is not None else 0.0,
+            power_cap_w=thermal.power_cap_w(self.max_power_w) if thermal is not None else None,
+            energy_cap_j=self.battery.cap_j(self.trace, now_s),
+            critical_backlog=queue.critical_backlog_at(now_s),
+        )
+
+    def serve(self, start: float, requests: range | list[int]) -> float:
+        """Serve one batch (a ``range`` of request indices or a list of
+        them) dispatched at ``start``: idle cooling, the spike check, the
+        governor decision, the throttle, config usage, the rung lookup,
+        pricing, the log, energy and battery, the thermal step and the
+        clocks.  Returns the completion instant, the device's free time."""
+        thermal = self.thermal
+        if thermal is not None and start > self.clock:
+            thermal.advance(0.0, start - self.clock)  # idle: device cools
+        size = len(requests)
+        recorder = self._recorder
+        # The spike check counts the batch being served: it has left the
+        # queue, but it is still unserved work.
+        if (
+            start >= self.next_decision
+            or self.queue.backlog_at(start) + size > self.emergency_backlog
+        ):
+            self.config = self.policy.select(self.observe(start))
+            self._decided()
+            self.next_decision = start + self.window_s
+            if self.on_decision is not None:
+                self.on_decision(self, start)
+        active = self.config
+        if thermal is not None and thermal.throttled:
+            active = self.coolest  # the hardware throttle overrides the policy
+            self.throttled += 1
+            if recorder is not None:
+                recorder.count(self._throttle_counter, 1)
+        usage = self.config_usage
+        usage[active.name] = usage.get(active.name, 0) + 1
+        if recorder is not None:
+            for counter in self._batch_counters:
+                recorder.count(counter, 1)
+            recorder.observe(self._size_histogram, size)
+        # The active config changes only at governor decisions and throttle
+        # edges, so its rung is looked up only then.
+        if active is not self._last_active:
+            self._last_active = active
+            self._rung = self.rungs.compiled_of(active)
+        rung = self._rung
+        latency, energy = rung.price(requests)
+        end = start + latency
+        self.log.add(rung, requests, end)
+        self.energy_j += energy
+        self.busy_s += latency
+        battery = self.battery
+        battery.spent_j += energy
+        if battery.budget_j is not None and battery.spent_j > battery.budget_j:
+            battery.exhausted = True
+        if thermal is not None and latency > 0:
+            thermal.advance(energy / latency, latency)
+        self.clock = self.t_free = end
+        self.num_batches += 1
+        return end
+
+    def settle(self, completion: np.ndarray, correct: np.ndarray) -> None:
+        """Write each served request's completion instant and correctness,
+        count the exits taken, and let go of the run's rungs, compiled
+        stream, log, queue and decision hook (a lane is its own queue, so
+        holding it would keep the lane in a reference cycle)."""
+        self.exit_counts = self.log.settle(completion, correct, len(self.exit_counts))
+        self.rungs = self.log = self.queue = self.on_decision = None
+        self._rung = self._last_active = None
 
 
 class ServingSimulator:
@@ -334,9 +489,9 @@ class ServingSimulator:
         Per-request completion deadline.
     window_s:
         Governor decision period.  Backlog spikes (more than two full
-        batches in the system, counting the batch being formed) trigger an immediate re-decision instead of
-        waiting out the window — burst onsets are reacted to at batch
-        granularity.
+        batches in the system, counting the batch being formed) trigger an
+        immediate re-decision instead of waiting out the window — burst
+        onsets are reacted to at batch granularity.
     battery_budget_j:
         Absolute energy allowance (None = unconstrained); the harness
         derives it from the scenario's ``battery_scale``.
@@ -369,45 +524,9 @@ class ServingSimulator:
         self.window_s = window_s
         self.battery_budget_j = battery_budget_j
         self.admission = admission
-        self.emergency_backlog = 2.0 * self.batch_policy.max_batch
-        self._max_power_w = max(c.expected_power_w for c in self.ladder)
-        self._coolest = min(self.ladder, key=lambda c: c.expected_power_w)
 
-    # ------------------------------------------------------------- internals
-    def _observe(
-        self,
-        now_s: float,
-        trace: Trace,
-        arrivals: np.ndarray,
-        batcher,
-        thermal: ThermalState | None,
-        battery_spent_j: float,
-    ) -> GovernorObservation:
-        window_start = max(0.0, now_s - self.window_s)
-        lo = int(np.searchsorted(arrivals, window_start, side="left"))
-        hi = int(np.searchsorted(arrivals, now_s, side="right"))
-        span = max(now_s - window_start, 1e-9)
-        rate = (hi - lo) / span if now_s > 0 else trace.mean_rate_hz
-        power_cap = thermal.power_cap_w(self._max_power_w) if thermal else None
-        return GovernorObservation(
-            now_s=now_s,
-            window_s=self.window_s,
-            arrival_rate_hz=rate,
-            backlog=batcher.backlog_at(now_s),
-            slo_s=self.slo_s,
-            temperature_c=thermal.temperature_c if thermal else 0.0,
-            power_cap_w=power_cap,
-            energy_cap_j=_energy_cap_j(self.battery_budget_j, battery_spent_j, trace, now_s),
-            critical_backlog=batcher.critical_backlog_at(now_s),
-        )
-
-    # -------------------------------------------------------------- main loop
     def run(
-        self,
-        trace: Trace,
-        stream: ServingStream,
-        platform: str = "?",
-        model: str = "?",
+        self, trace: Trace, stream: ServingStream, platform: str = "?", model: str = "?",
         seed: int = 0,
     ) -> ServingReport:
         """Serve the whole trace and aggregate telemetry."""
@@ -418,159 +537,54 @@ class ServingSimulator:
             policy=self.policy.name,
             requests=trace.num_requests,
         ):
-            return self._run(trace, stream, platform, model, seed)
+            batcher, device = self._setup(trace, stream)
+            completion, correct = self._serve(trace, stream, batcher, device)
+            return self._build_report(
+                trace, batcher, device, completion, correct, platform, model, seed
+            )
 
-    def _run(
-        self,
-        trace: Trace,
-        stream: ServingStream,
-        platform: str,
-        model: str,
-        seed: int,
-    ) -> ServingReport:
-        thermal, config, state = self._setup(trace, stream)
-        self._serve(trace, stream, thermal, config, state)
-        return self._build_report(trace, thermal, state, platform, model, seed)
-
-    def _setup(
-        self, trace: Trace, stream: ServingStream
-    ) -> tuple[ThermalState | None, RuntimeConfig, _RunState]:
-        """Check the inputs and build one run's starting state.
-
-        Returns the device's thermal state (``None`` without a thermal
-        scenario), the policy's t=0 config — already counted as the run's
-        first governor decision — and empty telemetry.  The event loop and
-        its executable spec both start here.
-        """
+    def _setup(self, trace: Trace, stream: ServingStream) -> tuple[ArrayBatcher, ServingDevice]:
+        """Check the inputs and build one run's batcher and device, the
+        device started on the compiled stream (its t=0 decision taken).
+        The event loop and its executable spec both start here."""
         _check_stream(stream, trace, self.placement)
-        n = trace.num_requests
-        state = _RunState(
-            completion=np.full(n, np.nan),
-            correct=np.zeros(n, dtype=bool),
-            exit_counts=np.zeros(self.placement.num_exits + 1, dtype=np.int64),
-            governor_decisions=1,
+        batcher = ArrayBatcher(trace, self.batch_policy, self.admission)
+        device = ServingDevice(
+            self.evaluator, self.placement, self.policy, self.ladder, self.slo_s, self.window_s,
+            self.batch_policy.max_batch,
         )
-        tracing.count("serving.governor_decisions")
-        config = self.policy.select(
-            _first_observation(self.window_s, trace.mean_rate_hz, self.slo_s)
+        device.start(
+            compile_stream(stream), trace, batcher, Battery(self.battery_budget_j),
+            trace.mean_rate_hz, self.scenario,
         )
-        return self.scenario.thermal_state(self._max_power_w), config, state
+        return batcher, device
 
     def _serve(
-        self,
-        trace: Trace,
-        stream: ServingStream,
-        thermal: ThermalState | None,
-        config: RuntimeConfig,
-        state: _RunState,
-    ) -> None:
-        """The vectorized event core: ArrayBatcher + compiled executor.
-
-        Serves the whole trace from ``config`` onwards, filling ``state``.
-        Span-mode batches are ``range`` objects, queue-mode batches lists;
-        pricing and the log take either.
-        """
-        arrivals = trace.arrival_s
-        batcher = ArrayBatcher(trace, self.batch_policy, self.admission)
-        rungs = _RungMemo(self.evaluator, self.placement, compile_stream(stream))
-        log = _ServedLog()
+        self, trace: Trace, stream: ServingStream, batcher: ArrayBatcher, device: ServingDevice
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """The event loop: the batcher forms each batch (a ``range`` in
+        span mode, a list in queue mode) and the device serves it.  Returns
+        every request's completion instant (NaN: never served, dropped at
+        admission) and correctness."""
         next_batch = batcher.next_span if batcher.contiguous else batcher.next_batch
-        clock = 0.0
+        serve = device.serve
         t_free = 0.0
-        next_decision = self.window_s
-
-        # Hot-loop locals: at 10⁶ requests the attribute chases and no-op
-        # tracing shims are real costs, so the loop binds everything once
-        # (the recorder cannot change mid-run — it is thread-scoped and this
-        # loop is synchronous) and writes the meters back at the end.
-        recorder = tracing.active()
-        policy_select = self.policy.select
-        compiled_of = rungs.compiled_of
-        log_add = log.add
-        window_s = self.window_s
-        emergency_backlog = self.emergency_backlog
-        battery_budget = self.battery_budget_j
-        config_usage = state.config_usage
-        backlog_at = batcher.backlog_at
-        num_batches = 0
-        total_energy = 0.0
-        battery_spent = 0.0
-        # The active config changes only at governor decisions and throttle
-        # edges, so its compiled rung is looked up only then.
-        last_active: RuntimeConfig | None = None
-        cc: _CompiledConfig | None = None
-
         while (formed := next_batch(t_free)) is not None:
-            start, requests = formed
-            size = len(requests)
-            if thermal is not None and start > clock:
-                thermal.advance(0.0, start - clock)  # idle: device cools
-            # Spike check counts the in-flight batch: the batcher already
-            # popped it off the queue, but it is still unserved work.
-            spike = backlog_at(start) + size > emergency_backlog
-            if start >= next_decision or spike:
-                state.battery_spent = battery_spent
-                obs = self._observe(
-                    start, trace, arrivals, batcher, thermal, battery_spent
-                )
-                config = policy_select(obs)
-                state.governor_decisions += 1
-                if recorder is not None:
-                    recorder.count("serving.governor_decisions", 1)
-                next_decision = start + window_s
-
-            active = config
-            if thermal is not None and thermal.throttled:
-                active = self._coolest
-                state.throttled += 1
-                if recorder is not None:
-                    recorder.count("serving.throttled_batches", 1)
-            name = active.name
-            config_usage[name] = config_usage.get(name, 0) + 1
-            if recorder is not None:
-                recorder.count("serving.batches", 1)
-                recorder.observe("serving.batch_size", size)
-
-            if active is not last_active:
-                last_active = active
-                cc = compiled_of(active)
-            latency, energy = cc.price(requests)
-            end = start + latency
-            log_add(cc, requests, end)
-            total_energy += energy
-            battery_spent += energy
-            if battery_budget is not None and battery_spent > battery_budget:
-                state.battery_exhausted = True
-            if thermal is not None and latency > 0:
-                thermal.advance(energy / latency, latency)
-            clock = end
-            t_free = end
-            num_batches += 1
-
-        state.exit_counts = log.settle(
-            state.completion, state.correct, len(state.exit_counts)
-        )
-        state.num_batches = num_batches
-        state.total_energy = total_energy
-        state.battery_spent = battery_spent
-        state.num_dropped = batcher.num_dropped
-        state.num_deferred = batcher.num_deferred
+            t_free = serve(*formed)
+        n = trace.num_requests
+        completion, correct = np.full(n, np.nan), np.zeros(n, dtype=bool)
+        device.settle(completion, correct)
+        return completion, correct
 
     def _build_report(
-        self,
-        trace: Trace,
-        thermal: ThermalState | None,
-        state: _RunState,
-        platform: str,
-        model: str,
-        seed: int,
+        self, trace: Trace, batcher: ArrayBatcher, device: ServingDevice,
+        completion: np.ndarray, correct: np.ndarray, platform: str, model: str, seed: int,
     ) -> ServingReport:
         n = trace.num_requests
         summary, _ = run_summary(
-            trace, state.completion, state.correct, state.exit_counts,
-            state.total_energy, self.slo_s,
+            trace, completion, correct, device.exit_counts, device.energy_j, self.slo_s
         )
-        num_batches = state.num_batches
+        num_batches = device.num_batches
         return ServingReport(
             pattern=trace.pattern,
             scenario=self.scenario.name,
@@ -584,19 +598,15 @@ class ServingSimulator:
             offered_rate_rps=trace.mean_rate_hz,
             num_batches=num_batches,
             mean_batch_size=summary["num_served"] / num_batches if num_batches else 0.0,
-            total_energy_j=state.total_energy,
+            total_energy_j=device.energy_j,
             switching_energy_j=0.0,
-            config_usage=state.config_usage,
-            governor_decisions=state.governor_decisions,
-            throttled_batches=state.throttled,
-            peak_temperature_c=thermal.peak_c if thermal is not None else 0.0,
-            battery_budget_j=self.battery_budget_j or 0.0,
-            battery_spent_j=state.battery_spent
-            if self.battery_budget_j is not None
-            else 0.0,
-            battery_exhausted=state.battery_exhausted,
-            num_dropped=state.num_dropped,
-            num_deferred=state.num_deferred,
-            drop_rate=state.num_dropped / n if n else 0.0,
+            config_usage=device.config_usage,
+            governor_decisions=device.governor_decisions,
+            throttled_batches=device.throttled,
+            peak_temperature_c=device.thermal.peak_c if device.thermal is not None else 0.0,
+            **device.battery.summary(),
+            num_dropped=batcher.num_dropped,
+            num_deferred=batcher.num_deferred,
+            drop_rate=batcher.num_dropped / n if n else 0.0,
             **summary,
         )

@@ -119,30 +119,27 @@ class ReferenceFleetSimulator(FleetSimulator):
     def run(self, trace, stream) -> FleetReport:
         # Same set-up as the production loop; the collector stays on, as it
         # always did for this loop.
-        router, battery_budget = self._setup(trace, stream)
+        router, battery = self._setup(trace, stream)
         n = trace.num_requests
         completion = np.full(n, np.nan)
         correct = np.zeros(n, dtype=bool)
-        battery_spent = 0.0
-        battery_exhausted = False
 
         def dispatch(lane: DeviceLane, start: float, batch: list[int]) -> None:
-            nonlocal battery_spent, battery_exhausted
             if lane.thermal is not None and start > lane.clock:
                 lane.thermal.advance(0.0, start - lane.clock)  # idle: device cools
             # Spike check counts the in-flight batch: next_ready_batch
             # already popped it, but it is still unserved work.
-            spike = lane.backlog_at(start) + len(batch) > self.emergency_backlog
+            spike = lane.backlog_at(start) + len(batch) > lane.emergency_backlog
             if start >= lane.next_decision or spike:
-                obs = self._observe(lane, start, trace, battery_budget, battery_spent)
-                lane.config = lane.policy.select(obs)
+                lane.config = lane.policy.select(lane.observe(start))
                 lane.governor_decisions += 1
                 tracing.count("fleet.governor_decisions")
-                lane.next_decision = start + self.window_s
+                lane.next_decision = start + lane.window_s
             active = lane.config
             if lane.thermal is not None and lane.thermal.throttled:
                 active = lane.coolest  # hardware throttle overrides the policy
                 lane.throttled += 1
+                tracing.count("fleet.throttled_batches")
             lane.config_usage[active.name] = lane.config_usage.get(active.name, 0) + 1
             tracing.count("fleet.batches")
             tracing.count(f"fleet.lane.{lane.stack.spec.platform}.batches")
@@ -161,9 +158,9 @@ class ReferenceFleetSimulator(FleetSimulator):
 
             lane.energy_j += energy
             lane.busy_s += latency
-            battery_spent += energy
-            if battery_budget is not None and battery_spent > battery_budget:
-                battery_exhausted = True
+            battery.spent_j += energy
+            if battery.budget_j is not None and battery.spent_j > battery.budget_j:
+                battery.exhausted = True
             if lane.thermal is not None and latency > 0:
                 lane.thermal.advance(energy / latency, latency)
             lane.clock = end
@@ -205,8 +202,7 @@ class ReferenceFleetSimulator(FleetSimulator):
             drain(times[i + 1] if i + 1 < n else float("inf"))
         drain(float("inf"))
 
-        return self._report(trace, completion, correct, battery_budget,
-                            battery_spent, battery_exhausted)
+        return self._report(trace, completion, correct, battery)
 
 
 def run_reference_cell(spec: FleetSpec) -> FleetReport:

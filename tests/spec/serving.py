@@ -20,7 +20,7 @@ The loop predates admission control and SLO classes, so it refuses both.
 
 from __future__ import annotations
 
-from bisect import bisect_right
+from bisect import bisect_left, bisect_right
 from collections import deque
 from dataclasses import dataclass
 
@@ -89,6 +89,15 @@ class MicroBatcher:
     def critical_backlog_at(self, now_s: float) -> int:
         """The loop is class-agnostic: no critical accounting."""
         return 0
+
+    def arrival_rate_hz(self, now_s: float, window_s: float, fallback: float) -> float:
+        """Arrivals/second over the trailing window; ``fallback`` at t ≤ 0."""
+        if now_s <= 0:
+            return fallback
+        window_start = max(0.0, now_s - window_s)
+        lo = bisect_left(self._times, window_start)
+        hi = bisect_right(self._times, now_s)
+        return (hi - lo) / max(now_s - window_start, 1e-9)
 
     def _admit_until(self, cutoff_s: float) -> None:
         while (
@@ -190,12 +199,19 @@ class ReferenceSimulator(ServingSimulator):
             self._controllers[config.name] = config.controller()
         return self._controllers[config.name]
 
-    def _serve(self, trace, stream, thermal, config, state) -> None:
+    def _serve(self, trace, stream, batcher, device):
+        # The device observes this loop's own batcher.  The array batcher
+        # stays undriven: the loop admits everything, so its drop and defer
+        # counts of zero are the report's.
         if trace.num_critical:
             raise ValueError("the reference loop is class-agnostic")
-        arrivals = trace.arrival_s
-        batcher = MicroBatcher(trace, self.batch_policy)
+        batcher = device.queue = MicroBatcher(trace, self.batch_policy)
         logits = stream.logits()
+        n = trace.num_requests
+        completion = np.full(n, np.nan)
+        correct = np.zeros(n, dtype=bool)
+        thermal = device.thermal
+        battery = device.battery
         clock = 0.0  # last simulated instant (for thermal integration)
         t_free = 0.0
         next_decision = self.window_s
@@ -206,22 +222,19 @@ class ReferenceSimulator(ServingSimulator):
                 thermal.advance(0.0, start - clock)  # idle: device cools
             # Spike check counts the in-flight batch: next_batch already
             # popped it off the queue, but it is still unserved work.
-            spike = batcher.backlog_at(start) + len(batch) > self.emergency_backlog
+            spike = batcher.backlog_at(start) + len(batch) > device.emergency_backlog
             if start >= next_decision or spike:
-                obs = self._observe(
-                    start, trace, arrivals, batcher, thermal, state.battery_spent
-                )
-                config = self.policy.select(obs)
-                state.governor_decisions += 1
+                device.config = self.policy.select(device.observe(start))
+                device.governor_decisions += 1
                 tracing.count("serving.governor_decisions")
                 next_decision = start + self.window_s
 
-            active = config
+            active = device.config
             if thermal is not None and thermal.throttled:
-                active = self._coolest  # hardware throttle overrides the policy
-                state.throttled += 1
+                active = device.coolest  # hardware throttle overrides the policy
+                device.throttled += 1
                 tracing.count("serving.throttled_batches")
-            state.config_usage[active.name] = state.config_usage.get(active.name, 0) + 1
+            device.config_usage[active.name] = device.config_usage.get(active.name, 0) + 1
             tracing.count("serving.batches")
             tracing.observe("serving.batch_size", len(batch))
 
@@ -235,20 +248,18 @@ class ReferenceSimulator(ServingSimulator):
             )
 
             end = start + outcome.latency_s
-            state.completion[indices] = end
-            state.correct[indices] = outcome.correct
+            completion[indices] = end
+            correct[indices] = outcome.correct
             for d in outcome.decisions:
-                state.exit_counts[d] += 1
+                device.exit_counts[d] += 1
 
-            state.total_energy += outcome.energy_j
-            state.battery_spent += outcome.energy_j
-            if (
-                self.battery_budget_j is not None
-                and state.battery_spent > self.battery_budget_j
-            ):
-                state.battery_exhausted = True
+            device.energy_j += outcome.energy_j
+            battery.spent_j += outcome.energy_j
+            if battery.budget_j is not None and battery.spent_j > battery.budget_j:
+                battery.exhausted = True
             if thermal is not None and outcome.latency_s > 0:
                 thermal.advance(outcome.energy_j / outcome.latency_s, outcome.latency_s)
             clock = end
             t_free = end
-            state.num_batches += 1
+            device.num_batches += 1
+        return completion, correct

@@ -1,6 +1,7 @@
 """The sub-second share of the golden digests: every serving and fleet cell
-in ``tests/golden/digests.json`` (``benchmarks/golden.py``; the perfbench
-entries take about half a minute and run in the CI job ``golden``)."""
+and every ``repro serve`` command line in ``tests/golden/digests.json``
+(``benchmarks/golden.py``; the perfbench entries take about half a minute
+and run in the CI job ``golden``)."""
 
 from __future__ import annotations
 
@@ -15,11 +16,11 @@ ROOT = Path(__file__).resolve().parents[1]
 def test_serving_and_fleet_digests_unchanged():
     result = subprocess.run(
         [sys.executable, str(ROOT / "benchmarks" / "golden.py"), "--check",
-         "--only", "serving/", "--only", "fleet/"],
+         "--only", "serving/", "--only", "fleet/", "--only", "cli/"],
         env={**os.environ, "PYTHONPATH": str(ROOT / "src")},
         capture_output=True,
         text=True,
         timeout=300,
     )
     assert result.returncode == 0, result.stdout + result.stderr
-    assert "18 golden digests unchanged" in result.stdout
+    assert "26 golden digests unchanged" in result.stdout

@@ -320,6 +320,72 @@ class TestBatcherLaws:
             assert start >= trace.arrival_s[indices[-1]]
 
 
+class TestBacklogLaws:
+    """The array batcher counts its backlog by galloping forward from the
+    queue head (span mode) or the admission cursor (queue mode), and the
+    counts equal a bisect over the whole arrival array: with tied
+    arrivals, probes before the head and past the last arrival, and an
+    empty tail."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.data())
+    def test_gallop_matches_whole_array_bisect(self, data):
+        from bisect import bisect_right
+
+        from repro.serving.batcher import ADMISSION_MODES, AdmissionPolicy, ArrayBatcher, BatchPolicy
+        from repro.serving.workload import replay_trace
+
+        grain = data.draw(st.sampled_from([0.001, 0.004, 0.05]))  # coarse grains tie arrivals
+        gaps = data.draw(st.lists(st.integers(0, 4), min_size=1, max_size=80))
+        times = (np.cumsum(gaps) * grain).tolist()
+        queue_mode = data.draw(st.booleans())
+        trace = replay_trace(
+            np.asarray(times),
+            seed=data.draw(st.integers(0, 2**16)),
+            critical_fraction=data.draw(st.sampled_from([0.0, 0.3])) if queue_mode else 0.0,
+        )
+        admission = None
+        if queue_mode:
+            admission = AdmissionPolicy(
+                max_queue=data.draw(st.integers(1, 8)),
+                mode=data.draw(st.sampled_from(ADMISSION_MODES)),
+            )
+        batcher = ArrayBatcher(
+            trace, BatchPolicy(max_batch=data.draw(st.integers(1, 6)), timeout_s=grain), admission
+        )
+        assert batcher.contiguous is not queue_mode
+        probe = st.one_of(st.sampled_from(times), st.floats(-1.0, times[-1] + 1.0))
+        service = st.floats(0.0, 5 * grain)
+
+        def check():
+            n = len(times)
+            lo = data.draw(st.integers(0, n))
+            now = data.draw(probe)
+            assert batcher._arrived_from(lo, now) == max(lo, bisect_right(times, now))
+            arrived = bisect_right(times, now)
+            if batcher.contiguous:
+                assert batcher.backlog_at(now) == max(arrived - batcher._head, 0)
+                return
+            cursor = batcher._cursor
+            queued = len(batcher._crit) + len(batcher._be)
+            assert batcher.backlog_at(now) == (
+                queued + len(batcher._deferred) + max(arrived - cursor, 0)
+            )
+            critical = 0
+            if batcher._crit_cum is not None:
+                cum = batcher._crit_cum
+                critical = len(batcher._crit) + int(cum[max(arrived, cursor)] - cum[cursor])
+            assert batcher.critical_backlog_at(now) == critical
+
+        t_free = 0.0
+        check()
+        while (formed := batcher.next_batch(t_free)) is not None:
+            t_free = formed[0] + data.draw(service)
+            for _ in range(data.draw(st.integers(0, 3))):
+                check()
+        check()
+
+
 class TestRouterBlockLaws:
     """The route_block kernels reproduce the per-request rule.
 

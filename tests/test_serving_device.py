@@ -1,0 +1,146 @@
+"""The device core both serving engines share
+(:class:`repro.serving.simulator.ServingDevice`): every batch goes through
+its ``serve``, its counters match the reports, the compiled stream is gone
+before the report is built, and the fleet's shared battery agrees with the
+executable spec."""
+
+from __future__ import annotations
+
+import dataclasses
+import gc
+import weakref
+
+import pytest
+
+from repro.obs.trace import Recorder, recording
+from repro.serving import fleet, simulator
+from repro.serving.fleet import (
+    FleetSimulator,
+    FleetSpec,
+    build_fleet_stacks,
+    build_fleet_trace_and_stream,
+    run_fleet_cell,
+)
+from repro.serving.harness import ServingSpec, run_serving_cell
+from repro.serving.simulator import ServingDevice
+from spec import fleet as spec_fleet
+
+# Cells that throttle under the thermal cap (the static policy ignores it).
+_SPAN_CELL = ServingSpec(pattern="poisson", scenario="thermal-cap", policy="static", duration_s=6.0)
+_QUEUE_CELL = dataclasses.replace(
+    _SPAN_CELL, pattern="bursty", critical_fraction=0.2, admission_max_queue=8
+)
+_TRIO_CELL = FleetSpec(
+    platforms=("tx2-gpu", "agx-gpu", "carmel-cpu"),
+    pattern="bursty",
+    scenario="thermal-cap",
+    policy="static",
+    router="round_robin",
+    utilization=1.1,
+    duration_s=6.0,
+    steal=True,
+)
+
+
+def _count_serves(monkeypatch) -> list[int]:
+    calls = [0]
+    serve = ServingDevice.serve
+
+    def counting(self, start, requests):
+        calls[0] += 1
+        return serve(self, start, requests)
+
+    monkeypatch.setattr(ServingDevice, "serve", counting)
+    return calls
+
+
+class TestOneStep:
+    @pytest.mark.parametrize("spec", [_SPAN_CELL, _QUEUE_CELL], ids=["span", "queue"])
+    def test_simulator_serves_every_batch_through_the_device(self, monkeypatch, spec):
+        calls = _count_serves(monkeypatch)
+        report = run_serving_cell(spec)
+        assert report.num_batches > 0
+        assert calls[0] == report.num_batches
+
+    def test_fleet_serves_every_batch_through_the_device(self, monkeypatch):
+        calls = _count_serves(monkeypatch)
+        report = run_fleet_cell(_TRIO_CELL)
+        assert report.num_stolen > 0  # the decision hook ran inside serve
+        assert calls[0] == sum(device.batches for device in report.devices) > 0
+
+
+class TestCounters:
+    def test_simulator_counters_match_the_report(self):
+        with recording(Recorder()) as recorder:
+            report = run_serving_cell(_SPAN_CELL)
+        counters = recorder.counters
+        assert report.throttled_batches > 0
+        assert counters["serving.governor_decisions"] == report.governor_decisions
+        assert counters["serving.throttled_batches"] == report.throttled_batches
+        assert counters["serving.batches"] == report.num_batches
+
+    def test_fleet_counters_match_the_report(self):
+        """Each lane's t=0 decision is counted, as the report counts it."""
+        with recording(Recorder()) as recorder:
+            report = run_fleet_cell(_TRIO_CELL)
+        counters = recorder.counters
+        devices = report.devices
+        assert sum(device.throttled_batches for device in devices) > 0
+        assert counters["fleet.governor_decisions"] == report.governor_decisions
+        assert counters["fleet.throttled_batches"] == sum(d.throttled_batches for d in devices)
+        assert counters["fleet.batches"] == sum(d.batches for d in devices)
+        for device in devices:
+            assert counters[f"fleet.lane.{device.platform}.batches"] == device.batches
+
+
+class TestRelease:
+    @pytest.mark.parametrize("engine", ["single", "fleet"])
+    def test_compiled_stream_is_freed_before_the_report(self, monkeypatch, engine):
+        """``settle`` drops the rungs, so the compiled stream is unreachable
+        by the time the run summary allocates the report's arrays."""
+        module = simulator if engine == "single" else fleet
+        compiled, alive = [], []
+        compile_stream, run_summary = module.compile_stream, module.run_summary
+
+        def compile_and_watch(stream):
+            cstream = compile_stream(stream)
+            compiled.append(weakref.ref(cstream))
+            return cstream
+
+        def summarise_after_release(*args, **kwargs):
+            gc.collect()
+            alive.append([ref() is not None for ref in compiled])
+            return run_summary(*args, **kwargs)
+
+        monkeypatch.setattr(module, "compile_stream", compile_and_watch)
+        monkeypatch.setattr(module, "run_summary", summarise_after_release)
+        if engine == "single":
+            run_serving_cell(_SPAN_CELL)
+        else:
+            run_fleet_cell(dataclasses.replace(_TRIO_CELL, steal=False))
+        assert alive == [[False]]
+
+
+class TestFleetBattery:
+    def test_engines_bit_identical_when_the_battery_runs_out(self):
+        """The shared battery of both fleet loops, at half the scenario's
+        budget: the lanes exhaust it together, in both loops alike."""
+        spec = FleetSpec(
+            platforms=("agx-gpu", "tx2-gpu", "denver-cpu"),
+            pattern="bursty",
+            scenario="battery-budget",
+            duration_s=3.0,
+        )
+        stacks = build_fleet_stacks(spec)
+        trace, stream = build_fleet_trace_and_stream(spec, stacks)
+        reports = []
+        for cls in (FleetSimulator, spec_fleet.ReferenceFleetSimulator):
+            sim = cls(spec, stacks)
+            sim.scenario = dataclasses.replace(
+                sim.scenario, battery_scale=0.5 * sim.scenario.battery_scale
+            )
+            reports.append(sim.run(trace, stream))
+        indexed, reference = reports
+        assert indexed == reference
+        assert indexed.battery_exhausted
+        assert indexed.battery_spent_j > indexed.battery_budget_j
