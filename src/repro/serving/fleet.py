@@ -43,9 +43,10 @@ cache namespace.
 from __future__ import annotations
 
 import dataclasses
-import gc
+from array import array
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
+from functools import partial
 from heapq import heappop, heappush
 from math import inf
 
@@ -255,13 +256,15 @@ class DeviceLane(ServingDevice):
     depth, estimated wait, reference capacity).
 
     The queue is not a container of its own.  Every admitted request is
-    appended to three parallel books, ``request_indices``,
+    appended to three parallel typed books, ``request_indices``,
     ``_admitted_times`` (sorted: requests route in arrival order, and
     migrations are re-stamped at the current instant) and ``_critical``
     (its class flag), and dispatch only advances the ``_popped`` prefix
     counter — so the queue is the undispatched suffix ``[_popped:]`` of
-    those books, :meth:`backlog_at` is a bisect over it, and the books
-    double as the lane's served-request meter.
+    those books, :meth:`backlog_at` is a bisect over it, and the dispatched
+    prefix is the served order the device's log reads.  A lane serves one
+    run, and no numpy view of a book outlives it (an exported array cannot
+    grow).
 
     The simulator works the queue through four methods: :meth:`push` admits
     a request, :meth:`reject` records an admission drop (which still counts
@@ -289,12 +292,13 @@ class DeviceLane(ServingDevice):
             stack.batch_policy
         )
         # Append-only books; the queue is their suffix past ``_popped``.
-        self.request_indices: list[int] = []  # admitted request indices
-        self._admitted_times: list[float] = []  # their arrival instants
+        self.request_indices = array("q")  # admitted request indices
+        self._admitted_times = array("d")  # their arrival instants
         self._critical = bytearray()  # their latency-critical flags (0/1)
         self._popped = 0  # dispatched prefix of the three books
-        self._routed_times: list[float] = []  # every routed arrival (rate window)
+        self._routed_times = array("d")  # every routed arrival (rate window)
         self._rate_cursor = 0  # left bisect bound for the trailing rate window
+        self.pending_s = inf  # pending_start(), as last pushed to the loop's heap
         # Meters of the lane's door and of work stealing.
         self.critical_requests = 0
         self.num_dropped = 0
@@ -353,7 +357,7 @@ class DeviceLane(ServingDevice):
         t_free = self.t_free
         return t_free if t_free > trigger else trigger
 
-    def pop_batch(self, start_s: float) -> list[int]:
+    def pop_batch(self, start_s: float) -> array:
         """Dispatch the batch that starts at ``start_s``.
 
         Pops the arrival-ordered prefix that has arrived by ``start_s``, at
@@ -375,10 +379,8 @@ class DeviceLane(ServingDevice):
         (a batch start or later) the count is exactly (admitted arrivals ≤
         now) − (popped); querying an earlier instant clamps at zero.
         """
-        # Starting the search at the popped prefix keeps the bisect inside
-        # the (short, cache-warm) backlog region instead of the whole book.
-        # Exact on sorted input: if the prefix itself reaches past ``now_s``
-        # both forms clamp to zero.
+        # The bisect starts at the popped prefix: exact on sorted input, and
+        # confined to the (short) backlog instead of the whole book.
         popped = self._popped
         return max(bisect_right(self._admitted_times, now_s, popped) - popped, 0)
 
@@ -394,16 +396,11 @@ class DeviceLane(ServingDevice):
             return fallback
         window_start = max(0.0, now_s - window_s)
         routed = self._routed_times
-        n = len(routed)
         # The book only grows and per-lane observation instants never
         # decrease, so the window's left edge only moves right: resume the
         # bisect at the last cursor.
         lo = self._rate_cursor = bisect_left(routed, window_start, self._rate_cursor)
-        if n and routed[n - 1] <= now_s:
-            hi = n
-        else:
-            hi = bisect_right(routed, now_s)
-        return (hi - lo) / max(now_s - window_start, 1e-9)
+        return (bisect_right(routed, now_s, lo) - lo) / max(now_s - window_start, 1e-9)
 
     # ------------------------------------------------------- work stealing
     def steal_tail(self, limit: int, slo_class) -> list[int]:
@@ -490,61 +487,43 @@ class FleetSimulator:
 
     def __init__(self, spec: FleetSpec, stacks: list[ServingStack]):
         self.spec = spec
+        self.stacks = stacks
         self.scenario: Scenario = get_scenario(spec.scenario)
         self.slo_s = spec.slo_ms / 1e3
         self.admission = spec.admission_policy()
-        self.lanes = [
-            DeviceLane(i, stack, stack.make_policy()) for i, stack in enumerate(stacks)
-        ]
-        self._total_capacity_rps = sum(
-            lane.reference_capacity_rps for lane in self.lanes
-        )
-
-    def _battery_budget_j(self, trace: Trace) -> float | None:
-        """Fleet allowance: scenario scale × capacity-weighted static spend."""
-        if self.scenario.battery_scale is None:
-            return None
-        capacities = [lane.reference_capacity_rps for lane in self.lanes]
-        total = sum(capacities)
-        per_request = sum(
-            lane.stack.static_config.expected_energy_j * capacity / total
-            for lane, capacity in zip(self.lanes, capacities)
-        )
-        return self.scenario.battery_scale * per_request * max(trace.num_requests, 1)
+        self.lanes: list[DeviceLane] = []  # the latest run's, built by _setup
 
     # -------------------------------------------------------------- main loop
     def run(self, trace: Trace, stream: ServingStream) -> FleetReport:
         router, battery = self._setup(trace, stream)
-        # The loop allocates acyclically (flat books, batch lists freed as
-        # they are priced), so cycle collection has nothing to find — but
-        # generational collections still traverse the ever-growing books,
-        # costing seconds per million requests.  Pause the collector for
-        # the run.
-        was_enabled = gc.isenabled()
-        if was_enabled:
-            gc.disable()
-        try:
-            return self._serve(trace, router, battery)
-        finally:
-            if was_enabled:
-                gc.enable()
+        return self._serve(trace, router, battery)
 
     def _setup(self, trace: Trace, stream: ServingStream) -> tuple[FleetRouter, Battery]:
-        """Check the inputs and build one run's starting state.
+        """Check the inputs and build one run's lanes (fresh per run, so a
+        simulator runs again from scratch) and starting state.
 
-        Returns the router and the battery every lane draws on, after
+        Returns the router and the battery every lane draws on (the
+        scenario's scale × the capacity-weighted static spend), after
         starting each lane on the compiled stream: its rungs, its thermal
         state and its t=0 governor decision, at its capacity share of the
         mean rate (a fleet of one stays bit-identical to
         ServingSimulator in *every* scenario).  The fleet loop and its
         executable spec both start here.
         """
-        _check_stream(stream, trace, self.lanes[0].placement)
-        router = make_router(self.spec.router, self.lanes, self.slo_s)
+        _check_stream(stream, trace, self.stacks[0].placement)
+        lanes = self.lanes = [
+            DeviceLane(i, stack, stack.make_policy()) for i, stack in enumerate(self.stacks)
+        ]
+        router = make_router(self.spec.router, lanes, self.slo_s)
         cstream = compile_stream(stream)
-        battery = Battery(self._battery_budget_j(trace))
-        for lane in self.lanes:
-            rate_hz = trace.mean_rate_hz * lane.reference_capacity_rps / self._total_capacity_rps
+        total = sum(lane.reference_capacity_rps for lane in lanes)
+        scale = self.scenario.battery_scale
+        battery = Battery(None if scale is None else scale * sum(
+            lane.stack.static_config.expected_energy_j * lane.reference_capacity_rps / total
+            for lane in lanes
+        ) * max(trace.num_requests, 1))
+        for lane in lanes:
+            rate_hz = trace.mean_rate_hz * lane.reference_capacity_rps / total
             lane.start(cstream, trace, lane, battery, rate_hz, self.scenario)
         return router, battery
 
@@ -559,9 +538,9 @@ class FleetSimulator:
         min-heap** of (pending start, lane) entries in place of its scan
         over the lanes: every change of a pending start pushes an entry — a
         trigger push (see :meth:`DeviceLane.push`), a dispatch or a steal —
-        and an entry that no longer matches its lane's pending start is
-        stale and skipped.  The heap's tuple order (ascending start, ties
-        on lane index) is the spec's dispatch order.
+        and records it as the lane's ``pending_s``; an entry that no longer
+        matches it is stale and skipped.  The heap's tuple order (ascending
+        start, ties on lane index) is the spec's dispatch order.
 
         A dispatch pops its batch (:meth:`DeviceLane.pop_batch`), serves it
         on the lane, updates the router's view of the lane and queues the
@@ -594,9 +573,7 @@ class FleetSimulator:
         if self.spec.steal:
             # A steal runs right after the thief's re-decision, while the
             # thief's heap entry still stands on its pre-batch free time.
-            def steal(thief: DeviceLane, now_s: float) -> None:
-                self._try_steal(thief, now_s, state, heap, slo_class_arr, recorder)
-
+            steal = partial(self._try_steal, state, heap, slo_class_arr, recorder)
             for lane in lanes:
                 lane.on_decision = steal
 
@@ -619,7 +596,8 @@ class FleetSimulator:
                 lane = lanes[li]
                 if admitted[0]:
                     if lane.push(lo + m, arrival, any_crit and cls[0] == LATENCY_CRITICAL):
-                        heappush(heap, (lane.pending_start(), li))
+                        lane.pending_s = pending = lane.pending_start()
+                        heappush(heap, (pending, li))
                 else:
                     lane.reject(arrival)
                 if recorder is not None:
@@ -629,10 +607,10 @@ class FleetSimulator:
                 while heap and heap[0][0] < until:
                     start, li = heappop(heap)
                     lane = lanes[li]
-                    if lane.pending_start() == start:
+                    if lane.pending_s == start:
                         t_free[li] = lane.serve(start, lane.pop_batch(start))
                         depth[li] = lane.queue_depth
-                        pending = lane.pending_start()
+                        lane.pending_s = pending = lane.pending_start()
                         if pending < inf:
                             heappush(heap, (pending, li))
 
@@ -644,12 +622,12 @@ class FleetSimulator:
 
     def _try_steal(
         self,
-        thief: DeviceLane,
-        now_s: float,
         state: BlockLaneState,
         heap: list[tuple[float, int]],
         slo_class,
         recorder,
+        thief: DeviceLane,
+        now_s: float,
     ) -> None:
         """Opportunistic work stealing at a governor horizon.
 
@@ -660,25 +638,19 @@ class FleetSimulator:
         re-stamped as arriving now (counted in the lanes' ``stolen_in`` /
         ``stolen_out``).
         """
-        t_free = state.t_free
         depth = state.depth
-        capacity = state.capacity
-        li = thief.index
-        residual = t_free[li] - now_s
-        thief_wait = (residual if residual > 0.0 else 0.0) + depth[li] / capacity[li]
-        if thief_wait > 0.5 * self.slo_s:
+
+        def wait(i: int) -> float:  # the routers' view of lane i's backlog
+            residual = state.t_free[i] - now_s
+            return (residual if residual > 0.0 else 0.0) + depth[i] / state.capacity[i]
+
+        if wait(thief.index) > 0.5 * self.slo_s:
             return
         victim = None
         worst = self.slo_s  # a lane must be stalled *past* the SLO to rob
         for lane in self.lanes:
-            other = lane.index
-            if other == li:
-                continue
-            residual = t_free[other] - now_s
-            wait = (residual if residual > 0.0 else 0.0) + depth[other] / capacity[other]
-            if wait > worst:
-                worst = wait
-                victim = lane
+            if lane is not thief and (lane_wait := wait(lane.index)) > worst:
+                worst, victim = lane_wait, lane
         if victim is None:
             return
         limit = min(victim.queue_depth // 2, thief.max_batch)
@@ -690,7 +662,8 @@ class FleetSimulator:
         thief.receive_stolen(stolen, now_s)
         for lane in (victim, thief):
             depth[lane.index] = lane.queue_depth
-            heappush(heap, (lane.pending_start(), lane.index))
+            lane.pending_s = pending = lane.pending_start()
+            heappush(heap, (pending, lane.index))
         if recorder is not None:
             recorder.count("fleet.steals", len(stolen))
 
@@ -710,7 +683,7 @@ class FleetSimulator:
 
         devices = []
         for lane in lanes:
-            idx = np.asarray(lane.request_indices, dtype=np.int64)
+            idx = np.frombuffer(lane.request_indices, np.int64)
             lane_served = len(idx)
             latency = latency_summary(completion[idx] - arrivals[idx], self.slo_s)
             del latency["latency_ms_mean"]  # devices report no mean

@@ -38,7 +38,7 @@ decision are pure functions of the seed and configuration.
 from __future__ import annotations
 
 from array import array
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -68,12 +68,34 @@ class CompiledStream:
     (softmax/entropy/argmax act per request), so evaluating them over the
     full stream up front yields bit-identical values to evaluating them
     batch by batch — which is what lets the event core replace the
-    per-batch controller with table lookups.
+    per-batch controller with table lookups.  :meth:`decide` runs once per
+    threshold tuple: DVFS tiers and the lanes of a fleet share its result.
     """
 
     num_exits: int
     entropy: np.ndarray  # (num_exits, n) normalized entropy per exit head
     head_correct: np.ndarray  # (num_exits + 1, n) argmax == label per head
+    _decided: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+
+    def decide(self, thresholds: tuple[float, ...]) -> tuple[bytes, np.ndarray]:
+        """Each request's exit (a byte: the first exit whose entropy clears
+        its threshold, else the final head) and whether it is correct."""
+        decided = self._decided.get(thresholds)
+        if decided is None:
+            decided = self._decided[thresholds] = self._decision_pass(thresholds)
+        return decided
+
+    def _decision_pass(self, thresholds: tuple[float, ...]) -> tuple[bytes, np.ndarray]:
+        n = self.head_correct.shape[1]
+        decisions = np.full(n, self.num_exits, dtype=np.uint8)
+        correct = self.head_correct[self.num_exits].copy()
+        undecided = np.ones(n, dtype=bool)
+        for i, threshold in enumerate(thresholds):
+            takes = undecided & (self.entropy[i] <= threshold)
+            decisions[takes] = i
+            np.copyto(correct, self.head_correct[i], where=takes)
+            undecided &= ~takes
+        return decisions.tobytes(), correct
 
 
 def compile_stream(stream: ServingStream) -> CompiledStream:
@@ -95,7 +117,7 @@ class _CompiledConfig:
     """One ladder rung compiled against a stream: decisions + cost tables.
 
     ``decisions`` replicates :meth:`EntropyThresholdController.decide` over
-    the full stream (first exit whose entropy clears its threshold);
+    the full stream (a view of :meth:`CompiledStream.decide`'s bytes);
     :meth:`price` replicates :func:`~repro.hardware.energy.batched_execution`
     for a batch of those decisions.
     Sums run as sequential Python float sums (NOT ``np.sum``, whose
@@ -131,22 +153,14 @@ class _CompiledConfig:
         profiles: list[PathProfile],
         cstream: CompiledStream,
     ):
-        n = cstream.head_correct.shape[1]
-        decisions = np.full(n, cstream.num_exits, dtype=np.uint8)
-        undecided = np.ones(n, dtype=bool)
-        for i, threshold in enumerate(config.thresholds):
-            takes = undecided & (cstream.entropy[i] <= threshold)
-            decisions[takes] = i
-            undecided &= ~takes
-        self.decisions = decisions
-        self.correct = cstream.head_correct[decisions, np.arange(n)]
+        self._dec_req, self.correct = cstream.decide(config.thresholds)
+        self.decisions = np.frombuffer(self._dec_req, dtype=np.uint8)
         self._busy_l = [float(p.busy_s) for p in profiles]
         self._over_l = [float(p.overhead_s) for p in profiles]
         self._passive_l = [float(p.passive_power_w) for p in profiles]
         self._unit_l = [
             float(p.dynamic_energy_j + p.passive_power_w * p.busy_s) for p in profiles
         ]
-        self._dec_req = decisions.tobytes()
         self._lat_one = [b + o for b, o in zip(self._busy_l, self._over_l)]
         self._energy_one = [
             u + p * o for u, p, o in zip(self._unit_l, self._passive_l, self._over_l)
@@ -206,25 +220,28 @@ class _ServedLog:
     """Every batch one engine serves in a run, settled into telemetry once.
 
     :meth:`add` appends each priced batch to typed buffers: the slot of the
-    rung that priced it, its size and its completion instant.  While the
-    batches are ranges that tile ``[0, hi)`` in order (the span-mode
-    batcher's), the request order stays implicit; from the first other
-    batch on, the log keeps every served request index, in order, in one
-    ``array('q')``.  :meth:`settle` walks the runs of consecutive batches
-    priced by one rung: per run, one completion write, one correctness copy
-    and one ``bincount``.  No Python object is kept per batch or per
-    request.
+    rung that priced it, its size and its completion instant.  A fleet lane
+    hands over its book, whose dispatched prefix is the served order.
+    Otherwise, while the batches are ranges that tile ``[0, hi)`` in order
+    (the span-mode batcher's), the request order stays implicit; from the
+    first other batch on, the log keeps every served request index, in
+    order, in one ``array('q')``.  :meth:`settle` walks the runs of
+    consecutive batches priced by one rung: per run, one completion write,
+    one correctness copy and one ``bincount``.  No Python object is kept
+    per batch or per request.
     """
 
-    __slots__ = ("_rungs", "_slot_of", "_slots", "_sizes", "_ends", "_requests", "_tiled")
+    __slots__ = ("_rungs", "_slot_of", "_slots", "_sizes", "_ends", "_requests", "_kept", "_tiled")
 
-    def __init__(self):
+    def __init__(self, served_order: array | None = None):
         self._rungs: list[_CompiledConfig] = []
         self._slot_of: dict[_CompiledConfig, int] = {}
         self._slots = array("H")
         self._sizes = array("I")
         self._ends = array("d")
-        self._requests: array | None = None  # None while the batches tile [0, _tiled)
+        # None while the batches tile [0, _tiled); a handed-over book is only read.
+        self._requests: array | None = served_order
+        self._kept = served_order is not None
         self._tiled = 0
 
     def add(self, rung: _CompiledConfig, requests: range | list[int], end: float) -> None:
@@ -235,6 +252,8 @@ class _ServedLog:
         self._slots.append(slot)
         self._sizes.append(len(requests))
         self._ends.append(end)
+        if self._kept:
+            return
         if self._requests is None:
             if type(requests) is range and requests.start == self._tiled:
                 self._tiled = requests.stop
@@ -324,6 +343,8 @@ class ServingDevice:
     Tracing counters go under ``counters`` (``serving`` or ``fleet``).
     """
 
+    request_indices: array | None = None  # a lane's book of the requests it was handed
+
     def __init__(
         self, evaluator: DynamicEvaluator, placement: ExitPlacement, policy: ServingPolicy,
         ladder: list[RuntimeConfig], slo_s: float, window_s: float, max_batch: int,
@@ -372,7 +393,7 @@ class ServingDevice:
         self.battery = battery
         self.rate_hz = rate_hz
         self.rungs = _RungMemo(self.evaluator, self.placement, cstream)
-        self.log = _ServedLog()
+        self.log = _ServedLog(self.request_indices)
         self.thermal = scenario.thermal_state(self.max_power_w)
         self._recorder = tracing.active()  # thread-scoped: fixed for the run
         # The t=0 observation: the expected rate, no backlog, no caps.

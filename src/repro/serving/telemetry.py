@@ -28,7 +28,7 @@ def latency_summary(latencies_s: np.ndarray, slo_s: float) -> dict[str, float]:
     keyed by their report field names (all 0 when nothing was served)."""
     if not len(latencies_s):
         return dict.fromkeys(_LATENCY_FIELDS, 0.0)
-    percentiles = [float(np.percentile(latencies_s, q) * 1e3) for q in (50, 95, 99)]
+    percentiles = (np.percentile(latencies_s, (50, 95, 99)) * 1e3).tolist()
     values = [float(latencies_s.mean() * 1e3), *percentiles, float((latencies_s > slo_s).mean())]
     return dict(zip(_LATENCY_FIELDS, values))
 
@@ -46,16 +46,19 @@ def class_latency_stats(
     latency statistic is computed over the served subset only, so admission
     drops can never manufacture negative latencies.  Keys are stable (one
     entry per class name) so reports keep a uniform schema whether or not
-    the trace carries latency-critical traffic.
+    the trace carries latency-critical traffic.  Each class selects its
+    served latencies from one whole-trace array.
     """
+    delays = completion_s - arrivals_s  # NaN where never served
+    served = ~np.isnan(completion_s)
+    classes = np.asarray(slo_classes)
     stats: dict[str, dict] = {}
     for code, name in enumerate(class_names):
-        mask = np.asarray(slo_classes) == code
-        completion = completion_s[mask]
-        served = ~np.isnan(completion)
-        latencies = completion[served] - arrivals_s[mask][served]
+        mask = classes == code
         total = int(mask.sum())
-        num_served = int(served.sum())
+        mask &= served
+        latencies = delays[mask]
+        num_served = len(latencies)
         stats[name] = {
             "num_requests": total,
             "num_served": num_served,
@@ -82,14 +85,11 @@ def run_summary(
     arrivals = trace.arrival_s
     served = ~np.isnan(completion_s)
     num_served = int(served.sum())
-    latencies = completion_s[served] - arrivals[served]
-    makespan = max(
-        float(np.max(completion_s[served])) if num_served else 0.0, trace.duration_s
-    )
+    makespan = max(float(np.nanmax(completion_s)) if num_served else 0.0, trace.duration_s)
     fields = {
         "num_served": num_served,
         "throughput_rps": num_served / makespan if makespan > 0 else 0.0,
-        **latency_summary(latencies, slo_s),
+        **latency_summary((completion_s - arrivals)[served], slo_s),
         "energy_per_request_j": total_energy_j / num_served if num_served else 0.0,
         "accuracy": float(correct[served].mean()) if num_served else 0.0,
         "exit_usage": [float(c) / num_served if num_served else 0.0 for c in exit_counts],

@@ -117,8 +117,7 @@ class ReferenceFleetSimulator(FleetSimulator):
         super().__init__(spec, stacks)
 
     def run(self, trace, stream) -> FleetReport:
-        # Same set-up as the production loop; the collector stays on, as it
-        # always did for this loop.
+        # Same set-up as the production loop.
         router, battery = self._setup(trace, stream)
         n = trace.num_requests
         completion = np.full(n, np.nan)

@@ -4,7 +4,9 @@ the search → serve round trip, and the determinism guarantees."""
 from __future__ import annotations
 
 import dataclasses
+import gc
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -13,6 +15,7 @@ from hypothesis import strategies as st
 
 from repro.engine.cache import ResultCache
 from repro.search.hadas import HadasConfig, HadasSearch
+from repro.serving import fleet
 from repro.serving.deploy import (
     DeployedDesign,
     design_from_individual,
@@ -22,6 +25,7 @@ from repro.serving.deploy import (
 from repro.serving.fleet import (
     DeviceLane,
     FleetReport,
+    FleetSimulator,
     FleetSpec,
     build_fleet_stacks,
     build_fleet_trace_and_stream,
@@ -42,7 +46,12 @@ from repro.serving.telemetry import (
     render_fleet_report,
     render_router_comparison,
 )
-from repro.serving.workload import BEST_EFFORT, LATENCY_CRITICAL
+from repro.serving.workload import (
+    BEST_EFFORT,
+    LATENCY_CRITICAL,
+    poisson_trace,
+    replay_trace,
+)
 from spec import fleet as spec_fleet
 
 
@@ -205,14 +214,14 @@ class TestDeviceLane:
         start = lane.pending_start()
         assert start == pytest.approx(0.004)
         assert not start < 0.001
-        assert lane.pop_batch(start) == [0, 1]
+        assert lane.pop_batch(start).tolist() == [0, 1]
         assert lane.pending_start() == float("inf")
 
     def test_full_batch_dispatches_at_fill_time(self, stack):
         lane = self._lane(stack, [0.0, 0.001, 0.002, 0.003, 0.0035])
         start = lane.pending_start()
         assert start == pytest.approx(0.003)  # 4th arrival fills max_batch=4
-        assert lane.pop_batch(start) == [0, 1, 2, 3]
+        assert lane.pop_batch(start).tolist() == [0, 1, 2, 3]
         assert lane.queue_depth == 1
 
     def test_opportunistic_fill_while_device_busy(self, stack):
@@ -220,12 +229,12 @@ class TestDeviceLane:
         lane.t_free = 0.5
         start = lane.pending_start()
         assert start == pytest.approx(0.5)
-        assert lane.pop_batch(start) == [0, 1, 2]
+        assert lane.pop_batch(start).tolist() == [0, 1, 2]
 
     def test_backlog_counts_admitted_minus_dispatched(self, stack):
         lane = self._lane(stack, [0.0, 0.1, 0.2, 5.0])
         assert lane.backlog_at(0.25) == 3
-        assert lane.pop_batch(lane.pending_start()) == [0]  # head timeout batch
+        assert lane.pop_batch(lane.pending_start()).tolist() == [0]  # head timeout batch
         assert lane.backlog_at(0.25) == 2  # dispatched work no longer counted
         _drain(lane)
         assert lane.backlog_at(0.25) == 0
@@ -240,7 +249,7 @@ class TestDeviceLane:
         lane.push(2, 0.2, critical=True)
         assert lane.critical_backlog_at(0.15) == 1
         assert lane.critical_backlog_at(0.25) == 2
-        assert lane.pop_batch(lane.pending_start()) == [0]  # head timeout batch
+        assert lane.pop_batch(lane.pending_start()).tolist() == [0]  # head timeout batch
         assert lane.critical_backlog_at(0.25) == 1  # critical 2 still queued
         _drain(lane)
         assert lane.critical_backlog_at(0.25) == 0
@@ -254,7 +263,7 @@ class TestDeviceLane:
         for i in range(4):
             lane.push(i, 1.0, critical=False)
         lane.push(4, 1.0, critical=True)
-        assert lane.pop_batch(lane.pending_start()) == [0, 1, 2, 3]  # max_batch 4
+        assert lane.pop_batch(lane.pending_start()).tolist() == [0, 1, 2, 3]  # max_batch 4
         assert lane.critical_backlog_at(1.0) == 1
 
     def test_steal_tail_stops_at_critical_and_keeps_books_aligned(self, stack):
@@ -264,13 +273,13 @@ class TestDeviceLane:
         classes = np.array([BEST_EFFORT, LATENCY_CRITICAL] + [BEST_EFFORT] * 4)
         for i, cls in enumerate(classes):
             lane.push(i, 0.1 * i, critical=cls == LATENCY_CRITICAL)
-        assert lane.pop_batch(0.0) == [0]  # the books must stay aligned past it
+        assert lane.pop_batch(0.0).tolist() == [0]  # the books must stay aligned past it
         assert lane.steal_tail(1, classes) == [5]
         assert lane.steal_tail(10, classes) == [2, 3, 4]  # FIFO, stops at 1
         assert lane.steal_tail(10, classes) == []  # a critical heads the tail
-        assert lane.request_indices[lane._popped:] == [1]
-        assert lane._admitted_times[lane._popped:] == [0.1]
-        assert lane.request_indices == [0, 1]
+        assert lane.request_indices[lane._popped:].tolist() == [1]
+        assert lane._admitted_times[lane._popped:].tolist() == [0.1]
+        assert lane.request_indices.tolist() == [0, 1]
         assert lane.queue_depth == 1
         assert lane.stolen_out == 4
         assert lane.backlog_at(1.0) == 1
@@ -278,8 +287,8 @@ class TestDeviceLane:
 
         thief = DeviceLane(1, stack, StaticPolicy(stack.static_config))
         thief.receive_stolen([2, 3, 4], now_s=0.6)
-        assert thief.request_indices[thief._popped:] == [2, 3, 4]
-        assert thief._admitted_times == [0.6] * 3  # re-stamped at the steal
+        assert thief.request_indices[thief._popped:].tolist() == [2, 3, 4]
+        assert thief._admitted_times.tolist() == [0.6] * 3  # re-stamped at the steal
         assert thief.queue_depth == 3
         assert thief.backlog_at(0.6) == 3
         assert thief.stolen_in == 3
@@ -371,6 +380,17 @@ class TestDeterminism:
 
     def test_rerun_is_bit_identical(self):
         assert run_fleet_cell(self.SPECS[0]) == run_fleet_cell(self.SPECS[0])
+
+    def test_simulator_runs_twice_to_the_same_report(self):
+        """Each run builds its own lanes: no book, meter or governor state
+        carries over into a second run of one simulator."""
+        spec = FleetSpec(platforms=("tx2-gpu", "agx-gpu"), duration_s=2.0)
+        stacks = build_fleet_stacks(spec)
+        trace, stream = build_fleet_trace_and_stream(spec, stacks)
+        sim = FleetSimulator(spec, stacks)
+        first = sim.run(trace, stream)
+        assert sim.run(trace, stream) == first
+        assert first == FleetSimulator(spec, stacks).run(trace, stream)
 
     def test_thread_executor_matches_serial(self):
         serial = fleet_sweep(self.SPECS, executor="serial")
@@ -636,6 +656,76 @@ class TestFleetRegressions:
         wrong = dataclasses.replace(stream, margins=stream.margins[:-1])
         with pytest.raises(ValueError, match="exit heads"):
             FleetSimulator(spec, stacks).run(trace, wrong)
+
+
+class TestLaneBooks:
+    """A lane keeps each request's index and instants once, as machine
+    words in typed books, and no numpy view of a book outlives the run."""
+
+    #: The fleet loop reads arrivals in chunks of this many requests.
+    _CHUNK = 65536
+
+    @staticmethod
+    def _assert_books_released(lanes):
+        # An exported ``array`` refuses to grow (BufferError).
+        for lane in lanes:
+            lane.request_indices.append(0)
+            lane._admitted_times.append(0.0)
+            lane._routed_times.append(0.0)
+
+    def test_settled_fleet_holds_a_few_words_per_request(self, monkeypatch):
+        """Once every lane has settled, a quad-fleet run holds, per routed
+        request, three book words (index, admitted and routed instants), a
+        class flag, a completion instant and a correctness byte: 34 B plus
+        the books' growth slack.  The marginal over two trace lengths
+        cancels fixed costs; both lengths leave the same last chunk of
+        arrivals, so the loop's chunk lists cancel too."""
+        spec = FleetSpec(platforms=_QUAD, router="difficulty_aware", seed=1)
+        stacks = build_fleet_stacks(spec)
+        remainder = 1000
+        longest = self._CHUNK + remainder
+        rate_hz = sum(stack.rate_hz for stack in stacks)
+        arrivals = poisson_trace(rate_hz, 1.1 * longest / rate_hz, seed=1).arrival_s
+        assert len(arrivals) > longest
+        held = []
+        run_summary = fleet.run_summary
+
+        def measure(*args, **kwargs):
+            held.append(tracemalloc.get_traced_memory()[0])
+            return run_summary(*args, **kwargs)
+
+        monkeypatch.setattr(fleet, "run_summary", measure)
+        sizes = []
+        for n in (remainder, longest):
+            trace = replay_trace(arrivals[:n], seed=spec.seed)
+            stream = stacks[0].synthesizer.synthesize(trace.difficulties())
+            sim = FleetSimulator(spec, stacks)
+            gc.collect()
+            tracemalloc.start()
+            try:
+                start = tracemalloc.get_traced_memory()[0]
+                sim.run(trace, stream)
+            finally:
+                tracemalloc.stop()
+            held[-1] -= start
+            sizes.append(trace.num_requests)
+            self._assert_books_released(sim.lanes)
+        per_request = (held[1] - held[0]) / (sizes[1] - sizes[0])
+        assert per_request < 40.0, per_request
+
+    def test_lane_that_serves_nothing(self):
+        """An empty book reports zeros, like the spec's loop."""
+        spec = FleetSpec(platforms=("tx2-gpu", "agx-gpu"), router="round_robin")
+        stacks = build_fleet_stacks(spec)
+        trace = replay_trace(np.array([0.01]), duration_s=1.0, seed=spec.seed)
+        stream = stacks[0].synthesizer.synthesize(trace.difficulties())
+        sim = FleetSimulator(spec, stacks)
+        report = sim.run(trace, stream)
+        assert [device.requests for device in report.devices] == [1, 0]
+        idle = report.devices[1]
+        assert idle.batches == 0 and idle.latency_ms_p95 == 0.0 and idle.accuracy == 0.0
+        assert report == spec_fleet.ReferenceFleetSimulator(spec, stacks).run(trace, stream)
+        self._assert_books_released(sim.lanes)
 
 
 # ---------------------------------------------------------- engine identity

@@ -589,7 +589,7 @@ class TestLaneBatchLaws:
             ):
                 kept -= 1
             stolen = lane.steal_tail(limit, classes)
-            assert stolen == spec_lane.steal_tail(limit, classes) == queue[kept:]
+            assert stolen == spec_lane.steal_tail(limit, classes) == queue[kept:].tolist()
 
         def receive(count, now_s):
             fresh = list(range(len(classes), len(classes) + count))
@@ -741,3 +741,39 @@ class TestServedLogLaws:
         got, expected = self._settle_both(rungs, [], serving_stack.placement.num_exits + 1)
         assert not np.any(got[2]) and np.isnan(got[0]).all() and not got[1].any()
         assert all(a.tobytes() == b.tobytes() for a, b in zip(got, expected))
+
+
+class TestPercentileLaws:
+    """Serving reports take p50/p95/p99 from one ``np.percentile`` call
+    with three quantiles; the reports' golden digests were recorded from
+    three single-quantile calls.  The two agree bit for bit: on one
+    sample, on ties, and on long-tailed latencies."""
+
+    QUANTILES = (50, 95, 99)
+
+    @staticmethod
+    def _latencies(data) -> np.ndarray:
+        shape = data.draw(st.sampled_from(("floats", "ties", "long-tail")))
+        if shape == "floats":
+            values = st.floats(0.0, 1e4, allow_nan=False, allow_infinity=False)
+            return np.array(data.draw(st.lists(values, min_size=1, max_size=64)))
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+        n = data.draw(st.sampled_from((1, 2, 3, 20, 101, 1000, 4099)))
+        if shape == "ties":
+            step = data.draw(st.sampled_from((1e-3, 0.004, 0.1)))
+            return rng.integers(0, data.draw(st.integers(1, 5)), n) * step
+        sigma = data.draw(st.floats(0.1, 4.0))
+        return rng.lognormal(np.log(0.02), sigma, n)
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.data())
+    def test_one_call_matches_single_quantile_calls(self, data):
+        from repro.serving.telemetry import latency_summary
+
+        latencies = self._latencies(data)
+        joint = np.percentile(latencies, self.QUANTILES)
+        single = np.array([np.percentile(latencies, q) for q in self.QUANTILES])
+        assert joint.tobytes() == single.tobytes()
+        summary = latency_summary(latencies, slo_s=0.075)
+        for q, value in zip(self.QUANTILES, single):
+            assert summary[f"latency_ms_p{q}"] == float(value * 1e3)

@@ -1,8 +1,8 @@
 """The device core both serving engines share
 (:class:`repro.serving.simulator.ServingDevice`): every batch goes through
-its ``serve``, its counters match the reports, the compiled stream is gone
-before the report is built, and the fleet's shared battery agrees with the
-executable spec."""
+its ``serve``, its counters match the reports, rungs with equal thresholds
+share one decision pass, the compiled stream is gone before the report is
+built, and the fleet's shared battery agrees with the executable spec."""
 
 from __future__ import annotations
 
@@ -10,6 +10,7 @@ import dataclasses
 import gc
 import weakref
 
+import numpy as np
 import pytest
 
 from repro.obs.trace import Recorder, recording
@@ -91,6 +92,55 @@ class TestCounters:
         assert counters["fleet.batches"] == sum(d.batches for d in devices)
         for device in devices:
             assert counters[f"fleet.lane.{device.platform}.batches"] == device.batches
+
+
+class TestSharedDecisions:
+    def test_rungs_with_equal_thresholds_share_one_decision_pass(self, monkeypatch):
+        """On the bench quad fleet's stacks (``fleet-quad-1m``: stack seed 7,
+        traffic seed 1, here 10,000 requests), the DVFS tiers of an exit
+        rate and the lanes mounting the same model compile 8 rungs from 4
+        threshold tuples: one decision pass per tuple, and one
+        ``decisions`` buffer and ``correct`` array per tuple."""
+        passes, rungs = [], []
+        decision_pass = simulator.CompiledStream._decision_pass
+        compiled_of = simulator._RungMemo.compiled_of
+
+        def counting_pass(cstream, thresholds):
+            passes.append(thresholds)
+            return decision_pass(cstream, thresholds)
+
+        def recording(memo, config):
+            rung = compiled_of(memo, config)
+            rungs.append((config.thresholds, rung))
+            return rung
+
+        monkeypatch.setattr(simulator.CompiledStream, "_decision_pass", counting_pass)
+        monkeypatch.setattr(simulator._RungMemo, "compiled_of", recording)
+        spec = FleetSpec(
+            platforms=("agx-gpu", "carmel-cpu", "tx2-gpu", "denver-cpu"),
+            router="difficulty_aware",
+            policy="adaptive",
+            pattern="poisson",
+            seed=7,
+        )
+        stacks = build_fleet_stacks(spec)
+        spec = dataclasses.replace(
+            spec, seed=1, duration_s=10_000 / sum(stack.rate_hz for stack in stacks)
+        )
+        trace, stream = build_fleet_trace_and_stream(spec, stacks)
+        FleetSimulator(spec, stacks).run(trace, stream)
+
+        compiled = {id(rung): (thresholds, rung) for thresholds, rung in rungs}
+        distinct = {thresholds for thresholds, _ in compiled.values()}
+        assert (len(compiled), len(distinct)) == (8, 4)
+        assert sorted(passes) == sorted(distinct)
+        for thresholds in distinct:
+            group = [rung for key, rung in compiled.values() if key == thresholds]
+            first = group[0]
+            assert not first.decisions.flags.writeable
+            for rung in group[1:]:
+                assert np.shares_memory(rung.decisions, first.decisions)
+                assert rung.correct is first.correct
 
 
 class TestRelease:
