@@ -160,15 +160,18 @@ class _Workbench:
     def record_ioe_stream(self, budget: str) -> list[tuple[ExitPlacement, object]]:
         """The exact evaluation stream one IOE run at ``budget`` performs:
         the (placement, setting) of every row of every generation
-        ``evaluate_generation`` returns, duplicates included, in order."""
+        ``evaluate_generation`` returns, duplicates included, in order.  A
+        run is a lockstep group of one, so each call returns a list of one
+        generation."""
         engine = self.inner_engine(budget)
         stream: list[tuple[ExitPlacement, object]] = []
         original = engine.evaluator.evaluate_generation
 
         def recording(*args):
-            generation = original(*args)
-            stream.extend((row.placement, row.setting) for row in generation)
-            return generation
+            generations = original(*args)
+            for generation in generations:
+                stream.extend((row.placement, row.setting) for row in generation)
+            return generations
 
         engine.evaluator.evaluate_generation = recording
         engine.run()

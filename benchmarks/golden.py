@@ -22,7 +22,11 @@ Two families of entries:
   without work stealing.
 * ``cli/<command>`` — the digest of what ``repro serve`` prints
   (:func:`repro.serving.cli.main`, called in this process) for one
-  single-device and one fleet command line.
+  single-device and one fleet command line, and of what each paper
+  artifact prints (``python -m repro <artifact> --profile fast --seed 7``,
+  :func:`repro.__main__.main` called in this process) with its
+  ``===== <name> (<s>s) =====`` timing header stripped: explored points,
+  RoD, HV and the γ ablation, which no perfbench digest covers.
 
 Every family uses perfbench's digest (blake2b of the sorted-key JSON, every
 float digit kept).  ``--only PREFIX`` restricts either mode to the entries
@@ -37,6 +41,7 @@ import dataclasses
 import gc
 import io
 import json
+import re
 import sys
 import tempfile
 import time
@@ -68,6 +73,12 @@ CLI_COMMANDS = {
         "--scenario battery-budget --duration-s 5 --steal"
     ),
 }
+
+#: Paper artifacts whose printed output is pinned (fast profile, seed 7).
+CLI_ARTIFACTS = ("table1", "table2", "fig1", "table3", "fig5", "fig6", "fig7")
+
+#: The timing header ``repro <artifact>`` prints above each artifact.
+_TIMING_HEADER = re.compile(r"^===== \S+ \([0-9.]+s\) =====$", re.MULTILINE)
 
 
 def perfbench_entries() -> dict:
@@ -167,19 +178,28 @@ def fleet_entries() -> dict:
 
 
 def cli_entries() -> dict:
-    """``name -> thunk`` for the pinned ``repro serve`` command lines."""
+    """``name -> thunk`` for the pinned ``repro serve`` and artifact command lines."""
+    from repro.__main__ import main as repro
     from repro.serving.cli import main as serve
 
-    def command(argv: list[str]):
+    def command(main, argv: list[str], strip=None):
         def run() -> str:
             out = io.StringIO()
             with contextlib.redirect_stdout(out):
-                serve(argv)
-            return digest(out.getvalue())
+                main(argv)
+            text = out.getvalue()
+            return digest(strip.sub("", text) if strip else text)
 
         return run
 
-    return {f"cli/{name}": command(line.split()) for name, line in CLI_COMMANDS.items()}
+    serving = {
+        f"cli/{name}": command(serve, line.split()) for name, line in CLI_COMMANDS.items()
+    }
+    artifacts = {
+        f"cli/{name}": command(repro, [name, "--profile", "fast", "--seed", "7"], _TIMING_HEADER)
+        for name in CLI_ARTIFACTS
+    }
+    return serving | artifacts
 
 
 def all_entries() -> dict:

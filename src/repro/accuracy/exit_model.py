@@ -23,9 +23,9 @@ A :class:`BackboneExitOracle` caches one correctness column per position, so
 the inner engine's thousands of placement evaluations per backbone reuse the
 same columns — and exits at the same position are identical across
 placements, which keeps the dissimilarity signal consistent.  Statistics
-sweep a bank of those columns packed into ``uint64`` words: per exit
-level, a few bitwise ops and row popcounts over the whole batch, or over
-one placement's rows.
+sweep a :class:`ColumnBank` of those columns packed into ``uint64`` words:
+per exit level, a few bitwise ops and row popcounts over the whole batch,
+or over one placement's rows, of one or several backbones' oracles.
 
 Columns are a pure function of the oracle's fields and live in memory only:
 the Monte-Carlo population is drawn in ``__init__`` either way, and with it
@@ -36,6 +36,7 @@ copy back from the persistent result cache, let alone writing one.
 from __future__ import annotations
 
 import math
+import weakref
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Sequence
@@ -46,7 +47,7 @@ from repro.data.difficulty import DifficultyDistribution
 from repro.exits.evaluation import (
     ExitEvaluation,
     PopulationExitStats,
-    ideal_mapping_stats_population,
+    population_dissimilarity,
 )
 from repro.exits.placement import ExitPlacement, position_matrix
 from repro.obs import trace
@@ -206,46 +207,27 @@ class BackboneExitOracle:
         gp_rng = child_rng(seed, "exit-gp", backbone_key)
         self._latent = gp_rng.normal(0.0, 1.0, size=(n_samples, self.model.num_basis))
         self._columns: dict[int | str, np.ndarray] = {}
-        self._pert_matrix: np.ndarray | None = None
         self._stats: dict[tuple[int, ...], ExitEvaluation] = {}
-        # Column bank: row p packs position p's column into zero-padded
-        # uint64 words, row 0 stays all-zero (the pad sentinel) and the last
-        # row is the final classifier; rows fill on first use.
-        words = -(-n_samples // 64)
-        self._bank = np.zeros((total_layers + 2, words), dtype=np.uint64)
-        self._bank_counts = np.zeros(total_layers + 2, dtype=np.int64)
-        self._banked = np.zeros(total_layers + 2, dtype=bool)
-        self._banked[0] = True
+        # This oracle's block of a column bank (its own until joined).
+        ColumnBank([self])
         #: Column-resolution counters (column requests by outcome): how many
         #: were already in memory and how many were built from the
         #: Monte-Carlo population.  The dynamic-eval bench reports them.
         self.column_stats: dict[str, int] = {"memory": 0, "built": 0}
 
-    def _perturbations(self) -> np.ndarray:
-        """``(n_samples, total_layers)`` GP perturbations — one matrix op.
+    @cached_property
+    def _weights(self) -> np.ndarray:
+        """GP basis rows; row ``p - 1`` is at relative depth ``p / total_layers``."""
+        us = np.arange(1, self.total_layers + 1, dtype=float) / self.total_layers
+        return self.model.basis_matrix(us)
 
-        Column ``p - 1`` is the perturbation at relative depth
-        ``p / total_layers`` (the final classifier shares the last column,
-        u = 1.0).  Built lazily on first use and spanning *every* position,
-        so a placement's columns are lookups into one precomputed matrix —
-        and each column is a pure function of the oracle (the set of
-        positions a placement happens to request cannot change what gets
-        computed), so columns are deterministic regardless of access order.
-
-        Each column is the pre-batching formula ``(latent @ basis(u)) *
-        sigma`` evaluated with the same per-column gemv (``column_stack``
-        of gemvs, not one gemm, whose BLAS accumulation order would drift
-        by ULPs) — bit-identical to the pre-batching oracle.  The stack is
-        built once per oracle; the gemv-vs-gemm cost difference is
-        unmeasurable at that frequency.
-        """
-        if self._pert_matrix is None:
-            us = np.arange(1, self.total_layers + 1, dtype=float) / self.total_layers
-            weights = self.model.basis_matrix(us)
-            self._pert_matrix = np.column_stack(
-                [self._latent @ row for row in weights]
-            ) * self.model.idiosyncratic_sigma
-        return self._pert_matrix
+    def _perturbation(self, position: int) -> np.ndarray:
+        """``(n_samples,)`` GP perturbations at MBConv ``position`` (the
+        final classifier shares ``total_layers``, u = 1.0): the
+        pre-batching formula ``(latent @ basis(u)) * sigma``, one gemv per
+        column (a gemm's BLAS accumulation order would drift by ULPs).  A
+        column is a pure function of the oracle, whatever else is asked."""
+        return (self._latent @ self._weights[position - 1]) * self.model.idiosyncratic_sigma
 
     def _column(self, key: int | str, capability: float, position: int) -> np.ndarray:
         if key in self._columns:
@@ -255,7 +237,7 @@ class BackboneExitOracle:
         # The head ranks samples by perceived difficulty and classifies
         # exactly its capability fraction: marginals are exact while the GP
         # keeps correctness strongly correlated between nearby depths.
-        score = self._difficulties - self._perturbations()[:, position - 1]
+        score = self._difficulties - self._perturbation(position)
         n_correct = int(round(np.clip(capability, 0.0, 1.0) * self.n_samples))
         column = np.zeros(self.n_samples, dtype=bool)
         if n_correct > 0:
@@ -304,16 +286,18 @@ class BackboneExitOracle:
         return stats
 
     def evaluate_placements(
-        self, placements: Sequence[ExitPlacement] | np.ndarray
+        self, placements: Sequence[ExitPlacement] | np.ndarray, members: np.ndarray | None = None
     ) -> PopulationExitStats:
         """Stacked statistics of a whole population, one sweep.
 
         ``placements`` is a sequence of :class:`ExitPlacement` or an
         ``(N, E_max)`` position matrix in the
         :func:`~repro.exits.placement.position_matrix` layout (rows the
-        caller has validated, as the IOE's genome decode does).  Every row
-        goes through :meth:`_batched_stats`, duplicates included: the sweep
-        costs the same per row as a memo read would.  The result is the
+        caller has validated, as the IOE's genome decode does); row ``n``
+        is the placement of block ``members[n]``'s oracle in this oracle's
+        ``column_bank`` (default: this oracle).  Every row goes through
+        :meth:`ColumnBank.sweep`, duplicates included: the sweep costs the
+        same per row as a memo read would.  The result is the
         stacked matrices the dynamic evaluator fuses with the cost kernel,
         and reads as a sequence of :class:`ExitEvaluation` rows, each
         bitwise :meth:`evaluate_placement` of its placement
@@ -329,9 +313,11 @@ class BackboneExitOracle:
                     )
             placements = [placement.positions for placement in placements]
         positions, widths = position_matrix(placements)
+        if members is None:
+            members = np.full(len(widths), self.member)
         trace.count("oracle.batch_calls")
         trace.count("oracle.batch_rows", len(widths))
-        return self._batched_stats(positions, widths)
+        return self.column_bank.sweep(positions, widths, members)
 
     def _fill_bank(self, rows) -> None:
         """Bank ``rows`` (positions; the last row is the final classifier)
@@ -347,47 +333,10 @@ class BackboneExitOracle:
                 self._bank_counts[row] = np.count_nonzero(column)
                 banked[row] = True
 
-    def _batched_stats(self, index: np.ndarray, widths: np.ndarray) -> PopulationExitStats:
-        """Evaluate placements in one dense sweep over the bank.
-
-        ``index`` is the ``(P, E_max)`` position matrix padded with row 0,
-        the layout ``PopulationKernel.path_costs`` gathers.  At exit level
-        ``j`` every placement takes the ``remaining`` samples its ``j``-th
-        exit classifies (AND + row popcount), drops them from ``remaining``
-        (AND-NOT) and adds them to ``union`` (OR).  Pads gather the zero
-        row, so they take nothing and change no mask; bits past ``n`` stay
-        set in ``remaining`` and clear in every column.  These are the
-        masks :meth:`_assemble_stats` carries, so every count and every
-        ``count / n`` is identical.
-        """
-        n = self.n_samples
-        bank = self._bank
-        # Distinct positions ascending, as np.unique lists them: no sort, no numpy.ma import.
-        self._fill_bank(np.flatnonzero(np.bincount(index.ravel())).tolist() + [len(bank) - 1])
-
-        remaining = np.full((len(index), bank.shape[1]), ~np.uint64(0), dtype=np.uint64)
-        union = np.zeros_like(remaining)
-        take_counts = np.empty(index.shape, dtype=np.int64)
-        for j in range(index.shape[1]):
-            column = bank[index[:, j]]
-            take_counts[:, j] = popcount_rows(remaining & column)
-            remaining &= ~column
-            union |= column
-        return ideal_mapping_stats_population(
-            positions=index,
-            widths=widths,
-            take_counts=take_counts,
-            tail_counts=n - popcount_rows(~remaining),
-            marginal_counts=self._bank_counts[index],
-            union_counts=popcount_rows(union | bank[-1]),
-            final_count=int(self._bank_counts[-1]),
-            n_samples=n,
-        )
-
     def _assemble_stats(self, positions: tuple[int, ...]) -> ExitEvaluation:
         """One placement's :class:`ExitEvaluation` from the column bank.
 
-        :meth:`_batched_stats`'s sweep on one placement's bank rows: exit
+        :meth:`ColumnBank.sweep` on one placement's bank rows: exit
         ``i`` takes the samples its column classifies that no earlier exit
         did (AND-NOT the running OR of the earlier columns), and one row
         popcount counts every take, the samples some exit classifies and
@@ -416,4 +365,81 @@ class BackboneExitOracle:
             final_accuracy=int(self._bank_counts[final]) / n,
             dynamic_accuracy=int(counts[-1]) / n,
             usage=usage,
+        )
+
+
+class ColumnBank:
+    """The packed correctness columns of one or more oracles, a block each.
+
+    Block ``m`` (from row ``base[m]``) is oracle ``m``'s: the all-zero pad
+    row, a row per MBConv position and, last (``final[m]``), the final
+    classifier, each packing its column into zero-padded ``uint64`` words
+    on first use.  Each oracle fills and reads its block through views
+    (``_bank``, ``_bank_counts``, ``_banked``); a new bank starts empty.
+    """
+
+    def __init__(self, oracles: Sequence[BackboneExitOracle]):
+        self.n_samples = oracles[0].n_samples
+        if any(oracle.n_samples != self.n_samples for oracle in oracles):
+            raise ValueError("the oracles of a column bank must share one sample count")
+        sizes = [oracle.total_layers + 2 for oracle in oracles]
+        self.base = np.cumsum([0, *sizes[:-1]])
+        self.final = self.base + sizes - 1
+        self.words = np.zeros((sum(sizes), -(-self.n_samples // 64)), dtype=np.uint64)
+        self.counts = np.zeros(sum(sizes), dtype=np.int64)
+        self.banked = np.zeros(sum(sizes), dtype=bool)
+        self.banked[self.base] = True
+        # Weak: each oracle holds its bank, and the bank must not hold it back.
+        self._oracles = [weakref.ref(oracle) for oracle in oracles]
+        for member, (oracle, start, stop) in enumerate(zip(oracles, self.base, self.final + 1)):
+            oracle._bank = self.words[start:stop]
+            oracle._bank_counts = self.counts[start:stop]
+            oracle._banked = self.banked[start:stop]
+            oracle.column_bank, oracle.member = self, member
+
+    def sweep(
+        self, index: np.ndarray, widths: np.ndarray, members: np.ndarray
+    ) -> PopulationExitStats:
+        """Evaluate placements in one dense sweep over the bank.
+
+        ``index`` is the ``(P, E_max)`` position matrix padded with 0 (the
+        layout ``PopulationKernel.path_costs`` gathers) and row ``p`` reads
+        block ``members[p]``.  At exit level ``j`` every placement takes the
+        ``remaining`` samples its ``j``-th exit classifies (AND + row
+        popcount), drops them from ``remaining`` (AND-NOT) and adds them to
+        ``union`` (OR).  Pads gather their block's zero row, so they take
+        nothing and change no mask; bits past ``n`` stay set in
+        ``remaining`` and clear in every column.  These are the masks
+        :meth:`BackboneExitOracle._assemble_stats` carries, and every
+        statistic is an exact count over ``n``, the quotient
+        ``ideal_mapping_stats`` computes per placement.
+        """
+        n = self.n_samples
+        rows = index + self.base[members][:, None]
+        finals = self.final[members]
+        # Distinct rows ascending, as np.unique lists them: no sort, no numpy.ma import.
+        needed = np.flatnonzero(np.bincount(np.concatenate((rows.ravel(), finals))))
+        for row in needed[~self.banked[needed]].tolist():
+            member = int(np.searchsorted(self.base, row, side="right")) - 1
+            self._oracles[member]()._fill_bank([row - int(self.base[member])])
+
+        words = self.words
+        remaining = np.full((len(rows), words.shape[1]), ~np.uint64(0), dtype=np.uint64)
+        union = np.zeros_like(remaining)
+        take_counts = np.empty(rows.shape, dtype=np.int64)
+        for j in range(rows.shape[1]):
+            column = words[rows[:, j]]
+            take_counts[:, j] = popcount_rows(remaining & column)
+            remaining &= ~column
+            union |= column
+        n_i = self.counts[rows] / n
+        return PopulationExitStats(
+            positions=index,
+            widths=widths,
+            n_i=n_i,
+            usage_head=take_counts / n,
+            usage_tail=(n - popcount_rows(~remaining)) / n,
+            dissimilarity=population_dissimilarity(n_i),
+            dynamic_accuracy=popcount_rows(union | words[finals]) / n,
+            final_accuracy=self.counts[finals] / n,
         )

@@ -5,7 +5,8 @@ population, a generation's worth of inner-engine runs) instead of evaluating
 point-by-point.  The service resolves each task against the persistent
 :class:`~repro.engine.cache.ResultCache` (when the task carries a key),
 de-duplicates identical keys within the batch, runs the remaining misses on
-the configured executor and returns results in submission order.
+the configured executor and returns results in submission order; misses
+that share a ``group`` runner (lockstep inner runs) run as group calls.
 
 Tasks must be pure: same ``(fn, args)`` ⇒ same result.  Every evaluator in
 this repo derives its noise streams from content-keyed ``child_rng`` seeds,
@@ -38,12 +39,16 @@ class EvalTask:
         result is looked up before executing and persisted after.
     cls:
         Optional dataclass type for rebuilding JSON-stored cache entries.
+    group:
+        Optional runner of several such tasks: a batch's misses that share
+        it (``==``) run as ``group([args, ...])``, results in order.
     """
 
     fn: Callable[..., Any]
     args: tuple = ()
     key: CacheKey | None = None
     cls: type | None = None
+    group: Callable[[list[tuple]], list] | None = None
 
 
 @dataclass
@@ -53,9 +58,10 @@ class ServiceStats:
     ``executed`` counts tasks handed to the executor (the historical field);
     the submitted/completed/failed/cancelled quartet gives the full task
     ledger: ``submitted == completed + failed + cancelled`` once a batch
-    settles.  Failures are counted per-batch — executors raise on the first
-    failing task, so the whole dispatched batch is charged to ``failed`` (or
-    ``cancelled`` for interrupt/exit teardowns) and the error propagates.
+    settles; group calls count their tasks.  Failures are counted per-batch
+    — executors raise on the first failing task, so the whole dispatched
+    batch is charged to ``failed`` (or ``cancelled`` for interrupt/exit
+    teardowns) and the error propagates.
     """
 
     batches: int = 0
@@ -147,8 +153,8 @@ class EvaluationService:
 
         Keyed tasks are resolved against the cache first; within the batch,
         tasks sharing a key are computed once.  Cache misses run on the
-        executor in submission order, so results are independent of worker
-        count and scheduling.
+        executor in submission order (see :meth:`_execute` for groups), so
+        results are independent of worker count and scheduling.
         """
         self.stats.batches += 1
         self.stats.tasks += len(tasks)
@@ -173,7 +179,7 @@ class EvaluationService:
             pending.append(index)
 
         if pending:
-            outputs = self._execute([(tasks[i].fn, tasks[i].args) for i in pending])
+            outputs = self._execute([tasks[i] for i in pending])
             self.stats.executed += len(pending)
             for index, output in zip(pending, outputs):
                 results[index] = output
@@ -184,9 +190,11 @@ class EvaluationService:
             results[index] = results[owner]
         return results
 
-    def _execute(self, calls: list[tuple[Callable[..., Any], tuple]]) -> list[Any]:
+    def _execute(self, tasks: list[EvalTask]) -> list[Any]:
         """Dispatch cache misses to the executor, collecting observability.
 
+        Tasks sharing a ``group`` runner are dealt round-robin into at most
+        ``workers`` calls of it; any other task is one ``fn(*args)`` call.
         Pooled calls are wrapped in :class:`~repro.obs.collect.TracedCall`
         when tracing is on (to capture worker-side spans/counters and
         queue-wait) or when the executor may cross a process boundary while
@@ -195,6 +203,19 @@ class EvaluationService:
         are unchanged — envelopes are unwrapped before anything downstream
         (cache puts, callers) sees them.
         """
+        calls, covered, groups = [], [], {}  # covered: a task, or a group call's tasks
+        for index, task in enumerate(tasks):
+            if task.group is None:
+                calls.append((task.fn, task.args))
+                covered.append(index)
+            else:
+                groups.setdefault(task.group, []).append(index)
+        for runner, members in groups.items():
+            parts = min(self.workers, len(members))
+            chunks = [members[part::parts] for part in range(parts)]
+            calls += [(runner, ([tasks[i].args for i in chunk],)) for chunk in chunks]
+            covered += chunks
+
         recording = trace.active() is not None
         kind = self.executor.kind
         wrap = kind != "serial" and (
@@ -202,24 +223,29 @@ class EvaluationService:
         )
         if wrap:
             calls = [(TracedCall(fn, recording), args) for fn, args in calls]
-        self.stats.submitted += len(calls)
-        trace.count("engine.tasks_submitted", len(calls))
-        trace.observe("engine.batch_pending", len(calls))
+        count = len(tasks)
+        self.stats.submitted += count
+        trace.count("engine.tasks_submitted", count)
+        trace.observe("engine.batch_pending", count)
         try:
-            with trace.span("engine.execute", pending=len(calls), executor=kind):
-                outputs = self.executor.run(calls)
+            with trace.span("engine.execute", pending=count, executor=kind):
+                returned = self.executor.run(calls)
         except BaseException as error:
             if isinstance(error, (KeyboardInterrupt, SystemExit)):
-                self.stats.cancelled += len(calls)
-                trace.count("engine.tasks_cancelled", len(calls))
+                self.stats.cancelled += count
+                trace.count("engine.tasks_cancelled", count)
             else:
-                self.stats.failed += len(calls)
-                trace.count("engine.tasks_failed", len(calls))
+                self.stats.failed += count
+                trace.count("engine.tasks_failed", count)
             raise
-        self.stats.completed += len(calls)
-        trace.count("engine.tasks_completed", len(calls))
-        if wrap:
-            outputs = [absorb(output, self.cache) for output in outputs]
+        self.stats.completed += count
+        trace.count("engine.tasks_completed", count)
+        outputs: list[Any] = [None] * count
+        for cover, output in zip(covered, returned):
+            output = absorb(output, self.cache) if wrap else output
+            pairs = zip(cover, output) if isinstance(cover, list) else [(cover, output)]
+            for index, result in pairs:
+                outputs[index] = result
         return outputs
 
     def map(self, fn: Callable[..., Any], args_list: Sequence[tuple]) -> list[Any]:

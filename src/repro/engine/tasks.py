@@ -128,7 +128,7 @@ def run_spec(spec: TaskSpec) -> Any:
 run_spec.is_task_codec = True  # executor-side batch detection, import-free
 
 
-def spec_task(spec: TaskSpec, key=None, cls: type | None = None, cache=None):
+def spec_task(spec: TaskSpec, key=None, cls: type | None = None, cache=None, group=None):
     """Lower a spec to an :class:`~repro.engine.service.EvalTask`.
 
     ``key`` is the caller's richer domain cache address when one exists
@@ -138,12 +138,13 @@ def spec_task(spec: TaskSpec, key=None, cls: type | None = None, cache=None):
     always share a single cache entry, so whole-spec results (platform
     experiments, table2 rows) persist and de-duplicate with zero per-kind
     key plumbing.  An explicit ``key`` always wins over the fingerprint.
+    ``group`` is a codec group runner such as :func:`run_inner_specs`.
     """
     from repro.engine.service import EvalTask
 
     if key is None and cache is not None:
         key = cache.key("spec", kind=spec.kind, fingerprint=spec.fingerprint())
-    return EvalTask(fn=run_spec, args=(spec,), key=key, cls=cls)
+    return EvalTask(fn=run_spec, args=(spec,), key=key, cls=cls, group=group)
 
 
 # --------------------------------------------------------------------------
@@ -173,8 +174,7 @@ def _static_context(platform: str, num_classes: int, seed: int, cache_dir: str |
 
 
 # ----------------------------------------------------------- built-in kinds
-@register_task("inner-run")
-def _inner_run(
+def _inner_engine(
     *,
     platform: str,
     num_classes: int,
@@ -188,7 +188,7 @@ def _inner_run(
     capability_model,
     cache_dir: str | None = None,
 ):
-    """One backbone's IOE — mirrors ``HadasSearch.make_inner_engine().run()``."""
+    """One backbone's inner engine — mirrors ``HadasSearch.make_inner_engine``."""
     from repro.search.ioe import InnerEngine
     from repro.search.nsga2 import Nsga2Config
 
@@ -205,7 +205,23 @@ def _inner_run(
         capability_model=capability_model,
         oracle_samples=oracle_samples,
         seed=seed,
-    ).run()
+    )
+
+
+@register_task("inner-run")
+def _inner_run(**params):
+    """One backbone's IOE — mirrors ``HadasSearch.make_inner_engine().run()``."""
+    return _inner_engine(**params).run()
+
+
+def run_inner_specs(calls: list[tuple[TaskSpec]]) -> list:
+    """Several ``inner-run`` specs' IOEs as one lockstep group: the group
+    runner of their tasks (``calls`` holds each task's ``(spec,)``)."""
+    engines = [_inner_engine(**spec.params) for (spec,) in calls]
+    return engines[0].run(alongside=engines[1:])
+
+
+run_inner_specs.is_task_codec = True  # a group of codec calls is one, too
 
 
 @register_task("platform-experiment")

@@ -13,7 +13,8 @@ computes:
 
 A population call returns a :class:`DynamicGeneration`, plain arrays for
 every row; indexing it builds that one row's :class:`DynamicEvaluation`,
-with arrays of its own.
+with arrays of its own; a call over a joined group of evaluators
+(:meth:`DynamicEvaluator.join`) returns one generation per member.
 
 Score semantics: eq. 6 multiplies N_i by "normalized dynamic energy ...
 relative to the backbone" terms.  Since the engines *maximise* D and the
@@ -26,12 +27,12 @@ reading; documented in DESIGN.md).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from typing import Sequence
 
 import numpy as np
 
-from repro.accuracy.exit_model import BackboneExitOracle
+from repro.accuracy.exit_model import BackboneExitOracle, ColumnBank
 from repro.arch.config import BackboneConfig
 from repro.arch.cost import LayerCost, NetworkCost, exit_branch_cost
 from repro.exits.evaluation import ExitEvaluation, PopulationExitStats
@@ -227,7 +228,27 @@ class DynamicEvaluator:
         self.bank = CostTableBank(
             self.energy_model, self.cost, branch_provider=self._branch_items
         )
-        self.population = PopulationKernel(self.bank)
+        DynamicEvaluator.join([self])
+
+    @staticmethod
+    def join(evaluators: Sequence[DynamicEvaluator]) -> None:
+        """Make ``evaluators`` one group, in this order, that any member
+        evaluates in one call (``counts`` of :meth:`evaluate_population`):
+        one :class:`PopulationKernel` over their cost banks, one
+        :class:`~repro.accuracy.exit_model.ColumnBank` over their oracles.
+        Every evaluator starts as a group of one.  Members must share a
+        platform, an oracle sample count, γ and the ratio mode."""
+        if len({(e.gamma, e.literal_ratios) for e in evaluators}) > 1:
+            raise ValueError("joined evaluators must share gamma and literal_ratios")
+        kernel = PopulationKernel(*(e.bank for e in evaluators))
+        ColumnBank([e.oracle for e in evaluators])
+        # Per member: what its generations carry, and its normalisers by row.
+        members = [(e.oracle.total_layers, e.baseline_energy_j, e.baseline_latency_s)
+                   for e in evaluators]
+        baselines = np.array([member[1:] for member in members]).T
+        for evaluator in evaluators:
+            evaluator.population = kernel
+            evaluator._members, evaluator._baselines = members, baselines
 
     def _branch_items(self) -> list[tuple[int, LayerCost]]:
         """(position, branch cost) for every legal exit position."""
@@ -306,35 +327,46 @@ class DynamicEvaluator:
         self,
         placements: Sequence[ExitPlacement] | np.ndarray,
         setting: DvfsSetting | Sequence[DvfsSetting],
-    ) -> DynamicGeneration:
+        counts: Sequence[int] | None = None,
+    ) -> DynamicGeneration | list[DynamicGeneration]:
         """Evaluate N placements as one stacked kernel call.
 
         ``placements`` is a sequence of :class:`ExitPlacement` or an
         ``(N, E_max)`` position matrix in the
         :func:`~repro.exits.placement.position_matrix` layout; ``setting``
         is one setting for every placement or a sequence of one per
-        placement, so rows may mix settings freely.  Row ``i`` of the
-        returned :class:`DynamicGeneration` is bit-identical to
-        ``self.evaluate(placements[i], settings[i])`` and its objective row
-        to the per-exit means of that evaluation's arrays (asserted by the
+        placement, so rows may mix settings freely.  Every row is this
+        evaluator's and one :class:`DynamicGeneration` comes back, unless
+        ``counts`` (one per member of its group, see :meth:`join`) hands
+        the first ``counts[0]`` rows to member 0, the next to member 1 and
+        so on; then one generation per member comes back.
+
+        Row ``i`` of a generation is bit-identical to its member's
+        ``evaluate(placements[i], settings[i])`` and its objective row to
+        the per-exit means of that evaluation's arrays (asserted by the
         population property tests and the bench): the stacked kernel
-        performs exactly the per-placement elementwise work, and every
-        reduction runs on each row's exact valid slice (see
-        :meth:`_row_means`).  Every row is computed, duplicates included;
-        :meth:`evaluate`'s memo is neither read nor filled.
+        performs exactly the per-placement elementwise work, each row is
+        normalised by its own member's E_b and L_b, and every reduction
+        runs on each row's exact valid slice (see :meth:`_row_means`).
+        Every row is computed, duplicates included; :meth:`evaluate`'s memo
+        is neither read nor filled.
         """
         count = len(placements)
         if isinstance(setting, DvfsSetting):
             settings = [setting] * count
         else:
             settings = list(setting)
+        own = self.oracle.member
+        sizes = [count * (m == own) for m in range(len(self._members))] if counts is None else counts
+        members = np.repeat(np.arange(len(sizes)), sizes)
+        edges = np.cumsum([0, *sizes]).tolist()
         trace.count("dyneval.population_calls")
         trace.count("dyneval.population_rows", count)
-        fused = self.population.fused_batch(placements, settings, self.oracle)
-        stats, costs = fused.stats, fused.costs
+        stats, costs = self.population.fused_batch(placements, settings, self.oracle, members)
 
-        energy_ratio = costs.exit_energy_j / self.baseline_energy_j
-        latency_ratio = costs.exit_latency_s / self.baseline_latency_s
+        baseline_energy, baseline_latency = self._baselines[:, members, None]
+        energy_ratio = costs.exit_energy_j / baseline_energy
+        latency_ratio = costs.exit_latency_s / baseline_latency
         if self.literal_ratios:
             energy_term = energy_ratio
             latency_term = latency_ratio
@@ -350,34 +382,41 @@ class DynamicEvaluator:
             np.stack((stats.n_i * dissim_pow, energy_term, latency_term, scores, stats.n_i)),
             stats.widths,
         )
-        return DynamicGeneration(
-            total_layers=self.oracle.total_layers,
-            settings=settings,
-            stats=stats,
-            costs=costs,
-            scores=scores,
-            d_scores=means[3].copy(),  # owned: a view would pin all of ``means``
-            mean_n_i=means[4].copy(),
-            objectives=np.ascontiguousarray(means[:3].T),
-            baseline_energy_j=self.baseline_energy_j,
-            baseline_latency_s=self.baseline_latency_s,
-        )
+        generations = [
+            DynamicGeneration(
+                total_layers,
+                settings[lo:hi],
+                _rows(stats, lo, hi),
+                _rows(costs, lo, hi),
+                scores[lo:hi],
+                means[3, lo:hi].copy(),  # owned: a view would pin all of ``means``
+                means[4, lo:hi].copy(),
+                np.ascontiguousarray(means[:3, lo:hi].T),
+                *baselines,
+            )
+            for (total_layers, *baselines), lo, hi in zip(self._members, edges, edges[1:])
+        ]
+        return generations if counts is not None else generations[own]
 
     def evaluate_generation(
-        self, positions: np.ndarray, settings: Sequence[DvfsSetting]
-    ) -> DynamicGeneration:
+        self,
+        positions: np.ndarray,
+        settings: Sequence[DvfsSetting],
+        counts: Sequence[int] | None = None,
+    ) -> DynamicGeneration | list[DynamicGeneration]:
         """Evaluate one search generation in one population call.
 
         ``positions`` is the generation's ``(N, E_max)`` position matrix
         (:func:`~repro.exits.placement.indicator_positions` of its genome
         bits) and ``settings`` one setting per row — the entry point the
-        NSGA-II/IOE batch hook and random search lower to.  One oracle
-        sweep, one stacked cost gather with per-row settings and one array
-        tail; see :meth:`evaluate_population`.
+        NSGA-II/IOE batch hook (a lockstep round, with ``counts``) and
+        random search lower to.  One oracle sweep, one stacked cost gather
+        with per-row settings and one array tail; see
+        :meth:`evaluate_population`.
         """
         trace.count("dyneval.generation_calls")
         trace.count("dyneval.generation_rows", len(positions))
-        return self.evaluate_population(positions, settings)
+        return self.evaluate_population(positions, settings, counts)
 
     def _row_means(self, per_exit: np.ndarray, widths: np.ndarray) -> np.ndarray:
         """``(K, N)`` means of ``(K, N, E_max)`` per-exit operands, row
@@ -395,3 +434,8 @@ class DynamicEvaluator:
             rows = np.flatnonzero(widths == width)
             means[:, rows] = np.add.reduce(per_exit[:, rows, :width], axis=-1) / max(width, 1)
         return means
+
+
+def _rows(block, lo: int, hi: int):
+    """A stacked dataclass of row-aligned arrays, restricted to rows ``lo:hi``."""
+    return type(block)(**{f.name: getattr(block, f.name)[lo:hi] for f in fields(block)})

@@ -93,7 +93,9 @@ class PopulationExitStats:
     ``positions``.  Every entry is an exact integer count divided by the
     shared sample count ``n`` — the same quotients
     :func:`ideal_mapping_stats` produces per placement.  Pad entries are
-    finite but unspecified: read row ``j`` through ``widths[j]`` only.
+    finite but unspecified: read row ``j`` through ``widths[j]`` only.  The
+    rows may come from several backbones' oracles, so the final
+    classifier's accuracy is a row vector too.
 
     The stats act as a sequence of :class:`ExitEvaluation` rows; row ``j``
     is built when it is read.
@@ -106,7 +108,7 @@ class PopulationExitStats:
     usage_tail: np.ndarray  # (N,) full-network remainder fractions
     dissimilarity: np.ndarray  # (N, E_max) eq. 7 rows
     dynamic_accuracy: np.ndarray  # (N,) union accuracies
-    final_accuracy: float
+    final_accuracy: np.ndarray  # (N,) the final classifier's accuracy
 
     def __len__(self) -> int:
         return len(self.widths)
@@ -127,7 +129,7 @@ class PopulationExitStats:
         evaluation = ExitEvaluation.__new__(ExitEvaluation)
         evaluation.__dict__.update(
             n_i=self.n_i[row, :width],
-            final_accuracy=self.final_accuracy,
+            final_accuracy=float(self.final_accuracy[row]),
             dynamic_accuracy=float(self.dynamic_accuracy[row]),
             usage=usage,
             dissimilarity=self.dissimilarity[row, :width],
@@ -139,7 +141,7 @@ class PopulationExitStats:
         return (self[row] for row in range(len(self)))
 
 
-def _population_dissimilarity(n_i: np.ndarray) -> np.ndarray:
+def population_dissimilarity(n_i: np.ndarray) -> np.ndarray:
     """Stacked eq. 7: ``1 - cummax`` rows in one accumulate.
 
     ``np.maximum.accumulate`` along axis 1 performs the exact per-row
@@ -153,40 +155,6 @@ def _population_dissimilarity(n_i: np.ndarray) -> np.ndarray:
     if e_max > 1:
         dissim[:, 1:] = 1.0 - np.maximum.accumulate(n_i[:, :-1], axis=1)
     return dissim
-
-
-def ideal_mapping_stats_population(
-    *,
-    positions: np.ndarray,
-    widths: np.ndarray,
-    take_counts: np.ndarray,
-    tail_counts: np.ndarray,
-    marginal_counts: np.ndarray,
-    union_counts: np.ndarray,
-    final_count: int,
-    n_samples: int,
-) -> PopulationExitStats:
-    """Population-level :func:`ideal_mapping_stats` from stacked counts.
-
-    All inputs are exact integer sample counts: ``take_counts`` — samples
-    leaving at each exit under ideal mapping; ``tail_counts`` — samples no
-    exit takes; ``marginal_counts`` — per-exit correct samples (the N_i
-    numerators); ``union_counts`` — samples some head (any exit or the
-    final classifier) classifies.  Every output is ``count / n``, the same
-    quotient the per-placement path computes, so results are bit-identical
-    to :func:`ideal_mapping_stats` row by row.
-    """
-    n_i = marginal_counts / n_samples
-    return PopulationExitStats(
-        positions=positions,
-        widths=widths,
-        n_i=n_i,
-        usage_head=take_counts / n_samples,
-        usage_tail=tail_counts / n_samples,
-        dissimilarity=_population_dissimilarity(n_i),
-        dynamic_accuracy=union_counts / n_samples,
-        final_accuracy=final_count / n_samples,
-    )
 
 
 def ideal_mapping_stats(correct: np.ndarray) -> ExitEvaluation:

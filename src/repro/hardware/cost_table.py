@@ -112,8 +112,8 @@ class _CostGrid:
     ``overhead`` and ``dynamic`` for path profiles.  ``branch[term]`` holds
     ``(S, P + 1)`` exit-branch terms indexed by MBConv position; column 0
     is the all-zero padding sentinel, and ``branched[p]`` is true for the
-    sentinel and every position with a branch.  A grid is never written
-    after construction.
+    sentinel and every position with a branch.  No value changes after
+    construction (a population kernel may swap in equal views).
     """
 
     __slots__ = ("settings", "rows", "cum", "branch", "branched", "passive_power_w")
@@ -320,15 +320,9 @@ class CostTableBank:
                 self._branch_provider = None
         return self._grid
 
-    def rows(
-        self, settings: Sequence[DvfsSetting], positions: np.ndarray | None = None
-    ) -> tuple[_CostGrid, np.ndarray]:
-        """The grid and the grid row of each of ``settings``.
-
-        ``positions`` (an integer array) holds the MBConv positions whose
-        branch columns the caller will read.  A setting off the grid or a
-        position without a branch raises ``ValueError``.
-        """
+    def rows(self, settings: Sequence[DvfsSetting]) -> tuple[_CostGrid, np.ndarray]:
+        """The grid and the grid row of each of ``settings``; a setting off
+        the grid raises ``ValueError``."""
         grid = self._grid
         if grid is None:
             grid = self._build()
@@ -340,14 +334,6 @@ class CostTableBank:
             raise ValueError(
                 f"{off!r} is not on the {self.model.platform.key} DVFS grid"
             ) from None
-        if positions is not None:
-            try:
-                legal = grid.branched[positions].all()
-            except IndexError:
-                legal = False
-            if not legal:
-                bad = np.setdiff1d(positions, np.flatnonzero(grid.branched))
-                raise ValueError(f"no exit branch at position {bad[0]}")
         return grid, np.asarray(rows, dtype=np.intp)
 
     def table(self, setting: DvfsSetting) -> SettingCostTable:

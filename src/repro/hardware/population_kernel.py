@@ -9,7 +9,8 @@ loops and small-array arithmetic are re-dispatched N times.
 one padded ``(N, E_max)`` gather over the
 :class:`~repro.hardware.cost_table.CostTableBank`'s stacked (setting ×
 layer) grid at the flat index ``setting_row · L + prefix``, plus ``E_max``
-broadcast column additions, independent of N.
+broadcast column additions, independent of N.  Over several backbones'
+banks (an IOE lockstep group), a row's flat index gains its bank's offset.
 
 Bit-identity contract (same as every kernel in this repo): the stacked path
 costs equal :meth:`SettingCostTable.path_costs` — and therefore the
@@ -70,124 +71,117 @@ class PopulationPathCosts:
         return self.exit_energy_j[n, :w], self.exit_latency_s[n, :w]
 
 
-@dataclass(frozen=True)
-class FusedPopulationBatch:
-    """Accuracy and cost matrices of one population.
-
-    The fusion of the two population kernels: ``stats`` is the oracle's
-    stacked accuracy side (N_i, usage, dissimilarity, union accuracies) and
-    ``costs`` the cost-table side (exit/full path energies and latencies),
-    aligned row for row and padded to the same ``E_max`` — widths are
-    asserted equal at construction.  One :meth:`PopulationKernel.fused_batch`
-    call produces everything eq. 5–7 needs for a whole population.
-    """
-
-    stats: PopulationExitStats
-    costs: PopulationPathCosts
-
-    def __post_init__(self):
-        if not np.array_equal(self.stats.widths, self.costs.widths):
-            raise ValueError("accuracy and cost batches disagree on exit widths")
-
-    @property
-    def widths(self) -> np.ndarray:
-        return self.costs.widths
-
-    def __len__(self) -> int:
-        return len(self.costs.widths)
+#: The kernel's two stacked operands: the cumulative rails it gathers, in
+#: this order, and the branch terms added to them, the first four onto the
+#: four rails and the last onto the memory rail.
+_RAILS = ("total", "core", "mem", "static")
+_BRANCH_TERMS = ("total_s", "core_j", "mem_dyn_j", "static_j", "mem_bg_j")
 
 
 class PopulationKernel:
-    """Batched analysis surface over a :class:`CostTableBank`.
-
-    One kernel hangs off a :class:`~repro.eval.dynamic.DynamicEvaluator`
-    (same lifetime as its bank); :meth:`path_costs` is the stable entry
+    """Batched analysis surface over the :class:`CostTableBank` of one
+    :class:`~repro.eval.dynamic.DynamicEvaluator`, or the banks of a
+    joined group (one DVFS grid); :meth:`path_costs` is the stable entry
     point the evaluator, the IOE batch hook, the exhaustive-grid sweeps and
     the runtime DVFS planners all call.
+
+    On first use it concatenates its grids along the layer axis: four
+    cumulative rails as one ``(4, S, Σ L_b)`` array and five branch terms
+    as one ``(5, S, Σ W_b)`` array, bank ``b``'s columns at an offset.  The
+    grids then read those terms from views of the concatenation.
     """
 
-    def __init__(self, bank: CostTableBank):
-        self._bank = bank
+    def __init__(self, *banks: CostTableBank):
+        self._banks = banks
+        self._stack: tuple | None = None
+
+    def _build(self) -> tuple:
+        grids = [bank.rows(())[0] for bank in self._banks]
+        if any(grid.settings != grids[0].settings for grid in grids):
+            raise ValueError("the banks of one population kernel must share a DVFS grid")
+        layers = np.array([grid.cum["total"].shape[1] for grid in grids])
+        widths = np.array([len(grid.branched) for grid in grids])
+        paths = np.concatenate([[grid.cum[name] for name in _RAILS] for grid in grids], axis=2)
+        terms = np.concatenate(
+            [[grid.branch[name] for name in _BRANCH_TERMS] for grid in grids], axis=2
+        )
+        layer_base, column_base = np.cumsum([0, *layers]), np.cumsum([0, *widths])
+        for grid, start, stop, first, last in zip(
+            grids, layer_base, layer_base[1:], column_base, column_base[1:]
+        ):
+            grid.cum.update(zip(_RAILS, paths[:, :, start:stop]))
+            grid.branch.update(zip(_BRANCH_TERMS, terms[:, :, first:last]))
+        prefix = np.concatenate([bank.prefix_index for bank in self._banks])
+        branched = np.concatenate([grid.branched for grid in grids])
+        stack = paths.reshape(4, -1), terms.reshape(5, -1), layer_base, layers
+        self._stack = stack + (column_base, widths, prefix, branched)  # one store, race-safe
+        return self._stack
 
     def path_costs(
         self,
         position_lists: Sequence[Sequence[int]],
         settings: Sequence[DvfsSetting],
+        members: np.ndarray | None = None,
     ) -> PopulationPathCosts:
         """Exit-path and full-path costs of N placements, row ``n`` at
-        ``settings[n]``.  ``position_lists`` holds one position sequence
-        per placement or is the padded
+        ``settings[n]`` on the network of bank ``members[n]`` (default:
+        the first bank, for every row).  ``position_lists`` holds one
+        position sequence per placement or is the padded
         :func:`~repro.exits.placement.position_matrix` itself.
 
-        One ``(N, E_max)`` gather over the bank's stacked grid at the flat
-        index ``setting_row · L + prefix``, then one broadcast column
-        addition per exit slot — total work O(N · E_max) array elements
-        with no per-placement Python loop over branches.  A setting off
-        the platform's grid or a position without an exit branch raises
-        ``ValueError``.
+        One ``take`` gathers the four rails at every row's exit prefixes
+        plus, as one more column, its full path (flat index
+        ``setting_row · Σ L + offset + prefix``); one more gathers the five
+        branch terms at the exit positions; then two broadcast additions
+        per exit slot — total work O(N · E_max) array elements with no
+        per-placement Python loop.  A setting off the platform's grid or a
+        position without an exit branch raises ``ValueError``.
         """
         positions, widths = position_matrix(position_lists)
-        e_max = positions.shape[1]
-        bank = self._bank
-        grid, rows = bank.rows(settings, positions)
-        cum, branch = grid.cum, grid.branch
-
-        layers = cum["total"].shape[1]
-        index = rows[:, None] * layers + bank.prefix_index[positions]
-        latency = cum["total"].take(index)
-        core = cum["core"].take(index)
-        mem = cum["mem"].take(index)
-        static = cum["static"].take(index)
-        branch_index = rows[:, None] * len(bank.prefix_index) + positions
-        branch_total = branch["total_s"].take(branch_index)
-        branch_core = branch["core_j"].take(branch_index)
-        branch_mem_dyn = branch["mem_dyn_j"].take(branch_index)
-        branch_mem_bg = branch["mem_bg_j"].take(branch_index)
-        branch_static = branch["static_j"].take(branch_index)
-
-        last = rows * layers + (layers - 1)
-        full_latency = cum["total"].take(last)
-        full_core = cum["core"].take(last)
-        full_mem = cum["mem"].take(last)
-        full_static = cum["static"].take(last)
+        _, rows = self._banks[0].rows(settings)
+        paths, terms, layer_base, layers, column_base, columns, prefix, branched = (
+            self._stack or self._build()
+        )
+        if members is None:
+            members = np.zeros(len(rows), dtype=np.intp)
+        column = column_base[members][:, None] + positions
+        inside = positions < columns[members][:, None]
+        if not (inside.all() and branched[column].all()):
+            legal = inside & branched[np.where(inside, column, 0)]
+            raise ValueError(f"no exit branch at position {positions[~legal][0]}")
+        start = (rows * layer_base[-1] + layer_base[members])[:, None]
+        full = start + layers[members][:, None] - 1
+        rails = paths.take(np.concatenate((start + prefix[column], full), axis=1), axis=1)
+        branch = terms.take(rows[:, None] * column_base[-1] + column, axis=1)
 
         # Ascending exit order mirrors the per-placement kernel: branch j
-        # lands on every exit i >= j before branch j+1 does, and the memory
-        # rail adds its two terms per branch in the reference order.
-        for j in range(e_max):
-            latency[:, j:] += branch_total[:, j : j + 1]
-            core[:, j:] += branch_core[:, j : j + 1]
-            mem[:, j:] += branch_mem_dyn[:, j : j + 1]
-            mem[:, j:] += branch_mem_bg[:, j : j + 1]
-            static[:, j:] += branch_static[:, j : j + 1]
-            full_latency += branch_total[:, j]
-            full_core += branch_core[:, j]
-            full_mem += branch_mem_dyn[:, j]
-            full_mem += branch_mem_bg[:, j]
-            full_static += branch_static[:, j]
-
+        # lands on every exit i >= j, and on the full path, before branch
+        # j+1 does, and the memory rail adds its two terms per branch in
+        # the reference order.  Pad slots add 0.0 to the full path.
+        for j in range(positions.shape[1]):
+            rails[:, :, j:] += branch[:4, :, j : j + 1]
+            rails[2, :, j:] += branch[4, :, j : j + 1]
+        energy = rails[1] + rails[2] + rails[3]
+        latency = rails[0].copy()  # the other rails are not kept
         return PopulationPathCosts(
             widths=widths,
-            exit_energy_j=core + mem + static,
-            exit_latency_s=latency,
-            full_energy_j=(full_core + full_mem) + full_static,
-            full_latency_s=full_latency,
+            exit_energy_j=energy[:, :-1],
+            exit_latency_s=latency[:, :-1],
+            full_energy_j=energy[:, -1],
+            full_latency_s=latency[:, -1],
         )
 
     def fused_batch(
-        self, placements, settings: Sequence[DvfsSetting], oracle
-    ) -> FusedPopulationBatch:
-        """Accuracy + cost matrices of N placements in one fused call.
+        self, placements, settings: Sequence[DvfsSetting], oracle, members: np.ndarray | None = None
+    ) -> tuple[PopulationExitStats, PopulationPathCosts]:
+        """Accuracy and cost matrices of N placements in one fused call.
 
-        Row ``n`` is costed at ``settings[n]``.  ``oracle`` is any provider
-        whose ``evaluate_placements(placements)`` returns stacked
-        :class:`PopulationExitStats` (a
-        :class:`~repro.accuracy.exit_model.BackboneExitOracle`);
-        ``placements`` is whatever it accepts, and its position matrix
-        drives this kernel's path costs, so both sides come back aligned
-        and width-checked.  This is the surface
-        :meth:`DynamicEvaluator.evaluate_population` drives.
+        ``oracle`` is any provider whose ``evaluate_placements(placements,
+        members)`` returns stacked :class:`PopulationExitStats` (a
+        :class:`~repro.accuracy.exit_model.BackboneExitOracle` whose column
+        bank lists its oracles in this kernel's bank order); its position
+        matrix drives :meth:`path_costs`, so both sides come back aligned
+        row for row: everything eq. 5–7 needs for a whole population.
         """
-        stats = oracle.evaluate_placements(placements)
-        costs = self.path_costs(stats.positions, settings)
-        return FusedPopulationBatch(stats=stats, costs=costs)
+        stats = oracle.evaluate_placements(placements, members)
+        return stats, self.path_costs(stats.positions, settings, members)

@@ -23,7 +23,7 @@ from repro.arch.space import BackboneSpace
 from repro.engine.cache import ResultCache
 from repro.engine.executors import EXECUTOR_KINDS
 from repro.engine.service import EvalTask, EvaluationService
-from repro.engine.tasks import spec_task, task_spec
+from repro.engine.tasks import run_inner_specs, spec_task, task_spec
 from repro.eval.static import StaticEvaluation, StaticEvaluator
 from repro.hardware.platform import get_platform
 from repro.search.individual import Individual
@@ -238,9 +238,9 @@ class HadasSearch:
 
     The facade owns the run's :class:`EvaluationService` (executor + shared
     persistent cache); the outer engine routes static population batches and
-    inner-engine runs through it.  Inner engines themselves run serial
-    NSGA-II loops — parallelism lives at exactly one level (across inner
-    runs), so pool executors are never nested.
+    inner-engine runs through it; a batch's uncached inner runs go in
+    lockstep groups, one per worker at most.  Parallelism lives at exactly
+    one level (across groups), so pool executors are never nested.
     """
 
     def __init__(
@@ -369,6 +369,12 @@ class HadasSearch:
         del static
         return self.make_inner_engine(backbone).run()
 
+    def run_inners(self, calls: list[tuple]) -> list[InnerResult]:
+        """Several backbones' IOEs as one lockstep group: the group runner
+        of :meth:`inner_task`'s closure tasks (``calls``: their args)."""
+        engines = [self.make_inner_engine(backbone) for backbone, _ in calls]
+        return engines[0].run(alongside=engines[1:])
+
     def inner_task(
         self, backbone: BackboneConfig, static: StaticEvaluation | None = None
     ) -> EvalTask:
@@ -384,7 +390,8 @@ class HadasSearch:
         data-reconstructible and the service's executor crosses a process
         boundary, the task is a slim ``inner-run`` spec (backbone +
         platform/seed/gamma/budget) whose workers rebuild evaluators from
-        data; otherwise it closes over :meth:`run_inner`.
+        data; otherwise it closes over :meth:`run_inner`.  Either way it
+        names a group runner, so a batch's misses run in lockstep.
         """
         key = self._inner_cache_key(backbone) if self.cache is not None else None
         if self._spec_context is not None and self.service.prefers_specs:
@@ -399,8 +406,8 @@ class HadasSearch:
                 capability_model=self.capability_model,
                 **self._spec_context,
             )
-            return spec_task(spec, key=key)
-        return EvalTask(self.run_inner, (backbone, static), key=key)
+            return spec_task(spec, key=key, group=run_inner_specs)
+        return EvalTask(self.run_inner, (backbone, static), key=key, group=self.run_inners)
 
     def run(self) -> HadasResult:
         """Execute the bi-level search."""

@@ -21,11 +21,16 @@ Pareto members, the only rows built, each with a self-contained
 evaluation; the distinct genomes with their objectives and the history's
 row ids; and one matrix of every row's fig5 coordinates.  The table and
 its blocks go with the engine.
+
+Runs go in lockstep groups (:meth:`InnerEngine.run`; a solo run is a group
+of one): each member keeps its own NSGA-II steps, RNG stream, table and
+fold, and one population call per round evaluates every member's genomes.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Generator, Sequence
 
 import numpy as np
 
@@ -33,7 +38,7 @@ from repro.accuracy.exit_model import BackboneExitOracle, ExitCapabilityModel
 from repro.arch.config import BackboneConfig
 from repro.eval.dynamic import DynamicEvaluation, DynamicEvaluator, DynamicGeneration
 from repro.eval.static import StaticEvaluator
-from repro.exits.placement import ExitPlacement, ExitSpace, indicator_positions
+from repro.exits.placement import MIN_EXIT_POSITION, ExitPlacement, ExitSpace, indicator_positions
 from repro.hardware.dvfs import DvfsSetting, DvfsSpace
 from repro.metrics.pareto import pareto_rows
 from repro.obs import trace
@@ -173,20 +178,12 @@ class _InnerProblem(Problem):
     def evaluate_batch(self, genomes: np.ndarray):
         """A generation from its genome matrix to its objective matrix.
 
-        The ``(N, G)`` genomes split once: the indicator bits become the
-        ``(N, E_max)`` position matrix and the DVFS genes grid settings,
-        and :meth:`DynamicEvaluator.evaluate_generation` runs them as one
-        fused accuracy+cost kernel call.  The generation comes back as it
-        is: its objective matrix, and its rows as payloads, each built only
-        if it is asked for.
+        The ``(N, G)`` genomes decode once (:func:`_decode`) and
+        :meth:`DynamicEvaluator.evaluate_generation` runs them as one fused
+        accuracy+cost kernel call.  The generation comes back as it is: its
+        objective matrix, and its rows as payloads, built when asked for.
         """
-        bits, dvfs = self.split(np.asarray(genomes))
-        positions, _ = indicator_positions(self.exit_space.total_layers, bits)
-        trace.count("ioe.population_batches")
-        trace.count("ioe.population_genomes", len(genomes))
-        generation = self.evaluator.evaluate_generation(
-            positions, self.dvfs_space.decode_rows(dvfs)
-        )
+        generation = self.evaluator.evaluate_generation(*_decode([self], [np.asarray(genomes)]))
         return generation.objectives, _EvaluationPayloads(generation)
 
     def crossover(self, a, b, rng):
@@ -202,6 +199,56 @@ class _InnerProblem(Problem):
         if jump.any():
             dvfs[jump] = operators.reset_mutation(dvfs[jump], self._dvfs_bounds, rng, prob=1.0)
         return np.concatenate([bits, dvfs], axis=-1)
+
+
+def _decode(
+    problems: Sequence[_InnerProblem], blocks: Sequence[np.ndarray]
+) -> tuple[np.ndarray, list[DvfsSetting]]:
+    """The ``(N, E_max)`` position matrix and the N settings of several
+    problems' genome matrices, block after block: the indicator bits in one
+    zero-padded bit matrix (padding adds no exit), the DVFS genes decoded
+    at once."""
+    trace.count("ioe.population_batches")
+    trace.count("ioe.population_genomes", sum(map(len, blocks)))
+    slots = max(problem.num_slots for problem in problems)
+    bits = np.zeros((sum(map(len, blocks)), slots), dtype=np.int64)
+    row, dvfs = 0, []
+    for problem, genomes in zip(problems, blocks):
+        block_bits, block_dvfs = problem.split(genomes)
+        bits[row : row + len(genomes), : problem.num_slots] = block_bits
+        dvfs.append(block_dvfs)
+        row += len(genomes)
+    positions, _ = indicator_positions(slots + MIN_EXIT_POSITION, bits)
+    return positions, problems[0].dvfs_space.decode_rows(np.concatenate(dvfs))
+
+
+def _advance(step: Generator, sent=None) -> np.ndarray | None:
+    """The NSGA-II step's next unseen genomes, or None once it has ended."""
+    try:
+        return step.send(sent)
+    except StopIteration:
+        return None
+
+
+def _lockstep(problems: Sequence[_InnerProblem], steps: Sequence[Generator]) -> None:
+    """Drive joined members' NSGA-II steps to their ends, each round one
+    population call over the unseen genomes of the members still running."""
+    lead = problems[0].evaluator
+    pending = {m: unseen for m, step in enumerate(steps) if (unseen := _advance(step)) is not None}
+    while pending:
+        members = list(pending)
+        counts = [len(pending.get(m, ())) for m in range(len(steps))]
+        positions, settings = _decode(
+            [problems[m] for m in members], [pending[m] for m in members]
+        )
+        generations = lead.evaluate_generation(positions, settings, counts)
+        for m in members:
+            generation = generations[m]
+            unseen = _advance(steps[m], (generation.objectives, _EvaluationPayloads(generation)))
+            if unseen is None:
+                del pending[m]
+            else:
+                pending[m] = unseen
 
 
 class InnerEngine:
@@ -265,16 +312,28 @@ class InnerEngine:
         )
         self.seed = seed
 
-    def run(self) -> InnerResult:
-        """Execute the NSGA-II loop and return the (X, F) Pareto set."""
-        engine = NSGA2(
-            self.problem,
-            self.nsga_config,
-            rng=child_rng(self.seed, "ioe", self.config.key),
-        )
-        with trace.span("ioe.run", backbone=self.config.key):
-            engine.run()
+    def run(
+        self, alongside: Sequence[InnerEngine] | None = None
+    ) -> InnerResult | list[InnerResult]:
+        """Execute the NSGA-II loop and return the (X, F) Pareto set.
+
+        With ``alongside`` (engines of this platform, γ, ratio mode and
+        oracle sample count), the engines run as one lockstep group, this
+        one first, and their results come back as a list in that order,
+        each its solo run's.  Their evaluators stay joined.
+        """
+        engines = [self, *(alongside or ())]
+        DynamicEvaluator.join([e.evaluator for e in engines])
+        nsgas = [
+            NSGA2(e.problem, e.nsga_config, rng=child_rng(e.seed, "ioe", e.config.key))
+            for e in engines
+        ]
+        with trace.span("ioe.run", backbones=[e.config.key for e in engines]):
+            _lockstep([e.problem for e in engines], [nsga.steps() for nsga in nsgas])
         # Genes are exit bits and DVFS indices below their bounds, and the
         # smallest signed dtype holding -bound holds every index.
-        dtype = np.min_scalar_type(-max(self.problem._dvfs_bounds))
-        return InnerResult.fold(self.config.key, engine, dtype)
+        results = [
+            InnerResult.fold(e.config.key, nsga, np.min_scalar_type(-max(e.problem._dvfs_bounds)))
+            for e, nsga in zip(engines, nsgas)
+        ]
+        return results if alongside is not None else results[0]

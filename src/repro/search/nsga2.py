@@ -14,6 +14,10 @@ generation's unseen genomes reach :meth:`Problem.evaluate_batch` as one
 matrix, and come back as an objective matrix plus payloads the table keeps
 as they are; selection ranks only the fronts that fill the next population
 (the bound of :func:`~repro.metrics.pareto.non_dominated_sort`).
+
+:meth:`NSGA2.steps` is the run as a generator of per-generation steps;
+:meth:`NSGA2.run` drives it over the engine's own problem, the IOE drives
+several engines' steps in lockstep (:mod:`repro.search.ioe`).
 :class:`Individual` objects are built only where a caller asks for rows:
 the OOE's bookkeeping (:meth:`NSGA2.initial_population`,
 :meth:`NSGA2.make_offspring`), archive members and histories read after a
@@ -24,7 +28,7 @@ from __future__ import annotations
 
 from bisect import bisect_right
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Generator, Sequence
 
 import numpy as np
 
@@ -250,13 +254,26 @@ class NSGA2:
 
     # --------------------------------------------------------------- pieces
     def evaluate(self, genomes: np.ndarray) -> np.ndarray:
-        """Table rows of a generation's ``(N, G)`` genomes.
+        """Table rows of a generation's ``(N, G)`` genomes (:meth:`_evaluated`)."""
+        return self._drive(self._evaluated(genomes))
 
-        The generation's unseen genomes, first occurrences in order, go out
-        as one matrix to :meth:`Problem.evaluate_batch` and become the
-        table's next rows; the generation joins the history.  Results are
-        bit-identical to genome-by-genome evaluation because evaluation
-        consumes no engine RNG.
+    def _drive(self, steps: Generator) -> np.ndarray:
+        """A step generator's result, evaluating over this engine's problem."""
+        try:
+            unseen = next(steps)
+            while True:
+                unseen = steps.send(self.problem.evaluate_batch(unseen))
+        except StopIteration as done:
+            return done.value
+
+    def _evaluated(self, genomes: np.ndarray) -> Generator[np.ndarray, tuple, np.ndarray]:
+        """Table rows of a generation's ``(N, G)`` genomes, as a step.
+
+        The generation's unseen genomes, first occurrences in order, are
+        yielded as one matrix (if there are any), and the ``(objectives,
+        payloads)`` sent back become the table's next rows; the generation
+        joins the history.  Results are bit-identical to genome-by-genome
+        evaluation because evaluation consumes no engine RNG.
         """
         genomes = np.ascontiguousarray(genomes, dtype=np.int64)
         index = self._index
@@ -272,7 +289,7 @@ class NSGA2:
             rows.append(row)
         if fresh:
             unseen = genomes[fresh]
-            self.table.append(unseen, *self.problem.evaluate_batch(unseen))
+            self.table.append(unseen, *(yield unseen))
             trace.count("nsga.evaluations", len(fresh))
             trace.count("nsga.memoized", len(genomes) - len(fresh))
         rows = np.asarray(rows, dtype=np.int64)
@@ -348,24 +365,29 @@ class NSGA2:
 
     # ----------------------------------------------------------------- loop
     def run(self) -> np.ndarray:
-        """Full NSGA-II run; returns the final population's table rows, in
-        selection order.
+        """Full NSGA-II run over this engine's problem; returns the final
+        population's table rows, in selection order."""
+        return self._drive(self.steps())
 
-        Each generation's offspring join the population's genomes and rows,
-        and :func:`select` keeps the next population with the rank and
-        crowding it measured on the merged set.  ``rank_and_crowd(
-        engine.table.individuals(rows))`` builds the ranked population.
+    def steps(self) -> Generator[np.ndarray, tuple, np.ndarray]:
+        """The full run, one step per generation: each yields its unseen
+        genome matrix, if any, and is sent its :meth:`Problem.evaluate_batch`
+        output; the generator returns the final population's rows.
+
+        Offspring join the population, and :func:`select` keeps the next
+        one with the rank and crowding it measured on the merged set.  The
+        ``nsga.generation`` spans time sampling and variation only.
         """
         size = self.config.population
         with trace.span("nsga.generation", generation=0):
             genomes = self._sample()
-            rows = self.evaluate(genomes)
+        rows = yield from self._evaluated(genomes)
         rank, crowding = rank_rows(self.table.objectives[rows])
         for generation in range(1, self.config.generations):
             with trace.span("nsga.generation", generation=generation):
                 children = self.vary(genomes, rank, crowding)
-                rows = np.concatenate([rows, self.evaluate(children)])
-                genomes = np.concatenate([genomes, children])
-                survivors, rank, crowding = select(self.table.objectives[rows], size)
-                rows, genomes = rows[survivors], genomes[survivors]
+            rows = np.concatenate([rows, (yield from self._evaluated(children))])
+            genomes = np.concatenate([genomes, children])
+            survivors, rank, crowding = select(self.table.objectives[rows], size)
+            rows, genomes = rows[survivors], genomes[survivors]
         return rows

@@ -144,9 +144,9 @@ class OuterEngine:
     service:
         Evaluation service carrying the executor and result cache.  Each
         generation's inner-engine runs are submitted through it as one
-        batch; they are embarrassingly parallel (each is seeded by its
-        backbone key), so a multi-worker service overlaps them without
-        changing any result.  Static evaluation runs inline (see
+        batch; each is seeded by its backbone key, so the service may run
+        them in lockstep groups and overlap the groups across workers
+        without changing any result.  Static evaluation runs inline (see
         :class:`_BackboneProblem`).
     inner_task:
         Optional factory lowering one inner run to an :class:`EvalTask`
@@ -243,8 +243,8 @@ class OuterEngine:
 
                 # Inner runs + aggregation of dynamic evaluations.  All inner
                 # runs of a generation are submitted as one batch: each is a
-                # pure function of (backbone, seed), so the service may overlap
-                # them across workers while results stay identical to serial.
+                # pure function of (backbone, seed), so the service may group
+                # and overlap them while results stay identical to serial.
                 fresh: dict[str, Individual] = {}
                 for backbone in pruned:
                     config: BackboneConfig = backbone.payload["config"]

@@ -613,6 +613,7 @@ class FleetSimulator:
                         lane.pending_s = pending = lane.pending_start()
                         if pending < inf:
                             heappush(heap, (pending, li))
+        a_chunk = d_chunk = c_chunk = None  # the last chunk is not needed past the loop
 
         completion = np.full(n, np.nan)
         correct = np.zeros(n, dtype=bool)

@@ -273,7 +273,8 @@ class _ServedLog:
         requests = None if self._requests is None else np.frombuffer(self._requests, np.int64)
         # Runs of one rung: their first batches, and their first requests.
         firsts = np.concatenate(([0], np.flatnonzero(slots[1:] != slots[:-1]) + 1))
-        run_sizes = np.add.reduceat(sizes, firsts, dtype=np.int64)
+        # Summed in the buffer's own dtype; only the per-run sums widen.
+        run_sizes = np.add.reduceat(sizes, firsts, dtype=np.uint32).astype(np.int64)
         batch_edges = [*firsts.tolist(), len(slots)]
         edges = [0, *np.cumsum(run_sizes).tolist()]
         for i, slot in enumerate(slots[firsts].tolist()):

@@ -135,9 +135,13 @@ class EvaluationRows(list):
 
 
 class PerCallEvaluator(DynamicEvaluator):
-    """Populations evaluated as a loop of per-pair :meth:`evaluate` calls."""
+    """Populations evaluated as a loop of per-pair :meth:`evaluate` calls.
 
-    def evaluate_population(self, placements, setting):
+    A group of one only: ``counts``, when given, names this evaluator's
+    rows, and the rows come back as a list of one."""
+
+    def evaluate_population(self, placements, setting, counts=None):
+        assert counts is None or list(counts) == [len(placements)], counts
         placements = as_placements(self.oracle.total_layers, placements)
         if isinstance(setting, DvfsSetting):
             settings = [setting] * len(placements)
@@ -145,7 +149,8 @@ class PerCallEvaluator(DynamicEvaluator):
             settings = list(setting)
         rows = [self.evaluate(p, s) for p, s in zip(placements, settings)]
         objectives = [scalar_objectives(self, row) for row in rows]
-        return EvaluationRows(rows, np.asarray(objectives).reshape(len(rows), 3))
+        rows = EvaluationRows(rows, np.asarray(objectives).reshape(len(rows), 3))
+        return rows if counts is None else [rows]
 
 
 class ReferenceEvaluator(PerCallEvaluator):
@@ -199,7 +204,7 @@ def stack_exit_evaluations(
         usage_tail=usage_tail,
         dissimilarity=dissim,
         dynamic_accuracy=dynamic_accuracy,
-        final_accuracy=evaluations[0].final_accuracy if count else 0.0,
+        final_accuracy=np.array([evaluation.final_accuracy for evaluation in evaluations]),
     )
 
 
@@ -221,7 +226,9 @@ class PerPlacementOracle(BackboneExitOracle):
             )
         )
 
-    def evaluate_placements(self, placements):
+    def evaluate_placements(self, placements, members=None):
+        """Every row this oracle's (``members``, if given, names only it)."""
+        assert members is None or (np.asarray(members) == self.member).all(), members
         placements = as_placements(self.total_layers, placements)
         for placement in placements:
             if placement.total_layers != self.total_layers:

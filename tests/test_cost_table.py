@@ -363,7 +363,7 @@ class TestOracleBatching:
         """evaluate_placement == stats from columns rebuilt independently
         with the documented selection rule (rank by perceived difficulty,
         classify exactly the capability fraction), sharing the oracle's
-        perturbation matrix so the check exercises the selection and stats
+        perturbation columns so the check exercises the selection and stats
         plumbing rather than BLAS summation order."""
         config = attentivenas_model("a0")
         total = config.total_mbconv_layers
@@ -374,7 +374,7 @@ class TestOracleBatching:
         for position in placement.positions:
             u = position / total
             cap = float(oracle.model.capability(0.9, u))
-            score = oracle._difficulties - oracle._perturbations()[:, position - 1]
+            score = oracle._difficulties - oracle._perturbation(position)
             n_correct = int(round(np.clip(cap, 0.0, 1.0) * oracle.n_samples))
             column = np.zeros(oracle.n_samples, dtype=bool)
             if n_correct > 0:

@@ -673,20 +673,14 @@ class TestLaneBooks:
             lane._admitted_times.append(0.0)
             lane._routed_times.append(0.0)
 
-    def test_settled_fleet_holds_a_few_words_per_request(self, monkeypatch):
-        """Once every lane has settled, a quad-fleet run holds, per routed
-        request, three book words (index, admitted and routed instants), a
-        class flag, a completion instant and a correctness byte: 34 B plus
-        the books' growth slack.  The marginal over two trace lengths
-        cancels fixed costs; both lengths leave the same last chunk of
-        arrivals, so the loop's chunk lists cancel too."""
+    def _held_at_summary(self, monkeypatch, lengths) -> list[int]:
+        """Traced bytes a quad-fleet run holds when it enters the run
+        summary, for a Poisson trace cut at each of ``lengths`` requests."""
         spec = FleetSpec(platforms=_QUAD, router="difficulty_aware", seed=1)
         stacks = build_fleet_stacks(spec)
-        remainder = 1000
-        longest = self._CHUNK + remainder
         rate_hz = sum(stack.rate_hz for stack in stacks)
-        arrivals = poisson_trace(rate_hz, 1.1 * longest / rate_hz, seed=1).arrival_s
-        assert len(arrivals) > longest
+        arrivals = poisson_trace(rate_hz, 1.1 * max(lengths) / rate_hz, seed=1).arrival_s
+        assert len(arrivals) > max(lengths)
         held = []
         run_summary = fleet.run_summary
 
@@ -695,8 +689,7 @@ class TestLaneBooks:
             return run_summary(*args, **kwargs)
 
         monkeypatch.setattr(fleet, "run_summary", measure)
-        sizes = []
-        for n in (remainder, longest):
+        for n in lengths:
             trace = replay_trace(arrivals[:n], seed=spec.seed)
             stream = stacks[0].synthesizer.synthesize(trace.difficulties())
             sim = FleetSimulator(spec, stacks)
@@ -708,10 +701,30 @@ class TestLaneBooks:
             finally:
                 tracemalloc.stop()
             held[-1] -= start
-            sizes.append(trace.num_requests)
+            assert trace.num_requests == n
             self._assert_books_released(sim.lanes)
-        per_request = (held[1] - held[0]) / (sizes[1] - sizes[0])
+        return held
+
+    def test_settled_fleet_holds_a_few_words_per_request(self, monkeypatch):
+        """Once every lane has settled, a quad-fleet run holds, per routed
+        request, three book words (index, admitted and routed instants), a
+        class flag, a completion instant and a correctness byte: 34 B plus
+        the books' growth slack.  The marginal over two trace lengths
+        cancels fixed costs."""
+        remainder = 1000
+        lengths = (remainder, self._CHUNK + remainder)
+        held = self._held_at_summary(monkeypatch, lengths)
+        per_request = (held[1] - held[0]) / (lengths[1] - lengths[0])
         assert per_request < 40.0, per_request
+
+    def test_last_arrival_chunk_is_released_before_the_summary(self, monkeypatch):
+        """The loop reads arrivals a chunk at a time as Python lists, about
+        64 B per request; none of them is alive at the run summary.  A
+        trace whose last chunk is full therefore holds no more than a
+        longer one whose last chunk has 1,000 arrivals (with the chunk
+        still alive: 6.58 MB against 2.45 MB)."""
+        full, longer = self._held_at_summary(monkeypatch, (self._CHUNK, self._CHUNK + 1000))
+        assert full <= longer, (full, longer)
 
     def test_lane_that_serves_nothing(self):
         """An empty book reports zeros, like the spec's loop."""

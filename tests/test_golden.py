@@ -1,7 +1,8 @@
-"""The sub-second share of the golden digests: every serving and fleet cell
-and every ``repro serve`` command line in ``tests/golden/digests.json``
-(``benchmarks/golden.py``; the perfbench entries take about half a minute
-and run in the CI job ``golden``)."""
+"""The sub-second share of the golden digests: every serving and fleet cell,
+every ``repro serve`` command line and every fast-profile paper artifact's
+printed output in ``tests/golden/digests.json`` (``benchmarks/golden.py``;
+the perfbench entries take about half a minute and run in the CI job
+``golden``)."""
 
 from __future__ import annotations
 
@@ -23,4 +24,4 @@ def test_serving_and_fleet_digests_unchanged():
         timeout=300,
     )
     assert result.returncode == 0, result.stdout + result.stderr
-    assert "26 golden digests unchanged" in result.stdout
+    assert "33 golden digests unchanged" in result.stdout

@@ -364,7 +364,7 @@ class TestStackedGrid:
         evaluator = DynamicEvaluator(**ctx["kwargs"])
         bank = evaluator.bank
         legal = list(range(MIN_EXIT_POSITION, ctx["config"].total_mbconv_layers + 1))
-        grid, rows = bank.rows(ctx["settings"], np.asarray(legal))
+        grid, rows = bank.rows(ctx["settings"])
         assert grid.settings == ctx["settings"]
         assert rows.tolist() == list(range(len(ctx["settings"])))
         assert np.flatnonzero(grid.branched).tolist() == [0, *legal]

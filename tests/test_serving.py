@@ -227,6 +227,32 @@ class TestArrayBatcher:
         assert held < 2**20
 
 
+class TestServedLogSettle:
+    def test_settle_keeps_no_per_batch_temporary(self, monkeypatch):
+        """Settling a ~2x10^5-request tx2-gpu run's log sums its run sizes
+        in the ``uint32`` size buffer itself: casting the whole buffer to
+        int64 first peaked at 0.70 MB here, against 0.30 MB without."""
+        from repro.serving import simulator
+
+        spec = ServingSpec(platform="tx2-gpu", policy="adaptive", pattern="poisson")
+        spec = dataclasses.replace(spec, duration_s=200_000 / build_serving_stack(spec).rate_hz)
+        peaks = []
+        settle = simulator._ServedLog.settle
+
+        def traced(self, *args):
+            tracemalloc.start()
+            try:
+                return settle(self, *args)
+            finally:
+                peaks.append(tracemalloc.get_traced_memory()[1])
+                tracemalloc.stop()
+
+        monkeypatch.setattr(simulator._ServedLog, "settle", traced)
+        report = run_serving_cell(spec)
+        assert report.num_requests > 190_000
+        assert len(peaks) == 1 and peaks[0] < 0.4e6, peaks
+
+
 # -------------------------------------------------------------- batch pricing
 class TestBatchedExecution:
     def test_batch_of_one_matches_standalone(self):
