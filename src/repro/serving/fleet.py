@@ -504,18 +504,19 @@ class FleetSimulator:
 
         Returns the router and the battery every lane draws on (the
         scenario's scale × the capacity-weighted static spend), after
-        starting each lane on the compiled stream: its rungs, its thermal
-        state and its t=0 governor decision, at its capacity share of the
-        mean rate (a fleet of one stays bit-identical to
-        ServingSimulator in *every* scenario).  The fleet loop and its
-        executable spec both start here.
+        starting each lane on the stream compiled for every lane's ladder
+        tuples: its rungs, its thermal state and its t=0 governor decision,
+        at its capacity share of the mean rate (a fleet of one stays
+        bit-identical to ServingSimulator in *every* scenario).  The fleet
+        loop and its executable spec both start here.
         """
         _check_stream(stream, trace, self.stacks[0].placement)
         lanes = self.lanes = [
             DeviceLane(i, stack, stack.make_policy()) for i, stack in enumerate(self.stacks)
         ]
         router = make_router(self.spec.router, lanes, self.slo_s)
-        cstream = compile_stream(stream)
+        tuples = [config.thresholds for lane in lanes for config in lane.stack.ladder]
+        cstream = compile_stream(stream, tuples)
         total = sum(lane.reference_capacity_rps for lane in lanes)
         scale = self.scenario.battery_scale
         battery = Battery(None if scale is None else scale * sum(

@@ -15,16 +15,16 @@ engines serve every batch through it: :class:`ServingSimulator` is an
 :class:`~repro.serving.batcher.ArrayBatcher`'s loop over one device, and
 each fleet lane (:class:`~repro.serving.fleet.DeviceLane`) is a device
 plus its request books.  The core is vectorized: the batcher forms batches
-as index arithmetic over the arrival array; :func:`compile_stream` reduces
-the stream's logits, regenerated block by block and never held whole, to
-per-head entropy and correctness; each compiled rung
-(:class:`_CompiledConfig`) precomputes full-stream exit decisions,
-correctness and per-path cost tables, so pricing a batch is a few table
-lookups; and a :class:`_ServedLog` settles completion, correctness and exit
-counts once per run.  Reports are bit-identical to the original
-per-request loop over :class:`~repro.serving.workload.Request` objects,
-which lives on as the executable spec in ``tests/spec/serving.py`` and
-shares :meth:`ServingSimulator._setup` and :meth:`ServingDevice.observe`.
+as index arithmetic over the arrival array; :func:`compile_stream` walks
+the stream's logits once, regenerated block by block and never held whole,
+writing an exit byte and a correctness flag per request for each ladder
+threshold tuple; each compiled rung (:class:`_CompiledConfig`) shares its
+tuple's decisions and precomputes per-path cost tables, so pricing a batch
+is a few table lookups; and a :class:`_ServedLog` settles completion,
+correctness and exit counts once per run.  Reports are bit-identical to
+the original per-request loop over :class:`~repro.serving.workload.Request`
+objects, the executable spec in ``tests/spec/serving.py``, which shares
+:meth:`ServingSimulator._setup` and :meth:`ServingDevice.observe`.
 
 The core also supports admission control
 (:class:`~repro.serving.batcher.AdmissionPolicy`) and latency-critical /
@@ -38,7 +38,7 @@ decision are pure functions of the seed and configuration.
 from __future__ import annotations
 
 from array import array
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -62,55 +62,54 @@ from repro.utils.validation import check_positive
 
 @dataclass(frozen=True)
 class CompiledStream:
-    """Per-request quantities of a :class:`ServingStream`, precomputed once.
+    """Each threshold tuple's exit decisions over a :class:`ServingStream`.
 
     The entropy controller and the correctness check are row-independent
-    (softmax/entropy/argmax act per request), so evaluating them over the
-    full stream up front yields bit-identical values to evaluating them
-    batch by batch — which is what lets the event core replace the
-    per-batch controller with table lookups.  :meth:`decide` runs once per
-    threshold tuple: DVFS tiers and the lanes of a fleet share its result.
+    (softmax/entropy/argmax act per request), so deciding the full stream
+    up front yields bit-identical decisions to deciding it batch by batch —
+    which is what lets the event core replace the per-batch controller with
+    table lookups.  DVFS tiers and fleet lanes share one table per tuple.
     """
 
-    num_exits: int
-    entropy: np.ndarray  # (num_exits, n) normalized entropy per exit head
-    head_correct: np.ndarray  # (num_exits + 1, n) argmax == label per head
-    _decided: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+    tables: dict  # thresholds -> (exit bytes, correctness)
 
     def decide(self, thresholds: tuple[float, ...]) -> tuple[bytes, np.ndarray]:
         """Each request's exit (a byte: the first exit whose entropy clears
         its threshold, else the final head) and whether it is correct."""
-        decided = self._decided.get(thresholds)
-        if decided is None:
-            decided = self._decided[thresholds] = self._decision_pass(thresholds)
-        return decided
-
-    def _decision_pass(self, thresholds: tuple[float, ...]) -> tuple[bytes, np.ndarray]:
-        n = self.head_correct.shape[1]
-        decisions = np.full(n, self.num_exits, dtype=np.uint8)
-        correct = self.head_correct[self.num_exits].copy()
-        undecided = np.ones(n, dtype=bool)
-        for i, threshold in enumerate(thresholds):
-            takes = undecided & (self.entropy[i] <= threshold)
-            decisions[takes] = i
-            np.copyto(correct, self.head_correct[i], where=takes)
-            undecided &= ~takes
-        return decisions.tobytes(), correct
+        table = self.tables.get(thresholds)
+        if table is None:
+            raise ValueError(
+                f"stream not compiled for thresholds {thresholds}; "
+                f"compiled for {list(self.tables)}"
+            )
+        return table
 
 
-def compile_stream(stream: ServingStream) -> CompiledStream:
-    """Precompute per-head entropies and correctness for the whole stream,
-    one regenerated logits block at a time."""
-    num_exits = stream.num_exits
-    labels = stream.labels
-    n = len(labels)
-    entropy = np.empty((num_exits, n))
-    head_correct = np.empty((num_exits + 1, n), dtype=bool)
+def compile_stream(stream: ServingStream, thresholds: list[tuple[float, ...]]) -> CompiledStream:
+    """Decide every request under each distinct tuple in ``thresholds`` in
+    one walk over the stream's regenerated logits blocks, building no
+    per-head × per-request array.
+
+    Per tuple, each request's exit byte starts at the final head, and the
+    request is undecided while it stays there.  On an exit head's block the
+    undecided requests whose entropy is at most the head's threshold take
+    that exit and the head's correctness; the final head's correctness fills
+    the rest."""
+    num_exits, labels, n = stream.num_exits, stream.labels, stream.num_requests
+    tables = {t: (np.full(n, num_exits, dtype=np.uint8), np.zeros(n, bool)) for t in thresholds}
     for head, lo, hi, logits in stream.blocks():
-        if head < num_exits:
-            entropy[head, lo:hi] = entropy_np(logits, axis=-1)
-        np.equal(logits.argmax(axis=-1), labels[lo:hi], out=head_correct[head, lo:hi])
-    return CompiledStream(num_exits=num_exits, entropy=entropy, head_correct=head_correct)
+        head_correct = logits.argmax(axis=-1) == labels[lo:hi]
+        entropy = entropy_np(logits, axis=-1) if head < num_exits else None
+        for t, (exits, correct) in tables.items():
+            block_exits, block_correct = exits[lo:hi], correct[lo:hi]
+            undecided = block_exits == num_exits
+            if entropy is None:
+                np.copyto(block_correct, head_correct, where=undecided)
+            else:
+                takes = undecided & (entropy <= t[head])
+                block_exits[takes] = head
+                np.copyto(block_correct, head_correct, where=takes)
+    return CompiledStream({t: (exits.tobytes(), correct) for t, (exits, correct) in tables.items()})
 
 
 class _CompiledConfig:
@@ -576,8 +575,8 @@ class ServingSimulator:
             self.batch_policy.max_batch,
         )
         device.start(
-            compile_stream(stream), trace, batcher, Battery(self.battery_budget_j),
-            trace.mean_rate_hz, self.scenario,
+            compile_stream(stream, [config.thresholds for config in self.ladder]), trace,
+            batcher, Battery(self.battery_budget_j), trace.mean_rate_hz, self.scenario,
         )
         return batcher, device
 

@@ -13,12 +13,15 @@ the network — precisely the behaviour entropy thresholding exploits.
 The draws are made for the *whole trace up front* (keyed by request
 index), so exit decisions for a given request are identical regardless of
 how the batcher groups it — static and adaptive policies are compared on a
-paired stream.  A :class:`ServingStream` keeps those draws — labels,
-per-head true-class margins and the generator state where the logit noise
-starts — not the ``(E+1) × n × classes`` logits: :meth:`ServingStream.blocks`
-regenerates the noise block by block.  numpy's normal draws are sequential,
-so drawing the noise in pieces yields the very values (and leaves the
-generator in the very state) of one whole draw.
+paired stream.  A :class:`ServingStream` keeps those draws — labels, the
+per-request margin perturbation, the per-head capabilities and the
+generator state where the logit noise starts — not the
+``(E+1) × n × classes`` logits, nor even the ``(E+1) × n`` true-class
+margins: :meth:`ServingStream.blocks` recomputes each block's margins from
+the difficulties the stream was synthesized from and regenerates its noise.
+numpy's normal draws are sequential, so drawing the noise in pieces yields
+the very values (and leaves the generator in the very state) of one whole
+draw.
 """
 
 from __future__ import annotations
@@ -56,16 +59,21 @@ def _noise_blocks(
 
 @dataclass(frozen=True)
 class ServingStream:
-    """The draws behind every request's logits, regenerated on demand."""
+    """The draws behind every request's logits, regenerated on demand.
+    ``difficulties`` is the array it was synthesized from (a trace's own,
+    not a copy): the stream reads it, so it must not change."""
 
-    labels: np.ndarray  # (n,)
-    margins: np.ndarray  # (num_exits + 1, n) true-class margin per head
+    labels: np.ndarray  # (n,) narrowest unsigned dtype holding num_classes - 1
+    perturbation: np.ndarray  # (n,) margin noise, shared by every head
+    capabilities: tuple[float, ...]  # per head, the final head last
+    margin_gain: float
+    difficulties: np.ndarray  # (n,) read, not copied
     noise_state: dict  # bit-generator state where the logit noise starts
     num_classes: int
 
     @property
     def num_exits(self) -> int:
-        return len(self.margins) - 1
+        return len(self.capabilities) - 1
 
     @property
     def num_requests(self) -> int:
@@ -73,24 +81,26 @@ class ServingStream:
 
     def blocks(self) -> Iterator[tuple[int, int, int, np.ndarray]]:
         """Yield ``(head, lo, hi, logits)`` in draw order, ``logits`` being
-        head ``head``'s ``(hi - lo, classes)`` logits of requests ``[lo, hi)``.
-
-        Every block lands in one reused buffer, overwritten at the next step:
-        callers reduce or copy it at once.
-        """
+        head ``head``'s ``(hi - lo, classes)`` logits of requests ``[lo, hi)``:
+        the noise plus, on the true class, the head's margin
+        ``margin_gain · max(cap − difficulty + perturbation, 0)``.  Every
+        block lands in one reused buffer, overwritten at the next step:
+        callers reduce or copy it at once."""
         bit_generator = getattr(np.random, self.noise_state["bit_generator"])()
         bit_generator.state = self.noise_state
         rng = np.random.Generator(bit_generator)
         n = self.num_requests
         arange = np.arange(min(STREAM_BLOCK, n))
-        for head, lo, hi, logits in _noise_blocks(rng, len(self.margins), n, self.num_classes):
-            logits[arange[: hi - lo], self.labels[lo:hi]] += self.margins[head, lo:hi]
+        caps, d, pert = self.capabilities, self.difficulties, self.perturbation
+        for head, lo, hi, logits in _noise_blocks(rng, len(caps), n, self.num_classes):
+            margin = self.margin_gain * np.clip(caps[head] - d[lo:hi] + pert[lo:hi], 0.0, None)
+            logits[arange[: hi - lo], self.labels[lo:hi]] += margin
             yield head, lo, hi, logits
 
     def logits(self) -> np.ndarray:
         """The ``(num_exits + 1, n, classes)`` logits materialised, the final
         head last.  Only small streams should ask."""
-        out = np.empty((len(self.margins), self.num_requests, self.num_classes))
+        out = np.empty((len(self.capabilities), self.num_requests, self.num_classes))
         for head, lo, hi, logits in self.blocks():
             out[head, lo:hi] = logits
         return out
@@ -135,28 +145,24 @@ class LogitsSynthesizer:
         """
         difficulties = np.asarray(difficulties, dtype=float)
         n = len(difficulties)
-        num_heads = self.placement.num_exits + 1
+        depths = np.concatenate([self.placement.relative_depths(), [1.0]])
         rng = child_rng(self.seed, "serving", "logits", branch, self.placement.key)
         labels = rng.integers(0, self.num_classes, size=n)
+        labels = labels.astype(np.min_scalar_type(self.num_classes - 1))
         noise_state = rng.bit_generator.state
         # Base logits are noise, one (heads, n, classes) block drawn after
         # the labels; heads add a margin on the true class that grows with
         # (capability - difficulty).  The stream regenerates the noise, so
         # here it is only walked past.
-        for _ in _noise_blocks(rng, num_heads, n, self.num_classes):
+        for _ in _noise_blocks(rng, len(depths), n, self.num_classes):
             pass
         # Nearby depths share the perturbation (one draw per request), so
         # consecutive heads agree — the correlation structure the oracle's
         # GP encodes.
-        depths = np.concatenate([self.placement.relative_depths(), [1.0]])
         perturbation = rng.normal(0.0, self.margin_noise, size=n)
-        margins = np.empty((num_heads, n))
-        for head, u in enumerate(depths):
-            cap = float(self.model.capability(self.backbone_accuracy, u))
-            margins[head] = self.margin_gain * np.clip(
-                cap - difficulties + perturbation, 0.0, None
-            )
-        return ServingStream(labels, margins, noise_state, self.num_classes)
+        caps = tuple(float(self.model.capability(self.backbone_accuracy, u)) for u in depths)
+        gain, classes = self.margin_gain, self.num_classes
+        return ServingStream(labels, perturbation, caps, gain, difficulties, noise_state, classes)
 
     def calibration_stream(
         self,

@@ -1,8 +1,9 @@
 """SLO telemetry for serving runs: percentiles, misses, energy, exits.
 
 :func:`run_summary` builds the run-level fields that the single-device
-:class:`ServingReport` and the fleet's ``FleetReport`` share; its
-:func:`latency_summary` also serves each fleet device and SLO class.
+:class:`ServingReport` and the fleet's ``FleetReport`` share from one
+latency array; :func:`latency_summary`, which also serves each fleet device
+and SLO class, partitions its input in place.
 
 :class:`ServingReport` is deliberately plain (floats, lists, string-keyed
 dicts) so it survives ``to_jsonable`` round-trips — serving cells are cached
@@ -25,39 +26,40 @@ _LATENCY_FIELDS = (
 
 def latency_summary(latencies_s: np.ndarray, slo_s: float) -> dict[str, float]:
     """Mean, p50/p95/p99 (ms) and deadline-miss rate of served latencies,
-    keyed by their report field names (all 0 when nothing was served)."""
+    keyed by their report field names (all 0 when nothing was served).
+    The percentiles partition ``latencies_s`` in place after the mean and
+    miss rate are taken: the input comes back reordered."""
     if not len(latencies_s):
         return dict.fromkeys(_LATENCY_FIELDS, 0.0)
-    percentiles = (np.percentile(latencies_s, (50, 95, 99)) * 1e3).tolist()
-    values = [float(latencies_s.mean() * 1e3), *percentiles, float((latencies_s > slo_s).mean())]
-    return dict(zip(_LATENCY_FIELDS, values))
+    mean = float(latencies_s.mean() * 1e3)
+    miss_rate = float((latencies_s > slo_s).mean())
+    percentiles = np.percentile(latencies_s, (50, 95, 99), overwrite_input=True) * 1e3
+    return dict(zip(_LATENCY_FIELDS, [mean, *percentiles.tolist(), miss_rate]))
 
 
 def class_latency_stats(
     slo_classes: np.ndarray,
     class_names: tuple[str, ...],
-    arrivals_s: np.ndarray,
-    completion_s: np.ndarray,
+    latencies_s: np.ndarray,
     slo_s: float,
 ) -> dict[str, dict]:
     """Per-SLO-class latency/miss/drop statistics over served requests.
 
-    ``completion_s`` uses NaN for never-served (dropped) requests; every
-    latency statistic is computed over the served subset only, so admission
-    drops can never manufacture negative latencies.  Keys are stable (one
-    entry per class name) so reports keep a uniform schema whether or not
-    the trace carries latency-critical traffic.  Each class selects its
-    served latencies from one whole-trace array.
+    ``latencies_s`` is each request's completion minus arrival, NaN for
+    never-served (dropped) requests; every latency statistic is computed
+    over the served subset only, so admission drops can never manufacture
+    negative latencies.  Keys are stable (one entry per class name) so
+    reports keep a uniform schema whether or not the trace carries
+    latency-critical traffic.  Each class selects its served latencies
+    from the whole-trace array, which is only read.
     """
-    delays = completion_s - arrivals_s  # NaN where never served
-    served = ~np.isnan(completion_s)
-    classes = np.asarray(slo_classes)
+    served = ~np.isnan(latencies_s)
     stats: dict[str, dict] = {}
     for code, name in enumerate(class_names):
-        mask = classes == code
+        mask = slo_classes == code
         total = int(mask.sum())
         mask &= served
-        latencies = delays[mask]
+        latencies = latencies_s[mask]
         num_served = len(latencies)
         stats[name] = {
             "num_requests": total,
@@ -80,22 +82,25 @@ def run_summary(
     makespan (the trace's duration or the last completion, if later).
 
     ``completion_s`` holds NaN for requests never served; every field
-    covers served requests only.
+    covers served requests only.  The latencies are computed once: the
+    class statistics read them, then the run-level summary reorders them
+    (a served subset of them, when some request was dropped).
     """
-    arrivals = trace.arrival_s
     served = ~np.isnan(completion_s)
     num_served = int(served.sum())
     makespan = max(float(np.nanmax(completion_s)) if num_served else 0.0, trace.duration_s)
+    latencies = completion_s - trace.arrival_s  # NaN where never served
+    class_stats = class_latency_stats(trace.slo_class, SLO_CLASSES, latencies, slo_s)
+    if num_served < len(latencies):
+        latencies = latencies[served]
     fields = {
         "num_served": num_served,
         "throughput_rps": num_served / makespan if makespan > 0 else 0.0,
-        **latency_summary((completion_s - arrivals)[served], slo_s),
+        **latency_summary(latencies, slo_s),
         "energy_per_request_j": total_energy_j / num_served if num_served else 0.0,
         "accuracy": float(correct[served].mean()) if num_served else 0.0,
         "exit_usage": [float(c) / num_served if num_served else 0.0 for c in exit_counts],
-        "class_stats": class_latency_stats(
-            trace.slo_class, SLO_CLASSES, arrivals, completion_s, slo_s
-        ),
+        "class_stats": class_stats,
     }
     return fields, makespan
 

@@ -101,12 +101,6 @@ class Trace:
             and np.array_equal(self.slo_class, other.slo_class)
         )
 
-    def __ne__(self, other) -> bool:
-        result = self.__eq__(other)
-        if result is NotImplemented:
-            return result
-        return not result
-
     # ----------------------------------------------------------- properties
     @property
     def num_requests(self) -> int:

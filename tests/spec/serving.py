@@ -2,13 +2,15 @@
 at a time.
 
 :func:`synthesize_logits` draws a stream's logits whole, in one normal
-draw, and :func:`compile_logits` reduces them to per-head entropy and
-correctness — what :class:`~repro.serving.stream.ServingStream` and
+draw, :func:`compile_logits` reduces them to per-head entropy and
+correctness matrices, and :func:`decide` applies the exit rule to those
+matrices, one threshold tuple at a time — what
+:class:`~repro.serving.stream.ServingStream` and
 :func:`~repro.serving.simulator.compile_stream` do block by block without
-holding the logits.  :class:`MicroBatcher` is the deque batcher that
-:class:`~repro.serving.batcher.ArrayBatcher` reproduces with index
-arithmetic; :func:`execute_batch` prices a batch by running the real
-entropy controller and :func:`~repro.hardware.energy.batched_execution`,
+holding the logits or any per-head matrix.  :class:`MicroBatcher` is the
+deque batcher that :class:`~repro.serving.batcher.ArrayBatcher` reproduces
+with index arithmetic; :func:`execute_batch` prices a batch by running the
+real entropy controller and :func:`~repro.hardware.energy.batched_execution`,
 which the compiled per-config executor replaces with table gathers;
 :func:`price` is that executor's pricing as numpy gathers over a batch's
 decisions; and :class:`ReferenceSimulator` swaps the simulator's event
@@ -31,7 +33,7 @@ from repro.nn.functional import entropy_np
 from repro.obs import trace as tracing
 from repro.serving.batcher import BatchPolicy
 from repro.serving.governor import _profiles_for
-from repro.serving.simulator import CompiledStream, ServingSimulator
+from repro.serving.simulator import ServingSimulator
 from repro.serving.workload import Request, Trace
 from repro.utils.rng import child_rng
 
@@ -58,12 +60,31 @@ def synthesize_logits(synthesizer, difficulties, branch: str = "trace"):
     return logits, labels
 
 
-def compile_logits(logits, labels) -> CompiledStream:
-    """:func:`~repro.serving.simulator.compile_stream` over materialised
+def compile_logits(logits, labels) -> tuple[np.ndarray, np.ndarray]:
+    """Per-head ``(num_exits, n)`` normalized entropy and
+    ``(num_exits + 1, n)`` correctness of materialised
     ``(num_exits + 1, n, classes)`` logits, one head at a time."""
     entropy = np.stack([entropy_np(head, axis=-1) for head in logits[:-1]])
     head_correct = np.stack([head.argmax(axis=-1) == labels for head in logits])
-    return CompiledStream(num_exits=len(logits) - 1, entropy=entropy, head_correct=head_correct)
+    return entropy, head_correct
+
+
+def decide(entropy, head_correct, thresholds) -> tuple[bytes, np.ndarray]:
+    """Each request's exit byte (the first exit whose entropy is at most its
+    threshold, else the final head) and whether it is correct, over whole
+    per-head matrices: :meth:`~repro.serving.simulator.CompiledStream.decide`
+    of a stream compiled for ``thresholds``."""
+    num_exits = len(entropy)
+    n = head_correct.shape[1]
+    decisions = np.full(n, num_exits, dtype=np.uint8)
+    correct = head_correct[num_exits].copy()
+    undecided = np.ones(n, dtype=bool)
+    for i, threshold in enumerate(thresholds):
+        takes = undecided & (entropy[i] <= threshold)
+        decisions[takes] = i
+        np.copyto(correct, head_correct[i], where=takes)
+        undecided &= ~takes
+    return decisions.tobytes(), correct
 
 
 class MicroBatcher:

@@ -653,7 +653,7 @@ class TestFleetRegressions:
         spec = FleetSpec(platforms=("tx2-gpu", "agx-gpu"), duration_s=3.0)
         stacks = build_fleet_stacks(spec)
         trace, stream = build_fleet_trace_and_stream(spec, stacks)
-        wrong = dataclasses.replace(stream, margins=stream.margins[:-1])
+        wrong = dataclasses.replace(stream, capabilities=stream.capabilities[:-1])
         with pytest.raises(ValueError, match="exit heads"):
             FleetSimulator(spec, stacks).run(trace, wrong)
 

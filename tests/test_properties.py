@@ -642,7 +642,7 @@ class TestPricingLaws:
         from repro.serving.simulator import compile_stream
 
         _, stream = build_trace_and_stream(serving_stack)
-        return compile_stream(stream)
+        return compile_stream(stream, [config.thresholds for config in serving_stack.ladder])
 
     @settings(max_examples=40, deadline=None)
     @given(st.data())
@@ -689,7 +689,10 @@ class TestServedLogLaws:
         from repro.serving.simulator import _RungMemo, compile_stream
 
         difficulties = np.random.default_rng(0).uniform(0.0, 1.0, self.N)
-        cstream = compile_stream(serving_stack.synthesizer.synthesize(difficulties))
+        cstream = compile_stream(
+            serving_stack.synthesizer.synthesize(difficulties),
+            [config.thresholds for config in serving_stack.ladder],
+        )
         memo = _RungMemo(serving_stack.evaluator, serving_stack.placement, cstream)
         return [memo.compiled_of(config) for config in serving_stack.ladder[::4]]
 
@@ -747,7 +750,10 @@ class TestPercentileLaws:
     """Serving reports take p50/p95/p99 from one ``np.percentile`` call
     with three quantiles; the reports' golden digests were recorded from
     three single-quantile calls.  The two agree bit for bit: on one
-    sample, on ties, and on long-tailed latencies."""
+    sample, on ties, and on long-tailed latencies.  The call partitions its
+    input in place, after the mean and miss rate are taken, and the run
+    summary computes the latencies once; both agree bit for bit with the
+    copying summaries the digests were recorded from."""
 
     QUANTILES = (50, 95, 99)
 
@@ -777,3 +783,85 @@ class TestPercentileLaws:
         summary = latency_summary(latencies, slo_s=0.075)
         for q, value in zip(self.QUANTILES, single):
             assert summary[f"latency_ms_p{q}"] == float(value * 1e3)
+
+    @staticmethod
+    def _copying_summary(latencies: np.ndarray, slo_s: float) -> dict[str, float]:
+        from repro.serving.telemetry import _LATENCY_FIELDS
+
+        if not len(latencies):
+            return dict.fromkeys(_LATENCY_FIELDS, 0.0)
+        percentiles = (np.percentile(latencies, (50, 95, 99)) * 1e3).tolist()
+        values = [float(latencies.mean() * 1e3), *percentiles, float((latencies > slo_s).mean())]
+        return dict(zip(_LATENCY_FIELDS, values))
+
+    @classmethod
+    def _copying_run_summary(cls, trace, completion_s, correct, exit_counts, energy_j, slo_s):
+        """``run_summary`` as it was: per-class and served copies of the
+        latencies, each summarised without reordering."""
+        from repro.serving.workload import SLO_CLASSES
+
+        served = ~np.isnan(completion_s)
+        num_served = int(served.sum())
+        makespan = max(float(np.nanmax(completion_s)) if num_served else 0.0, trace.duration_s)
+        delays = completion_s - trace.arrival_s
+        class_stats = {}
+        for code, name in enumerate(SLO_CLASSES):
+            mask = trace.slo_class == code
+            total = int(mask.sum())
+            latencies = delays[mask & served]
+            class_stats[name] = {
+                "num_requests": total,
+                "num_served": len(latencies),
+                "num_dropped": total - len(latencies),
+                **cls._copying_summary(latencies, slo_s),
+            }
+        fields = {
+            "num_served": num_served,
+            "throughput_rps": num_served / makespan if makespan > 0 else 0.0,
+            **cls._copying_summary(delays[served], slo_s),
+            "energy_per_request_j": energy_j / num_served if num_served else 0.0,
+            "accuracy": float(correct[served].mean()) if num_served else 0.0,
+            "exit_usage": [float(c) / num_served if num_served else 0.0 for c in exit_counts],
+            "class_stats": class_stats,
+        }
+        return fields, makespan
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.data())
+    def test_in_place_summary_matches_the_copying_one(self, data):
+        from repro.serving.telemetry import latency_summary
+
+        latencies = self._latencies(data)
+        slo_s = data.draw(st.sampled_from((0.0, 0.004, 0.075, 1e4)))
+        expected = self._copying_summary(latencies, slo_s)
+        got = latency_summary(latencies.copy(), slo_s)
+        assert repr(got) == repr(expected)  # float reprs round-trip: bit for bit
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.data())
+    def test_run_summary_matches_a_copying_reference(self, data):
+        """Traces with drops (NaN completions, none to all of them) and
+        latency-critical traffic (none to all of it); the caller's
+        completion array is only read."""
+        from repro.serving.telemetry import run_summary
+        from repro.serving.workload import BEST_EFFORT, LATENCY_CRITICAL, Trace
+
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+        n = data.draw(st.sampled_from((1, 2, 3, 20, 101, 1000)))
+        arrivals = np.sort(rng.uniform(0.0, 10.0, n))
+        critical = rng.random(n) < data.draw(st.sampled_from((0.0, 0.3, 1.0)))
+        slo_class = np.where(critical, LATENCY_CRITICAL, BEST_EFFORT).astype(np.uint8)
+        trace = Trace("replay", arrivals, rng.random(n), slo_class, duration_s=10.0)
+        if data.draw(st.booleans()):  # ties
+            delays = rng.integers(0, 4, n) * 0.004
+        else:
+            delays = rng.lognormal(np.log(0.02), data.draw(st.floats(0.1, 3.0)), n)
+        completion = arrivals + delays
+        completion[rng.random(n) < data.draw(st.sampled_from((0.0, 0.2, 1.0)))] = np.nan
+        correct = rng.random(n) < 0.8
+        exit_counts = rng.integers(0, 100, 4)
+        before = completion.tobytes()
+        args = (trace, completion, correct, exit_counts, 3.5, 0.075)
+        got = run_summary(*args)
+        assert completion.tobytes() == before
+        assert repr(got) == repr(self._copying_run_summary(*args))

@@ -3,11 +3,15 @@
 from __future__ import annotations
 
 import dataclasses
+import functools
+import gc
 import json
 import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.engine.cache import ResultCache
 from repro.exits.placement import ExitPlacement
@@ -296,6 +300,30 @@ _PLACEMENTS = (
     ExitPlacement(total_layers=16, positions=(5, 8, 12)),
     ExitPlacement(total_layers=24, positions=(5, 9, 13, 17, 21)),
 )
+#: Stream lengths around the regenerated blocks' edges.
+_LENGTHS = (0, 1, 511, STREAM_BLOCK - 1, STREAM_BLOCK, STREAM_BLOCK + 1, 2 * STREAM_BLOCK + 17)
+
+
+def _identity_stream(placement, branch, n):
+    """The synthesizer, difficulties and stream of one identity case."""
+    synthesizer = LogitsSynthesizer(placement=placement, backbone_accuracy=0.8, seed=3)
+    difficulties = np.random.default_rng(n).beta(2.0, 5.0, size=n)
+    return synthesizer, difficulties, synthesizer.synthesize(difficulties, branch)
+
+
+@functools.lru_cache(maxsize=None)
+def _spec_tables(placement, branch, n):
+    """The spec's whole-draw ``(entropy, head_correct)`` of one case."""
+    synthesizer, difficulties, _ = _identity_stream(placement, branch, n)
+    return spec_serving.compile_logits(
+        *spec_serving.synthesize_logits(synthesizer, difficulties, branch)
+    )
+
+
+def _fixed_tuples(num_exits: int) -> list[tuple[float, ...]]:
+    """From a tuple no exit clears to one every exit clears."""
+    bounds = ((0.0, 0.0), (0.05, 0.4), (0.3, 0.8), (1.0, 1.0))
+    return [tuple(np.linspace(lo, hi, num_exits).tolist()) for lo, hi in bounds]
 
 
 class TestLogitsStream:
@@ -325,27 +353,79 @@ class TestLogitsStream:
 
     @pytest.mark.parametrize("placement", _PLACEMENTS, ids=lambda p: p.key)
     @pytest.mark.parametrize("branch", ["trace", "calibration"])
-    @pytest.mark.parametrize(
-        "n",
-        [0, 1, 511, STREAM_BLOCK - 1, STREAM_BLOCK, STREAM_BLOCK + 1, 2 * STREAM_BLOCK + 17],
-    )
+    @pytest.mark.parametrize("n", _LENGTHS)
     def test_regenerated_logits_equal_one_whole_draw(self, placement, branch, n):
-        """The stream's block-by-block logits, and their compiled entropy and
-        correctness, equal the spec's single whole draw bit for bit."""
-        synthesizer = LogitsSynthesizer(placement=placement, backbone_accuracy=0.8, seed=3)
-        difficulties = np.random.default_rng(n).beta(2.0, 5.0, size=n)
-        stream = synthesizer.synthesize(difficulties, branch)
+        """The stream's block-by-block logits equal the spec's single whole
+        draw bit for bit, and the decisions and correctness compiled from
+        them equal the spec's rule over the whole draw's entropy and
+        correctness, tuple by tuple (a median entropy per head among them)."""
+        synthesizer, difficulties, stream = _identity_stream(placement, branch, n)
         logits, labels = spec_serving.synthesize_logits(synthesizer, difficulties, branch)
         np.testing.assert_array_equal(stream.labels, labels)
         got = stream.logits()
         assert got.shape == logits.shape
         assert got.tobytes() == logits.tobytes()
-        compiled = compile_stream(stream)
-        expected = spec_serving.compile_logits(logits, labels)
-        assert compiled.num_exits == expected.num_exits == placement.num_exits
-        assert compiled.entropy.shape == expected.entropy.shape
-        assert compiled.entropy.tobytes() == expected.entropy.tobytes()
-        np.testing.assert_array_equal(compiled.head_correct, expected.head_correct)
+        entropy, head_correct = spec_serving.compile_logits(logits, labels)
+        tuples = _fixed_tuples(placement.num_exits)
+        if n:
+            tuples.append(tuple(float(np.sort(row)[n // 2]) for row in entropy))
+        compiled = compile_stream(stream, tuples)
+        assert stream.num_exits == len(entropy) == placement.num_exits
+        for thresholds in tuples:
+            exits, correct = compiled.decide(thresholds)
+            expected_exits, expected_correct = spec_serving.decide(
+                entropy, head_correct, thresholds
+            )
+            assert exits == expected_exits
+            assert correct.dtype == expected_correct.dtype
+            assert correct.tobytes() == expected_correct.tobytes()
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.data())
+    def test_compiled_decisions_follow_the_spec_rule(self, data):
+        """``compile_stream(stream, tuples).decide(t)`` is the spec's rule
+        over the whole draw's entropy and correctness, for every tuple, with
+        repeated tuples compiled once; a threshold equal to an observed
+        entropy (a tie) takes the exit."""
+        placement = data.draw(st.sampled_from(_PLACEMENTS))
+        branch = data.draw(st.sampled_from(("trace", "calibration")))
+        n = data.draw(st.sampled_from(_LENGTHS))
+        stream = _identity_stream(placement, branch, n)[2]
+        entropy, head_correct = _spec_tables(placement, branch, n)
+
+        def threshold(head: int) -> float:
+            if n and data.draw(st.booleans()):  # a tie with an observed entropy
+                return float(entropy[head, data.draw(st.integers(0, n - 1))])
+            return data.draw(st.floats(0.0, 1.0))
+
+        heads = range(placement.num_exits)
+        tuples = [
+            tuple(threshold(head) for head in heads)
+            for _ in range(data.draw(st.integers(1, 3)))
+        ]
+        tuples += data.draw(st.lists(st.sampled_from(tuples), max_size=2))
+        tie = None
+        if n:
+            tie = data.draw(st.integers(0, n - 1))
+            tuples.append((float(entropy[0, tie]), *tuples[0][1:]))
+        compiled = compile_stream(stream, tuples)
+        assert len(compiled.tables) == len(set(tuples))
+        for thresholds in tuples:
+            exits, correct = compiled.decide(thresholds)
+            expected_exits, expected_correct = spec_serving.decide(
+                entropy, head_correct, thresholds
+            )
+            assert exits == expected_exits
+            assert correct.tobytes() == expected_correct.tobytes()
+        if tie is not None:
+            assert compiled.decide(tuples[-1])[0][tie] == 0
+
+    def test_decide_refuses_a_tuple_it_was_not_compiled_for(self):
+        stream = _identity_stream(_PLACEMENTS[0], "trace", 64)[2]
+        compiled = compile_stream(stream, [(0.2, 0.4, 0.6), (0.2, 0.4, 0.6)])
+        assert list(compiled.tables) == [(0.2, 0.4, 0.6)]
+        with pytest.raises(ValueError, match=r"thresholds \(0\.2, 0\.4, 0\.7\)"):
+            compiled.decide((0.2, 0.4, 0.7))
 
     def test_stream_never_holds_the_logits_tensor(self):
         """``synthesize`` and ``compile_stream`` each peak well below the
@@ -360,12 +440,85 @@ class TestLogitsStream:
             stream = synthesizer.synthesize(difficulties)
             synthesize_peak = tracemalloc.get_traced_memory()[1]
             tracemalloc.reset_peak()
-            compile_stream(stream)
+            compile_stream(stream, _fixed_tuples(placement.num_exits))
             compile_peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
         assert synthesize_peak < 0.4 * tensor_bytes, synthesize_peak / tensor_bytes
         assert compile_peak < 0.4 * tensor_bytes, compile_peak / tensor_bytes
+
+
+class TestRunMemory:
+    """What a serving run holds per request, on ``serve-1m``'s stack (tx2-gpu,
+    adaptive governor, stack seed 7) at traffic seed 1: 199,174 requests."""
+
+    @pytest.fixture(scope="class")
+    def serve_stack(self):
+        spec = ServingSpec(platform="tx2-gpu", policy="adaptive", pattern="poisson", seed=7)
+        stack = build_serving_stack(spec)
+        spec = dataclasses.replace(spec, seed=1, duration_s=200_000 / stack.rate_hz)
+        return dataclasses.replace(stack, spec=spec)
+
+    def test_whole_run_peak_per_request(self, serve_stack):
+        """Building the trace and stream and serving them peaks under 78 B
+        per request (113 B while the stream kept per-head margins and the
+        compiled stream per-head entropies and correctness), and the
+        stream's own arrays hold at most 10 B per request: it reads the
+        trace's difficulties instead of copying them."""
+        stack, spec = serve_stack, serve_stack.spec
+        gc.collect()
+        tracemalloc.start()
+        try:
+            trace, stream = build_trace_and_stream(stack)
+            simulator = ServingSimulator(
+                evaluator=stack.evaluator,
+                placement=stack.placement,
+                policy=AdaptiveGovernor(stack.ladder, stack.batch_policy),
+                ladder=stack.ladder,
+                scenario=stack.scenario,
+                slo_s=spec.slo_ms / 1e3,
+                batch_policy=stack.batch_policy,
+                window_s=spec.window_ms / 1e3,
+            )
+            report = simulator.run(trace, stream)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        n = trace.num_requests
+        assert n == report.num_served == 199_174
+        assert peak / n < 78.0, peak / n
+        assert stream.difficulties is trace.difficulty
+        owned = [
+            value.nbytes
+            for value in vars(stream).values()
+            if isinstance(value, np.ndarray) and value is not trace.difficulty
+        ]
+        assert sum(owned) <= 10 * n, sum(owned) / n
+
+    def test_compile_holds_a_few_bytes_per_request_per_tuple(self, serve_stack):
+        """``compile_stream`` over the ladder's tuples peaks below 4 B per
+        request per tuple plus one block's buffers, and the marginal over
+        two stream lengths (which cancels the block's buffers) stays below
+        4 B per tuple: no per-head × per-request array is built."""
+        stack = serve_stack
+        tuples = [config.thresholds for config in stack.ladder]
+        distinct = len(set(tuples))
+        block_bytes = 6 * STREAM_BLOCK * stack.synthesizer.num_classes * 8
+        difficulties = np.random.default_rng(1).beta(2.0, 5.0, size=200_000)
+        lengths, peaks = (100_000, 200_000), []
+        for n in lengths:
+            stream = stack.synthesizer.synthesize(difficulties[:n])
+            gc.collect()
+            tracemalloc.start()
+            try:
+                compiled = compile_stream(stream, tuples)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+            assert len(compiled.tables) == distinct
+            assert peaks[-1] < 4 * distinct * n + block_bytes, (peaks[-1], n)
+        marginal = (peaks[1] - peaks[0]) / (lengths[1] - lengths[0])
+        assert marginal < 4 * distinct, marginal / distinct
 
 
 # -------------------------------------------------------------------- ladder
@@ -790,7 +943,7 @@ class TestEngineEquivalence:
         """Regression: a stream with the wrong number of exit heads used to
         crash deep inside the controller; now both loops refuse upfront."""
         trace, stream = build_trace_and_stream(stack)
-        wrong = dataclasses.replace(stream, margins=stream.margins[:-1])
+        wrong = dataclasses.replace(stream, capabilities=stream.capabilities[:-1])
         simulator = simulator_cls(
             evaluator=stack.evaluator,
             placement=stack.placement,

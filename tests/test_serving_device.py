@@ -1,7 +1,7 @@
 """The device core both serving engines share
 (:class:`repro.serving.simulator.ServingDevice`): every batch goes through
 its ``serve``, its counters match the reports, rungs with equal thresholds
-share one decision pass, the compiled stream is gone before the report is
+share one decision table, the compiled stream is gone before the report is
 built, and the fleet's shared battery agrees with the executable spec."""
 
 from __future__ import annotations
@@ -97,24 +97,26 @@ class TestCounters:
 class TestSharedDecisions:
     def test_rungs_with_equal_thresholds_share_one_decision_pass(self, monkeypatch):
         """On the bench quad fleet's stacks (``fleet-quad-1m``: stack seed 7,
-        traffic seed 1, here 10,000 requests), the DVFS tiers of an exit
-        rate and the lanes mounting the same model compile 8 rungs from 4
-        threshold tuples: one decision pass per tuple, and one
+        traffic seed 1, here 10,000 requests), the four lanes' ladders hold
+        48 rungs over 4 threshold tuples: the stream is compiled once, into
+        one decision table per tuple, and the 8 rungs the run uses share one
         ``decisions`` buffer and ``correct`` array per tuple."""
-        passes, rungs = [], []
-        decision_pass = simulator.CompiledStream._decision_pass
+        compiles, rungs = [], []
+        compile_stream = fleet.compile_stream
         compiled_of = simulator._RungMemo.compiled_of
 
-        def counting_pass(cstream, thresholds):
-            passes.append(thresholds)
-            return decision_pass(cstream, thresholds)
+        def counting_compile(stream, thresholds):
+            thresholds = list(thresholds)
+            cstream = compile_stream(stream, thresholds)
+            compiles.append((thresholds, cstream))
+            return cstream
 
         def recording(memo, config):
             rung = compiled_of(memo, config)
             rungs.append((config.thresholds, rung))
             return rung
 
-        monkeypatch.setattr(simulator.CompiledStream, "_decision_pass", counting_pass)
+        monkeypatch.setattr(fleet, "compile_stream", counting_compile)
         monkeypatch.setattr(simulator._RungMemo, "compiled_of", recording)
         spec = FleetSpec(
             platforms=("agx-gpu", "carmel-cpu", "tx2-gpu", "denver-cpu"),
@@ -130,10 +132,12 @@ class TestSharedDecisions:
         trace, stream = build_fleet_trace_and_stream(spec, stacks)
         FleetSimulator(spec, stacks).run(trace, stream)
 
+        [(offered, cstream)] = compiles
+        assert (len(offered), len(set(offered)), len(cstream.tables)) == (48, 4, 4)
         compiled = {id(rung): (thresholds, rung) for thresholds, rung in rungs}
         distinct = {thresholds for thresholds, _ in compiled.values()}
         assert (len(compiled), len(distinct)) == (8, 4)
-        assert sorted(passes) == sorted(distinct)
+        assert distinct == set(cstream.tables)
         for thresholds in distinct:
             group = [rung for key, rung in compiled.values() if key == thresholds]
             first = group[0]
@@ -152,8 +156,8 @@ class TestRelease:
         compiled, alive = [], []
         compile_stream, run_summary = module.compile_stream, module.run_summary
 
-        def compile_and_watch(stream):
-            cstream = compile_stream(stream)
+        def compile_and_watch(stream, thresholds):
+            cstream = compile_stream(stream, thresholds)
             compiled.append(weakref.ref(cstream))
             return cstream
 
